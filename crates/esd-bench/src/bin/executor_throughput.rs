@@ -10,22 +10,20 @@
 //!   the batch with BPF jobs.
 //! * The JSON lands in `BENCH_executor.json`, or in the first CLI argument
 //!   ending in `.json`, or in `$ESD_BENCH_OUT`.
-//! * `threads:<n>` / `ESD_THREADS` select the engine thread count per job;
-//!   `ESD_STATIC_PRUNING=0` switches the static feasibility pass off and
-//!   `ESD_RACE_CANDIDATES=0` switches the static race-candidate preemption
-//!   gating off.
+//! * `ESD_STATIC_PRUNING=0` switches static pruning off: both the
+//!   feasibility verdicts and the race-candidate preemption gating.
 //! * `pool:<n>` / `ESD_POOL` select the executor worker-pool size of the
 //!   cross-job parallel leg; the report records the pool size and the
 //!   cross-job speedup over the serial baseline.
 //! * Exits non-zero when any job of the batch fails to synthesize — the CI
 //!   gate on the throughput trajectory — (exit 4) when static pruning is
 //!   on but the batch reports zero pruned branches or zero saved solver
-//!   queries, (exit 5) when race-candidate pruning is on but the batch's
-//!   race-mode job reports zero pruned preemption forks, and (exit 6) when
+//!   queries, (exit 5) when static pruning is on but the batch's race-mode
+//!   job reports zero pruned preemption forks, and (exit 6) when
 //!   the cross-job parallel leg's execution files diverge from the serial
 //!   baseline.
 
-use esd_bench::{executor_throughput, full_mode, print_executor_throughput, threads_from_args};
+use esd_bench::{executor_throughput, full_mode, print_executor_throughput};
 
 /// Reduced-budget (smoke) instruction budget per job.
 const SMOKE_BUDGET: u64 = 4_000_000;
@@ -45,7 +43,7 @@ fn out_path() -> String {
 
 fn main() {
     let budget = if full_mode() { FULL_BUDGET } else { SMOKE_BUDGET };
-    let report = executor_throughput(budget, SLICE_ROUNDS, threads_from_args());
+    let report = executor_throughput(budget, SLICE_ROUNDS);
     print_executor_throughput(&report);
 
     let path = out_path();
@@ -98,9 +96,9 @@ fn main() {
     // The batch always carries a race-mode genbug DataRace job whose program
     // is full of thread-local yields the candidate set should prune — zero
     // pruned preemptions means the race-candidate plumbing silently fell out.
-    if report.race_candidate_pruning && report.preemptions_pruned_static == 0 {
+    if report.static_pruning && report.preemptions_pruned_static == 0 {
         eprintln!(
-            "FAIL: race-candidate pruning is on but the batch reports zero \
+            "FAIL: static pruning is on but the batch reports zero \
              pruned preemption forks ({} states forked in race mode)",
             report.race_states_created
         );

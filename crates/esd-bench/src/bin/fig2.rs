@@ -2,13 +2,9 @@
 //!
 //! The ESD column's search frontier is selectable, to compare frontiers on
 //! the same workloads: `fig2 [dfs|bfs|random|proximity|beam[:width]]`, or the
-//! `ESD_FRONTIER` environment variable (default: proximity). The engine
-//! thread count for beam runs is selectable too: a `threads:<n>` positional
-//! (`fig2 beam:16 threads:4`) or the `ESD_THREADS` environment variable
-//! (default: 1; `0`/`auto` = all cores).
+//! `ESD_FRONTIER` environment variable (default: proximity).
 fn main() {
     let frontier = esd_bench::frontier_from_args();
-    let threads = esd_bench::threads_from_args();
-    let rows = esd_bench::fig2(esd_bench::ESD_BUDGET, esd_bench::KC_CAP, frontier, threads);
-    esd_bench::print_fig2(&rows, frontier, threads);
+    let rows = esd_bench::fig2(esd_bench::ESD_BUDGET, esd_bench::KC_CAP, frontier);
+    esd_bench::print_fig2(&rows, frontier);
 }

@@ -2,17 +2,14 @@
 //!
 //! The ESD search frontier is selectable, to compare frontiers on the same
 //! sweep: `fig4 [dfs|bfs|random|proximity|beam[:width]]`, or the `ESD_FRONTIER`
-//! environment variable (default: proximity). The engine thread count for
-//! beam runs: `threads:<n>` positional or `ESD_THREADS` (default: 1).
+//! environment variable (default: proximity).
 fn main() {
     let frontier = esd_bench::frontier_from_args();
-    let threads = esd_bench::threads_from_args();
     let rows = esd_bench::fig3(
         &esd_bench::fig3_branch_counts(),
         esd_bench::ESD_BUDGET,
         esd_bench::KC_CAP,
         frontier,
-        threads,
     );
-    esd_bench::print_fig4(&rows, frontier, threads);
+    esd_bench::print_fig4(&rows, frontier);
 }

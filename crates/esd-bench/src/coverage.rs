@@ -11,11 +11,8 @@
 //! 2. **Soundness** — does every *reported* goal match the injected ground
 //!    truth (fault tag, fault location, arming inputs)? A mismatch is a
 //!    false positive. ([`CoverageReport::false_positives`])
-//! 3. **Determinism** — does each scenario's winning configuration produce a
-//!    byte-identical execution file at 1, 2 and 8 engine threads, and do all
-//!    fairness policies agree on every job's outcome?
-//!    ([`ScenarioRow::winner_deterministic`],
-//!    [`CoverageReport::policies_agree`])
+//! 3. **Determinism** — do all fairness policies agree on every job's
+//!    outcome? ([`CoverageReport::policies_agree`])
 //!
 //! The `coverage_matrix` binary wraps this into `BENCH_coverage.json` for
 //! the CI `coverage-smoke` job; `tests/differential.rs` asserts the same
@@ -27,10 +24,6 @@ use esd_symex::FrontierKind;
 use esd_workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
 use serde::Serialize;
 use std::time::Instant;
-
-/// The engine thread counts the winner-determinism check re-runs at — the
-/// same 1/2/8 matrix the CI determinism job pins for the test suite.
-pub const DETERMINISM_THREADS: [usize; 3] = [1, 2, 8];
 
 /// The frontier lineup of the matrix: every [`FrontierKind`] the engine
 /// offers, with the beam at the executor tests' width.
@@ -126,10 +119,6 @@ pub struct ScenarioRow {
     /// The fastest (by steps) frontier that found the bug with correct
     /// ground truth.
     pub winner: Option<String>,
-    /// Whether the winner's execution file is byte-identical when
-    /// re-synthesized at every [`DETERMINISM_THREADS`] engine thread count
-    /// (`true` vacuously when no frontier won).
-    pub winner_deterministic: bool,
 }
 
 /// The per-policy outcome of one corpus job in the policy differential.
@@ -150,21 +139,19 @@ pub struct PolicyJobRow {
 pub struct CoverageReport {
     /// `"reduced"` (smoke / CI) or `"full"` (`ESD_BENCH_FULL=1`).
     pub mode: &'static str,
-    /// Whether static branch-feasibility pruning was on for the matrix
-    /// (`ESD_STATIC_PRUNING`, default on).
+    /// Whether static pruning — branch-feasibility verdicts and race-pair
+    /// candidate gating — was on for the matrix (`ESD_STATIC_PRUNING`,
+    /// default on).
     pub static_pruning: bool,
     /// Branches the static feasibility pass pruned, summed over every cell.
     pub branches_pruned_static: u64,
     /// Solver queries the static feasibility pass saved, summed over every
     /// cell.
     pub solver_queries_saved: u64,
-    /// Whether race-preemption forks were bounded by the static race-pair
-    /// candidate set (`ESD_RACE_CANDIDATES`, default on).
-    pub race_candidate_pruning: bool,
     /// Preemption forks the candidate set pruned, summed over every cell.
     pub preemptions_pruned_static: u64,
     /// States forked by the race-preemption scenarios' cells — the number
-    /// the candidate gating shrinks (compare across `ESD_RACE_CANDIDATES=0/1`
+    /// the candidate gating shrinks (compare across `ESD_STATIC_PRUNING=0/1`
     /// runs).
     pub race_states_created: u64,
     /// Instruction budget per synthesis run.
@@ -203,14 +190,8 @@ impl CoverageReport {
             .collect()
     }
 
-    /// Determinism gate (engine half): every winner replays byte-identical
-    /// across the thread matrix.
-    pub fn winners_deterministic(&self) -> bool {
-        self.scenarios.iter().all(|s| s.winner_deterministic)
-    }
-
-    /// Determinism gate (executor half): every fairness policy produced the
-    /// identical outcome for every corpus job.
+    /// Determinism gate: every fairness policy produced the identical
+    /// outcome for every corpus job.
     pub fn policies_agree(&self) -> bool {
         self.policy_jobs.iter().all(|j| j.agree)
     }
@@ -239,13 +220,11 @@ fn cell_options(w: &GeneratedWorkload, frontier: FrontierKind, budget: u64) -> E
         .frontier(frontier)
         .with_race_detection(w.truth.needs_race_preemptions)
         .static_pruning(crate::static_pruning_from_env())
-        .race_candidate_pruning(crate::race_candidates_from_env())
         .build()
 }
 
 /// Runs the full differential matrix for a config: every scenario × every
-/// frontier, the winner-determinism re-runs, and the fairness-policy
-/// differential over the whole corpus.
+/// frontier, then the fairness-policy differential over the whole corpus.
 pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
     let started = Instant::now();
     let frontiers = coverage_frontiers();
@@ -257,11 +236,7 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
         for &frontier in &frontiers {
             let esd = esd_core::Esd::new(cell_options(w, frontier, config.budget));
             let run_started = Instant::now();
-            let result = esd.synthesize_goal(
-                &w.program,
-                w.truth.goal.clone(),
-                w.truth.needs_race_preemptions,
-            );
+            let result = esd.synthesize_goal(&w.program, w.truth.goal.clone());
             let elapsed = secs(run_started.elapsed());
             let cell = match result {
                 Ok(report) => {
@@ -296,22 +271,16 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
         }
         let winner = cells
             .iter()
-            .zip(&frontiers)
-            .filter(|(c, _)| c.found && c.truth_ok)
-            .min_by_key(|(c, _)| c.steps)
-            .map(|(c, f)| (c.frontier.clone(), *f));
-        let winner_deterministic = match &winner {
-            Some((_, frontier)) => winner_is_deterministic(w, *frontier, config.budget),
-            None => true,
-        };
+            .filter(|c| c.found && c.truth_ok)
+            .min_by_key(|c| c.steps)
+            .map(|c| c.frontier.clone());
         let row = ScenarioRow {
             name: w.name.clone(),
             // Corpus order is seed-major over the kinds.
             seed: config.seeds[idx / InjectedBugKind::ALL.len()],
             kind: w.truth.kind.slug().to_string(),
             found_by: cells.iter().filter(|c| c.found && c.truth_ok).count(),
-            winner: winner.map(|(name, _)| name),
-            winner_deterministic,
+            winner,
             cells,
         };
         // Full-mode sweeps run for many minutes per scenario; stderr progress
@@ -350,7 +319,6 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
             .flat_map(|s| &s.cells)
             .map(|c| c.solver_queries_saved)
             .sum(),
-        race_candidate_pruning: crate::race_candidates_from_env(),
         preemptions_pruned_static: scenarios
             .iter()
             .flat_map(|s| &s.cells)
@@ -375,44 +343,12 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
     }
 }
 
-/// Re-synthesizes a scenario's winning configuration at every
-/// [`DETERMINISM_THREADS`] count and checks the execution files are
-/// byte-identical.
-fn winner_is_deterministic(w: &GeneratedWorkload, frontier: FrontierKind, budget: u64) -> bool {
-    let mut baseline: Option<String> = None;
-    for threads in DETERMINISM_THREADS {
-        let options = EsdOptions::builder()
-            .max_steps(budget)
-            .frontier(frontier)
-            .with_race_detection(w.truth.needs_race_preemptions)
-            .threads(threads)
-            .static_pruning(crate::static_pruning_from_env())
-            .race_candidate_pruning(crate::race_candidates_from_env())
-            .build();
-        let result = esd_core::Esd::new(options).synthesize_goal(
-            &w.program,
-            w.truth.goal.clone(),
-            w.truth.needs_race_preemptions,
-        );
-        let json = match result {
-            Ok(report) => report.execution.to_json(),
-            Err(_) => return false,
-        };
-        match &baseline {
-            None => baseline = Some(json),
-            Some(expected) if *expected == json => {}
-            Some(_) => return false,
-        }
-    }
-    true
-}
-
 /// Runs the corpus through the [`JobExecutor`] under each fairness policy
 /// and reports, per job, whether every policy produced the identical
 /// verdict and execution file — the service-layer half of the determinism
 /// contract (scheduling arbitration must never leak into results).
 pub fn policy_differential(corpus: &[GeneratedWorkload], budget: u64) -> Vec<PolicyJobRow> {
-    let specs = |threads: usize| -> Vec<JobSpec> {
+    let specs = || -> Vec<JobSpec> {
         corpus
             .iter()
             .map(|w| {
@@ -420,9 +356,7 @@ pub fn policy_differential(corpus: &[GeneratedWorkload], budget: u64) -> Vec<Pol
                     EsdOptions::builder()
                         .max_steps(budget)
                         .with_race_detection(w.truth.needs_race_preemptions)
-                        .threads(threads)
                         .static_pruning(crate::static_pruning_from_env())
-                        .race_candidate_pruning(crate::race_candidates_from_env())
                         .build(),
                 )
             })
@@ -435,7 +369,7 @@ pub fn policy_differential(corpus: &[GeneratedWorkload], budget: u64) -> Vec<Pol
     ];
     let mut per_policy: Vec<Vec<(JobVerdict, Option<String>)>> = Vec::new();
     for executor in executors {
-        let outcomes = executor.slice_rounds(256).run_batch(specs(1));
+        let outcomes = executor.slice_rounds(256).run_batch(specs());
         per_policy.push(
             outcomes
                 .into_iter()
@@ -473,7 +407,7 @@ pub fn print_coverage(report: &CoverageReport) {
     for f in &report.frontiers {
         header.push_str(&format!(" {f:>10}"));
     }
-    println!("{header} {:>12} {:>6}", "winner", "det");
+    println!("{header} {:>12}", "winner");
     for s in &report.scenarios {
         let mut row = format!("{:<24}", s.name);
         for c in &s.cells {
@@ -486,31 +420,22 @@ pub fn print_coverage(report: &CoverageReport) {
             };
             row.push_str(&format!(" {mark:>10}"));
         }
-        println!(
-            "{row} {:>12} {:>6}",
-            s.winner.as_deref().unwrap_or("NONE"),
-            if s.winner_deterministic { "yes" } else { "NO" },
-        );
+        println!("{row} {:>12}", s.winner.as_deref().unwrap_or("NONE"));
     }
     println!(
-        "coverage: {}/{} found · {} false positives · winners deterministic: {} · \
-         policies agree: {} · {:.1}s",
+        "coverage: {}/{} found · {} false positives · policies agree: {} · {:.1}s",
         report.scenarios_found,
         report.scenarios_total,
         report.false_positives().len(),
-        if report.winners_deterministic() { "yes" } else { "NO" },
         if report.policies_agree() { "yes" } else { "NO" },
         report.total_wall_secs,
     );
     println!(
-        "static pruning {}: {} branches pruned, {} solver queries saved",
+        "static pruning {}: {} branches pruned, {} solver queries saved, {} preemption forks \
+         pruned, {} states forked on race scenarios",
         if report.static_pruning { "on" } else { "off" },
         report.branches_pruned_static,
         report.solver_queries_saved,
-    );
-    println!(
-        "race candidates {}: {} preemption forks pruned, {} states forked on race scenarios",
-        if report.race_candidate_pruning { "on" } else { "off" },
         report.preemptions_pruned_static,
         report.race_states_created,
     );

@@ -58,7 +58,7 @@ pub fn full_mode() -> bool {
 pub fn frontier_from_args() -> FrontierKind {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let under_cargo_bench = args.iter().any(|a| a == "--bench");
-    let positional = args.iter().find(|a| !a.starts_with('-') && !a.starts_with("threads:"));
+    let positional = args.iter().find(|a| !a.starts_with('-'));
     let from_env = || {
         std::env::var("ESD_FRONTIER")
             .ok()
@@ -75,49 +75,16 @@ pub fn frontier_from_args() -> FrontierKind {
     }
 }
 
-/// The engine thread count the ESD side of a benchmark should use, so the
-/// fig2 / fig3 / fig4 binaries can measure the multi-threaded beam engine: a
-/// `threads:<n>` positional CLI argument wins (`fig2 beam:16 threads:4`),
-/// then the `ESD_THREADS` environment variable, then single-threaded.
-/// `0` (or `auto`) means "all available parallelism". The thread count never
-/// changes what is synthesized — only how fast (see
-/// `esd_symex::EngineConfig::threads`).
-pub fn threads_from_args() -> usize {
-    let parse = |s: &str| -> usize {
-        if s.eq_ignore_ascii_case("auto") {
-            return 0;
-        }
-        s.parse().unwrap_or_else(|_| {
-            panic!("thread count {s:?} must be a non-negative integer or \"auto\"")
-        })
-    };
-    let from_cli = std::env::args().skip(1).find_map(|a| a.strip_prefix("threads:").map(parse));
-    from_cli.or_else(|| std::env::var("ESD_THREADS").ok().map(|s| parse(&s))).unwrap_or(1)
-}
-
-/// Whether the static branch-feasibility pruning pass (the ESD §3.2 static
-/// phase) should run ahead of the searches the benchmarks launch: the
-/// `ESD_STATIC_PRUNING` environment variable, where `0`, `off`, `false` or
-/// `no` disables it and anything else — including the variable being unset —
-/// leaves it on, matching the engine default. The CI determinism matrix pins
-/// one leg to `ESD_STATIC_PRUNING=0` to prove pruning never changes *what*
-/// is synthesized, only how much solver work it costs.
+/// Whether the searches the benchmarks launch consult the static phase's
+/// result-invariant verdicts — interval branch verdicts and race-pair
+/// candidate gating: the `ESD_STATIC_PRUNING` environment variable, where
+/// `0`, `off`, `false` or `no` disables them and anything else — including
+/// the variable being unset — leaves them on, matching the engine default.
+/// The CI determinism matrix pins one leg to `ESD_STATIC_PRUNING=0` to prove
+/// pruning never changes *what* is synthesized, only how much solver work
+/// and how many preemption forks it costs.
 pub fn static_pruning_from_env() -> bool {
     match std::env::var("ESD_STATIC_PRUNING") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false" | "no"),
-        Err(_) => true,
-    }
-}
-
-/// Whether race-preemption forks should be bounded by the static race-pair
-/// candidate set (§4.2's static phase): the `ESD_RACE_CANDIDATES`
-/// environment variable, where `0`, `off`, `false` or `no` disables the
-/// gating and anything else — including the variable being unset — leaves it
-/// on, matching the engine default. The CI determinism matrix pins one leg
-/// to `ESD_RACE_CANDIDATES=0` to prove candidate gating never changes *what*
-/// is synthesized, only how many preemption forks the search pays for.
-pub fn race_candidates_from_env() -> bool {
-    match std::env::var("ESD_RACE_CANDIDATES") {
         Ok(v) => !matches!(v.trim(), "0" | "off" | "false" | "no"),
         Err(_) => true,
     }
@@ -126,8 +93,8 @@ pub fn race_candidates_from_env() -> bool {
 /// The executor worker-pool size the multi-job benchmarks should use for
 /// their cross-job parallel leg: a `pool:<n>` positional CLI argument wins
 /// (`executor_throughput pool:8`), then the `ESD_POOL` environment variable,
-/// then 2. `0` (or `auto`) means "all available parallelism". Like engine
-/// threads, the pool size never changes what is synthesized — only how fast
+/// then 2. `0` (or `auto`) means "all available parallelism". The pool size
+/// never changes what is synthesized — only how fast
 /// the batch drains (see `esd_core::JobExecutor::pool_size`); the
 /// `executor_throughput` binary exits non-zero if it ever does.
 pub fn pool_from_args() -> usize {
@@ -184,7 +151,7 @@ pub fn run_table1_row(w: &Workload, esd_budget: u64) -> Table1Row {
         .static_pruning(static_pruning_from_env())
         .synthesizer();
     let start = Instant::now();
-    let result = esd.synthesize_goal(&w.program, w.goal(), false);
+    let result = esd.synthesize_goal(&w.program, w.goal());
     let elapsed = start.elapsed();
     let (esd_secs, esd_steps, playback_ok) = match &result {
         Ok(r) => {
@@ -240,37 +207,30 @@ pub struct Fig2Row {
 }
 
 /// Regenerates Figure 2: time to find a path to the bug, ESD (with the given
-/// search frontier and engine thread count) vs the two KC search strategies,
+/// search frontier) vs the two KC search strategies,
 /// on ls1–ls4 and the real-bug analogs.
-pub fn fig2(esd_budget: u64, kc_cap: u64, frontier: FrontierKind, threads: usize) -> Vec<Fig2Row> {
+pub fn fig2(esd_budget: u64, kc_cap: u64, frontier: FrontierKind) -> Vec<Fig2Row> {
     let mut rows = Vec::new();
     for w in all_real_bugs() {
         if w.name == "listing1" {
             continue;
         }
-        rows.push(run_fig2_row(&w, esd_budget, kc_cap, frontier, threads));
+        rows.push(run_fig2_row(&w, esd_budget, kc_cap, frontier));
     }
     rows
 }
 
-/// Runs one Figure-2 bar group with the given ESD frontier and thread count.
-pub fn run_fig2_row(
-    w: &Workload,
-    esd_budget: u64,
-    kc_cap: u64,
-    frontier: FrontierKind,
-    threads: usize,
-) -> Fig2Row {
+/// Runs one Figure-2 bar group with the given ESD frontier.
+pub fn run_fig2_row(w: &Workload, esd_budget: u64, kc_cap: u64, frontier: FrontierKind) -> Fig2Row {
     let goal = w.goal();
     let esd = EsdOptions::builder()
         .max_steps(esd_budget)
         .frontier(frontier)
-        .threads(threads)
         .static_pruning(static_pruning_from_env())
         .synthesizer();
     let start = Instant::now();
     let esd_secs =
-        esd.synthesize_goal(&w.program, goal.clone(), false).ok().map(|_| secs(start.elapsed()));
+        esd.synthesize_goal(&w.program, goal.clone()).ok().map(|_| secs(start.elapsed()));
     let dfs = kc_synthesize(&w.program, goal.clone(), KcStrategy::Dfs, kc_cap);
     let rand = kc_synthesize(&w.program, goal, KcStrategy::RandomPath { seed: 11 }, kc_cap);
     Fig2Row {
@@ -283,10 +243,10 @@ pub fn run_fig2_row(
 
 /// Renders Figure 2 as a table (one row per bar group; "cap" marks the bars
 /// that fade out at the top of the paper's plot).
-pub fn print_fig2(rows: &[Fig2Row], frontier: FrontierKind, threads: usize) {
+pub fn print_fig2(rows: &[Fig2Row], frontier: FrontierKind) {
     println!(
         "Figure 2: time to find a path to the bug — \
-         ESD[{frontier}, threads={threads}] vs KC(DFS) vs KC(RandPath)"
+         ESD[{frontier}] vs KC(DFS) vs KC(RandPath)"
     );
     println!("{:<10} {:>12} {:>12} {:>14}", "System", "ESD [s]", "KC-DFS [s]", "KC-Rand [s]");
     let fmt = |v: &Option<f64>| v.map(|s| format!("{s:.2}")).unwrap_or_else(|| "cap".into());
@@ -317,13 +277,12 @@ pub struct BpfRow {
 }
 
 /// Regenerates Figure 3 / Figure 4: synthesis time vs BPF program complexity,
-/// with the ESD side using the given search frontier and engine thread count.
+/// with the ESD side using the given search frontier.
 pub fn fig3(
     branch_counts: &[u32],
     esd_budget: u64,
     kc_cap: u64,
     frontier: FrontierKind,
-    threads: usize,
 ) -> Vec<BpfRow> {
     let mut rows = Vec::new();
     for &branches in branch_counts {
@@ -332,11 +291,10 @@ pub fn fig3(
         let esd = EsdOptions::builder()
             .max_steps(esd_budget)
             .frontier(frontier)
-            .threads(threads)
             .static_pruning(static_pruning_from_env())
             .synthesizer();
         let start = Instant::now();
-        let esd_result = esd.synthesize_goal(&w.program, goal.clone(), false);
+        let esd_result = esd.synthesize_goal(&w.program, goal.clone());
         let esd_elapsed = start.elapsed();
         let kc = kc_synthesize(&w.program, goal, KcStrategy::RandomPath { seed: 5 }, kc_cap);
         rows.push(BpfRow {
@@ -361,10 +319,10 @@ pub fn fig3_branch_counts() -> Vec<u32> {
 }
 
 /// Renders Figure 3 (x = branches).
-pub fn print_fig3(rows: &[BpfRow], frontier: FrontierKind, threads: usize) {
+pub fn print_fig3(rows: &[BpfRow], frontier: FrontierKind) {
     println!(
         "Figure 3: BPF — synthesis time vs number of branches \
-         (ESD[{frontier}, threads={threads}] vs KC-RandPath)"
+         (ESD[{frontier}] vs KC-RandPath)"
     );
     println!("{:<10} {:>12} {:>12} {:>12}", "branches", "ESD [s]", "steps", "KC [s]");
     let fmt = |v: &Option<f64>| v.map(|s| format!("{s:.2}")).unwrap_or_else(|| "cap".into());
@@ -380,11 +338,8 @@ pub fn print_fig3(rows: &[BpfRow], frontier: FrontierKind, threads: usize) {
 }
 
 /// Renders Figure 4 (x = program size in KLOC).
-pub fn print_fig4(rows: &[BpfRow], frontier: FrontierKind, threads: usize) {
-    println!(
-        "Figure 4: BPF — synthesis time vs program size (KLOC), \
-         ESD[{frontier}, threads={threads}]"
-    );
+pub fn print_fig4(rows: &[BpfRow], frontier: FrontierKind) {
+    println!("Figure 4: BPF — synthesis time vs program size (KLOC), ESD[{frontier}]");
     println!("{:<10} {:>12}", "KLOC", "ESD [s]");
     let fmt = |v: &Option<f64>| v.map(|s| format!("{s:.2}")).unwrap_or_else(|| "cap".into());
     for r in rows {
@@ -421,7 +376,7 @@ pub fn ablation(esd_budget: u64) -> Vec<AblationRow> {
         .map(|(name, opts)| {
             let esd = Esd::new(opts);
             let start = Instant::now();
-            let result = esd.synthesize_goal(&w.program, w.goal(), false);
+            let result = esd.synthesize_goal(&w.program, w.goal());
             AblationRow {
                 config: name,
                 secs: result.as_ref().ok().map(|_| secs(start.elapsed())),
@@ -483,7 +438,7 @@ pub fn playback_check(esd_budget: u64, repetitions: u32) -> Vec<(String, bool)> 
             .max_steps(esd_budget)
             .static_pruning(static_pruning_from_env())
             .synthesizer();
-        let ok = match esd.synthesize_goal(&w.program, w.goal(), false) {
+        let ok = match esd.synthesize_goal(&w.program, w.goal()) {
             Ok(r) => (0..repetitions).all(|_| play(&w.program, &r.execution).reproduced),
             Err(_) => false,
         };
@@ -535,28 +490,24 @@ pub struct ExecutorBenchReport {
     pub policy: String,
     /// The executor's base slice length in rounds.
     pub slice_rounds: u64,
-    /// Engine worker threads per job.
-    pub threads: usize,
     /// Instruction budget per job.
     pub esd_budget: u64,
     /// `"reduced"` (the default / CI smoke mode) or `"full"`
     /// (`ESD_BENCH_FULL=1`).
     pub mode: &'static str,
-    /// Whether static branch-feasibility pruning was on for the batch
-    /// (`ESD_STATIC_PRUNING`, default on).
+    /// Whether static pruning — branch-feasibility verdicts and race-pair
+    /// candidate gating — was on for the batch (`ESD_STATIC_PRUNING`,
+    /// default on).
     pub static_pruning: bool,
     /// Branches the static feasibility pass pruned, summed over the batch.
     pub branches_pruned_static: u64,
     /// Solver queries the static feasibility pass saved, summed over the
     /// batch.
     pub solver_queries_saved: u64,
-    /// Whether race-preemption forks were bounded by the static race-pair
-    /// candidate set (`ESD_RACE_CANDIDATES`, default on).
-    pub race_candidate_pruning: bool,
     /// Preemption forks the candidate set pruned, summed over the batch.
     pub preemptions_pruned_static: u64,
     /// States forked by the race-mode jobs of the batch — the number the
-    /// candidate gating shrinks (compare across `ESD_RACE_CANDIDATES=0/1`
+    /// candidate gating shrinks (compare across `ESD_STATIC_PRUNING=0/1`
     /// runs).
     pub race_states_created: u64,
     /// Per-job measurements, in submission order.
@@ -642,20 +593,13 @@ fn executor_batch() -> Vec<(Workload, bool)> {
 /// deadlocks and crashes, ≥ 4 jobs; BPF jobs added in full mode) to a
 /// round-robin [`JobExecutor`], drains it, replays every synthesized
 /// execution, and reports per-job wall time plus total batch throughput.
-pub fn executor_throughput(
-    esd_budget: u64,
-    slice_rounds: u64,
-    threads: usize,
-) -> ExecutorBenchReport {
+pub fn executor_throughput(esd_budget: u64, slice_rounds: u64) -> ExecutorBenchReport {
     let batch = executor_batch();
     let static_pruning = static_pruning_from_env();
-    let race_candidate_pruning = race_candidates_from_env();
     let job_options = |race: bool| {
         EsdOptions::builder()
             .max_steps(esd_budget)
-            .threads(threads)
             .static_pruning(static_pruning)
-            .race_candidate_pruning(race_candidate_pruning)
             .with_race_detection(race)
             .build()
     };
@@ -762,13 +706,11 @@ pub fn executor_throughput(
     ExecutorBenchReport {
         policy: "round-robin".into(),
         slice_rounds,
-        threads,
         esd_budget,
         mode: if full_mode() { "full" } else { "reduced" },
         static_pruning,
         branches_pruned_static: jobs.iter().map(|j| j.branches_pruned_static).sum(),
         solver_queries_saved: jobs.iter().map(|j| j.solver_queries_saved).sum(),
-        race_candidate_pruning,
         preemptions_pruned_static: jobs.iter().map(|j| j.preemptions_pruned_static).sum(),
         race_states_created: jobs.iter().filter(|j| j.race_mode).map(|j| j.states_created).sum(),
         jobs_total: jobs.len(),
@@ -802,13 +744,8 @@ pub fn executor_throughput(
 /// Renders the executor throughput report as a table.
 pub fn print_executor_throughput(report: &ExecutorBenchReport) {
     println!(
-        "Executor throughput: {} jobs under {} (slice={} rounds, threads={}, budget={}, {})",
-        report.jobs_total,
-        report.policy,
-        report.slice_rounds,
-        report.threads,
-        report.esd_budget,
-        report.mode,
+        "Executor throughput: {} jobs under {} (slice={} rounds, budget={}, {})",
+        report.jobs_total, report.policy, report.slice_rounds, report.esd_budget, report.mode,
     );
     println!(
         "{:<10} {:>12} {:>10} {:>10} {:>12} {:>8} {:>8} {:>10}",
@@ -841,14 +778,11 @@ pub fn print_executor_throughput(report: &ExecutorBenchReport) {
         report.throughput_jobs_per_sec
     );
     println!(
-        "static pruning {}: {} branches pruned, {} solver queries saved",
+        "static pruning {}: {} branches pruned, {} solver queries saved, {} preemption forks \
+         pruned, {} states forked in race mode",
         if report.static_pruning { "on" } else { "off" },
         report.branches_pruned_static,
         report.solver_queries_saved,
-    );
-    println!(
-        "race candidates {}: {} preemption forks pruned, {} states forked in race mode",
-        if report.race_candidate_pruning { "on" } else { "off" },
         report.preemptions_pruned_static,
         report.race_states_created,
     );
@@ -879,7 +813,7 @@ pub fn synthesize_one(name: &str, budget: u64) -> Option<Duration> {
         .static_pruning(static_pruning_from_env())
         .synthesizer();
     let start = Instant::now();
-    esd.synthesize_goal(&w.program, w.goal(), false).ok().map(|_| start.elapsed())
+    esd.synthesize_goal(&w.program, w.goal()).ok().map(|_| start.elapsed())
 }
 
 /// A goal specification for an arbitrary workload, used by the binaries.
@@ -1040,7 +974,7 @@ mod tests {
 
     #[test]
     fn fig3_rows_report_kloc_monotonically() {
-        let rows = fig3(&[16, 64], 1_500_000, 10_000, FrontierKind::Proximity, 1);
+        let rows = fig3(&[16, 64], 1_500_000, 10_000, FrontierKind::Proximity);
         assert_eq!(rows.len(), 2);
         assert!(rows[0].kloc < rows[1].kloc);
     }
@@ -1057,9 +991,7 @@ mod tests {
             FrontierKind::Proximity,
             FrontierKind::beam(),
         ] {
-            // Two engine threads on the beam run exercise the worker-pool
-            // path end to end through the bench plumbing.
-            let row = run_fig2_row(&w, 20_000, 1_000, frontier, 2);
+            let row = run_fig2_row(&w, 20_000, 1_000, frontier);
             assert_eq!(row.system, "mkfifo");
         }
     }

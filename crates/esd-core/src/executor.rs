@@ -18,7 +18,7 @@
 //!
 //! The caller drives the executor explicitly — [`JobExecutor::submit`],
 //! [`JobExecutor::run_slice`] / [`JobExecutor::run_until_idle`],
-//! [`JobExecutor::poll`], [`JobExecutor::cancel`],
+//! [`JobExecutor::status`], [`JobExecutor::cancel`],
 //! [`JobExecutor::take`] — and can observe every job through a per-job
 //! [`Observer`] fan-out plus aggregate [`ExecutorStats`].
 //!
@@ -26,7 +26,7 @@
 //! only at [`Engine::step_round`](esd_symex::Engine::step_round) boundaries
 //! and the executor shares nothing between jobs, so a job's synthesized
 //! execution file is byte-identical whether the job ran solo or interleaved
-//! with any number of other jobs, at any engine thread count (pinned by the
+//! with any number of other jobs, at any pool size (pinned by the
 //! `tests/executor.rs` integration suite and the CI determinism matrix).
 //!
 //! **Admission control.** [`JobExecutor::max_running`] bounds how many jobs
@@ -194,11 +194,8 @@ pub struct JobProgress {
 /// The one job-status surface: where a job is and, once terminal, how it
 /// ended. Returned by [`JobExecutor::status`], by the `Service` front door,
 /// and sent verbatim over the wire protocol — the same enum at every layer.
-///
-/// This collapses the old `poll()`/`outcome()` split ([`JobPhase`] +
-/// [`JobVerdict`] + `Option<&JobOutcome>`) into a single type; the full
-/// [`JobOutcome`] (with the synthesized execution) is still *extracted* with
-/// [`JobExecutor::take`].
+/// The full [`JobOutcome`] (with the synthesized execution) is *extracted*
+/// with [`JobExecutor::take`].
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum JobStatus {
     /// Submitted, waiting for admission.
@@ -534,9 +531,9 @@ impl JobSlot {
         };
         for member in &self.members {
             let event = member.session.progress_event();
-            progress.steps += event.steps;
+            progress.steps += event.stats.steps;
             progress.live_states += event.live_states as u64;
-            progress.best_proximity = match (progress.best_proximity, event.best_proximity) {
+            progress.best_proximity = match (progress.best_proximity, event.stats.best_proximity) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
@@ -796,8 +793,8 @@ impl JobExecutor {
     /// identical planned grants and merges results in grant order, so a
     /// job's synthesized execution file — and every executor statistic — is
     /// byte-identical at any pool size (pinned by `tests/executor.rs` and
-    /// the CI `ESD_POOL` matrix). Cross-job parallelism composes with the
-    /// engine's own per-job worker pool ([`EsdOptions::threads`]).
+    /// the CI `ESD_POOL` matrix). This pool is the codebase's one
+    /// parallelism layer: a job's search itself runs on one thread.
     pub fn pool_size(mut self, n: usize) -> Self {
         self.pool_size = if n == 0 {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
@@ -952,27 +949,6 @@ impl JobExecutor {
                 }
             }
         }
-    }
-
-    /// The job's current lifecycle phase.
-    ///
-    /// # Panics
-    /// On a handle from a different executor.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use JobExecutor::status — one JobStatus across executor, Service and wire"
-    )]
-    pub fn poll(&self, handle: JobHandle) -> JobPhase {
-        self.slots[handle.0 as usize].phase
-    }
-
-    /// The job's terminal outcome, once finished.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use JobExecutor::status for the verdict, JobExecutor::take for the outcome"
-    )]
-    pub fn outcome(&self, handle: JobHandle) -> Option<&JobOutcome> {
-        self.slots[handle.0 as usize].outcome.as_ref()
     }
 
     /// Removes and returns the job's terminal outcome (subsequent calls
@@ -1811,22 +1787,6 @@ mod tests {
         );
         let wall_after: Vec<Duration> = stats.jobs.iter().map(|j| j.wall).collect();
         assert_eq!(wall_before, wall_after, "finished wall times must not drift");
-    }
-
-    /// The deprecated `poll`/`outcome` shims keep answering exactly as the
-    /// unified [`JobStatus`] surface does, for one release.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_poll_and_outcome_shims_agree_with_status() {
-        let (p, loc) = crashy("exec_shims", 6);
-        let mut exec = JobExecutor::round_robin();
-        let h = exec.submit(JobSpec::new("job", &p, GoalSpec::Crash { loc }));
-        assert_eq!(exec.poll(h), JobPhase::Queued);
-        assert_eq!(exec.status(h), JobStatus::Queued);
-        exec.run_until_idle();
-        assert_eq!(exec.poll(h), JobPhase::Finished);
-        assert_eq!(exec.outcome(h).unwrap().verdict, JobVerdict::Found);
-        assert_eq!(exec.status(h), JobStatus::Finished { verdict: JobVerdict::Found });
     }
 
     /// Runs a three-job batch at the given (batch width, pool size) and

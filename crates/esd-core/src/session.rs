@@ -54,32 +54,11 @@ const RUN_TO_COMPLETION_SLICE: u64 = 16 * 1024;
 pub struct ProgressEvent {
     /// Search rounds (frontier selections) completed so far.
     pub rounds: u64,
-    /// Instructions executed across all states.
-    pub steps: u64,
-    /// States created (forks admitted to the pool, including the initial
-    /// state).
-    pub states_created: u64,
-    /// Forked states dropped before entering the pool (duplicate
-    /// fingerprint or pool cap).
-    pub states_pruned: u64,
     /// Live states currently in the pool.
     pub live_states: usize,
-    /// Data races flagged by the lockset detector.
-    pub races_flagged: usize,
-    /// Bugs found that did not match the goal.
-    pub other_bugs_found: usize,
-    /// Branch forks decided by the static interval analysis instead of the
-    /// solver.
-    pub branches_pruned_static: u64,
-    /// Solver queries the static verdicts made unnecessary.
-    pub solver_queries_saved: u64,
-    /// Preemption forks skipped because the yield has no static race-pair
-    /// candidate material around it.
-    pub preemptions_pruned_static: u64,
-    /// The lowest final-goal priority key seen so far (`None` until a
-    /// priority-driven frontier computes one) — how close the search has
-    /// come to the reported failure.
-    pub best_proximity: Option<u64>,
+    /// The search statistics so far (steps, forks, pruning counters, races,
+    /// best proximity).
+    pub stats: SearchStats,
     /// Wall-clock time since the session was created.
     pub elapsed: Duration,
 }
@@ -246,27 +225,13 @@ impl EsdOptionsBuilder {
         self
     }
 
-    /// Consult the static interval-analysis branch verdicts to skip solver
-    /// queries on provably one-sided branches (on by default).
+    /// Consult the static phase's result-invariant verdicts (on by
+    /// default): interval branch verdicts skip solver queries on provably
+    /// one-sided branches, and race-pair candidates skip speculative
+    /// preemption forks in race-preemption mode (concretely flagged
+    /// accesses always fork).
     pub fn static_pruning(mut self, on: bool) -> Self {
         self.options.static_pruning = on;
-        self
-    }
-
-    /// Consult the static race-pair candidates in race-preemption mode so
-    /// yields with no candidate-pair material around them skip the
-    /// speculative preemption fork; concretely flagged accesses always fork
-    /// (on by default).
-    pub fn race_candidate_pruning(mut self, on: bool) -> Self {
-        self.options.race_candidate_pruning = on;
-        self
-    }
-
-    /// Worker threads for multi-state frontier batches (the beam frontier);
-    /// `1` stays on the calling thread, `0` uses all available parallelism.
-    /// The thread count never changes the synthesized execution.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
         self
     }
 
@@ -380,8 +345,6 @@ impl SynthesisSession {
             schedule_bias: options.schedule_bias,
             race_preemptions: options.with_race_detection,
             static_pruning: options.static_pruning,
-            race_candidate_pruning: options.race_candidate_pruning,
-            threads: options.threads,
             ..EngineConfig::default()
         };
         let engine = Engine::new(program, analysis, goal, config);
@@ -540,19 +503,10 @@ impl SynthesisSession {
     /// A progress snapshot of the current search state (the same data an
     /// [`Observer`] receives).
     pub fn progress_event(&self) -> ProgressEvent {
-        let stats = self.engine.stats();
         ProgressEvent {
             rounds: self.rounds,
-            steps: stats.steps,
-            states_created: stats.states_created,
-            states_pruned: stats.states_pruned,
             live_states: self.engine.live_states(),
-            races_flagged: stats.races_flagged,
-            other_bugs_found: stats.other_bugs_found,
-            branches_pruned_static: stats.branches_pruned_static,
-            solver_queries_saved: stats.solver_queries_saved,
-            preemptions_pruned_static: stats.preemptions_pruned_static,
-            best_proximity: stats.best_proximity,
+            stats: self.engine.stats().clone(),
             elapsed: self.started_at.elapsed(),
         }
     }
@@ -676,6 +630,7 @@ mod tests {
         session.run_for(1);
         let proximity = session
             .progress_event()
+            .stats
             .best_proximity
             .expect("the proximity frontier computes a key on the first push");
         assert!(
@@ -698,9 +653,7 @@ mod tests {
             .schedule_bias(false)
             .with_race_detection(true)
             .static_pruning(false)
-            .race_candidate_pruning(false)
             .deadline(Duration::from_secs(9))
-            .threads(4)
             .build();
         assert_eq!(options.max_steps, 123);
         assert_eq!(options.max_states, 45);
@@ -711,9 +664,7 @@ mod tests {
         assert!(!options.schedule_bias);
         assert!(options.with_race_detection);
         assert!(!options.static_pruning);
-        assert!(!options.race_candidate_pruning);
         assert_eq!(options.deadline, Some(Duration::from_secs(9)));
-        assert_eq!(options.threads, 4);
     }
 
     #[test]
@@ -798,7 +749,7 @@ mod tests {
         assert_eq!(recording.finished, Some("found"));
         assert!(!recording.progress.is_empty(), "progress cadence of 2 must fire");
         let last = recording.progress.last().unwrap();
-        assert!(last.steps > 0);
+        assert!(last.stats.steps > 0);
         assert!(last.rounds >= 2);
     }
 }

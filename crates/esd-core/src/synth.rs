@@ -48,27 +48,17 @@ pub struct EsdOptions {
     pub schedule_bias: bool,
     /// Enable lockset-race-directed preemptions (`--with-race-det`).
     pub with_race_detection: bool,
-    /// Consult the static phase's interval-analysis branch verdicts to skip
-    /// solver queries on branches proven one-sided for all inputs (see
-    /// `esd_symex::EngineConfig::static_pruning`). On by default;
-    /// `ESD_STATIC_PRUNING=0` turns it off in the benches and CI.
+    /// Consult the static phase's result-invariant verdicts: interval
+    /// branch verdicts skip solver queries on branches proven one-sided for
+    /// all inputs, and in race-preemption mode the race-pair candidates skip
+    /// speculative preemption forks at yields no candidate pair surrounds
+    /// (see `esd_symex::EngineConfig::static_pruning`). Neither changes what
+    /// is synthesized. On by default; `ESD_STATIC_PRUNING=0` turns it off in
+    /// the benches and CI.
     pub static_pruning: bool,
-    /// Consult the static phase's race-pair candidates in race-preemption
-    /// mode: yields with no candidate-pair material around them skip the
-    /// speculative preemption fork; accesses the dynamic detector flags
-    /// always fork regardless (see
-    /// `esd_symex::EngineConfig::race_candidate_pruning`). On by default;
-    /// `ESD_RACE_CANDIDATES=0` turns it off in the benches and CI.
-    pub race_candidate_pruning: bool,
     /// Optional wall-clock deadline for the search, measured from session
     /// creation.
     pub deadline: Option<Duration>,
-    /// Worker threads for advancing multi-state frontier batches (the beam
-    /// frontier): `1` runs everything on the calling thread, `0` uses all
-    /// available parallelism. Purely a wall-clock knob — the synthesized
-    /// execution is byte-identical for every thread count (see
-    /// `esd_symex::EngineConfig::threads`).
-    pub threads: usize,
 }
 
 impl Default for EsdOptions {
@@ -83,9 +73,7 @@ impl Default for EsdOptions {
             schedule_bias: true,
             with_race_detection: false,
             static_pruning: true,
-            race_candidate_pruning: true,
             deadline: None,
-            threads: 1,
         }
     }
 }
@@ -176,7 +164,9 @@ impl Esd {
     }
 
     /// Synthesizes an execution reproducing the failure in `report`
-    /// (the `esdsynth <coredump> <program>` entry point).
+    /// (the `esdsynth <coredump> <program>` entry point). Race reports
+    /// always search with race-directed preemptions, whatever
+    /// [`EsdOptions::with_race_detection`] says.
     pub fn synthesize(
         &self,
         program: &Program,
@@ -184,8 +174,9 @@ impl Esd {
     ) -> Result<SynthesisReport, SynthesisError> {
         let goal = extract_goal(program, report)
             .map_err(|e| SynthesisError::GoalExtraction(format!("{e:?}")))?;
-        let race = report.kind() == BugKind::Race || self.options.with_race_detection;
-        self.synthesize_goal(program, goal, race)
+        let mut options = self.options.clone();
+        options.with_race_detection |= report.kind() == BugKind::Race;
+        run_to_report(SynthesisSession::new(program, goal, options))
     }
 
     /// Synthesizes an execution for an explicit goal (used by the workload
@@ -196,23 +187,14 @@ impl Esd {
     /// [`SynthesisSession`] to completion;
     /// callers that need progress events, deadlines, cancellation or
     /// time-slicing should create the session themselves (see
-    /// [`Esd::session`]).
+    /// [`Esd::session`]). Race-directed preemptions are governed by
+    /// [`EsdOptions::with_race_detection`] alone.
     pub fn synthesize_goal(
         &self,
         program: &Program,
         goal: GoalSpec,
-        race_preemptions: bool,
     ) -> Result<SynthesisReport, SynthesisError> {
-        let mut session = self.session_with_race(program, goal, race_preemptions);
-        session.run_to_completion();
-        match session.into_status() {
-            SessionStatus::Found(report) => Ok(*report),
-            SessionStatus::Exhausted(_) => Err(SynthesisError::Exhausted),
-            SessionStatus::BudgetExceeded(_) => Err(SynthesisError::BudgetExceeded),
-            SessionStatus::DeadlineExpired(_) => Err(SynthesisError::DeadlineExpired),
-            SessionStatus::Cancelled(_) => Err(SynthesisError::Cancelled),
-            SessionStatus::Running => unreachable!("run_to_completion returned while running"),
-        }
+        run_to_report(self.session(program, goal))
     }
 
     /// Creates a resumable [`SynthesisSession`] for `goal` with this
@@ -220,19 +202,19 @@ impl Esd {
     pub fn session(&self, program: &Program, goal: GoalSpec) -> SynthesisSession {
         SynthesisSession::new(program, goal, self.options.clone())
     }
+}
 
-    fn session_with_race(
-        &self,
-        program: &Program,
-        goal: GoalSpec,
-        race_preemptions: bool,
-    ) -> SynthesisSession {
-        // The explicit parameter governs, exactly as it did when this method
-        // drove the engine directly (`synthesize` folds the option in before
-        // calling here; sessions created via the builder use the option).
-        let mut options = self.options.clone();
-        options.with_race_detection = race_preemptions;
-        SynthesisSession::new(program, goal, options)
+/// Runs `session` to completion and maps its terminal status onto the
+/// blocking facade's result.
+fn run_to_report(mut session: SynthesisSession) -> Result<SynthesisReport, SynthesisError> {
+    session.run_to_completion();
+    match session.into_status() {
+        SessionStatus::Found(report) => Ok(*report),
+        SessionStatus::Exhausted(_) => Err(SynthesisError::Exhausted),
+        SessionStatus::BudgetExceeded(_) => Err(SynthesisError::BudgetExceeded),
+        SessionStatus::DeadlineExpired(_) => Err(SynthesisError::DeadlineExpired),
+        SessionStatus::Cancelled(_) => Err(SynthesisError::Cancelled),
+        SessionStatus::Running => unreachable!("run_to_completion returned while running"),
     }
 }
 
@@ -304,7 +286,57 @@ mod tests {
         let goal =
             esd_symex::GoalSpec::Crash { loc: esd_ir::Loc::new(p.entry, esd_ir::BlockId(1), 1) };
         let esd = Esd::with_defaults();
-        let err = esd.synthesize_goal(&p, goal, false).unwrap_err();
+        let err = esd.synthesize_goal(&p, goal).unwrap_err();
         assert_eq!(err, SynthesisError::Exhausted);
+    }
+
+    /// Two workers increment a shared counter without a lock, yielding
+    /// between load and store; `main` asserts both increments are visible.
+    /// Returns the program and the assertion's location.
+    fn racy_counter() -> (Program, esd_ir::Loc) {
+        let mut pb = ProgramBuilder::new("racy_counter");
+        let counter = pb.global("counter", 1);
+        let worker = pb.declare("worker", 1);
+        pb.define(worker, |f| {
+            let cp = f.addr_global(counter);
+            let v = f.load(cp);
+            f.yield_now();
+            let v1 = f.add(v, 1);
+            f.store(cp, v1);
+            f.ret_void();
+        });
+        let mut assert_loc = None;
+        let main_id = pb.declare("main", 0);
+        pb.define(main_id, |f| {
+            let t1 = f.spawn(worker, 1);
+            let t2 = f.spawn(worker, 2);
+            f.join(t1);
+            f.join(t2);
+            let cp = f.addr_global(counter);
+            let v = f.load(cp);
+            let ok = f.cmp(CmpOp::Eq, v, 2);
+            assert_loc = Some(esd_ir::Loc::new(main_id, f.current_block(), f.next_inst_idx()));
+            f.assert(ok, "both increments must be visible");
+            f.ret_void();
+        });
+        (pb.finish("main"), assert_loc.unwrap())
+    }
+
+    /// Regression test: `synthesize_goal` used to take a positional
+    /// race-preemption flag that overrode `with_race_detection`, so a caller
+    /// who set the option but passed `false` got no race search and the
+    /// racy counter came back exhausted. The option alone governs now.
+    #[test]
+    fn synthesize_goal_honours_the_race_detection_option() {
+        let (p, loc) = racy_counter();
+        let report = EsdOptions::builder()
+            .with_race_detection(true)
+            .synthesizer()
+            .synthesize_goal(&p, GoalSpec::Crash { loc })
+            .expect("with_race_detection(true) must synthesize the race");
+        assert_eq!(report.execution.fault_tag, "assert-failure");
+        assert!(report.stats.races_flagged > 0);
+        let err = Esd::with_defaults().synthesize_goal(&p, GoalSpec::Crash { loc }).unwrap_err();
+        assert_eq!(err, SynthesisError::Exhausted, "without the option there is no race search");
     }
 }

@@ -35,7 +35,7 @@ pub fn verify_patch(
     options: EsdOptions,
 ) -> Result<bool, SynthesisError> {
     let esd = Esd::new(options);
-    match esd.synthesize_goal(patched, goal, false) {
+    match esd.synthesize_goal(patched, goal) {
         Ok(_) => Ok(false),
         Err(SynthesisError::Exhausted) => Ok(true),
         Err(e) => Err(e),

@@ -17,24 +17,20 @@
 //! phase — or the DFS / BFS / RandomPath baselines, optionally with
 //! Chess-style preemption bounding (the KC baseline).
 //!
-//! # Threading model
+//! # Beam batches
 //!
-//! The engine is split into a **shared search pool** (this module: the state
-//! map, the frontier, the dedup fingerprints, the statistics) and a
-//! **per-worker `Stepper`** (the crate-private `stepper` module) that advances individual
-//! states with its own private [`Solver`](crate::solver::Solver). One
+//! The engine is split into a **search pool** (this module: the state map,
+//! the frontier, the dedup fingerprints, the statistics) and a `Stepper`
+//! (the crate-private `stepper` module) that advances individual states with
+//! its own private [`Solver`](crate::solver::Solver). One
 //! [`Engine::step_round`] pops a whole *batch* from the frontier
 //! ([`SearchFrontier::pop_batch`]) — a single state for the single-state
-//! frontiers, the entire beam for [`FrontierKind::Beam`](crate::frontier::FrontierKind::Beam) — advances every
-//! state of the batch on [scoped worker
-//! threads](std::thread::scope) when [`EngineConfig::threads`] allows, and
-//! then merges the recorded effects (forked states, statistics, flagged
-//! races, other bugs, snapshot promotions) back into the pool **in
-//! deterministic batch order**. Steppers never touch shared mutable search
-//! state and solver queries are deterministic per call, so the thread count
-//! is unobservable: a `threads = N` run synthesizes the byte-identical
-//! execution file of a `threads = 1` run (pinned by the
-//! `parallel_beam_matches_single_threaded_run` golden test).
+//! frontiers, the entire beam for [`FrontierKind::Beam`](crate::frontier::FrontierKind::Beam)
+//! — advances every state of the batch, and then merges the recorded effects
+//! (forked states, statistics, flagged races, other bugs, snapshot
+//! promotions) back into the pool **in batch order**. The stepper never
+//! touches the pool while a batch runs, so the beam is committed before it
+//! is drained: nothing is re-ranked between the states of a batch.
 
 use crate::frontier::{FrontierSnapshot, SearchConfig, SearchFrontier, StatePriority};
 use crate::solver::SolverConfig;
@@ -106,37 +102,21 @@ pub struct EngineConfig {
     /// without it, as Klee/Chess enumerate paths and interleavings without
     /// state deduplication.
     pub dedup_states: bool,
-    /// Worker threads used to advance a multi-state frontier batch (a beam):
-    /// `1` (the default) steps every batch on the calling thread, `0` uses
-    /// all available parallelism, `n > 1` uses up to `n` workers. The thread
-    /// count never changes the search — batches are merged in deterministic
-    /// batch order — so it is purely a wall-clock knob.
-    pub threads: usize,
-    /// How many micro-steps each state of a *multi-state* batch advances per
-    /// round. Single-state batches (every non-beam frontier, and a beam that
-    /// drained to one live state) always advance exactly one micro-step, so
-    /// the single-state frontiers keep their one-instruction-per-selection
-    /// granularity. The burst is the amortization unit of the worker pool:
-    /// a beam is committed before it is drained — nothing is re-ranked
-    /// between the instructions of a batch even sequentially — so larger
-    /// bursts buy less scheduling overhead per instruction without changing
-    /// the selection granularity in rounds.
-    pub batch_burst: u32,
-    /// Consult the static phase's interval-analysis branch verdicts before
-    /// forking: branches proven one-sided for *all* inputs take that side
-    /// without a solver query (the taken side's constraint is still
-    /// recorded, so the search trajectory is unchanged — only the query is
-    /// skipped). Off in the KC baseline, which has no static phase.
+    /// Consult the static phase's result-invariant verdicts before forking
+    /// (on by default; off in the KC baseline, which has no static phase):
+    ///
+    /// * branches the interval analysis proves one-sided for *all* inputs
+    ///   take that side without a solver query — the taken side's
+    ///   constraint is still recorded, so the search trajectory is
+    ///   unchanged and only the query is skipped;
+    /// * in race-preemption mode, yields with no race-pair candidate
+    ///   material around them skip the speculative preemption fork (counted
+    ///   in [`SearchStats::preemptions_pruned_static`]). Sound because the
+    ///   candidate set over-approximates the real races (MHP + lockset,
+    ///   both conservative) — and accesses the dynamic detector concretely
+    ///   flags always fork regardless, so static imprecision can delay but
+    ///   never hide a race.
     pub static_pruning: bool,
-    /// Consult the static phase's race-pair candidates in race-preemption
-    /// mode: yields with no candidate-pair material around them skip the
-    /// speculative preemption fork (counted in
-    /// [`SearchStats::preemptions_pruned_static`]). Sound because the
-    /// candidate set over-approximates the real races (MHP + lockset, both
-    /// conservative) — and accesses the dynamic detector concretely flags
-    /// always fork regardless, so static imprecision can delay but never
-    /// hide a race. Off in the KC baseline, which has no static phase.
-    pub race_candidate_pruning: bool,
     /// Solver configuration.
     pub solver: SolverConfig,
 }
@@ -153,10 +133,7 @@ impl Default for EngineConfig {
             schedule_bias: true,
             race_preemptions: false,
             dedup_states: true,
-            threads: 1,
-            batch_burst: 32,
             static_pruning: true,
-            race_candidate_pruning: true,
             solver: SolverConfig::default(),
         }
     }
@@ -175,7 +152,6 @@ impl EngineConfig {
             schedule_bias: false,
             dedup_states: false,
             static_pruning: false,
-            race_candidate_pruning: false,
             ..Default::default()
         }
     }
@@ -203,7 +179,7 @@ pub struct SearchStats {
     pub solver_queries_saved: u64,
     /// Preemption forks skipped because the yield has no static race-pair
     /// candidate material around it
-    /// ([`EngineConfig::race_candidate_pruning`]).
+    /// ([`EngineConfig::static_pruning`]).
     pub preemptions_pruned_static: u64,
     /// Bugs found that did not match the goal (the paper: "ESD has
     /// discovered a different bug").
@@ -279,6 +255,12 @@ impl SearchOutcome {
 
 const SCHED_WEIGHT: u64 = 1_000_000_000;
 
+/// How many micro-steps each state of a *multi-state* batch advances per
+/// round. Single-state batches (every non-beam frontier, and a beam that
+/// drained to one live state) advance exactly one micro-step, keeping the
+/// single-state frontiers' one-instruction-per-selection granularity.
+const BATCH_BURST: u32 = 32;
+
 /// A complete, serializable image of an [`Engine`] mid-search, captured by
 /// [`Engine::snapshot`] and rebuilt by [`Engine::restore`].
 ///
@@ -287,9 +269,9 @@ const SCHED_WEIGHT: u64 = 1_000_000_000;
 /// the dedup fingerprints and the statistics — but *not* the program or the
 /// static analysis, which are cheap to recompute (or already loaded) on the
 /// restoring side and are passed back into [`Engine::restore`]. The derived
-/// oracle, queue targets and resolved thread count are recomputed exactly as
-/// [`Engine::new`] computes them, so a restored engine's continued search is
-/// step-for-step identical to the captured engine's.
+/// oracle and queue targets are recomputed exactly as [`Engine::new`]
+/// computes them, so a restored engine's continued search is step-for-step
+/// identical to the captured engine's.
 ///
 /// Serialization is canonical: states are sorted by id and fingerprints
 /// ascending, so snapshotting an engine, restoring it and snapshotting again
@@ -323,8 +305,8 @@ pub struct EngineSnapshot {
 /// sessions, portfolio runners — can own an engine outright. The search is
 /// re-entrant: [`Engine::step_round`] advances exactly one frontier batch
 /// and returns a [`StepOutcome`]; [`Engine::run`] is a thin loop over it.
-/// State advancement itself lives in the per-worker `Stepper`; see the
-/// [module docs](self) for the threading model.
+/// State advancement itself lives in the `Stepper`; see the
+/// [module docs](self) for how beam batches are advanced and merged.
 pub struct Engine {
     program: Arc<Program>,
     analysis: Arc<StaticAnalysis>,
@@ -341,10 +323,6 @@ pub struct Engine {
     queue_targets: Vec<Vec<Loc>>,
     /// The pluggable worklist ordering the exploration.
     frontier: Box<dyn SearchFrontier>,
-    /// [`EngineConfig::threads`] with `0` ("auto") resolved to the machine's
-    /// available parallelism once, at construction — `worker_count` sits on
-    /// the per-round hot path.
-    resolved_threads: usize,
     stats: SearchStats,
     seen_fingerprints: std::collections::HashSet<u64>,
     /// Locations of faults found that did not match the goal.
@@ -370,11 +348,6 @@ impl Engine {
         }
         queue_targets.push(goal.primary_locs());
         let frontier = config.search.build(queue_targets.len());
-        let resolved_threads = if config.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            config.threads
-        };
         Engine {
             program,
             analysis,
@@ -386,7 +359,6 @@ impl Engine {
             started: false,
             queue_targets,
             frontier,
-            resolved_threads,
             stats: SearchStats::default(),
             seen_fingerprints: std::collections::HashSet::new(),
             other_bugs: Vec::new(),
@@ -441,9 +413,7 @@ impl Engine {
     /// rounds of several engines, stop between rounds (the partial
     /// [`Engine::stats`] stay accessible), and resume later — the search
     /// trajectory is exactly the one [`Engine::run`] would take, because
-    /// `run` *is* a loop over `step_round`. The trajectory is also
-    /// independent of [`EngineConfig::threads`]: batch results are merged in
-    /// batch order, whichever worker produced them first.
+    /// `run` *is* a loop over `step_round`.
     pub fn step_round(&mut self) -> StepOutcome {
         if !self.started {
             self.started = true;
@@ -462,10 +432,9 @@ impl Engine {
         if jobs.is_empty() {
             return StepOutcome::Running;
         }
-        // Single-state batches keep the historical one-instruction-per-
-        // selection granularity; only committed multi-state beams burst.
-        let burst = if jobs.len() > 1 { self.config.batch_burst.max(1) } else { 1 };
-        let results = self.run_turns(jobs, burst);
+        let burst = if jobs.len() > 1 { BATCH_BURST } else { 1 };
+        let mut stepper = Stepper::new(&self.program, &self.analysis, &self.goal, &self.config);
+        let results = jobs.into_iter().map(|(id, state)| stepper.turn(id, state, burst)).collect();
         self.merge(results)
     }
 
@@ -509,60 +478,6 @@ impl Engine {
         &self.analysis
     }
 
-    // ---- worker fan-out -----------------------------------------------------
-
-    /// Advances every `(id, state)` job by one turn of up to `burst`
-    /// micro-steps, fanning the jobs out over scoped worker threads when the
-    /// configuration allows, and returns the results *in job order* (workers
-    /// get contiguous chunks, so concatenating chunk results restores the
-    /// batch order regardless of which worker finished first).
-    fn run_turns(&self, jobs: Vec<(u64, ExecState)>, burst: u32) -> Vec<TurnResult> {
-        let workers = self.worker_count(jobs.len());
-        if workers <= 1 {
-            let mut stepper = Stepper::new(&self.program, &self.analysis, &self.goal, &self.config);
-            return jobs.into_iter().map(|(id, state)| stepper.turn(id, state, burst)).collect();
-        }
-        let chunk_size = jobs.len().div_ceil(workers);
-        let mut chunks: Vec<Vec<(u64, ExecState)>> = Vec::with_capacity(workers);
-        let mut it = jobs.into_iter();
-        loop {
-            let chunk: Vec<(u64, ExecState)> = it.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
-        let (program, analysis) = (&self.program, &self.analysis);
-        let (goal, config) = (&self.goal, &self.config);
-        let run_chunk = |chunk: Vec<(u64, ExecState)>| {
-            let mut stepper = Stepper::new(program, analysis, goal, config);
-            chunk.into_iter().map(|(id, state)| stepper.turn(id, state, burst)).collect::<Vec<_>>()
-        };
-        // The calling thread is a worker too: spawn only `workers - 1`
-        // threads and step the first chunk inline, so the pool costs one
-        // spawn less per round.
-        let first = chunks.remove(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    let run_chunk = &run_chunk;
-                    scope.spawn(move || run_chunk(chunk))
-                })
-                .collect();
-            let mut results = run_chunk(first);
-            for handle in handles {
-                results.extend(handle.join().expect("engine worker panicked"));
-            }
-            results
-        })
-    }
-
-    /// The number of workers a batch of `batch_len` states may use.
-    fn worker_count(&self, batch_len: usize) -> usize {
-        self.resolved_threads.min(batch_len)
-    }
-
     // ---- deterministic merge ------------------------------------------------
 
     /// Merges a batch's turn results into the shared pool, strictly in batch
@@ -570,8 +485,7 @@ impl Engine {
     /// admission (dedup fingerprint + pool cap, assigning state ids in
     /// creation order), then the surviving parent re-enters the frontier.
     /// The first goal-reaching result in batch order wins; later results of
-    /// the same batch are discarded (deterministically — batch order does
-    /// not depend on the worker count).
+    /// the same batch are discarded.
     fn merge(&mut self, results: Vec<TurnResult>) -> StepOutcome {
         let mut pending: VecDeque<TurnResult> = results.into();
         while let Some(mut result) = pending.pop_front() {

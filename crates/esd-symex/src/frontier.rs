@@ -20,9 +20,8 @@
 //!   RandomPath searcher, the second KC baseline).
 //! * [`BeamFrontier`] — batched proximity search: selection picks the `k`
 //!   closest states at once and advances each of them before re-selecting.
-//!   Not in the paper; the ROADMAP's batched-frontier step toward a
-//!   work-stealing, multi-threaded engine (a whole beam can be handed to a
-//!   worker pool).
+//!   Not in the paper; a batched frontier that commits to `k` states per
+//!   selection.
 //!
 //! # Contract
 //!
@@ -203,9 +202,8 @@ pub trait SearchFrontier: Send {
     /// frontier is empty.
     fn pop(&mut self) -> Option<u64>;
 
-    /// Removes and returns the next *batch* of states to advance — the
-    /// engine's unit of parallelism: every state of a batch is advanced
-    /// (possibly on a worker pool) before the frontier is consulted again.
+    /// Removes and returns the next *batch* of states to advance: every
+    /// state of a batch is advanced before the frontier is consulted again.
     ///
     /// The default implementation returns a batch of at most one state
     /// (`pop()`), which is what the single-state frontiers want; the
@@ -630,8 +628,7 @@ impl SearchFrontier for ProximityFrontier {
 /// selection — the ROADMAP's "advance k states per selection" batched
 /// frontier. Compared to [`ProximityFrontier`] it trades selection sharpness
 /// (the beam is not re-ranked after each micro-step) for selection work that
-/// is amortized over `width` states and a natural unit to hand to a worker
-/// pool once the engine goes multi-threaded.
+/// is amortized over `width` states.
 #[derive(Debug)]
 pub struct BeamFrontier {
     width: usize,

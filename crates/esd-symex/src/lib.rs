@@ -14,11 +14,9 @@
 //! * the search [`engine`] driving it all, with critical-edge path
 //!   abandonment, intermediate goals, Chess-style preemption bounding (the
 //!   KC baseline) and the deadlock / data-race schedule-synthesis
-//!   heuristics. The engine is split into a shared search pool and
-//!   per-worker steppers (each owning its own solver), so a beam frontier's
-//!   batch can be advanced on a worker pool ([`EngineConfig::threads`]) with
-//!   results merged in deterministic batch order — the thread count never
-//!   changes the synthesized execution.
+//!   heuristics. The engine is split into a search pool and a stepper
+//!   (owning its own solver) that records a whole frontier batch's effects,
+//!   merged back into the pool in batch order.
 
 // Documentation enforcement (see ARCHITECTURE.md): every public item must
 // carry rustdoc, extended from the esd-concurrency pilot now that the

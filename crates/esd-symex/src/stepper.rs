@@ -1,17 +1,17 @@
-//! The per-worker state stepper: the micro-step interpreter of the search
-//! engine, factored so a frontier batch can be advanced on a worker pool.
+//! The state stepper: the micro-step interpreter of the search engine,
+//! factored out of the search pool so a whole frontier batch is advanced
+//! before any of its effects is merged.
 //!
-//! A [`Stepper`] owns everything one worker needs to advance execution states
-//! *independently* of the shared search pool: immutable views of the program,
-//! the static analysis and the goal, plus its **own** [`Solver`] (solver
-//! queries are deterministic per call, so workers never contend on — or
-//! diverge through — shared solver state). Everything a micro-step would have
-//! written into the engine — forked states, schedule-snapshot promotions,
-//! flagged races, other bugs found, executed steps, solver queries — is
-//! *recorded* into a [`TurnResult`] instead, and the engine merges the
-//! results of a batch back into the shared pool in deterministic batch order
-//! (see [`crate::engine`]). That split is what makes a `threads = N` run
-//! produce the byte-identical execution of a `threads = 1` run.
+//! A [`Stepper`] owns everything needed to advance execution states
+//! *independently* of the search pool: immutable views of the program, the
+//! static analysis and the goal, plus its **own** [`Solver`]. Everything a
+//! micro-step would have written into the engine — forked states,
+//! schedule-snapshot promotions, flagged races, other bugs found, executed
+//! steps, solver queries — is *recorded* into a [`TurnResult`] instead, and
+//! the engine merges the results of a batch back into the pool in batch
+//! order (see [`crate::engine`]). That record-then-merge split is what keeps
+//! a beam committed for the whole batch: no state of the batch sees another
+//! one's forks before the merge.
 
 use crate::engine::{EngineConfig, GoalSpec};
 use crate::expr::{SymExpr, SymValue, SymVarInfo};
@@ -127,8 +127,8 @@ pub(crate) struct TurnResult {
     pub preemptions_pruned_static: u64,
 }
 
-/// A worker's stepper: immutable views of the search job plus a private
-/// solver and the per-turn effect accumulators.
+/// A stepper: immutable views of the search job plus a private solver and
+/// the per-turn effect accumulators.
 pub(crate) struct Stepper<'a> {
     program: &'a Arc<Program>,
     analysis: &'a Arc<StaticAnalysis>,
@@ -146,7 +146,7 @@ pub(crate) struct Stepper<'a> {
 }
 
 impl<'a> Stepper<'a> {
-    /// Creates a stepper for one worker; `turn` may be called repeatedly.
+    /// Creates a stepper for one batch; `turn` may be called repeatedly.
     pub fn new(
         program: &'a Arc<Program>,
         analysis: &'a Arc<StaticAnalysis>,
@@ -1022,7 +1022,7 @@ impl<'a> Stepper<'a> {
                     // cannot split a racing pair, so the preemption fork is
                     // skipped. The candidate set over-approximates the real
                     // races, so no schedule that can reach a race is lost.
-                    if self.config.race_candidate_pruning
+                    if self.config.static_pruning
                         && !self.analysis.race_candidates.is_relevant_yield(loc)
                     {
                         if self.other_runnable(state).is_some() {
@@ -1175,7 +1175,7 @@ impl<'a> Stepper<'a> {
             self.races_flagged += 1;
             // Concrete runtime evidence beats the static candidate set: a
             // flagged access forks its delayed alternative even when
-            // `race_candidate_pruning` is on and the access belongs to no
+            // `static_pruning` is on and the access belongs to no
             // candidate pair, so the dynamic detector is the backstop for
             // any static MHP/lockset imprecision. The static gate prunes
             // only the *speculative* yield forks (see `Inst::Yield`), where

@@ -362,7 +362,7 @@ fn sibling_forks_flag_the_same_race_independently() {
 }
 
 /// Review regression: the dynamic race detector is the *backstop* for
-/// static imprecision. Even with `race_candidate_pruning` on and an
+/// static imprecision. Even with `static_pruning` on and an
 /// (artificially) empty candidate set — simulating a static MHP hole — a
 /// write the detector concretely flags must still fork its delayed
 /// alternative. The writer below stores `g = 1` then `g = 2` back to back;
@@ -415,7 +415,7 @@ fn flagged_races_fork_even_outside_the_static_candidate_set() {
     let config = EngineConfig {
         search: SearchConfig::dfs(),
         race_preemptions: true,
-        race_candidate_pruning: true,
+        static_pruning: true,
         ..EngineConfig::default()
     };
     let mut engine =
@@ -576,25 +576,17 @@ fn dedup_fingerprint_distinguishes_equal_length_constraint_sets() {
 /// The batched beam frontier must also synthesize the Listing-1 deadlock —
 /// this exercises the burst path end to end, including the in-burst deadlock
 /// roll-back promotions (a lock-snapshot fork and the conflicting lock
-/// attempt can share one 32-step turn) — and the worker pool must be
-/// unobservable: threads=4 produces the identical schedule and inputs.
+/// attempt can share one 32-step turn).
 #[test]
-fn listing1_deadlock_is_synthesized_by_beam_search_at_any_thread_count() {
+fn listing1_deadlock_is_synthesized_by_beam_search() {
     let (p, thread_locs) = listing1_program();
-    let config = |threads: usize| EngineConfig {
+    let config = EngineConfig {
         search: SearchConfig::beam(8),
         max_steps: 400_000,
-        threads,
         ..EngineConfig::default()
     };
-    let goal = GoalSpec::Deadlock { thread_locs };
-    let solo = run_engine(&p, goal.clone(), config(1))
+    let synth = run_engine(&p, GoalSpec::Deadlock { thread_locs }, config)
         .found()
         .expect("beam search must synthesize the deadlock");
-    assert!(matches!(solo.fault, FaultKind::Deadlock));
-    let parallel = run_engine(&p, goal, config(4)).found().expect("threads=4 finds it too");
-    assert_eq!(solo.schedule, parallel.schedule, "thread count must not change the schedule");
-    assert_eq!(solo.inputs, parallel.inputs);
-    assert_eq!(solo.stats.steps, parallel.stats.steps);
-    assert_eq!(solo.stats.states_created, parallel.stats.states_created);
+    assert!(matches!(synth.fault, FaultKind::Deadlock));
 }

@@ -247,7 +247,7 @@ mod tests {
     fn esd_synthesizes_the_bpf_deadlock_on_a_small_config() {
         let w = generate_bpf(&BpfConfig { branches: 16, ..Default::default() });
         let esd = EsdOptions::builder().max_steps(3_000_000).synthesizer();
-        let result = esd.synthesize_goal(&w.program, w.goal(), false).expect("bpf deadlock");
+        let result = esd.synthesize_goal(&w.program, w.goal()).expect("bpf deadlock");
         assert_eq!(result.execution.fault_tag, "deadlock");
         // The synthesized inputs must include the two magic values.
         let magic = w.failing_inputs.unwrap();

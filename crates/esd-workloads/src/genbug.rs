@@ -641,7 +641,7 @@ mod tests {
                 .with_race_detection(w.truth.needs_race_preemptions)
                 .synthesizer();
             let report = esd
-                .synthesize_goal(&w.program, w.truth.goal.clone(), w.truth.needs_race_preemptions)
+                .synthesize_goal(&w.program, w.truth.goal.clone())
                 .unwrap_or_else(|e| panic!("{}: {e:?}", w.name));
             w.truth
                 .matches(&report.execution)

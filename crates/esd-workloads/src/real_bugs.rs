@@ -649,7 +649,7 @@ mod tests {
         for w in [listing1(), hawknl_close_shutdown()] {
             let esd = EsdOptions::builder().max_steps(2_000_000).synthesizer();
             let result = esd
-                .synthesize_goal(&w.program, w.goal(), false)
+                .synthesize_goal(&w.program, w.goal())
                 .unwrap_or_else(|e| panic!("{}: {:?}", w.name, e));
             assert_eq!(result.execution.fault_tag, "deadlock", "{}", w.name);
         }
@@ -664,7 +664,7 @@ mod tests {
         ] {
             let esd = EsdOptions::builder().max_steps(2_000_000).synthesizer();
             let result = esd
-                .synthesize_goal(&w.program, w.goal(), false)
+                .synthesize_goal(&w.program, w.goal())
                 .unwrap_or_else(|e| panic!("{}: {:?}", w.name, e));
             assert_eq!(result.execution.fault_loc, Some(w.goal_locs[0]), "{}", w.name);
         }

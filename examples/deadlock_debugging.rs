@@ -12,7 +12,7 @@ fn main() {
     let workload = sqlite_recursive_lock();
     let esd = EsdOptions::builder().synthesizer();
     let report = esd
-        .synthesize_goal(&workload.program, workload.goal(), false)
+        .synthesize_goal(&workload.program, workload.goal())
         .expect("ESD synthesizes the SQLite deadlock");
     println!(
         "deadlock synthesized in {:.2?}; schedule has {} context switches",

@@ -68,7 +68,7 @@ fn main() {
             match update {
                 ProgressUpdate::Progress { event } => println!(
                     "  #{} ... {} rounds, {} steps, {} live states",
-                    paste_ticket.id, event.rounds, event.steps, event.live_states
+                    paste_ticket.id, event.rounds, event.stats.steps, event.live_states
                 ),
                 ProgressUpdate::Done { status } => {
                     println!("  #{} done: {status:?}", paste_ticket.id)

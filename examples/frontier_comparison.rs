@@ -29,7 +29,7 @@ fn main() {
         FrontierKind::beam(),
     ] {
         let esd = EsdOptions::builder().frontier(frontier).max_steps(2_000_000).synthesizer();
-        match esd.synthesize_goal(&workload.program, workload.goal(), false) {
+        match esd.synthesize_goal(&workload.program, workload.goal()) {
             Ok(report) => println!(
                 "{:<12} {:>10} {:>10} {:>12}",
                 frontier.to_string(),

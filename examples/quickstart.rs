@@ -26,7 +26,7 @@ fn main() {
         .unwrap_or_default();
     let esd = EsdOptions::builder().frontier(frontier).synthesizer();
     let report = esd
-        .synthesize_goal(&workload.program, workload.goal(), false)
+        .synthesize_goal(&workload.program, workload.goal())
         .expect("ESD synthesizes the Listing-1 deadlock");
     println!(
         "synthesized in {:.2?} ({} search steps, {} states)",

@@ -3,9 +3,9 @@
 //! what the static phase already knows — which loads/stores may touch
 //! shared memory, which pairs of them can race (may-happen-in-parallel with
 //! no common lock), and which yields are therefore worth a preemption fork.
-//! The synthesis then runs with candidate-gated preemption pruning on (the
-//! default), so every preemption the search pays for is one of the printed
-//! pairs.
+//! The synthesis then runs with static pruning on (the default), which gates
+//! preemption forks on the candidate set, so every preemption the search
+//! pays for is one of the printed pairs.
 //!
 //! Run with: `cargo run --example race_candidates`
 
@@ -62,11 +62,10 @@ fn main() {
         println!("  {} <-> {}  (no common lock)", at(c.access_a), at(c.access_b));
     }
 
-    // Synthesize with candidate-gated pruning on (the default): preemption
-    // forks happen only at the accesses and yields printed above.
-    let esd =
-        EsdOptions::builder().with_race_detection(true).race_candidate_pruning(true).synthesizer();
-    match esd.synthesize_goal(&program, GoalSpec::Crash { loc: goal_loc }, true) {
+    // Synthesize with static pruning on (the default): preemption forks
+    // happen only at the accesses and yields printed above.
+    let esd = EsdOptions::builder().with_race_detection(true).synthesizer();
+    match esd.synthesize_goal(&program, GoalSpec::Crash { loc: goal_loc }) {
         Ok(report) => println!(
             "\nsynthesized in {:.2?}: {} states forked, {} preemption forks \
              pruned by the candidate set",

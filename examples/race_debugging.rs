@@ -40,7 +40,7 @@ fn main() {
 
     let goal = GoalSpec::Crash { loc: assert_loc.unwrap() };
     let esd = EsdOptions::builder().with_race_detection(true).synthesizer();
-    match esd.synthesize_goal(&program, goal, true) {
+    match esd.synthesize_goal(&program, goal) {
         Ok(report) => {
             println!(
                 "race-induced assertion failure synthesized in {:.2?} ({} races flagged)",

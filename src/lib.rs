@@ -38,7 +38,7 @@
 //! // values for every program input plus a serialized thread schedule.
 //! let esd = EsdOptions::builder().max_steps(400_000).synthesizer();
 //! let report = esd
-//!     .synthesize_goal(&workload.program, workload.goal(), false)
+//!     .synthesize_goal(&workload.program, workload.goal())
 //!     .expect("ESD synthesizes the Listing-1 deadlock");
 //! assert!(!report.execution.inputs.is_empty());
 //! assert!(report.execution.schedule.context_switches() >= 2);

@@ -9,9 +9,7 @@
 //! * every injected bug is found by at least one frontier within budget;
 //! * every reported goal matches the injected ground truth — zero false
 //!   positives;
-//! * each scenario's winning configuration synthesizes a byte-identical
-//!   execution file at 1, 2 and 8 engine threads, and the winner's
-//!   execution replays;
+//! * each scenario's winning execution replays;
 //! * a generated 12-job corpus pushed through the [`JobExecutor`] yields
 //!   identical per-job outcomes under every fairness policy.
 
@@ -29,9 +27,8 @@ fn smoke_config() -> CoverageConfig {
 }
 
 /// The tentpole assertion set, via the same harness CI's `coverage-smoke`
-/// job gates on: full coverage, soundness against ground truth, and both
-/// halves of the determinism contract (engine threads and fairness
-/// policies).
+/// job gates on: full coverage, soundness against ground truth, and the
+/// determinism contract across fairness policies.
 #[test]
 fn smoke_corpus_is_covered_soundly_and_deterministically() {
     let config = smoke_config();
@@ -56,18 +53,6 @@ fn smoke_corpus_is_covered_soundly_and_deterministically() {
         .collect();
     assert!(false_positives.is_empty(), "false-positive goal reports: {false_positives:?}");
 
-    let nondeterministic: Vec<String> = report
-        .scenarios
-        .iter()
-        .filter(|s| !s.winner_deterministic)
-        .map(|s| format!("{} (winner {})", s.name, s.winner.as_deref().unwrap_or("?")))
-        .collect();
-    assert!(
-        nondeterministic.is_empty(),
-        "winners must emit byte-identical execution files at 1, 2 and 8 \
-         engine threads: {nondeterministic:?}"
-    );
-
     let policy_disagreements: Vec<&str> =
         report.policy_jobs.iter().filter(|j| !j.agree).map(|j| j.label.as_str()).collect();
     assert!(
@@ -87,7 +72,7 @@ fn smoke_corpus_winners_replay_to_the_injected_failure() {
             .with_race_detection(w.truth.needs_race_preemptions)
             .synthesizer();
         let report = esd
-            .synthesize_goal(&w.program, w.truth.goal.clone(), w.truth.needs_race_preemptions)
+            .synthesize_goal(&w.program, w.truth.goal.clone())
             .unwrap_or_else(|e| panic!("{}: proximity synthesis failed: {e:?}", w.name));
         w.truth
             .matches(&report.execution)

@@ -33,7 +33,7 @@ fn deadlock_workloads_synthesize_and_replay() {
             continue;
         }
         let report = esd
-            .synthesize_goal(&w.program, w.goal(), false)
+            .synthesize_goal(&w.program, w.goal())
             .unwrap_or_else(|e| panic!("{}: synthesis failed: {:?}", w.name, e));
         assert_eq!(report.execution.fault_tag, "deadlock", "{}", w.name);
         for _ in 0..2 {
@@ -49,7 +49,7 @@ fn deadlock_workloads_synthesize_and_replay() {
 fn execution_files_replay_after_json_roundtrip() {
     let esd = EsdOptions::builder().max_steps(2_000_000).synthesizer();
     let w = esd::workloads::real_bugs::paste_invalid_free();
-    let report = esd.synthesize_goal(&w.program, w.goal(), false).unwrap();
+    let report = esd.synthesize_goal(&w.program, w.goal()).unwrap();
     let json = report.execution.to_json();
     let restored = esd::core::SynthesizedExecution::from_json(&json).unwrap();
     assert!(play(&w.program, &restored).reproduced);

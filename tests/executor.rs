@@ -1,6 +1,6 @@
 //! Integration tests for the multi-job executor: interleaving jobs must
 //! never change what any job synthesizes (byte-identical execution files,
-//! solo vs. interleaved, at every engine thread count), the fairness
+//! solo vs. interleaved, at every executor pool size), the fairness
 //! policies must schedule as documented (no starvation under round-robin,
 //! urgent jobs first under deadline-first), and a winning member must cancel
 //! its pending siblings immediately.
@@ -10,12 +10,6 @@ use esd::playback::play;
 use esd::workloads::real_bugs::{ghttpd_log_overflow, paste_invalid_free, sqlite_recursive_lock};
 use esd::workloads::{all_real_bugs, generate_bpf, BpfConfig, Workload};
 use esd::{Esd, EsdOptions, FrontierKind, JobExecutor, JobSpec, JobStatus, JobVerdict};
-
-/// The engine thread count under test: the CI determinism matrix sets
-/// `ESD_THREADS` to 1, 2 and 8; locally the default exercises 4 workers.
-fn env_threads() -> usize {
-    std::env::var("ESD_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(4)
-}
 
 /// The executor pool size under test: the CI determinism matrix sets
 /// `ESD_POOL` to 1, 2 and 8; locally the default exercises 2 workers.
@@ -28,10 +22,10 @@ fn mkfifo() -> Workload {
 }
 
 /// Per-workload options for the interleaving test: the paste job runs the
-/// beam frontier so the executor drives the multi-threaded engine path; the
-/// rest use the paper's proximity default.
-fn batch_options(name: &str, threads: usize) -> EsdOptions {
-    let base = EsdOptions::builder().max_steps(8_000_000).threads(threads);
+/// beam frontier so the executor drives the batched engine path; the rest
+/// use the paper's proximity default.
+fn batch_options(name: &str) -> EsdOptions {
+    let base = EsdOptions::builder().max_steps(8_000_000);
     if name == "paste" {
         base.frontier(FrontierKind::Beam { width: 16 }).build()
     } else {
@@ -42,46 +36,37 @@ fn batch_options(name: &str, threads: usize) -> EsdOptions {
 /// The tentpole determinism contract: a job's execution file is
 /// byte-identical whether the job ran solo or interleaved with three other
 /// jobs, because slicing happens only at `step_round` boundaries and jobs
-/// share nothing. Exercised at `threads = 1` and at the CI matrix thread
-/// count (`ESD_THREADS`) in the same run, and — since the executor went
-/// parallel across jobs — with slice batches spread over an OS thread pool
-/// of 1 and of the CI matrix size (`ESD_POOL`).
+/// share nothing. Exercised serially and with slice batches spread over an
+/// OS thread pool of 1 and of the CI matrix size (`ESD_POOL`).
 #[test]
 fn interleaved_jobs_emit_byte_identical_execution_files() {
     let workloads =
         [paste_invalid_free(), sqlite_recursive_lock(), ghttpd_log_overflow(), mkfifo()];
 
-    // Solo baselines, single-threaded (the engine's own determinism tests
-    // pin that the thread count is unobservable).
+    // Solo baselines.
     let solo: Vec<String> = workloads
         .iter()
         .map(|w| {
-            Esd::new(batch_options(&w.name, 1))
-                .synthesize_goal(&w.program, w.goal(), false)
+            Esd::new(batch_options(&w.name))
+                .synthesize_goal(&w.program, w.goal())
                 .unwrap_or_else(|e| panic!("{} solo synthesis: {e:?}", w.name))
                 .execution
                 .to_json()
         })
         .collect();
 
-    // (engine threads, executor batch width, executor pool size): the
-    // classic serial legs, then full-width batches executed on pools of 1
-    // and of the matrix size — all four must reproduce the solo baselines.
-    let legs = [
-        (1, 1, 1),
-        (env_threads(), 1, 1),
-        (1, workloads.len(), 1),
-        (1, workloads.len(), env_pool()),
-    ];
-    for (threads, width, pool) in legs {
+    // (executor batch width, executor pool size): the classic serial leg,
+    // then full-width batches executed on pools of 1 and of the matrix size
+    // — all three must reproduce the solo baselines.
+    let legs = [(1, 1), (workloads.len(), 1), (workloads.len(), env_pool())];
+    for (width, pool) in legs {
         let mut executor =
             JobExecutor::round_robin().slice_rounds(256).batch_width(width).pool_size(pool);
         let handles: Vec<_> = workloads
             .iter()
             .map(|w| {
                 executor.submit(
-                    JobSpec::new(&w.name, &w.program, w.goal())
-                        .options(batch_options(&w.name, threads)),
+                    JobSpec::new(&w.name, &w.program, w.goal()).options(batch_options(&w.name)),
                 )
             })
             .collect();
@@ -92,15 +77,15 @@ fn interleaved_jobs_emit_byte_identical_execution_files() {
             assert_eq!(
                 outcome.verdict,
                 JobVerdict::Found,
-                "{} (threads={threads} width={width} pool={pool})",
+                "{} (width={width} pool={pool})",
                 w.name
             );
             let report = outcome.report().expect("Found jobs carry a report");
             assert_eq!(
                 report.execution.to_json(),
                 *solo_json,
-                "{}: interleaved with 3 other jobs at threads={threads} width={width} \
-                 pool={pool} must emit the byte-identical execution file of a solo run",
+                "{}: interleaved with 3 other jobs at width={width} pool={pool} must \
+                 emit the byte-identical execution file of a solo run",
                 w.name
             );
             assert!(

@@ -35,38 +35,21 @@ fn regen_requested() -> bool {
     std::env::var("ESD_REGEN_GOLDEN").ok().as_deref() == Some("1")
 }
 
-/// The engine thread count under test (the CI determinism matrix sets
-/// `ESD_THREADS` to 1, 2 and 8; the local default exercises 4 workers).
-fn env_threads() -> usize {
-    std::env::var("ESD_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(4)
-}
-
-/// Whether the static feasibility pass is on for this run (the CI
-/// determinism matrix pins one leg to `ESD_STATIC_PRUNING=0`; pruning must
-/// never change what is synthesized, so every leg reproduces the same
-/// fixtures).
+/// Whether static pruning is on for this run (the CI determinism matrix
+/// pins one leg to `ESD_STATIC_PRUNING=0`; pruning must never change what
+/// is synthesized, so every leg reproduces the same fixtures).
 fn env_static_pruning() -> bool {
     std::env::var("ESD_STATIC_PRUNING").ok().as_deref() != Some("0")
 }
 
-/// Whether race-preemption forks are bounded by the static race-pair
-/// candidate set for this run (the CI determinism matrix pins one leg to
-/// `ESD_RACE_CANDIDATES=0`; the gating must never change what is
-/// synthesized, so every leg reproduces the same fixtures).
-fn env_race_candidates() -> bool {
-    std::env::var("ESD_RACE_CANDIDATES").ok().as_deref() != Some("0")
-}
-
-fn synthesize_beam(threads: usize) -> String {
+fn synthesize_beam() -> String {
     let w = paste_invalid_free();
     let esd = EsdOptions::builder()
         .max_steps(2_000_000)
         .frontier(FrontierKind::Beam { width: 16 })
-        .threads(threads)
         .static_pruning(env_static_pruning())
-        .race_candidate_pruning(env_race_candidates())
         .synthesizer();
-    let report = esd.synthesize_goal(&w.program, w.goal(), false).expect("synthesis succeeds");
+    let report = esd.synthesize_goal(&w.program, w.goal()).expect("synthesis succeeds");
     let mut json = report.execution.to_json();
     json.push('\n');
     json
@@ -81,30 +64,27 @@ fn a_regenerate_fixture_when_requested() {
     }
     let w = paste_invalid_free();
     let esd = EsdOptions::builder().max_steps(2_000_000).synthesizer();
-    let report = esd.synthesize_goal(&w.program, w.goal(), false).expect("synthesis succeeds");
+    let report = esd.synthesize_goal(&w.program, w.goal()).expect("synthesis succeeds");
     let mut json = report.execution.to_json();
     json.push('\n');
     std::fs::write(fixture_path(), json).expect("fixture written");
-    // The beam fixture is regenerated single-threaded — the matrix test
-    // below proves every other thread count reproduces it.
-    std::fs::write(beam_fixture_path(), synthesize_beam(1)).expect("beam fixture written");
+    std::fs::write(beam_fixture_path(), synthesize_beam()).expect("beam fixture written");
 }
 
-/// Golden determinism of the multi-threaded beam engine: a fresh beam
-/// synthesis at the matrix thread count (`ESD_THREADS`) must reproduce the
+/// Golden determinism of the batched beam engine: a fresh beam synthesis
+/// (at the matrix's `ESD_STATIC_PRUNING` setting) must reproduce the
 /// checked-in beam execution file byte for byte.
 #[test]
-fn golden_beam_execution_file_matches_fresh_synthesis_at_env_threads() {
+fn golden_beam_execution_file_matches_fresh_synthesis() {
     if regen_requested() {
         return;
     }
-    let threads = env_threads();
     assert_eq!(
-        synthesize_beam(threads),
+        synthesize_beam(),
         BEAM_FIXTURE,
-        "a beam run at threads={threads} must reproduce the checked-in \
-         execution file byte for byte (regenerate intentionally with \
-         ESD_REGEN_GOLDEN=1 cargo test --test golden_execfile)"
+        "a beam run must reproduce the checked-in execution file byte for \
+         byte (regenerate intentionally with ESD_REGEN_GOLDEN=1 cargo test \
+         --test golden_execfile)"
     );
 }
 
@@ -154,7 +134,7 @@ fn golden_execution_file_is_invariant_to_static_pruning() {
     let w = paste_invalid_free();
     for pruning in [true, false] {
         let esd = EsdOptions::builder().max_steps(2_000_000).static_pruning(pruning).synthesizer();
-        let report = esd.synthesize_goal(&w.program, w.goal(), false).expect("synthesis succeeds");
+        let report = esd.synthesize_goal(&w.program, w.goal()).expect("synthesis succeeds");
         assert_eq!(
             format!("{}\n", report.execution.to_json()),
             FIXTURE,
@@ -165,11 +145,11 @@ fn golden_execution_file_is_invariant_to_static_pruning() {
 }
 
 /// The static race-pair candidate set never changes *what* is synthesized
-/// on race workloads: with candidate-gated preemption pruning explicitly on
-/// and explicitly off, the racy-counter example (the PR-1 race running
-/// example) and a genbug data-race program both synthesize byte-identical
-/// execution files — the soundness contract of
-/// `EsdOptions::builder().race_candidate_pruning`.
+/// on race workloads: with static pruning (which gates speculative
+/// preemption forks on the candidate set) explicitly on and explicitly off,
+/// the racy-counter example synthesizes a byte-identical execution file and
+/// a genbug data-race program synthesizes the injected race — the soundness
+/// contract of `EsdOptions::builder().static_pruning` in race mode.
 #[test]
 fn race_execution_files_are_invariant_to_candidate_pruning() {
     use esd::ir::{CmpOp, Loc, ProgramBuilder};
@@ -210,17 +190,17 @@ fn race_execution_files_are_invariant_to_candidate_pruning() {
         let esd = EsdOptions::builder()
             .max_steps(2_000_000)
             .with_race_detection(true)
-            .race_candidate_pruning(pruning)
+            .static_pruning(pruning)
             .synthesizer();
         let report = esd
-            .synthesize_goal(&racy, racy_goal.clone(), true)
+            .synthesize_goal(&racy, racy_goal.clone())
             .unwrap_or_else(|e| panic!("racy_counter: race synthesis (pruning={pruning}): {e:?}"));
         let json = report.execution.to_json();
         match &baseline {
             None => baseline = Some(json),
             Some(expected) => assert_eq!(
                 *expected, json,
-                "racy_counter: race_candidate_pruning must not change the \
+                "racy_counter: static pruning must not change the \
                  synthesized execution"
             ),
         }
@@ -236,12 +216,12 @@ fn race_execution_files_are_invariant_to_candidate_pruning() {
         let esd = EsdOptions::builder()
             .max_steps(2_000_000)
             .with_race_detection(true)
-            .race_candidate_pruning(pruning)
+            .static_pruning(pruning)
             .synthesizer();
         let report =
-            esd.synthesize_goal(&genbug.program, genbug.truth.goal.clone(), true).unwrap_or_else(
-                |e| panic!("{}: race synthesis (pruning={pruning}): {e:?}", genbug.name),
-            );
+            esd.synthesize_goal(&genbug.program, genbug.truth.goal.clone()).unwrap_or_else(|e| {
+                panic!("{}: race synthesis (pruning={pruning}): {e:?}", genbug.name)
+            });
         genbug.truth.matches(&report.execution).unwrap_or_else(|e| {
             panic!("{}: pruning={pruning} missed the injected race: {e}", genbug.name)
         });

@@ -206,7 +206,7 @@ proptest! {
     /// corpus: whatever the generator dimensions, both instructions of an
     /// injected data race land in the candidate set — and one candidate
     /// pair covers exactly the injected pair — so candidate-gated preemption
-    /// pruning (`EsdOptions::race_candidate_pruning`) can never make the
+    /// pruning (part of `EsdOptions::static_pruning`) can never make the
     /// injected race unsynthesizable.
     #[test]
     fn injected_data_races_always_appear_in_the_candidate_set(

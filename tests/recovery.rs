@@ -3,8 +3,8 @@
 //! execution files.
 //!
 //! For each fairness policy, the harness first runs an uninterrupted
-//! two-job batch (the `paste` invalid free on the multi-threaded `beam:16`
-//! engine, plus a generated `genbug` corpus program) and records every
+//! two-job batch (the `paste` invalid free on the batched `beam:16`
+//! frontier, plus a generated `genbug` corpus program) and records every
 //! job's winner execution bytes and search statistics. It then replays the
 //! same batch under a durable executor, crashing after `k` dispatched
 //! slices for every crash point `k` — the executor is dropped cold, exactly
@@ -18,8 +18,7 @@
 //! points land mid-interval and recovery must re-drive journaled grants).
 //!
 //! `ESD_RECOVERY_REDUCED=1` subsamples the crash points (CI smoke mode);
-//! the default exercises every boundary. `ESD_THREADS` sets the engine
-//! thread count, as in the rest of the determinism matrix.
+//! the default exercises every boundary.
 
 use esd::symex::SearchStats;
 use esd::workloads::genbug::{generate, GenConfig, InjectedBugKind};
@@ -28,12 +27,6 @@ use esd::workloads::Workload;
 use esd::{EsdOptions, FrontierKind, JobExecutor, JobSpec, JobVerdict};
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// The engine thread count under test (the CI determinism matrix sets
-/// `ESD_THREADS` to 1, 2 and 8; the local default exercises 4 workers).
-fn env_threads() -> usize {
-    std::env::var("ESD_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(4)
-}
 
 fn reduced() -> bool {
     std::env::var("ESD_RECOVERY_REDUCED").ok().as_deref() == Some("1")
@@ -57,23 +50,22 @@ fn durable_dir(tag: &str) -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("recovery_tmp").join(tag)
 }
 
-/// The matrix jobs: the real `paste` bug on the batched multi-threaded beam
-/// engine, and a generated corpus bug on the paper's proximity default.
-fn matrix_jobs(threads: usize) -> Vec<(Workload, EsdOptions)> {
+/// The matrix jobs: the real `paste` bug on the batched beam frontier, and
+/// a generated corpus bug on the paper's proximity default.
+fn matrix_jobs() -> Vec<(Workload, EsdOptions)> {
     let beam = EsdOptions::builder()
         .max_steps(2_000_000)
         .frontier(FrontierKind::Beam { width: 16 })
-        .threads(threads)
         .build();
-    let proximity = EsdOptions::builder().max_steps(2_000_000).threads(threads).build();
+    let proximity = EsdOptions::builder().max_steps(2_000_000).build();
     vec![
         (paste_invalid_free(), beam),
         (generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload(), proximity),
     ]
 }
 
-fn submit_jobs(executor: &mut JobExecutor, threads: usize) -> Vec<esd::JobHandle> {
-    matrix_jobs(threads)
+fn submit_jobs(executor: &mut JobExecutor) -> Vec<esd::JobHandle> {
+    matrix_jobs()
         .into_iter()
         .enumerate()
         .map(|(i, (w, options))| {
@@ -154,14 +146,13 @@ fn crash_points(total: u64, cadence: u64) -> Vec<u64> {
 /// Runs the full crash matrix for one policy. `make` builds the executor
 /// (the policy under test), `cadence` its checkpoint interval.
 fn run_matrix(name: &str, make: fn() -> JobExecutor, cadence: u64) {
-    let threads = env_threads();
     // Small slices so the batch crosses many slice boundaries (~28 for this
     // two-job batch) — each boundary is a crash point in the matrix.
     let slice_rounds = 32;
 
     // The uninterrupted baseline, and the total slice count it needed.
     let mut baseline = make().slice_rounds(slice_rounds);
-    let handles = submit_jobs(&mut baseline, threads);
+    let handles = submit_jobs(&mut baseline);
     baseline.run_until_idle();
     let total = baseline.stats().slices_dispatched;
     let expected = collect(&mut baseline, &handles);
@@ -171,7 +162,7 @@ fn run_matrix(name: &str, make: fn() -> JobExecutor, cadence: u64) {
     );
 
     for k in crash_points(total, cadence) {
-        let tag = format!("{name}-t{threads}-crash{k}");
+        let tag = format!("{name}-crash{k}");
         let dir = durable_dir(&tag);
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -180,7 +171,7 @@ fn run_matrix(name: &str, make: fn() -> JobExecutor, cadence: u64) {
             .checkpoint_every(cadence)
             .durable_dir(&dir)
             .expect("durable directory is writable");
-        let _ = submit_jobs(&mut executor, threads);
+        let _ = submit_jobs(&mut executor);
         for _ in 0..k {
             assert!(executor.run_slice(), "{tag}: work must remain before the crash point");
         }
@@ -222,13 +213,12 @@ fn crash_recovery_matrix_deadline_first() {
 /// byte-identical outcome.
 #[test]
 fn recovery_tolerates_a_torn_journal_tail() {
-    let threads = env_threads();
-    let dir = durable_dir(&format!("torn-t{threads}"));
+    let dir = durable_dir("torn");
     let _ = std::fs::remove_dir_all(&dir);
 
     // Uninterrupted baseline.
     let mut baseline = JobExecutor::round_robin().slice_rounds(32);
-    let handles = submit_jobs(&mut baseline, threads);
+    let handles = submit_jobs(&mut baseline);
     baseline.run_until_idle();
     let expected = collect(&mut baseline, &handles);
 
@@ -239,7 +229,7 @@ fn recovery_tolerates_a_torn_journal_tail() {
         .checkpoint_every(1000)
         .durable_dir(&dir)
         .expect("durable directory is writable");
-    let _ = submit_jobs(&mut executor, threads);
+    let _ = submit_jobs(&mut executor);
     for _ in 0..5 {
         assert!(executor.run_slice());
     }

@@ -21,8 +21,7 @@ fn mkfifo() -> Workload {
 }
 
 /// The two e2e workloads: `mkfifo` on the default proximity frontier and
-/// `paste` on the multi-threaded beam engine (so the wire test also drives
-/// engine workers under the daemon).
+/// `paste` on the batched beam frontier.
 fn requests() -> Vec<JobRequest> {
     let mkfifo = mkfifo();
     let paste = paste_invalid_free();
@@ -34,7 +33,6 @@ fn requests() -> Vec<JobRequest> {
                 EsdOptions::builder()
                     .max_steps(8_000_000)
                     .frontier(FrontierKind::Beam { width: 16 })
-                    .threads(2)
                     .build(),
             )
             .priority(2),
@@ -244,7 +242,7 @@ fn local_subscriptions_stream_progress_then_done() {
         for update in subscription.drain().expect("local streams cannot fail") {
             match update {
                 ProgressUpdate::Progress { event } => {
-                    assert!(event.rounds > 0);
+                    assert!(event.rounds > 0 && event.stats.steps > 0);
                     progress += 1;
                 }
                 ProgressUpdate::Done { status } => {
