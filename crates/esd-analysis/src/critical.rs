@@ -15,7 +15,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
-use crate::reachdef::{eval_tri, global_stores, trace_operand, GlobalStore};
+use crate::reachdef::{eval_tri, global_stores, DefIndex, GlobalStore};
 use esd_ir::{BlockId, FuncId, GlobalId, Loc, Operand, Program, Terminator};
 use std::collections::{HashMap, HashSet};
 
@@ -69,7 +69,9 @@ impl StaticGoalInfo {
         let can_reach_goal = goal_cfg.can_reach(goal.block);
         let critical_edges = find_critical_edges(program, goal_cfg, goal, &can_reach_goal);
         let stores = global_stores(program);
-        let intermediate_goals = derive_intermediate_goals(program, &critical_edges, &stores);
+        let defs = DefIndex::new(program.func(goal.func));
+        let intermediate_goals =
+            derive_intermediate_goals(program, &defs, &critical_edges, &stores);
         let goal_reaching_funcs = callgraph.functions_reaching(goal.func);
         let relevant = compute_relevance(
             program,
@@ -198,15 +200,18 @@ const MAX_DEFS_PER_VAR: usize = 32;
 ///   alternatives; if there are none, every definition of the variable —
 ///   constant or not — is kept as a weak alternative. A wrong intermediate
 ///   goal only slows the search down, it never makes it unsound.
+///
+/// Every critical edge sits in the goal's function, whose definitions `defs`
+/// indexes.
 fn derive_intermediate_goals(
     program: &Program,
+    defs: &DefIndex<'_>,
     critical_edges: &[CriticalEdge],
     stores: &[GlobalStore],
 ) -> Vec<IntermediateGoal> {
     let mut goals = Vec::new();
     for edge in critical_edges {
-        let function = program.func(edge.func);
-        let expr = trace_operand(function, edge.cond);
+        let expr = defs.trace(edge.cond);
         let vars = expr.globals();
         if vars.is_empty() {
             continue;

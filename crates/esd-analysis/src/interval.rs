@@ -22,9 +22,9 @@ use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::dataflow::{self, ForwardAnalysis, JoinSemiLattice};
 use esd_ir::{
-    BinOp, BlockId, Callee, CmpOp, FuncId, Function, Inst, Loc, Operand, Program, Terminator,
+    BinOp, BlockId, Callee, CmpOp, FuncId, Function, Inst, Loc, Operand, Program, Reg, Terminator,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The static verdict for a conditional branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -253,37 +253,80 @@ fn cmp_interval(op: CmpOp, a: Interval, b: Interval) -> Interval {
     }
 }
 
-/// The per-block fact: one interval per virtual register.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// The per-block fact: the interval of every register that is not top. An
+/// absent register is [`Interval::TOP`], so a fact costs space only for what
+/// the analysis knows.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct RegIntervals {
-    regs: Vec<Interval>,
+    regs: BTreeMap<Reg, Interval>,
 }
 
 impl RegIntervals {
-    fn top(num_regs: u32) -> Self {
-        RegIntervals { regs: vec![Interval::TOP; num_regs as usize] }
-    }
-
     fn operand(&self, op: Operand) -> Interval {
         match op {
             Operand::Const(c) => Interval::exact(c),
-            Operand::Reg(r) => self.regs.get(r.0 as usize).copied().unwrap_or(Interval::TOP),
+            Operand::Reg(r) => self.regs.get(&r).copied().unwrap_or(Interval::TOP),
+        }
+    }
+
+    fn set(&mut self, reg: Reg, value: Interval) {
+        if value == Interval::TOP {
+            self.regs.remove(&reg);
+        } else {
+            self.regs.insert(reg, value);
         }
     }
 }
 
 impl JoinSemiLattice for RegIntervals {
     fn join(&mut self, other: &Self) -> bool {
+        let before = self.regs.len();
         let mut changed = false;
-        for (mine, theirs) in self.regs.iter_mut().zip(&other.regs) {
+        // A register absent on either side is top on that side, so it is top
+        // (absent) in the join.
+        self.regs.retain(|r, mine| {
+            let Some(theirs) = other.regs.get(r) else { return false };
             let joined = mine.join(theirs);
             if joined != *mine {
                 *mine = joined;
                 changed = true;
             }
-        }
-        changed
+            joined != Interval::TOP
+        });
+        changed || self.regs.len() != before
     }
+}
+
+/// Marks each register of `function` that some block reads before defining
+/// it (instruction operands and the terminator): only those registers'
+/// values at a block entry are ever observed.
+fn read_before_defined(function: &Function) -> Vec<bool> {
+    let n = function.num_regs as usize;
+    let mut read = vec![false; n];
+    // defined_in[r] = 1 + the last block seen defining r.
+    let mut defined_in = vec![0usize; n];
+    for (bi, block) in function.blocks.iter().enumerate() {
+        let mut note_use = |op: Operand, defined_in: &[usize]| {
+            if let Operand::Reg(r) = op {
+                let r = r.0 as usize;
+                if r < n && defined_in[r] != bi + 1 {
+                    read[r] = true;
+                }
+            }
+        };
+        for inst in &block.insts {
+            for op in inst.uses() {
+                note_use(op, &defined_in);
+            }
+            if let Some(dst) = inst.def().filter(|d| (d.0 as usize) < n) {
+                defined_in[dst.0 as usize] = bi + 1;
+            }
+        }
+        for op in block.term.uses() {
+            note_use(op, &defined_in);
+        }
+    }
+    read
 }
 
 /// The intraprocedural interval analysis for one function, parameterized by
@@ -295,6 +338,9 @@ struct IntervalAnalysis<'a> {
     params: Vec<Interval>,
     /// Return-value summary per function (`None` = not yet known → top).
     returns: &'a [Option<Interval>],
+    /// The function's [`read_before_defined`] registers: the only ones a
+    /// fact keeps across an edge.
+    observed: &'a [bool],
 }
 
 impl IntervalAnalysis<'_> {
@@ -312,11 +358,9 @@ impl ForwardAnalysis for IntervalAnalysis<'_> {
     type Fact = RegIntervals;
 
     fn entry_fact(&self) -> RegIntervals {
-        let mut fact = RegIntervals::top(self.function.num_regs);
-        for (i, p) in self.params.iter().enumerate() {
-            if i < fact.regs.len() {
-                fact.regs[i] = *p;
-            }
+        let mut fact = RegIntervals::default();
+        for (i, p) in self.params.iter().enumerate().take(self.function.num_regs as usize) {
+            fact.set(Reg(i as u32), *p);
         }
         fact
     }
@@ -332,13 +376,24 @@ impl ForwardAnalysis for IntervalAnalysis<'_> {
             // reaching registers from outside the register file is top.
             _ => Interval::TOP,
         };
-        fact.regs[dst.0 as usize] = value;
+        fact.set(dst, value);
+    }
+
+    /// Drops the registers no block reads before defining: their value at a
+    /// block entry is never observed, and carrying them would make every
+    /// fact as large as the function's register file.
+    fn transfer_edge(
+        &self,
+        fact: &mut RegIntervals,
+        _term: &Terminator,
+        _from: BlockId,
+        _to: BlockId,
+    ) {
+        fact.regs.retain(|r, _| self.observed.get(r.0 as usize).copied().unwrap_or(false));
     }
 
     fn widen(&self, fact: &mut RegIntervals) {
-        for r in &mut fact.regs {
-            *r = Interval::TOP;
-        }
+        fact.regs.clear();
     }
 }
 
@@ -412,6 +467,7 @@ impl BranchFeasibility {
     pub fn compute(program: &Program, cfgs: &[Cfg], callgraph: &CallGraph) -> Self {
         let n = program.functions.len();
         let mut returns: Vec<Option<Interval>> = vec![None; n];
+        let observed: Vec<Vec<bool>> = program.functions.iter().map(read_before_defined).collect();
 
         // Phase 1: return summaries, callees first (callgraph.sccs is in
         // reverse topological order). Recursive SCCs keep `None` (= top).
@@ -425,6 +481,7 @@ impl BranchFeasibility {
                 function,
                 params: vec![Interval::TOP; function.num_params as usize],
                 returns: &returns,
+                observed: &observed[fid.0 as usize],
             };
             let facts = dataflow::solve_function(&analysis, function, &cfgs[fid.0 as usize], fid);
             returns[fid.0 as usize] = Some(return_summary(&analysis, function, &facts, fid));
@@ -458,8 +515,12 @@ impl BranchFeasibility {
             else {
                 continue; // statically unreachable: its branches never run
             };
-            let analysis =
-                IntervalAnalysis { function, params: param_intervals, returns: &returns };
+            let analysis = IntervalAnalysis {
+                function,
+                params: param_intervals,
+                returns: &returns,
+                observed: &observed[fid.0 as usize],
+            };
             let facts = dataflow::solve_function(&analysis, function, &cfgs[fid.0 as usize], fid);
 
             // Record branch verdicts from this (final) pass.

@@ -23,7 +23,7 @@ use crate::interval::{BranchFeasibility, Feasibility};
 use crate::lockorder::{self, LockOrderInfo};
 use crate::pointsto::{AbsLoc, PointsTo};
 use crate::racecand::{self, RaceCandidates};
-use crate::reachdef::{trace_operand, CondExpr};
+use crate::reachdef::{CondExpr, DefIndex};
 use esd_ir::validate::{Preflight, ValidationError};
 use esd_ir::{BlockId, GlobalId, Inst, Loc, Operand, Program, Terminator};
 use std::fmt;
@@ -218,25 +218,26 @@ fn scan_globals(program: &Program) -> GlobalAccess {
         loads: vec![Vec::new(); n],
         escaped: vec![false; n],
     };
-    let escape = |acc: &mut GlobalAccess, function, op: Operand| {
-        if let CondExpr::GlobalAddr(g, _) = trace_operand(function, op) {
+    let escape = |acc: &mut GlobalAccess, defs: &DefIndex<'_>, op: Operand| {
+        if let CondExpr::GlobalAddr(g, _) = defs.trace(op) {
             acc.escaped[g.0 as usize] = true;
         }
     };
     for fid in program.func_ids() {
         let function = program.func(fid);
+        let defs = DefIndex::new(function);
         for (bi, block) in function.blocks.iter().enumerate() {
             for (ii, inst) in block.insts.iter().enumerate() {
                 let loc = Loc::new(fid, BlockId(bi as u32), ii as u32);
                 match inst {
                     Inst::Store { addr, value } => {
-                        if let CondExpr::GlobalAddr(g, _) = trace_operand(function, *addr) {
+                        if let CondExpr::GlobalAddr(g, _) = defs.trace(*addr) {
                             acc.stores[g.0 as usize].push(loc);
                         }
-                        escape(&mut acc, function, *value);
+                        escape(&mut acc, &defs, *value);
                     }
                     Inst::Load { addr, .. } => {
-                        if let CondExpr::GlobalAddr(g, off) = trace_operand(function, *addr) {
+                        if let CondExpr::GlobalAddr(g, off) = defs.trace(*addr) {
                             acc.loads[g.0 as usize].push((loc, off));
                         }
                     }
@@ -244,9 +245,9 @@ fn scan_globals(program: &Program) -> GlobalAccess {
                     // at the eventual load/store; a non-constant offset
                     // makes the derived pointer untrackable.
                     Inst::Gep { base, offset, .. } => {
-                        let folds = matches!(trace_operand(function, *offset), CondExpr::Const(_));
+                        let folds = matches!(defs.trace(*offset), CondExpr::Const(_));
                         if !folds {
-                            escape(&mut acc, function, *base);
+                            escape(&mut acc, &defs, *base);
                         }
                     }
                     // AddrGlobal only materializes the address; what the
@@ -256,14 +257,14 @@ fn scan_globals(program: &Program) -> GlobalAccess {
                     // call arguments, sync primitives, output, arithmetic.
                     _ => {
                         for op in inst.uses() {
-                            escape(&mut acc, function, op);
+                            escape(&mut acc, &defs, op);
                         }
                     }
                 }
             }
             match &block.term {
-                Terminator::CondBr { cond, .. } => escape(&mut acc, function, *cond),
-                Terminator::Ret { value: Some(v) } => escape(&mut acc, function, *v),
+                Terminator::CondBr { cond, .. } => escape(&mut acc, &defs, *cond),
+                Terminator::Ret { value: Some(v) } => escape(&mut acc, &defs, *v),
                 _ => {}
             }
         }
@@ -317,13 +318,14 @@ impl LintPass for DeadStore {
         // Same-block overwrites.
         for fid in ctx.program.func_ids() {
             let function = ctx.program.func(fid);
+            let defs = DefIndex::new(function);
             for (bi, block) in function.blocks.iter().enumerate() {
                 // (global, word offset) → index of the last unread store.
                 let mut pending: HashMap<(GlobalId, i64), usize> = HashMap::new();
                 for (ii, inst) in block.insts.iter().enumerate() {
                     match inst {
                         Inst::Store { addr, .. } => {
-                            if let CondExpr::GlobalAddr(g, off) = trace_operand(function, *addr) {
+                            if let CondExpr::GlobalAddr(g, off) = defs.trace(*addr) {
                                 if let Some(prev) = pending.insert((g, off), ii) {
                                     let name = &ctx.program.global(g).name;
                                     out.push(Diagnostic {
@@ -386,11 +388,12 @@ impl LintPass for ConstantCondition {
     fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         for fid in ctx.program.func_ids() {
             let function = ctx.program.func(fid);
+            let defs = DefIndex::new(function);
             for (bi, block) in function.blocks.iter().enumerate() {
                 let Terminator::CondBr { cond, .. } = block.term else { continue };
                 let b = BlockId(bi as u32);
                 let loc = Loc::new(fid, b, block.insts.len() as u32);
-                if let CondExpr::Const(v) = trace_operand(function, cond) {
+                if let CondExpr::Const(v) = defs.trace(cond) {
                     let (taken, dead) = if v != 0 { ("then", "else") } else { ("else", "then") };
                     out.push(Diagnostic {
                         lint: self.name(),

@@ -22,7 +22,7 @@
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::dataflow::{self, ForwardAnalysis, JoinSemiLattice};
-use crate::reachdef::{trace_operand, CondExpr};
+use crate::reachdef::{CondExpr, DefIndex};
 use esd_ir::{FuncId, Function, GlobalId, Inst, Loc, Operand, Program};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -78,15 +78,15 @@ impl JoinSemiLattice for LockSet {
 }
 
 /// Resolves a mutex operand to its global identity, if statically visible.
-pub(crate) fn mutex_identity(function: &Function, op: Operand) -> Option<GlobalId> {
-    match trace_operand(function, op) {
+pub(crate) fn mutex_identity(defs: &DefIndex<'_>, op: Operand) -> Option<GlobalId> {
+    match defs.trace(op) {
         CondExpr::GlobalAddr(g, _) => Some(g),
         _ => None,
     }
 }
 
 pub(crate) struct LocksetAnalysis<'a> {
-    pub(crate) function: &'a Function,
+    pub(crate) defs: &'a DefIndex<'a>,
     pub(crate) entry: LockSet,
 }
 
@@ -100,12 +100,12 @@ impl ForwardAnalysis for LocksetAnalysis<'_> {
     fn transfer_inst(&self, fact: &mut LockSet, inst: &Inst, _loc: Loc) {
         match inst {
             Inst::MutexLock { mutex } => {
-                if let Some(g) = mutex_identity(self.function, *mutex) {
+                if let Some(g) = mutex_identity(self.defs, *mutex) {
                     fact.0.insert(g);
                 }
             }
             Inst::MutexUnlock { mutex } => {
-                if let Some(g) = mutex_identity(self.function, *mutex) {
+                if let Some(g) = mutex_identity(self.defs, *mutex) {
                     fact.0.remove(&g);
                 }
             }
@@ -133,13 +133,15 @@ pub fn analyze(program: &Program, cfgs: &[Cfg], _callgraph: &CallGraph) -> LockO
     let mut entry: Vec<LockSet> = vec![LockSet::default(); n];
     let mut queued = vec![true; n];
     let mut worklist: VecDeque<FuncId> = program.func_ids().collect();
+    let defs: Vec<DefIndex<'_>> = program.functions.iter().map(DefIndex::new).collect();
 
     // Fixpoint over functions: the powerset lattice over globals is finite,
     // so entry sets grow monotonically and terminate.
     while let Some(fid) = worklist.pop_front() {
         queued[fid.0 as usize] = false;
         let function = program.func(fid);
-        let analysis = LocksetAnalysis { function, entry: entry[fid.0 as usize].clone() };
+        let analysis =
+            LocksetAnalysis { defs: &defs[fid.0 as usize], entry: entry[fid.0 as usize].clone() };
         let facts = dataflow::solve_function(&analysis, function, &cfgs[fid.0 as usize], fid);
         for (bi, block) in function.blocks.iter().enumerate() {
             let Some(mut fact) = facts.at(esd_ir::BlockId(bi as u32)).cloned() else { continue };
@@ -166,14 +168,15 @@ pub fn analyze(program: &Program, cfgs: &[Cfg], _callgraph: &CallGraph) -> LockO
     let mut edges: Vec<LockEdge> = Vec::new();
     for fid in program.func_ids() {
         let function = program.func(fid);
-        let analysis = LocksetAnalysis { function, entry: entry[fid.0 as usize].clone() };
+        let fdefs = &defs[fid.0 as usize];
+        let analysis = LocksetAnalysis { defs: fdefs, entry: entry[fid.0 as usize].clone() };
         let facts = dataflow::solve_function(&analysis, function, &cfgs[fid.0 as usize], fid);
         for (bi, block) in function.blocks.iter().enumerate() {
             let Some(mut fact) = facts.at(esd_ir::BlockId(bi as u32)).cloned() else { continue };
             for (ii, inst) in block.insts.iter().enumerate() {
                 let loc = Loc::new(fid, esd_ir::BlockId(bi as u32), ii as u32);
                 if let Inst::MutexLock { mutex } = inst {
-                    if let Some(second) = mutex_identity(function, *mutex) {
+                    if let Some(second) = mutex_identity(fdefs, *mutex) {
                         for first in &fact.0 {
                             if *first != second {
                                 edges.push(LockEdge { first: *first, second, site: loc });
@@ -227,7 +230,8 @@ pub fn analyze(program: &Program, cfgs: &[Cfg], _callgraph: &CallGraph) -> LockO
 /// functions that hand a held mutex back to their caller legitimately
 /// trigger it, which is why the lint reports a warning, not an error.
 pub fn unreleased_at_return(function: &Function, cfg: &Cfg, func: FuncId) -> Vec<(Loc, GlobalId)> {
-    let analysis = LocksetAnalysis { function, entry: LockSet::default() };
+    let defs = DefIndex::new(function);
+    let analysis = LocksetAnalysis { defs: &defs, entry: LockSet::default() };
     let facts = dataflow::solve_function(&analysis, function, cfg, func);
     let mut out = Vec::new();
     for (bi, block) in function.blocks.iter().enumerate() {

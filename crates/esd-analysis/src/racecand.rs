@@ -44,7 +44,8 @@ use crate::cfg::Cfg;
 use crate::dataflow::{self, ForwardAnalysis, JoinSemiLattice};
 use crate::lockorder::{self, LockOrderInfo, LockSet};
 use crate::pointsto::{AbsLoc, PointsTo};
-use esd_ir::{BlockId, Callee, FuncId, Function, GlobalId, Inst, Loc, Program, Reg};
+use crate::reachdef::DefIndex;
+use esd_ir::{BlockId, Callee, FuncId, GlobalId, Inst, Loc, Program, Reg};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// A pair of may-shared accesses that may race: they may touch the same
@@ -129,7 +130,7 @@ impl JoinSemiLattice for MustLockSet {
 }
 
 struct MustLockAnalysis<'a> {
-    function: &'a Function,
+    defs: &'a DefIndex<'a>,
 }
 
 impl ForwardAnalysis for MustLockAnalysis<'_> {
@@ -144,11 +145,11 @@ impl ForwardAnalysis for MustLockAnalysis<'_> {
     fn transfer_inst(&self, fact: &mut MustLockSet, inst: &Inst, _loc: Loc) {
         match inst {
             Inst::MutexLock { mutex } => {
-                if let Some(g) = lockorder::mutex_identity(self.function, *mutex) {
+                if let Some(g) = lockorder::mutex_identity(self.defs, *mutex) {
                     fact.0.insert(g);
                 }
             }
-            Inst::MutexUnlock { mutex } => match lockorder::mutex_identity(self.function, *mutex) {
+            Inst::MutexUnlock { mutex } => match lockorder::mutex_identity(self.defs, *mutex) {
                 Some(g) => {
                     fact.0.remove(&g);
                 }
@@ -447,14 +448,15 @@ pub fn compute(
             call_spawns: &call_spawns,
         };
         let out_facts = dataflow::solve_function(&out_an, function, cfg, fid);
+        let defs = DefIndex::new(function);
         let may_an = lockorder::LocksetAnalysis {
-            function,
+            defs: &defs,
             entry: LockSet(
                 lock_order.entry_locksets.get(fid.0 as usize).cloned().unwrap_or_default(),
             ),
         };
         let may_facts = dataflow::solve_function(&may_an, function, cfg, fid);
-        let must_an = MustLockAnalysis { function };
+        let must_an = MustLockAnalysis { defs: &defs };
         let must_facts = dataflow::solve_function(&must_an, function, cfg, fid);
         for (bi, block) in function.blocks.iter().enumerate() {
             let b = BlockId(bi as u32);
@@ -556,9 +558,24 @@ pub fn compute(
         }
     };
 
+    // `mhp` holds only between two accesses that each run in a spawned root,
+    // in a multiply-spawned entry function, or in the entry function while a
+    // spawn is outstanding. Keeping just those accesses (in their original
+    // order) leaves the pairs and their order unchanged; on a program whose
+    // shared accesses all precede the first spawn it empties the loop.
+    let may_run_in_parallel = |x: Loc| {
+        ctx[x.func.0 as usize].iter().any(|r| {
+            *r != program.entry
+                || *multi.get(r).unwrap_or(&false)
+                || outstanding_at.get(&x).is_some_and(|sites| !sites.is_empty())
+        })
+    };
+    let parallel: Vec<&crate::pointsto::MemAccess> =
+        shared.iter().copied().filter(|a| may_run_in_parallel(a.loc)).collect();
+
     let mut candidates: Vec<RacePairCandidate> = Vec::new();
-    for (i, a) in shared.iter().enumerate() {
-        for b in shared.iter().skip(i) {
+    for (i, a) in parallel.iter().enumerate() {
+        for b in parallel.iter().skip(i) {
             if !a.is_write && !b.is_write {
                 continue;
             }

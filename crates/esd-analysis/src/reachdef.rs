@@ -6,15 +6,15 @@
 //! variables are memory words — globals loaded by the condition — because
 //! registers are function-local temporaries. This module provides:
 //!
-//! * [`trace_operand`]: rebuild the (partial) expression tree of an operand
-//!   by walking register use-def chains, resolving loads of statically-known
-//!   global addresses into symbolic variables;
+//! * [`DefIndex::trace`]: rebuild the (partial) expression tree of an
+//!   operand by walking register use-def chains, resolving loads of
+//!   statically-known global addresses into symbolic variables;
 //! * [`global_stores`]: all stores to statically-known global addresses in
 //!   the program, with their stored value when it is a compile-time constant;
 //! * [`eval_cond`]: evaluate a traced condition under a candidate assignment
 //!   of values to global variables.
 
-use esd_ir::{BinOp, CmpOp, Function, GlobalId, Inst, Loc, Operand, Program, Reg};
+use esd_ir::{BinOp, CmpOp, Function, GlobalId, Inst, Loc, Operand, Program};
 use std::collections::HashMap;
 
 /// A (partially) recovered expression for a condition operand.
@@ -66,80 +66,97 @@ impl CondExpr {
     }
 }
 
-/// All instructions in `function` that define register `reg`.
-pub fn defs_of_reg(function: &Function, reg: Reg) -> Vec<(Loc, Inst)> {
-    let mut out = Vec::new();
-    for (bi, block) in function.blocks.iter().enumerate() {
-        for (ii, inst) in block.insts.iter().enumerate() {
-            if inst.def() == Some(reg) {
-                out.push((
-                    Loc {
-                        func: esd_ir::FuncId(u32::MAX), // filled by callers that know the id
-                        block: esd_ir::BlockId(bi as u32),
-                        idx: ii as u32,
-                    },
-                    inst.clone(),
-                ));
-            }
-        }
-    }
-    out
+/// The per-function register → definition index that use-def tracing walks.
+///
+/// Built in one pass over the function's instructions, it records for each
+/// register the defining instruction when exactly one instruction defines it
+/// (a register with none or several stays untraceable). Tracing an operand
+/// through it costs one lookup per step instead of a scan of the whole
+/// function, so tracing every instruction of a function is linear in its
+/// size.
+pub struct DefIndex<'a> {
+    num_params: u32,
+    defs: Vec<RegDef<'a>>,
+}
+
+#[derive(Clone, Copy)]
+enum RegDef<'a> {
+    Undefined,
+    Unique(&'a Inst),
+    Several,
 }
 
 const MAX_TRACE_DEPTH: u32 = 16;
 
-/// Rebuilds the expression computed into `op` inside `function`, following
-/// register use-def chains. Registers with more than one definition and
-/// values the analysis cannot see through become [`CondExpr::Opaque`].
-pub fn trace_operand(function: &Function, op: Operand) -> CondExpr {
-    trace_rec(function, op, MAX_TRACE_DEPTH)
-}
-
-fn trace_rec(function: &Function, op: Operand, depth: u32) -> CondExpr {
-    if depth == 0 {
-        return CondExpr::Opaque;
-    }
-    let reg = match op {
-        Operand::Const(c) => return CondExpr::Const(c),
-        Operand::Reg(r) => r,
-    };
-    // Parameters are runtime values.
-    if reg.0 < function.num_params {
-        return CondExpr::Opaque;
-    }
-    let defs = defs_of_reg(function, reg);
-    if defs.len() != 1 {
-        return CondExpr::Opaque;
-    }
-    match &defs[0].1 {
-        Inst::Const { value, .. } => CondExpr::Const(*value),
-        Inst::Cmp { op, a, b, .. } => CondExpr::Cmp(
-            *op,
-            Box::new(trace_rec(function, *a, depth - 1)),
-            Box::new(trace_rec(function, *b, depth - 1)),
-        ),
-        Inst::Bin { op, a, b, .. } => CondExpr::Bin(
-            *op,
-            Box::new(trace_rec(function, *a, depth - 1)),
-            Box::new(trace_rec(function, *b, depth - 1)),
-        ),
-        Inst::AddrGlobal { global, .. } => CondExpr::GlobalAddr(*global, 0),
-        Inst::Gep { base, offset, .. } => {
-            let base = trace_rec(function, *base, depth - 1);
-            let off = trace_rec(function, *offset, depth - 1);
-            match (base, off) {
-                (CondExpr::GlobalAddr(g, o), CondExpr::Const(c)) => CondExpr::GlobalAddr(g, o + c),
-                _ => CondExpr::Opaque,
+impl<'a> DefIndex<'a> {
+    /// Indexes the register definitions of `function`.
+    pub fn new(function: &'a Function) -> Self {
+        let mut defs = vec![RegDef::Undefined; function.num_regs as usize];
+        for inst in function.blocks.iter().flat_map(|b| &b.insts) {
+            let Some(reg) = inst.def() else { continue };
+            let r = reg.0 as usize;
+            if r >= defs.len() {
+                defs.resize(r + 1, RegDef::Undefined);
             }
+            defs[r] = match defs[r] {
+                RegDef::Undefined => RegDef::Unique(inst),
+                _ => RegDef::Several,
+            };
         }
-        Inst::Load { addr, .. } => {
-            let addr = trace_rec(function, *addr, depth - 1);
-            match addr {
+        DefIndex { num_params: function.num_params, defs }
+    }
+
+    /// Rebuilds the expression computed into `op`, following register
+    /// use-def chains. Registers with more than one definition and values
+    /// the analysis cannot see through become [`CondExpr::Opaque`].
+    pub fn trace(&self, op: Operand) -> CondExpr {
+        self.trace_rec(op, MAX_TRACE_DEPTH)
+    }
+
+    fn trace_rec(&self, op: Operand, depth: u32) -> CondExpr {
+        if depth == 0 {
+            return CondExpr::Opaque;
+        }
+        let reg = match op {
+            Operand::Const(c) => return CondExpr::Const(c),
+            Operand::Reg(r) => r,
+        };
+        // Parameters are runtime values.
+        if reg.0 < self.num_params {
+            return CondExpr::Opaque;
+        }
+        let Some(RegDef::Unique(inst)) = self.defs.get(reg.0 as usize) else {
+            return CondExpr::Opaque;
+        };
+        match inst {
+            Inst::Const { value, .. } => CondExpr::Const(*value),
+            Inst::Cmp { op, a, b, .. } => CondExpr::Cmp(
+                *op,
+                Box::new(self.trace_rec(*a, depth - 1)),
+                Box::new(self.trace_rec(*b, depth - 1)),
+            ),
+            Inst::Bin { op, a, b, .. } => CondExpr::Bin(
+                *op,
+                Box::new(self.trace_rec(*a, depth - 1)),
+                Box::new(self.trace_rec(*b, depth - 1)),
+            ),
+            Inst::AddrGlobal { global, .. } => CondExpr::GlobalAddr(*global, 0),
+            Inst::Gep { base, offset, .. } => {
+                let base = self.trace_rec(*base, depth - 1);
+                let off = self.trace_rec(*offset, depth - 1);
+                match (base, off) {
+                    (CondExpr::GlobalAddr(g, o), CondExpr::Const(c)) => {
+                        CondExpr::GlobalAddr(g, o + c)
+                    }
+                    _ => CondExpr::Opaque,
+                }
+            }
+            Inst::Load { addr, .. } => match self.trace_rec(*addr, depth - 1) {
                 CondExpr::GlobalAddr(g, o) => CondExpr::GlobalVar(g, o),
                 _ => CondExpr::Opaque,
-            }
+            },
+            _ => CondExpr::Opaque,
         }
-        _ => CondExpr::Opaque,
     }
 }
 
@@ -160,13 +177,12 @@ pub fn global_stores(program: &Program) -> Vec<GlobalStore> {
     let mut out = Vec::new();
     for fid in program.func_ids() {
         let function = program.func(fid);
+        let defs = DefIndex::new(function);
         for (bi, block) in function.blocks.iter().enumerate() {
             for (ii, inst) in block.insts.iter().enumerate() {
                 if let Inst::Store { addr, value } = inst {
-                    let addr_expr = trace_operand(function, *addr);
-                    if let CondExpr::GlobalAddr(g, off) = addr_expr {
-                        let value_expr = trace_operand(function, *value);
-                        let value = match value_expr {
+                    if let CondExpr::GlobalAddr(g, off) = defs.trace(*addr) {
+                        let value = match defs.trace(*value) {
                             CondExpr::Const(c) => Some(c),
                             _ => None,
                         };
@@ -352,7 +368,7 @@ mod tests {
             Terminator::CondBr { cond, .. } => *cond,
             _ => panic!("expected condbr"),
         };
-        let expr = trace_operand(main, cond);
+        let expr = DefIndex::new(main).trace(cond);
         // (mode == 1) & (opaque == 2)
         match &expr {
             CondExpr::Bin(BinOp::And, lhs, rhs) => {
@@ -395,7 +411,7 @@ mod tests {
             Terminator::CondBr { cond, .. } => *cond,
             _ => unreachable!(),
         };
-        let expr = trace_operand(main, cond);
+        let expr = DefIndex::new(main).trace(cond);
         // The whole condition is opaque (depends on getchar) …
         let mut asg = HashMap::new();
         asg.insert((mode, 0i64), 1i64);
@@ -422,7 +438,7 @@ mod tests {
         let inst = p.functions[0].blocks[0].insts[0].clone();
         p.functions[0].blocks[0].insts.insert(0, inst);
         let main = p.func(p.entry);
-        let expr = trace_operand(main, Operand::Reg(Reg(0)));
+        let expr = DefIndex::new(main).trace(Operand::Reg(esd_ir::Reg(0)));
         assert_eq!(expr, CondExpr::Opaque);
     }
 }

@@ -64,6 +64,16 @@ impl Default for SolverConfig {
     }
 }
 
+/// Every value a variable can take: the interval harvesting starts from.
+const FULL_RANGE: (i64, i64) = (i64::MIN, i64::MAX);
+
+/// An empty interval (`lo > hi`) that narrowing keeps empty.
+const EMPTY: (i64, i64) = (i64::MAX, i64::MIN);
+
+/// Where candidate values are sampled when the constraints allow: a quarter
+/// of the range on either side, so repair moves rarely overflow.
+const SAMPLE_CLAMP: (i64, i64) = (i64::MIN / 4, i64::MAX / 4);
+
 /// The constraint solver. Stateless apart from configuration and counters.
 #[derive(Debug, Default)]
 pub struct Solver {
@@ -95,20 +105,24 @@ impl Solver {
         }
 
         let mut intervals: HashMap<SymVar, (i64, i64)> =
-            vars.iter().map(|v| (*v, (i64::MIN / 4, i64::MAX / 4))).collect();
+            vars.iter().map(|v| (*v, FULL_RANGE)).collect();
         let mut fixed: HashMap<SymVar, i64> = HashMap::new();
         let mut interesting: HashMap<SymVar, Vec<i64>> = HashMap::new();
 
         for c in constraints {
             harvest(c, true, &mut intervals, &mut fixed, &mut interesting);
         }
-        // Detect trivially empty intervals.
-        for (v, (lo, hi)) in &intervals {
-            if lo > hi {
-                // Only definitive if the emptiness came from single-variable
-                // constraints; we harvested conservatively, so report Unsat.
-                let _ = v;
-                return SolverResult::Unsat;
+        // The bounds come from single-variable constraints over the full i64
+        // range, so an empty interval is a definitive Unsat.
+        if intervals.values().any(|(lo, hi)| lo > hi) {
+            return SolverResult::Unsat;
+        }
+        // Sample inside the default clamp where the constraints allow it, and
+        // from the harvested interval when they require a value outside it.
+        for (lo, hi) in intervals.values_mut() {
+            let clamped = ((*lo).max(SAMPLE_CLAMP.0), (*hi).min(SAMPLE_CLAMP.1));
+            if clamped.0 <= clamped.1 {
+                (*lo, *hi) = clamped;
             }
         }
 
@@ -148,15 +162,14 @@ impl Solver {
                     c.vars(&mut cvars);
                     if !cvars.is_empty() {
                         let v = cvars[rng.gen_range(0..cvars.len())];
-                        let delta = rhs.eval(&candidate) - lhs.eval(&candidate);
+                        let delta = rhs.eval(&candidate).wrapping_sub(lhs.eval(&candidate));
                         let cur = candidate.get(&v).copied().unwrap_or(0);
-                        let (lo, hi) =
-                            intervals.get(&v).copied().unwrap_or((i64::MIN / 4, i64::MAX / 4));
+                        let (lo, hi) = intervals.get(&v).copied().unwrap_or(SAMPLE_CLAMP);
                         let adjust = match rng.gen_range(0..4) {
                             0 => delta,
-                            1 => -delta,
+                            1 => delta.wrapping_neg(),
                             2 => delta / 2,
-                            _ => delta * 2,
+                            _ => delta.wrapping_mul(2),
                         };
                         candidate.insert(v, cur.wrapping_add(adjust).clamp(lo, hi));
                     }
@@ -232,7 +245,7 @@ fn harvest(
                 }
             };
             let op = if required { op } else { op.negate() };
-            let entry = intervals.entry(var).or_insert((i64::MIN / 4, i64::MAX / 4));
+            let entry = intervals.entry(var).or_insert(FULL_RANGE);
             match op {
                 CmpOp::Eq => {
                     fixed.insert(var, konst);
@@ -244,9 +257,16 @@ fn harvest(
                     push_interesting(e, konst.wrapping_add(1));
                     push_interesting(e, konst.wrapping_sub(1));
                 }
-                CmpOp::Lt => entry.1 = entry.1.min(konst - 1),
+                // `x < i64::MIN` and `x > i64::MAX` hold for no value.
+                CmpOp::Lt => match konst.checked_sub(1) {
+                    Some(k) => entry.1 = entry.1.min(k),
+                    None => *entry = EMPTY,
+                },
                 CmpOp::Le => entry.1 = entry.1.min(konst),
-                CmpOp::Gt => entry.0 = entry.0.max(konst + 1),
+                CmpOp::Gt => match konst.checked_add(1) {
+                    Some(k) => entry.0 = entry.0.max(k),
+                    None => *entry = EMPTY,
+                },
                 CmpOp::Ge => entry.0 = entry.0.max(konst),
             }
             let e = interesting.entry(var).or_default();
@@ -361,6 +381,37 @@ mod tests {
             vec![SymExpr::cmp(CmpOp::Gt, var(0), c(10)), SymExpr::cmp(CmpOp::Lt, var(0), c(5))];
         assert_eq!(s.solve(&constraints), SolverResult::Unsat);
         assert!(!s.is_feasible(&constraints));
+    }
+
+    /// Regression: harvesting used to start every variable at the sampling
+    /// clamp (±`i64::MAX / 4`), so a bound beyond it read as an empty
+    /// interval and a satisfiable query came back Unsat.
+    #[test]
+    fn bounds_beyond_the_sampling_clamp_stay_satisfiable() {
+        let mut s = Solver::new(SolverConfig::default());
+        let above = vec![SymExpr::cmp(CmpOp::Gt, var(0), c(i64::MAX / 4))];
+        let model = s.solve(&above).model().expect("x > i64::MAX / 4 is satisfiable");
+        assert!(model[&SymVar(0)] > i64::MAX / 4);
+        let at_max = vec![SymExpr::cmp(CmpOp::Eq, var(0), c(i64::MAX))];
+        assert_eq!(s.solve(&at_max).model().expect("x == i64::MAX")[&SymVar(0)], i64::MAX);
+        let below = vec![SymExpr::cmp(CmpOp::Le, var(0), c(i64::MIN / 2))];
+        assert!(s.solve(&below).model().expect("x <= i64::MIN / 2")[&SymVar(0)] <= i64::MIN / 2);
+        // Inside the clamp nothing changes: the sample stays where it was.
+        let inside = vec![SymExpr::cmp(CmpOp::Gt, var(0), c(10))];
+        assert_eq!(s.solve(&inside).model().expect("x > 10")[&SymVar(0)], 11);
+    }
+
+    /// Regression: `konst - 1` / `konst + 1` overflowed on the extreme
+    /// constants. Nothing is below `i64::MIN` or above `i64::MAX`.
+    #[test]
+    fn comparisons_past_the_i64_extremes_are_unsat() {
+        let mut s = Solver::new(SolverConfig::default());
+        for (op, k) in [(CmpOp::Lt, i64::MIN), (CmpOp::Gt, i64::MAX)] {
+            let constraints = vec![SymExpr::cmp(op, var(0), c(k))];
+            assert_eq!(s.solve(&constraints), SolverResult::Unsat, "x {op:?} {k}");
+            // The negations hold for every value.
+            assert!(s.solve(&[SymExpr::not(constraints[0].clone())]).is_sat());
+        }
     }
 
     #[test]
