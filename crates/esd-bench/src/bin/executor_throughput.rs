@@ -12,9 +12,10 @@
 //!   ending in `.json`, or in `$ESD_BENCH_OUT`.
 //! * `ESD_STATIC_PRUNING=0` switches static pruning off: both the
 //!   feasibility verdicts and the race-candidate preemption gating.
-//! * `pool:<n>` / `ESD_POOL` select the executor worker-pool size of the
+//! * `pool:<n>` / `ESD_POOL` select the executor pool size of the
 //!   cross-job parallel leg; the report records the pool size and the
-//!   cross-job speedup over the serial baseline.
+//!   cross-job speedup over the serial baseline, both timed after one
+//!   untimed warm-up drain of the batch.
 //! * Exits non-zero when any job of the batch fails to synthesize — the CI
 //!   gate on the throughput trajectory — (exit 4) when static pruning is
 //!   on but the batch reports zero pruned branches or zero saved solver
@@ -104,14 +105,12 @@ fn main() {
         );
         std::process::exit(5);
     }
-    // The cross-job parallel leg (batch_width × pool_size) must synthesize
+    // The cross-job parallel leg (pool:<n>) must synthesize
     // byte-identical execution files to the serial baseline — the executor's
     // determinism contract, gated per batch job.
     if !report.parallel_divergence.is_empty() {
         eprintln!(
-            "FAIL: parallel execution (width={}, pool={}) diverged from the serial \
-             baseline on: {}",
-            report.batch_width,
+            "FAIL: parallel execution (pool={}) diverged from the serial baseline on: {}",
             report.executor_pool_size,
             report.parallel_divergence.join(", ")
         );

@@ -90,7 +90,7 @@ pub fn static_pruning_from_env() -> bool {
     }
 }
 
-/// The executor worker-pool size the multi-job benchmarks should use for
+/// The executor pool size the multi-job benchmarks should use for
 /// their cross-job parallel leg: a `pool:<n>` positional CLI argument wins
 /// (`executor_throughput pool:8`), then the `ESD_POOL` environment variable,
 /// then 2. `0` (or `auto`) means "all available parallelism". The pool size
@@ -520,14 +520,12 @@ pub struct ExecutorBenchReport {
     pub total_wall_secs: f64,
     /// Batch throughput: synthesized jobs per second of batch wall time.
     pub throughput_jobs_per_sec: f64,
-    /// Worker threads of the executor's slice pool in the cross-job
-    /// parallel re-run (`pool:<n>` / `ESD_POOL`; the serial baseline always
-    /// runs at pool 1, width 1).
+    /// The executor pool size of the cross-job parallel re-run — jobs
+    /// granted a slice per batch, each on its own thread (`pool:<n>` /
+    /// `ESD_POOL`; the serial baseline always runs at pool 1).
     pub executor_pool_size: usize,
-    /// Slice-batch width of the cross-job parallel re-run.
-    pub batch_width: usize,
     /// Wall-clock time to drain the identical batch with cross-job parallel
-    /// slice execution (`batch_width` × `executor_pool_size`), in seconds.
+    /// slice execution at `executor_pool_size`, in seconds.
     pub parallel_total_wall_secs: f64,
     /// Cross-job speedup: serial batch wall time over parallel batch wall
     /// time (> 1 means the pool paid off).
@@ -593,6 +591,11 @@ fn executor_batch() -> Vec<(Workload, bool)> {
 /// deadlocks and crashes, ≥ 4 jobs; BPF jobs added in full mode) to a
 /// round-robin [`JobExecutor`], drains it, replays every synthesized
 /// execution, and reports per-job wall time plus total batch throughput.
+///
+/// One untimed serial drain runs first, so the timed serial leg does not
+/// pay the process's warm-up (page faults, allocator growth) that the
+/// legs after it would skip — without it the cross-job speedup mostly
+/// measures leg order.
 pub fn executor_throughput(esd_budget: u64, slice_rounds: u64) -> ExecutorBenchReport {
     let batch = executor_batch();
     let static_pruning = static_pruning_from_env();
@@ -603,35 +606,32 @@ pub fn executor_throughput(esd_budget: u64, slice_rounds: u64) -> ExecutorBenchR
             .with_race_detection(race)
             .build()
     };
+    let specs = || -> Vec<JobSpec> {
+        batch
+            .iter()
+            .map(|(w, race)| {
+                JobSpec::new(&w.name, &w.program, w.goal()).options(job_options(*race))
+            })
+            .collect()
+    };
+    JobExecutor::round_robin().slice_rounds(slice_rounds).run_batch(specs());
+
     let mut executor = JobExecutor::round_robin().slice_rounds(slice_rounds);
     let started = Instant::now();
-    let handles: Vec<_> = batch
-        .iter()
-        .map(|(w, race)| {
-            executor.submit(JobSpec::new(&w.name, &w.program, w.goal()).options(job_options(*race)))
-        })
-        .collect();
+    let handles = executor.submit_batch(specs());
     executor.run_until_idle();
     let total_wall = started.elapsed();
 
     // The identical batch again with cross-job parallel slice execution:
-    // full-width batches dispatched to a worker pool. The determinism
-    // contract says this may only change the wall time, never the
-    // execution files — the divergence list (and the binary's exit 6)
+    // each batch grants up to `pool` jobs a slice, one thread each. The
+    // determinism contract says this may only change the wall time, never
+    // the execution files — the divergence list (and the binary's exit 6)
     // holds it to that.
     let executor_pool_size = pool_from_args().max(1);
-    let batch_width = batch.len();
-    let mut parallel = JobExecutor::round_robin()
-        .slice_rounds(slice_rounds)
-        .batch_width(batch_width)
-        .pool_size(executor_pool_size);
+    let mut parallel =
+        JobExecutor::round_robin().slice_rounds(slice_rounds).pool_size(executor_pool_size);
     let parallel_started = Instant::now();
-    let parallel_handles: Vec<_> = batch
-        .iter()
-        .map(|(w, race)| {
-            parallel.submit(JobSpec::new(&w.name, &w.program, w.goal()).options(job_options(*race)))
-        })
-        .collect();
+    let parallel_handles = parallel.submit_batch(specs());
     parallel.run_until_idle();
     let parallel_wall = parallel_started.elapsed();
 
@@ -646,9 +646,7 @@ pub fn executor_throughput(esd_budget: u64, slice_rounds: u64) -> ExecutorBenchR
         .durable_dir(&durable_dir)
         .expect("the durable bench directory is writable");
     let durable_started = Instant::now();
-    for (w, race) in &batch {
-        durable.submit(JobSpec::new(&w.name, &w.program, w.goal()).options(job_options(*race)));
-    }
+    durable.submit_batch(specs());
     durable.run_until_idle();
     let durable_wall = durable_started.elapsed();
     drop(durable);
@@ -722,7 +720,6 @@ pub fn executor_throughput(esd_budget: u64, slice_rounds: u64) -> ExecutorBenchR
             jobs_synthesized as f64 / secs(total_wall)
         },
         executor_pool_size,
-        batch_width,
         parallel_total_wall_secs: secs(parallel_wall),
         cross_job_speedup: if parallel_wall.is_zero() {
             0.0
@@ -787,8 +784,7 @@ pub fn print_executor_throughput(report: &ExecutorBenchReport) {
         report.race_states_created,
     );
     println!(
-        "cross-job parallel (width={}, pool={}): {:.3}s — {:.2}x vs serial, {}",
-        report.batch_width,
+        "cross-job parallel (pool={}): {:.3}s — {:.2}x vs serial, {}",
         report.executor_pool_size,
         report.parallel_total_wall_secs,
         report.cross_job_speedup,

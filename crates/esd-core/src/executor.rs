@@ -6,15 +6,15 @@
 //! [`Portfolio`](crate::Portfolio) races N configurations over *one* job.
 //! The [`JobExecutor`] is the layer above both: it holds N independent jobs
 //! at once — each a session, or a per-job portfolio of member sessions — and
-//! time-slices them under a pluggable [`FairnessPolicy`]:
+//! time-slices them under one of three [`FairnessPolicy`] variants:
 //!
-//! * [`RoundRobin`] — every runnable job gets an equal slice in submit
-//!   order;
-//! * [`WeightedByPriority`] — round-robin turns, but a job's slice scales
-//!   with its [`JobSpec::priority`];
-//! * [`DeadlineFirst`] — the runnable job with the earliest scheduling
-//!   deadline is served first and receives enlarged slices; jobs without a
-//!   deadline only run when no deadline-bearing job is runnable.
+//! * [`FairnessPolicy::RoundRobin`] — every runnable job gets an equal
+//!   slice in submit order;
+//! * [`FairnessPolicy::WeightedByPriority`] — round-robin turns, but a
+//!   job's slice scales with its [`JobSpec::priority`];
+//! * [`FairnessPolicy::DeadlineFirst`] — the runnable job with the earliest
+//!   scheduling deadline is served first and receives enlarged slices; jobs
+//!   without a deadline only run when no deadline-bearing job is runnable.
 //!
 //! The caller drives the executor explicitly — [`JobExecutor::submit`],
 //! [`JobExecutor::run_slice`] / [`JobExecutor::run_until_idle`],
@@ -53,8 +53,15 @@ use std::time::{Duration, Instant};
 /// (overridable via [`JobExecutor::slice_rounds`]; policies may scale it).
 pub const DEFAULT_SLICE_ROUNDS: u64 = 1024;
 
-/// The slice enlargement [`DeadlineFirst`] grants deadline-bearing jobs.
+/// The slice enlargement [`FairnessPolicy::DeadlineFirst`] grants
+/// deadline-bearing jobs.
 pub const DEADLINE_SLICE_BOOST: u64 = 4;
+
+/// The longest scheduling deadline a job keeps ([`JobSpec::deadline`]):
+/// `i64::MAX` nanoseconds, about 292 years. The bound keeps both the
+/// submit-time `Instant` addition and a snapshot's signed nanosecond offset
+/// from overflowing.
+const MAX_DEADLINE: Duration = Duration::from_nanos(i64::MAX as u64);
 
 /// How many dispatched slices a durable executor runs between checkpoints
 /// by default (overridable via [`JobExecutor::checkpoint_every`]).
@@ -125,20 +132,22 @@ impl JobSpec {
         self
     }
 
-    /// Scheduling weight for [`WeightedByPriority`] (default 1; larger
-    /// means proportionally larger slices).
+    /// Scheduling weight for [`FairnessPolicy::WeightedByPriority`]
+    /// (default 1; larger means proportionally larger slices).
     pub fn priority(mut self, priority: u32) -> Self {
         self.priority = priority.max(1);
         self
     }
 
-    /// Scheduling deadline for [`DeadlineFirst`], measured from submission.
+    /// Scheduling deadline for [`FairnessPolicy::DeadlineFirst`], measured
+    /// from submission; clamped to about 292 years (`i64::MAX` ns), so any
+    /// peer-supplied duration is safe to schedule and to snapshot.
     ///
     /// This is a *fairness hint* — it orders jobs and enlarges their slices;
     /// it does not expire the job. To kill a job at a wall-clock limit, set
     /// [`EsdOptions::deadline`] on its member options.
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.deadline = Some(deadline.min(MAX_DEADLINE));
         self
     }
 
@@ -282,154 +291,40 @@ impl JobOutcome {
     }
 }
 
-/// A scheduling view of one runnable job, handed to the
-/// [`FairnessPolicy`]. Views are listed in submit order.
+/// A scheduling view of one runnable job, handed to the fairness policy.
+/// Views are listed in submit order.
 #[derive(Debug, Clone)]
-pub struct JobView {
+struct JobView {
     /// The job's handle (dense ids; submit order).
-    pub handle: JobHandle,
+    handle: JobHandle,
     /// Scheduling weight ([`JobSpec::priority`], ≥ 1).
-    pub priority: u32,
+    priority: u32,
     /// Absolute scheduling deadline, if the job has one
     /// (submission instant + [`JobSpec::deadline`]).
-    pub deadline_at: Option<Instant>,
-    /// Executor slices already dispatched to this job.
-    pub slices: u64,
+    deadline_at: Option<Instant>,
 }
 
 /// Picks which runnable job receives the next slice, and how large the
 /// slice is.
 ///
-/// `jobs` is non-empty and listed in submit order; the returned index must
-/// be within it. Policies are deterministic functions of the views and
-/// their own state — the executor never consults wall-clock time to
-/// schedule, so a test can rely on the dispatch order. Policies are `Send`
-/// so a whole executor (and the daemon wrapping one) can move to a server
-/// thread.
-pub trait FairnessPolicy: Send {
-    /// Returns `(index into jobs, slice length in rounds)` for the next
-    /// dispatch; `base_rounds` is the executor's configured slice length.
-    fn next_slice(&mut self, jobs: &[JobView], base_rounds: u64) -> (usize, u64);
-
-    /// The policy's display name (stats, bench output). Also the key a
-    /// durable executor's snapshot stores to rebuild the policy at
-    /// [`JobExecutor::recover`] time (recovery supports the three built-in
-    /// policies).
-    fn name(&self) -> &'static str;
-
-    /// The rotation cursor of round-robin-style policies — the handle most
-    /// recently served — captured into [`ExecutorSnapshot`]s. Policies
-    /// without rotation state return `None` (the default).
-    fn rotation(&self) -> Option<JobHandle> {
-        None
-    }
-
-    /// Restores a cursor captured by [`FairnessPolicy::rotation`] (default:
-    /// no-op, for policies without rotation state).
-    fn set_rotation(&mut self, _last: Option<JobHandle>) {}
-}
-
-/// Equal slices, submit order, cycling over the runnable jobs.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    last: Option<JobHandle>,
-}
-
-/// The next runnable job strictly after `last` in handle order, wrapping to
-/// the front — the rotation survives jobs finishing or being admitted
-/// mid-cycle because it keys on handles, not indices.
-fn next_after(jobs: &[JobView], last: Option<JobHandle>) -> usize {
-    match last {
-        Some(last) => jobs.iter().position(|j| j.handle > last).unwrap_or(0),
-        None => 0,
-    }
-}
-
-impl FairnessPolicy for RoundRobin {
-    fn next_slice(&mut self, jobs: &[JobView], base_rounds: u64) -> (usize, u64) {
-        let idx = next_after(jobs, self.last);
-        self.last = Some(jobs[idx].handle);
-        (idx, base_rounds)
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn rotation(&self) -> Option<JobHandle> {
-        self.last
-    }
-
-    fn set_rotation(&mut self, last: Option<JobHandle>) {
-        self.last = last;
-    }
-}
-
-/// Round-robin turn order, but a job's slice length is
-/// `base_rounds × priority` — a priority-8 job advances eight times as many
-/// rounds per turn as a priority-1 job.
-#[derive(Debug, Default)]
-pub struct WeightedByPriority {
-    last: Option<JobHandle>,
-}
-
-impl FairnessPolicy for WeightedByPriority {
-    fn next_slice(&mut self, jobs: &[JobView], base_rounds: u64) -> (usize, u64) {
-        let idx = next_after(jobs, self.last);
-        self.last = Some(jobs[idx].handle);
-        (idx, base_rounds.saturating_mul(u64::from(jobs[idx].priority)))
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted-by-priority"
-    }
-
-    fn rotation(&self) -> Option<JobHandle> {
-        self.last
-    }
-
-    fn set_rotation(&mut self, last: Option<JobHandle>) {
-        self.last = last;
-    }
-}
-
-/// Earliest-deadline-first: the runnable job with the earliest
-/// [`JobView::deadline_at`] is always served next, with its slice enlarged
-/// [`DEADLINE_SLICE_BOOST`]-fold; jobs without a deadline share leftover
-/// capacity round-robin (they run only when no deadline job is runnable).
-#[derive(Debug, Default)]
-pub struct DeadlineFirst {
-    last: Option<JobHandle>,
-}
-
-impl FairnessPolicy for DeadlineFirst {
-    fn next_slice(&mut self, jobs: &[JobView], base_rounds: u64) -> (usize, u64) {
-        let urgent = jobs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, j)| j.deadline_at.map(|d| (d, j.handle, i)))
-            .min();
-        match urgent {
-            Some((_, _, idx)) => (idx, base_rounds.saturating_mul(DEADLINE_SLICE_BOOST)),
-            None => {
-                let idx = next_after(jobs, self.last);
-                self.last = Some(jobs[idx].handle);
-                (idx, base_rounds)
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "deadline-first"
-    }
-
-    fn rotation(&self) -> Option<JobHandle> {
-        self.last
-    }
-
-    fn set_rotation(&mut self, last: Option<JobHandle>) {
-        self.last = last;
-    }
+/// Every policy is a deterministic function of the runnable views and the
+/// executor's rotation cursor — the executor never consults wall-clock time
+/// to schedule, so a test can rely on the dispatch order, and recovery
+/// re-drives the identical decisions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum FairnessPolicy {
+    /// Equal slices, submit order, cycling over the runnable jobs.
+    RoundRobin,
+    /// Round-robin turn order, but a job's slice length is
+    /// `base_rounds × priority` — a priority-8 job advances eight times as
+    /// many rounds per turn as a priority-1 job.
+    WeightedByPriority,
+    /// Earliest-deadline-first: the runnable job with the earliest
+    /// scheduling deadline is always served next, with its slice enlarged
+    /// [`DEADLINE_SLICE_BOOST`]-fold; jobs without a deadline share
+    /// leftover capacity round-robin (they run only when no deadline job is
+    /// runnable).
+    DeadlineFirst,
 }
 
 /// A point-in-time summary of one job, part of [`ExecutorStats`].
@@ -551,8 +446,9 @@ pub type PendingJobSnapshot = (Program, GoalSpec, Vec<(String, EsdOptions)>);
 ///
 /// Wall-clock anchors are stored relative to the checkpoint instant
 /// (`deadline_rel_nanos`, `admitted_elapsed`) and rebased to a common *now*
-/// at restore, so the relative ordering [`DeadlineFirst`] depends on — and
-/// every session's deadline accounting — survives the crash.
+/// at restore, so the relative ordering [`FairnessPolicy::DeadlineFirst`]
+/// depends on — and every session's deadline accounting — survives the
+/// crash.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct JobSnapshot {
     /// The job's label.
@@ -594,9 +490,9 @@ pub struct JobSnapshot {
 /// A recovered executor runs without them.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ExecutorSnapshot {
-    /// The fairness policy's [`name`](FairnessPolicy::name).
-    pub policy: String,
-    /// The policy's rotation cursor ([`FairnessPolicy::rotation`]).
+    /// The fairness policy.
+    pub policy: FairnessPolicy,
+    /// The rotation cursor: the handle most recently served round-robin.
     pub rotation: Option<u64>,
     /// The configured base slice length in rounds.
     pub base_slice: u64,
@@ -604,14 +500,10 @@ pub struct ExecutorSnapshot {
     pub max_running: usize,
     /// The checkpoint cadence in dispatched slices.
     pub checkpoint_every: u64,
-    /// How many distinct jobs one planned batch may grant slices to
-    /// ([`JobExecutor::batch_width`]) — semantic scheduling state, so replay
-    /// plans the identical batches.
-    pub batch_width: usize,
-    /// The executor's worker-pool size ([`JobExecutor::pool_size`]).
-    /// Execution resource only — it never affects what is scheduled or
-    /// synthesized — but restored so a recovered executor keeps its
-    /// parallelism.
+    /// The executor's pool size ([`JobExecutor::pool_size`]), resolved to a
+    /// number: how many distinct jobs one batch grants slices to. Semantic
+    /// scheduling state, so replay plans the identical batches on any
+    /// machine.
     pub pool_size: usize,
     /// The journal epoch this snapshot pairs with: recovery replays
     /// `journal-<epoch>.log` and ignores journals of other epochs.
@@ -646,18 +538,17 @@ fn journal_file(epoch: u64) -> String {
 /// Holds N independent synthesis jobs and time-slices them under a
 /// [`FairnessPolicy`] — the multi-job debugging service of the module docs.
 pub struct JobExecutor {
-    policy: Box<dyn FairnessPolicy>,
+    policy: FairnessPolicy,
+    /// The policy's rotation cursor: the handle most recently served
+    /// round-robin.
+    rotation: Option<JobHandle>,
     base_slice: u64,
     max_running: usize,
     checkpoint_every: u64,
-    /// How many distinct jobs one planned batch may grant slices to.
-    /// Semantic: widening the batch changes the scheduling stream (grants
-    /// are planned against views frozen at batch start), so it is part of
-    /// snapshots and replay.
-    batch_width: usize,
-    /// Worker threads executing a planned batch's slices. Pure execution
-    /// resource: any pool size runs the identical planned grants and merges
-    /// them in grant order, so results are byte-identical at any value.
+    /// How many distinct jobs one batch grants slices to, each slice on its
+    /// own thread. It shapes the scheduling stream (grants are planned
+    /// against views frozen at batch start), so it is part of snapshots and
+    /// replay — but never what any job synthesizes.
     pool_size: usize,
     slots: Vec<JobSlot>,
     slices_dispatched: u64,
@@ -668,7 +559,7 @@ pub struct JobExecutor {
 
 /// One planned batch entry being executed: the granted job's detached
 /// member set plus the slice to run. Detaching (`std::mem::take`) gives the
-/// worker pool exclusive ownership of each granted job's sessions without
+/// task's thread exclusive ownership of the granted job's sessions without
 /// aliasing the executor.
 struct SliceTask {
     idx: usize,
@@ -679,8 +570,8 @@ struct SliceTask {
 }
 
 impl SliceTask {
-    /// Runs the granted slice on this task's detached members (on whichever
-    /// worker thread the pool put it).
+    /// Runs the granted slice on this task's detached members (on the
+    /// task's own thread).
     fn execute(&mut self) {
         self.run = run_member_slice(&mut self.members, self.next_member, self.rounds);
     }
@@ -695,7 +586,7 @@ struct SliceRun {
 }
 
 /// Advances the job's next runnable member by `rounds`; `None` when every
-/// member is already terminal. Runs on worker threads — it touches nothing
+/// member is already terminal. Runs on pool threads — it touches nothing
 /// but the job's own members, which is why cross-job parallelism cannot
 /// perturb results.
 fn run_member_slice(
@@ -712,7 +603,7 @@ fn run_member_slice(
     Some(SliceRun { offset, advanced: member.session.rounds() - before, won })
 }
 
-// The worker pool moves whole sessions across threads; keep the contract
+// The pool moves whole sessions across threads; keep the contract
 // explicit so a non-Send regression fails here, not in a distant scope.
 const _: () = {
     fn assert_send<T: Send>() {}
@@ -724,13 +615,13 @@ const _: () = {
 
 impl JobExecutor {
     /// An executor scheduling with the given policy.
-    pub fn new(policy: Box<dyn FairnessPolicy>) -> Self {
+    pub fn new(policy: FairnessPolicy) -> Self {
         JobExecutor {
             policy,
+            rotation: None,
             base_slice: DEFAULT_SLICE_ROUNDS,
             max_running: usize::MAX,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-            batch_width: 1,
             pool_size: 1,
             slots: Vec::new(),
             slices_dispatched: 0,
@@ -740,19 +631,19 @@ impl JobExecutor {
         }
     }
 
-    /// A [`RoundRobin`] executor.
+    /// A [`FairnessPolicy::RoundRobin`] executor.
     pub fn round_robin() -> Self {
-        JobExecutor::new(Box::<RoundRobin>::default())
+        JobExecutor::new(FairnessPolicy::RoundRobin)
     }
 
-    /// A [`WeightedByPriority`] executor.
+    /// A [`FairnessPolicy::WeightedByPriority`] executor.
     pub fn weighted_by_priority() -> Self {
-        JobExecutor::new(Box::<WeightedByPriority>::default())
+        JobExecutor::new(FairnessPolicy::WeightedByPriority)
     }
 
-    /// A [`DeadlineFirst`] executor.
+    /// A [`FairnessPolicy::DeadlineFirst`] executor.
     pub fn deadline_first() -> Self {
-        JobExecutor::new(Box::<DeadlineFirst>::default())
+        JobExecutor::new(FairnessPolicy::DeadlineFirst)
     }
 
     /// Sets the base slice length in search rounds (policies may scale it;
@@ -767,34 +658,26 @@ impl JobExecutor {
     ///
     /// Admission order is FIFO regardless of the fairness policy — policies
     /// only arbitrate between *admitted* jobs, so under a tight cap even a
-    /// [`DeadlineFirst`] executor makes a deadline-bearing job wait behind
-    /// earlier running jobs. Size the cap for the urgency mix you expect.
+    /// [`FairnessPolicy::DeadlineFirst`] executor makes a deadline-bearing
+    /// job wait behind earlier running jobs. Size the cap for the urgency
+    /// mix you expect.
     pub fn max_running(mut self, n: usize) -> Self {
         self.max_running = n.max(1);
         self
     }
 
-    /// How many *distinct* jobs one planned batch grants slices to (default
-    /// 1 — the classic one-grant-per-slice loop; clamped to ≥ 1). The batch
-    /// is planned upfront against the runnable set frozen at batch start
-    /// (the policy is consulted once per grant, already-granted jobs
-    /// removed), so the scheduling stream is a function of the width alone —
-    /// never of the pool size executing it. Width is semantic scheduling
-    /// state: it is journaled and snapshotted so recovery replans the
-    /// identical batches.
-    pub fn batch_width(mut self, n: usize) -> Self {
-        self.batch_width = n.max(1);
-        self
-    }
-
-    /// Worker threads executing a planned batch across jobs (default 1 —
-    /// all slices run inline; `0` resolves to the machine's available
-    /// parallelism). Purely an execution resource: every pool size runs the
-    /// identical planned grants and merges results in grant order, so a
-    /// job's synthesized execution file — and every executor statistic — is
-    /// byte-identical at any pool size (pinned by `tests/executor.rs` and
-    /// the CI `ESD_POOL` matrix). This pool is the codebase's one
-    /// parallelism layer: a job's search itself runs on one thread.
+    /// The executor's one parallelism knob: each batch grants one slice to
+    /// each of up to `n` *distinct* runnable jobs and runs them on `n`
+    /// threads (default 1 — one grant per batch, run inline; `0` resolves
+    /// to the machine's available parallelism). The batch is planned upfront
+    /// against the runnable set frozen at batch start (the policy is
+    /// consulted once per grant, already-granted jobs removed) and merged in
+    /// grant order, so the pool size shapes the scheduling stream — it is
+    /// journaled and snapshotted so recovery replans the identical batches —
+    /// but a job's synthesized execution file is byte-identical at any pool
+    /// size (pinned by `tests/executor.rs` and the CI `ESD_POOL` matrix).
+    /// This pool is the codebase's one parallelism layer: a job's search
+    /// itself runs on one thread.
     pub fn pool_size(mut self, n: usize) -> Self {
         self.pool_size = if n == 0 {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
@@ -982,13 +865,12 @@ impl JobExecutor {
     }
 
     /// Dispatches one slice *batch*: admits queued jobs up to the admission
-    /// cap, plans up to [`batch_width`](Self::batch_width) grants to
-    /// distinct runnable jobs, executes them (inline, or across the
-    /// [`pool_size`](Self::pool_size) worker pool), and merges the results
-    /// in grant order — finalizing any job that reached a terminal state.
+    /// cap, plans up to [`pool_size`](Self::pool_size) grants to distinct
+    /// runnable jobs, runs each on its own thread, and merges the results in
+    /// grant order — finalizing any job that reached a terminal state.
     /// Returns `false` when no job is runnable (the executor is idle).
     ///
-    /// At the default width of 1 this is exactly the classic
+    /// At the default pool of 1 this is exactly the classic
     /// one-grant-per-slice loop.
     pub fn run_slice(&mut self) -> bool {
         self.admit();
@@ -1000,14 +882,7 @@ impl JobExecutor {
         if self.durable.is_some() {
             // Write-ahead: the whole batch is durable before any slice
             // runs, so a crash mid-batch replays it instead of losing it.
-            let record = match grants.as_slice() {
-                // Width-1 executors keep the classic per-grant record.
-                [(handle, rounds)] if self.batch_width == 1 => {
-                    JournalRecord::SliceGrant { handle: *handle, rounds: *rounds }
-                }
-                _ => JournalRecord::BatchGrant { grants: grants.clone() },
-            };
-            self.journal_append(&record);
+            self.journal_append(&JournalRecord::Grant { grants: grants.clone() });
         }
         let dispatched = grants.len() as u64;
         self.execute_batch(&grants);
@@ -1027,28 +902,51 @@ impl JobExecutor {
     /// Plans one batch of grants against the runnable views frozen at batch
     /// start: the policy is consulted once per grant with already-granted
     /// jobs removed, so every grant goes to a distinct job and the plan is a
-    /// deterministic function of (views, policy state, width) — the pool
-    /// size executing it never feeds back into planning.
+    /// deterministic function of (views, policy, rotation cursor, pool
+    /// size).
     fn plan_batch(&mut self, views: &[JobView]) -> Vec<(u64, u64)> {
         let mut remaining = views.to_vec();
-        let width = self.batch_width.min(remaining.len()).max(1);
-        let mut grants = Vec::with_capacity(width);
-        for _ in 0..width {
-            if remaining.is_empty() {
-                break;
-            }
-            let (choice, rounds) = self.policy.next_slice(&remaining, self.base_slice);
-            let view = remaining.remove(choice.min(remaining.len() - 1));
+        let mut grants = Vec::with_capacity(self.pool_size.min(remaining.len()));
+        while grants.len() < self.pool_size && !remaining.is_empty() {
+            let (choice, rounds) = self.next_slice(&remaining);
+            let view = remaining.remove(choice);
             grants.push((view.handle.0, rounds.max(1)));
         }
         grants
     }
 
+    /// The fairness policy's next grant: `(index into jobs, slice length in
+    /// rounds)`; `jobs` is non-empty and in submit order. Round-robin turns
+    /// advance the rotation cursor, which keys on handles (not indices), so
+    /// the rotation survives jobs finishing or being admitted mid-cycle.
+    fn next_slice(&mut self, jobs: &[JobView]) -> (usize, u64) {
+        if self.policy == FairnessPolicy::DeadlineFirst {
+            let urgent = jobs
+                .iter()
+                .enumerate()
+                .filter_map(|(i, j)| j.deadline_at.map(|d| (d, j.handle, i)))
+                .min();
+            if let Some((_, _, idx)) = urgent {
+                return (idx, self.base_slice.saturating_mul(DEADLINE_SLICE_BOOST));
+            }
+        }
+        // The next runnable job strictly after the cursor in handle order,
+        // wrapping to the front.
+        let idx = self.rotation.and_then(|l| jobs.iter().position(|j| j.handle > l)).unwrap_or(0);
+        self.rotation = Some(jobs[idx].handle);
+        match self.policy {
+            FairnessPolicy::WeightedByPriority => {
+                (idx, self.base_slice.saturating_mul(u64::from(jobs[idx].priority)))
+            }
+            _ => (idx, self.base_slice),
+        }
+    }
+
     /// Executes a planned batch: detaches each granted job's member set,
-    /// runs the slices (inline for a pool of 1, chunked over scoped worker
-    /// threads otherwise — the calling thread is a worker too), then merges
-    /// results strictly in grant order. Jobs share nothing, so execution
-    /// order cannot change any result; merge order makes the bookkeeping —
+    /// runs every slice on its own scoped thread (the calling thread runs
+    /// the first, so a batch of one spawns nothing), then merges results
+    /// strictly in grant order. Jobs share nothing, so execution order
+    /// cannot change any result; merge order makes the bookkeeping —
     /// statistics, observer callbacks, finalization — deterministic as well.
     fn execute_batch(&mut self, grants: &[(u64, u64)]) {
         let mut work: Vec<SliceTask> = grants
@@ -1064,28 +962,13 @@ impl JobExecutor {
                 }
             })
             .collect();
-        let workers = self.pool_size.min(work.len());
-        if workers <= 1 {
-            for task in &mut work {
-                task.execute();
+        let (first, rest) = work.split_first_mut().expect("planned batches are non-empty");
+        std::thread::scope(|scope| {
+            for task in rest {
+                scope.spawn(move || task.execute());
             }
-        } else {
-            let chunk_size = work.len().div_ceil(workers);
-            let mut chunks = work.chunks_mut(chunk_size);
-            let first = chunks.next().expect("planned batches are non-empty");
-            std::thread::scope(|scope| {
-                for chunk in chunks {
-                    scope.spawn(move || {
-                        for task in chunk {
-                            task.execute();
-                        }
-                    });
-                }
-                for task in first {
-                    task.execute();
-                }
-            });
-        }
+            first.execute();
+        });
         for task in work {
             let slot = &mut self.slots[task.idx];
             slot.members = task.members;
@@ -1141,7 +1024,6 @@ impl JobExecutor {
                 handle: JobHandle(i as u64),
                 priority: s.priority,
                 deadline_at: s.deadline_at,
-                slices: s.slices,
             })
             .collect()
     }
@@ -1221,15 +1103,6 @@ impl JobExecutor {
             slot.phase = JobPhase::Running;
             running += 1;
         }
-    }
-
-    /// Advances the job's next runnable member by `rounds` (inline, no
-    /// pool): exactly one planned-and-merged slice. Used by the width-1
-    /// [`SliceGrant`](JournalRecord::SliceGrant) replay path.
-    fn advance(&mut self, idx: usize, rounds: u64) {
-        let slot = &mut self.slots[idx];
-        let run = run_member_slice(&mut slot.members, slot.next_member, rounds);
-        self.merge_slice(idx, run);
     }
 
     /// Moves a job to [`JobPhase::Finished`]: cancels still-running member
@@ -1382,12 +1255,11 @@ impl JobExecutor {
             })
             .collect();
         ExecutorSnapshot {
-            policy: self.policy.name().to_string(),
-            rotation: self.policy.rotation().map(|h| h.0),
+            policy: self.policy,
+            rotation: self.rotation.map(|h| h.0),
             base_slice: self.base_slice,
             max_running: self.max_running,
             checkpoint_every: self.checkpoint_every,
-            batch_width: self.batch_width,
             pool_size: self.pool_size,
             epoch,
             slices_dispatched: self.slices_dispatched,
@@ -1398,21 +1270,8 @@ impl JobExecutor {
     }
 }
 
-/// Rebuilds the three built-in policies by [`FairnessPolicy::name`].
-fn policy_by_name(name: &str) -> Option<Box<dyn FairnessPolicy>> {
-    match name {
-        "round-robin" => Some(Box::<RoundRobin>::default()),
-        "weighted-by-priority" => Some(Box::<WeightedByPriority>::default()),
-        "deadline-first" => Some(Box::<DeadlineFirst>::default()),
-        _ => None,
-    }
-}
-
 /// Restores an executor from a snapshot (no journal replay, no durability).
-fn restore_snapshot(snapshot: &ExecutorSnapshot) -> Result<JobExecutor, RecoveryError> {
-    let mut policy = policy_by_name(&snapshot.policy)
-        .ok_or_else(|| RecoveryError::UnknownPolicy(snapshot.policy.clone()))?;
-    policy.set_rotation(snapshot.rotation.map(JobHandle));
+fn restore_snapshot(snapshot: &ExecutorSnapshot) -> JobExecutor {
     let now = Instant::now();
     let slots = snapshot
         .jobs
@@ -1453,32 +1312,32 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> Result<JobExecutor, Recovery
             finished_verdict: job.finished_verdict,
         })
         .collect();
-    Ok(JobExecutor {
-        policy,
+    JobExecutor {
+        policy: snapshot.policy,
+        rotation: snapshot.rotation.map(JobHandle),
         base_slice: snapshot.base_slice,
         max_running: snapshot.max_running,
         checkpoint_every: snapshot.checkpoint_every,
-        batch_width: snapshot.batch_width,
         pool_size: snapshot.pool_size.max(1),
         slots,
         slices_dispatched: snapshot.slices_dispatched,
         rounds_dispatched: snapshot.rounds_dispatched,
         cancelled: snapshot.cancelled,
         durable: None,
-    })
+    }
 }
 
 /// Replays a journal's valid prefix of records on top of a restored
 /// snapshot — the implementation behind
-/// [`Recovery::replay`](crate::journal::Recovery::replay). Slice grants
-/// re-drive the restored fairness policy and every re-taken decision is
-/// verified against the journaled one; any mismatch is a
+/// [`Recovery::replay`](crate::journal::Recovery::replay). Grants re-plan
+/// the batch with the restored fairness policy and every re-taken decision
+/// is verified against the journaled one; any mismatch is a
 /// [`RecoveryError::Divergence`], never a panic.
 pub(crate) fn replay_records(
     snapshot: &ExecutorSnapshot,
     records: &[JournalRecord],
 ) -> Result<JobExecutor, RecoveryError> {
-    let mut exec = restore_snapshot(snapshot)?;
+    let mut exec = restore_snapshot(snapshot);
     for record in records {
         match record {
             JournalRecord::Submit { handle, label, program, goal, members, priority, deadline } => {
@@ -1499,42 +1358,21 @@ pub(crate) fn replay_records(
                 }
                 exec.submit(spec);
             }
-            JournalRecord::SliceGrant { handle, rounds } => {
+            JournalRecord::Grant { grants } => {
                 exec.admit();
                 let views = exec.runnable_views();
                 if views.is_empty() {
                     return Err(RecoveryError::Divergence(format!(
-                        "journaled grant to job {handle} but no job is runnable"
+                        "journal grants {grants:?} but no job is runnable"
                     )));
                 }
-                let (choice, granted) = exec.policy.next_slice(&views, exec.base_slice);
-                let granted = granted.max(1);
-                let chosen = views[choice.min(views.len() - 1)].handle;
-                if chosen.0 != *handle || granted != *rounds {
-                    return Err(RecoveryError::Divergence(format!(
-                        "journal grants {rounds} rounds to job {handle}, replayed policy \
-                         grants {granted} to job {}",
-                        chosen.0
-                    )));
-                }
-                exec.advance(chosen.0 as usize, granted);
-            }
-            JournalRecord::BatchGrant { grants } => {
-                exec.admit();
-                let views = exec.runnable_views();
-                if views.is_empty() {
-                    return Err(RecoveryError::Divergence(format!(
-                        "journaled batch of {} grants but no job is runnable",
-                        grants.len()
-                    )));
-                }
-                // Re-plan with the restored policy + batch width and demand
+                // Re-plan with the restored policy and pool size and demand
                 // the exact journaled grant vector: planning is deterministic,
                 // so any mismatch means the snapshot/journal pair diverged.
                 let replanned = exec.plan_batch(&views);
                 if &replanned != grants {
                     return Err(RecoveryError::Divergence(format!(
-                        "journaled batch grants {grants:?}, replayed policy plans {replanned:?}"
+                        "journal grants {grants:?}, replayed policy plans {replanned:?}"
                     )));
                 }
                 exec.execute_batch(&replanned);
@@ -1598,49 +1436,49 @@ mod tests {
     }
 
     fn view(id: u64, priority: u32, deadline_at: Option<Instant>) -> JobView {
-        JobView { handle: JobHandle(id), priority, deadline_at, slices: 0 }
+        JobView { handle: JobHandle(id), priority, deadline_at }
     }
 
     #[test]
     fn round_robin_cycles_in_handle_order_across_membership_changes() {
-        let mut rr = RoundRobin::default();
+        let mut rr = JobExecutor::round_robin().slice_rounds(8);
         let jobs = [view(0, 1, None), view(1, 1, None), view(2, 1, None)];
-        assert_eq!(rr.next_slice(&jobs, 8), (0, 8));
-        assert_eq!(rr.next_slice(&jobs, 8), (1, 8));
+        assert_eq!(rr.next_slice(&jobs), (0, 8));
+        assert_eq!(rr.next_slice(&jobs), (1, 8));
         // Job 2 finishes; the rotation keys on handles, so after serving
         // job 1 the next runnable handle wraps to 0.
         let jobs = [view(0, 1, None), view(1, 1, None)];
-        assert_eq!(rr.next_slice(&jobs, 8), (0, 8));
+        assert_eq!(rr.next_slice(&jobs), (0, 8));
         // A new job 3 arrives mid-cycle and gets its turn after 1.
         let jobs = [view(0, 1, None), view(1, 1, None), view(3, 1, None)];
-        assert_eq!(rr.next_slice(&jobs, 8), (1, 8));
-        assert_eq!(rr.next_slice(&jobs, 8), (2, 8));
-        assert_eq!(rr.next_slice(&jobs, 8), (0, 8));
+        assert_eq!(rr.next_slice(&jobs), (1, 8));
+        assert_eq!(rr.next_slice(&jobs), (2, 8));
+        assert_eq!(rr.next_slice(&jobs), (0, 8));
     }
 
     #[test]
     fn weighted_policy_scales_slices_by_priority() {
-        let mut wp = WeightedByPriority::default();
+        let mut wp = JobExecutor::weighted_by_priority().slice_rounds(100);
         let jobs = [view(0, 1, None), view(1, 4, None)];
-        assert_eq!(wp.next_slice(&jobs, 100), (0, 100));
-        assert_eq!(wp.next_slice(&jobs, 100), (1, 400));
-        assert_eq!(wp.next_slice(&jobs, 100), (0, 100));
+        assert_eq!(wp.next_slice(&jobs), (0, 100));
+        assert_eq!(wp.next_slice(&jobs), (1, 400));
+        assert_eq!(wp.next_slice(&jobs), (0, 100));
     }
 
     #[test]
     fn deadline_first_serves_the_earliest_deadline_with_a_boost() {
-        let mut df = DeadlineFirst::default();
+        let mut df = JobExecutor::deadline_first().slice_rounds(100);
         let now = Instant::now();
         let soon = now + Duration::from_secs(10);
         let late = now + Duration::from_secs(1000);
         let jobs = [view(0, 1, None), view(1, 1, Some(late)), view(2, 1, Some(soon))];
-        assert_eq!(df.next_slice(&jobs, 100), (2, 100 * DEADLINE_SLICE_BOOST));
+        assert_eq!(df.next_slice(&jobs), (2, 100 * DEADLINE_SLICE_BOOST));
         // Deadline jobs are served exclusively while any remain.
-        assert_eq!(df.next_slice(&jobs, 100), (2, 100 * DEADLINE_SLICE_BOOST));
+        assert_eq!(df.next_slice(&jobs), (2, 100 * DEADLINE_SLICE_BOOST));
         // Without deadline jobs, the policy degrades to round-robin.
         let jobs = [view(0, 1, None), view(3, 1, None)];
-        assert_eq!(df.next_slice(&jobs, 100), (0, 100));
-        assert_eq!(df.next_slice(&jobs, 100), (1, 100));
+        assert_eq!(df.next_slice(&jobs), (0, 100));
+        assert_eq!(df.next_slice(&jobs), (1, 100));
     }
 
     #[test]
@@ -1789,12 +1627,11 @@ mod tests {
         assert_eq!(wall_before, wall_after, "finished wall times must not drift");
     }
 
-    /// Runs a three-job batch at the given (batch width, pool size) and
-    /// returns each job's synthesized-execution JSON plus total slices.
-    fn run_three_jobs(width: usize, pool: usize) -> (Vec<String>, u64) {
+    /// Runs a three-job batch at the given pool size and returns each job's
+    /// synthesized-execution JSON plus total slices.
+    fn run_three_jobs(pool: usize) -> (Vec<String>, u64) {
         let jobs: Vec<_> = (0..3).map(|i| crashy(&format!("exec_pool_{i}"), 3 + i)).collect();
-        let mut exec =
-            JobExecutor::round_robin().slice_rounds(2).batch_width(width).pool_size(pool);
+        let mut exec = JobExecutor::round_robin().slice_rounds(2).pool_size(pool);
         let handles: Vec<_> = jobs
             .iter()
             .enumerate()
@@ -1814,40 +1651,85 @@ mod tests {
         (executions, exec.stats().slices_dispatched)
     }
 
-    /// The cross-job determinism contract in unit form: widening the batch
-    /// and spreading it over a pool changes neither any job's synthesized
-    /// execution nor the total number of dispatched slices.
+    /// The cross-job determinism contract in unit form: spreading each
+    /// batch over a pool — narrower than, equal to and wider than the job
+    /// count — changes neither any job's synthesized execution nor the
+    /// total number of dispatched slices.
     #[test]
-    fn batch_width_and_pool_size_never_change_results() {
-        let (serial, serial_slices) = run_three_jobs(1, 1);
-        for (width, pool) in [(3, 1), (3, 3), (2, 8)] {
-            let (batched, slices) = run_three_jobs(width, pool);
-            assert_eq!(batched, serial, "width={width} pool={pool}");
-            assert_eq!(slices, serial_slices, "width={width} pool={pool}");
+    fn pool_size_never_changes_results() {
+        let (serial, serial_slices) = run_three_jobs(1);
+        for pool in [2, 3, 8] {
+            let (batched, slices) = run_three_jobs(pool);
+            assert_eq!(batched, serial, "pool={pool}");
+            assert_eq!(slices, serial_slices, "pool={pool}");
         }
     }
 
-    /// Snapshots carry the new executor fields: `batch_width`, `pool_size`
-    /// and the per-job frozen verdict all survive a snapshot → restore
+    /// Snapshots carry the scheduling state: the policy, the pool size and
+    /// the per-job frozen verdict all survive a snapshot → restore
     /// round-trip (replay with an empty journal).
     #[test]
-    fn snapshot_round_trips_batch_fields_and_finished_verdict() {
-        let (p, loc) = crashy("exec_snapshot_batch", 2);
-        let mut exec = JobExecutor::round_robin().batch_width(2).pool_size(4);
+    fn snapshot_round_trips_pool_size_and_finished_verdict() {
+        let (p, loc) = crashy("exec_snapshot_pool", 2);
+        let mut exec = JobExecutor::weighted_by_priority().pool_size(4);
         let h = exec.submit(JobSpec::new("job", &p, GoalSpec::Crash { loc }));
         exec.run_until_idle();
         exec.take(h).expect("job finished");
         let snapshot = exec.snapshot();
-        assert_eq!((snapshot.batch_width, snapshot.pool_size), (2, 4));
+        assert_eq!((snapshot.policy, snapshot.pool_size), (FairnessPolicy::WeightedByPriority, 4));
         assert_eq!(snapshot.jobs[0].finished_verdict, Some(JobVerdict::Found));
         let restored = replay_records(&snapshot, &[]).expect("snapshot restores");
-        assert_eq!((restored.batch_width, restored.pool_size), (2, 4));
+        assert_eq!((restored.policy, restored.pool_size), (FairnessPolicy::WeightedByPriority, 4));
         assert_eq!(restored.status(h), JobStatus::Finished { verdict: JobVerdict::Found });
     }
 
-    /// Durable batch grants recover: a width-2 executor journals
-    /// `BatchGrant` records, and a cold-crash recovery replays them to the
-    /// identical outcome.
+    /// A policy name this build does not know is a typed snapshot decode
+    /// error at recovery, never a panic.
+    #[test]
+    fn unknown_policy_in_a_snapshot_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("esd_unknown_policy_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let payload = serde_json::to_string(&JobExecutor::round_robin().snapshot())
+            .expect("snapshot serializes");
+        assert!(payload.contains(r#""policy":"RoundRobin""#), "{payload}");
+        let payload = payload.replace(r#""policy":"RoundRobin""#, r#""policy":"Lottery""#);
+        std::fs::write(dir.join(SNAPSHOT_FILE), crate::snapshot::seal(&payload))
+            .expect("snapshot written");
+        let err = JobExecutor::recover(&dir).err().expect("an unknown policy cannot recover");
+        assert!(
+            matches!(err, RecoveryError::Snapshot(SnapshotError::Decode(_))),
+            "unexpected error {err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A scheduling deadline far beyond any real horizon is clamped, so a
+    /// snapshot stores a sane offset: after restore, `DeadlineFirst` still
+    /// serves the 60 s job before the 2^40 s one.
+    #[test]
+    fn huge_deadlines_survive_a_snapshot_in_order() {
+        let (p, loc) = crashy("exec_huge_deadline", 6);
+        let mut exec = JobExecutor::deadline_first().slice_rounds(1);
+        let far = exec.submit(
+            JobSpec::new("far", &p, GoalSpec::Crash { loc }).deadline(Duration::from_secs(1 << 40)),
+        );
+        let near = exec.submit(
+            JobSpec::new("near", &p, GoalSpec::Crash { loc }).deadline(Duration::from_secs(60)),
+        );
+        let snapshot = exec.snapshot();
+        let rel = |h: JobHandle| snapshot.jobs[h.id() as usize].deadline_rel_nanos.unwrap();
+        assert!(rel(far) > rel(near) && rel(near) > 0, "{} vs {}", rel(far), rel(near));
+        let mut restored = replay_records(&snapshot, &[]).expect("snapshot restores");
+        assert!(restored.run_slice());
+        let stats = restored.stats();
+        assert_eq!(stats.jobs[near.id() as usize].slices, 1, "the 60 s job is served first");
+        assert_eq!(stats.jobs[far.id() as usize].slices, 0);
+    }
+
+    /// Durable multi-grant batches recover: a pool-2 executor journals
+    /// two-grant `Grant` records, and a cold-crash recovery replays them to
+    /// the identical outcome.
     #[test]
     fn durable_batch_grants_replay_after_a_crash() {
         let dir = std::env::temp_dir().join(format!("esd_batch_recovery_{}", std::process::id()));
@@ -1856,7 +1738,7 @@ mod tests {
         let (q, qloc) = crashy("exec_batch_recovery_b", 4);
         let mut exec = JobExecutor::round_robin()
             .slice_rounds(2)
-            .batch_width(2)
+            .pool_size(2)
             .checkpoint_every(1000) // never checkpoint: force journal replay
             .durable_dir(&dir)
             .expect("durable dir");
@@ -1866,6 +1748,16 @@ mod tests {
         assert!(exec.run_slice());
         assert!(exec.run_slice());
         drop(exec);
+        let scanned = journal::load(&dir.join(journal_file(1))).expect("journal reads");
+        let batch_sizes: Vec<usize> = scanned
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                JournalRecord::Grant { grants } => Some(grants.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(batch_sizes, vec![2, 2], "each batch grants both jobs");
         let mut recovered = JobExecutor::recover(&dir).expect("recovery succeeds");
         recovered.run_until_idle();
         for h in [a, b] {

@@ -67,20 +67,11 @@ pub enum JournalRecord {
         /// is not part of the synthesized result.
         deadline: Option<Duration>,
     },
-    /// The fairness policy granted a slice to a job. Written *before* the
-    /// slice runs (write-ahead); replay re-drives the policy and verifies
-    /// it makes the identical grant.
-    SliceGrant {
-        /// The chosen job's handle.
-        handle: u64,
-        /// The granted slice length in search rounds.
-        rounds: u64,
-    },
-    /// The fairness policy granted a whole batch of slices to distinct jobs
-    /// (executors with `batch_width > 1`). Written *before* any slice runs;
-    /// replay re-plans the batch with the restored policy and verifies the
-    /// identical grant vector.
-    BatchGrant {
+    /// The fairness policy granted one batch of slices to distinct jobs
+    /// (one grant per pool thread, at most). Written *before* any slice
+    /// runs (write-ahead); replay re-plans the batch with the restored
+    /// policy and verifies the identical grant vector.
+    Grant {
         /// `(handle, rounds)` per grant, in planning order.
         grants: Vec<(u64, u64)>,
     },
@@ -240,9 +231,6 @@ pub enum RecoveryError {
     Snapshot(SnapshotError),
     /// Reading durable state failed.
     Io(String),
-    /// The snapshot names a fairness policy this build cannot rebuild
-    /// (recovery supports the built-in policies).
-    UnknownPolicy(String),
     /// Replay re-drove the restored policy and it made a different decision
     /// than the journal records — the durable state is inconsistent with
     /// this build.
@@ -254,9 +242,6 @@ impl fmt::Display for RecoveryError {
         match self {
             RecoveryError::Snapshot(e) => write!(f, "recovery snapshot error: {e}"),
             RecoveryError::Io(e) => write!(f, "recovery io error: {e}"),
-            RecoveryError::UnknownPolicy(name) => {
-                write!(f, "cannot rebuild unknown fairness policy {name:?}")
-            }
             RecoveryError::Divergence(e) => write!(f, "journal replay diverged: {e}"),
         }
     }
@@ -293,7 +278,7 @@ mod tests {
     use super::*;
 
     fn grant(handle: u64, rounds: u64) -> JournalRecord {
-        JournalRecord::SliceGrant { handle, rounds }
+        JournalRecord::Grant { grants: vec![(handle, rounds)] }
     }
 
     #[test]
@@ -307,9 +292,7 @@ mod tests {
         assert_eq!(scan.valid_len, bytes.len());
         assert_eq!(scan.records.len(), 5);
         match &scan.records[3] {
-            JournalRecord::SliceGrant { handle, rounds } => {
-                assert_eq!((*handle, *rounds), (3, 103))
-            }
+            JournalRecord::Grant { grants } => assert_eq!(grants, &[(3, 103)]),
             other => panic!("unexpected record {other:?}"),
         }
     }

@@ -17,7 +17,7 @@
 //!   round-robin over the same job; first winner takes it.
 //! * [`executor`] — the multi-job layer: a [`JobExecutor`] holds N
 //!   independent jobs (each a session or a per-job portfolio) and
-//!   time-slices them under a pluggable [`FairnessPolicy`], with per-job
+//!   time-slices them under a [`FairnessPolicy`], with per-job
 //!   observer fan-out and aggregate [`ExecutorStats`].
 //! * [`snapshot`] — versioned, checksummed snapshot envelopes for durable
 //!   sessions (see [`session::SessionSnapshot`] /
@@ -51,9 +51,8 @@ pub mod triage;
 
 pub use execfile::{InputEntry, SynthesizedExecution};
 pub use executor::{
-    DeadlineFirst, ExecutorSnapshot, ExecutorStats, FairnessPolicy, JobExecutor, JobHandle,
-    JobOutcome, JobPhase, JobProgress, JobSnapshot, JobSpec, JobStat, JobStatus, JobVerdict,
-    JobView, RoundRobin, WeightedByPriority,
+    ExecutorSnapshot, ExecutorStats, FairnessPolicy, JobExecutor, JobHandle, JobOutcome, JobPhase,
+    JobProgress, JobSnapshot, JobSpec, JobStat, JobStatus, JobVerdict,
 };
 pub use journal::{
     JournalDamage, JournalRecord, JournalScan, JournalWriter, Recovery, RecoveryError,

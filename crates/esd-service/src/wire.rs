@@ -247,6 +247,30 @@ mod tests {
         }
     }
 
+    /// A deadline whose nanosecond carry overflows the seconds is a typed
+    /// protocol error, not a decoder panic; the largest representable
+    /// duration still decodes.
+    #[test]
+    fn overflowing_deadlines_are_typed_errors_not_panics() {
+        let mut pb = esd_ir::ProgramBuilder::new("wire_deadline");
+        pb.function("main", 0, |f| f.ret_void());
+        let program = pb.finish("main");
+        let goal = esd_symex::GoalSpec::Deadlock { thread_locs: Vec::new() };
+        let request =
+            JobRequest::new("job", &program, goal).deadline(std::time::Duration::from_secs(1));
+        let text = serde_json::to_string(&WireRequest::Submit { request }).expect("serializes");
+        let deadline = r#""deadline":[1,0]"#;
+        assert!(text.contains(deadline), "{text}");
+        let frame = |d: &str| text.replace(deadline, &format!(r#""deadline":{d}"#));
+        let overflowing = frame("[18446744073709551615,1000000000]");
+        assert!(matches!(
+            decode_request(overflowing.as_bytes()),
+            Err(ServiceError::Protocol { .. })
+        ));
+        let max = frame("[18446744073709551615,999999999]");
+        assert!(matches!(decode_request(max.as_bytes()), Ok(WireRequest::Submit { .. })));
+    }
+
     #[test]
     fn oversized_length_prefixes_are_rejected_without_allocating() {
         let mut frame = encode_frame(b"ok");

@@ -2,7 +2,7 @@
 //!
 //! `examples/debug_service.rs` embeds the executor; this example splits it
 //! in two. A [`Daemon`] owns an [`InProcessService`] (a cross-job parallel
-//! [`JobExecutor`]: slice batches dispatched to a worker pool) and serves
+//! [`JobExecutor`]: each slice batch runs on a pool of threads) and serves
 //! the hand-rolled framed wire protocol on a Unix-domain socket. A
 //! [`RemoteClient`] — the same [`Service`] trait, so the code below would
 //! run unchanged against the embedded backend — submits two bug reports: a
@@ -25,13 +25,11 @@ use std::time::Duration;
 
 fn main() {
     // -- Server side -------------------------------------------------------
-    // An executor with the parallel knobs on: up to 2 jobs' slices per
-    // batch, executed on 2 pool threads. The pool changes wall time only —
-    // the synthesized executions are byte-identical at any size.
-    let service = InProcessService::new(
-        JobExecutor::round_robin().slice_rounds(8).batch_width(2).pool_size(2),
-    )
-    .max_pending(16);
+    // An executor with a pool of 2: each batch grants up to 2 jobs a slice,
+    // one thread each. The pool changes wall time only — the synthesized
+    // executions are byte-identical at any size.
+    let service = InProcessService::new(JobExecutor::round_robin().slice_rounds(8).pool_size(2))
+        .max_pending(16);
     let sock = std::env::temp_dir().join(format!("esd_daemon_{}.sock", std::process::id()));
     let mut daemon = Daemon::bind_uds(&sock, service).expect("bind the UDS socket");
     println!("daemon listening on {}", sock.display());

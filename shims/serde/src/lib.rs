@@ -271,7 +271,12 @@ impl Serialize for Duration {
 impl Deserialize for Duration {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let (secs, nanos) = <(u64, u32)>::from_value(v)?;
-        Ok(Duration::new(secs, nanos))
+        // `Duration::new` panics when the nanosecond carry overflows the
+        // seconds; decoding must stay total.
+        let secs = secs
+            .checked_add(u64::from(nanos / 1_000_000_000))
+            .ok_or_else(|| DeError(format!("duration [{secs}, {nanos}] overflows")))?;
+        Ok(Duration::new(secs, nanos % 1_000_000_000))
     }
 }
 

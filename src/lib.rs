@@ -93,7 +93,7 @@ pub use esd_core::session;
 pub use esd_core::portfolio;
 
 /// The multi-job executor service (re-exported from [`esd_core`]), home of
-/// [`JobExecutor`] and the [`FairnessPolicy`] implementations.
+/// [`JobExecutor`] and its [`FairnessPolicy`].
 pub use esd_core::executor;
 
 pub use esd_core::{

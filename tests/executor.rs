@@ -36,8 +36,8 @@ fn batch_options(name: &str) -> EsdOptions {
 /// The tentpole determinism contract: a job's execution file is
 /// byte-identical whether the job ran solo or interleaved with three other
 /// jobs, because slicing happens only at `step_round` boundaries and jobs
-/// share nothing. Exercised serially and with slice batches spread over an
-/// OS thread pool of 1 and of the CI matrix size (`ESD_POOL`).
+/// share nothing. Exercised serially and with slice batches spread over a
+/// pool as wide as the job count and of the CI matrix size (`ESD_POOL`).
 #[test]
 fn interleaved_jobs_emit_byte_identical_execution_files() {
     let workloads =
@@ -55,13 +55,11 @@ fn interleaved_jobs_emit_byte_identical_execution_files() {
         })
         .collect();
 
-    // (executor batch width, executor pool size): the classic serial leg,
-    // then full-width batches executed on pools of 1 and of the matrix size
-    // — all three must reproduce the solo baselines.
-    let legs = [(1, 1), (workloads.len(), 1), (workloads.len(), env_pool())];
-    for (width, pool) in legs {
-        let mut executor =
-            JobExecutor::round_robin().slice_rounds(256).batch_width(width).pool_size(pool);
+    // Executor pool sizes: the classic serial leg, a pool as wide as the
+    // job count, and the matrix size — all three must reproduce the solo
+    // baselines.
+    for pool in [1, workloads.len(), env_pool()] {
+        let mut executor = JobExecutor::round_robin().slice_rounds(256).pool_size(pool);
         let handles: Vec<_> = workloads
             .iter()
             .map(|w| {
@@ -74,18 +72,13 @@ fn interleaved_jobs_emit_byte_identical_execution_files() {
 
         for ((w, handle), solo_json) in workloads.iter().zip(&handles).zip(&solo) {
             let outcome = executor.take(*handle).expect("idle executor finished every job");
-            assert_eq!(
-                outcome.verdict,
-                JobVerdict::Found,
-                "{} (width={width} pool={pool})",
-                w.name
-            );
+            assert_eq!(outcome.verdict, JobVerdict::Found, "{} (pool={pool})", w.name);
             let report = outcome.report().expect("Found jobs carry a report");
             assert_eq!(
                 report.execution.to_json(),
                 *solo_json,
-                "{}: interleaved with 3 other jobs at width={width} pool={pool} must \
-                 emit the byte-identical execution file of a solo run",
+                "{}: interleaved with 3 other jobs at pool={pool} must emit the \
+                 byte-identical execution file of a solo run",
                 w.name
             );
             assert!(

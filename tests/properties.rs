@@ -307,7 +307,7 @@ proptest! {
     ) {
         let records: Vec<JournalRecord> = grants
             .iter()
-            .map(|(h, r)| JournalRecord::SliceGrant { handle: *h, rounds: *r })
+            .map(|(h, r)| JournalRecord::Grant { grants: vec![(*h, *r)] })
             .collect();
         let frames: Vec<Vec<u8>> = records.iter().map(encode_frame).collect();
         let bytes: Vec<u8> = frames.concat();

@@ -1,5 +1,5 @@
 //! The crash-recovery test matrix: durable executors must survive a hard
-//! crash at *every* slice boundary and still synthesize byte-identical
+//! crash at *every* batch boundary and still synthesize byte-identical
 //! execution files.
 //!
 //! For each fairness policy, the harness first runs an uninterrupted
@@ -7,10 +7,16 @@
 //! frontier, plus a generated `genbug` corpus program) and records every
 //! job's winner execution bytes and search statistics. It then replays the
 //! same batch under a durable executor, crashing after `k` dispatched
-//! slices for every crash point `k` — the executor is dropped cold, exactly
-//! what a process kill leaves behind: the last checkpoint plus the journal
-//! tail — recovers with [`JobExecutor::recover`], finishes the batch, and
-//! asserts the outcomes are identical to the uninterrupted run.
+//! batches for every crash point `k` — the executor is dropped cold,
+//! exactly what a process kill leaves behind: the last checkpoint plus the
+//! journal tail — recovers with [`JobExecutor::recover`], asserts the
+//! recovered executor's state equals the uninterrupted run's at that
+//! boundary, finishes the batch, and asserts the outcomes are identical to
+//! the uninterrupted run.
+//!
+//! Every executor runs at the `ESD_POOL` pool size (default 2), so a
+//! journaled `Grant` record holds one grant per job of the batch and
+//! recovery must re-plan the whole batch.
 //!
 //! The checkpoint cadences differ per policy so the matrix covers both
 //! pure-snapshot recovery (`checkpoint_every(1)`: the journal is empty at
@@ -24,12 +30,18 @@ use esd::symex::SearchStats;
 use esd::workloads::genbug::{generate, GenConfig, InjectedBugKind};
 use esd::workloads::real_bugs::paste_invalid_free;
 use esd::workloads::Workload;
-use esd::{EsdOptions, FrontierKind, JobExecutor, JobSpec, JobVerdict};
+use esd::{EsdOptions, FrontierKind, JobExecutor, JobPhase, JobSpec, JobVerdict};
 use std::path::PathBuf;
 use std::time::Duration;
 
 fn reduced() -> bool {
     std::env::var("ESD_RECOVERY_REDUCED").ok().as_deref() == Some("1")
+}
+
+/// The executor pool size under test: the CI determinism matrix sets
+/// `ESD_POOL` to 1, 2 and 8; locally the default exercises 2.
+fn env_pool() -> usize {
+    std::env::var("ESD_POOL").ok().and_then(|s| s.parse().ok()).unwrap_or(2)
 }
 
 /// Durable state lives under the repo-root `recovery_tmp/` (gitignored;
@@ -129,7 +141,18 @@ fn assert_matches(actual: &[Expected], expected: &[Expected], context: &str) {
     }
 }
 
-/// Which crash points to exercise: every slice boundary by default, a
+/// The executor state at a batch boundary that recovery must rebuild
+/// exactly: the lifetime slice and round counters, and each job's phase,
+/// slices and rounds.
+type BoundaryState = (u64, u64, Vec<(JobPhase, u64, u64)>);
+
+fn boundary_state(executor: &JobExecutor) -> BoundaryState {
+    let stats = executor.stats();
+    let jobs = stats.jobs.iter().map(|j| (j.phase, j.slices, j.rounds)).collect();
+    (stats.slices_dispatched, stats.rounds_dispatched, jobs)
+}
+
+/// Which crash points to exercise: every batch boundary by default, a
 /// deterministic subsample (always including the first boundaries, one per
 /// checkpoint phase, and the last) in reduced mode.
 fn crash_points(total: u64, cadence: u64) -> Vec<u64> {
@@ -146,15 +169,20 @@ fn crash_points(total: u64, cadence: u64) -> Vec<u64> {
 /// Runs the full crash matrix for one policy. `make` builds the executor
 /// (the policy under test), `cadence` its checkpoint interval.
 fn run_matrix(name: &str, make: fn() -> JobExecutor, cadence: u64) {
-    // Small slices so the batch crosses many slice boundaries (~28 for this
-    // two-job batch) — each boundary is a crash point in the matrix.
+    // Small slices so the run crosses many batch boundaries (~28 slices
+    // for this two-job run, one or two per batch) — each boundary is a
+    // crash point in the matrix.
     let slice_rounds = 32;
+    let make = || make().slice_rounds(slice_rounds).pool_size(env_pool());
 
-    // The uninterrupted baseline, and the total slice count it needed.
-    let mut baseline = make().slice_rounds(slice_rounds);
+    // The uninterrupted baseline, and its state at every batch boundary.
+    let mut baseline = make();
     let handles = submit_jobs(&mut baseline);
-    baseline.run_until_idle();
-    let total = baseline.stats().slices_dispatched;
+    let mut boundaries = vec![boundary_state(&baseline)];
+    while baseline.run_slice() {
+        boundaries.push(boundary_state(&baseline));
+    }
+    let total = boundaries.len() as u64 - 1;
     let expected = collect(&mut baseline, &handles);
     assert!(
         expected.iter().all(|e| e.verdict == JobVerdict::Found),
@@ -167,7 +195,6 @@ fn run_matrix(name: &str, make: fn() -> JobExecutor, cadence: u64) {
         let _ = std::fs::remove_dir_all(&dir);
 
         let mut executor = make()
-            .slice_rounds(slice_rounds)
             .checkpoint_every(cadence)
             .durable_dir(&dir)
             .expect("durable directory is writable");
@@ -181,6 +208,11 @@ fn run_matrix(name: &str, make: fn() -> JobExecutor, cadence: u64) {
 
         let mut recovered = JobExecutor::recover(&dir)
             .unwrap_or_else(|e| panic!("{tag}: recovery must succeed: {e}"));
+        assert_eq!(
+            boundary_state(&recovered),
+            boundaries[k as usize],
+            "{tag}: recovery must rebuild the executor state at the crash point"
+        );
         recovered.run_until_idle();
         // Handles survive recovery: they are dense submit-order ids, listed
         // by the recovered executor's own stats.
@@ -217,7 +249,7 @@ fn recovery_tolerates_a_torn_journal_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Uninterrupted baseline.
-    let mut baseline = JobExecutor::round_robin().slice_rounds(32);
+    let mut baseline = JobExecutor::round_robin().slice_rounds(32).pool_size(env_pool());
     let handles = submit_jobs(&mut baseline);
     baseline.run_until_idle();
     let expected = collect(&mut baseline, &handles);
@@ -226,6 +258,7 @@ fn recovery_tolerates_a_torn_journal_tail() {
     // holds several grants to tear.
     let mut executor = JobExecutor::round_robin()
         .slice_rounds(32)
+        .pool_size(env_pool())
         .checkpoint_every(1000)
         .durable_dir(&dir)
         .expect("durable directory is writable");
@@ -238,7 +271,7 @@ fn recovery_tolerates_a_torn_journal_tail() {
     // Tear the final frame: chop bytes off the journal tail.
     let journal_path = dir.join("journal-1.log");
     let bytes = std::fs::read(&journal_path).expect("journal exists");
-    assert!(bytes.len() > 8, "five grants must have been journaled");
+    assert!(bytes.len() > 8, "five batches must have been journaled");
     std::fs::write(&journal_path, &bytes[..bytes.len() - 7]).expect("journal truncated");
 
     let mut recovered = JobExecutor::recover(&dir).expect("torn journals must recover");

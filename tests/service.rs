@@ -39,16 +39,14 @@ fn requests() -> Vec<JobRequest> {
     ]
 }
 
-/// A service-backed executor with the parallel knobs turned on: full-width
-/// batches over the `ESD_POOL` worker pool.
+/// A service-backed executor with the parallel knob turned on: batches over
+/// an `ESD_POOL`-sized pool.
 fn parallel_service() -> InProcessService {
-    InProcessService::new(
-        JobExecutor::round_robin().slice_rounds(4).batch_width(4).pool_size(env_pool()),
-    )
+    InProcessService::new(JobExecutor::round_robin().slice_rounds(4).pool_size(env_pool()))
 }
 
 /// Baseline: the same requests through the in-process backend on a serial
-/// executor (width 1, pool 1), collected as execution-file JSON.
+/// executor (pool 1), collected as execution-file JSON.
 fn in_process_baseline() -> Vec<String> {
     let mut service = InProcessService::new(JobExecutor::round_robin().slice_rounds(4));
     let tickets: Vec<_> =
@@ -104,8 +102,8 @@ fn run_over_wire(client: &mut RemoteClient) -> Vec<String> {
 
 /// The tentpole e2e contract over UDS: submit → subscribe → poll → take
 /// through the daemon produces byte-identical execution files to the same
-/// specs run in-process on a serial executor — the wire, the batch width
-/// and the pool size are all unobservable in the result.
+/// specs run in-process on a serial executor — the wire and the pool size
+/// are both unobservable in the result.
 #[test]
 #[cfg(unix)]
 fn uds_submission_is_byte_identical_to_in_process() {
@@ -202,6 +200,29 @@ fn overloaded_crosses_the_wire_as_a_typed_error() {
     client.cancel(first).expect("cancel");
     client.shutdown_server().expect("shutdown");
     server.join().expect("daemon thread");
+}
+
+/// A peer-supplied scheduling deadline of `Duration::MAX` neither panics
+/// the durable service at submit nor its recovery when the journaled
+/// submit is replayed; the job still synthesizes.
+#[test]
+fn maximal_deadlines_neither_panic_submit_nor_recovery() {
+    let dir = std::env::temp_dir().join(format!("esd_svc_max_deadline_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let w = mkfifo();
+    let request = JobRequest::new("forever", &w.program, w.goal())
+        .options(EsdOptions::builder().max_steps(8_000_000).build())
+        .deadline(Duration::MAX);
+    let executor = JobExecutor::deadline_first().checkpoint_every(1000).durable_dir(&dir);
+    let mut service = InProcessService::new(executor.expect("durable dir"));
+    let ticket = service.submit(request).expect("a maximal deadline is accepted");
+    drop(service);
+
+    let mut recovered = JobExecutor::recover(&dir).expect("the journaled submit replays");
+    recovered.run_until_idle();
+    let outcome = recovered.take(esd::JobHandle::from_id(ticket.id)).expect("terminal");
+    assert_eq!(outcome.verdict, JobVerdict::Found);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Unknown tickets are typed errors on both backends.
