@@ -92,10 +92,11 @@ impl Solver {
     /// hold simultaneously, returning a model if one is found.
     pub fn solve(&mut self, constraints: &[Arc<SymExpr>]) -> SolverResult {
         self.queries += 1;
-        // Fast paths.
-        if constraints.iter().any(|c| c.as_const() == Some(0)) {
+        let mut hints = Hints::default();
+        let Some(mut intervals) = bounds(constraints, Some(&mut hints)) else {
             return SolverResult::Unsat;
-        }
+        };
+        let Hints { fixed, interesting } = hints;
         let mut vars = Vec::new();
         for c in constraints {
             c.vars(&mut vars);
@@ -103,23 +104,10 @@ impl Solver {
         if vars.is_empty() {
             return SolverResult::Sat(HashMap::new());
         }
-
-        let mut intervals: HashMap<SymVar, (i64, i64)> =
-            vars.iter().map(|v| (*v, FULL_RANGE)).collect();
-        let mut fixed: HashMap<SymVar, i64> = HashMap::new();
-        let mut interesting: HashMap<SymVar, Vec<i64>> = HashMap::new();
-
-        for c in constraints {
-            harvest(c, true, &mut intervals, &mut fixed, &mut interesting);
-        }
-        // The bounds come from single-variable constraints over the full i64
-        // range, so an empty interval is a definitive Unsat.
-        if intervals.values().any(|(lo, hi)| lo > hi) {
-            return SolverResult::Unsat;
-        }
         // Sample inside the default clamp where the constraints allow it, and
         // from the harvested interval when they require a value outside it.
-        for (lo, hi) in intervals.values_mut() {
+        for v in &vars {
+            let (lo, hi) = intervals.entry(*v).or_insert(FULL_RANGE);
             let clamped = ((*lo).max(SAMPLE_CLAMP.0), (*hi).min(SAMPLE_CLAMP.1));
             if clamped.0 <= clamped.1 {
                 (*lo, *hi) = clamped;
@@ -200,10 +188,99 @@ impl Solver {
         SolverResult::Unknown
     }
 
-    /// Convenience: is the conjunction satisfiable at all?
+    /// Is the conjunction satisfiable at all? Exactly "`solve` would not
+    /// answer `Unsat`", decided by the bounds pass alone: no candidate model
+    /// is built, verified or repaired.
     pub fn is_feasible(&mut self, constraints: &[Arc<SymExpr>]) -> bool {
-        !matches!(self.solve(constraints), SolverResult::Unsat)
+        self.queries += 1;
+        bounds(constraints, None).is_some()
     }
+
+    /// Both sides of a branch on `cond` under the path condition `prefix`:
+    /// `(is_feasible(prefix + [cond]), is_feasible(prefix + [¬cond]))`, and
+    /// counted as those two queries, but with `prefix` harvested once.
+    pub fn branch_feasible(
+        &mut self,
+        prefix: &[Arc<SymExpr>],
+        cond: &Arc<SymExpr>,
+    ) -> (bool, bool) {
+        self.queries += 2;
+        if has_false_conjunct(prefix) {
+            return (false, false);
+        }
+        let mut shared = Intervals::new();
+        for c in prefix {
+            harvest(c, true, &mut shared, None);
+        }
+        let negated = SymExpr::not(cond.clone());
+        let then_feasible = extend(cond, shared.clone());
+        let else_feasible = extend(&negated, shared);
+        (then_feasible, else_feasible)
+    }
+}
+
+/// Per-variable bounds harvested from a conjunction; a variable without an
+/// entry is unbounded.
+type Intervals = HashMap<SymVar, (i64, i64)>;
+
+/// What `solve` harvests beyond the bounds to build its candidate model.
+#[derive(Default)]
+struct Hints {
+    /// Values equality constraints fix.
+    fixed: HashMap<SymVar, i64>,
+    /// Constants worth trying for each variable.
+    interesting: HashMap<SymVar, Vec<i64>>,
+}
+
+impl Hints {
+    /// Marks every constant of `expr` (and its neighbours) as interesting for
+    /// every variable of `expr`.
+    fn note_consts(&mut self, expr: &SymExpr) {
+        let mut vars = Vec::new();
+        expr.vars(&mut vars);
+        let consts = collect_consts(expr);
+        for v in vars {
+            let e = self.interesting.entry(v).or_default();
+            for c in &consts {
+                push_interesting(e, *c);
+            }
+        }
+    }
+}
+
+/// The bounds pass, the solver's only `Unsat` decider: a constant-0
+/// conjunct, or an empty harvested interval. Returns the harvested
+/// intervals, or `None` when the conjunction is unsatisfiable. `hints`, when
+/// given, also collects what `solve` needs for its candidate model.
+fn bounds(constraints: &[Arc<SymExpr>], mut hints: Option<&mut Hints>) -> Option<Intervals> {
+    if has_false_conjunct(constraints) {
+        return None;
+    }
+    let mut intervals = Intervals::new();
+    for c in constraints {
+        harvest(c, true, &mut intervals, hints.as_deref_mut());
+    }
+    consistent(&intervals).then_some(intervals)
+}
+
+/// The bounds pass for a conjunction extended by `last`, given the
+/// conjunction's harvested intervals and that it has no constant-0 conjunct.
+fn extend(last: &Arc<SymExpr>, mut intervals: Intervals) -> bool {
+    if last.as_const() == Some(0) {
+        return false;
+    }
+    harvest(last, true, &mut intervals, None);
+    consistent(&intervals)
+}
+
+fn has_false_conjunct(constraints: &[Arc<SymExpr>]) -> bool {
+    constraints.iter().any(|c| c.as_const() == Some(0))
+}
+
+/// The bounds come from single-variable constraints over the full i64
+/// range, so an empty interval is a definitive Unsat.
+fn consistent(intervals: &Intervals) -> bool {
+    intervals.values().all(|(lo, hi)| lo <= hi)
 }
 
 fn verify(constraints: &[Arc<SymExpr>], assignment: &HashMap<SymVar, i64>) -> bool {
@@ -214,32 +291,24 @@ fn count_unsat(constraints: &[Arc<SymExpr>], assignment: &HashMap<SymVar, i64>) 
     constraints.iter().filter(|c| c.eval(assignment) == 0).count()
 }
 
-/// Harvests interval bounds, fixed values and interesting constants from a
-/// constraint that must evaluate to `required` (true = non-zero).
+/// Harvests interval bounds from a constraint that must evaluate to
+/// `required` (true = non-zero), and with `hints` also fixed values and
+/// interesting constants.
 fn harvest(
     expr: &SymExpr,
     required: bool,
-    intervals: &mut HashMap<SymVar, (i64, i64)>,
-    fixed: &mut HashMap<SymVar, i64>,
-    interesting: &mut HashMap<SymVar, Vec<i64>>,
+    intervals: &mut Intervals,
+    mut hints: Option<&mut Hints>,
 ) {
     match expr {
-        SymExpr::Not(inner) => harvest(inner, !required, intervals, fixed, interesting),
+        SymExpr::Not(inner) => harvest(inner, !required, intervals, hints),
         SymExpr::Cmp(op, a, b) => {
             let (var, konst, op) = match (a.as_ref(), b.as_ref()) {
                 (SymExpr::Var(v), SymExpr::Const(c)) => (*v, *c, *op),
                 (SymExpr::Const(c), SymExpr::Var(v)) => (*v, *c, op.swap()),
                 _ => {
-                    // Record constants appearing anywhere as interesting for
-                    // all involved variables.
-                    let mut vars = Vec::new();
-                    expr.vars(&mut vars);
-                    let consts = collect_consts(expr);
-                    for v in vars {
-                        let e = interesting.entry(v).or_default();
-                        for c in &consts {
-                            push_interesting(e, *c);
-                        }
+                    if let Some(h) = hints {
+                        h.note_consts(expr);
                     }
                     return;
                 }
@@ -248,14 +317,18 @@ fn harvest(
             let entry = intervals.entry(var).or_insert(FULL_RANGE);
             match op {
                 CmpOp::Eq => {
-                    fixed.insert(var, konst);
+                    if let Some(h) = hints.as_deref_mut() {
+                        h.fixed.insert(var, konst);
+                    }
                     entry.0 = entry.0.max(konst);
                     entry.1 = entry.1.min(konst);
                 }
                 CmpOp::Ne => {
-                    let e = interesting.entry(var).or_default();
-                    push_interesting(e, konst.wrapping_add(1));
-                    push_interesting(e, konst.wrapping_sub(1));
+                    if let Some(h) = hints.as_deref_mut() {
+                        let e = h.interesting.entry(var).or_default();
+                        push_interesting(e, konst.wrapping_add(1));
+                        push_interesting(e, konst.wrapping_sub(1));
+                    }
                 }
                 // `x < i64::MIN` and `x > i64::MAX` hold for no value.
                 CmpOp::Lt => match konst.checked_sub(1) {
@@ -269,32 +342,29 @@ fn harvest(
                 },
                 CmpOp::Ge => entry.0 = entry.0.max(konst),
             }
-            let e = interesting.entry(var).or_default();
-            push_interesting(e, konst);
-            push_interesting(e, konst.wrapping_add(1));
-            push_interesting(e, konst.wrapping_sub(1));
+            if let Some(h) = hints {
+                let e = h.interesting.entry(var).or_default();
+                push_interesting(e, konst);
+                push_interesting(e, konst.wrapping_add(1));
+                push_interesting(e, konst.wrapping_sub(1));
+            }
         }
         SymExpr::Bin(esd_ir::BinOp::And, a, b) if required => {
-            harvest(a, true, intervals, fixed, interesting);
-            harvest(b, true, intervals, fixed, interesting);
+            harvest(a, true, intervals, hints.as_deref_mut());
+            harvest(b, true, intervals, hints);
         }
         SymExpr::Var(v) => {
-            if required {
-                let e = interesting.entry(*v).or_default();
-                push_interesting(e, 1);
-            } else {
-                fixed.insert(*v, 0);
+            if let Some(h) = hints {
+                if required {
+                    push_interesting(h.interesting.entry(*v).or_default(), 1);
+                } else {
+                    h.fixed.insert(*v, 0);
+                }
             }
         }
         _ => {
-            let mut vars = Vec::new();
-            expr.vars(&mut vars);
-            let consts = collect_consts(expr);
-            for v in vars {
-                let e = interesting.entry(v).or_default();
-                for c in &consts {
-                    push_interesting(e, *c);
-                }
+            if let Some(h) = hints {
+                h.note_consts(expr);
             }
         }
     }

@@ -608,12 +608,7 @@ impl<'a> Stepper<'a> {
             }
             Feasibility::Unknown => {}
         }
-        let mut then_constraints = state.constraints.clone();
-        then_constraints.push(cond.clone());
-        let mut else_constraints = state.constraints.clone();
-        else_constraints.push(SymExpr::not(cond.clone()));
-        let then_feasible = self.solver.is_feasible(&then_constraints);
-        let else_feasible = self.solver.is_feasible(&else_constraints);
+        let (then_feasible, else_feasible) = self.solver.branch_feasible(&state.constraints, &cond);
         match (then_feasible, else_feasible) {
             (false, false) => StepEffect::Dead,
             (true, false) | (false, true) => {
@@ -843,27 +838,35 @@ impl<'a> Stepper<'a> {
                     }
                     None => {
                         let e = v.as_expr().expect("symbolic assert");
-                        // The violating side is a failure at this location;
-                        // the passing side continues in this state.
-                        let is_goal_here =
-                            matches!(self.goal, GoalSpec::Crash { loc: gl } if *gl == loc);
-                        let mut violating = state.constraints.clone();
-                        violating.push(SymExpr::not(e.clone()));
-                        let violation_feasible = self.solver.is_feasible(&violating);
-                        if violation_feasible && is_goal_here {
-                            state.constraints = violating;
-                            return StepEffect::Goal {
-                                fault: FaultKind::AssertFailure { msg },
-                                fault_loc: Some(loc),
-                            };
-                        }
-                        if violation_feasible {
-                            self.other_bugs
-                                .push((FaultKind::AssertFailure { msg: msg.clone() }, Some(loc)));
-                        }
-                        state.add_constraint(e);
-                        if !self.solver.is_feasible(&state.constraints) {
-                            return StepEffect::Dead;
+                        if matches!(self.goal, GoalSpec::Crash { loc: gl } if *gl == loc) {
+                            // At the goal a feasible violation ends the
+                            // search, so the violating side is asked alone
+                            // first and the state keeps its constraint.
+                            state.constraints.push(SymExpr::not(e.clone()));
+                            if self.solver.is_feasible(&state.constraints) {
+                                return StepEffect::Goal {
+                                    fault: FaultKind::AssertFailure { msg },
+                                    fault_loc: Some(loc),
+                                };
+                            }
+                            state.constraints.pop();
+                            state.add_constraint(e);
+                            if !self.solver.is_feasible(&state.constraints) {
+                                return StepEffect::Dead;
+                            }
+                        } else {
+                            // The violating side is a failure at this
+                            // location; the passing side continues in this
+                            // state.
+                            let (passing, violating) =
+                                self.solver.branch_feasible(&state.constraints, &e);
+                            if violating {
+                                self.other_bugs.push((FaultKind::AssertFailure { msg }, Some(loc)));
+                            }
+                            state.add_constraint(e);
+                            if !passing {
+                                return StepEffect::Dead;
+                            }
                         }
                         self.advance(state);
                         StepEffect::Continue
