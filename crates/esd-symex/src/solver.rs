@@ -213,8 +213,8 @@ impl Solver {
             harvest(c, true, &mut shared, None);
         }
         let negated = SymExpr::not(cond.clone());
-        let then_feasible = extend(cond, shared.clone());
-        let else_feasible = extend(&negated, shared);
+        let then_feasible = extend(prefix, cond, shared.clone());
+        let else_feasible = extend(prefix, &negated, shared);
         (then_feasible, else_feasible)
     }
 }
@@ -249,7 +249,8 @@ impl Hints {
 }
 
 /// The bounds pass, the solver's only `Unsat` decider: a constant-0
-/// conjunct, or an empty harvested interval. Returns the harvested
+/// conjunct, an empty harvested interval, or a conjunct that is false at the
+/// values its variables are pinned to (see [`consistent`]). Returns the harvested
 /// intervals, or `None` when the conjunction is unsatisfiable. `hints`, when
 /// given, also collects what `solve` needs for its candidate model.
 fn bounds(constraints: &[Arc<SymExpr>], mut hints: Option<&mut Hints>) -> Option<Intervals> {
@@ -260,27 +261,64 @@ fn bounds(constraints: &[Arc<SymExpr>], mut hints: Option<&mut Hints>) -> Option
     for c in constraints {
         harvest(c, true, &mut intervals, hints.as_deref_mut());
     }
-    consistent(&intervals).then_some(intervals)
+    consistent(constraints.iter(), &intervals).then_some(intervals)
 }
 
-/// The bounds pass for a conjunction extended by `last`, given the
-/// conjunction's harvested intervals and that it has no constant-0 conjunct.
-fn extend(last: &Arc<SymExpr>, mut intervals: Intervals) -> bool {
+/// The bounds pass for `prefix + [last]`, given `prefix`'s harvested
+/// intervals and that `prefix` has no constant-0 conjunct.
+fn extend(prefix: &[Arc<SymExpr>], last: &Arc<SymExpr>, mut intervals: Intervals) -> bool {
     if last.as_const() == Some(0) {
         return false;
     }
     harvest(last, true, &mut intervals, None);
-    consistent(&intervals)
+    consistent(prefix.iter().chain([last]), &intervals)
 }
 
 fn has_false_conjunct(constraints: &[Arc<SymExpr>]) -> bool {
     constraints.iter().any(|c| c.as_const() == Some(0))
 }
 
-/// The bounds come from single-variable constraints over the full i64
-/// range, so an empty interval is a definitive Unsat.
-fn consistent(intervals: &Intervals) -> bool {
-    intervals.values().all(|(lo, hi)| lo <= hi)
+/// Whether the harvested `intervals` leave the conjunction possible. The
+/// bounds come from single-variable constraints over the full i64 range, so
+/// an empty interval is a definitive Unsat. A variable whose interval is one
+/// value (`lo == hi`) takes that value in every model, so a conjunct whose
+/// variables are all pinned and that evaluates to 0 at those values, under
+/// the same `eval` that `verify` checks, is a definitive Unsat too.
+fn consistent<'a>(
+    conjuncts: impl Iterator<Item = &'a Arc<SymExpr>>,
+    intervals: &Intervals,
+) -> bool {
+    if intervals.values().any(|(lo, hi)| lo > hi) {
+        return false;
+    }
+    let mut pinned: Option<HashMap<SymVar, i64>> = None;
+    for c in conjuncts {
+        if all_pinned(c, intervals) {
+            let values = pinned.get_or_insert_with(|| {
+                intervals
+                    .iter()
+                    .filter(|(_, (lo, hi))| lo == hi)
+                    .map(|(v, (lo, _))| (*v, *lo))
+                    .collect()
+            });
+            if c.eval(values) == 0 {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// True if every variable of `expr` has a one-value interval.
+fn all_pinned(expr: &SymExpr, intervals: &Intervals) -> bool {
+    match expr {
+        SymExpr::Const(_) => true,
+        SymExpr::Var(v) => intervals.get(v).is_some_and(|(lo, hi)| lo == hi),
+        SymExpr::Bin(_, a, b) | SymExpr::Cmp(_, a, b) => {
+            all_pinned(a, intervals) && all_pinned(b, intervals)
+        }
+        SymExpr::Not(a) => all_pinned(a, intervals),
+    }
 }
 
 fn verify(constraints: &[Arc<SymExpr>], assignment: &HashMap<SymVar, i64>) -> bool {
@@ -451,6 +489,38 @@ mod tests {
             vec![SymExpr::cmp(CmpOp::Gt, var(0), c(10)), SymExpr::cmp(CmpOp::Lt, var(0), c(5))];
         assert_eq!(s.solve(&constraints), SolverResult::Unsat);
         assert!(!s.is_feasible(&constraints));
+    }
+
+    /// Regression: a path condition holding `x == 49 ∧ y == 29` and its
+    /// negation defeated the repair loop, so `solve` answered `Unknown` and
+    /// `is_feasible` called the contradiction feasible. Both variables are
+    /// pinned by the first conjunct's bounds, and the second is false there.
+    #[test]
+    fn complementary_conjunctions_are_unsat() {
+        let mut s = Solver::new(SolverConfig::default());
+        let both = SymExpr::bin(
+            BinOp::And,
+            SymExpr::cmp(CmpOp::Eq, var(0), c(49)),
+            SymExpr::cmp(CmpOp::Eq, var(1), c(29)),
+        );
+        let constraints = vec![both.clone(), SymExpr::not(both)];
+        assert_eq!(s.solve(&constraints), SolverResult::Unsat);
+        assert!(!s.is_feasible(&constraints));
+    }
+
+    #[test]
+    fn branch_feasible_harvests_the_prefix_once_per_pair() {
+        let mut s = Solver::new(SolverConfig::default());
+        let prefix = vec![SymExpr::cmp(CmpOp::Gt, var(0), c(10))];
+        let lt5 = SymExpr::cmp(CmpOp::Lt, var(0), c(5));
+        assert_eq!(s.branch_feasible(&prefix, &lt5), (false, true));
+        let gt20 = SymExpr::cmp(CmpOp::Gt, var(0), c(20));
+        assert_eq!(s.branch_feasible(&prefix, &gt20), (true, true));
+        let pinned = vec![SymExpr::cmp(CmpOp::Eq, var(0), c(3))];
+        let sum = SymExpr::cmp(CmpOp::Eq, SymExpr::bin(BinOp::Add, var(0), c(1)), c(4));
+        assert_eq!(s.branch_feasible(&pinned, &sum), (true, false));
+        assert_eq!(s.branch_feasible(&[c(0)], &sum), (false, false));
+        assert_eq!(s.queries, 8);
     }
 
     /// Regression: harvesting used to start every variable at the sampling

@@ -3,6 +3,8 @@
 
 use crate::engine::{Engine, EngineConfig, GoalSpec, SearchOutcome};
 use crate::frontier::SearchConfig;
+use crate::state::ExecState;
+use crate::stepper::Stepper;
 use esd_analysis::StaticAnalysis;
 use esd_ir::{BinOp, BlockId, CmpOp, FaultKind, Loc, Program, ProgramBuilder, ThreadId};
 use std::sync::Arc;
@@ -589,4 +591,52 @@ fn listing1_deadlock_is_synthesized_by_beam_search() {
         .found()
         .expect("beam search must synthesize the deadlock");
     assert!(matches!(synth.fault, FaultKind::Deadlock));
+}
+
+/// Regression: after `x == 1` and `y == 2`, a branch on `¬(x == 1 ∧ y == 2)`
+/// has one feasible side. The solver's repair loop cannot settle the other
+/// side (both variables are pinned), and it used to answer `Unknown`, which
+/// the stepper read as feasible and forked on.
+#[test]
+fn branch_refuted_by_pinned_inputs_does_not_fork() {
+    let mut pb = ProgramBuilder::new("pinned");
+    let mut goal_loc = None;
+    pb.function("main", 0, |f| {
+        let x = f.getchar();
+        let y = f.getchar();
+        let x_is_1 = f.cmp(CmpOp::Eq, x, 1);
+        f.assert(x_is_1, "x is 1");
+        let y_is_2 = f.cmp(CmpOp::Eq, y, 2);
+        f.assert(y_is_2, "y is 2");
+        let both = f.bin(BinOp::And, x_is_1, y_is_2);
+        let not_both = f.cmp(CmpOp::Eq, both, 0);
+        let bad = f.new_block("bad");
+        let good = f.new_block("good");
+        f.cond_br(not_both, bad, good);
+        f.switch_to(bad);
+        let null = f.konst(0);
+        let v = f.load(null);
+        f.output(v);
+        f.ret_void();
+        f.switch_to(good);
+        goal_loc = Some(Loc::new(esd_ir::FuncId(0), good, f.next_inst_idx()));
+        f.output(1);
+        f.ret_void();
+    });
+    let p = Arc::new(pb.finish("main"));
+    let goal_loc = goal_loc.unwrap();
+    let analysis = Arc::new(StaticAnalysis::compute(&p, goal_loc));
+    let goal = GoalSpec::Crash { loc: goal_loc };
+    // Neither static verdicts nor critical edges: the solver decides.
+    let config =
+        EngineConfig { static_pruning: false, use_critical_edges: false, ..Default::default() };
+    let mut stepper = Stepper::new(&p, &analysis, &goal, &config);
+    let turn = stepper.turn(0, ExecState::initial(&p), 64);
+    assert!(turn.forks.is_empty(), "the refuted side must not fork");
+    // Two queries per assert and two for the branch.
+    assert_eq!(turn.solver_queries, 6);
+    // Only the asserts' violations were found: the null dereference on the
+    // refuted side never ran.
+    assert_eq!(turn.other_bugs.len(), 2);
+    assert!(turn.other_bugs.iter().all(|(f, _)| matches!(f, FaultKind::AssertFailure { .. })));
 }

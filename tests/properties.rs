@@ -11,10 +11,12 @@ use esd::service::wire::{
     decode_request, decode_response, encode_frame as encode_wire_frame, encode_request,
     encode_response, FrameDecoder, WireRequest, WireResponse,
 };
-use esd::symex::{ExecState, RaceDetector, Solver, SolverConfig, SymExpr, SymVar};
+use esd::symex::{ExecState, RaceDetector, Solver, SolverConfig, SolverResult, SymExpr, SymVar};
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind, ScheduleHint};
 use esd::{EsdOptions, SynthesisSession};
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 proptest! {
     /// The solver never returns a model that violates the constraints it was
@@ -35,6 +37,55 @@ proptest! {
                 prop_assert_ne!(c.eval(&model), 0, "model must satisfy every constraint");
             }
         }
+    }
+
+    /// The solver against brute force (a truth oracle, not a
+    /// self-consistency check). Random conjunctions over 1–3 variables, each
+    /// variable boxed into [-3, 3] by explicit constraints, so enumerating
+    /// the box decides every query:
+    ///
+    /// * `Unsat` from `solve`, or `false` from `is_feasible` or from either
+    ///   side of `branch_feasible`, means no assignment in the box works;
+    /// * every `Sat` model satisfies every constraint;
+    /// * `is_feasible(c) == !matches!(solve(c), Unsat)`;
+    /// * `branch_feasible(p, c) == (is_feasible(p + [c]), is_feasible(p + [¬c]))`.
+    #[test]
+    fn solver_verdicts_agree_with_brute_force(
+        vars in 1u32..4,
+        conjuncts in 1usize..4,
+        genes in proptest::collection::vec(0u32..1000, 0..40)
+    ) {
+        let mut reader = ExprGenes { genes: &genes, at: 0, vars };
+        let mut prefix = Vec::new();
+        for v in 0..vars {
+            let x = SymExpr::var(SymVar(v));
+            prefix.push(SymExpr::cmp(CmpOp::Ge, x.clone(), SymExpr::constant(-BOX)));
+            prefix.push(SymExpr::cmp(CmpOp::Le, x, SymExpr::constant(BOX)));
+        }
+        for _ in 0..conjuncts {
+            prefix.push(reader.cond(2));
+        }
+        let cond = reader.cond(2);
+        let with = |c: Arc<SymExpr>| -> Vec<Arc<SymExpr>> {
+            prefix.iter().cloned().chain([c]).collect()
+        };
+        let then_side = with(cond.clone());
+        let else_side = with(SymExpr::not(cond.clone()));
+        let mut solver = Solver::new(SolverConfig::default());
+        for constraints in [&prefix, &then_side, &else_side] {
+            let satisfiable = brute_force_sat(constraints, vars);
+            let solved = solver.solve(constraints);
+            let feasible = solver.is_feasible(constraints);
+            prop_assert_eq!(feasible, !matches!(solved, SolverResult::Unsat), "{:?}", constraints);
+            prop_assert!(feasible || !satisfiable, "refuted a satisfiable query: {:?}", constraints);
+            if let SolverResult::Sat(model) = &solved {
+                for c in constraints {
+                    prop_assert_ne!(c.eval(model), 0, "{:?} fails its model {:?}", c, model);
+                }
+            }
+        }
+        let sides = (solver.is_feasible(&then_side), solver.is_feasible(&else_side));
+        prop_assert_eq!(solver.branch_feasible(&prefix, &cond), sides, "{:?} on {:?}", cond, prefix);
     }
 
     /// Schedules preserve the total number of counted steps under the
@@ -524,4 +575,66 @@ fn wire_error(n: u64) -> esd::ServiceError {
         3 => esd::ServiceError::Protocol { detail: format!("protocol #{n}") },
         _ => esd::ServiceError::Disconnected,
     }
+}
+
+/// The box every variable of the solver oracle is confined to.
+const BOX: i64 = 3;
+
+/// Reads a random condition out of a flat list of choices (the proptest
+/// shim has no recursive strategies). Past the end of the list every choice
+/// is 0, which picks a leaf, so reading always ends.
+struct ExprGenes<'a> {
+    genes: &'a [u32],
+    at: usize,
+    vars: u32,
+}
+
+impl ExprGenes<'_> {
+    fn next(&mut self) -> u32 {
+        let gene = self.genes.get(self.at).copied().unwrap_or(0);
+        self.at += 1;
+        gene
+    }
+
+    /// An integer term: a variable, a small constant, or a sum.
+    fn term(&mut self, depth: u32) -> Arc<SymExpr> {
+        let gene = self.next();
+        match gene % 4 {
+            0 | 1 => SymExpr::var(SymVar(gene / 4 % self.vars)),
+            2 if depth > 0 => {
+                SymExpr::Bin(BinOp::Add, self.term(depth - 1), self.term(depth - 1)).arc()
+            }
+            _ => SymExpr::constant((gene / 4 % 9) as i64 - 4),
+        }
+    }
+
+    /// A condition: a comparison of terms, a conjunction or a negation,
+    /// built without the simplifying constructors so every shape occurs.
+    fn cond(&mut self, depth: u32) -> Arc<SymExpr> {
+        const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let gene = self.next();
+        match gene % 5 {
+            3 if depth > 0 => {
+                SymExpr::Bin(BinOp::And, self.cond(depth - 1), self.cond(depth - 1)).arc()
+            }
+            4 if depth > 0 => SymExpr::Not(self.cond(depth - 1)).arc(),
+            _ => {
+                let op = OPS[(gene / 5 % 6) as usize];
+                SymExpr::Cmp(op, self.term(depth), self.term(depth)).arc()
+            }
+        }
+    }
+}
+
+/// Whether some assignment of the box satisfies every constraint.
+fn brute_force_sat(constraints: &[Arc<SymExpr>], vars: u32) -> bool {
+    let width = (2 * BOX + 1) as u32;
+    (0..width.pow(vars)).any(|mut code| {
+        let mut assignment = HashMap::new();
+        for v in 0..vars {
+            assignment.insert(SymVar(v), (code % width) as i64 - BOX);
+            code /= width;
+        }
+        constraints.iter().all(|c| c.eval(&assignment) != 0)
+    })
 }
