@@ -20,7 +20,7 @@ use crate::expr::{SymExpr, SymVar};
 use esd_ir::CmpOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The outcome of a solver query.
@@ -221,7 +221,7 @@ impl Solver {
 
 /// Per-variable bounds harvested from a conjunction; a variable without an
 /// entry is unbounded.
-type Intervals = HashMap<SymVar, (i64, i64)>;
+type Intervals = BTreeMap<SymVar, (i64, i64)>;
 
 /// What `solve` harvests beyond the bounds to build its candidate model.
 #[derive(Default)]
