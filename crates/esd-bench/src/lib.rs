@@ -522,7 +522,8 @@ pub struct ExecutorBenchReport {
     pub throughput_jobs_per_sec: f64,
     /// The executor pool size of the cross-job parallel re-run — jobs
     /// granted a slice per batch, each on its own thread (`pool:<n>` /
-    /// `ESD_POOL`; the serial baseline always runs at pool 1).
+    /// `ESD_POOL`; `0` is all available parallelism; the serial baseline
+    /// always runs at pool 1).
     pub executor_pool_size: usize,
     /// Wall-clock time to drain the identical batch with cross-job parallel
     /// slice execution at `executor_pool_size`, in seconds.
@@ -627,7 +628,7 @@ pub fn executor_throughput(esd_budget: u64, slice_rounds: u64) -> ExecutorBenchR
     // determinism contract says this may only change the wall time, never
     // the execution files — the divergence list (and the binary's exit 6)
     // holds it to that.
-    let executor_pool_size = pool_from_args().max(1);
+    let executor_pool_size = pool_from_args();
     let mut parallel =
         JobExecutor::round_robin().slice_rounds(slice_rounds).pool_size(executor_pool_size);
     let parallel_started = Instant::now();
