@@ -13,9 +13,10 @@
 //! * `ESD_STATIC_PRUNING=0` switches static pruning off: both the
 //!   feasibility verdicts and the race-candidate preemption gating.
 //! * `pool:<n>` / `ESD_POOL` select the executor pool size of the
-//!   cross-job parallel leg; the report records the pool size and the
-//!   cross-job speedup over the serial baseline, both timed after one
-//!   untimed warm-up drain of the batch.
+//!   cross-job parallel leg (`0` or `auto`: all available parallelism);
+//!   the report records the pool size and the cross-job speedup over the
+//!   serial baseline, both timed after one untimed warm-up drain of the
+//!   batch.
 //! * Exits non-zero when any job of the batch fails to synthesize — the CI
 //!   gate on the throughput trajectory — (exit 4) when static pruning is
 //!   on but the batch reports zero pruned branches or zero saved solver

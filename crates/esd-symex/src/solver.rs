@@ -4,12 +4,20 @@
 //! the constraints execution synthesis actually produces (equalities and
 //! comparisons between linear combinations of input words and constants):
 //!
-//! 1. constant propagation of `var == const` constraints,
-//! 2. interval narrowing from `var <op> const` constraints,
-//! 3. a candidate assignment from the narrowed intervals and the "interesting
-//!    constants" appearing in the constraints,
-//! 4. verification by concrete evaluation, with bounded randomized repair if
+//! 1. the bounds pass: interval narrowing from `var <op> const`
+//!    constraints. It answers `Unsat` on a constant-0 conjunct, an empty
+//!    interval, or a conjunct that is false at the values the intervals pin
+//!    its variables to, and it is the only step that ever answers `Unsat`;
+//! 2. a candidate assignment from the narrowed intervals, the values
+//!    `var == const` constraints fix and the "interesting constants"
+//!    appearing in the constraints;
+//! 3. verification by concrete evaluation, with bounded randomized repair if
 //!    verification fails.
+//!
+//! Feasibility questions ([`Solver::is_feasible`], [`Solver::branch_feasible`])
+//! stop after the bounds pass: they only need to know whether the answer is
+//! `Unsat`. Only model requests ([`Solver::solve`]) build, verify and repair
+//! a candidate.
 //!
 //! The solver is sound but deliberately incomplete: a returned model always
 //! satisfies the constraints (it is re-verified concretely), while a
@@ -78,7 +86,8 @@ const SAMPLE_CLAMP: (i64, i64) = (i64::MIN / 4, i64::MAX / 4);
 #[derive(Debug, Default)]
 pub struct Solver {
     config: SolverConfig,
-    /// Number of `solve` calls made (reported in search statistics).
+    /// Number of queries answered (reported in search statistics): one per
+    /// `solve` or `is_feasible` call, two per `branch_feasible` call.
     pub queries: u64,
 }
 
@@ -509,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn branch_feasible_harvests_the_prefix_once_per_pair() {
+    fn branch_feasible_answers_both_sides_as_two_queries() {
         let mut s = Solver::new(SolverConfig::default());
         let prefix = vec![SymExpr::cmp(CmpOp::Gt, var(0), c(10))];
         let lt5 = SymExpr::cmp(CmpOp::Lt, var(0), c(5));

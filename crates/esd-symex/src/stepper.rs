@@ -840,8 +840,9 @@ impl<'a> Stepper<'a> {
                         let e = v.as_expr().expect("symbolic assert");
                         if matches!(self.goal, GoalSpec::Crash { loc: gl } if *gl == loc) {
                             // At the goal a feasible violation ends the
-                            // search, so the violating side is asked alone
-                            // first and the state keeps its constraint.
+                            // search after one query, so the violating side
+                            // is asked alone first; the goal state keeps its
+                            // constraint for the model.
                             state.constraints.push(SymExpr::not(e.clone()));
                             if self.solver.is_feasible(&state.constraints) {
                                 return StepEffect::Goal {
