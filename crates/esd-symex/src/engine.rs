@@ -33,7 +33,6 @@
 //! is drained: nothing is re-ranked between the states of a batch.
 
 use crate::frontier::{FrontierSnapshot, SearchConfig, SearchFrontier, StatePriority};
-use crate::solver::SolverConfig;
 use crate::state::{ExecState, SchedDistance};
 use crate::stepper::{PendingFork, Promotion, Solution, Stepper, TurnResult, TurnVerdict};
 use esd_analysis::{DistanceOracle, StaticAnalysis, INF};
@@ -117,8 +116,6 @@ pub struct EngineConfig {
     ///   flags always fork regardless, so static imprecision can delay but
     ///   never hide a race.
     pub static_pruning: bool,
-    /// Solver configuration.
-    pub solver: SolverConfig,
 }
 
 impl Default for EngineConfig {
@@ -134,7 +131,6 @@ impl Default for EngineConfig {
             race_preemptions: false,
             dedup_states: true,
             static_pruning: true,
-            solver: SolverConfig::default(),
         }
     }
 }

@@ -158,7 +158,7 @@ impl<'a> Stepper<'a> {
             analysis,
             goal,
             config,
-            solver: Solver::new(config.solver),
+            solver: Solver::default(),
             forks: Vec::new(),
             promotions: Vec::new(),
             other_bugs: Vec::new(),

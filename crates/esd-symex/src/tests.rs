@@ -594,9 +594,9 @@ fn listing1_deadlock_is_synthesized_by_beam_search() {
 }
 
 /// Regression: after `x == 1` and `y == 2`, a branch on `¬(x == 1 ∧ y == 2)`
-/// has one feasible side. The solver's repair loop cannot settle the other
-/// side (both variables are pinned), and it used to answer `Unknown`, which
-/// the stepper read as feasible and forked on.
+/// has one feasible side. The solver's former randomized repair loop could
+/// not settle the other side (both variables are pinned), and it answered
+/// `Unknown`, which the stepper read as feasible and forked on.
 #[test]
 fn branch_refuted_by_pinned_inputs_does_not_fork() {
     let mut pb = ProgramBuilder::new("pinned");

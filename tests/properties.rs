@@ -11,7 +11,7 @@ use esd::service::wire::{
     decode_request, decode_response, encode_frame as encode_wire_frame, encode_request,
     encode_response, FrameDecoder, WireRequest, WireResponse,
 };
-use esd::symex::{ExecState, RaceDetector, Solver, SolverConfig, SolverResult, SymExpr, SymVar};
+use esd::symex::{ExecState, RaceDetector, Solver, SolverResult, SymExpr, SymVar};
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind, ScheduleHint};
 use esd::{EsdOptions, SynthesisSession};
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ proptest! {
             .iter()
             .map(|(var, k, op)| SymExpr::cmp(ops[*op], SymExpr::var(SymVar(*var)), SymExpr::constant(*k)))
             .collect();
-        let mut solver = Solver::new(SolverConfig::default());
+        let mut solver = Solver::default();
         if let esd::symex::SolverResult::Sat(model) = solver.solve(&constraints) {
             for c in &constraints {
                 prop_assert_ne!(c.eval(&model), 0, "model must satisfy every constraint");
@@ -47,6 +47,8 @@ proptest! {
     /// * `Unsat` from `solve`, or `false` from `is_feasible` or from either
     ///   side of `branch_feasible`, means no assignment in the box works;
     /// * every `Sat` model satisfies every constraint;
+    /// * a query with a model in the box gets one from `solve`: the box holds
+    ///   at most 7³ = 343 points, inside the solver's enumeration limit;
     /// * `is_feasible(c) == !matches!(solve(c), Unsat)`;
     /// * `branch_feasible(p, c) == (is_feasible(p + [c]), is_feasible(p + [¬c]))`.
     #[test]
@@ -71,13 +73,14 @@ proptest! {
         };
         let then_side = with(cond.clone());
         let else_side = with(SymExpr::not(cond.clone()));
-        let mut solver = Solver::new(SolverConfig::default());
+        let mut solver = Solver::default();
         for constraints in [&prefix, &then_side, &else_side] {
             let satisfiable = brute_force_sat(constraints, vars);
             let solved = solver.solve(constraints);
             let feasible = solver.is_feasible(constraints);
             prop_assert_eq!(feasible, !matches!(solved, SolverResult::Unsat), "{:?}", constraints);
             prop_assert!(feasible || !satisfiable, "refuted a satisfiable query: {:?}", constraints);
+            prop_assert!(solved.is_sat() || !satisfiable, "no model for {:?}", constraints);
             if let SolverResult::Sat(model) = &solved {
                 for c in constraints {
                     prop_assert_ne!(c.eval(model), 0, "{:?} fails its model {:?}", c, model);
