@@ -495,9 +495,10 @@ mod tests {
     }
 
     /// Regression: a path condition holding `x == 49 ∧ y == 29` and its
-    /// negation defeated the former randomized repair loop, so `solve` answered `Unknown` and
-    /// `is_feasible` called the contradiction feasible. Both variables are
-    /// pinned by the first conjunct's bounds, and the second is false there.
+    /// negation defeated the former randomized repair loop, so `solve`
+    /// answered `Unknown` and `is_feasible` called the contradiction
+    /// feasible. Both variables are pinned by the first conjunct's bounds,
+    /// and the second is false there.
     #[test]
     fn complementary_conjunctions_are_unsat() {
         let mut s = Solver::default();
@@ -557,13 +558,13 @@ mod tests {
         }
     }
 
-    /// The only shapes whose first candidate failed anywhere in the test
-    /// suites: each needs one variable moved to the root of an equality.
+    /// Three shapes whose first candidate fails: each needs one variable
+    /// moved to the root of an equality.
     #[test]
     fn linear_equalities_solved_directly() {
         let mut s = Solver::default();
         let sum = SymExpr::bin(BinOp::Add, var(0), var(1));
-        let twice = SymExpr::bin(BinOp::Mul, c(2), var(0));
+        let twice = SymExpr::bin(BinOp::Mul, var(0), c(2));
         let cases = [
             // x == 42 ∧ x + y == 100 ⇒ y == 58.
             vec![
