@@ -238,21 +238,27 @@ pub trait SearchFrontier: Send {
         self.len() == 0
     }
 
-    /// Captures the frontier's complete ordering state (including lazy
-    /// invalidation stamps and any PRNG position) as a serializable value;
-    /// [`FrontierSnapshot::restore`] rebuilds a frontier that pops exactly
-    /// the sequence of states this one would have popped.
+    /// Captures the frontier's ordering state (live entries, their stamps'
+    /// relative order and any PRNG position) as a canonical serializable
+    /// value; [`FrontierSnapshot::restore`] rebuilds a frontier that pops
+    /// exactly the sequence of states this one would have popped.
     fn snapshot(&self) -> FrontierSnapshot;
 }
 
 /// Serializable image of a [`SearchFrontier`]'s internal state, captured by
 /// [`SearchFrontier::snapshot`] and rebuilt by [`FrontierSnapshot::restore`].
 ///
+/// The image is canonical: it keeps live entries only, and the stamped
+/// frontiers renumber their stamps by rank (`1..=n` for `n` live states, with
+/// `next_stamp == n`). Stale entries are never returned and only relative
+/// stamp order decides ties, so the restored frontier selects exactly what
+/// the captured one would have, and two frontiers that differ only in stale
+/// entries or in how many pushes came before serialize identically.
 /// Ordered containers (the DFS stack, the BFS queue, a committed beam, the
-/// random frontier's id vector) are stored verbatim — their order *is* the
-/// search order. Heaps are stored as their entry sets sorted ascending: the
-/// entries are distinct totally-ordered tuples, so a heap rebuilt from them
-/// pops identically, and sorting makes the serialized form canonical.
+/// random frontier's id vector) keep their order — it *is* the search order.
+/// Heaps are stored as their entry sets sorted ascending: the entries are
+/// distinct totally-ordered tuples, so a heap rebuilt from them pops
+/// identically.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FrontierSnapshot {
     /// Image of a [`DfsFrontier`].
@@ -340,18 +346,47 @@ impl FrontierSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LivenessSnapshot {
     /// Live `(state id, valid stamp)` entries, sorted by id (canonical form —
-    /// the underlying table is an unordered map).
+    /// the underlying table is an unordered map), stamps renumbered by rank.
     pub current: Vec<(u64, u64)>,
-    /// The next stamp the table will hand out.
+    /// The last stamp handed out; equal to the number of live states.
     pub next_stamp: u64,
 }
 
-/// Captures a [`StateQueue`]'s entries, sorted ascending (canonical form; the
-/// entries are distinct, so rebuild order is irrelevant to pop order).
-fn heap_entries(heap: &StateQueue) -> Vec<(u64, u64, u64, u64)> {
-    let mut entries: Vec<(u64, u64, u64, u64)> = heap.iter().map(|Reverse(e)| *e).collect();
-    entries.sort_unstable();
-    entries
+/// The stamp renumbering of a canonical snapshot: each live stamp maps to its
+/// rank among the live stamps (`1..=n`).
+struct Renumbering<'a> {
+    live: &'a Liveness,
+    rank: HashMap<u64, u64>,
+}
+
+impl Renumbering<'_> {
+    /// The canonical stamp of entry `(id, stamp)`, or `None` if the entry is
+    /// stale (and so left out of the snapshot).
+    fn stamp(&self, id: u64, stamp: u64) -> Option<u64> {
+        if self.live.is_current(id, stamp) {
+            self.rank.get(&stamp).copied()
+        } else {
+            None
+        }
+    }
+
+    /// The live `(stamp, id)` entries of an ordered container, in order.
+    fn ordered(&self, entries: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
+        entries.into_iter().filter_map(|(stamp, id)| Some((self.stamp(id, stamp)?, id))).collect()
+    }
+
+    /// The live entries of a [`StateQueue`], sorted ascending (the entries are
+    /// distinct, so rebuild order is irrelevant to pop order).
+    fn heap(&self, heap: &StateQueue) -> Vec<(u64, u64, u64, u64)> {
+        let mut entries: Vec<(u64, u64, u64, u64)> = heap
+            .iter()
+            .filter_map(|Reverse((key, depth, stamp, id))| {
+                Some((*key, *depth, self.stamp(*id, *stamp)?, *id))
+            })
+            .collect();
+        entries.sort_unstable();
+        entries
+    }
 }
 
 /// Captures an [`StdRng`]'s state words as a serializable tuple.
@@ -409,11 +444,19 @@ impl Liveness {
         self.current.len()
     }
 
-    /// Captures the table for a frontier snapshot (entries sorted by id).
-    fn snapshot(&self) -> LivenessSnapshot {
-        let mut current: Vec<(u64, u64)> = self.current.iter().map(|(k, v)| (*k, *v)).collect();
+    /// Captures the table for a canonical frontier snapshot (entries sorted
+    /// by id, stamps renumbered by rank), together with the renumbering the
+    /// frontier applies to its own entries.
+    fn snapshot(&self) -> (LivenessSnapshot, Renumbering<'_>) {
+        let mut stamps: Vec<u64> = self.current.values().copied().collect();
+        stamps.sort_unstable();
+        let rank: HashMap<u64, u64> =
+            stamps.iter().zip(1..).map(|(stamp, rank)| (*stamp, rank)).collect();
+        let mut current: Vec<(u64, u64)> =
+            self.current.iter().map(|(id, stamp)| (*id, rank[stamp])).collect();
         current.sort_unstable();
-        LivenessSnapshot { current, next_stamp: self.next_stamp }
+        let snap = LivenessSnapshot { current, next_stamp: stamps.len() as u64 };
+        (snap, Renumbering { live: self, rank })
     }
 
     /// Rebuilds the table from a snapshot.
@@ -457,7 +500,8 @@ impl SearchFrontier for DfsFrontier {
     }
 
     fn snapshot(&self) -> FrontierSnapshot {
-        FrontierSnapshot::Dfs { stack: self.stack.clone(), live: self.live.snapshot() }
+        let (live, renumber) = self.live.snapshot();
+        FrontierSnapshot::Dfs { stack: renumber.ordered(self.stack.iter().copied()), live }
     }
 }
 
@@ -496,10 +540,8 @@ impl SearchFrontier for BfsFrontier {
     }
 
     fn snapshot(&self) -> FrontierSnapshot {
-        FrontierSnapshot::Bfs {
-            queue: self.queue.iter().copied().collect(),
-            live: self.live.snapshot(),
-        }
+        let (live, renumber) = self.live.snapshot();
+        FrontierSnapshot::Bfs { queue: renumber.ordered(self.queue.iter().copied()), live }
     }
 }
 
@@ -614,9 +656,10 @@ impl SearchFrontier for ProximityFrontier {
     }
 
     fn snapshot(&self) -> FrontierSnapshot {
+        let (live, renumber) = self.live.snapshot();
         FrontierSnapshot::Proximity {
-            queues: self.queues.iter().map(heap_entries).collect(),
-            live: self.live.snapshot(),
+            queues: self.queues.iter().map(|queue| renumber.heap(queue)).collect(),
+            live,
             rng: rng_state(&self.rng),
         }
     }
@@ -743,11 +786,12 @@ impl SearchFrontier for BeamFrontier {
     }
 
     fn snapshot(&self) -> FrontierSnapshot {
+        let (live, renumber) = self.live.snapshot();
         FrontierSnapshot::Beam {
             width: self.width as u64,
-            heap: heap_entries(&self.heap),
-            beam: self.beam.iter().copied().collect(),
-            live: self.live.snapshot(),
+            heap: renumber.heap(&self.heap),
+            beam: renumber.ordered(self.beam.iter().copied()),
+            live,
         }
     }
 }

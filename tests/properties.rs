@@ -13,10 +13,11 @@ use esd::service::wire::{
 };
 use esd::symex::{ExecState, RaceDetector, Solver, SolverResult, SymExpr, SymVar};
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind, ScheduleHint};
-use esd::{EsdOptions, SynthesisSession};
+use esd::{EsdOptions, FrontierKind, SessionStatus, SynthesisSession};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 proptest! {
     /// The solver never returns a model that violates the constraints it was
@@ -347,6 +348,51 @@ proptest! {
             serde_json::to_string(&snap).unwrap(),
             serde_json::to_string(&again).unwrap()
         );
+    }
+
+    /// Resuming is exact: a session restored from a snapshot taken at round
+    /// `k` and the uninterrupted session snapshot byte-identically (all but
+    /// the wall-clock `elapsed` times) after `n` more rounds, under every
+    /// frontier. At every round the reported live-state count equals the
+    /// number of states the snapshot carries.
+    #[test]
+    fn restored_sessions_continue_identically(
+        seed in 0u64..1_000_000,
+        kind_idx in 0usize..4,
+        frontier_idx in 0usize..5,
+        k in 0u64..30,
+        n in 1u64..40,
+    ) {
+        let frontier = [
+            FrontierKind::Dfs,
+            FrontierKind::Bfs,
+            FrontierKind::Random,
+            FrontierKind::Proximity,
+            FrontierKind::beam(),
+        ][frontier_idx];
+        let w = generate(&GenConfig::new(seed, InjectedBugKind::ALL[kind_idx])).to_workload();
+        let mut original = EsdOptions::builder()
+            .max_steps(100_000)
+            .seed(seed)
+            .frontier(frontier)
+            .session(&w.program, w.goal());
+        original.run_for(k);
+        let mut restored = SynthesisSession::restore(&original.snapshot());
+        let mut images = Vec::new();
+        for session in [&mut original, &mut restored] {
+            for _ in 0..n {
+                session.run_for(1);
+                let live = session.snapshot().engine.states.len();
+                prop_assert_eq!(session.progress_event().live_states, live);
+            }
+            let mut snap = session.snapshot();
+            snap.elapsed = Duration::ZERO;
+            if let SessionStatus::Found(report) = &mut snap.status {
+                report.elapsed = Duration::ZERO;
+            }
+            images.push(serde_json::to_string(&snap).unwrap());
+        }
+        prop_assert_eq!(&images[0], &images[1], "{} diverged after restore", frontier);
     }
 
     /// Journal scanning is total: truncating a valid journal at any byte
