@@ -23,16 +23,30 @@
 //! the frontier, the dedup fingerprints, the statistics) and a `Stepper`
 //! (the crate-private `stepper` module) that advances individual states with
 //! its own private [`Solver`](crate::solver::Solver). One
-//! [`Engine::step_round`] pops a whole *batch* from the frontier
-//! ([`SearchFrontier::pop_batch`]) — a single state for the single-state
-//! frontiers, the entire beam for [`FrontierKind::Beam`](crate::frontier::FrontierKind::Beam)
-//! — advances every state of the batch, and then merges the recorded effects
-//! (forked states, statistics, flagged races, other bugs, snapshot
-//! promotions) back into the pool **in batch order**. The stepper never
-//! touches the pool while a batch runs, so the beam is committed before it
-//! is drained: nothing is re-ranked between the states of a batch.
+//! [`Engine::step_round`] selects a whole *batch* from the frontier — a
+//! single state for the single-state frontiers, the entire beam for
+//! [`FrontierKind::Beam`](crate::frontier::FrontierKind::Beam) — advances
+//! every state of the batch, and then merges the recorded effects (forked
+//! states, statistics, flagged races, other bugs, snapshot promotions) back
+//! into the pool **in batch order**. The stepper never touches the pool
+//! while a batch runs, so the beam is committed before it is drained:
+//! nothing is re-ranked between the states of a batch.
+//!
+//! # The hot state
+//!
+//! The last state of a batch that survives its turn does not go back into
+//! the pool. The engine holds it as the *hot* state, outside the state map
+//! and the frontier, and folds its final-goal distance into
+//! [`SearchStats::best_proximity`] as a push would. The next round offers it
+//! to [`SearchFrontier::pop_batch_with`], which selects exactly what pushing
+//! it and calling [`SearchFrontier::pop_batch`] would have selected; only a
+//! selection that passes it over pushes it and puts it back into the map.
+//! Forks and promotions never flush it: the merge pushes them before the
+//! surviving state would have been re-pushed anyway. [`Engine::snapshot`]
+//! writes the hot state as if it had been pushed last, and
+//! [`Engine::live_states`] counts it.
 
-use crate::frontier::{FrontierSnapshot, SearchConfig, SearchFrontier, StatePriority};
+use crate::frontier::{FrontierSnapshot, HotState, SearchConfig, SearchFrontier, StatePriority};
 use crate::state::{ExecState, SchedDistance};
 use crate::stepper::{PendingFork, Promotion, Solution, Stepper, TurnResult, TurnVerdict};
 use esd_analysis::{DistanceOracle, StaticAnalysis, INF};
@@ -306,17 +320,17 @@ pub struct EngineSnapshot {
 pub struct Engine {
     program: Arc<Program>,
     analysis: Arc<StaticAnalysis>,
-    oracle: DistanceOracle,
+    guidance: Guidance,
     goal: GoalSpec,
     config: EngineConfig,
     states: HashMap<u64, ExecState>,
+    /// The state the last round advanced, outside `states` and the frontier
+    /// until a selection passes it over (see the [module docs](self)).
+    hot: Option<Hot>,
     next_state_id: u64,
     /// Whether the initial state has been seeded (done lazily on the first
     /// round so a freshly created engine is cheap).
     started: bool,
-    /// One virtual queue per goal target set (intermediate goals + final),
-    /// used to compute the per-queue priority keys for the frontier.
-    queue_targets: Vec<Vec<Loc>>,
     /// The pluggable worklist ordering the exploration.
     frontier: Box<dyn SearchFrontier>,
     stats: SearchStats,
@@ -334,6 +348,8 @@ impl Engine {
         config: EngineConfig,
     ) -> Self {
         let oracle = StaticAnalysis::distance_oracle(&analysis, &program);
+        // One virtual queue per goal target set: intermediate goals, then the
+        // final goal.
         let mut queue_targets: Vec<Vec<Loc>> = Vec::new();
         if config.use_intermediate_goals {
             for alts in analysis.goal_info.intermediate_goal_locs() {
@@ -344,16 +360,28 @@ impl Engine {
         }
         queue_targets.push(goal.primary_locs());
         let frontier = config.search.build(queue_targets.len());
+        let read = if !frontier.wants_priorities() {
+            0
+        } else if frontier.wants_intermediate_priorities() {
+            queue_targets.len()
+        } else {
+            1
+        };
+        let guidance = Guidance {
+            oracle,
+            queues: queue_targets.split_off(queue_targets.len() - read),
+            schedule_bias: config.schedule_bias && matches!(goal, GoalSpec::Deadlock { .. }),
+        };
         Engine {
             program,
             analysis,
-            oracle,
+            guidance,
             goal,
             config,
             states: HashMap::new(),
+            hot: None,
             next_state_id: 0,
             started: false,
-            queue_targets,
             frontier,
             stats: SearchStats::default(),
             seen_fingerprints: std::collections::HashSet::new(),
@@ -364,8 +392,19 @@ impl Engine {
     /// Captures the engine's complete search state as a serializable
     /// [`EngineSnapshot`]; see there for what is (and is not) included.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let mut states: Vec<ExecState> = self.states.values().cloned().collect();
+        let mut states: Vec<ExecState> =
+            self.states.values().chain(self.hot.as_ref().map(|h| &h.state)).cloned().collect();
         states.sort_by_key(|s| s.id);
+        let frontier = match &self.hot {
+            None => self.frontier.snapshot(),
+            Some(hot) => {
+                // The hot state as if pushed last, where a selection that
+                // passes it over would put it.
+                let mut frontier = self.frontier.snapshot().restore();
+                frontier.push(hot.state.id, &self.guidance.priority(&hot.state, hot.final_dist));
+                frontier.snapshot()
+            }
+        };
         let mut seen_fingerprints: Vec<u64> = self.seen_fingerprints.iter().copied().collect();
         seen_fingerprints.sort_unstable();
         EngineSnapshot {
@@ -374,7 +413,7 @@ impl Engine {
             states,
             next_state_id: self.next_state_id,
             started: self.started,
-            frontier: self.frontier.snapshot(),
+            frontier,
             stats: self.stats.clone(),
             seen_fingerprints,
             other_bugs: self.other_bugs.clone(),
@@ -419,18 +458,30 @@ impl Engine {
         if self.stats.steps >= self.config.max_steps {
             return StepOutcome::BudgetExceeded;
         }
-        let batch = self.frontier.pop_batch();
+        let batch = match &self.hot {
+            Some(hot) => self.frontier.pop_batch_with(&HotKeys { hot, guidance: &self.guidance }),
+            None => self.frontier.pop_batch(),
+        };
         if batch.is_empty() {
             return StepOutcome::Exhausted;
         }
-        let jobs: Vec<(u64, ExecState)> =
-            batch.iter().filter_map(|id| self.states.remove(id).map(|s| (*id, s))).collect();
+        let jobs: Vec<ExecState> = match self.hot.take() {
+            Some(hot) if batch == [hot.state.id] => vec![hot.state],
+            hot => {
+                // A hot state that was passed over is queued now, and one
+                // selected with others is taken back out of the map below.
+                if let Some(Hot { state, .. }) = hot {
+                    self.states.insert(state.id, state);
+                }
+                batch.iter().filter_map(|id| self.states.remove(id)).collect()
+            }
+        };
         if jobs.is_empty() {
             return StepOutcome::Running;
         }
         let burst = if jobs.len() > 1 { BATCH_BURST } else { 1 };
         let mut stepper = Stepper::new(&self.program, &self.analysis, &self.goal, &self.config);
-        let results = jobs.into_iter().map(|(id, state)| stepper.turn(id, state, burst)).collect();
+        let results = jobs.into_iter().map(|state| stepper.turn(state.id, state, burst)).collect();
         self.merge(results)
     }
 
@@ -454,9 +505,9 @@ impl Engine {
         &self.stats
     }
 
-    /// Number of live (queued or pooled) execution states.
+    /// Number of live (queued, pooled or hot) execution states.
     pub fn live_states(&self) -> usize {
-        self.states.len()
+        self.states.len() + usize::from(self.hot.is_some())
     }
 
     /// The goal this engine searches for.
@@ -479,9 +530,10 @@ impl Engine {
     /// Merges a batch's turn results into the shared pool, strictly in batch
     /// order: statistics first, then snapshot promotions, then fork
     /// admission (dedup fingerprint + pool cap, assigning state ids in
-    /// creation order), then the surviving parent re-enters the frontier.
-    /// The first goal-reaching result in batch order wins; later results of
-    /// the same batch are discarded.
+    /// creation order), then the surviving parent re-enters the frontier —
+    /// or, for the batch's last result, becomes the hot state. The first
+    /// goal-reaching result in batch order wins; later results of the same
+    /// batch are discarded.
     fn merge(&mut self, results: Vec<TurnResult>) -> StepOutcome {
         let mut pending: VecDeque<TurnResult> = results.into();
         while let Some(mut result) = pending.pop_front() {
@@ -514,6 +566,11 @@ impl Engine {
                 }
             }
             match result.verdict {
+                TurnVerdict::Continue if pending.is_empty() => {
+                    let final_dist = self.guidance.final_distance(&result.state);
+                    self.note_proximity(final_dist);
+                    self.hot = Some(Hot { state: result.state, final_dist });
+                }
                 TurnVerdict::Continue => self.reinsert_state(result.state),
                 TurnVerdict::Dead => {}
                 TurnVerdict::Goal { solution: Some(solution) } => {
@@ -622,34 +679,94 @@ impl Engine {
     /// (Re-)enters a state into the frontier, computing the per-goal-queue
     /// priority keys only when the frontier consumes them.
     fn push_to_frontier(&mut self, state: &ExecState) {
-        let prio = self.frontier_priority(state);
-        self.frontier.push(state.id, &prio);
+        let final_dist = self.guidance.final_distance(state);
+        self.note_proximity(final_dist);
+        self.frontier.push(state.id, &self.guidance.priority(state, final_dist));
     }
 
-    /// Computes the state's frontier priority and records the raw final-goal
-    /// path distance into [`SearchStats::best_proximity`] (the observer
-    /// progress signal is the unbiased Algorithm-1 estimate, not the
-    /// schedule-biased queue key — otherwise deadlock-goal progress would
-    /// jump by multiples of the schedule weight).
-    fn frontier_priority(&mut self, state: &ExecState) -> StatePriority {
-        if !self.frontier.wants_priorities() {
-            return StatePriority { queue_keys: Vec::new(), depth: state.steps };
+    /// Folds a state's raw final-goal path distance into
+    /// [`SearchStats::best_proximity`] (the observer progress signal is the
+    /// unbiased Algorithm-1 estimate, not the schedule-biased queue key —
+    /// otherwise deadlock-goal progress would jump by multiples of the
+    /// schedule weight).
+    fn note_proximity(&mut self, final_dist: Option<u64>) {
+        if let Some(d) = final_dist {
+            self.stats.best_proximity = Some(self.stats.best_proximity.map_or(d, |b| b.min(d)));
         }
-        let sched = self.sched_bias(state);
-        let (queue_keys, final_dist) = if self.frontier.wants_intermediate_priorities() {
-            let dists: Vec<u64> =
-                self.queue_targets.iter().map(|t| self.path_distance(state, t)).collect();
-            let final_dist = *dists.last().expect("final goal queue");
-            (dists.into_iter().map(|d| Self::bias(sched, d)).collect(), final_dist)
-        } else {
-            // The frontier only consumes the final-goal key (e.g. the beam):
-            // skip the per-intermediate-goal proximity scans entirely.
-            let final_targets = self.queue_targets.last().expect("final goal queue");
-            let d = self.path_distance(state, final_targets);
-            (vec![Self::bias(sched, d)], d)
+    }
+}
+
+/// The state the last round advanced, with its raw final-goal distance
+/// (`None` when the frontier reads no keys).
+struct Hot {
+    state: ExecState,
+    final_dist: Option<u64>,
+}
+
+/// A [`Hot`] state as the frontier sees it during a selection.
+struct HotKeys<'a> {
+    hot: &'a Hot,
+    guidance: &'a Guidance,
+}
+
+impl HotState for HotKeys<'_> {
+    fn id(&self) -> u64 {
+        self.hot.state.id
+    }
+
+    fn priority(&self) -> StatePriority {
+        self.guidance.priority(&self.hot.state, self.hot.final_dist)
+    }
+
+    fn queue_key(&self, queue: usize) -> u64 {
+        let state = &self.hot.state;
+        let dist = match self.hot.final_dist {
+            Some(d) if queue + 1 == self.guidance.queues.len() => d,
+            _ => self.guidance.path_distance(state, &self.guidance.queues[queue]),
         };
-        self.stats.best_proximity =
-            Some(self.stats.best_proximity.map_or(final_dist, |b| b.min(final_dist)));
+        bias(self.guidance.sched_bias(state), dist)
+    }
+
+    fn depth(&self) -> u64 {
+        self.hot.state.steps
+    }
+}
+
+/// How the engine turns a state into frontier priority keys. It is kept
+/// apart from the rest of the engine so a selection can read it while the
+/// frontier is borrowed.
+struct Guidance {
+    oracle: DistanceOracle,
+    /// The targets of each virtual queue whose key the frontier reads, final
+    /// goal last: every queue for the proximity frontier, only the final one
+    /// for the beam, none for the frontiers without priorities.
+    queues: Vec<Vec<Loc>>,
+    /// Whether the deadlock schedule-distance bias (§4.1) applies.
+    schedule_bias: bool,
+}
+
+impl Guidance {
+    /// The state's raw path distance to the final goal, or `None` when the
+    /// frontier reads no keys.
+    fn final_distance(&self, state: &ExecState) -> Option<u64> {
+        self.queues.last().map(|targets| self.path_distance(state, targets))
+    }
+
+    /// The state's frontier priority, given its [final
+    /// distance](Guidance::final_distance).
+    fn priority(&self, state: &ExecState, final_dist: Option<u64>) -> StatePriority {
+        let queue_keys = match (final_dist, self.queues.split_last()) {
+            (Some(final_dist), Some((_, intermediate))) => {
+                let sched = self.sched_bias(state);
+                intermediate
+                    .iter()
+                    .map(|targets| self.path_distance(state, targets))
+                    .chain([final_dist])
+                    .map(|d| bias(sched, d))
+                    .collect()
+            }
+            _ => Vec::new(),
+        };
         StatePriority { queue_keys, depth: state.steps }
     }
 
@@ -672,7 +789,7 @@ impl Engine {
 
     /// The deadlock schedule-distance bias (§4.1) applied to priority keys.
     fn sched_bias(&self, state: &ExecState) -> u64 {
-        if self.config.schedule_bias && matches!(self.goal, GoalSpec::Deadlock { .. }) {
+        if self.schedule_bias {
             match state.sched_distance {
                 SchedDistance::Near => 0,
                 SchedDistance::Neutral => SCHED_WEIGHT,
@@ -682,8 +799,9 @@ impl Engine {
             0
         }
     }
+}
 
-    fn bias(sched: u64, path_dist: u64) -> u64 {
-        sched.saturating_add(path_dist.min(SCHED_WEIGHT - 1))
-    }
+/// A queue key: the schedule bias plus the capped path distance.
+fn bias(sched: u64, path_dist: u64) -> u64 {
+    sched.saturating_add(path_dist.min(SCHED_WEIGHT - 1))
 }

@@ -25,14 +25,21 @@
 //!
 //! # Contract
 //!
-//! The engine computes a [`StatePriority`] for a state every time the state
-//! enters (or re-enters) the frontier and calls [`SearchFrontier::push`]; a
-//! later `push` of the same id *replaces* the previous position (used to
-//! promote states when the deadlock heuristics change their priority). A
-//! [`SearchFrontier::pop`] removes the returned state from the frontier.
-//! Implementations may keep lazily-invalidated entries internally, but `pop`
-//! must only return ids that are currently pushed, and `len` counts live
-//! states, not internal entries.
+//! The engine computes a [`StatePriority`] for a state when it enters the
+//! frontier and calls [`SearchFrontier::push`]; a later `push` of the same id
+//! *replaces* the previous position (used to promote states when the deadlock
+//! heuristics change their priority). A [`SearchFrontier::pop`] removes the
+//! returned state from the frontier. Implementations may keep
+//! lazily-invalidated entries internally, but `pop` must only return ids that
+//! are currently pushed, and `len` counts live states, not internal entries.
+//!
+//! The state the engine just advanced does not re-enter the frontier at
+//! once. The engine holds it as the *hot* state and offers it to the next
+//! selection, [`SearchFrontier::pop_batch_with`], which must decide exactly
+//! what a `push` of it followed by [`SearchFrontier::pop_batch`] would have
+//! decided. The default does that push and pop. [`ProximityFrontier`]
+//! compares the hot state with the top of the one queue it draws, and pushes
+//! it (computing its keys for every queue) only when it loses.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -187,6 +194,23 @@ pub struct StatePriority {
     pub depth: u64,
 }
 
+/// The state the engine advanced in the previous round, offered to the next
+/// selection without having been pushed (see the [module docs](self)). The
+/// engine computes its keys only when the frontier asks for them.
+pub trait HotState {
+    /// The state's id.
+    fn id(&self) -> u64;
+
+    /// The priority [`SearchFrontier::push`] would receive for the state.
+    fn priority(&self) -> StatePriority;
+
+    /// `priority().queue_keys[queue]`, computed for that one queue alone.
+    fn queue_key(&self, queue: usize) -> u64;
+
+    /// `priority().depth`.
+    fn depth(&self) -> u64;
+}
+
 /// A worklist of execution-state ids; see the [module docs](self) for the
 /// push/pop contract.
 ///
@@ -195,7 +219,9 @@ pub struct StatePriority {
 /// thread pool.
 pub trait SearchFrontier: Send {
     /// Inserts state `id`, or — if it is already in the frontier — moves it
-    /// to the position implied by the new priority.
+    /// to the position implied by the new priority. The engine pushes states
+    /// it admits or promotes, and the hot state when a selection passes it
+    /// over; a state that keeps winning selections is never re-pushed.
     fn push(&mut self, id: u64, prio: &StatePriority);
 
     /// Removes and returns the next state to advance, or `None` when the
@@ -212,6 +238,19 @@ pub trait SearchFrontier: Send {
     /// deterministic: the engine merges batch results in exactly this order.
     fn pop_batch(&mut self) -> Vec<u64> {
         self.pop().into_iter().collect()
+    }
+
+    /// Selects the next batch as if `hot` had been pushed just before
+    /// [`pop_batch`](SearchFrontier::pop_batch): the same ids in the same
+    /// order, leaving a frontier with an equal
+    /// [`snapshot`](SearchFrontier::snapshot). `hot` stays in the frontier
+    /// exactly when the batch does not contain it.
+    ///
+    /// The default does exactly that push and pop; [`ProximityFrontier`]
+    /// overrides it to push `hot` only when another state is selected.
+    fn pop_batch_with(&mut self, hot: &dyn HotState) -> Vec<u64> {
+        self.push(hot.id(), &hot.priority());
+        self.pop_batch()
     }
 
     /// True if this frontier consumes [`StatePriority::queue_keys`]; the
@@ -645,6 +684,33 @@ impl SearchFrontier for ProximityFrontier {
         }
         // Every sampled queue drained stale: fall back to any live state.
         self.live.take_any()
+    }
+
+    fn pop_batch_with(&mut self, hot: &dyn HotState) -> Vec<u64> {
+        // `pop`'s draw. Had `hot` been pushed, every queue would hold a live
+        // entry, so that first draw would always select.
+        let qi = self.rng.gen_range(0..self.queues.len());
+        let queue = &mut self.queues[qi];
+        while let Some(Reverse((_, _, stamp, id))) = queue.peek() {
+            if self.live.is_current(*id, *stamp) {
+                break;
+            }
+            queue.pop();
+        }
+        // A pushed `hot` would carry the newest stamp, so the queued entry
+        // wins ties on `(key, inverted depth)`.
+        let hot_entry = (hot.queue_key(qi), u64::MAX - hot.depth());
+        match queue.peek().map(|Reverse(top)| *top) {
+            Some((key, depth, stamp, id)) if (key, depth) <= hot_entry => {
+                queue.pop();
+                self.live.take(id, stamp);
+                // No other push comes between `pop`'s removal and this one,
+                // so every stamp keeps its order relative to `hot`'s.
+                self.push(hot.id(), &hot.priority());
+                vec![id]
+            }
+            _ => vec![hot.id()],
+        }
     }
 
     fn wants_priorities(&self) -> bool {

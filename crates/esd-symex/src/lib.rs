@@ -38,9 +38,9 @@ pub use engine::{
 };
 pub use expr::{SymExpr, SymValue, SymVar, SymVarInfo};
 pub use frontier::{
-    BeamFrontier, BfsFrontier, DfsFrontier, FrontierKind, FrontierSnapshot, LivenessSnapshot,
-    ProximityFrontier, RandomFrontier, SearchConfig, SearchFrontier, StatePriority,
-    DEFAULT_BEAM_WIDTH,
+    BeamFrontier, BfsFrontier, DfsFrontier, FrontierKind, FrontierSnapshot, HotState,
+    LivenessSnapshot, ProximityFrontier, RandomFrontier, SearchConfig, SearchFrontier,
+    StatePriority, DEFAULT_BEAM_WIDTH,
 };
 pub use solver::{Solver, SolverConfig, SolverResult};
 pub use state::{ExecState, RaceDetector, SchedDistance, SymMemory, SymThread};

@@ -11,7 +11,10 @@ use esd::service::wire::{
     decode_request, decode_response, encode_frame as encode_wire_frame, encode_request,
     encode_response, FrameDecoder, WireRequest, WireResponse,
 };
-use esd::symex::{ExecState, RaceDetector, Solver, SolverResult, SymExpr, SymVar};
+use esd::symex::{
+    ExecState, HotState, ProximityFrontier, RaceDetector, SearchFrontier, Solver, SolverResult,
+    StatePriority, SymExpr, SymVar,
+};
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind, ScheduleHint};
 use esd::{EsdOptions, FrontierKind, SessionStatus, SynthesisSession};
 use proptest::prelude::*;
@@ -395,6 +398,69 @@ proptest! {
         prop_assert_eq!(&images[0], &images[1], "{} diverged after restore", frontier);
     }
 
+    /// The proximity frontier's hot selection decides exactly what pushing
+    /// the hot state and popping would. Random scripts of admissions,
+    /// promotions (re-pushes), deaths and selections — with tied keys and
+    /// depths, and drawn queues that hold only stale entries or none — drive
+    /// two frontiers with the same seed, one through `pop_batch_with` and
+    /// one through `push` then `pop_batch`. Every selection picks the same id
+    /// and the two snapshots stay equal throughout.
+    #[test]
+    fn proximity_hot_selection_matches_push_then_pop(
+        seed in 0u64..1_000,
+        queues in 1usize..4,
+        script in proptest::collection::vec((0u32..4, 0u64..64, 0u64..3), 0..80),
+    ) {
+        // Two bits of key per queue: keys in 0..4, so ties are common.
+        let prio = |genes: u64, depth: u64| StatePriority {
+            queue_keys: (0..queues).map(|q| (genes >> (2 * q)) & 3).collect(),
+            depth,
+        };
+        let mut hot_path = ProximityFrontier::new(queues, seed);
+        let mut reference = ProximityFrontier::new(queues, seed);
+        let mut queued: Vec<u64> = Vec::new();
+        let mut hot: Option<TestHot> = None;
+        let mut next_id = 0;
+        for (op, genes, depth) in script {
+            match op {
+                0 => {
+                    for frontier in [&mut hot_path, &mut reference] {
+                        frontier.push(next_id, &prio(genes, depth));
+                    }
+                    queued.push(next_id);
+                    next_id += 1;
+                }
+                1 if !queued.is_empty() => {
+                    let id = queued[genes as usize % queued.len()];
+                    for frontier in [&mut hot_path, &mut reference] {
+                        frontier.push(id, &prio(genes, depth));
+                    }
+                }
+                3 => hot = None,
+                _ => {
+                    let (selected, expected) = match &hot {
+                        Some(h) => {
+                            let selected = hot_path.pop_batch_with(h);
+                            reference.push(h.id, &h.prio);
+                            (selected, reference.pop_batch())
+                        }
+                        None => (hot_path.pop_batch(), reference.pop_batch()),
+                    };
+                    prop_assert_eq!(&selected, &expected);
+                    if let Some(h) = hot.take() {
+                        if selected != [h.id] {
+                            queued.push(h.id);
+                        }
+                    }
+                    queued.retain(|id| !selected.contains(id));
+                    hot = selected.first().map(|&id| TestHot { id, prio: prio(genes, depth) });
+                }
+            }
+            prop_assert_eq!(hot_path.len(), reference.len());
+            prop_assert_eq!(hot_path.snapshot(), reference.snapshot());
+        }
+    }
+
     /// Journal scanning is total: truncating a valid journal at any byte
     /// offset, or flipping any single bit, yields the longest valid prefix
     /// of the original records — and never panics.
@@ -686,4 +752,28 @@ fn brute_force_sat(constraints: &[Arc<SymExpr>], vars: u32) -> bool {
         }
         constraints.iter().all(|c| c.eval(&assignment) != 0)
     })
+}
+
+/// A hot state with a fixed priority, for driving a frontier directly.
+struct TestHot {
+    id: u64,
+    prio: StatePriority,
+}
+
+impl HotState for TestHot {
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn priority(&self) -> StatePriority {
+        self.prio.clone()
+    }
+
+    fn queue_key(&self, queue: usize) -> u64 {
+        self.prio.queue_keys[queue]
+    }
+
+    fn depth(&self) -> u64 {
+        self.prio.depth
+    }
 }
