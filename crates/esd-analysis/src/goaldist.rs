@@ -236,14 +236,20 @@ impl DistanceOracle {
     /// stack of locations, outermost frame first, innermost (current pc)
     /// last — to `goal`.
     pub fn proximity(&self, stack: &[Loc], goal: Loc) -> u64 {
-        let gd = self.goal_distances(goal);
+        self.proximity_with(stack, &self.goal_distances(goal))
+    }
+
+    /// [`DistanceOracle::proximity`] to the goal of distance maps the caller
+    /// resolved once with [`DistanceOracle::goal_distances`], so a caller
+    /// that asks about the same goals on every step skips the cache lookup.
+    pub fn proximity_with(&self, stack: &[Loc], gd: &GoalDistances) -> u64 {
         let Some(&pc) = stack.last() else { return INF };
-        let mut dmin = self.distance_from(&gd, pc);
+        let mut dmin = self.distance_from(gd, pc);
         // Walk outward through the call stack: return from the current
         // frame(s), then continue toward the goal from the return address.
         let mut ret_cost = self.analysis.costs.dist2ret(&self.program, pc);
         for caller in stack.iter().rev().skip(1) {
-            let d = sat(sat(ret_cost, 1), self.distance_from(&gd, *caller));
+            let d = sat(sat(ret_cost, 1), self.distance_from(gd, *caller));
             dmin = dmin.min(d);
             ret_cost = sat(sat(ret_cost, 1), self.analysis.costs.dist2ret(&self.program, *caller));
             if ret_cost >= INF {

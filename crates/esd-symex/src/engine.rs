@@ -49,7 +49,7 @@
 use crate::frontier::{FrontierSnapshot, HotState, SearchConfig, SearchFrontier, StatePriority};
 use crate::state::{ExecState, SchedDistance};
 use crate::stepper::{PendingFork, Promotion, Solution, Stepper, TurnResult, TurnVerdict};
-use esd_analysis::{DistanceOracle, StaticAnalysis, INF};
+use esd_analysis::{DistanceOracle, GoalDistances, StaticAnalysis, INF};
 use esd_concurrency::Schedule;
 use esd_ir::interp::ThreadStatus;
 use esd_ir::{FaultKind, Loc, Program};
@@ -367,9 +367,15 @@ impl Engine {
         } else {
             1
         };
+        // Resolve the distance maps of the queues the frontier reads (the
+        // last `read` ones) once, instead of per state and step.
+        let queues = queue_targets[queue_targets.len() - read..]
+            .iter()
+            .map(|targets| targets.iter().map(|t| oracle.goal_distances(*t)).collect())
+            .collect();
         let guidance = Guidance {
             oracle,
-            queues: queue_targets.split_off(queue_targets.len() - read),
+            queues,
             schedule_bias: config.schedule_bias && matches!(goal, GoalSpec::Deadlock { .. }),
         };
         Engine {
@@ -737,10 +743,11 @@ impl HotState for HotKeys<'_> {
 /// frontier is borrowed.
 struct Guidance {
     oracle: DistanceOracle,
-    /// The targets of each virtual queue whose key the frontier reads, final
-    /// goal last: every queue for the proximity frontier, only the final one
-    /// for the beam, none for the frontiers without priorities.
-    queues: Vec<Vec<Loc>>,
+    /// The distance maps of every target of each virtual queue whose key the
+    /// frontier reads, final goal last: every queue for the proximity
+    /// frontier, only the final one for the beam, none for the frontiers
+    /// without priorities. Resolved once, when the engine is built.
+    queues: Vec<Vec<Arc<GoalDistances>>>,
     /// Whether the deadlock schedule-distance bias (§4.1) applies.
     schedule_bias: bool,
 }
@@ -773,7 +780,7 @@ impl Guidance {
     /// The state's raw path distance to `targets`: the best proximity any
     /// runnable thread (preferring the scheduled one) has to any of the
     /// queue's target locations.
-    fn path_distance(&self, state: &ExecState, targets: &[Loc]) -> u64 {
+    fn path_distance(&self, state: &ExecState, targets: &[Arc<GoalDistances>]) -> u64 {
         let mut path_dist = INF;
         for thread in &state.threads {
             if thread.is_finished() || (!thread.is_runnable() && thread.id != state.current) {
@@ -781,7 +788,7 @@ impl Guidance {
             }
             let stack = thread.stack_locs();
             for t in targets {
-                path_dist = path_dist.min(self.oracle.proximity(&stack, *t));
+                path_dist = path_dist.min(self.oracle.proximity_with(&stack, t));
             }
         }
         path_dist
