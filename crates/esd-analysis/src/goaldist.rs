@@ -239,9 +239,10 @@ impl DistanceOracle {
         self.proximity_with(stack, &self.goal_distances(goal))
     }
 
-    /// [`DistanceOracle::proximity`] to the goal of distance maps the caller
-    /// resolved once with [`DistanceOracle::goal_distances`], so a caller
-    /// that asks about the same goals on every step skips the cache lookup.
+    /// [`DistanceOracle::proximity`] against distance maps the caller
+    /// resolved with [`DistanceOracle::goal_distances`]: a caller that asks
+    /// about the same goals on every step resolves them once and skips the
+    /// cache lookup.
     pub fn proximity_with(&self, stack: &[Loc], gd: &GoalDistances) -> u64 {
         let Some(&pc) = stack.last() else { return INF };
         let mut dmin = self.distance_from(gd, pc);

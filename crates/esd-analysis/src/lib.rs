@@ -56,7 +56,7 @@ pub use cfg::Cfg;
 pub use costs::{CostModel, INF, RECURSION_COST};
 pub use critical::{CriticalEdge, IntermediateGoal, StaticGoalInfo};
 pub use dataflow::{ForwardAnalysis, JoinSemiLattice};
-pub use goaldist::{DistanceOracle, GoalDistances};
+pub use goaldist::DistanceOracle;
 pub use interval::{BranchFeasibility, Feasibility, Interval};
 pub use lint::{Diagnostic, LintContext, LintPass, LintRegistry, Severity};
 pub use lockorder::{LockCycle, LockEdge, LockOrderInfo};

@@ -49,7 +49,8 @@
 use crate::frontier::{FrontierSnapshot, HotState, SearchConfig, SearchFrontier, StatePriority};
 use crate::state::{ExecState, SchedDistance};
 use crate::stepper::{PendingFork, Promotion, Solution, Stepper, TurnResult, TurnVerdict};
-use esd_analysis::{DistanceOracle, GoalDistances, StaticAnalysis, INF};
+use esd_analysis::goaldist::GoalDistances;
+use esd_analysis::{DistanceOracle, StaticAnalysis, INF};
 use esd_concurrency::Schedule;
 use esd_ir::interp::ThreadStatus;
 use esd_ir::{FaultKind, Loc, Program};

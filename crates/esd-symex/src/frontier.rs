@@ -219,9 +219,10 @@ pub trait HotState {
 /// thread pool.
 pub trait SearchFrontier: Send {
     /// Inserts state `id`, or — if it is already in the frontier — moves it
-    /// to the position implied by the new priority. The engine pushes states
-    /// it admits or promotes, and the hot state when a selection passes it
-    /// over; a state that keeps winning selections is never re-pushed.
+    /// to the position implied by the new priority. The engine pushes the
+    /// states it admits or promotes and those that survive their turn,
+    /// except the hot state, which it pushes only when a selection passes it
+    /// over.
     fn push(&mut self, id: u64, prio: &StatePriority);
 
     /// Removes and returns the next state to advance, or `None` when the
@@ -243,7 +244,7 @@ pub trait SearchFrontier: Send {
     /// Selects the next batch as if `hot` had been pushed just before
     /// [`pop_batch`](SearchFrontier::pop_batch): the same ids in the same
     /// order, leaving a frontier with an equal
-    /// [`snapshot`](SearchFrontier::snapshot). `hot` stays in the frontier
+    /// [`snapshot`](SearchFrontier::snapshot). `hot` ends up in the frontier
     /// exactly when the batch does not contain it.
     ///
     /// The default does exactly that push and pop; [`ProximityFrontier`]
