@@ -1,8 +1,9 @@
 //! Benchmark harness regenerating the paper's evaluation (§7).
 //!
 //! Each public function reproduces one table or figure and returns printable
-//! rows; the `benches/` targets and `src/bin/` binaries are thin wrappers
-//! that run them and print the same rows the paper reports. Absolute times
+//! rows; the `src/bin/` binaries (five of which double as harness-less
+//! `cargo bench` targets) are thin wrappers that run them and print the same
+//! rows the paper reports. Absolute times
 //! will differ from the paper's 2008-era testbed (and our substrate is an IR
 //! interpreter rather than LLVM/Klee); the *shape* — ESD succeeds within
 //! seconds-to-minutes, KC hits its cap on the real-bug analogs, synthesis
@@ -19,13 +20,9 @@
 
 pub mod coverage;
 
-use esd_core::{
-    kc_synthesize, stress_test, Esd, EsdOptions, JobExecutor, JobSpec, JobVerdict, KcStrategy,
-    StressConfig,
-};
+use esd_core::{kc_synthesize, stress_test, Esd, EsdOptions, KcStrategy, StressConfig};
 use esd_playback::play;
-use esd_symex::{FrontierKind, GoalSpec};
-use esd_workloads::real_bugs::{ghttpd_log_overflow, paste_invalid_free, sqlite_recursive_lock};
+use esd_symex::FrontierKind;
 use esd_workloads::{all_real_bugs, generate_bpf, listing1, BpfConfig, Workload, WorkloadKind};
 use serde::Serialize;
 use std::time::{Duration, Instant};
@@ -90,26 +87,6 @@ pub fn static_pruning_from_env() -> bool {
     }
 }
 
-/// The executor pool size the multi-job benchmarks should use for
-/// their cross-job parallel leg: a `pool:<n>` positional CLI argument wins
-/// (`executor_throughput pool:8`), then the `ESD_POOL` environment variable,
-/// then 2. `0` (or `auto`) means "all available parallelism". The pool size
-/// never changes what is synthesized — only how fast
-/// the batch drains (see `esd_core::JobExecutor::pool_size`); the
-/// `executor_throughput` binary exits non-zero if it ever does.
-pub fn pool_from_args() -> usize {
-    let parse = |s: &str| -> usize {
-        if s.eq_ignore_ascii_case("auto") {
-            return 0;
-        }
-        s.parse().unwrap_or_else(|_| {
-            panic!("pool size {s:?} must be a non-negative integer or \"auto\"")
-        })
-    };
-    let from_cli = std::env::args().skip(1).find_map(|a| a.strip_prefix("pool:").map(parse));
-    from_cli.or_else(|| std::env::var("ESD_POOL").ok().map(|s| parse(&s))).unwrap_or(2)
-}
-
 pub(crate) fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
@@ -144,7 +121,7 @@ pub fn table1(esd_budget: u64) -> Vec<Table1Row> {
     rows
 }
 
-/// Runs one Table-1 row (public so the quick bench targets can reuse it).
+/// Runs one Table-1 row.
 pub fn run_table1_row(w: &Workload, esd_budget: u64) -> Table1Row {
     let esd = EsdOptions::builder()
         .max_steps(esd_budget)
@@ -445,377 +422,6 @@ pub fn playback_check(esd_budget: u64, repetitions: u32) -> Vec<(String, bool)> 
         out.push((w.name.clone(), ok));
     }
     out
-}
-
-/// One job of the multi-job executor throughput benchmark
-/// (`BENCH_executor.json`).
-#[derive(Debug, Clone, Serialize)]
-pub struct ExecutorJobRow {
-    /// The workload/job label.
-    pub label: String,
-    /// Whether the job synthesized an execution within its budget.
-    pub synthesized: bool,
-    /// Whether the synthesized execution replayed to the same failure.
-    pub replays: bool,
-    /// Wall-clock time from the job's admission to its terminal state,
-    /// in seconds — this includes the slices spent on the *other* jobs of
-    /// the batch, which is the latency a service user observes.
-    pub wall_secs: f64,
-    /// Executor slices dispatched to the job.
-    pub slices: u64,
-    /// Search rounds the job advanced.
-    pub rounds: u64,
-    /// Instructions the job's search executed.
-    pub steps: u64,
-    /// Branches the static feasibility pass pruned from the job's search.
-    pub branches_pruned_static: u64,
-    /// Solver queries the static feasibility pass answered without calling
-    /// the solver.
-    pub solver_queries_saved: u64,
-    /// Whether the job ran with race-directed preemptions enabled.
-    pub race_mode: bool,
-    /// States the job's search forked (including the initial state).
-    pub states_created: u64,
-    /// Preemption forks the static race-candidate set pruned from the job's
-    /// search (always 0 outside race mode).
-    pub preemptions_pruned_static: u64,
-}
-
-/// The machine-readable result of [`executor_throughput`], serialized to
-/// `BENCH_executor.json` by the `executor_throughput` binary and gated in CI
-/// (the `bench-smoke` job fails when any batch job fails to synthesize).
-#[derive(Debug, Clone, Serialize)]
-pub struct ExecutorBenchReport {
-    /// The fairness policy the batch ran under.
-    pub policy: String,
-    /// The executor's base slice length in rounds.
-    pub slice_rounds: u64,
-    /// Instruction budget per job.
-    pub esd_budget: u64,
-    /// `"reduced"` (the default / CI smoke mode) or `"full"`
-    /// (`ESD_BENCH_FULL=1`).
-    pub mode: &'static str,
-    /// Whether static pruning — branch-feasibility verdicts and race-pair
-    /// candidate gating — was on for the batch (`ESD_STATIC_PRUNING`,
-    /// default on).
-    pub static_pruning: bool,
-    /// Branches the static feasibility pass pruned, summed over the batch.
-    pub branches_pruned_static: u64,
-    /// Solver queries the static feasibility pass saved, summed over the
-    /// batch.
-    pub solver_queries_saved: u64,
-    /// Preemption forks the candidate set pruned, summed over the batch.
-    pub preemptions_pruned_static: u64,
-    /// States forked by the race-mode jobs of the batch — the number the
-    /// candidate gating shrinks (compare across `ESD_STATIC_PRUNING=0/1`
-    /// runs).
-    pub race_states_created: u64,
-    /// Per-job measurements, in submission order.
-    pub jobs: Vec<ExecutorJobRow>,
-    /// Number of jobs in the batch.
-    pub jobs_total: usize,
-    /// Number of jobs that synthesized their failure.
-    pub jobs_synthesized: usize,
-    /// Wall-clock time to drain the whole batch, in seconds.
-    pub total_wall_secs: f64,
-    /// Batch throughput: synthesized jobs per second of batch wall time.
-    pub throughput_jobs_per_sec: f64,
-    /// The executor pool size of the cross-job parallel re-run — jobs
-    /// granted a slice per batch, each on its own thread (`pool:<n>` /
-    /// `ESD_POOL`; `0` is all available parallelism; the serial baseline
-    /// always runs at pool 1).
-    pub executor_pool_size: usize,
-    /// Wall-clock time to drain the identical batch with cross-job parallel
-    /// slice execution at `executor_pool_size`, in seconds.
-    pub parallel_total_wall_secs: f64,
-    /// Cross-job speedup: serial batch wall time over parallel batch wall
-    /// time (> 1 means the pool paid off).
-    pub cross_job_speedup: f64,
-    /// Labels of jobs whose parallel-run execution file (or verdict)
-    /// diverged from the serial baseline — must be empty; the
-    /// `executor_throughput` binary exits 6 otherwise.
-    pub parallel_divergence: Vec<String>,
-    /// Checkpoint cadence (in slices) of the durable re-run.
-    pub checkpoint_every: u64,
-    /// Wall-clock time to drain the identical batch under a *durable*
-    /// executor (write-ahead journal + periodic checkpoints), in seconds.
-    pub durable_total_wall_secs: f64,
-    /// The durability tax: `(durable - plain) / plain`, as a percentage of
-    /// the plain batch wall time. Can be slightly negative on a noisy
-    /// machine when the true overhead is below the timing jitter.
-    pub checkpoint_overhead_pct: f64,
-}
-
-impl ExecutorBenchReport {
-    /// True when every job of the batch synthesized its failure — the CI
-    /// gate of the `bench-smoke` job.
-    pub fn all_synthesized(&self) -> bool {
-        self.jobs_synthesized == self.jobs_total
-    }
-}
-
-/// The throughput batch: a mixed bag of deadlocks and crashes, ≥ 4 jobs
-/// (the `bench-smoke` acceptance floor), plus a generated data-race job run
-/// with race-directed preemptions (the `bool` of each pair) so the batch
-/// always exercises — and the bin can gate on — the static race-candidate
-/// pruning counters. Extended with BPF jobs in full mode.
-fn executor_batch() -> Vec<(Workload, bool)> {
-    use esd_workloads::genbug::{generate, GenConfig, InjectedBugKind};
-    let mut batch: Vec<(Workload, bool)> = vec![
-        (sqlite_recursive_lock(), false),
-        (paste_invalid_free(), false),
-        (ghttpd_log_overflow(), false),
-        (listing1(), false),
-    ];
-    batch.extend(
-        all_real_bugs()
-            .into_iter()
-            .filter(|w| w.name == "mkfifo" || w.name == "tac")
-            .map(|w| (w, false)),
-    );
-    let race_seed = coverage::smoke_seeds()[0];
-    batch.push((
-        generate(&GenConfig::new(race_seed, InjectedBugKind::DataRace)).to_workload(),
-        true,
-    ));
-    if full_mode() {
-        batch.push((generate_bpf(&BpfConfig { branches: 128, ..Default::default() }), false));
-        batch.push((
-            generate_bpf(&BpfConfig { branches: 256, seed: 9, ..Default::default() }),
-            false,
-        ));
-    }
-    batch
-}
-
-/// The multi-job throughput benchmark: submits the batch (a mixed bag of
-/// deadlocks and crashes, ≥ 4 jobs; BPF jobs added in full mode) to a
-/// round-robin [`JobExecutor`], drains it, replays every synthesized
-/// execution, and reports per-job wall time plus total batch throughput.
-///
-/// One untimed serial drain runs first, so the timed serial leg does not
-/// pay the process's warm-up (page faults, allocator growth) that the
-/// legs after it would skip — without it the cross-job speedup mostly
-/// measures leg order.
-pub fn executor_throughput(esd_budget: u64, slice_rounds: u64) -> ExecutorBenchReport {
-    let batch = executor_batch();
-    let static_pruning = static_pruning_from_env();
-    let job_options = |race: bool| {
-        EsdOptions::builder()
-            .max_steps(esd_budget)
-            .static_pruning(static_pruning)
-            .with_race_detection(race)
-            .build()
-    };
-    let specs = || -> Vec<JobSpec> {
-        batch
-            .iter()
-            .map(|(w, race)| {
-                JobSpec::new(&w.name, &w.program, w.goal()).options(job_options(*race))
-            })
-            .collect()
-    };
-    JobExecutor::round_robin().slice_rounds(slice_rounds).run_batch(specs());
-
-    let mut executor = JobExecutor::round_robin().slice_rounds(slice_rounds);
-    let started = Instant::now();
-    let handles = executor.submit_batch(specs());
-    executor.run_until_idle();
-    let total_wall = started.elapsed();
-
-    // The identical batch again with cross-job parallel slice execution:
-    // each batch grants up to `pool` jobs a slice, one thread each. The
-    // determinism contract says this may only change the wall time, never
-    // the execution files — the divergence list (and the binary's exit 6)
-    // holds it to that.
-    let executor_pool_size = pool_from_args();
-    let mut parallel =
-        JobExecutor::round_robin().slice_rounds(slice_rounds).pool_size(executor_pool_size);
-    let parallel_started = Instant::now();
-    let parallel_handles = parallel.submit_batch(specs());
-    parallel.run_until_idle();
-    let parallel_wall = parallel_started.elapsed();
-
-    // The identical batch again under a durable executor — measures the
-    // checkpoint/journal tax a service pays for crash recoverability.
-    let checkpoint_every = 8;
-    let durable_dir = std::env::temp_dir().join("esd-bench-durable");
-    let _ = std::fs::remove_dir_all(&durable_dir);
-    let mut durable = JobExecutor::round_robin()
-        .slice_rounds(slice_rounds)
-        .checkpoint_every(checkpoint_every)
-        .durable_dir(&durable_dir)
-        .expect("the durable bench directory is writable");
-    let durable_started = Instant::now();
-    durable.submit_batch(specs());
-    durable.run_until_idle();
-    let durable_wall = durable_started.elapsed();
-    drop(durable);
-    let _ = std::fs::remove_dir_all(&durable_dir);
-
-    let mut jobs = Vec::with_capacity(batch.len());
-    let mut parallel_divergence = Vec::new();
-    for (((w, race), handle), parallel_handle) in batch.iter().zip(handles).zip(parallel_handles) {
-        let outcome = executor.take(handle).expect("an idle executor finished every job");
-        // The parallel leg's result must be indistinguishable: same verdict,
-        // byte-identical execution file.
-        let parallel_outcome =
-            parallel.take(parallel_handle).expect("an idle executor finished every job");
-        let serial_exec = outcome.report().map(|r| r.execution.to_json());
-        let parallel_exec = parallel_outcome.report().map(|r| r.execution.to_json());
-        if outcome.verdict != parallel_outcome.verdict || serial_exec != parallel_exec {
-            parallel_divergence.push(outcome.label.clone());
-        }
-        let synthesized = outcome.verdict == JobVerdict::Found;
-        let members = &outcome.result.members;
-        let (replays, steps, pruned, saved, states, preempt_pruned) = match outcome.report() {
-            Some(report) => (
-                play(&w.program, &report.execution).reproduced,
-                report.stats.steps,
-                report.stats.branches_pruned_static,
-                report.stats.solver_queries_saved,
-                report.stats.states_created,
-                report.stats.preemptions_pruned_static,
-            ),
-            None => (
-                false,
-                members.iter().map(|m| m.stats.steps).sum(),
-                members.iter().map(|m| m.stats.branches_pruned_static).sum(),
-                members.iter().map(|m| m.stats.solver_queries_saved).sum(),
-                members.iter().map(|m| m.stats.states_created).sum(),
-                members.iter().map(|m| m.stats.preemptions_pruned_static).sum(),
-            ),
-        };
-        jobs.push(ExecutorJobRow {
-            label: outcome.label,
-            synthesized,
-            replays,
-            wall_secs: secs(outcome.wall),
-            slices: outcome.slices,
-            rounds: outcome.rounds,
-            steps,
-            branches_pruned_static: pruned,
-            solver_queries_saved: saved,
-            race_mode: *race,
-            states_created: states,
-            preemptions_pruned_static: preempt_pruned,
-        });
-    }
-    let jobs_synthesized = jobs.iter().filter(|j| j.synthesized).count();
-    ExecutorBenchReport {
-        policy: "round-robin".into(),
-        slice_rounds,
-        esd_budget,
-        mode: if full_mode() { "full" } else { "reduced" },
-        static_pruning,
-        branches_pruned_static: jobs.iter().map(|j| j.branches_pruned_static).sum(),
-        solver_queries_saved: jobs.iter().map(|j| j.solver_queries_saved).sum(),
-        preemptions_pruned_static: jobs.iter().map(|j| j.preemptions_pruned_static).sum(),
-        race_states_created: jobs.iter().filter(|j| j.race_mode).map(|j| j.states_created).sum(),
-        jobs_total: jobs.len(),
-        jobs_synthesized,
-        total_wall_secs: secs(total_wall),
-        throughput_jobs_per_sec: if total_wall.is_zero() {
-            0.0
-        } else {
-            jobs_synthesized as f64 / secs(total_wall)
-        },
-        executor_pool_size,
-        parallel_total_wall_secs: secs(parallel_wall),
-        cross_job_speedup: if parallel_wall.is_zero() {
-            0.0
-        } else {
-            secs(total_wall) / secs(parallel_wall)
-        },
-        parallel_divergence,
-        checkpoint_every,
-        durable_total_wall_secs: secs(durable_wall),
-        checkpoint_overhead_pct: if total_wall.is_zero() {
-            0.0
-        } else {
-            (secs(durable_wall) - secs(total_wall)) / secs(total_wall) * 100.0
-        },
-        jobs,
-    }
-}
-
-/// Renders the executor throughput report as a table.
-pub fn print_executor_throughput(report: &ExecutorBenchReport) {
-    println!(
-        "Executor throughput: {} jobs under {} (slice={} rounds, budget={}, {})",
-        report.jobs_total, report.policy, report.slice_rounds, report.esd_budget, report.mode,
-    );
-    println!(
-        "{:<10} {:>12} {:>10} {:>10} {:>12} {:>8} {:>8} {:>10}",
-        "job", "wall [s]", "slices", "rounds", "steps", "pruned", "saved", "replays"
-    );
-    for j in &report.jobs {
-        println!(
-            "{:<10} {:>12.3} {:>10} {:>10} {:>12} {:>8} {:>8} {:>10}",
-            j.label,
-            j.wall_secs,
-            j.slices,
-            j.rounds,
-            j.steps,
-            j.branches_pruned_static,
-            j.solver_queries_saved,
-            if !j.synthesized {
-                "FAILED"
-            } else if j.replays {
-                "yes"
-            } else {
-                "NO"
-            },
-        );
-    }
-    println!(
-        "batch: {}/{} synthesized in {:.3}s — {:.2} jobs/s",
-        report.jobs_synthesized,
-        report.jobs_total,
-        report.total_wall_secs,
-        report.throughput_jobs_per_sec
-    );
-    println!(
-        "static pruning {}: {} branches pruned, {} solver queries saved, {} preemption forks \
-         pruned, {} states forked in race mode",
-        if report.static_pruning { "on" } else { "off" },
-        report.branches_pruned_static,
-        report.solver_queries_saved,
-        report.preemptions_pruned_static,
-        report.race_states_created,
-    );
-    println!(
-        "cross-job parallel (pool={}): {:.3}s — {:.2}x vs serial, {}",
-        report.executor_pool_size,
-        report.parallel_total_wall_secs,
-        report.cross_job_speedup,
-        if report.parallel_divergence.is_empty() {
-            "byte-identical executions".to_string()
-        } else {
-            format!("DIVERGED: {}", report.parallel_divergence.join(", "))
-        },
-    );
-    println!(
-        "durable re-run (checkpoint every {} slices): {:.3}s — {:+.1}% checkpoint overhead",
-        report.checkpoint_every, report.durable_total_wall_secs, report.checkpoint_overhead_pct
-    );
-}
-
-/// Convenience used by tests and the quick bench targets: synthesize one
-/// named workload and return the elapsed time if it succeeded.
-pub fn synthesize_one(name: &str, budget: u64) -> Option<Duration> {
-    let w = all_real_bugs().into_iter().find(|w| w.name == name)?;
-    let esd = EsdOptions::builder()
-        .max_steps(budget)
-        .static_pruning(static_pruning_from_env())
-        .synthesizer();
-    let start = Instant::now();
-    esd.synthesize_goal(&w.program, w.goal()).ok().map(|_| start.elapsed())
-}
-
-/// A goal specification for an arbitrary workload, used by the binaries.
-pub fn goal_of(w: &Workload) -> GoalSpec {
-    w.goal()
 }
 
 /// One diagnostic of an `irlint` sweep, flattened into plain serializable

@@ -39,12 +39,12 @@
 
 use crate::journal::{self, JournalRecord, JournalWriter, RecoveryError};
 use crate::portfolio::{MemberOutcome, MemberReport, PortfolioResult, PortfolioWinner};
-use crate::session::{Observer, SessionSnapshot, SessionStatus, SynthesisSession};
+use crate::session::{Observer, ProgressEvent, SessionSnapshot, SessionStatus, SynthesisSession};
 use crate::snapshot::{load_snapshot, save_snapshot, SnapshotError};
 use crate::synth::EsdOptions;
 use esd_analysis::StaticAnalysis;
 use esd_ir::Program;
-use esd_symex::GoalSpec;
+use esd_symex::{GoalSpec, SearchStats};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -180,26 +180,6 @@ pub enum JobPhase {
     Finished,
 }
 
-/// Aggregate progress of one running job, summed over its members — the
-/// payload of [`JobStatus::Running`] and the event the service layer streams
-/// to [`subscribe`]rs as wire messages.
-///
-/// [`subscribe`]: JobStatus
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct JobProgress {
-    /// Executor slices dispatched to the job so far.
-    pub slices: u64,
-    /// Search rounds advanced so far, summed over the job's members.
-    pub rounds: u64,
-    /// Instructions executed, summed over the job's members.
-    pub steps: u64,
-    /// Live execution states, summed over the job's members.
-    pub live_states: u64,
-    /// The best (lowest) final-goal proximity any member has seen, if a
-    /// priority-driven frontier computed one.
-    pub best_proximity: Option<u64>,
-}
-
 /// The one job-status surface: where a job is and, once terminal, how it
 /// ended. Returned by [`JobExecutor::status`], by the `Service` front door,
 /// and sent verbatim over the wire protocol — the same enum at every layer.
@@ -209,10 +189,15 @@ pub struct JobProgress {
 pub enum JobStatus {
     /// Submitted, waiting for admission.
     Queued,
-    /// Admitted and receiving slices; carries the job's aggregate progress.
+    /// Admitted and receiving slices; carries the job's progress.
     Running {
-        /// Aggregate progress summed over the job's members.
-        progress: JobProgress,
+        /// Executor slices dispatched to the job so far.
+        slices: u64,
+        /// The job's members' [`ProgressEvent`]s folded into one: rounds,
+        /// live states and every [`SearchStats`] counter add,
+        /// `best_proximity` takes the minimum ([`SearchStats::merge`]) and
+        /// `elapsed` is the longest-lived member's.
+        progress: ProgressEvent,
     },
     /// Terminal: the job ran to a verdict ([`JobVerdict::Found`] or
     /// [`JobVerdict::Unsatisfied`]); the outcome is (or was) available via
@@ -242,9 +227,9 @@ impl JobStatus {
     }
 
     /// The running progress, if the job is currently running.
-    pub fn progress(&self) -> Option<&JobProgress> {
+    pub fn progress(&self) -> Option<&ProgressEvent> {
         match self {
-            JobStatus::Running { progress } => Some(progress),
+            JobStatus::Running { progress, .. } => Some(progress),
             _ => None,
         }
     }
@@ -415,25 +400,23 @@ impl JobSlot {
         }
     }
 
-    /// Aggregate progress over the job's members (running jobs only).
-    fn progress(&self) -> JobProgress {
-        let mut progress = JobProgress {
-            slices: self.slices,
-            rounds: self.rounds(),
-            steps: 0,
+    /// The job's progress (running jobs only): its members' events folded
+    /// as documented on [`JobStatus::Running`].
+    fn progress(&self) -> ProgressEvent {
+        let mut job = ProgressEvent {
+            rounds: 0,
             live_states: 0,
-            best_proximity: None,
+            stats: SearchStats::default(),
+            elapsed: Duration::ZERO,
         };
         for member in &self.members {
             let event = member.session.progress_event();
-            progress.steps += event.stats.steps;
-            progress.live_states += event.live_states as u64;
-            progress.best_proximity = match (progress.best_proximity, event.stats.best_proximity) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            job.rounds += event.rounds;
+            job.live_states += event.live_states;
+            job.stats.merge(&event.stats);
+            job.elapsed = job.elapsed.max(event.elapsed);
         }
-        progress
+        job
     }
 }
 
@@ -814,7 +797,8 @@ impl JobExecutor {
 
     /// The job's current [`JobStatus`] — the one status query, shared
     /// verbatim by the executor, the `Service` front door and the wire
-    /// protocol. Running jobs carry their aggregate [`JobProgress`];
+    /// protocol. Running jobs carry their slice count and their members'
+    /// folded [`ProgressEvent`];
     /// terminal jobs report their verdict even after the outcome has been
     /// [`take`](JobExecutor::take)n.
     ///
@@ -824,7 +808,9 @@ impl JobExecutor {
         let slot = &self.slots[handle.0 as usize];
         match slot.phase {
             JobPhase::Queued => JobStatus::Queued,
-            JobPhase::Running => JobStatus::Running { progress: slot.progress() },
+            JobPhase::Running => {
+                JobStatus::Running { slices: slot.slices, progress: slot.progress() }
+            }
             JobPhase::Finished => {
                 match slot.finished_verdict.expect("finished jobs freeze their verdict") {
                     JobVerdict::Cancelled => JobStatus::Cancelled,
@@ -1410,7 +1396,6 @@ pub(crate) fn replay_records(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::ProgressEvent;
     use esd_ir::{CmpOp, Loc, ProgramBuilder};
     use std::sync::{Arc, Mutex};
 
@@ -1508,8 +1493,10 @@ mod tests {
         let b = exec.submit(JobSpec::new("b", &p, GoalSpec::Crash { loc }));
         assert!(exec.run_slice());
         let running = exec.status(a);
-        assert!(matches!(running, JobStatus::Running { .. }));
-        assert_eq!(running.progress().unwrap().slices, 1, "one slice went to a");
+        assert!(
+            matches!(running, JobStatus::Running { slices: 1, .. }),
+            "one slice went to a: {running:?}"
+        );
         assert_eq!(exec.status(b), JobStatus::Queued, "the cap keeps b queued");
         let stats = exec.stats();
         assert_eq!((stats.queued, stats.running), (1, 1));

@@ -52,7 +52,7 @@ pub mod triage;
 pub use execfile::{InputEntry, SynthesizedExecution};
 pub use executor::{
     ExecutorSnapshot, ExecutorStats, FairnessPolicy, JobExecutor, JobHandle, JobOutcome, JobPhase,
-    JobProgress, JobSnapshot, JobSpec, JobStat, JobStatus, JobVerdict,
+    JobSnapshot, JobSpec, JobStat, JobStatus, JobVerdict,
 };
 pub use journal::{
     JournalDamage, JournalRecord, JournalScan, JournalWriter, Recovery, RecoveryError,

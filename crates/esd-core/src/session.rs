@@ -49,8 +49,11 @@ const RUN_TO_COMPLETION_SLICE: u64 = 16 * 1024;
 
 /// A progress snapshot handed to an [`Observer`] while a session runs.
 ///
-/// Serializable so the service layer can stream progress as wire messages.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// The same type is a running job's progress in
+/// [`JobStatus::Running`](crate::JobStatus::Running), folded over the job's
+/// members. Serializable so the service layer can stream progress as wire
+/// messages.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ProgressEvent {
     /// Search rounds (frontier selections) completed so far.
     pub rounds: u64,

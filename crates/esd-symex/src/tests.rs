@@ -1,7 +1,7 @@
 //! Engine-level tests: sequential path synthesis, deadlock schedule
 //! synthesis, and the KC baseline behaviour — all on small programs.
 
-use crate::engine::{Engine, EngineConfig, GoalSpec, SearchOutcome};
+use crate::engine::{Engine, EngineConfig, GoalSpec, SearchOutcome, SearchStats};
 use crate::frontier::SearchConfig;
 use crate::state::ExecState;
 use crate::stepper::Stepper;
@@ -639,4 +639,36 @@ fn branch_refuted_by_pinned_inputs_does_not_fork() {
     // refuted side never ran.
     assert_eq!(turn.other_bugs.len(), 2);
     assert!(turn.other_bugs.iter().all(|(f, _)| matches!(f, FaultKind::AssertFailure { .. })));
+}
+
+#[test]
+fn search_stats_merge_adds_counters_and_keeps_the_best_proximity() {
+    let stats = |k: u64, best_proximity: Option<u64>| SearchStats {
+        steps: k,
+        states_created: 2 * k,
+        states_pruned: 3 * k,
+        max_live_states: 4 * k as usize,
+        solver_queries: 5 * k,
+        branches_pruned_static: 6 * k,
+        solver_queries_saved: 7 * k,
+        preemptions_pruned_static: 8 * k,
+        other_bugs_found: 9 * k as usize,
+        races_flagged: 10 * k as usize,
+        best_proximity,
+    };
+    let mut merged = stats(1, Some(40));
+    merged.merge(&stats(10, Some(7)));
+    assert_eq!(merged, stats(11, Some(7)), "every counter adds; proximity takes the min");
+
+    let cases = [
+        (None, None, None),
+        (Some(5), None, Some(5)),
+        (None, Some(5), Some(5)),
+        (Some(3), Some(9), Some(3)),
+    ];
+    for (mine, theirs, expected) in cases {
+        let mut merged = stats(0, mine);
+        merged.merge(&stats(0, theirs));
+        assert_eq!(merged.best_proximity, expected, "{mine:?} merged with {theirs:?}");
+    }
 }

@@ -98,9 +98,9 @@ pub use esd_core::executor;
 
 pub use esd_core::{
     BugKind, BugReport, Esd, EsdOptions, EsdOptionsBuilder, ExecutorSnapshot, ExecutorStats,
-    FairnessPolicy, JobExecutor, JobHandle, JobOutcome, JobPhase, JobProgress, JobSpec, JobStatus,
-    JobVerdict, JournalDamage, Observer, Portfolio, PortfolioResult, ProgressEvent, Recovery,
-    RecoveryError, SessionSnapshot, SessionStatus, SnapshotError, SynthesisError, SynthesisSession,
+    FairnessPolicy, JobExecutor, JobHandle, JobOutcome, JobPhase, JobSpec, JobStatus, JobVerdict,
+    JournalDamage, Observer, Portfolio, PortfolioResult, ProgressEvent, Recovery, RecoveryError,
+    SessionSnapshot, SessionStatus, SnapshotError, SynthesisError, SynthesisSession,
     SynthesizedExecution,
 };
 pub use esd_playback::{play, Debugger};

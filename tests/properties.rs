@@ -12,8 +12,8 @@ use esd::service::wire::{
     encode_response, FrameDecoder, WireRequest, WireResponse,
 };
 use esd::symex::{
-    ExecState, HotState, ProximityFrontier, RaceDetector, SearchFrontier, Solver, SolverResult,
-    StatePriority, SymExpr, SymVar,
+    ExecState, HotState, ProximityFrontier, RaceDetector, SearchFrontier, SearchStats, Solver,
+    SolverResult, StatePriority, SymExpr, SymVar,
 };
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind, ScheduleHint};
 use esd::{EsdOptions, FrontierKind, SessionStatus, SynthesisSession};
@@ -662,12 +662,24 @@ fn wire_status(n: u64) -> esd::JobStatus {
     match n % 4 {
         0 => esd::JobStatus::Queued,
         1 => esd::JobStatus::Running {
-            progress: esd::JobProgress {
-                slices: n,
+            slices: n,
+            progress: esd::ProgressEvent {
                 rounds: n * 3,
-                steps: n * 7,
-                live_states: n % 17,
-                best_proximity: if n.is_multiple_of(2) { Some(n % 31) } else { None },
+                live_states: (n % 17) as usize,
+                stats: SearchStats {
+                    steps: n * 7,
+                    states_created: n * 5 + 1,
+                    states_pruned: n % 13,
+                    max_live_states: (n % 19) as usize,
+                    solver_queries: n * 11,
+                    branches_pruned_static: n % 23,
+                    solver_queries_saved: n % 29,
+                    preemptions_pruned_static: n % 37,
+                    other_bugs_found: (n % 3) as usize,
+                    races_flagged: (n % 5) as usize,
+                    best_proximity: if n.is_multiple_of(2) { Some(n % 31) } else { None },
+                },
+                elapsed: Duration::new(n % 1000, (n * 7_919 % 1_000_000_000) as u32),
             },
         },
         2 => esd::JobStatus::Finished {
