@@ -2,11 +2,10 @@
 //!
 //! The paper's end state is a debugging *service*: developers submit bug
 //! reports and ESD synthesizes a failing execution for each one. A
-//! [`SynthesisSession`] is one resumable job; a
-//! [`Portfolio`](crate::Portfolio) races N configurations over *one* job.
-//! The [`JobExecutor`] is the layer above both: it holds N independent jobs
-//! at once — each a session, or a per-job portfolio of member sessions — and
-//! time-slices them under one of three [`FairnessPolicy`] variants:
+//! [`SynthesisSession`] is one resumable job. The [`JobExecutor`] is the
+//! layer above it: it holds N independent jobs at once — each exactly one
+//! session — and time-slices them under one of three [`FairnessPolicy`]
+//! variants:
 //!
 //! * [`FairnessPolicy::RoundRobin`] — every runnable job gets an equal
 //!   slice in submit order;
@@ -32,13 +31,8 @@
 //! **Admission control.** [`JobExecutor::max_running`] bounds how many jobs
 //! hold live sessions at once; excess submissions wait in a FIFO queue and
 //! are admitted (paying their static phase then) as running jobs finish.
-//!
-//! There is exactly one time-slicing loop in the codebase:
-//! [`Portfolio::run`](crate::Portfolio::run) is a thin wrapper that submits
-//! a single job whose members are the portfolio members.
 
 use crate::journal::{self, JournalRecord, JournalWriter, RecoveryError};
-use crate::portfolio::{MemberOutcome, MemberReport, PortfolioResult, PortfolioWinner};
 use crate::session::{Observer, ProgressEvent, SessionSnapshot, SessionStatus, SynthesisSession};
 use crate::snapshot::{load_snapshot, save_snapshot, SnapshotError};
 use crate::synth::EsdOptions;
@@ -88,14 +82,13 @@ impl JobHandle {
     }
 }
 
-/// One job submitted to a [`JobExecutor`]: a program, a goal, and one or
-/// more member configurations (several members make the job a per-job
-/// portfolio — the first member to synthesize wins the job).
+/// One job submitted to a [`JobExecutor`]: a program, a goal, and the
+/// [`EsdOptions`] its one synthesis session runs with.
 pub struct JobSpec {
     label: String,
     program: Arc<Program>,
     goal: GoalSpec,
-    members: Vec<(String, EsdOptions)>,
+    options: EsdOptions,
     priority: u32,
     deadline: Option<Duration>,
     observer: Option<Box<dyn Observer>>,
@@ -103,32 +96,22 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A job for one bug: `label` names it in stats and logs. Without
-    /// further configuration the job runs a single member with default
-    /// [`EsdOptions`].
+    /// further configuration the job runs with default [`EsdOptions`].
     pub fn new(label: impl Into<String>, program: &Program, goal: GoalSpec) -> Self {
         JobSpec {
             label: label.into(),
             program: Arc::new(program.clone()),
             goal,
-            members: Vec::new(),
+            options: EsdOptions::default(),
             priority: 1,
             deadline: None,
             observer: None,
         }
     }
 
-    /// Replaces the member set with a single member running `options`.
+    /// Sets the options the job's session runs with.
     pub fn options(mut self, options: EsdOptions) -> Self {
-        let label = options.frontier.to_string();
-        self.members = vec![(label, options)];
-        self
-    }
-
-    /// Adds a member configuration (several members race portfolio-style
-    /// within the job; the first `Found` wins and the rest are cancelled
-    /// immediately).
-    pub fn member(mut self, label: impl Into<String>, options: EsdOptions) -> Self {
-        self.members.push((label.into(), options));
+        self.options = options;
         self
     }
 
@@ -145,20 +128,18 @@ impl JobSpec {
     ///
     /// This is a *fairness hint* — it orders jobs and enlarges their slices;
     /// it does not expire the job. To kill a job at a wall-clock limit, set
-    /// [`EsdOptions::deadline`] on its member options.
+    /// [`EsdOptions::deadline`] in its [`options`](Self::options).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline.min(MAX_DEADLINE));
         self
     }
 
     /// Attaches a per-job [`Observer`]: it receives an
-    /// [`Observer::on_progress`] snapshot of the advanced member after every
+    /// [`Observer::on_progress`] snapshot of the session after every
     /// dispatched slice that leaves the job running (matching the session
     /// observer's running-only progress cadence — a job that goes terminal
     /// on its very first slice emits no progress events), and exactly one
-    /// [`Observer::on_finish`] with the job's terminal [`SessionStatus`]
-    /// (the winner's `Found`, or the first member's terminal status when no
-    /// member won).
+    /// [`Observer::on_finish`] with the job's terminal [`SessionStatus`].
     pub fn observer(mut self, observer: Box<dyn Observer>) -> Self {
         self.observer = Some(observer);
         self
@@ -172,9 +153,9 @@ impl JobSpec {
 /// [`JobStatus`] returned by [`JobExecutor::status`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum JobPhase {
-    /// Submitted, waiting for admission (no sessions exist yet).
+    /// Submitted, waiting for admission (no session exists yet).
     Queued,
-    /// Admitted: the job holds live sessions and receives slices.
+    /// Admitted: the job holds a live session and receives slices.
     Running,
     /// Terminal: an outcome is available via [`JobExecutor::take`].
     Finished,
@@ -193,10 +174,7 @@ pub enum JobStatus {
     Running {
         /// Executor slices dispatched to the job so far.
         slices: u64,
-        /// The job's members' [`ProgressEvent`]s folded into one: rounds,
-        /// live states and every [`SearchStats`] counter add,
-        /// `best_proximity` takes the minimum ([`SearchStats::merge`]) and
-        /// `elapsed` is the longest-lived member's.
+        /// The session's [`ProgressEvent`].
         progress: ProgressEvent,
     },
     /// Terminal: the job ran to a verdict ([`JobVerdict::Found`] or
@@ -233,18 +211,39 @@ impl JobStatus {
             _ => None,
         }
     }
+
+    /// The terminal status a job with `verdict` reports.
+    pub fn terminal(verdict: JobVerdict) -> JobStatus {
+        match verdict {
+            JobVerdict::Cancelled => JobStatus::Cancelled,
+            verdict => JobStatus::Finished { verdict },
+        }
+    }
 }
 
 /// How a job ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum JobVerdict {
-    /// A member synthesized the execution.
+    /// The session synthesized the execution.
     Found,
-    /// Every member went terminal without reaching the goal (exhausted,
+    /// The session went terminal without reaching the goal (exhausted,
     /// budget, or deadline-expired).
     Unsatisfied,
     /// [`JobExecutor::cancel`] stopped the job.
     Cancelled,
+}
+
+impl JobVerdict {
+    /// The verdict of a job whose session ended in `status`: `Found` and
+    /// `Cancelled` map to themselves, every other terminal status to
+    /// `Unsatisfied`.
+    pub fn of(status: &SessionStatus) -> JobVerdict {
+        match status {
+            SessionStatus::Found(_) => JobVerdict::Found,
+            SessionStatus::Cancelled(_) => JobVerdict::Cancelled,
+            _ => JobVerdict::Unsatisfied,
+        }
+    }
 }
 
 /// The terminal result of one job.
@@ -256,13 +255,14 @@ pub struct JobOutcome {
     pub label: String,
     /// How the job ended.
     pub verdict: JobVerdict,
-    /// The portfolio-shaped detail: the winning member (if any) with its
-    /// synthesized execution, plus every member's outcome and statistics.
-    /// Single-member jobs have exactly one member entry.
-    pub result: PortfolioResult,
+    /// The session's terminal status: the synthesized execution when
+    /// found, otherwise the (possibly partial) search statistics. A job
+    /// cancelled while still queued reports `Cancelled` with default
+    /// statistics.
+    pub status: SessionStatus,
     /// Executor slices dispatched to this job.
     pub slices: u64,
-    /// Search rounds the job actually advanced, summed over members.
+    /// Search rounds the job actually advanced.
     pub rounds: u64,
     /// Wall-clock time from admission (start of the job's static phase) to
     /// the terminal state. Zero for jobs cancelled while still queued.
@@ -270,9 +270,9 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// The winning member's synthesis report, if the job was satisfied.
+    /// The synthesis report, if the job was satisfied.
     pub fn report(&self) -> Option<&crate::synth::SynthesisReport> {
-        self.result.report()
+        self.status.found()
     }
 }
 
@@ -323,7 +323,7 @@ pub struct JobStat {
     pub phase: JobPhase,
     /// Executor slices dispatched to the job so far.
     pub slices: u64,
-    /// Search rounds advanced so far, summed over the job's members.
+    /// Search rounds advanced so far.
     pub rounds: u64,
     /// Wall-clock time the job has been live (admission → now, or
     /// admission → finish once terminal; zero while queued).
@@ -337,7 +337,7 @@ pub struct ExecutorStats {
     pub submitted: u64,
     /// Jobs currently waiting for admission.
     pub queued: usize,
-    /// Jobs currently holding live sessions.
+    /// Jobs currently holding a live session.
     pub running: usize,
     /// Jobs that reached a terminal state (including cancellations).
     pub finished: u64,
@@ -352,28 +352,23 @@ pub struct ExecutorStats {
     pub jobs: Vec<JobStat>,
 }
 
-/// One admitted member: its configuration plus its live session.
-struct MemberSlot {
-    label: String,
-    options: EsdOptions,
-    session: SynthesisSession,
-}
-
-/// A queued job's not-yet-admitted ingredients: program, goal, member
-/// configurations.
-type PendingJob = (Arc<Program>, GoalSpec, Vec<(String, EsdOptions)>);
+/// A queued job's not-yet-admitted ingredients: program, goal, options.
+type PendingJob = (Arc<Program>, GoalSpec, EsdOptions);
 
 /// Internal per-job bookkeeping.
 struct JobSlot {
     label: String,
     /// `Some` while the job is queued; taken at admission.
     pending: Option<PendingJob>,
-    members: Vec<MemberSlot>,
+    /// `Some` while the job is running (detached while its slice runs);
+    /// consumed at finalize. Boxed because slots are never removed and
+    /// every dispatch scans them all: an inline session would make each
+    /// slot, queued and finished ones included, about a kilobyte larger.
+    session: Option<Box<SynthesisSession>>,
     observer: Option<Box<dyn Observer>>,
     priority: u32,
     deadline_at: Option<Instant>,
     admitted_at: Option<Instant>,
-    next_member: usize,
     slices: u64,
     phase: JobPhase,
     outcome: Option<JobOutcome>,
@@ -389,7 +384,7 @@ impl JobSlot {
     fn rounds(&self) -> u64 {
         match self.phase {
             JobPhase::Finished => self.finished_rounds,
-            _ => self.members.iter().map(|m| m.session.rounds()).sum(),
+            _ => self.session.as_deref().map_or(0, SynthesisSession::rounds),
         }
     }
 
@@ -399,31 +394,11 @@ impl JobSlot {
             _ => self.admitted_at.map(|t| t.elapsed()).unwrap_or_default(),
         }
     }
-
-    /// The job's progress (running jobs only): its members' events folded
-    /// as documented on [`JobStatus::Running`].
-    fn progress(&self) -> ProgressEvent {
-        let mut job = ProgressEvent {
-            rounds: 0,
-            live_states: 0,
-            stats: SearchStats::default(),
-            elapsed: Duration::ZERO,
-        };
-        for member in &self.members {
-            let event = member.session.progress_event();
-            job.rounds += event.rounds;
-            job.live_states += event.live_states;
-            job.stats.merge(&event.stats);
-            job.elapsed = job.elapsed.max(event.elapsed);
-        }
-        job
-    }
 }
 
 /// The not-yet-admitted ingredients of a queued job as serialized in a
-/// snapshot: its program, goal and member configurations (see
-/// [`JobSnapshot::pending`]).
-pub type PendingJobSnapshot = (Program, GoalSpec, Vec<(String, EsdOptions)>);
+/// snapshot: its program, goal and options (see [`JobSnapshot::pending`]).
+pub type PendingJobSnapshot = (Program, GoalSpec, EsdOptions);
 
 /// The durable state of one job slot, part of an [`ExecutorSnapshot`].
 ///
@@ -437,11 +412,11 @@ pub struct JobSnapshot {
     /// The job's label.
     pub label: String,
     /// Queued jobs: the not-yet-admitted ingredients (program, goal,
-    /// member configurations).
+    /// options).
     pub pending: Option<PendingJobSnapshot>,
-    /// Running jobs: each member's label and complete session snapshot
-    /// (which embeds the program, options and engine state).
-    pub members: Vec<(String, SessionSnapshot)>,
+    /// Running jobs: the complete session snapshot (which embeds the
+    /// program, options and engine state).
+    pub session: Option<SessionSnapshot>,
     /// The job's scheduling priority.
     pub priority: u32,
     /// The scheduling deadline relative to the checkpoint instant, in
@@ -449,8 +424,6 @@ pub struct JobSnapshot {
     pub deadline_rel_nanos: Option<i64>,
     /// How long the job had been admitted when the checkpoint was taken.
     pub admitted_elapsed: Option<Duration>,
-    /// The member the next slice goes to.
-    pub next_member: usize,
     /// Executor slices dispatched to the job.
     pub slices: u64,
     /// The job's lifecycle phase.
@@ -541,49 +514,26 @@ pub struct JobExecutor {
 }
 
 /// One planned batch entry being executed: the granted job's detached
-/// member set plus the slice to run. Detaching (`std::mem::take`) gives the
-/// task's thread exclusive ownership of the granted job's sessions without
+/// session plus the slice to run. Detaching (`Option::take`) gives the
+/// task's thread exclusive ownership of the granted job's session without
 /// aliasing the executor.
 struct SliceTask {
     idx: usize,
     rounds: u64,
-    members: Vec<MemberSlot>,
-    next_member: usize,
-    run: Option<SliceRun>,
+    session: Box<SynthesisSession>,
+    /// Rounds the slice actually advanced (set by [`SliceTask::execute`]).
+    advanced: u64,
 }
 
 impl SliceTask {
-    /// Runs the granted slice on this task's detached members (on the
-    /// task's own thread).
+    /// Advances the detached session by the granted rounds (on the task's
+    /// own thread). It touches nothing but the job's own session, which is
+    /// why cross-job parallelism cannot perturb results.
     fn execute(&mut self) {
-        self.run = run_member_slice(&mut self.members, self.next_member, self.rounds);
+        let before = self.session.rounds();
+        self.session.run_for(self.rounds);
+        self.advanced = self.session.rounds() - before;
     }
-}
-
-/// What one executed slice did: which member advanced, by how many rounds,
-/// and whether it won the job.
-struct SliceRun {
-    offset: usize,
-    advanced: u64,
-    won: bool,
-}
-
-/// Advances the job's next runnable member by `rounds`; `None` when every
-/// member is already terminal. Runs on pool threads — it touches nothing
-/// but the job's own members, which is why cross-job parallelism cannot
-/// perturb results.
-fn run_member_slice(
-    members: &mut [MemberSlot],
-    next_member: usize,
-    rounds: u64,
-) -> Option<SliceRun> {
-    let n = members.len();
-    let offset =
-        (0..n).map(|o| (next_member + o) % n).find(|&m| members[m].session.poll().is_running())?;
-    let member = &mut members[offset];
-    let before = member.session.rounds();
-    let won = member.session.run_for(rounds).found().is_some();
-    Some(SliceRun { offset, advanced: member.session.rounds() - before, won })
 }
 
 // The pool moves whole sessions across threads; keep the contract
@@ -592,7 +542,7 @@ const _: () = {
     fn assert_send<T: Send>() {}
     #[allow(dead_code)]
     fn check() {
-        assert_send::<MemberSlot>();
+        assert_send::<SliceTask>();
     }
 };
 
@@ -674,8 +624,9 @@ impl JobExecutor {
     /// [`ExecutorSnapshot`] is written (and the journal truncated) every `n`
     /// dispatched slices (clamped to ≥ 1; default
     /// [`DEFAULT_CHECKPOINT_EVERY`]). A smaller `n` bounds replay work after
-    /// a crash at the price of more snapshot I/O — the trade-off the
-    /// executor bench quantifies.
+    /// a crash at the price of more snapshot I/O — the trade-off perfbench's
+    /// `service-stream` workload reports as `durability.tax_frac` and
+    /// `durability.recover_ms`.
     pub fn checkpoint_every(mut self, n: u64) -> Self {
         self.checkpoint_every = n.max(1);
         self
@@ -734,32 +685,25 @@ impl JobExecutor {
     /// static phase is deferred to admission, so queued jobs cost nothing.
     pub fn submit(&mut self, spec: JobSpec) -> JobHandle {
         let handle = JobHandle(self.slots.len() as u64);
-        let members = if spec.members.is_empty() {
-            let options = EsdOptions::default();
-            vec![(options.frontier.to_string(), options)]
-        } else {
-            spec.members
-        };
         if self.durable.is_some() {
             self.journal_append(&JournalRecord::Submit {
                 handle: handle.0,
                 label: spec.label.clone(),
                 program: Program::clone(&spec.program),
                 goal: spec.goal.clone(),
-                members: members.clone(),
+                options: spec.options.clone(),
                 priority: spec.priority,
                 deadline: spec.deadline,
             });
         }
         self.slots.push(JobSlot {
             label: spec.label,
-            pending: Some((spec.program, spec.goal, members)),
-            members: Vec::new(),
+            pending: Some((spec.program, spec.goal, spec.options)),
+            session: None,
             observer: spec.observer,
             priority: spec.priority,
             deadline_at: spec.deadline.map(|d| Instant::now() + d),
             admitted_at: None,
-            next_member: 0,
             slices: 0,
             phase: JobPhase::Queued,
             outcome: None,
@@ -797,10 +741,9 @@ impl JobExecutor {
 
     /// The job's current [`JobStatus`] — the one status query, shared
     /// verbatim by the executor, the `Service` front door and the wire
-    /// protocol. Running jobs carry their slice count and their members'
-    /// folded [`ProgressEvent`];
-    /// terminal jobs report their verdict even after the outcome has been
-    /// [`take`](JobExecutor::take)n.
+    /// protocol. Running jobs carry their slice count and their session's
+    /// [`ProgressEvent`]; terminal jobs report their verdict even after the
+    /// outcome has been [`take`](JobExecutor::take)n.
     ///
     /// # Panics
     /// On a handle from a different executor.
@@ -808,15 +751,17 @@ impl JobExecutor {
         let slot = &self.slots[handle.0 as usize];
         match slot.phase {
             JobPhase::Queued => JobStatus::Queued,
-            JobPhase::Running => {
-                JobStatus::Running { slices: slot.slices, progress: slot.progress() }
-            }
-            JobPhase::Finished => {
-                match slot.finished_verdict.expect("finished jobs freeze their verdict") {
-                    JobVerdict::Cancelled => JobStatus::Cancelled,
-                    verdict => JobStatus::Finished { verdict },
-                }
-            }
+            JobPhase::Running => JobStatus::Running {
+                slices: slot.slices,
+                progress: slot
+                    .session
+                    .as_ref()
+                    .expect("running jobs hold a session")
+                    .progress_event(),
+            },
+            JobPhase::Finished => JobStatus::terminal(
+                slot.finished_verdict.expect("finished jobs freeze their verdict"),
+            ),
         }
     }
 
@@ -826,9 +771,9 @@ impl JobExecutor {
         self.slots[handle.0 as usize].outcome.take()
     }
 
-    /// Stops a job: queued jobs are dropped, running jobs have every member
-    /// session cancelled (their partial statistics are kept in the
-    /// outcome). Returns `true` if the job was still pending or running.
+    /// Stops a job: queued jobs are dropped, running jobs have their session
+    /// cancelled (its partial statistics are kept in the outcome). Returns
+    /// `true` if the job was still pending or running.
     pub fn cancel(&mut self, handle: JobHandle) -> bool {
         let idx = handle.0 as usize;
         match self.slots[idx].phase {
@@ -839,7 +784,7 @@ impl JobExecutor {
                 }
                 self.slots[idx].pending = None;
                 self.cancelled += 1;
-                self.finalize(idx, JobVerdict::Cancelled);
+                self.finalize(idx);
                 true
             }
         }
@@ -928,8 +873,8 @@ impl JobExecutor {
         }
     }
 
-    /// Executes a planned batch: detaches each granted job's member set,
-    /// runs every slice on its own scoped thread (the calling thread runs
+    /// Executes a planned batch: detaches each granted job's session, runs
+    /// every slice on its own scoped thread (the calling thread runs
     /// the first, so a batch of one spawns nothing), then merges results
     /// strictly in grant order. Jobs share nothing, so execution order
     /// cannot change any result; merge order makes the bookkeeping —
@@ -937,15 +882,14 @@ impl JobExecutor {
     fn execute_batch(&mut self, grants: &[(u64, u64)]) {
         let mut work: Vec<SliceTask> = grants
             .iter()
-            .map(|&(handle, rounds)| {
-                let slot = &mut self.slots[handle as usize];
-                SliceTask {
-                    idx: handle as usize,
-                    rounds,
-                    members: std::mem::take(&mut slot.members),
-                    next_member: slot.next_member,
-                    run: None,
-                }
+            .map(|&(handle, rounds)| SliceTask {
+                idx: handle as usize,
+                rounds,
+                session: self.slots[handle as usize]
+                    .session
+                    .take()
+                    .expect("granted jobs are running"),
+                advanced: 0,
             })
             .collect();
         let (first, rest) = work.split_first_mut().expect("planned batches are non-empty");
@@ -956,47 +900,31 @@ impl JobExecutor {
             first.execute();
         });
         for task in work {
-            let slot = &mut self.slots[task.idx];
-            slot.members = task.members;
-            self.merge_slice(task.idx, task.run);
+            self.merge_slice(task);
         }
     }
 
     /// Merges one executed slice back into the executor (grant order):
-    /// updates the dispatch counters, finalizes the job if the slice won or
-    /// exhausted every member, and fires the job observer otherwise.
-    fn merge_slice(&mut self, idx: usize, run: Option<SliceRun>) {
-        let Some(SliceRun { offset, advanced, won }) = run else {
-            // Every member already terminal (can only happen via external
-            // session manipulation); close the job out.
-            self.finalize(idx, JobVerdict::Unsatisfied);
-            return;
-        };
-        let slot = &mut self.slots[idx];
-        slot.slices += 1;
-        slot.next_member = (offset + 1) % slot.members.len();
+    /// reattaches the session, updates the dispatch counters, and either
+    /// finalizes the job (its session went terminal) or fires the job
+    /// observer.
+    fn merge_slice(&mut self, task: SliceTask) {
+        let SliceTask { idx, session, advanced, .. } = task;
         self.slices_dispatched += 1;
         self.rounds_dispatched += advanced;
-
-        if won {
-            // The satellite fix the regression tests pin: the moment a
-            // member reports Found, the job is finalized and every other
-            // member is cancelled — members later in the same scheduling
-            // round never receive another slice, so per-member `rounds`
-            // statistics stay exactly what each member actually ran.
-            self.finalize(idx, JobVerdict::Found);
-            return;
-        }
         let slot = &mut self.slots[idx];
-        if slot.members.iter().all(|m| !m.session.poll().is_running()) {
-            self.finalize(idx, JobVerdict::Unsatisfied);
-            return;
+        slot.slices += 1;
+        let running = session.poll().is_running();
+        if running {
+            // Per-job observer fan-out: one progress snapshot per
+            // dispatched slice.
+            if let Some(observer) = &mut slot.observer {
+                observer.on_progress(&session.progress_event());
+            }
         }
-        // Per-job observer fan-out: a progress snapshot of the member that
-        // just advanced, once per dispatched slice.
-        let slot = &mut self.slots[idx];
-        if let Some(observer) = &mut slot.observer {
-            observer.on_progress(&slot.members[offset].session.progress_event());
+        slot.session = Some(session);
+        if !running {
+            self.finalize(idx);
         }
     }
 
@@ -1050,8 +978,7 @@ impl JobExecutor {
     }
 
     /// Admits queued jobs (FIFO) while the running count is below the cap.
-    /// Admission runs the job's static phase — shared across its members —
-    /// and starts its wall clock.
+    /// Admission runs the job's static phase and starts its wall clock.
     fn admit(&mut self) {
         let mut running = self.slots.iter().filter(|s| s.phase == JobPhase::Running).count();
         for idx in 0..self.slots.len() {
@@ -1061,106 +988,56 @@ impl JobExecutor {
             if self.slots[idx].phase != JobPhase::Queued {
                 continue;
             }
-            let (program, goal, members) =
+            let (program, goal, options) =
                 self.slots[idx].pending.take().expect("queued jobs keep their spec");
             let admitted_at = Instant::now();
-            // One static phase per job, over every goal location, shared by
-            // all members — exactly what Portfolio::run always did.
+            // One static phase per job, over every goal location.
             let analysis = Arc::new(StaticAnalysis::compute_multi(&program, &goal.primary_locs()));
+            let mut session =
+                SynthesisSession::from_parts(program, analysis, goal, options, None, 0);
+            // The session's clock (elapsed, EsdOptions::deadline) covers the
+            // static phase, like a solo run's.
+            session.started_at = admitted_at;
             let slot = &mut self.slots[idx];
-            slot.members = members
-                .into_iter()
-                .map(|(label, options)| {
-                    let mut session = SynthesisSession::from_parts(
-                        program.clone(),
-                        analysis.clone(),
-                        goal.clone(),
-                        options.clone(),
-                        None,
-                        0,
-                    );
-                    // Each member's clock (elapsed, EsdOptions::deadline)
-                    // covers the shared static phase, like a solo run's.
-                    session.started_at = admitted_at;
-                    MemberSlot { label, options, session }
-                })
-                .collect();
+            slot.session = Some(Box::new(session));
             slot.admitted_at = Some(admitted_at);
             slot.phase = JobPhase::Running;
             running += 1;
         }
     }
 
-    /// Moves a job to [`JobPhase::Finished`]: cancels still-running member
-    /// sessions, assembles the portfolio-shaped [`JobOutcome`], and fires
-    /// the job observer's `on_finish`.
-    fn finalize(&mut self, idx: usize, verdict: JobVerdict) {
+    /// Moves a job to [`JobPhase::Finished`]: cancels its session if it is
+    /// still running, assembles the [`JobOutcome`] from the session's
+    /// terminal status (a job cancelled while queued never had a session),
+    /// and fires the job observer's `on_finish`.
+    fn finalize(&mut self, idx: usize) {
         let slot = &mut self.slots[idx];
-        for member in &mut slot.members {
-            member.session.cancel(); // no-op on members already terminal
-        }
-        let mut result = PortfolioResult { winner: None, members: Vec::new() };
-        // The terminal status handed to the job observer (the winner's
-        // `Found`, or the first member's terminal status) — only tracked
-        // when an observer exists, because the clone copies the full
-        // synthesized execution.
-        let has_observer = slot.observer.is_some();
-        let mut finish_status: Option<SessionStatus> = None;
-        let mut rounds_total = 0;
-        for member in slot.members.drain(..) {
-            let MemberSlot { label, options, session } = member;
-            let rounds = session.rounds();
-            rounds_total += rounds;
-            let status = session.into_status();
-            if has_observer && (finish_status.is_none() || status.found().is_some()) {
-                finish_status = Some(status.clone());
+        let (status, rounds) = match slot.session.take() {
+            Some(mut session) => {
+                session.cancel(); // no-op on a terminal session
+                let rounds = session.rounds();
+                (session.into_status(), rounds)
             }
-            let (outcome, stats) = match status {
-                SessionStatus::Found(report) => {
-                    let stats = report.stats.clone();
-                    result.winner = Some(PortfolioWinner {
-                        member: result.members.len(),
-                        label: label.clone(),
-                        report: *report,
-                    });
-                    (MemberOutcome::Won, stats)
-                }
-                SessionStatus::Cancelled(stats) => (MemberOutcome::Preempted, stats),
-                SessionStatus::Exhausted(stats) => (MemberOutcome::Exhausted, stats),
-                SessionStatus::BudgetExceeded(stats) => (MemberOutcome::BudgetExceeded, stats),
-                SessionStatus::DeadlineExpired(stats) => (MemberOutcome::DeadlineExpired, stats),
-                SessionStatus::Running => unreachable!("members were cancelled above"),
-            };
-            result.members.push(MemberReport {
-                label,
-                frontier: options.frontier,
-                seed: options.seed,
-                rounds,
-                outcome,
-                stats,
-            });
-        }
-        let verdict = if result.winner.is_some() { JobVerdict::Found } else { verdict };
-        let wall = slot.admitted_at.map(|t| t.elapsed()).unwrap_or_default();
-        let outcome = JobOutcome {
-            handle: JobHandle(idx as u64),
-            label: slot.label.clone(),
-            verdict,
-            result,
-            slices: slot.slices,
-            rounds: rounds_total,
-            wall,
+            None => (SessionStatus::Cancelled(SearchStats::default()), 0),
         };
-        slot.finished_rounds = rounds_total;
+        let verdict = JobVerdict::of(&status);
+        let wall = slot.admitted_at.map(|t| t.elapsed()).unwrap_or_default();
+        slot.finished_rounds = rounds;
         slot.finished_wall = wall;
         slot.finished_verdict = Some(verdict);
         slot.phase = JobPhase::Finished;
         if let Some(observer) = &mut slot.observer {
-            let status = finish_status
-                .unwrap_or_else(|| SessionStatus::Cancelled(esd_symex::SearchStats::default()));
             observer.on_finish(&status);
         }
-        slot.outcome = Some(outcome);
+        slot.outcome = Some(JobOutcome {
+            handle: JobHandle(idx as u64),
+            label: slot.label.clone(),
+            verdict,
+            status,
+            slices: slot.slices,
+            rounds,
+            wall,
+        });
         if self.durable.is_some() {
             self.journal_append(&JournalRecord::Finalize { handle: idx as u64, verdict });
         }
@@ -1219,19 +1096,14 @@ impl JobExecutor {
                 pending: slot
                     .pending
                     .as_ref()
-                    .map(|(p, g, m)| (Program::clone(p), g.clone(), m.clone())),
-                members: slot
-                    .members
-                    .iter()
-                    .map(|m| (m.label.clone(), m.session.snapshot()))
-                    .collect(),
+                    .map(|(p, g, o)| (Program::clone(p), g.clone(), o.clone())),
+                session: slot.session.as_deref().map(SynthesisSession::snapshot),
                 priority: slot.priority,
                 deadline_rel_nanos: slot.deadline_at.map(|d| match d.checked_duration_since(now) {
                     Some(ahead) => ahead.as_nanos() as i64,
                     None => -(now.duration_since(d).as_nanos() as i64),
                 }),
                 admitted_elapsed: slot.admitted_at.map(|t| t.elapsed()),
-                next_member: slot.next_member,
                 slices: slot.slices,
                 phase: slot.phase,
                 outcome: slot.outcome.clone(),
@@ -1267,16 +1139,8 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> JobExecutor {
             pending: job
                 .pending
                 .as_ref()
-                .map(|(p, g, m)| (Arc::new(p.clone()), g.clone(), m.clone())),
-            members: job
-                .members
-                .iter()
-                .map(|(label, session)| MemberSlot {
-                    label: label.clone(),
-                    options: session.options.clone(),
-                    session: SynthesisSession::restore(session),
-                })
-                .collect(),
+                .map(|(p, g, o)| (Arc::new(p.clone()), g.clone(), o.clone())),
+            session: job.session.as_ref().map(|s| Box::new(SynthesisSession::restore(s))),
             observer: None,
             priority: job.priority,
             deadline_at: job.deadline_rel_nanos.map(|nanos| {
@@ -1289,7 +1153,6 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> JobExecutor {
             admitted_at: job
                 .admitted_elapsed
                 .map(|elapsed| now.checked_sub(elapsed).unwrap_or(now)),
-            next_member: job.next_member,
             slices: job.slices,
             phase: job.phase,
             outcome: job.outcome.clone(),
@@ -1326,7 +1189,7 @@ pub(crate) fn replay_records(
     let mut exec = restore_snapshot(snapshot);
     for record in records {
         match record {
-            JournalRecord::Submit { handle, label, program, goal, members, priority, deadline } => {
+            JournalRecord::Submit { handle, label, program, goal, options, priority, deadline } => {
                 let expected = exec.slots.len() as u64;
                 if *handle != expected {
                     return Err(RecoveryError::Divergence(format!(
@@ -1334,13 +1197,11 @@ pub(crate) fn replay_records(
                          {expected}"
                     )));
                 }
-                let mut spec =
-                    JobSpec::new(label.clone(), program, goal.clone()).priority(*priority);
+                let mut spec = JobSpec::new(label.clone(), program, goal.clone())
+                    .options(options.clone())
+                    .priority(*priority);
                 if let Some(deadline) = deadline {
                     spec = spec.deadline(*deadline);
-                }
-                for (member_label, options) in members {
-                    spec = spec.member(member_label.clone(), options.clone());
                 }
                 exec.submit(spec);
             }
@@ -1480,7 +1341,7 @@ mod tests {
         assert_eq!(outcome.verdict, JobVerdict::Found);
         assert_eq!(outcome.label, "job");
         assert_eq!(outcome.report().unwrap().execution.inputs[0].value, 9);
-        assert_eq!(outcome.result.members.len(), 1, "default spec runs one member");
+        assert_eq!(outcome.status.stats(), Some(&outcome.report().unwrap().stats));
         assert!(outcome.slices > 0 && outcome.rounds > 0);
         assert!(exec.take(h).is_none(), "take() consumes the outcome");
     }
@@ -1515,21 +1376,22 @@ mod tests {
         let mut exec = JobExecutor::round_robin().max_running(1).slice_rounds(1);
         let a = exec.submit(JobSpec::new("a", &p, GoalSpec::Crash { loc }));
         let b = exec.submit(JobSpec::new("b", &p, GoalSpec::Crash { loc }));
-        // Cancel b while it is still queued: no sessions ever exist for it.
+        // Cancel b while it is still queued: no session ever exists for it.
         assert!(exec.cancel(b));
         assert_eq!(exec.status(b), JobStatus::Cancelled);
         let outcome = exec.take(b).unwrap();
         assert_eq!(outcome.verdict, JobVerdict::Cancelled);
-        assert!(outcome.result.members.is_empty());
-        assert_eq!(outcome.wall, Duration::ZERO);
+        assert!(
+            matches!(&outcome.status, SessionStatus::Cancelled(s) if *s == SearchStats::default())
+        );
+        assert_eq!((outcome.rounds, outcome.wall), (0, Duration::ZERO));
         assert_eq!(exec.status(b), JobStatus::Cancelled, "status survives take()");
-        // Cancel a mid-run: partial member stats survive.
+        // Cancel a mid-run: the session's partial stats survive.
         assert!(exec.run_slice());
         assert!(exec.cancel(a));
         let outcome = exec.take(a).unwrap();
         assert_eq!(outcome.verdict, JobVerdict::Cancelled);
-        assert_eq!(outcome.result.members.len(), 1);
-        assert_eq!(outcome.result.members[0].outcome, MemberOutcome::Preempted);
+        assert!(matches!(&outcome.status, SessionStatus::Cancelled(s) if s.steps > 0));
         assert!(!exec.cancel(a), "cancel on a finished job is a no-op");
         assert_eq!(exec.stats().cancelled, 2);
         assert!(!exec.run_slice(), "nothing left to run");

@@ -47,7 +47,7 @@ const FRAME_HEADER: usize = 4 + 8;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum JournalRecord {
     /// A job was submitted. Carries the full ingredients (program, goal,
-    /// member configurations) so recovery can resubmit it verbatim.
+    /// options) so recovery can resubmit it verbatim.
     Submit {
         /// The handle the executor assigned (dense submit order; replay
         /// verifies it assigns the same one).
@@ -58,8 +58,8 @@ pub enum JournalRecord {
         program: Program,
         /// The goal the job searches for.
         goal: GoalSpec,
-        /// The member configurations (label, options), portfolio-style.
-        members: Vec<(String, EsdOptions)>,
+        /// The options the job's session runs with.
+        options: EsdOptions,
         /// The job's scheduling priority.
         priority: u32,
         /// The job's scheduling-deadline hint, measured from submission.

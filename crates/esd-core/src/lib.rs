@@ -13,10 +13,8 @@
 //! * [`session`] — the resumable form of `esdsynth`: stepwise
 //!   [`SynthesisSession`]s with progress [`Observer`]s, deadlines and
 //!   cancellation, configured via the builder-style [`EsdOptionsBuilder`].
-//! * [`portfolio`] — N sessions with different search frontiers time-sliced
-//!   round-robin over the same job; first winner takes it.
 //! * [`executor`] — the multi-job layer: a [`JobExecutor`] holds N
-//!   independent jobs (each a session or a per-job portfolio) and
+//!   independent jobs (each one session) and
 //!   time-slices them under a [`FairnessPolicy`], with per-job
 //!   observer fan-out and aggregate [`ExecutorStats`].
 //! * [`snapshot`] — versioned, checksummed snapshot envelopes for durable
@@ -34,14 +32,13 @@
 
 // Documentation enforcement (see ARCHITECTURE.md): every public item must
 // carry rustdoc, extended from the esd-concurrency pilot now that the
-// session/portfolio redesign stabilized this crate's API.
+// session redesign stabilized this crate's API.
 #![deny(missing_docs)]
 
 pub mod execfile;
 pub mod executor;
 pub mod journal;
 pub mod kc;
-pub mod portfolio;
 pub mod report;
 pub mod session;
 pub mod snapshot;
@@ -58,7 +55,6 @@ pub use journal::{
     JournalDamage, JournalRecord, JournalScan, JournalWriter, Recovery, RecoveryError,
 };
 pub use kc::{kc_synthesize, KcStrategy};
-pub use portfolio::{MemberOutcome, MemberReport, Portfolio, PortfolioResult, PortfolioWinner};
 pub use report::{extract_goal, BugKind, BugReport};
 pub use session::{
     EsdOptionsBuilder, Observer, ProgressEvent, SessionSnapshot, SessionStatus, SynthesisSession,

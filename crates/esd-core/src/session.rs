@@ -22,12 +22,9 @@
 //! produces, because the facade *is* a loop over the same rounds.
 //!
 //! Sessions are configured with the builder-style [`EsdOptionsBuilder`]
-//! (`EsdOptions::builder()`), and composed by the layers above: the
-//! [`Portfolio`](crate::portfolio::Portfolio) runner races several sessions
-//! with different search frontiers over the same job, and the multi-job
-//! [`JobExecutor`](crate::executor::JobExecutor) holds many independent
-//! jobs' sessions and time-slices them under a fairness policy — both share
-//! the executor's single time-slicing loop.
+//! (`EsdOptions::builder()`). The multi-job
+//! [`JobExecutor`](crate::executor::JobExecutor) above them holds one
+//! session per job and time-slices the jobs under a fairness policy.
 
 use crate::execfile::SynthesizedExecution;
 use crate::synth::{Esd, EsdOptions, SynthesisReport};
@@ -50,9 +47,8 @@ const RUN_TO_COMPLETION_SLICE: u64 = 16 * 1024;
 /// A progress snapshot handed to an [`Observer`] while a session runs.
 ///
 /// The same type is a running job's progress in
-/// [`JobStatus::Running`](crate::JobStatus::Running), folded over the job's
-/// members. Serializable so the service layer can stream progress as wire
-/// messages.
+/// [`JobStatus::Running`](crate::JobStatus::Running). Serializable so the
+/// service layer can stream progress as wire messages.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ProgressEvent {
     /// Search rounds (frontier selections) completed so far.
@@ -326,10 +322,10 @@ impl SynthesisSession {
         session
     }
 
-    /// Creates a session over an already-computed static analysis, so
-    /// several sessions for the same job (a [`Portfolio`](crate::Portfolio))
-    /// share one static phase. `progress_every == 0` disables periodic
-    /// progress events.
+    /// Creates a session over an already-computed static analysis, so the
+    /// caller decides where the static phase runs and what it is charged to
+    /// (the executor times it as part of admission). `progress_every == 0`
+    /// disables periodic progress events.
     pub fn from_parts(
         program: Arc<Program>,
         analysis: Arc<StaticAnalysis>,

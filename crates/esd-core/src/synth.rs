@@ -4,7 +4,7 @@
 //! wrapper over a [`SynthesisSession`],
 //! the resumable form that supports progress observation, deadlines,
 //! cancellation and time-slicing (see [`crate::session`] and
-//! [`crate::portfolio`]).
+//! [`crate::executor`]).
 
 use crate::report::{extract_goal, BugKind, BugReport};
 use crate::session::{EsdOptionsBuilder, SessionStatus, SynthesisSession};

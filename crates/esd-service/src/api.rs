@@ -25,13 +25,12 @@ use std::time::Duration;
 pub struct JobRequest {
     /// Human-readable label, echoed in statuses and outcomes.
     pub label: String,
-    /// The program under debug.
-    pub program: Program,
+    /// The program under debug, shared like [`JobSpec`]'s.
+    pub program: Arc<Program>,
     /// The goal to synthesize an execution for.
     pub goal: GoalSpec,
-    /// Portfolio members as `(label, options)`; empty means one default
-    /// member (exactly like [`JobSpec`]).
-    pub members: Vec<(String, EsdOptions)>,
+    /// The options the job's session runs with (see [`JobSpec::options`]).
+    pub options: EsdOptions,
     /// Scheduling priority (see [`JobSpec::priority`]).
     pub priority: u32,
     /// Scheduling-deadline hint, measured from submission.
@@ -39,27 +38,21 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
-    /// A single-member request with default options and priority 1.
+    /// A request with default options and priority 1.
     pub fn new(label: impl Into<String>, program: &Program, goal: GoalSpec) -> Self {
         JobRequest {
             label: label.into(),
-            program: program.clone(),
+            program: Arc::new(program.clone()),
             goal,
-            members: Vec::new(),
+            options: EsdOptions::default(),
             priority: 1,
             deadline: None,
         }
     }
 
-    /// Replaces the default member's options (single-member requests).
+    /// Sets the options the job's session runs with.
     pub fn options(mut self, options: EsdOptions) -> Self {
-        self.members = vec![("default".to_string(), options)];
-        self
-    }
-
-    /// Adds a portfolio member.
-    pub fn member(mut self, label: impl Into<String>, options: EsdOptions) -> Self {
-        self.members.push((label.into(), options));
+        self.options = options;
         self
     }
 
@@ -77,12 +70,11 @@ impl JobRequest {
 
     /// Lowers the request into the executor's [`JobSpec`].
     pub(crate) fn into_spec(self) -> JobSpec {
-        let mut spec = JobSpec::new(self.label, &self.program, self.goal).priority(self.priority);
+        let mut spec = JobSpec::new(self.label, &self.program, self.goal)
+            .options(self.options)
+            .priority(self.priority);
         if let Some(deadline) = self.deadline {
             spec = spec.deadline(deadline);
-        }
-        for (label, options) in self.members {
-            spec = spec.member(label, options);
         }
         spec
     }
@@ -102,7 +94,7 @@ pub struct JobTicket {
 pub enum ProgressUpdate {
     /// The job advanced by a slice; the engine's progress snapshot.
     Progress {
-        /// The progress snapshot of the member that just ran.
+        /// The job's session progress after the slice.
         event: ProgressEvent,
     },
     /// The job reached a terminal state; always the stream's last element.

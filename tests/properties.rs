@@ -517,12 +517,17 @@ proptest! {
     /// original bytes.
     #[test]
     fn wire_messages_round_trip_through_arbitrary_chunking(
-        picks in proptest::collection::vec((0usize..10, 0u64..1000), 1..20),
+        picks in proptest::collection::vec((0usize..12, 0u64..1000), 1..20),
         chunk in 1usize..64,
     ) {
         let messages: Vec<(Vec<u8>, bool)> = picks
             .iter()
             .map(|&(which, n)| match which {
+                10 => (encode_request(&WireRequest::Submit { request: wire_request(n) }), true),
+                11 => {
+                    let outcome = wire_outcomes()[(n % 3) as usize].clone();
+                    (encode_response(&WireResponse::Outcome { outcome: Box::new(Some(outcome)) }), false)
+                }
                 0 => (encode_request(&WireRequest::Poll { ticket: n }), true),
                 1 => (encode_request(&WireRequest::Cancel { ticket: n }), true),
                 2 => (encode_request(&WireRequest::Take { ticket: n }), true),
@@ -694,6 +699,74 @@ fn wire_status(n: u64) -> esd::JobStatus {
 }
 
 /// One of each `ServiceError` shape, chosen by `n`.
+/// A submission with non-default options, priority and deadline, so every
+/// `JobRequest` field crosses the wire.
+fn wire_request(n: u64) -> esd::JobRequest {
+    let (program, loc) = wire_program(n as i64, true);
+    let options = EsdOptions::builder()
+        .frontier(if n.is_multiple_of(2) { FrontierKind::Dfs } else { FrontierKind::beam() })
+        .seed(n)
+        .max_steps(1_000 + n)
+        .with_race_detection(n.is_multiple_of(3))
+        .deadline(Duration::from_millis(n + 1))
+        .build();
+    esd::JobRequest::new(format!("job{n}"), &program, esd::GoalSpec::Crash { loc })
+        .options(options)
+        .priority(1 + (n % 7) as u32)
+        .deadline(Duration::from_secs(n))
+}
+
+/// `main` reads one input and crashes on a null load when it equals
+/// `trigger`; `crashes == false` swaps the load for an output, so the goal
+/// location is reachable but never faults.
+fn wire_program(trigger: i64, crashes: bool) -> (esd::ir::Program, Loc) {
+    let mut pb = ProgramBuilder::new("wire_job");
+    let mut loc = None;
+    pb.function("main", 0, |f| {
+        let x = f.getchar();
+        let c = f.cmp(CmpOp::Eq, x, trigger);
+        let bug = f.new_block("bug");
+        let ok = f.new_block("ok");
+        f.cond_br(c, bug, ok);
+        f.switch_to(bug);
+        let z = f.konst(0);
+        loc = Some(Loc::new(esd::ir::FuncId(0), bug, f.next_inst_idx()));
+        if crashes {
+            let v = f.load(z);
+            f.output(v);
+        } else {
+            f.output(z);
+        }
+        f.ret_void();
+        f.switch_to(ok);
+        f.ret_void();
+    });
+    (pb.finish("main"), loc.expect("the bug block was built"))
+}
+
+/// Real executor outcomes of the three shapes a client can take: `Found`
+/// (with its execution file), `Exhausted`, and cancelled while still queued.
+fn wire_outcomes() -> &'static [esd::JobOutcome; 3] {
+    static OUTCOMES: std::sync::OnceLock<[esd::JobOutcome; 3]> = std::sync::OnceLock::new();
+    OUTCOMES.get_or_init(|| {
+        let mut executor = esd::JobExecutor::round_robin().max_running(1);
+        let (found, found_loc) = wire_program(7, true);
+        let (clean, clean_loc) = wire_program(7, false);
+        let handles = [
+            executor.submit(esd::JobSpec::new("found", &found, esd::GoalSpec::Crash { loc: found_loc })),
+            executor.submit(esd::JobSpec::new("exhausted", &clean, esd::GoalSpec::Crash { loc: clean_loc })),
+            executor.submit(esd::JobSpec::new("queued", &found, esd::GoalSpec::Crash { loc: found_loc })),
+        ];
+        assert!(executor.cancel(handles[2]), "the third job is still queued");
+        executor.run_until_idle();
+        let outcomes = handles.map(|h| executor.take(h).expect("every job finished"));
+        assert!(matches!(outcomes[0].status, SessionStatus::Found(_)));
+        assert!(matches!(outcomes[1].status, SessionStatus::Exhausted(_)), "{:?}", outcomes[1].status);
+        assert!(matches!(&outcomes[2].status, SessionStatus::Cancelled(s) if *s == SearchStats::default()));
+        outcomes
+    })
+}
+
 fn wire_error(n: u64) -> esd::ServiceError {
     match n % 5 {
         0 => esd::ServiceError::Overloaded { retry_after_slices: n },

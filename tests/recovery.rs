@@ -99,8 +99,7 @@ struct Expected {
     label: String,
     verdict: JobVerdict,
     execution_json: Option<String>,
-    member_stats: Vec<SearchStats>,
-    member_rounds: Vec<u64>,
+    stats: Option<SearchStats>,
     rounds: u64,
 }
 
@@ -113,8 +112,7 @@ fn collect(executor: &mut JobExecutor, handles: &[esd::JobHandle]) -> Vec<Expect
                 label: outcome.label.clone(),
                 verdict: outcome.verdict,
                 execution_json: outcome.report().map(|r| r.execution.to_json()),
-                member_stats: outcome.result.members.iter().map(|m| m.stats.clone()).collect(),
-                member_rounds: outcome.result.members.iter().map(|m| m.rounds).collect(),
+                stats: outcome.status.stats().cloned(),
                 rounds: outcome.rounds,
             }
         })
@@ -131,12 +129,7 @@ fn assert_matches(actual: &[Expected], expected: &[Expected], context: &str) {
             "{context}: {} must synthesize the byte-identical execution file",
             e.label
         );
-        assert_eq!(
-            a.member_stats, e.member_stats,
-            "{context}: {} member search statistics must be equal",
-            e.label
-        );
-        assert_eq!(a.member_rounds, e.member_rounds, "{context}: {} member rounds", e.label);
+        assert_eq!(a.stats, e.stats, "{context}: {} search statistics must be equal", e.label);
         assert_eq!(a.rounds, e.rounds, "{context}: {} total rounds", e.label);
     }
 }

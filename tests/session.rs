@@ -1,11 +1,10 @@
 //! Integration tests for the stepwise-session API redesign: slicing the
-//! search must never change the synthesized execution, cancellation must
-//! surface partial statistics, and a portfolio's winner must be exactly what
-//! a solo run of the winning configuration produces.
+//! search must never change the synthesized execution, and cancellation
+//! must surface partial statistics.
 
 use esd::playback::play;
 use esd::workloads::{listing1, real_bugs::paste_invalid_free};
-use esd::{Esd, EsdOptions, FrontierKind, Portfolio, SessionStatus};
+use esd::{Esd, EsdOptions, SessionStatus};
 
 /// Determinism invariant of the tentpole: for a fixed seed, a session
 /// advanced via `run_for(1)` slices yields byte-identical execution-file
@@ -87,59 +86,4 @@ fn cancel_surfaces_partial_stats() {
     let status = session.poll();
     assert!(matches!(status, SessionStatus::Cancelled(_)));
     assert_eq!(status.stats().unwrap().steps, stats.steps);
-}
-
-/// The acceptance-criteria portfolio: racing {proximity, dfs, bfs, random,
-/// beam} on a paper workload produces a winner whose execution replays, with
-/// per-member statistics — and the winner's execution is byte-identical to a
-/// solo run of the winning configuration.
-#[test]
-fn portfolio_winner_matches_the_solo_run() {
-    let w = listing1();
-    let base = EsdOptions::builder().max_steps(2_000_000).build();
-    let result = Portfolio::new(base.clone())
-        .frontiers([
-            FrontierKind::Proximity,
-            FrontierKind::Dfs,
-            FrontierKind::Bfs,
-            FrontierKind::Random,
-            FrontierKind::beam(),
-        ])
-        .slice_rounds(500)
-        .run(&w.program, w.goal());
-
-    let winner = result.winner.as_ref().expect("some frontier synthesizes the deadlock");
-    assert!(
-        play(&w.program, &winner.report.execution).reproduced,
-        "the winning execution must replay"
-    );
-    // Every member reports its (partial or terminal) SearchStats.
-    assert_eq!(result.members.len(), 5);
-    for (i, member) in result.members.iter().enumerate() {
-        if i == winner.member {
-            assert_eq!(member.outcome, esd::core::MemberOutcome::Won, "{}", member.label);
-            assert_eq!(member.stats.steps, winner.report.stats.steps);
-        } else {
-            assert_ne!(member.outcome, esd::core::MemberOutcome::Won, "{}", member.label);
-            // Members that got at least one slice keep their partial stats.
-            assert!(
-                member.rounds == 0 || member.stats.steps > 0,
-                "{}: non-winning members keep their partial stats",
-                member.label
-            );
-        }
-    }
-
-    // The portfolio's time-slicing must not change the winner's trajectory:
-    // a solo run of the winning configuration synthesizes the identical
-    // execution file.
-    let winning = &result.members[winner.member];
-    let solo = Esd::new(EsdOptions { frontier: winning.frontier, seed: winning.seed, ..base })
-        .synthesize_goal(&w.program, w.goal())
-        .expect("the winning configuration also wins solo");
-    assert_eq!(
-        winner.report.execution.to_json(),
-        solo.execution.to_json(),
-        "portfolio winner must equal the solo run of the same configuration"
-    );
 }
