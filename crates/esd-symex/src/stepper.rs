@@ -737,46 +737,40 @@ impl<'a> Stepper<'a> {
                 }
             }
             Inst::Load { dst, addr } => {
-                self.count_step(state);
                 let av = self.eval(state, addr);
-                match self.as_address(state, &av) {
-                    Ok(p) => {
-                        if let Some(e) = self.maybe_race_preempt(state, p, loc, false) {
-                            return e;
+                let target = self.as_address(state, &av);
+                if let Ok(p) = target {
+                    self.maybe_race_preempt(state, p, loc, false);
+                }
+                self.count_step(state);
+                match target {
+                    Ok(p) => match state.mem.load(p) {
+                        Ok(v) => {
+                            self.set_reg(state, dst, v);
+                            self.advance(state);
+                            StepEffect::Continue
                         }
-                        match state.mem.load(p) {
-                            Ok(v) => {
-                                self.set_reg(state, dst, v);
-                                self.advance(state);
-                                StepEffect::Continue
-                            }
-                            Err(e) => {
-                                self.handle_fault(state, Self::mem_fault(e, Value::Ptr(p)), loc)
-                            }
-                        }
-                    }
+                        Err(e) => self.handle_fault(state, Self::mem_fault(e, Value::Ptr(p)), loc),
+                    },
                     Err(f) => self.handle_fault(state, f, loc),
                 }
             }
             Inst::Store { addr, value } => {
-                self.count_step(state);
                 let av = self.eval(state, addr);
                 let vv = self.eval(state, value);
-                match self.as_address(state, &av) {
-                    Ok(p) => {
-                        if let Some(e) = self.maybe_race_preempt(state, p, loc, true) {
-                            return e;
+                let target = self.as_address(state, &av);
+                if let Ok(p) = target {
+                    self.maybe_race_preempt(state, p, loc, true);
+                }
+                self.count_step(state);
+                match target {
+                    Ok(p) => match state.mem.store(p, vv) {
+                        Ok(()) => {
+                            self.advance(state);
+                            StepEffect::Continue
                         }
-                        match state.mem.store(p, vv) {
-                            Ok(()) => {
-                                self.advance(state);
-                                StepEffect::Continue
-                            }
-                            Err(e) => {
-                                self.handle_fault(state, Self::mem_fault(e, Value::Ptr(p)), loc)
-                            }
-                        }
-                    }
+                        Err(e) => self.handle_fault(state, Self::mem_fault(e, Value::Ptr(p)), loc),
+                    },
                     Err(f) => self.handle_fault(state, f, loc),
                 }
             }
@@ -1152,21 +1146,17 @@ impl<'a> Stepper<'a> {
 
     /// Lockset-based race preemption points (§4.2): on a flagged access, fork
     /// a state in which the access is delayed and another thread runs first.
-    fn maybe_race_preempt(
-        &mut self,
-        state: &mut ExecState,
-        p: Ptr,
-        loc: Loc,
-        is_write: bool,
-    ) -> Option<StepEffect> {
+    /// Called before the access is counted, so the fork's schedule segment
+    /// ends just before it and playback switches threads there.
+    fn maybe_race_preempt(&mut self, state: &mut ExecState, p: Ptr, loc: Loc, is_write: bool) {
         if !self.config.race_preemptions {
-            return None;
+            return;
         }
         // Only consider globals and heap objects (locals are thread-private).
         let shared =
             state.mem.object(p.obj).map(|o| !matches!(o.kind, ObjKind::Local(_))).unwrap_or(false);
         if !shared {
-            return None;
+            return;
         }
         let cur = state.current;
         let held: Vec<(u64, i64)> =
@@ -1188,7 +1178,6 @@ impl<'a> Stepper<'a> {
                 self.fork_preempted(state, next);
             }
         }
-        None
     }
 
     /// `mutex_lock`, with the deadlock schedule-synthesis heuristics of §4.1.

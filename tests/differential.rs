@@ -15,7 +15,7 @@
 
 use esd::playback::play;
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind};
-use esd::{EsdOptions, JobExecutor, JobSpec, JobVerdict};
+use esd::{EsdOptions, FrontierKind, JobExecutor, JobSpec, JobVerdict};
 use esd_bench::coverage::{corpus, coverage_matrix, smoke_seeds, CoverageConfig};
 
 /// Per-run instruction budget: the smoke-corpus winners need well under
@@ -80,6 +80,35 @@ fn smoke_corpus_winners_replay_to_the_injected_failure() {
         let replay = play(&w.program, &report.execution);
         assert!(replay.reproduced, "{}: the synthesized execution must replay", w.name);
     }
+}
+
+/// A race-preemption fork delays the flagged access: the delayed
+/// alternative's schedule segment must end *before* that access, so that
+/// playback runs the other thread first. Random search on this medium data
+/// race finds the lost update only through such a fork; if the fork's
+/// segment counted the access it delays, playback would perform the access
+/// before the context switch and the program would exit cleanly.
+#[test]
+fn race_preemption_forks_replay_the_interleaving_they_found() {
+    let w =
+        generate(&GenConfig { seed: 60, kind: InjectedBugKind::DataRace, size: GenSize::medium() });
+    let report = EsdOptions::builder()
+        .max_steps(BUDGET)
+        .frontier(FrontierKind::Random)
+        .seed(1)
+        .with_race_detection(true)
+        .synthesizer()
+        .synthesize_goal(&w.program, w.truth.goal.clone())
+        .unwrap_or_else(|e| panic!("{}: random synthesis failed: {e:?}", w.name));
+    w.truth
+        .matches(&report.execution)
+        .unwrap_or_else(|e| panic!("{}: ground truth mismatch: {e}", w.name));
+    let replay = play(&w.program, &report.execution);
+    assert!(
+        replay.reproduced,
+        "{}: the execution file must replay to its promised failure, got {:?}",
+        w.name, replay.outcome
+    );
 }
 
 /// Satellite: a generated 12-job corpus (3 seeds × 4 kinds) submitted as a
