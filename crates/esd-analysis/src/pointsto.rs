@@ -202,12 +202,6 @@ impl PointsTo {
     pub fn points_to(&self, func: FuncId, reg: Reg) -> BTreeSet<AbsLoc> {
         self.reg_pts.get(&(func, reg)).cloned().unwrap_or_default()
     }
-
-    /// True when the access at `loc` may touch memory another thread can
-    /// also touch. Non-access locations answer `false`.
-    pub fn is_may_shared(&self, loc: Loc) -> bool {
-        self.access_at(loc).map(|a| a.may_shared).unwrap_or(false)
-    }
 }
 
 /// Unions `pts(src)` into `pts(dst)`; true if `dst` grew.

@@ -2,8 +2,7 @@
 //! (`BENCH_coverage.json`).
 //!
 //! Generates the seeded bug corpus (N seeds × 4 injected bug kinds), runs
-//! every search frontier against each scenario's ground truth, and pushes
-//! the corpus through the multi-job executor under every fairness policy —
+//! every search frontier against each scenario's ground truth —
 //! human-readable on stdout, machine-readable as JSON.
 //!
 //! * Default mode is the *reduced* smoke corpus CI runs (`coverage-smoke`
@@ -12,8 +11,7 @@
 //! * The JSON lands in `BENCH_coverage.json`, or in the first CLI argument
 //!   ending in `.json`, or in `$ESD_BENCH_OUT`.
 //! * Exit codes gate CI: 2 = an injected bug was missed by every frontier,
-//!   3 = a false-positive goal report,
-//!   4 = the fairness policies disagreed on a job outcome.
+//!   3 = a false-positive goal report.
 
 use esd_bench::coverage::{coverage_matrix, print_coverage, CoverageConfig};
 use esd_bench::full_mode;
@@ -65,11 +63,5 @@ fn main() {
             );
         }
         std::process::exit(3);
-    }
-    if !report.policies_agree() {
-        for j in report.policy_jobs.iter().filter(|j| !j.agree) {
-            eprintln!("FAIL: {}: fairness policies disagree on the outcome", j.label);
-        }
-        std::process::exit(4);
     }
 }

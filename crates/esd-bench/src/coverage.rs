@@ -2,24 +2,21 @@
 //!
 //! [`coverage_matrix`] takes a corpus of `(seed, bug kind)` scenarios from
 //! the `esd-workloads` genbug generator and runs every search frontier
-//! (proximity, DFS, BFS, random, beam) against each scenario's ground truth,
-//! then pushes the whole corpus through the [`JobExecutor`] under every
-//! fairness policy. The report answers three questions CI gates on:
+//! (proximity, DFS, BFS, random, beam) against each scenario's ground
+//! truth. The report answers two questions CI gates on:
 //!
 //! 1. **Coverage** — is every injected bug found by at least one frontier
 //!    within the per-run budget? ([`CoverageReport::all_found`])
 //! 2. **Soundness** — does every *reported* goal match the injected ground
 //!    truth (fault tag, fault location, arming inputs)? A mismatch is a
 //!    false positive. ([`CoverageReport::false_positives`])
-//! 3. **Determinism** — do all fairness policies agree on every job's
-//!    outcome? ([`CoverageReport::policies_agree`])
 //!
 //! The `coverage_matrix` binary wraps this into `BENCH_coverage.json` for
 //! the CI `coverage-smoke` job; `tests/differential.rs` asserts the same
 //! properties as a regular test over the checked-in smoke corpus.
 
 use crate::secs;
-use esd_core::{EsdOptions, JobExecutor, JobSpec, JobVerdict};
+use esd_core::EsdOptions;
 use esd_symex::FrontierKind;
 use esd_workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
 use serde::Serialize;
@@ -121,18 +118,6 @@ pub struct ScenarioRow {
     pub winner: Option<String>,
 }
 
-/// The per-policy outcome of one corpus job in the policy differential.
-#[derive(Debug, Clone, Serialize)]
-pub struct PolicyJobRow {
-    /// The job's label (the generated workload name).
-    pub label: String,
-    /// Per-policy `(policy name, verdict, execution JSON)` — the differential
-    /// asserts every policy's verdict and execution agree.
-    pub agree: bool,
-    /// The verdict under the first policy (they all must match it).
-    pub verdict: String,
-}
-
 /// The machine-readable result of [`coverage_matrix`], serialized to
 /// `BENCH_coverage.json` by the `coverage_matrix` binary and gated in CI.
 #[derive(Debug, Clone, Serialize)]
@@ -160,16 +145,12 @@ pub struct CoverageReport {
     pub seeds: Vec<u64>,
     /// The frontier lineup, by display name.
     pub frontiers: Vec<String>,
-    /// The fairness policies of the executor differential.
-    pub policies: Vec<String>,
     /// One row per `(seed, kind)` scenario.
     pub scenarios: Vec<ScenarioRow>,
     /// Scenario count (`seeds × kinds`).
     pub scenarios_total: usize,
     /// Scenarios found by at least one frontier.
     pub scenarios_found: usize,
-    /// Per-job policy agreement over the corpus.
-    pub policy_jobs: Vec<PolicyJobRow>,
     /// Wall-clock seconds for the whole matrix.
     pub total_wall_secs: f64,
 }
@@ -188,12 +169,6 @@ impl CoverageReport {
             .flat_map(|s| s.cells.iter().map(move |c| (s.name.as_str(), c)))
             .filter(|(_, c)| c.found && !c.truth_ok)
             .collect()
-    }
-
-    /// Determinism gate: every fairness policy produced the identical
-    /// outcome for every corpus job.
-    pub fn policies_agree(&self) -> bool {
-        self.policy_jobs.iter().all(|j| j.agree)
     }
 }
 
@@ -224,7 +199,7 @@ fn cell_options(w: &GeneratedWorkload, frontier: FrontierKind, budget: u64) -> E
 }
 
 /// Runs the full differential matrix for a config: every scenario × every
-/// frontier, then the fairness-policy differential over the whole corpus.
+/// frontier.
 pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
     let started = Instant::now();
     let frontiers = coverage_frontiers();
@@ -298,13 +273,6 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
         scenarios.push(row);
     }
 
-    let policies = vec![
-        "round-robin".to_string(),
-        "weighted-by-priority".to_string(),
-        "deadline-first".to_string(),
-    ];
-    let policy_jobs = policy_differential(&corpus, config.budget);
-
     let scenarios_found = scenarios.iter().filter(|s| s.found_by > 0).count();
     CoverageReport {
         mode: if crate::full_mode() { "full" } else { "reduced" },
@@ -334,61 +302,11 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
         budget: config.budget,
         seeds: config.seeds.clone(),
         frontiers: frontiers.iter().map(|f| f.to_string()).collect(),
-        policies,
         scenarios_total: scenarios.len(),
         scenarios_found,
         scenarios,
-        policy_jobs,
         total_wall_secs: secs(started.elapsed()),
     }
-}
-
-/// Runs the corpus through the [`JobExecutor`] under each fairness policy
-/// and reports, per job, whether every policy produced the identical
-/// verdict and execution file — the service-layer half of the determinism
-/// contract (scheduling arbitration must never leak into results).
-pub fn policy_differential(corpus: &[GeneratedWorkload], budget: u64) -> Vec<PolicyJobRow> {
-    let specs = || -> Vec<JobSpec> {
-        corpus
-            .iter()
-            .map(|w| {
-                JobSpec::new(&w.name, &w.program, w.truth.goal.clone()).options(
-                    EsdOptions::builder()
-                        .max_steps(budget)
-                        .with_race_detection(w.truth.needs_race_preemptions)
-                        .static_pruning(crate::static_pruning_from_env())
-                        .build(),
-                )
-            })
-            .collect()
-    };
-    let executors = [
-        JobExecutor::round_robin(),
-        JobExecutor::weighted_by_priority(),
-        JobExecutor::deadline_first(),
-    ];
-    let mut per_policy: Vec<Vec<(JobVerdict, Option<String>)>> = Vec::new();
-    for executor in executors {
-        let outcomes = executor.slice_rounds(256).run_batch(specs());
-        per_policy.push(
-            outcomes
-                .into_iter()
-                .map(|o| {
-                    let json = o.report().map(|r| r.execution.to_json());
-                    (o.verdict, json)
-                })
-                .collect(),
-        );
-    }
-    corpus
-        .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let first = &per_policy[0][i];
-            let agree = per_policy.iter().all(|p| p[i] == *first);
-            PolicyJobRow { label: w.name.clone(), agree, verdict: format!("{:?}", first.0) }
-        })
-        .collect()
 }
 
 /// Renders the coverage report as tables.
@@ -423,11 +341,10 @@ pub fn print_coverage(report: &CoverageReport) {
         println!("{row} {:>12}", s.winner.as_deref().unwrap_or("NONE"));
     }
     println!(
-        "coverage: {}/{} found · {} false positives · policies agree: {} · {:.1}s",
+        "coverage: {}/{} found · {} false positives · {:.1}s",
         report.scenarios_found,
         report.scenarios_total,
         report.false_positives().len(),
-        if report.policies_agree() { "yes" } else { "NO" },
         report.total_wall_secs,
     );
     println!(

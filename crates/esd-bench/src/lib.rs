@@ -1,9 +1,9 @@
 //! Benchmark harness regenerating the paper's evaluation (§7).
 //!
 //! Each public function reproduces one table or figure and returns printable
-//! rows; the `src/bin/` binaries (five of which double as harness-less
-//! `cargo bench` targets) are thin wrappers that run them and print the same
-//! rows the paper reports. Absolute times
+//! rows; the `src/bin/` binaries (`cargo run -p esd-bench --bin <name>`)
+//! are thin wrappers that run them and print the same rows the paper
+//! reports. Absolute times
 //! will differ from the paper's 2008-era testbed (and our substrate is an IR
 //! interpreter rather than LLVM/Klee); the *shape* — ESD succeeds within
 //! seconds-to-minutes, KC hits its cap on the real-bug analogs, synthesis
@@ -12,9 +12,8 @@
 //!
 //! Beyond the paper's figures, the [`coverage`] module runs the generated
 //! bug corpus (seeded programs with injected bugs of known kind) through
-//! every search frontier and executor fairness policy against ground truth
-//! — the differential harness behind the `coverage_matrix` binary and the
-//! CI `coverage-smoke` job.
+//! every search frontier against ground truth — the differential harness
+//! behind the `coverage_matrix` binary and the CI `coverage-smoke` job.
 
 #![deny(missing_docs)]
 

@@ -10,8 +10,6 @@
 //! * [`pmap`] — the persistent (copy-on-write) hash map underlying the
 //!   per-state analyses: cloning shares structure via `Arc`, writes
 //!   path-copy.
-//! * [`vclock`] — vector clocks / happens-before ordering, used for the
-//!   happens-before form of the synthesized schedule (§5.1).
 //! * [`schedule`] — the serialized thread schedule stored in the synthesized
 //!   execution file and enforced during playback.
 
@@ -23,10 +21,8 @@ pub mod lockset;
 pub mod pmap;
 pub mod rag;
 pub mod schedule;
-pub mod vclock;
 
 pub use lockset::{LocksetDetector, RaceReport};
 pub use pmap::PMap;
 pub use rag::{find_mutex_deadlock, WaitGraph};
 pub use schedule::{Schedule, ScheduleSegment, SegmentStop};
-pub use vclock::VectorClock;

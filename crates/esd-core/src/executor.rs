@@ -4,16 +4,11 @@
 //! reports and ESD synthesizes a failing execution for each one. A
 //! [`SynthesisSession`] is one resumable job. The [`JobExecutor`] is the
 //! layer above it: it holds N independent jobs at once — each exactly one
-//! session — and time-slices them under one of three [`FairnessPolicy`]
-//! variants:
-//!
-//! * [`FairnessPolicy::RoundRobin`] — every runnable job gets an equal
-//!   slice in submit order;
-//! * [`FairnessPolicy::WeightedByPriority`] — round-robin turns, but a
-//!   job's slice scales with its [`JobSpec::priority`];
-//! * [`FairnessPolicy::DeadlineFirst`] — the runnable job with the earliest
-//!   scheduling deadline is served first and receives enlarged slices; jobs
-//!   without a deadline only run when no deadline-bearing job is runnable.
+//! session — and time-slices them round-robin: every running job gets an
+//! equal slice of [`JobExecutor::slice_rounds`] search rounds, in submit
+//! order, cycling over the running jobs. That is the executor's one
+//! scheduling rule. The only deadline a job has is
+//! [`EsdOptions::deadline`], which stops its search.
 //!
 //! The caller drives the executor explicitly — [`JobExecutor::submit`],
 //! [`JobExecutor::run_slice`] / [`JobExecutor::run_until_idle`],
@@ -44,18 +39,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How many search rounds one dispatched slice advances by default
-/// (overridable via [`JobExecutor::slice_rounds`]; policies may scale it).
+/// (overridable via [`JobExecutor::slice_rounds`]).
 pub const DEFAULT_SLICE_ROUNDS: u64 = 1024;
-
-/// The slice enlargement [`FairnessPolicy::DeadlineFirst`] grants
-/// deadline-bearing jobs.
-pub const DEADLINE_SLICE_BOOST: u64 = 4;
-
-/// The longest scheduling deadline a job keeps ([`JobSpec::deadline`]):
-/// `i64::MAX` nanoseconds, about 292 years. The bound keeps both the
-/// submit-time `Instant` addition and a snapshot's signed nanosecond offset
-/// from overflowing.
-const MAX_DEADLINE: Duration = Duration::from_nanos(i64::MAX as u64);
 
 /// How many dispatched slices a durable executor runs between checkpoints
 /// by default (overridable via [`JobExecutor::checkpoint_every`]).
@@ -89,8 +74,6 @@ pub struct JobSpec {
     program: Arc<Program>,
     goal: GoalSpec,
     options: EsdOptions,
-    priority: u32,
-    deadline: Option<Duration>,
     observer: Option<Box<dyn Observer>>,
 }
 
@@ -103,8 +86,6 @@ impl JobSpec {
             program: Arc::new(program.clone()),
             goal,
             options: EsdOptions::default(),
-            priority: 1,
-            deadline: None,
             observer: None,
         }
     }
@@ -112,25 +93,6 @@ impl JobSpec {
     /// Sets the options the job's session runs with.
     pub fn options(mut self, options: EsdOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Scheduling weight for [`FairnessPolicy::WeightedByPriority`]
-    /// (default 1; larger means proportionally larger slices).
-    pub fn priority(mut self, priority: u32) -> Self {
-        self.priority = priority.max(1);
-        self
-    }
-
-    /// Scheduling deadline for [`FairnessPolicy::DeadlineFirst`], measured
-    /// from submission; clamped to about 292 years (`i64::MAX` ns), so any
-    /// peer-supplied duration is safe to schedule and to snapshot.
-    ///
-    /// This is a *fairness hint* — it orders jobs and enlarges their slices;
-    /// it does not expire the job. To kill a job at a wall-clock limit, set
-    /// [`EsdOptions::deadline`] in its [`options`](Self::options).
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline.min(MAX_DEADLINE));
         self
     }
 
@@ -276,42 +238,6 @@ impl JobOutcome {
     }
 }
 
-/// A scheduling view of one runnable job, handed to the fairness policy.
-/// Views are listed in submit order.
-#[derive(Debug, Clone)]
-struct JobView {
-    /// The job's handle (dense ids; submit order).
-    handle: JobHandle,
-    /// Scheduling weight ([`JobSpec::priority`], ≥ 1).
-    priority: u32,
-    /// Absolute scheduling deadline, if the job has one
-    /// (submission instant + [`JobSpec::deadline`]).
-    deadline_at: Option<Instant>,
-}
-
-/// Picks which runnable job receives the next slice, and how large the
-/// slice is.
-///
-/// Every policy is a deterministic function of the runnable views and the
-/// executor's rotation cursor — the executor never consults wall-clock time
-/// to schedule, so a test can rely on the dispatch order, and recovery
-/// re-drives the identical decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum FairnessPolicy {
-    /// Equal slices, submit order, cycling over the runnable jobs.
-    RoundRobin,
-    /// Round-robin turn order, but a job's slice length is
-    /// `base_rounds × priority` — a priority-8 job advances eight times as
-    /// many rounds per turn as a priority-1 job.
-    WeightedByPriority,
-    /// Earliest-deadline-first: the runnable job with the earliest
-    /// scheduling deadline is always served next, with its slice enlarged
-    /// [`DEADLINE_SLICE_BOOST`]-fold; jobs without a deadline share
-    /// leftover capacity round-robin (they run only when no deadline job is
-    /// runnable).
-    DeadlineFirst,
-}
-
 /// A point-in-time summary of one job, part of [`ExecutorStats`].
 #[derive(Debug, Clone)]
 pub struct JobStat {
@@ -366,8 +292,6 @@ struct JobSlot {
     /// slot, queued and finished ones included, about a kilobyte larger.
     session: Option<Box<SynthesisSession>>,
     observer: Option<Box<dyn Observer>>,
-    priority: u32,
-    deadline_at: Option<Instant>,
     admitted_at: Option<Instant>,
     slices: u64,
     phase: JobPhase,
@@ -402,11 +326,9 @@ pub type PendingJobSnapshot = (Program, GoalSpec, EsdOptions);
 
 /// The durable state of one job slot, part of an [`ExecutorSnapshot`].
 ///
-/// Wall-clock anchors are stored relative to the checkpoint instant
-/// (`deadline_rel_nanos`, `admitted_elapsed`) and rebased to a common *now*
-/// at restore, so the relative ordering [`FairnessPolicy::DeadlineFirst`]
-/// depends on — and every session's deadline accounting — survives the
-/// crash.
+/// The admission instant is stored relative to the checkpoint instant
+/// (`admitted_elapsed`) and rebased to *now* at restore, so a job's wall
+/// clock survives the crash.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct JobSnapshot {
     /// The job's label.
@@ -417,11 +339,6 @@ pub struct JobSnapshot {
     /// Running jobs: the complete session snapshot (which embeds the
     /// program, options and engine state).
     pub session: Option<SessionSnapshot>,
-    /// The job's scheduling priority.
-    pub priority: u32,
-    /// The scheduling deadline relative to the checkpoint instant, in
-    /// nanoseconds (negative once the deadline has passed).
-    pub deadline_rel_nanos: Option<i64>,
     /// How long the job had been admitted when the checkpoint was taken.
     pub admitted_elapsed: Option<Duration>,
     /// Executor slices dispatched to the job.
@@ -446,11 +363,9 @@ pub struct JobSnapshot {
 /// A recovered executor runs without them.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ExecutorSnapshot {
-    /// The fairness policy.
-    pub policy: FairnessPolicy,
-    /// The rotation cursor: the handle most recently served round-robin.
+    /// The rotation cursor: the handle most recently served.
     pub rotation: Option<u64>,
-    /// The configured base slice length in rounds.
+    /// The slice length in rounds ([`JobExecutor::slice_rounds`]).
     pub base_slice: u64,
     /// The admission cap.
     pub max_running: usize,
@@ -491,20 +406,18 @@ fn journal_file(epoch: u64) -> String {
     format!("journal-{epoch}.log")
 }
 
-/// Holds N independent synthesis jobs and time-slices them under a
-/// [`FairnessPolicy`] — the multi-job debugging service of the module docs.
+/// Holds N independent synthesis jobs and time-slices them round-robin —
+/// the multi-job debugging service of the module docs.
 pub struct JobExecutor {
-    policy: FairnessPolicy,
-    /// The policy's rotation cursor: the handle most recently served
-    /// round-robin.
+    /// The rotation cursor: the handle most recently served.
     rotation: Option<JobHandle>,
     base_slice: u64,
     max_running: usize,
     checkpoint_every: u64,
     /// How many distinct jobs one batch grants slices to, each slice on its
     /// own thread. It shapes the scheduling stream (grants are planned
-    /// against views frozen at batch start), so it is part of snapshots and
-    /// replay — but never what any job synthesizes.
+    /// against the running set frozen at batch start), so it is part of
+    /// snapshots and replay — but never what any job synthesizes.
     pool_size: usize,
     slots: Vec<JobSlot>,
     slices_dispatched: u64,
@@ -519,19 +432,18 @@ pub struct JobExecutor {
 /// aliasing the executor.
 struct SliceTask {
     idx: usize,
-    rounds: u64,
     session: Box<SynthesisSession>,
     /// Rounds the slice actually advanced (set by [`SliceTask::execute`]).
     advanced: u64,
 }
 
 impl SliceTask {
-    /// Advances the detached session by the granted rounds (on the task's
-    /// own thread). It touches nothing but the job's own session, which is
-    /// why cross-job parallelism cannot perturb results.
-    fn execute(&mut self) {
+    /// Advances the detached session by one slice of `rounds` (on the
+    /// task's own thread). It touches nothing but the job's own session,
+    /// which is why cross-job parallelism cannot perturb results.
+    fn execute(&mut self, rounds: u64) {
         let before = self.session.rounds();
-        self.session.run_for(self.rounds);
+        self.session.run_for(rounds);
         self.advanced = self.session.rounds() - before;
     }
 }
@@ -547,10 +459,10 @@ const _: () = {
 };
 
 impl JobExecutor {
-    /// An executor scheduling with the given policy.
-    pub fn new(policy: FairnessPolicy) -> Self {
+    /// A round-robin executor with default slice length, no admission cap,
+    /// a pool of one and no durability.
+    pub fn round_robin() -> Self {
         JobExecutor {
-            policy,
             rotation: None,
             base_slice: DEFAULT_SLICE_ROUNDS,
             max_running: usize::MAX,
@@ -564,23 +476,7 @@ impl JobExecutor {
         }
     }
 
-    /// A [`FairnessPolicy::RoundRobin`] executor.
-    pub fn round_robin() -> Self {
-        JobExecutor::new(FairnessPolicy::RoundRobin)
-    }
-
-    /// A [`FairnessPolicy::WeightedByPriority`] executor.
-    pub fn weighted_by_priority() -> Self {
-        JobExecutor::new(FairnessPolicy::WeightedByPriority)
-    }
-
-    /// A [`FairnessPolicy::DeadlineFirst`] executor.
-    pub fn deadline_first() -> Self {
-        JobExecutor::new(FairnessPolicy::DeadlineFirst)
-    }
-
-    /// Sets the base slice length in search rounds (policies may scale it;
-    /// clamped to ≥ 1).
+    /// Sets the slice length in search rounds (clamped to ≥ 1).
     pub fn slice_rounds(mut self, rounds: u64) -> Self {
         self.base_slice = rounds.max(1);
         self
@@ -588,12 +484,6 @@ impl JobExecutor {
 
     /// Admission control: at most `n` jobs hold live sessions at once;
     /// excess submissions wait in FIFO order (clamped to ≥ 1).
-    ///
-    /// Admission order is FIFO regardless of the fairness policy — policies
-    /// only arbitrate between *admitted* jobs, so under a tight cap even a
-    /// [`FairnessPolicy::DeadlineFirst`] executor makes a deadline-bearing
-    /// job wait behind earlier running jobs. Size the cap for the urgency
-    /// mix you expect.
     pub fn max_running(mut self, n: usize) -> Self {
         self.max_running = n.max(1);
         self
@@ -603,9 +493,9 @@ impl JobExecutor {
     /// each of up to `n` *distinct* runnable jobs and runs them on `n`
     /// threads (default 1 — one grant per batch, run inline; `0` resolves
     /// to the machine's available parallelism). The batch is planned upfront
-    /// against the runnable set frozen at batch start (the policy is
-    /// consulted once per grant, already-granted jobs removed) and merged in
-    /// grant order, so the pool size shapes the scheduling stream — it is
+    /// against the running set frozen at batch start — the next `n` running
+    /// jobs in rotation order — and merged in grant order, so the pool size
+    /// shapes the scheduling stream — it is
     /// journaled and snapshotted so recovery replans the identical batches —
     /// but a job's synthesized execution file is byte-identical at any pool
     /// size (pinned by `tests/executor.rs` and the CI `ESD_POOL` matrix).
@@ -692,8 +582,6 @@ impl JobExecutor {
                 program: Program::clone(&spec.program),
                 goal: spec.goal.clone(),
                 options: spec.options.clone(),
-                priority: spec.priority,
-                deadline: spec.deadline,
             });
         }
         self.slots.push(JobSlot {
@@ -701,8 +589,6 @@ impl JobExecutor {
             pending: Some((spec.program, spec.goal, spec.options)),
             session: None,
             observer: spec.observer,
-            priority: spec.priority,
-            deadline_at: spec.deadline.map(|d| Instant::now() + d),
             admitted_at: None,
             slices: 0,
             phase: JobPhase::Queued,
@@ -718,7 +604,7 @@ impl JobExecutor {
     /// submission order. Equivalent to calling
     /// [`submit`](JobExecutor::submit) in a loop; the convenience exists so
     /// corpus producers (the generated-workload harnesses) hand an entire
-    /// batch to the policy in one statement.
+    /// batch to the executor in one statement.
     pub fn submit_batch(&mut self, specs: Vec<JobSpec>) -> Vec<JobHandle> {
         specs.into_iter().map(|spec| self.submit(spec)).collect()
     }
@@ -805,15 +691,17 @@ impl JobExecutor {
     /// one-grant-per-slice loop.
     pub fn run_slice(&mut self) -> bool {
         self.admit();
-        let views = self.runnable_views();
-        if views.is_empty() {
+        let running = self.running_handles();
+        if running.is_empty() {
             return false;
         }
-        let grants = self.plan_batch(&views);
+        let grants = self.plan_batch(&running);
         if self.durable.is_some() {
             // Write-ahead: the whole batch is durable before any slice
             // runs, so a crash mid-batch replays it instead of losing it.
-            self.journal_append(&JournalRecord::Grant { grants: grants.clone() });
+            self.journal_append(&JournalRecord::Grant {
+                grants: grants.iter().map(|h| h.0).collect(),
+            });
         }
         let dispatched = grants.len() as u64;
         self.execute_batch(&grants);
@@ -830,47 +718,24 @@ impl JobExecutor {
         true
     }
 
-    /// Plans one batch of grants against the runnable views frozen at batch
-    /// start: the policy is consulted once per grant with already-granted
-    /// jobs removed, so every grant goes to a distinct job and the plan is a
-    /// deterministic function of (views, policy, rotation cursor, pool
-    /// size).
-    fn plan_batch(&mut self, views: &[JobView]) -> Vec<(u64, u64)> {
-        let mut remaining = views.to_vec();
-        let mut grants = Vec::with_capacity(self.pool_size.min(remaining.len()));
-        while grants.len() < self.pool_size && !remaining.is_empty() {
-            let (choice, rounds) = self.next_slice(&remaining);
-            let view = remaining.remove(choice);
-            grants.push((view.handle.0, rounds.max(1)));
-        }
+    /// Plans one batch against the running handles frozen at batch start
+    /// (non-empty, in submit order): the next
+    /// [`pool_size`](Self::pool_size) of them strictly after the rotation
+    /// cursor, wrapping to the front, each at most once. The cursor keys on
+    /// handles (not indices), so the rotation survives jobs finishing or
+    /// being admitted mid-cycle, and it moves to the last grant. The plan is
+    /// a deterministic function of (running set, cursor, pool size).
+    fn plan_batch(&mut self, running: &[JobHandle]) -> Vec<JobHandle> {
+        let start = self.rotation.and_then(|l| running.iter().position(|&h| h > l)).unwrap_or(0);
+        let grants: Vec<JobHandle> = running
+            .iter()
+            .cycle()
+            .skip(start)
+            .take(self.pool_size.min(running.len()))
+            .copied()
+            .collect();
+        self.rotation = grants.last().copied();
         grants
-    }
-
-    /// The fairness policy's next grant: `(index into jobs, slice length in
-    /// rounds)`; `jobs` is non-empty and in submit order. Round-robin turns
-    /// advance the rotation cursor, which keys on handles (not indices), so
-    /// the rotation survives jobs finishing or being admitted mid-cycle.
-    fn next_slice(&mut self, jobs: &[JobView]) -> (usize, u64) {
-        if self.policy == FairnessPolicy::DeadlineFirst {
-            let urgent = jobs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, j)| j.deadline_at.map(|d| (d, j.handle, i)))
-                .min();
-            if let Some((_, _, idx)) = urgent {
-                return (idx, self.base_slice.saturating_mul(DEADLINE_SLICE_BOOST));
-            }
-        }
-        // The next runnable job strictly after the cursor in handle order,
-        // wrapping to the front.
-        let idx = self.rotation.and_then(|l| jobs.iter().position(|j| j.handle > l)).unwrap_or(0);
-        self.rotation = Some(jobs[idx].handle);
-        match self.policy {
-            FairnessPolicy::WeightedByPriority => {
-                (idx, self.base_slice.saturating_mul(u64::from(jobs[idx].priority)))
-            }
-            _ => (idx, self.base_slice),
-        }
     }
 
     /// Executes a planned batch: detaches each granted job's session, runs
@@ -879,25 +744,25 @@ impl JobExecutor {
     /// strictly in grant order. Jobs share nothing, so execution order
     /// cannot change any result; merge order makes the bookkeeping —
     /// statistics, observer callbacks, finalization — deterministic as well.
-    fn execute_batch(&mut self, grants: &[(u64, u64)]) {
+    fn execute_batch(&mut self, grants: &[JobHandle]) {
         let mut work: Vec<SliceTask> = grants
             .iter()
-            .map(|&(handle, rounds)| SliceTask {
-                idx: handle as usize,
-                rounds,
-                session: self.slots[handle as usize]
+            .map(|&handle| SliceTask {
+                idx: handle.0 as usize,
+                session: self.slots[handle.0 as usize]
                     .session
                     .take()
                     .expect("granted jobs are running"),
                 advanced: 0,
             })
             .collect();
+        let rounds = self.base_slice;
         let (first, rest) = work.split_first_mut().expect("planned batches are non-empty");
         std::thread::scope(|scope| {
             for task in rest {
-                scope.spawn(move || task.execute());
+                scope.spawn(move || task.execute(rounds));
             }
-            first.execute();
+            first.execute(rounds);
         });
         for task in work {
             self.merge_slice(task);
@@ -928,17 +793,13 @@ impl JobExecutor {
         }
     }
 
-    /// The scheduling views of every running job, in submit order.
-    fn runnable_views(&self) -> Vec<JobView> {
+    /// The handle of every running job, in submit order.
+    fn running_handles(&self) -> Vec<JobHandle> {
         self.slots
             .iter()
             .enumerate()
             .filter(|(_, s)| s.phase == JobPhase::Running)
-            .map(|(i, s)| JobView {
-                handle: JobHandle(i as u64),
-                priority: s.priority,
-                deadline_at: s.deadline_at,
-            })
+            .map(|(i, _)| JobHandle(i as u64))
             .collect()
     }
 
@@ -1087,7 +948,6 @@ impl JobExecutor {
     }
 
     fn snapshot_with_epoch(&self, epoch: u64) -> ExecutorSnapshot {
-        let now = Instant::now();
         let jobs = self
             .slots
             .iter()
@@ -1098,11 +958,6 @@ impl JobExecutor {
                     .as_ref()
                     .map(|(p, g, o)| (Program::clone(p), g.clone(), o.clone())),
                 session: slot.session.as_deref().map(SynthesisSession::snapshot),
-                priority: slot.priority,
-                deadline_rel_nanos: slot.deadline_at.map(|d| match d.checked_duration_since(now) {
-                    Some(ahead) => ahead.as_nanos() as i64,
-                    None => -(now.duration_since(d).as_nanos() as i64),
-                }),
                 admitted_elapsed: slot.admitted_at.map(|t| t.elapsed()),
                 slices: slot.slices,
                 phase: slot.phase,
@@ -1113,7 +968,6 @@ impl JobExecutor {
             })
             .collect();
         ExecutorSnapshot {
-            policy: self.policy,
             rotation: self.rotation.map(|h| h.0),
             base_slice: self.base_slice,
             max_running: self.max_running,
@@ -1142,14 +996,6 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> JobExecutor {
                 .map(|(p, g, o)| (Arc::new(p.clone()), g.clone(), o.clone())),
             session: job.session.as_ref().map(|s| Box::new(SynthesisSession::restore(s))),
             observer: None,
-            priority: job.priority,
-            deadline_at: job.deadline_rel_nanos.map(|nanos| {
-                if nanos >= 0 {
-                    now + Duration::from_nanos(nanos as u64)
-                } else {
-                    now.checked_sub(Duration::from_nanos(nanos.unsigned_abs())).unwrap_or(now)
-                }
-            }),
             admitted_at: job
                 .admitted_elapsed
                 .map(|elapsed| now.checked_sub(elapsed).unwrap_or(now)),
@@ -1162,7 +1008,6 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> JobExecutor {
         })
         .collect();
     JobExecutor {
-        policy: snapshot.policy,
         rotation: snapshot.rotation.map(JobHandle),
         base_slice: snapshot.base_slice,
         max_running: snapshot.max_running,
@@ -1179,7 +1024,7 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> JobExecutor {
 /// Replays a journal's valid prefix of records on top of a restored
 /// snapshot — the implementation behind
 /// [`Recovery::replay`](crate::journal::Recovery::replay). Grants re-plan
-/// the batch with the restored fairness policy and every re-taken decision
+/// the batch from the restored rotation cursor and every re-taken decision
 /// is verified against the journaled one; any mismatch is a
 /// [`RecoveryError::Divergence`], never a panic.
 pub(crate) fn replay_records(
@@ -1189,7 +1034,7 @@ pub(crate) fn replay_records(
     let mut exec = restore_snapshot(snapshot);
     for record in records {
         match record {
-            JournalRecord::Submit { handle, label, program, goal, options, priority, deadline } => {
+            JournalRecord::Submit { handle, label, program, goal, options } => {
                 let expected = exec.slots.len() as u64;
                 if *handle != expected {
                     return Err(RecoveryError::Divergence(format!(
@@ -1197,29 +1042,25 @@ pub(crate) fn replay_records(
                          {expected}"
                     )));
                 }
-                let mut spec = JobSpec::new(label.clone(), program, goal.clone())
-                    .options(options.clone())
-                    .priority(*priority);
-                if let Some(deadline) = deadline {
-                    spec = spec.deadline(*deadline);
-                }
-                exec.submit(spec);
+                exec.submit(
+                    JobSpec::new(label.clone(), program, goal.clone()).options(options.clone()),
+                );
             }
             JournalRecord::Grant { grants } => {
                 exec.admit();
-                let views = exec.runnable_views();
-                if views.is_empty() {
+                let running = exec.running_handles();
+                if running.is_empty() {
                     return Err(RecoveryError::Divergence(format!(
                         "journal grants {grants:?} but no job is runnable"
                     )));
                 }
-                // Re-plan with the restored policy and pool size and demand
-                // the exact journaled grant vector: planning is deterministic,
+                // Re-plan with the restored cursor and pool size and demand
+                // the exact journaled handle vector: planning is deterministic,
                 // so any mismatch means the snapshot/journal pair diverged.
-                let replanned = exec.plan_batch(&views);
-                if &replanned != grants {
+                let replanned = exec.plan_batch(&running);
+                if !replanned.iter().map(|h| h.0).eq(grants.iter().copied()) {
                     return Err(RecoveryError::Divergence(format!(
-                        "journal grants {grants:?}, replayed policy plans {replanned:?}"
+                        "journal grants {grants:?}, replay plans {replanned:?}"
                     )));
                 }
                 exec.execute_batch(&replanned);
@@ -1281,50 +1122,34 @@ mod tests {
         (pb.finish("main"), loc.unwrap())
     }
 
-    fn view(id: u64, priority: u32, deadline_at: Option<Instant>) -> JobView {
-        JobView { handle: JobHandle(id), priority, deadline_at }
+    fn handles(ids: &[u64]) -> Vec<JobHandle> {
+        ids.iter().map(|&id| JobHandle(id)).collect()
     }
 
     #[test]
     fn round_robin_cycles_in_handle_order_across_membership_changes() {
-        let mut rr = JobExecutor::round_robin().slice_rounds(8);
-        let jobs = [view(0, 1, None), view(1, 1, None), view(2, 1, None)];
-        assert_eq!(rr.next_slice(&jobs), (0, 8));
-        assert_eq!(rr.next_slice(&jobs), (1, 8));
+        let mut rr = JobExecutor::round_robin();
+        let running = handles(&[0, 1, 2]);
+        assert_eq!(rr.plan_batch(&running), handles(&[0]));
+        assert_eq!(rr.plan_batch(&running), handles(&[1]));
         // Job 2 finishes; the rotation keys on handles, so after serving
-        // job 1 the next runnable handle wraps to 0.
-        let jobs = [view(0, 1, None), view(1, 1, None)];
-        assert_eq!(rr.next_slice(&jobs), (0, 8));
+        // job 1 the next running handle wraps to 0.
+        assert_eq!(rr.plan_batch(&handles(&[0, 1])), handles(&[0]));
         // A new job 3 arrives mid-cycle and gets its turn after 1.
-        let jobs = [view(0, 1, None), view(1, 1, None), view(3, 1, None)];
-        assert_eq!(rr.next_slice(&jobs), (1, 8));
-        assert_eq!(rr.next_slice(&jobs), (2, 8));
-        assert_eq!(rr.next_slice(&jobs), (0, 8));
+        let running = handles(&[0, 1, 3]);
+        assert_eq!(rr.plan_batch(&running), handles(&[1]));
+        assert_eq!(rr.plan_batch(&running), handles(&[3]));
+        assert_eq!(rr.plan_batch(&running), handles(&[0]));
     }
 
     #[test]
-    fn weighted_policy_scales_slices_by_priority() {
-        let mut wp = JobExecutor::weighted_by_priority().slice_rounds(100);
-        let jobs = [view(0, 1, None), view(1, 4, None)];
-        assert_eq!(wp.next_slice(&jobs), (0, 100));
-        assert_eq!(wp.next_slice(&jobs), (1, 400));
-        assert_eq!(wp.next_slice(&jobs), (0, 100));
-    }
-
-    #[test]
-    fn deadline_first_serves_the_earliest_deadline_with_a_boost() {
-        let mut df = JobExecutor::deadline_first().slice_rounds(100);
-        let now = Instant::now();
-        let soon = now + Duration::from_secs(10);
-        let late = now + Duration::from_secs(1000);
-        let jobs = [view(0, 1, None), view(1, 1, Some(late)), view(2, 1, Some(soon))];
-        assert_eq!(df.next_slice(&jobs), (2, 100 * DEADLINE_SLICE_BOOST));
-        // Deadline jobs are served exclusively while any remain.
-        assert_eq!(df.next_slice(&jobs), (2, 100 * DEADLINE_SLICE_BOOST));
-        // Without deadline jobs, the policy degrades to round-robin.
-        let jobs = [view(0, 1, None), view(3, 1, None)];
-        assert_eq!(df.next_slice(&jobs), (0, 100));
-        assert_eq!(df.next_slice(&jobs), (1, 100));
+    fn batches_grant_the_next_distinct_jobs_in_rotation_order() {
+        let mut rr = JobExecutor::round_robin().pool_size(3);
+        let running = handles(&[0, 1, 2, 3]);
+        assert_eq!(rr.plan_batch(&running), handles(&[0, 1, 2]));
+        assert_eq!(rr.plan_batch(&running), handles(&[3, 0, 1]));
+        // A pool wider than the running set grants each job once.
+        assert_eq!(rr.plan_batch(&handles(&[1, 2])), handles(&[2, 1]));
     }
 
     #[test]
@@ -1443,8 +1268,8 @@ mod tests {
     #[test]
     fn executor_stats_account_for_every_job() {
         let (p, loc) = crashy("exec_stats", 4);
-        let mut exec = JobExecutor::weighted_by_priority();
-        let a = exec.submit(JobSpec::new("a", &p, GoalSpec::Crash { loc }).priority(3));
+        let mut exec = JobExecutor::round_robin();
+        let a = exec.submit(JobSpec::new("a", &p, GoalSpec::Crash { loc }));
         let b = exec.submit(JobSpec::new("b", &p, GoalSpec::Crash { loc }));
         exec.run_until_idle();
         let stats = exec.stats();
@@ -1514,66 +1339,22 @@ mod tests {
         }
     }
 
-    /// Snapshots carry the scheduling state: the policy, the pool size and
-    /// the per-job frozen verdict all survive a snapshot → restore
-    /// round-trip (replay with an empty journal).
+    /// Snapshots carry the scheduling state: the pool size and the per-job
+    /// frozen verdict both survive a snapshot → restore round-trip (replay
+    /// with an empty journal).
     #[test]
     fn snapshot_round_trips_pool_size_and_finished_verdict() {
         let (p, loc) = crashy("exec_snapshot_pool", 2);
-        let mut exec = JobExecutor::weighted_by_priority().pool_size(4);
+        let mut exec = JobExecutor::round_robin().pool_size(4);
         let h = exec.submit(JobSpec::new("job", &p, GoalSpec::Crash { loc }));
         exec.run_until_idle();
         exec.take(h).expect("job finished");
         let snapshot = exec.snapshot();
-        assert_eq!((snapshot.policy, snapshot.pool_size), (FairnessPolicy::WeightedByPriority, 4));
+        assert_eq!(snapshot.pool_size, 4);
         assert_eq!(snapshot.jobs[0].finished_verdict, Some(JobVerdict::Found));
         let restored = replay_records(&snapshot, &[]).expect("snapshot restores");
-        assert_eq!((restored.policy, restored.pool_size), (FairnessPolicy::WeightedByPriority, 4));
+        assert_eq!(restored.pool_size, 4);
         assert_eq!(restored.status(h), JobStatus::Finished { verdict: JobVerdict::Found });
-    }
-
-    /// A policy name this build does not know is a typed snapshot decode
-    /// error at recovery, never a panic.
-    #[test]
-    fn unknown_policy_in_a_snapshot_is_a_typed_error() {
-        let dir = std::env::temp_dir().join(format!("esd_unknown_policy_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let payload = serde_json::to_string(&JobExecutor::round_robin().snapshot())
-            .expect("snapshot serializes");
-        assert!(payload.contains(r#""policy":"RoundRobin""#), "{payload}");
-        let payload = payload.replace(r#""policy":"RoundRobin""#, r#""policy":"Lottery""#);
-        std::fs::write(dir.join(SNAPSHOT_FILE), crate::snapshot::seal(&payload))
-            .expect("snapshot written");
-        let err = JobExecutor::recover(&dir).err().expect("an unknown policy cannot recover");
-        assert!(
-            matches!(err, RecoveryError::Snapshot(SnapshotError::Decode(_))),
-            "unexpected error {err:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A scheduling deadline far beyond any real horizon is clamped, so a
-    /// snapshot stores a sane offset: after restore, `DeadlineFirst` still
-    /// serves the 60 s job before the 2^40 s one.
-    #[test]
-    fn huge_deadlines_survive_a_snapshot_in_order() {
-        let (p, loc) = crashy("exec_huge_deadline", 6);
-        let mut exec = JobExecutor::deadline_first().slice_rounds(1);
-        let far = exec.submit(
-            JobSpec::new("far", &p, GoalSpec::Crash { loc }).deadline(Duration::from_secs(1 << 40)),
-        );
-        let near = exec.submit(
-            JobSpec::new("near", &p, GoalSpec::Crash { loc }).deadline(Duration::from_secs(60)),
-        );
-        let snapshot = exec.snapshot();
-        let rel = |h: JobHandle| snapshot.jobs[h.id() as usize].deadline_rel_nanos.unwrap();
-        assert!(rel(far) > rel(near) && rel(near) > 0, "{} vs {}", rel(far), rel(near));
-        let mut restored = replay_records(&snapshot, &[]).expect("snapshot restores");
-        assert!(restored.run_slice());
-        let stats = restored.stats();
-        assert_eq!(stats.jobs[near.id() as usize].slices, 1, "the 60 s job is served first");
-        assert_eq!(stats.jobs[far.id() as usize].slices, 0);
     }
 
     /// Durable multi-grant batches recover: a pool-2 executor journals

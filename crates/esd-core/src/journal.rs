@@ -4,8 +4,9 @@
 //! as `reduce(snapshot, journal)`: a periodic [`ExecutorSnapshot`]
 //! (see [`crate::snapshot`] for the envelope) plus an append-only journal of
 //! every scheduling decision taken since that snapshot. Because the executor
-//! is deterministic — policies are pure functions of their views and the
-//! engines are deterministic in their seeds — replaying the journal against
+//! is deterministic — batch planning is a pure function of the running set
+//! and the rotation cursor, and the engines are deterministic in their
+//! seeds — replaying the journal against
 //! the restored snapshot rebuilds the exact pre-crash state.
 //!
 //! ## Frame format
@@ -34,7 +35,6 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
-use std::time::Duration;
 
 /// Bytes of frame header preceding each payload (length + checksum).
 const FRAME_HEADER: usize = 4 + 8;
@@ -60,20 +60,15 @@ pub enum JournalRecord {
         goal: GoalSpec,
         /// The options the job's session runs with.
         options: EsdOptions,
-        /// The job's scheduling priority.
-        priority: u32,
-        /// The job's scheduling-deadline hint, measured from submission.
-        /// Replay re-anchors it at recovery time — it orders fairness, it
-        /// is not part of the synthesized result.
-        deadline: Option<Duration>,
     },
-    /// The fairness policy granted one batch of slices to distinct jobs
-    /// (one grant per pool thread, at most). Written *before* any slice
-    /// runs (write-ahead); replay re-plans the batch with the restored
-    /// policy and verifies the identical grant vector.
+    /// The executor granted one batch of slices to distinct jobs (one grant
+    /// per pool thread, at most), each slice the executor's slice length.
+    /// Written *before* any slice runs (write-ahead); replay re-plans the
+    /// batch from the restored rotation cursor and verifies the identical
+    /// handle vector.
     Grant {
-        /// `(handle, rounds)` per grant, in planning order.
-        grants: Vec<(u64, u64)>,
+        /// The granted handles, in planning order.
+        grants: Vec<u64>,
     },
     /// A job was cancelled.
     Cancel {
@@ -231,8 +226,8 @@ pub enum RecoveryError {
     Snapshot(SnapshotError),
     /// Reading durable state failed.
     Io(String),
-    /// Replay re-drove the restored policy and it made a different decision
-    /// than the journal records — the durable state is inconsistent with
+    /// Replay re-planned a batch or re-took a decision differently than
+    /// the journal records — the durable state is inconsistent with
     /// this build.
     Divergence(String),
 }
@@ -277,8 +272,8 @@ impl Recovery {
 mod tests {
     use super::*;
 
-    fn grant(handle: u64, rounds: u64) -> JournalRecord {
-        JournalRecord::Grant { grants: vec![(handle, rounds)] }
+    fn grant(handle: u64, other: u64) -> JournalRecord {
+        JournalRecord::Grant { grants: vec![handle, other] }
     }
 
     #[test]
@@ -292,7 +287,7 @@ mod tests {
         assert_eq!(scan.valid_len, bytes.len());
         assert_eq!(scan.records.len(), 5);
         match &scan.records[3] {
-            JournalRecord::Grant { grants } => assert_eq!(grants, &[(3, 103)]),
+            JournalRecord::Grant { grants } => assert_eq!(grants, &[3, 103]),
             other => panic!("unexpected record {other:?}"),
         }
     }

@@ -14,9 +14,9 @@
 //!   [`SynthesisSession`]s with progress [`Observer`]s, deadlines and
 //!   cancellation, configured via the builder-style [`EsdOptionsBuilder`].
 //! * [`executor`] — the multi-job layer: a [`JobExecutor`] holds N
-//!   independent jobs (each one session) and
-//!   time-slices them under a [`FairnessPolicy`], with per-job
-//!   observer fan-out and aggregate [`ExecutorStats`].
+//!   independent jobs (each one session) and time-slices them
+//!   round-robin, with per-job observer fan-out and aggregate
+//!   [`ExecutorStats`].
 //! * [`snapshot`] — versioned, checksummed snapshot envelopes for durable
 //!   sessions (see [`session::SessionSnapshot`] /
 //!   [`executor::ExecutorSnapshot`]).
@@ -48,8 +48,8 @@ pub mod triage;
 
 pub use execfile::{InputEntry, SynthesizedExecution};
 pub use executor::{
-    ExecutorSnapshot, ExecutorStats, FairnessPolicy, JobExecutor, JobHandle, JobOutcome, JobPhase,
-    JobSnapshot, JobSpec, JobStat, JobStatus, JobVerdict,
+    ExecutorSnapshot, ExecutorStats, JobExecutor, JobHandle, JobOutcome, JobPhase, JobSnapshot,
+    JobSpec, JobStat, JobStatus, JobVerdict,
 };
 pub use journal::{
     JournalDamage, JournalRecord, JournalScan, JournalWriter, Recovery, RecoveryError,

@@ -24,7 +24,8 @@
 //! Sessions are configured with the builder-style [`EsdOptionsBuilder`]
 //! (`EsdOptions::builder()`). The multi-job
 //! [`JobExecutor`](crate::executor::JobExecutor) above them holds one
-//! session per job and time-slices the jobs under a fairness policy.
+//! session per job and time-slices the jobs round-robin. A job's one
+//! deadline is its session's [`EsdOptions::deadline`].
 
 use crate::execfile::SynthesizedExecution;
 use crate::synth::{Esd, EsdOptions, SynthesisReport};

@@ -19,16 +19,6 @@ pub enum Operand {
     Const(i64),
 }
 
-impl Operand {
-    /// Returns the register if this operand reads one.
-    pub fn as_reg(self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(r),
-            Operand::Const(_) => None,
-        }
-    }
-}
-
 impl From<Reg> for Operand {
     fn from(r: Reg) -> Self {
         Operand::Reg(r)

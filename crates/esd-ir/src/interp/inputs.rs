@@ -46,11 +46,6 @@ impl RandomInputs {
     pub fn new(seed: u64, lo: i64, hi: i64) -> Self {
         RandomInputs { rng: StdRng::seed_from_u64(seed), lo, hi }
     }
-
-    /// Creates a provider generating printable ASCII bytes.
-    pub fn ascii(seed: u64) -> Self {
-        Self::new(seed, 0, 127)
-    }
 }
 
 impl InputProvider for RandomInputs {

@@ -8,7 +8,7 @@
 
 use crate::player::{play_with_observer, PlaybackResult};
 use esd_core::SynthesizedExecution;
-use esd_ir::{Loc, Program, Ptr, ThreadId, Value};
+use esd_ir::{Loc, Program, ThreadId, Value};
 use std::collections::HashSet;
 
 /// One breakpoint hit during playback.
@@ -82,11 +82,6 @@ impl<'p> Debugger<'p> {
 /// object id is `i + 1` (object ids start at 1).
 fn find_global_obj(_interp: &esd_ir::Interpreter<'_>, index: u32) -> esd_ir::ObjId {
     esd_ir::ObjId(index as u64 + 1)
-}
-
-/// Convenience: the pointer to the first word of the `i`-th global.
-pub fn global_ptr(index: u32) -> Ptr {
-    Ptr::to(esd_ir::ObjId(index as u64 + 1))
 }
 
 #[cfg(test)]

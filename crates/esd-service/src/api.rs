@@ -15,12 +15,11 @@ use esd_ir::Program;
 use esd_symex::GoalSpec;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// A submission to the debugging service: the program under debug, the
-/// goal to synthesize an execution for, and the scheduling knobs of
-/// [`JobSpec`] — minus anything that cannot cross a process boundary (job
-/// observers are replaced by [`Service::subscribe`] streams).
+/// goal to synthesize an execution for, and the options of [`JobSpec`] —
+/// minus anything that cannot cross a process boundary (job observers are
+/// replaced by [`Service::subscribe`] streams).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct JobRequest {
     /// Human-readable label, echoed in statuses and outcomes.
@@ -29,24 +28,19 @@ pub struct JobRequest {
     pub program: Arc<Program>,
     /// The goal to synthesize an execution for.
     pub goal: GoalSpec,
-    /// The options the job's session runs with (see [`JobSpec::options`]).
+    /// The options the job's session runs with (see [`JobSpec::options`]),
+    /// including the one deadline a job has, [`EsdOptions::deadline`].
     pub options: EsdOptions,
-    /// Scheduling priority (see [`JobSpec::priority`]).
-    pub priority: u32,
-    /// Scheduling-deadline hint, measured from submission.
-    pub deadline: Option<Duration>,
 }
 
 impl JobRequest {
-    /// A request with default options and priority 1.
+    /// A request with default options.
     pub fn new(label: impl Into<String>, program: &Program, goal: GoalSpec) -> Self {
         JobRequest {
             label: label.into(),
             program: Arc::new(program.clone()),
             goal,
             options: EsdOptions::default(),
-            priority: 1,
-            deadline: None,
         }
     }
 
@@ -56,27 +50,9 @@ impl JobRequest {
         self
     }
 
-    /// Sets the scheduling priority.
-    pub fn priority(mut self, priority: u32) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets the scheduling-deadline hint.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Lowers the request into the executor's [`JobSpec`].
     pub(crate) fn into_spec(self) -> JobSpec {
-        let mut spec = JobSpec::new(self.label, &self.program, self.goal)
-            .options(self.options)
-            .priority(self.priority);
-        if let Some(deadline) = self.deadline {
-            spec = spec.deadline(deadline);
-        }
-        spec
+        JobSpec::new(self.label, &self.program, self.goal).options(self.options)
     }
 }
 

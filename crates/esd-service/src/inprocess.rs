@@ -65,11 +65,6 @@ impl InProcessService {
         self
     }
 
-    /// The current admission bound.
-    pub fn pending_bound(&self) -> usize {
-        self.max_pending
-    }
-
     /// Drives the executor by up to `slices` slice batches; returns how
     /// many actually ran. In-process users pump explicitly; the daemon
     /// pumps between I/O turns.

@@ -247,17 +247,21 @@ mod tests {
         }
     }
 
-    /// A deadline whose nanosecond carry overflows the seconds is a typed
-    /// protocol error, not a decoder panic; the largest representable
-    /// duration still decodes.
+    /// A search deadline ([`EsdOptions::deadline`](esd_core::EsdOptions))
+    /// whose nanosecond carry overflows the seconds is a typed protocol
+    /// error, not a decoder panic; the largest representable duration still
+    /// decodes.
     #[test]
     fn overflowing_deadlines_are_typed_errors_not_panics() {
         let mut pb = esd_ir::ProgramBuilder::new("wire_deadline");
         pb.function("main", 0, |f| f.ret_void());
         let program = pb.finish("main");
         let goal = esd_symex::GoalSpec::Deadlock { thread_locs: Vec::new() };
-        let request =
-            JobRequest::new("job", &program, goal).deadline(std::time::Duration::from_secs(1));
+        let options = esd_core::EsdOptions {
+            deadline: Some(std::time::Duration::from_secs(1)),
+            ..Default::default()
+        };
+        let request = JobRequest::new("job", &program, goal).options(options);
         let text = serde_json::to_string(&WireRequest::Submit { request }).expect("serializes");
         let deadline = r#""deadline":[1,0]"#;
         assert!(text.contains(deadline), "{text}");

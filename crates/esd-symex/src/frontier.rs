@@ -162,11 +162,6 @@ impl SearchConfig {
         SearchConfig { kind: FrontierKind::Beam { width }, seed: 0 }
     }
 
-    /// The same configuration with a different frontier kind.
-    pub fn with_kind(self, kind: FrontierKind) -> Self {
-        SearchConfig { kind, ..self }
-    }
-
     /// Instantiates the frontier. `num_queues` is the number of virtual goal
     /// queues the engine maintains (intermediate goals + the final goal);
     /// only the proximity frontier uses it.

@@ -17,8 +17,8 @@
 //! and a golden fixture in `tests/fixtures/`), so an entire corpus is fully
 //! described by its seed set. The differential coverage harness in
 //! `esd-bench` (`coverage_matrix`, `tests/differential.rs`) is built on
-//! exactly that: N seeds × 4 bug kinds, every `FrontierKind` and executor
-//! fairness policy, asserting full coverage and zero false positives.
+//! exactly that: N seeds × 4 bug kinds × every `FrontierKind`, asserting
+//! full coverage and zero false positives.
 
 use crate::real_bugs::{Workload, WorkloadKind};
 use esd_core::SynthesizedExecution;

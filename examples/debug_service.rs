@@ -4,8 +4,9 @@
 //! synthesizes a failing execution for each one. This example is that
 //! service in miniature: four different workload bugs — two deadlocks and
 //! two crashes — are submitted to a [`JobExecutor`], drained concurrently
-//! under a round-robin fairness policy while the service reports progress,
-//! and every synthesized execution is then replayed deterministically.
+//! in round-robin slices (the executor's one scheduling rule) while the
+//! service reports progress, and every synthesized execution is then
+//! replayed deterministically.
 //!
 //! Run with: `cargo run --release --example debug_service`
 

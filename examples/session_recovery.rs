@@ -7,8 +7,8 @@
 //! 3. "Crash" — drop the live executor cold, exactly what `kill -9` leaves
 //!    behind: the last checkpoint plus the journal tail.
 //! 4. Recover with [`JobExecutor::recover`]: the checkpoint is loaded, the
-//!    journaled decisions are replayed through the same fairness policy,
-//!    and the batch finishes as if the crash never happened — same
+//!    journaled batches are re-planned from the restored round-robin
+//!    cursor, and the batch finishes as if the crash never happened — same
 //!    execution files, same statistics.
 //!
 //! Run with: `cargo run --example session_recovery`

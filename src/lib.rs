@@ -89,14 +89,14 @@ pub use esd_core::synth;
 pub use esd_core::session;
 
 /// The multi-job executor service (re-exported from [`esd_core`]), home of
-/// [`JobExecutor`] and its [`FairnessPolicy`].
+/// the round-robin [`JobExecutor`].
 pub use esd_core::executor;
 
 pub use esd_core::{
     BugKind, BugReport, Esd, EsdOptions, EsdOptionsBuilder, ExecutorSnapshot, ExecutorStats,
-    FairnessPolicy, JobExecutor, JobHandle, JobOutcome, JobPhase, JobSpec, JobStatus, JobVerdict,
-    JournalDamage, Observer, ProgressEvent, Recovery, RecoveryError, SessionSnapshot,
-    SessionStatus, SnapshotError, SynthesisError, SynthesisSession, SynthesizedExecution,
+    JobExecutor, JobHandle, JobOutcome, JobPhase, JobSpec, JobStatus, JobVerdict, JournalDamage,
+    Observer, ProgressEvent, Recovery, RecoveryError, SessionSnapshot, SessionStatus,
+    SnapshotError, SynthesisError, SynthesisSession, SynthesizedExecution,
 };
 pub use esd_playback::{play, Debugger};
 pub use esd_service::{

@@ -2,20 +2,20 @@
 //!
 //! The genbug generator (`esd-workloads`) injects exactly one bug of a known
 //! kind into each seeded random program and returns its ground truth; the
-//! coverage harness (`esd-bench`) runs every search frontier and executor
-//! fairness policy against that truth. These tests pin the acceptance
-//! criteria for the checked-in smoke corpus (4 seeds × 4 bug kinds):
+//! coverage harness (`esd-bench`) runs every search frontier against that
+//! truth. These tests pin the acceptance criteria for the checked-in smoke
+//! corpus (4 seeds × 4 bug kinds):
 //!
 //! * every injected bug is found by at least one frontier within budget;
 //! * every reported goal matches the injected ground truth — zero false
 //!   positives;
 //! * each scenario's winning execution replays;
 //! * a generated 12-job corpus pushed through the [`JobExecutor`] yields
-//!   identical per-job outcomes under every fairness policy.
+//!   each job's solo outcome.
 
 use esd::playback::play;
-use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind};
-use esd::{EsdOptions, FrontierKind, JobExecutor, JobSpec, JobVerdict};
+use esd::workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
+use esd::{Esd, EsdOptions, FrontierKind, JobExecutor, JobSpec, JobVerdict};
 use esd_bench::coverage::{corpus, coverage_matrix, smoke_seeds, CoverageConfig};
 
 /// Per-run instruction budget: the smoke-corpus winners need well under
@@ -27,8 +27,7 @@ fn smoke_config() -> CoverageConfig {
 }
 
 /// The tentpole assertion set, via the same harness CI's `coverage-smoke`
-/// job gates on: full coverage, soundness against ground truth, and the
-/// determinism contract across fairness policies.
+/// job gates on: full coverage and soundness against ground truth.
 #[test]
 fn smoke_corpus_is_covered_soundly_and_deterministically() {
     let config = smoke_config();
@@ -52,13 +51,6 @@ fn smoke_corpus_is_covered_soundly_and_deterministically() {
         })
         .collect();
     assert!(false_positives.is_empty(), "false-positive goal reports: {false_positives:?}");
-
-    let policy_disagreements: Vec<&str> =
-        report.policy_jobs.iter().filter(|j| !j.agree).map(|j| j.label.as_str()).collect();
-    assert!(
-        policy_disagreements.is_empty(),
-        "fairness policies must agree on every job outcome: {policy_disagreements:?}"
-    );
 }
 
 /// Every scenario's winner not only reaches the goal — its synthesized
@@ -111,13 +103,12 @@ fn race_preemption_forks_replay_the_interleaving_they_found() {
     );
 }
 
-/// Satellite: a generated 12-job corpus (3 seeds × 4 kinds) submitted as a
-/// batch yields identical per-job outcomes under every fairness policy —
-/// the order-insensitivity regression on top of the executor's
-/// solo-vs-interleaved guarantee. Exercises the batch submission API
-/// (`run_batch`) end to end.
+/// A generated 12-job corpus (3 seeds × 4 kinds) submitted as one batch
+/// through `run_batch` yields, for every job, the verdict and the
+/// byte-identical execution file of a solo run of that job — the executor's
+/// solo-vs-interleaved guarantee on the batch submission API, end to end.
 #[test]
-fn twelve_job_corpus_outcomes_are_policy_invariant() {
+fn twelve_job_batch_outcomes_match_solo_runs() {
     let corpus: Vec<_> = [3u64, 5, 8]
         .iter()
         .flat_map(|&seed| {
@@ -126,40 +117,30 @@ fn twelve_job_corpus_outcomes_are_policy_invariant() {
         .collect();
     assert_eq!(corpus.len(), 12);
 
-    let specs = || -> Vec<JobSpec> {
-        corpus
-            .iter()
-            .map(|w| {
-                JobSpec::new(&w.name, &w.program, w.truth.goal.clone()).options(
-                    EsdOptions::builder()
-                        .max_steps(BUDGET)
-                        .with_race_detection(w.truth.needs_race_preemptions)
-                        .build(),
-                )
-            })
-            .collect()
+    let options = |w: &GeneratedWorkload| {
+        EsdOptions::builder()
+            .max_steps(BUDGET)
+            .with_race_detection(w.truth.needs_race_preemptions)
+            .build()
     };
-
-    let baseline: Vec<(JobVerdict, Option<String>)> = JobExecutor::round_robin()
-        .slice_rounds(128)
-        .run_batch(specs())
-        .into_iter()
-        .map(|o| (o.verdict, o.report().map(|r| r.execution.to_json())))
+    let specs: Vec<JobSpec> = corpus
+        .iter()
+        .map(|w| JobSpec::new(&w.name, &w.program, w.truth.goal.clone()).options(options(w)))
         .collect();
-    for (w, (verdict, json)) in corpus.iter().zip(&baseline) {
-        assert_eq!(*verdict, JobVerdict::Found, "{}", w.name);
-        assert!(json.is_some(), "{}", w.name);
-    }
+    let outcomes = JobExecutor::round_robin().slice_rounds(128).run_batch(specs);
+    assert_eq!(outcomes.len(), corpus.len());
 
-    for executor in [JobExecutor::weighted_by_priority(), JobExecutor::deadline_first()] {
-        let outcomes = executor.slice_rounds(128).run_batch(specs());
-        for ((w, outcome), expected) in corpus.iter().zip(outcomes).zip(&baseline) {
-            let got = (outcome.verdict, outcome.report().map(|r| r.execution.to_json()));
-            assert_eq!(
-                got, *expected,
-                "{}: outcome must not depend on the fairness policy",
-                w.name
-            );
-        }
+    for (w, outcome) in corpus.iter().zip(outcomes) {
+        assert_eq!(outcome.label, w.name);
+        assert_eq!(outcome.verdict, JobVerdict::Found, "{}", w.name);
+        let solo = Esd::new(options(w))
+            .synthesize_goal(&w.program, w.truth.goal.clone())
+            .unwrap_or_else(|e| panic!("{}: solo synthesis failed: {e:?}", w.name));
+        assert_eq!(
+            outcome.report().map(|r| r.execution.to_json()),
+            Some(solo.execution.to_json()),
+            "{}: the batched job must synthesize its solo execution file",
+            w.name
+        );
     }
 }

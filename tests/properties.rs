@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
-use esd::concurrency::{Schedule, SegmentStop, VectorClock};
+use esd::concurrency::{Schedule, SegmentStop};
 use esd::core::journal::{encode_frame, scan, JournalRecord};
 use esd::ir::interp::{InterpreterConfig, MapInputs, SchedulerKind};
 use esd::ir::printer::print_program;
@@ -112,25 +112,6 @@ proptest! {
             let both_steps = matches!(w[0].stop, SegmentStop::Steps(_)) && matches!(w[1].stop, SegmentStop::Steps(_));
             prop_assert!(!(same_thread && both_steps));
         }
-    }
-
-    /// Vector-clock happens-before is antisymmetric and consistent with joins.
-    #[test]
-    fn vector_clock_partial_order(ticks in proptest::collection::vec((0usize..3, 1u8..4), 1..20)) {
-        let mut a = VectorClock::new();
-        for (t, n) in &ticks {
-            for _ in 0..*n {
-                a.tick(*t);
-            }
-        }
-        let mut b = a.clone();
-        b.tick(0);
-        prop_assert!(a.happens_before(&b));
-        prop_assert!(!b.happens_before(&a));
-        let mut c = VectorClock::new();
-        c.tick(1);
-        c.join(&b);
-        prop_assert!(a.happens_before(&c));
     }
 
     /// Forked execution states carry independent concurrency analysis:
@@ -473,7 +454,7 @@ proptest! {
     ) {
         let records: Vec<JournalRecord> = grants
             .iter()
-            .map(|(h, r)| JournalRecord::Grant { grants: vec![(*h, *r)] })
+            .map(|(a, b)| JournalRecord::Grant { grants: vec![*a, *b] })
             .collect();
         let frames: Vec<Vec<u8>> = records.iter().map(encode_frame).collect();
         let bytes: Vec<u8> = frames.concat();
@@ -698,9 +679,8 @@ fn wire_status(n: u64) -> esd::JobStatus {
     }
 }
 
-/// One of each `ServiceError` shape, chosen by `n`.
-/// A submission with non-default options, priority and deadline, so every
-/// `JobRequest` field crosses the wire.
+/// A submission with non-default options, the search deadline included, so
+/// every `JobRequest` field crosses the wire.
 fn wire_request(n: u64) -> esd::JobRequest {
     let (program, loc) = wire_program(n as i64, true);
     let options = EsdOptions::builder()
@@ -710,10 +690,7 @@ fn wire_request(n: u64) -> esd::JobRequest {
         .with_race_detection(n.is_multiple_of(3))
         .deadline(Duration::from_millis(n + 1))
         .build();
-    esd::JobRequest::new(format!("job{n}"), &program, esd::GoalSpec::Crash { loc })
-        .options(options)
-        .priority(1 + (n % 7) as u32)
-        .deadline(Duration::from_secs(n))
+    esd::JobRequest::new(format!("job{n}"), &program, esd::GoalSpec::Crash { loc }).options(options)
 }
 
 /// `main` reads one input and crashes on a null load when it equals
@@ -767,6 +744,7 @@ fn wire_outcomes() -> &'static [esd::JobOutcome; 3] {
     })
 }
 
+/// One of each `ServiceError` shape, chosen by `n`.
 fn wire_error(n: u64) -> esd::ServiceError {
     match n % 5 {
         0 => esd::ServiceError::Overloaded { retry_after_slices: n },

@@ -2,8 +2,7 @@
 //! crash at *every* batch boundary and still synthesize byte-identical
 //! execution files.
 //!
-//! For each fairness policy, the harness first runs an uninterrupted
-//! two-job batch (the `paste` invalid free on the batched `beam:16`
+//! The harness first runs an uninterrupted round-robin two-job batch (the `paste` invalid free on the batched `beam:16`
 //! frontier, plus a generated `genbug` corpus program) and records every
 //! job's winner execution bytes and search statistics. It then replays the
 //! same batch under a durable executor, crashing after `k` dispatched
@@ -18,10 +17,10 @@
 //! journaled `Grant` record holds one grant per job of the batch and
 //! recovery must re-plan the whole batch.
 //!
-//! The checkpoint cadences differ per policy so the matrix covers both
+//! The matrix runs at two checkpoint cadences so it covers both
 //! pure-snapshot recovery (`checkpoint_every(1)`: the journal is empty at
-//! every boundary) and genuine journal replay (cadences 3 and 4: most crash
-//! points land mid-interval and recovery must re-drive journaled grants).
+//! every boundary) and genuine journal replay (cadence 3: most crash points
+//! land mid-interval and recovery must re-drive journaled grants).
 //!
 //! `ESD_RECOVERY_REDUCED=1` subsamples the crash points (CI smoke mode);
 //! the default exercises every boundary.
@@ -32,7 +31,6 @@ use esd::workloads::real_bugs::paste_invalid_free;
 use esd::workloads::Workload;
 use esd::{EsdOptions, FrontierKind, JobExecutor, JobPhase, JobSpec, JobVerdict};
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn reduced() -> bool {
     std::env::var("ESD_RECOVERY_REDUCED").ok().as_deref() == Some("1")
@@ -79,17 +77,8 @@ fn matrix_jobs() -> Vec<(Workload, EsdOptions)> {
 fn submit_jobs(executor: &mut JobExecutor) -> Vec<esd::JobHandle> {
     matrix_jobs()
         .into_iter()
-        .enumerate()
-        .map(|(i, (w, options))| {
-            executor.submit(
-                JobSpec::new(&w.name, &w.program, w.goal())
-                    .options(options)
-                    // Distinct priorities and deadline hints so the
-                    // weighted and deadline-first policies actually
-                    // differentiate the jobs.
-                    .priority(1 + i as u32)
-                    .deadline(Duration::from_secs(100 * (i as u64 + 1))),
-            )
+        .map(|(w, options)| {
+            executor.submit(JobSpec::new(&w.name, &w.program, w.goal()).options(options))
         })
         .collect()
 }
@@ -159,14 +148,12 @@ fn crash_points(total: u64, cadence: u64) -> Vec<u64> {
     points
 }
 
-/// Runs the full crash matrix for one policy. `make` builds the executor
-/// (the policy under test), `cadence` its checkpoint interval.
-fn run_matrix(name: &str, make: fn() -> JobExecutor, cadence: u64) {
-    // Small slices so the run crosses many batch boundaries (~28 slices
-    // for this two-job run, one or two per batch) — each boundary is a
-    // crash point in the matrix.
-    let slice_rounds = 32;
-    let make = || make().slice_rounds(slice_rounds).pool_size(env_pool());
+/// Runs the full crash matrix with checkpoints every `cadence` slices;
+/// `name` tags the durable directories.
+fn run_matrix(name: &str, cadence: u64) {
+    // Small slices so the run crosses many batch boundaries (one or two
+    // slices per batch) — each boundary is a crash point in the matrix.
+    let make = || JobExecutor::round_robin().slice_rounds(32).pool_size(env_pool());
 
     // The uninterrupted baseline, and its state at every batch boundary.
     let mut baseline = make();
@@ -218,19 +205,18 @@ fn run_matrix(name: &str, make: fn() -> JobExecutor, cadence: u64) {
     }
 }
 
+/// Snapshot-only recovery: a checkpoint after every slice leaves the
+/// journal empty at every crash point.
 #[test]
 fn crash_recovery_matrix_round_robin() {
-    run_matrix("round-robin", JobExecutor::round_robin, 1);
+    run_matrix("round-robin", 1);
 }
 
+/// Journal replay: with a checkpoint every third slice, most crash points
+/// land mid-interval and recovery re-plans the journaled batches.
 #[test]
-fn crash_recovery_matrix_weighted_by_priority() {
-    run_matrix("weighted", JobExecutor::weighted_by_priority, 3);
-}
-
-#[test]
-fn crash_recovery_matrix_deadline_first() {
-    run_matrix("deadline", JobExecutor::deadline_first, 4);
+fn crash_recovery_matrix_round_robin_journal_replay() {
+    run_matrix("journal-replay", 3);
 }
 
 /// A journal torn mid-frame (the tail a `kill -9` can leave) must not stop

@@ -28,14 +28,12 @@ fn requests() -> Vec<JobRequest> {
     vec![
         JobRequest::new("mkfifo", &mkfifo.program, mkfifo.goal())
             .options(EsdOptions::builder().max_steps(8_000_000).build()),
-        JobRequest::new("paste", &paste.program, paste.goal())
-            .options(
-                EsdOptions::builder()
-                    .max_steps(8_000_000)
-                    .frontier(FrontierKind::Beam { width: 16 })
-                    .build(),
-            )
-            .priority(2),
+        JobRequest::new("paste", &paste.program, paste.goal()).options(
+            EsdOptions::builder()
+                .max_steps(8_000_000)
+                .frontier(FrontierKind::Beam { width: 16 })
+                .build(),
+        ),
     ]
 }
 
@@ -202,18 +200,18 @@ fn overloaded_crosses_the_wire_as_a_typed_error() {
     server.join().expect("daemon thread");
 }
 
-/// A peer-supplied scheduling deadline of `Duration::MAX` neither panics
-/// the durable service at submit nor its recovery when the journaled
-/// submit is replayed; the job still synthesizes.
+/// A peer-supplied search deadline (`EsdOptions::deadline`) of
+/// `Duration::MAX` neither panics the durable service at submit nor its
+/// recovery when the journaled submit is replayed; the job still
+/// synthesizes.
 #[test]
 fn maximal_deadlines_neither_panic_submit_nor_recovery() {
     let dir = std::env::temp_dir().join(format!("esd_svc_max_deadline_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let w = mkfifo();
     let request = JobRequest::new("forever", &w.program, w.goal())
-        .options(EsdOptions::builder().max_steps(8_000_000).build())
-        .deadline(Duration::MAX);
-    let executor = JobExecutor::deadline_first().checkpoint_every(1000).durable_dir(&dir);
+        .options(EsdOptions::builder().max_steps(8_000_000).deadline(Duration::MAX).build());
+    let executor = JobExecutor::round_robin().checkpoint_every(1000).durable_dir(&dir);
     let mut service = InProcessService::new(executor.expect("durable dir"));
     let ticket = service.submit(request).expect("a maximal deadline is accepted");
     drop(service);
