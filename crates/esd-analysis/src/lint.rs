@@ -7,11 +7,9 @@
 //! [`LintRegistry`] runs a pass list and returns [`Diagnostic`]s in a
 //! deterministic order, so lint output is goldenable.
 //!
-//! The registry also implements [`esd_ir::validate::Preflight`], which lets
-//! `esd_ir::validate::validate_with` reject programs with `Error`-severity
-//! diagnostics at load time; warnings and notes stay advisory. The CI
-//! `lint-gate` runs the default registry over every checked-in IR fixture
-//! and a genbug corpus with exactly that policy.
+//! `Error`-severity diagnostics fail the CI `lint-gate`, which runs the
+//! default registry over every checked-in IR fixture and a genbug corpus;
+//! warnings and notes stay advisory.
 //!
 //! Default passes: `unreachable-block`, `dead-store`, `constant-condition`,
 //! `lock-never-released`, `read-of-never-written`, `inconsistent-lock-guard`,
@@ -24,19 +22,18 @@ use crate::lockorder::{self, LockOrderInfo};
 use crate::pointsto::{AbsLoc, PointsTo};
 use crate::racecand::{self, RaceCandidates};
 use crate::reachdef::{CondExpr, DefIndex};
-use esd_ir::validate::{Preflight, ValidationError};
 use esd_ir::{BlockId, GlobalId, Inst, Loc, Operand, Program, Terminator};
 use std::fmt;
 
-/// How serious a diagnostic is. `Error` fails the validation preflight and
-/// the CI lint gate; the rest are advisory.
+/// How serious a diagnostic is. `Error` fails the CI lint gate; the rest
+/// are advisory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational.
     Note,
     /// Suspicious but possibly intentional.
     Warning,
-    /// Definitely wrong; rejected by the validation preflight.
+    /// Definitely wrong; rejected by the CI lint gate.
     Error,
 }
 
@@ -154,20 +151,6 @@ impl LintRegistry {
         });
         out.dedup();
         out
-    }
-}
-
-impl Preflight for LintRegistry {
-    fn run(&self, program: &Program) -> Vec<ValidationError> {
-        LintRegistry::run(self, program)
-            .into_iter()
-            .filter(|d| d.severity == Severity::Error)
-            .map(|d| ValidationError {
-                func: Some(d.loc.func),
-                block: Some(d.loc.block),
-                message: format!("[{}] {}", d.lint, d.message),
-            })
-            .collect()
     }
 }
 
@@ -775,35 +758,6 @@ mod tests {
         let diags = lint(&p);
         assert_eq!(names(&diags), vec!["read-of-never-written"]);
         assert!(diags[0].message.contains("`ghost`"));
-    }
-
-    #[test]
-    fn preflight_rejects_only_errors() {
-        let mut pb = ProgramBuilder::new("p");
-        pb.function("main", 0, |f| {
-            let c = f.konst(0);
-            f.diamond("dead", c, |t| t.nop(), |e| e.nop());
-            f.ret_void();
-        });
-        let p = pb.finish("main");
-        let registry = LintRegistry::with_default_lints();
-        let preflights: [&dyn Preflight; 1] = [&registry];
-        let err = esd_ir::validate::validate_with(&p, &preflights)
-            .expect_err("the constant branch must fail the preflight");
-        assert_eq!(err.len(), 1);
-        assert!(err[0].message.contains("constant-condition"));
-
-        // A warning-only program passes.
-        let mut pb = ProgramBuilder::new("q");
-        let m = pb.global("m", 1);
-        pb.function("main", 0, |f| {
-            let mp = f.addr_global(m);
-            f.lock(mp);
-            f.ret_void();
-        });
-        let q = pb.finish("main");
-        esd_ir::validate::validate_with(&q, &preflights)
-            .expect("warnings must not fail validation");
     }
 
     #[test]

@@ -3,12 +3,22 @@
 //! Each public function reproduces one table or figure and returns printable
 //! rows; the `src/bin/` binaries (`cargo run -p esd-bench --bin <name>`)
 //! are thin wrappers that run them and print the same rows the paper
-//! reports. Absolute times
-//! will differ from the paper's 2008-era testbed (and our substrate is an IR
-//! interpreter rather than LLVM/Klee); the *shape* — ESD succeeds within
-//! seconds-to-minutes, KC hits its cap on the real-bug analogs, synthesis
-//! time grows with BPF branch count, stress testing finds nothing — is the
-//! reproduction target (see EXPERIMENTS.md).
+//! reports. Absolute times will differ from the paper's 2008-era testbed
+//! (and our substrate is an IR interpreter rather than LLVM/Klee). What the
+//! bins measure:
+//!
+//! * `table1` — ESD's time and search steps per real-bug analog, plus a
+//!   playback check of each synthesized execution.
+//! * `fig2` — time to a path to the bug for ESD, KC-DFS and KC-RandPath on
+//!   ls1–ls4 and the real-bug analogs. The analogs are small: all three
+//!   find every one of them at once.
+//! * `fig3` / `fig4` — ESD's time and steps, and KC-RandPath's time, over
+//!   BPF programs of growing branch count. ESD's steps grow with the
+//!   branch count, and KC-RandPath hits its cap from 64 branches on.
+//! * `ablation` — ESD's time and steps on the SQLite analog with each
+//!   search heuristic switched off in turn.
+//! * `stress_baseline` — bounded random testing, which reproduces no
+//!   failure; `playback_check` — every synthesized execution replays.
 //!
 //! Beyond the paper's figures, the [`coverage`] module runs the generated
 //! bug corpus (seeded programs with injected bugs of known kind) through
@@ -43,32 +53,15 @@ pub fn full_mode() -> bool {
 /// argument wins (`fig2 dfs`, `fig2 beam:16`), then the `ESD_FRONTIER`
 /// environment variable, then the paper's proximity-guided default. Accepted
 /// spellings are those of `FrontierKind::from_str`:
-/// `dfs|bfs|random|proximity|beam[:width]`.
-///
-/// These files double as harness=false `cargo bench` targets, and cargo
-/// hands every bench binary its `--bench` flag plus any `BENCHNAME` filter
-/// as arguments — so when `--bench` is present, unparseable positionals are
-/// treated as filters and ignored. In direct invocation an unknown spelling
-/// aborts with the parser's message rather than silently measuring the
-/// wrong thing.
+/// `dfs|bfs|random|proximity|beam[:width]`. An unknown spelling aborts
+/// with the parser's message rather than silently measuring the wrong
+/// thing.
 pub fn frontier_from_args() -> FrontierKind {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let under_cargo_bench = args.iter().any(|a| a == "--bench");
-    let positional = args.iter().find(|a| !a.starts_with('-'));
-    let from_env = || {
-        std::env::var("ESD_FRONTIER")
-            .ok()
-            .map(|s| s.parse().unwrap_or_else(|e: String| panic!("{e}")))
-            .unwrap_or_default()
-    };
-    match positional {
-        Some(s) => match s.parse() {
-            Ok(kind) => kind,
-            Err(_) if under_cargo_bench => from_env(),
-            Err(e) => panic!("{e}"),
-        },
-        None => from_env(),
-    }
+    let positional = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    positional
+        .or_else(|| std::env::var("ESD_FRONTIER").ok())
+        .map(|s| s.parse().unwrap_or_else(|e: String| panic!("{e}")))
+        .unwrap_or_default()
 }
 
 /// Whether the searches the benchmarks launch consult the static phase's
@@ -334,9 +327,9 @@ pub struct AblationRow {
     pub steps: u64,
 }
 
-/// Ablation of the design choices called out in DESIGN.md, on the SQLite
-/// analog: proximity guidance always on (it is the strategy itself), each of
-/// the other heuristics switched off one at a time.
+/// Ablation of ESD's search heuristics on the SQLite analog: proximity
+/// guidance always on (it is the strategy itself), each of the other
+/// heuristics switched off one at a time.
 pub fn ablation(esd_budget: u64) -> Vec<AblationRow> {
     let w = esd_workloads::real_bugs::sqlite_recursive_lock();
     let base =

@@ -13,8 +13,15 @@
 //! The caller drives the executor explicitly — [`JobExecutor::submit`],
 //! [`JobExecutor::run_slice`] / [`JobExecutor::run_until_idle`],
 //! [`JobExecutor::status`], [`JobExecutor::cancel`],
-//! [`JobExecutor::take`] — and can observe every job through a per-job
-//! [`Observer`] fan-out plus aggregate [`ExecutorStats`].
+//! [`JobExecutor::take`] — and can watch any job, recovered ones included,
+//! through an [`Observer`] attached with [`JobExecutor::observe`], plus
+//! aggregate [`ExecutorStats`].
+//!
+//! **One stage per job.** A job is queued with its spec, running with its
+//! session, or finished with its verdict, and its slot stores exactly that
+//! stage's data. Everything else is derived from the stages: a running
+//! job's wall clock is its session's, and the executor-wide slice, round
+//! and cancellation counters of [`ExecutorStats`] are sums over the jobs.
 //!
 //! **Determinism contract.** Jobs are independent engines: slicing happens
 //! only at [`Engine::step_round`](esd_symex::Engine::step_round) boundaries
@@ -74,7 +81,6 @@ pub struct JobSpec {
     program: Arc<Program>,
     goal: GoalSpec,
     options: EsdOptions,
-    observer: Option<Box<dyn Observer>>,
 }
 
 impl JobSpec {
@@ -86,7 +92,6 @@ impl JobSpec {
             program: Arc::new(program.clone()),
             goal,
             options: EsdOptions::default(),
-            observer: None,
         }
     }
 
@@ -95,25 +100,12 @@ impl JobSpec {
         self.options = options;
         self
     }
-
-    /// Attaches a per-job [`Observer`]: it receives an
-    /// [`Observer::on_progress`] snapshot of the session after every
-    /// dispatched slice that leaves the job running (matching the session
-    /// observer's running-only progress cadence — a job that goes terminal
-    /// on its very first slice emits no progress events), and exactly one
-    /// [`Observer::on_finish`] with the job's terminal [`SessionStatus`].
-    pub fn observer(mut self, observer: Box<dyn Observer>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
 }
 
-/// Where a job currently is in its lifecycle.
-///
-/// This is the executor's *internal* lifecycle value (still carried by
-/// [`JobStat`] and snapshots); the public query surface is the richer
+/// Where a job currently is in its lifecycle: the bare tag of its stage,
+/// carried by [`JobStat`]. The public query surface is the richer
 /// [`JobStatus`] returned by [`JobExecutor::status`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobPhase {
     /// Submitted, waiting for admission (no session exists yet).
     Queued,
@@ -139,30 +131,25 @@ pub enum JobStatus {
         /// The session's [`ProgressEvent`].
         progress: ProgressEvent,
     },
-    /// Terminal: the job ran to a verdict ([`JobVerdict::Found`] or
-    /// [`JobVerdict::Unsatisfied`]); the outcome is (or was) available via
-    /// [`JobExecutor::take`].
+    /// Terminal: the job reached a verdict or was cancelled; the outcome
+    /// is (or was) available via [`JobExecutor::take`].
     Finished {
         /// How the job ended.
         verdict: JobVerdict,
     },
-    /// Terminal: the job was cancelled before reaching a verdict.
-    Cancelled,
 }
 
 impl JobStatus {
     /// True once the job can no longer advance (finished or cancelled).
     pub fn is_terminal(&self) -> bool {
-        matches!(self, JobStatus::Finished { .. } | JobStatus::Cancelled)
+        matches!(self, JobStatus::Finished { .. })
     }
 
-    /// The terminal verdict, if any ([`JobStatus::Cancelled`] reports
-    /// [`JobVerdict::Cancelled`]).
+    /// The terminal verdict, if any.
     pub fn verdict(&self) -> Option<JobVerdict> {
         match self {
             JobStatus::Queued | JobStatus::Running { .. } => None,
             JobStatus::Finished { verdict } => Some(*verdict),
-            JobStatus::Cancelled => Some(JobVerdict::Cancelled),
         }
     }
 
@@ -171,14 +158,6 @@ impl JobStatus {
         match self {
             JobStatus::Running { progress, .. } => Some(progress),
             _ => None,
-        }
-    }
-
-    /// The terminal status a job with `verdict` reports.
-    pub fn terminal(verdict: JobVerdict) -> JobStatus {
-        match verdict {
-            JobVerdict::Cancelled => JobStatus::Cancelled,
-            verdict => JobStatus::Finished { verdict },
         }
     }
 }
@@ -215,8 +194,6 @@ pub struct JobOutcome {
     pub handle: JobHandle,
     /// The job's label.
     pub label: String,
-    /// How the job ended.
-    pub verdict: JobVerdict,
     /// The session's terminal status: the synthesized execution when
     /// found, otherwise the (possibly partial) search statistics. A job
     /// cancelled while still queued reports `Cancelled` with default
@@ -232,6 +209,11 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// How the job ended, read off its [`status`](JobOutcome::status).
+    pub fn verdict(&self) -> JobVerdict {
+        JobVerdict::of(&self.status)
+    }
+
     /// The synthesis report, if the job was satisfied.
     pub fn report(&self) -> Option<&crate::synth::SynthesisReport> {
         self.status.found()
@@ -269,9 +251,11 @@ pub struct ExecutorStats {
     pub finished: u64,
     /// Terminal jobs that were cancelled.
     pub cancelled: u64,
-    /// Slices dispatched over the executor's lifetime.
+    /// Slices dispatched over the executor's lifetime: the sum of every
+    /// job's slices.
     pub slices_dispatched: u64,
-    /// Search rounds actually advanced over the executor's lifetime.
+    /// Search rounds actually advanced over the executor's lifetime: the sum
+    /// of every job's rounds.
     pub rounds_dispatched: u64,
     /// Per-job detail (every job ever submitted, in submit order),
     /// including the wall time of each running or finished job.
@@ -281,86 +265,110 @@ pub struct ExecutorStats {
 /// A queued job's not-yet-admitted ingredients: program, goal, options.
 type PendingJob = (Arc<Program>, GoalSpec, EsdOptions);
 
+/// Where a job is, holding exactly the data of that stage.
+enum Stage {
+    /// Submitted, waiting for admission; no session exists yet.
+    Queued(PendingJob),
+    /// Admitted: the job's live session, whose clock started at admission.
+    /// Boxed because slots are never removed and every dispatch scans them
+    /// all: an inline session would make each slot, queued and finished
+    /// ones included, about a kilobyte larger.
+    Running(Box<SynthesisSession>),
+    /// Terminal: the totals frozen at finalize, so [`JobExecutor::stats`]
+    /// and [`JobExecutor::status`] stay exact after the outcome's `status`
+    /// has been [`take`](JobExecutor::take)n.
+    Finished { verdict: JobVerdict, rounds: u64, wall: Duration, status: Option<SessionStatus> },
+}
+
+impl Stage {
+    /// A placeholder [`JobExecutor::finalize`] leaves in a slot while it
+    /// moves the job's old stage out to build the terminal one.
+    const ENDING: Stage = Stage::Finished {
+        verdict: JobVerdict::Cancelled,
+        rounds: 0,
+        wall: Duration::ZERO,
+        status: None,
+    };
+
+    fn phase(&self) -> JobPhase {
+        match self {
+            Stage::Queued(_) => JobPhase::Queued,
+            Stage::Running(_) => JobPhase::Running,
+            Stage::Finished { .. } => JobPhase::Finished,
+        }
+    }
+}
+
 /// Internal per-job bookkeeping.
 struct JobSlot {
     label: String,
-    /// `Some` while the job is queued; taken at admission.
-    pending: Option<PendingJob>,
-    /// `Some` while the job is running (detached while its slice runs);
-    /// consumed at finalize. Boxed because slots are never removed and
-    /// every dispatch scans them all: an inline session would make each
-    /// slot, queued and finished ones included, about a kilobyte larger.
-    session: Option<Box<SynthesisSession>>,
     observer: Option<Box<dyn Observer>>,
-    admitted_at: Option<Instant>,
     slices: u64,
-    phase: JobPhase,
-    outcome: Option<JobOutcome>,
-    /// Terminal totals, frozen at finalize so [`JobExecutor::stats`] and
-    /// [`JobExecutor::status`] stay exact after the outcome has been
-    /// [`take`](JobExecutor::take)n.
-    finished_rounds: u64,
-    finished_wall: Duration,
-    finished_verdict: Option<JobVerdict>,
+    stage: Stage,
 }
 
 impl JobSlot {
     fn rounds(&self) -> u64 {
-        match self.phase {
-            JobPhase::Finished => self.finished_rounds,
-            _ => self.session.as_deref().map_or(0, SynthesisSession::rounds),
+        match &self.stage {
+            Stage::Queued(_) => 0,
+            Stage::Running(session) => session.rounds(),
+            Stage::Finished { rounds, .. } => *rounds,
         }
     }
 
     fn wall(&self) -> Duration {
-        match self.phase {
-            JobPhase::Finished => self.finished_wall,
-            _ => self.admitted_at.map(|t| t.elapsed()).unwrap_or_default(),
+        match &self.stage {
+            Stage::Queued(_) => Duration::ZERO,
+            Stage::Running(session) => session.elapsed(),
+            Stage::Finished { wall, .. } => *wall,
         }
     }
 }
 
 /// The not-yet-admitted ingredients of a queued job as serialized in a
-/// snapshot: its program, goal and options (see [`JobSnapshot::pending`]).
+/// snapshot: its program, goal and options.
 pub type PendingJobSnapshot = (Program, GoalSpec, EsdOptions);
 
-/// The durable state of one job slot, part of an [`ExecutorSnapshot`].
-///
-/// The admission instant is stored relative to the checkpoint instant
-/// (`admitted_elapsed`) and rebased to *now* at restore, so a job's wall
-/// clock survives the crash.
+/// The durable state of one job, part of an [`ExecutorSnapshot`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct JobSnapshot {
     /// The job's label.
     pub label: String,
-    /// Queued jobs: the not-yet-admitted ingredients (program, goal,
-    /// options).
-    pub pending: Option<PendingJobSnapshot>,
-    /// Running jobs: the complete session snapshot (which embeds the
-    /// program, options and engine state).
-    pub session: Option<SessionSnapshot>,
-    /// How long the job had been admitted when the checkpoint was taken.
-    pub admitted_elapsed: Option<Duration>,
     /// Executor slices dispatched to the job.
     pub slices: u64,
-    /// The job's lifecycle phase.
-    pub phase: JobPhase,
-    /// The terminal outcome, if finished and not yet taken.
-    pub outcome: Option<JobOutcome>,
-    /// Terminal round totals frozen when the job was finalized.
-    pub finished_rounds: u64,
-    /// Terminal wall-clock total frozen at finalize.
-    pub finished_wall: Duration,
-    /// The terminal verdict frozen at finalize (survives `take`).
-    pub finished_verdict: Option<JobVerdict>,
+    /// Where the job is, with exactly that stage's data.
+    pub stage: JobStageSnapshot,
+}
+
+/// The durable form of a job's stage, part of a [`JobSnapshot`].
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub enum JobStageSnapshot {
+    /// Queued: the not-yet-admitted ingredients.
+    Queued(PendingJobSnapshot),
+    /// Running: the complete session snapshot. It embeds the program,
+    /// options and engine state, and its `elapsed` carries the job's wall
+    /// clock across the crash.
+    Running(Box<SessionSnapshot>),
+    /// Finished: the totals frozen at finalize.
+    Finished {
+        /// How the job ended.
+        verdict: JobVerdict,
+        /// Search rounds the job advanced.
+        rounds: u64,
+        /// Wall-clock time from admission to the terminal state.
+        wall: Duration,
+        /// The session's terminal status, until the outcome is taken.
+        status: Option<SessionStatus>,
+    },
 }
 
 /// The complete durable state of a [`JobExecutor`], written at every
-/// checkpoint and consumed by [`JobExecutor::recover`] /
-/// [`Recovery::replay`](crate::journal::Recovery::replay).
+/// checkpoint and consumed by [`JobExecutor::recover`].
 ///
 /// Observers are deliberately absent: they are live callbacks, not state.
-/// A recovered executor runs without them.
+/// A recovered executor runs without them until
+/// [`JobExecutor::observe`] attaches new ones. The lifetime slice, round
+/// and cancellation counters are absent too: they are sums over the jobs.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ExecutorSnapshot {
     /// The rotation cursor: the handle most recently served.
@@ -379,12 +387,6 @@ pub struct ExecutorSnapshot {
     /// The journal epoch this snapshot pairs with: recovery replays
     /// `journal-<epoch>.log` and ignores journals of other epochs.
     pub epoch: u64,
-    /// Slices dispatched over the executor's lifetime.
-    pub slices_dispatched: u64,
-    /// Search rounds advanced over the executor's lifetime.
-    pub rounds_dispatched: u64,
-    /// Jobs cancelled over the executor's lifetime.
-    pub cancelled: u64,
     /// Every job slot, in handle order.
     pub jobs: Vec<JobSnapshot>,
 }
@@ -420,43 +422,8 @@ pub struct JobExecutor {
     /// snapshots and replay — but never what any job synthesizes.
     pool_size: usize,
     slots: Vec<JobSlot>,
-    slices_dispatched: u64,
-    rounds_dispatched: u64,
-    cancelled: u64,
     durable: Option<Durability>,
 }
-
-/// One planned batch entry being executed: the granted job's detached
-/// session plus the slice to run. Detaching (`Option::take`) gives the
-/// task's thread exclusive ownership of the granted job's session without
-/// aliasing the executor.
-struct SliceTask {
-    idx: usize,
-    session: Box<SynthesisSession>,
-    /// Rounds the slice actually advanced (set by [`SliceTask::execute`]).
-    advanced: u64,
-}
-
-impl SliceTask {
-    /// Advances the detached session by one slice of `rounds` (on the
-    /// task's own thread). It touches nothing but the job's own session,
-    /// which is why cross-job parallelism cannot perturb results.
-    fn execute(&mut self, rounds: u64) {
-        let before = self.session.rounds();
-        self.session.run_for(rounds);
-        self.advanced = self.session.rounds() - before;
-    }
-}
-
-// The pool moves whole sessions across threads; keep the contract
-// explicit so a non-Send regression fails here, not in a distant scope.
-const _: () = {
-    fn assert_send<T: Send>() {}
-    #[allow(dead_code)]
-    fn check() {
-        assert_send::<SliceTask>();
-    }
-};
 
 impl JobExecutor {
     /// A round-robin executor with default slice length, no admission cap,
@@ -469,9 +436,6 @@ impl JobExecutor {
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             pool_size: 1,
             slots: Vec::new(),
-            slices_dispatched: 0,
-            rounds_dispatched: 0,
-            cancelled: 0,
             durable: None,
         }
     }
@@ -586,18 +550,26 @@ impl JobExecutor {
         }
         self.slots.push(JobSlot {
             label: spec.label,
-            pending: Some((spec.program, spec.goal, spec.options)),
-            session: None,
-            observer: spec.observer,
-            admitted_at: None,
+            observer: None,
             slices: 0,
-            phase: JobPhase::Queued,
-            outcome: None,
-            finished_rounds: 0,
-            finished_wall: Duration::ZERO,
-            finished_verdict: None,
+            stage: Stage::Queued((spec.program, spec.goal, spec.options)),
         });
         handle
+    }
+
+    /// Attaches an [`Observer`] to a job, replacing any earlier one. It
+    /// receives an [`Observer::on_progress`] snapshot of the session after
+    /// every dispatched slice that leaves the job running (matching the
+    /// session observer's running-only progress cadence — a job that goes
+    /// terminal on its very first slice emits no progress events), and
+    /// exactly one [`Observer::on_finish`] with the job's terminal
+    /// [`SessionStatus`]. It works on any job, recovered ones included;
+    /// attached to a finished job, it receives nothing.
+    ///
+    /// # Panics
+    /// On a handle from a different executor.
+    pub fn observe(&mut self, handle: JobHandle, observer: Box<dyn Observer>) {
+        self.slots[handle.0 as usize].observer = Some(observer);
     }
 
     /// Submits a whole corpus at once, returning one handle per spec in
@@ -635,26 +607,30 @@ impl JobExecutor {
     /// On a handle from a different executor.
     pub fn status(&self, handle: JobHandle) -> JobStatus {
         let slot = &self.slots[handle.0 as usize];
-        match slot.phase {
-            JobPhase::Queued => JobStatus::Queued,
-            JobPhase::Running => JobStatus::Running {
-                slices: slot.slices,
-                progress: slot
-                    .session
-                    .as_ref()
-                    .expect("running jobs hold a session")
-                    .progress_event(),
-            },
-            JobPhase::Finished => JobStatus::terminal(
-                slot.finished_verdict.expect("finished jobs freeze their verdict"),
-            ),
+        match &slot.stage {
+            Stage::Queued(_) => JobStatus::Queued,
+            Stage::Running(session) => {
+                JobStatus::Running { slices: slot.slices, progress: session.progress_event() }
+            }
+            Stage::Finished { verdict, .. } => JobStatus::Finished { verdict: *verdict },
         }
     }
 
-    /// Removes and returns the job's terminal outcome (subsequent calls
-    /// return `None`).
+    /// Removes and returns the job's terminal outcome (`None` before the
+    /// job finishes and on every call after the first).
     pub fn take(&mut self, handle: JobHandle) -> Option<JobOutcome> {
-        self.slots[handle.0 as usize].outcome.take()
+        let slot = &mut self.slots[handle.0 as usize];
+        let Stage::Finished { rounds, wall, status, .. } = &mut slot.stage else {
+            return None;
+        };
+        Some(JobOutcome {
+            handle,
+            label: slot.label.clone(),
+            status: status.take()?,
+            slices: slot.slices,
+            rounds: *rounds,
+            wall: *wall,
+        })
     }
 
     /// Stops a job: queued jobs are dropped, running jobs have their session
@@ -662,23 +638,19 @@ impl JobExecutor {
     /// `true` if the job was still pending or running.
     pub fn cancel(&mut self, handle: JobHandle) -> bool {
         let idx = handle.0 as usize;
-        match self.slots[idx].phase {
-            JobPhase::Finished => false,
-            JobPhase::Queued | JobPhase::Running => {
-                if self.durable.is_some() {
-                    self.journal_append(&JournalRecord::Cancel { handle: handle.0 });
-                }
-                self.slots[idx].pending = None;
-                self.cancelled += 1;
-                self.finalize(idx);
-                true
-            }
+        if let Stage::Finished { .. } = self.slots[idx].stage {
+            return false;
         }
+        if self.durable.is_some() {
+            self.journal_append(&JournalRecord::Cancel { handle: handle.0 });
+        }
+        self.finalize(idx);
+        true
     }
 
     /// True while any job is queued or running.
     pub fn has_work(&self) -> bool {
-        self.slots.iter().any(|s| s.phase != JobPhase::Finished)
+        self.slots.iter().any(|s| !matches!(s.stage, Stage::Finished { .. }))
     }
 
     /// Dispatches one slice *batch*: admits queued jobs up to the admission
@@ -738,58 +710,55 @@ impl JobExecutor {
         grants
     }
 
-    /// Executes a planned batch: detaches each granted job's session, runs
-    /// every slice on its own scoped thread (the calling thread runs
-    /// the first, so a batch of one spawns nothing), then merges results
-    /// strictly in grant order. Jobs share nothing, so execution order
-    /// cannot change any result; merge order makes the bookkeeping —
-    /// statistics, observer callbacks, finalization — deterministic as well.
+    /// Executes a planned batch: borrows each granted job's session, runs
+    /// every slice on its own scoped thread (the calling thread runs one,
+    /// so a batch of one spawns nothing), then merges results strictly in
+    /// grant order. A slice touches nothing but its job's own session, so
+    /// execution order cannot change any result; merge order makes the
+    /// bookkeeping — slice counts, observer callbacks, finalization —
+    /// deterministic as well.
     fn execute_batch(&mut self, grants: &[JobHandle]) {
-        let mut work: Vec<SliceTask> = grants
-            .iter()
-            .map(|&handle| SliceTask {
-                idx: handle.0 as usize,
-                session: self.slots[handle.0 as usize]
-                    .session
-                    .take()
-                    .expect("granted jobs are running"),
-                advanced: 0,
+        let rounds = self.base_slice;
+        let mut sessions: Vec<&mut SynthesisSession> = self
+            .slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, slot)| match &mut slot.stage {
+                Stage::Running(session) if grants.contains(&JobHandle(i as u64)) => {
+                    Some(&mut **session)
+                }
+                _ => None,
             })
             .collect();
-        let rounds = self.base_slice;
-        let (first, rest) = work.split_first_mut().expect("planned batches are non-empty");
+        let (first, rest) = sessions.split_first_mut().expect("planned batches are non-empty");
         std::thread::scope(|scope| {
-            for task in rest {
-                scope.spawn(move || task.execute(rounds));
+            for session in rest {
+                scope.spawn(move || {
+                    session.run_for(rounds);
+                });
             }
-            first.execute(rounds);
+            first.run_for(rounds);
         });
-        for task in work {
-            self.merge_slice(task);
+        for handle in grants {
+            self.merge_slice(handle.0 as usize);
         }
     }
 
-    /// Merges one executed slice back into the executor (grant order):
-    /// reattaches the session, updates the dispatch counters, and either
-    /// finalizes the job (its session went terminal) or fires the job
-    /// observer.
-    fn merge_slice(&mut self, task: SliceTask) {
-        let SliceTask { idx, session, advanced, .. } = task;
-        self.slices_dispatched += 1;
-        self.rounds_dispatched += advanced;
+    /// Merges one executed slice into the executor (grant order): counts
+    /// the slice, then either fires the job observer (the job is still
+    /// running) or finalizes the job (its session went terminal).
+    fn merge_slice(&mut self, idx: usize) {
         let slot = &mut self.slots[idx];
         slot.slices += 1;
-        let running = session.poll().is_running();
-        if running {
-            // Per-job observer fan-out: one progress snapshot per
-            // dispatched slice.
-            if let Some(observer) = &mut slot.observer {
-                observer.on_progress(&session.progress_event());
+        match &slot.stage {
+            Stage::Running(session) if session.poll().is_running() => {
+                // Per-job observer fan-out: one progress snapshot per
+                // dispatched slice.
+                if let Some(observer) = &mut slot.observer {
+                    observer.on_progress(&session.progress_event());
+                }
             }
-        }
-        slot.session = Some(session);
-        if !running {
-            self.finalize(idx);
+            _ => self.finalize(idx),
         }
     }
 
@@ -798,7 +767,7 @@ impl JobExecutor {
         self.slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.phase == JobPhase::Running)
+            .filter(|(_, s)| matches!(s.stage, Stage::Running(_)))
             .map(|(i, _)| JobHandle(i as u64))
             .collect()
     }
@@ -815,23 +784,29 @@ impl JobExecutor {
             queued: 0,
             running: 0,
             finished: 0,
-            cancelled: self.cancelled,
-            slices_dispatched: self.slices_dispatched,
-            rounds_dispatched: self.rounds_dispatched,
+            cancelled: 0,
+            slices_dispatched: 0,
+            rounds_dispatched: 0,
             jobs: Vec::with_capacity(self.slots.len()),
         };
         for (i, slot) in self.slots.iter().enumerate() {
-            match slot.phase {
-                JobPhase::Queued => stats.queued += 1,
-                JobPhase::Running => stats.running += 1,
-                JobPhase::Finished => stats.finished += 1,
+            match &slot.stage {
+                Stage::Queued(_) => stats.queued += 1,
+                Stage::Running(_) => stats.running += 1,
+                Stage::Finished { verdict, .. } => {
+                    stats.finished += 1;
+                    stats.cancelled += u64::from(*verdict == JobVerdict::Cancelled);
+                }
             }
+            let rounds = slot.rounds();
+            stats.slices_dispatched += slot.slices;
+            stats.rounds_dispatched += rounds;
             stats.jobs.push(JobStat {
                 handle: JobHandle(i as u64),
                 label: slot.label.clone(),
-                phase: slot.phase,
+                phase: slot.stage.phase(),
                 slices: slot.slices,
-                rounds: slot.rounds(),
+                rounds,
                 wall: slot.wall(),
             });
         }
@@ -841,64 +816,53 @@ impl JobExecutor {
     /// Admits queued jobs (FIFO) while the running count is below the cap.
     /// Admission runs the job's static phase and starts its wall clock.
     fn admit(&mut self) {
-        let mut running = self.slots.iter().filter(|s| s.phase == JobPhase::Running).count();
-        for idx in 0..self.slots.len() {
+        let mut running =
+            self.slots.iter().filter(|s| matches!(s.stage, Stage::Running(_))).count();
+        for slot in &mut self.slots {
             if running >= self.max_running {
                 break;
             }
-            if self.slots[idx].phase != JobPhase::Queued {
+            let Stage::Queued((program, goal, options)) = &slot.stage else {
                 continue;
-            }
-            let (program, goal, options) =
-                self.slots[idx].pending.take().expect("queued jobs keep their spec");
-            let admitted_at = Instant::now();
+            };
+            let started_at = Instant::now();
             // One static phase per job, over every goal location.
-            let analysis = Arc::new(StaticAnalysis::compute_multi(&program, &goal.primary_locs()));
-            let mut session =
-                SynthesisSession::from_parts(program, analysis, goal, options, None, 0);
-            // The session's clock (elapsed, EsdOptions::deadline) covers the
-            // static phase, like a solo run's.
-            session.started_at = admitted_at;
-            let slot = &mut self.slots[idx];
-            slot.session = Some(Box::new(session));
-            slot.admitted_at = Some(admitted_at);
-            slot.phase = JobPhase::Running;
+            let analysis = Arc::new(StaticAnalysis::compute_multi(program, &goal.primary_locs()));
+            let mut session = SynthesisSession::from_parts(
+                Arc::clone(program),
+                analysis,
+                goal.clone(),
+                options.clone(),
+                None,
+                0,
+            );
+            // The session's clock (the job's wall time, EsdOptions::deadline)
+            // covers the static phase, like a solo run's.
+            session.started_at = started_at;
+            slot.stage = Stage::Running(Box::new(session));
             running += 1;
         }
     }
 
-    /// Moves a job to [`JobPhase::Finished`]: cancels its session if it is
-    /// still running, assembles the [`JobOutcome`] from the session's
-    /// terminal status (a job cancelled while queued never had a session),
-    /// and fires the job observer's `on_finish`.
+    /// Moves an unfinished job to its finished stage: cancels its session
+    /// if it is still running, freezes the session's terminal status,
+    /// rounds and wall clock, and fires the job observer's `on_finish`.
     fn finalize(&mut self, idx: usize) {
         let slot = &mut self.slots[idx];
-        let (status, rounds) = match slot.session.take() {
-            Some(mut session) => {
+        let (status, rounds, wall) = match std::mem::replace(&mut slot.stage, Stage::ENDING) {
+            Stage::Running(mut session) => {
                 session.cancel(); // no-op on a terminal session
-                let rounds = session.rounds();
-                (session.into_status(), rounds)
+                let (rounds, wall) = (session.rounds(), session.elapsed());
+                (session.into_status(), rounds, wall)
             }
-            None => (SessionStatus::Cancelled(SearchStats::default()), 0),
+            // Cancelled while queued: the job never had a session.
+            _ => (SessionStatus::Cancelled(SearchStats::default()), 0, Duration::ZERO),
         };
         let verdict = JobVerdict::of(&status);
-        let wall = slot.admitted_at.map(|t| t.elapsed()).unwrap_or_default();
-        slot.finished_rounds = rounds;
-        slot.finished_wall = wall;
-        slot.finished_verdict = Some(verdict);
-        slot.phase = JobPhase::Finished;
         if let Some(observer) = &mut slot.observer {
             observer.on_finish(&status);
         }
-        slot.outcome = Some(JobOutcome {
-            handle: JobHandle(idx as u64),
-            label: slot.label.clone(),
-            verdict,
-            status,
-            slices: slot.slices,
-            rounds,
-            wall,
-        });
+        slot.stage = Stage::Finished { verdict, rounds, wall, status: Some(status) };
         if self.durable.is_some() {
             self.journal_append(&JournalRecord::Finalize { handle: idx as u64, verdict });
         }
@@ -953,18 +917,23 @@ impl JobExecutor {
             .iter()
             .map(|slot| JobSnapshot {
                 label: slot.label.clone(),
-                pending: slot
-                    .pending
-                    .as_ref()
-                    .map(|(p, g, o)| (Program::clone(p), g.clone(), o.clone())),
-                session: slot.session.as_deref().map(SynthesisSession::snapshot),
-                admitted_elapsed: slot.admitted_at.map(|t| t.elapsed()),
                 slices: slot.slices,
-                phase: slot.phase,
-                outcome: slot.outcome.clone(),
-                finished_rounds: slot.finished_rounds,
-                finished_wall: slot.finished_wall,
-                finished_verdict: slot.finished_verdict,
+                stage: match &slot.stage {
+                    Stage::Queued((p, g, o)) => {
+                        JobStageSnapshot::Queued((Program::clone(p), g.clone(), o.clone()))
+                    }
+                    Stage::Running(session) => {
+                        JobStageSnapshot::Running(Box::new(session.snapshot()))
+                    }
+                    Stage::Finished { verdict, rounds, wall, status } => {
+                        JobStageSnapshot::Finished {
+                            verdict: *verdict,
+                            rounds: *rounds,
+                            wall: *wall,
+                            status: status.clone(),
+                        }
+                    }
+                },
             })
             .collect();
         ExecutorSnapshot {
@@ -974,9 +943,6 @@ impl JobExecutor {
             checkpoint_every: self.checkpoint_every,
             pool_size: self.pool_size,
             epoch,
-            slices_dispatched: self.slices_dispatched,
-            rounds_dispatched: self.rounds_dispatched,
-            cancelled: self.cancelled,
             jobs,
         }
     }
@@ -984,27 +950,27 @@ impl JobExecutor {
 
 /// Restores an executor from a snapshot (no journal replay, no durability).
 fn restore_snapshot(snapshot: &ExecutorSnapshot) -> JobExecutor {
-    let now = Instant::now();
     let slots = snapshot
         .jobs
         .iter()
         .map(|job| JobSlot {
             label: job.label.clone(),
-            pending: job
-                .pending
-                .as_ref()
-                .map(|(p, g, o)| (Arc::new(p.clone()), g.clone(), o.clone())),
-            session: job.session.as_ref().map(|s| Box::new(SynthesisSession::restore(s))),
             observer: None,
-            admitted_at: job
-                .admitted_elapsed
-                .map(|elapsed| now.checked_sub(elapsed).unwrap_or(now)),
             slices: job.slices,
-            phase: job.phase,
-            outcome: job.outcome.clone(),
-            finished_rounds: job.finished_rounds,
-            finished_wall: job.finished_wall,
-            finished_verdict: job.finished_verdict,
+            stage: match &job.stage {
+                JobStageSnapshot::Queued((p, g, o)) => {
+                    Stage::Queued((Arc::new(p.clone()), g.clone(), o.clone()))
+                }
+                JobStageSnapshot::Running(session) => {
+                    Stage::Running(Box::new(SynthesisSession::restore(session)))
+                }
+                JobStageSnapshot::Finished { verdict, rounds, wall, status } => Stage::Finished {
+                    verdict: *verdict,
+                    rounds: *rounds,
+                    wall: *wall,
+                    status: status.clone(),
+                },
+            },
         })
         .collect();
     JobExecutor {
@@ -1014,20 +980,17 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> JobExecutor {
         checkpoint_every: snapshot.checkpoint_every,
         pool_size: snapshot.pool_size.max(1),
         slots,
-        slices_dispatched: snapshot.slices_dispatched,
-        rounds_dispatched: snapshot.rounds_dispatched,
-        cancelled: snapshot.cancelled,
         durable: None,
     }
 }
 
 /// Replays a journal's valid prefix of records on top of a restored
-/// snapshot — the implementation behind
-/// [`Recovery::replay`](crate::journal::Recovery::replay). Grants re-plan
+/// snapshot — the `reduce(snapshot, journal)` behind
+/// [`JobExecutor::recover`]. Grants re-plan
 /// the batch from the restored rotation cursor and every re-taken decision
 /// is verified against the journaled one; any mismatch is a
 /// [`RecoveryError::Divergence`], never a panic.
-pub(crate) fn replay_records(
+fn replay_records(
     snapshot: &ExecutorSnapshot,
     records: &[JournalRecord],
 ) -> Result<JobExecutor, RecoveryError> {
@@ -1079,8 +1042,8 @@ pub(crate) fn replay_records(
                         "journaled finalize of unknown job {handle}"
                     )));
                 };
-                let actual = match slot.phase {
-                    JobPhase::Finished => slot.outcome.as_ref().map(|o| o.verdict),
+                let actual = match slot.stage {
+                    Stage::Finished { verdict, .. } => Some(verdict),
                     _ => None,
                 };
                 if actual != Some(*verdict) {
@@ -1163,7 +1126,7 @@ mod tests {
         assert_eq!(exec.status(h), JobStatus::Finished { verdict: JobVerdict::Found });
         assert!(!exec.has_work());
         let outcome = exec.take(h).expect("finished jobs expose an outcome");
-        assert_eq!(outcome.verdict, JobVerdict::Found);
+        assert_eq!(outcome.verdict(), JobVerdict::Found);
         assert_eq!(outcome.label, "job");
         assert_eq!(outcome.report().unwrap().execution.inputs[0].value, 9);
         assert_eq!(outcome.status.stats(), Some(&outcome.report().unwrap().stats));
@@ -1203,19 +1166,23 @@ mod tests {
         let b = exec.submit(JobSpec::new("b", &p, GoalSpec::Crash { loc }));
         // Cancel b while it is still queued: no session ever exists for it.
         assert!(exec.cancel(b));
-        assert_eq!(exec.status(b), JobStatus::Cancelled);
+        assert_eq!(exec.status(b), JobStatus::Finished { verdict: JobVerdict::Cancelled });
         let outcome = exec.take(b).unwrap();
-        assert_eq!(outcome.verdict, JobVerdict::Cancelled);
+        assert_eq!(outcome.verdict(), JobVerdict::Cancelled);
         assert!(
             matches!(&outcome.status, SessionStatus::Cancelled(s) if *s == SearchStats::default())
         );
         assert_eq!((outcome.rounds, outcome.wall), (0, Duration::ZERO));
-        assert_eq!(exec.status(b), JobStatus::Cancelled, "status survives take()");
+        assert_eq!(
+            exec.status(b),
+            JobStatus::Finished { verdict: JobVerdict::Cancelled },
+            "status survives take()"
+        );
         // Cancel a mid-run: the session's partial stats survive.
         assert!(exec.run_slice());
         assert!(exec.cancel(a));
         let outcome = exec.take(a).unwrap();
-        assert_eq!(outcome.verdict, JobVerdict::Cancelled);
+        assert_eq!(outcome.verdict(), JobVerdict::Cancelled);
         assert!(matches!(&outcome.status, SessionStatus::Cancelled(s) if s.steps > 0));
         assert!(!exec.cancel(a), "cancel on a finished job is a no-op");
         assert_eq!(exec.stats().cancelled, 2);
@@ -1250,10 +1217,8 @@ mod tests {
         let (p, loc) = crashy("exec_observer", 2);
         let recording = Arc::new(Mutex::new(Recording::default()));
         let mut exec = JobExecutor::round_robin().slice_rounds(2);
-        let h = exec.submit(
-            JobSpec::new("watched", &p, GoalSpec::Crash { loc })
-                .observer(Box::new(RecordingObserver(recording.clone()))),
-        );
+        let h = exec.submit(JobSpec::new("watched", &p, GoalSpec::Crash { loc }));
+        exec.observe(h, Box::new(RecordingObserver(recording.clone())));
         exec.run_until_idle();
         assert_eq!(exec.status(h).verdict(), Some(JobVerdict::Found));
         let recording = recording.lock().unwrap();
@@ -1318,7 +1283,7 @@ mod tests {
             .into_iter()
             .map(|h| {
                 let outcome = exec.take(h).expect("job finished");
-                assert_eq!(outcome.verdict, JobVerdict::Found);
+                assert_eq!(outcome.verdict(), JobVerdict::Found);
                 outcome.report().expect("Found carries a report").execution.to_json()
             })
             .collect();
@@ -1339,22 +1304,94 @@ mod tests {
         }
     }
 
-    /// Snapshots carry the scheduling state: the pool size and the per-job
-    /// frozen verdict both survive a snapshot → restore round-trip (replay
-    /// with an empty journal).
+    /// What a restored executor must reproduce exactly: every job's status
+    /// and the aggregate statistics, derived counters included. Running
+    /// jobs' clocks keep ticking, so elapsed and wall times are left out.
+    type Observable = (Vec<JobStatus>, [u64; 7], Vec<(JobPhase, u64, u64)>);
+
+    fn observable(exec: &JobExecutor) -> Observable {
+        let stats = exec.stats();
+        let statuses = stats
+            .jobs
+            .iter()
+            .map(|job| match exec.status(job.handle) {
+                JobStatus::Running { slices, mut progress } => {
+                    progress.elapsed = Duration::ZERO;
+                    JobStatus::Running { slices, progress }
+                }
+                status => status,
+            })
+            .collect();
+        let counters = [
+            stats.submitted,
+            stats.queued as u64,
+            stats.running as u64,
+            stats.finished,
+            stats.cancelled,
+            stats.slices_dispatched,
+            stats.rounds_dispatched,
+        ];
+        let jobs = stats.jobs.iter().map(|j| (j.phase, j.slices, j.rounds)).collect();
+        (statuses, counters, jobs)
+    }
+
+    /// Every job stage survives both recovery paths: a journal replay on
+    /// top of the initial (empty) checkpoint, and a snapshot restore from a
+    /// later checkpoint. The executor holds one job in each stage, and the
+    /// pool size round-trips too.
     #[test]
-    fn snapshot_round_trips_pool_size_and_finished_verdict() {
-        let (p, loc) = crashy("exec_snapshot_pool", 2);
-        let mut exec = JobExecutor::round_robin().pool_size(4);
-        let h = exec.submit(JobSpec::new("job", &p, GoalSpec::Crash { loc }));
+    fn snapshot_round_trips_pool_size_and_every_stage() {
+        let dir = std::env::temp_dir().join(format!("esd_stage_snapshot_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (p, loc) = crashy("exec_snapshot_stages", 2);
+        let job = |label: &str| JobSpec::new(label, &p, GoalSpec::Crash { loc });
+        let mut exec = JobExecutor::round_robin()
+            .pool_size(4)
+            .max_running(1)
+            .slice_rounds(1)
+            .checkpoint_every(1000) // never checkpoint on its own: force journal replay
+            .durable_dir(&dir)
+            .expect("durable dir");
+        let taken = exec.submit(job("found, taken"));
+        let found = exec.submit(job("found"));
         exec.run_until_idle();
-        exec.take(h).expect("job finished");
+        exec.take(taken).expect("job finished");
+        let cancelled_running = exec.submit(job("cancelled while running"));
+        assert!(exec.run_slice());
+        assert!(exec.cancel(cancelled_running));
+        let running = exec.submit(job("running"));
+        let cancelled_queued = exec.submit(job("cancelled while queued"));
+        let queued = exec.submit(job("queued"));
+        assert!(exec.run_slice());
+        assert!(exec.cancel(cancelled_queued));
+
+        let expected = observable(&exec);
+        let verdict = |h: JobHandle| expected.0[h.0 as usize].verdict();
+        assert_eq!(verdict(taken), Some(JobVerdict::Found));
+        assert_eq!(verdict(found), Some(JobVerdict::Found));
+        assert_eq!(verdict(cancelled_running), Some(JobVerdict::Cancelled));
+        assert_eq!(verdict(cancelled_queued), Some(JobVerdict::Cancelled));
+        assert!(matches!(expected.0[running.0 as usize], JobStatus::Running { slices: 1, .. }));
+        assert_eq!(expected.0[queued.0 as usize], JobStatus::Queued);
+        assert_eq!(exec.stats().cancelled, 2);
+
+        let replayed = JobExecutor::recover(&dir).expect("the journal replays");
+        assert_eq!(observable(&replayed), expected, "journal replay");
+        exec.checkpoint().expect("checkpoint");
         let snapshot = exec.snapshot();
         assert_eq!(snapshot.pool_size, 4);
-        assert_eq!(snapshot.jobs[0].finished_verdict, Some(JobVerdict::Found));
-        let restored = replay_records(&snapshot, &[]).expect("snapshot restores");
+        assert!(matches!(
+            snapshot.jobs[found.0 as usize].stage,
+            JobStageSnapshot::Finished { verdict: JobVerdict::Found, status: Some(_), .. }
+        ));
+        assert!(matches!(
+            snapshot.jobs[taken.0 as usize].stage,
+            JobStageSnapshot::Finished { verdict: JobVerdict::Found, status: None, .. }
+        ));
+        let restored = JobExecutor::recover(&dir).expect("the snapshot restores");
         assert_eq!(restored.pool_size, 4);
-        assert_eq!(restored.status(h), JobStatus::Finished { verdict: JobVerdict::Found });
+        assert_eq!(observable(&restored), expected, "snapshot restore");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Durable multi-grant batches recover: a pool-2 executor journals

@@ -8,6 +8,8 @@
 //! and the rotation cursor, and the engines are deterministic in their
 //! seeds — replaying the journal against
 //! the restored snapshot rebuilds the exact pre-crash state.
+//! [`JobExecutor::recover`] is that reduction: it loads the snapshot,
+//! replays the journal and verifies every re-taken decision against it.
 //!
 //! ## Frame format
 //!
@@ -24,8 +26,10 @@
 //! never panics on damaged input (pinned by the `properties` suite).
 //!
 //! [`ExecutorSnapshot`]: crate::executor::ExecutorSnapshot
+//! [`JobExecutor`]: crate::executor::JobExecutor
+//! [`JobExecutor::recover`]: crate::executor::JobExecutor::recover
 
-use crate::executor::{JobExecutor, JobVerdict};
+use crate::executor::JobVerdict;
 use crate::snapshot::{fnv1a64, SnapshotError};
 use crate::synth::EsdOptions;
 use esd_ir::Program;
@@ -247,24 +251,6 @@ impl std::error::Error for RecoveryError {}
 impl From<SnapshotError> for RecoveryError {
     fn from(e: SnapshotError) -> Self {
         RecoveryError::Snapshot(e)
-    }
-}
-
-/// Rebuilds a crashed [`JobExecutor`] from its durable state — the
-/// `reduce(snapshot, journal)` of the module docs.
-pub struct Recovery;
-
-impl Recovery {
-    /// Restores the snapshot and replays the journal's valid prefix on top
-    /// of it, returning an executor equal to the pre-crash one (minus
-    /// observers, which are live callbacks and not durable state). The
-    /// returned executor is not yet durable; [`JobExecutor::recover`]
-    /// re-attaches the durable directory.
-    pub fn replay(
-        snapshot: &crate::executor::ExecutorSnapshot,
-        records: &[JournalRecord],
-    ) -> Result<JobExecutor, RecoveryError> {
-        crate::executor::replay_records(snapshot, records)
     }
 }
 

@@ -49,11 +49,9 @@ pub mod triage;
 pub use execfile::{InputEntry, SynthesizedExecution};
 pub use executor::{
     ExecutorSnapshot, ExecutorStats, JobExecutor, JobHandle, JobOutcome, JobPhase, JobSnapshot,
-    JobSpec, JobStat, JobStatus, JobVerdict,
+    JobSpec, JobStageSnapshot, JobStat, JobStatus, JobVerdict,
 };
-pub use journal::{
-    JournalDamage, JournalRecord, JournalScan, JournalWriter, Recovery, RecoveryError,
-};
+pub use journal::{JournalDamage, JournalRecord, JournalScan, JournalWriter, RecoveryError};
 pub use kc::{kc_synthesize, KcStrategy};
 pub use report::{extract_goal, BugKind, BugReport};
 pub use session::{

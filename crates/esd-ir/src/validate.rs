@@ -4,10 +4,6 @@
 //! out-of-range registers, arity mismatches at direct call sites, …) so that
 //! the interpreter and the symbolic engine can index unchecked-by-construction
 //! data without defensive code at every step.
-//!
-//! Higher layers can hook additional semantic checks into validation via the
-//! [`Preflight`] trait and [`validate_with`] — the lint registry in
-//! `esd-analysis` plugs in this way without inverting the crate dependency.
 
 use crate::inst::{Callee, Inst, Operand};
 use crate::program::{Function, Program};
@@ -32,30 +28,6 @@ impl fmt::Display for ValidationError {
             (Some(fun), None) => write!(f, "[{:?}] {}", fun, self.message),
             _ => write!(f, "{}", self.message),
         }
-    }
-}
-
-/// An extra validation stage supplied by a higher layer (e.g. the lint
-/// registry in `esd-analysis`): runs over a structurally valid program and
-/// reports additional problems.
-pub trait Preflight {
-    /// Checks `program` and returns all problems found (empty = clean).
-    fn run(&self, program: &Program) -> Vec<ValidationError>;
-}
-
-/// Validates a program structurally, then — only if the structure is sound,
-/// so preflights may index blocks and registers unchecked — runs each
-/// `preflight` and collects its problems too.
-pub fn validate_with(
-    program: &Program,
-    preflights: &[&dyn Preflight],
-) -> Result<(), Vec<ValidationError>> {
-    validate(program)?;
-    let errors: Vec<ValidationError> = preflights.iter().flat_map(|p| p.run(program)).collect();
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
     }
 }
 

@@ -35,9 +35,22 @@ impl Observer for FeedObserver {
 
     fn on_finish(&mut self, status: &SessionStatus) {
         // The job-level JobStatus the stream promises as its last element.
-        let status = JobStatus::terminal(JobVerdict::of(status));
+        let status = JobStatus::Finished { verdict: JobVerdict::of(status) };
         self.0.lock().expect("event feed poisoned").push_back(ProgressUpdate::Done { status });
     }
+}
+
+/// A new event feed for a job: a finished job's feed holds its `Done` at
+/// once; any other job's is filled by a [`FeedObserver`] attached to it.
+fn attach_feed(executor: &mut JobExecutor, handle: JobHandle) -> EventFeed {
+    let feed: EventFeed = Arc::new(Mutex::new(VecDeque::new()));
+    match executor.status(handle) {
+        status @ JobStatus::Finished { .. } => {
+            feed.lock().expect("event feed poisoned").push_back(ProgressUpdate::Done { status })
+        }
+        _ => executor.observe(handle, Box::new(FeedObserver(feed.clone()))),
+    }
+    feed
 }
 
 /// The in-process [`Service`] backend wrapping a [`JobExecutor`].
@@ -52,9 +65,14 @@ pub struct InProcessService {
 pub const DEFAULT_MAX_PENDING: usize = 64;
 
 impl InProcessService {
-    /// Wraps an executor with the default submit-queue bound.
-    pub fn new(executor: JobExecutor) -> Self {
-        InProcessService { executor, max_pending: DEFAULT_MAX_PENDING, feeds: Vec::new() }
+    /// Wraps an executor with the default submit-queue bound. Jobs the
+    /// executor already holds — a recovered executor's, say — keep their
+    /// handle ids as tickets and get event feeds like new submissions.
+    pub fn new(mut executor: JobExecutor) -> Self {
+        let feeds = (0..executor.stats().submitted)
+            .map(|id| attach_feed(&mut executor, JobHandle::from_id(id)))
+            .collect();
+        InProcessService { executor, max_pending: DEFAULT_MAX_PENDING, feeds }
     }
 
     /// Sets the admission bound: the maximum number of jobs allowed to wait
@@ -117,10 +135,9 @@ impl Service for InProcessService {
             // queue length is the floor of the wait.
             return Err(ServiceError::Overloaded { retry_after_slices: stats.queued as u64 });
         }
-        let feed: EventFeed = Arc::new(Mutex::new(VecDeque::new()));
-        let spec = request.into_spec().observer(Box::new(FeedObserver(feed.clone())));
-        let handle = self.executor.submit(spec);
+        let handle = self.executor.submit(request.into_spec());
         debug_assert_eq!(handle.id() as usize, self.feeds.len());
+        let feed = attach_feed(&mut self.executor, handle);
         self.feeds.push(feed);
         Ok(JobTicket { id: handle.id() })
     }

@@ -84,7 +84,7 @@ fn main() {
     // Take both outcomes over the wire and replay the winners locally.
     for (workload, ticket) in [(&paste, paste_ticket), (&race, race_ticket)] {
         let outcome = client.take(ticket).expect("take").expect("terminal job");
-        assert_eq!(outcome.verdict, JobVerdict::Found, "{}", workload.name);
+        assert_eq!(outcome.verdict(), JobVerdict::Found, "{}", workload.name);
         let report = outcome.report().expect("Found jobs carry a report");
         let replay = play(&workload.program, &report.execution);
         assert!(replay.reproduced, "{}: the synthesized execution must replay", workload.name);

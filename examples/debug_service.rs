@@ -61,7 +61,7 @@ fn main() {
     for (w, handle) in reports.iter().zip(handles) {
         let outcome = executor.take(handle).expect("an idle executor finished every job");
         assert_eq!(
-            outcome.verdict,
+            outcome.verdict(),
             JobVerdict::Found,
             "{}: the service must synthesize every reported bug",
             w.name

@@ -71,13 +71,18 @@ fn main() {
             Some(report) => println!(
                 "{}: {:?} after {} rounds — {} inputs, {} context switches",
                 outcome.label,
-                outcome.verdict,
+                outcome.verdict(),
                 outcome.rounds,
                 report.execution.inputs.len(),
                 report.execution.schedule.context_switches()
             ),
             None => {
-                println!("{}: {:?} after {} rounds", outcome.label, outcome.verdict, outcome.rounds)
+                println!(
+                    "{}: {:?} after {} rounds",
+                    outcome.label,
+                    outcome.verdict(),
+                    outcome.rounds
+                )
             }
         }
     }

@@ -95,8 +95,8 @@ pub use esd_core::executor;
 pub use esd_core::{
     BugKind, BugReport, Esd, EsdOptions, EsdOptionsBuilder, ExecutorSnapshot, ExecutorStats,
     JobExecutor, JobHandle, JobOutcome, JobPhase, JobSpec, JobStatus, JobVerdict, JournalDamage,
-    Observer, ProgressEvent, Recovery, RecoveryError, SessionSnapshot, SessionStatus,
-    SnapshotError, SynthesisError, SynthesisSession, SynthesizedExecution,
+    Observer, ProgressEvent, RecoveryError, SessionSnapshot, SessionStatus, SnapshotError,
+    SynthesisError, SynthesisSession, SynthesizedExecution,
 };
 pub use esd_playback::{play, Debugger};
 pub use esd_service::{

@@ -132,7 +132,7 @@ fn twelve_job_batch_outcomes_match_solo_runs() {
 
     for (w, outcome) in corpus.iter().zip(outcomes) {
         assert_eq!(outcome.label, w.name);
-        assert_eq!(outcome.verdict, JobVerdict::Found, "{}", w.name);
+        assert_eq!(outcome.verdict(), JobVerdict::Found, "{}", w.name);
         let solo = Esd::new(options(w))
             .synthesize_goal(&w.program, w.truth.goal.clone())
             .unwrap_or_else(|e| panic!("{}: solo synthesis failed: {e:?}", w.name));

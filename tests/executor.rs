@@ -112,7 +112,7 @@ fn interleaved_jobs_emit_byte_identical_execution_files() {
         for (((w, _), handle), (solo_json, solo_counters)) in batch.iter().zip(&handles).zip(&solo)
         {
             let outcome = executor.take(*handle).expect("idle executor finished every job");
-            assert_eq!(outcome.verdict, JobVerdict::Found, "{} (pool={pool})", w.name);
+            assert_eq!(outcome.verdict(), JobVerdict::Found, "{} (pool={pool})", w.name);
             let report = outcome.report().expect("Found jobs carry a report");
             assert_eq!(
                 report.execution.to_json(),
@@ -196,5 +196,5 @@ fn round_robin_never_starves_the_cheap_job() {
          expensive {big_slices})"
     );
     assert!(executor.cancel(big));
-    assert_eq!(executor.status(big), JobStatus::Cancelled);
+    assert_eq!(executor.status(big), JobStatus::Finished { verdict: JobVerdict::Cancelled });
 }

@@ -675,7 +675,7 @@ fn wire_status(n: u64) -> esd::JobStatus {
                 esd::JobVerdict::Unsatisfied
             },
         },
-        _ => esd::JobStatus::Cancelled,
+        _ => esd::JobStatus::Finished { verdict: esd::JobVerdict::Cancelled },
     }
 }
 

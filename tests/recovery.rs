@@ -99,7 +99,7 @@ fn collect(executor: &mut JobExecutor, handles: &[esd::JobHandle]) -> Vec<Expect
             let outcome = executor.take(*h).expect("finished executors expose every outcome");
             Expected {
                 label: outcome.label.clone(),
-                verdict: outcome.verdict,
+                verdict: outcome.verdict(),
                 execution_json: outcome.report().map(|r| r.execution.to_json()),
                 stats: outcome.status.stats().cloned(),
                 rounds: outcome.rounds,

@@ -54,7 +54,7 @@ fn in_process_baseline() -> Vec<String> {
         .into_iter()
         .map(|t| {
             let outcome = service.take(t).expect("poll").expect("terminal");
-            assert_eq!(outcome.verdict, JobVerdict::Found, "{}", outcome.label);
+            assert_eq!(outcome.verdict(), JobVerdict::Found, "{}", outcome.label);
             outcome.report().expect("Found carries a report").execution.to_json()
         })
         .collect()
@@ -92,7 +92,7 @@ fn run_over_wire(client: &mut RemoteClient) -> Vec<String> {
         .into_iter()
         .map(|t| {
             let outcome = client.take(t).expect("wire take").expect("terminal job");
-            assert_eq!(outcome.verdict, JobVerdict::Found, "{}", outcome.label);
+            assert_eq!(outcome.verdict(), JobVerdict::Found, "{}", outcome.label);
             outcome.report().expect("report").execution.to_json()
         })
         .collect()
@@ -219,7 +219,7 @@ fn maximal_deadlines_neither_panic_submit_nor_recovery() {
     let mut recovered = JobExecutor::recover(&dir).expect("the journaled submit replays");
     recovered.run_until_idle();
     let outcome = recovered.take(esd::JobHandle::from_id(ticket.id)).expect("terminal");
-    assert_eq!(outcome.verdict, JobVerdict::Found);
+    assert_eq!(outcome.verdict(), JobVerdict::Found);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -274,4 +274,58 @@ fn local_subscriptions_stream_progress_then_done() {
     assert!(progress > 0, "4-round slices must produce progress events");
     assert_eq!(done, 1, "exactly one terminal event");
     assert!(subscription.drain().expect("drain after Done").is_empty());
+}
+
+/// A recovered executor can sit behind the in-process service: the jobs it
+/// already holds keep their tickets — `poll`, `subscribe` and `take` work
+/// on a finished job and on a running one — and a new job submits after
+/// them.
+#[test]
+fn recovered_executor_serves_its_old_tickets() {
+    let dir = std::env::temp_dir().join(format!("esd_svc_recovered_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let w = mkfifo();
+    let request = |label: &str| {
+        JobRequest::new(label, &w.program, w.goal())
+            .options(EsdOptions::builder().max_steps(8_000_000).build())
+    };
+    let executor = JobExecutor::round_robin()
+        .slice_rounds(4)
+        .max_running(1)
+        .checkpoint_every(1000)
+        .durable_dir(&dir)
+        .expect("durable dir");
+    let mut service = InProcessService::new(executor);
+    let finished = service.submit(request("finished")).expect("submit");
+    service.run_until_idle();
+    let running = service.submit(request("running")).expect("submit");
+    service.pump(1);
+    drop(service);
+
+    let recovered = JobExecutor::recover(&dir).expect("the journal replays");
+    let mut service = InProcessService::new(recovered);
+    let found = JobStatus::Finished { verdict: JobVerdict::Found };
+    assert_eq!(service.poll(finished), Ok(found.clone()));
+    let status = service.poll(running).expect("old tickets poll");
+    assert!(matches!(status, JobStatus::Running { slices: 1, .. }), "{status:?}");
+    let fresh = service.submit(request("fresh")).expect("a recovered service admits new jobs");
+    assert_eq!(fresh.id, 2, "tickets continue after the recovered jobs");
+    assert_eq!(service.poll(fresh), Ok(JobStatus::Queued));
+    let mut subscriptions: Vec<_> =
+        [finished, running].map(|t| service.subscribe(t).expect("old tickets subscribe")).into();
+    service.run_until_idle();
+    for (ticket, subscription) in [finished, running].into_iter().zip(&mut subscriptions) {
+        let updates = subscription.drain().expect("local streams cannot fail");
+        assert!(
+            matches!(updates.last(), Some(ProgressUpdate::Done { status }) if *status == found),
+            "{ticket:?} streams to Done: {updates:?}"
+        );
+        assert!(subscription.finished());
+    }
+    for ticket in [finished, running, fresh] {
+        assert_eq!(service.poll(ticket), Ok(found.clone()));
+        let outcome = service.take(ticket).expect("take").expect("terminal");
+        assert_eq!(outcome.verdict(), JobVerdict::Found, "{}", outcome.label);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
