@@ -13,12 +13,15 @@
 //! * the 13 real-bug analogs and the genbug smoke corpus (4 seeds × 4 bug
 //!   kinds, small programs) under every frontier of the coverage matrix;
 //! * two medium genbug seeds per kind and a 128-branch BPF program, under
-//!   the proximity frontier.
+//!   the proximity frontier;
+//! * the KC baseline at the benchmarks' `KC_CAP`: KC-DFS and KC-RandPath
+//!   (seed 11, as `fig2`) on every real-bug analog, and KC-RandPath (seed
+//!   5, as `fig3`) on the 16-branch BPF program.
 //!
-//! Static pruning is on for every job, whatever `ESD_STATIC_PRUNING` says:
-//! pruning skips solver queries, so it shows in `solver_queries`. The jobs
-//! run through a [`JobExecutor`] at `ESD_POOL` workers (default 2), which
-//! must not change any line either.
+//! Static pruning is on for every ESD job, whatever `ESD_STATIC_PRUNING`
+//! says: pruning skips solver queries, so it shows in `solver_queries`. The
+//! ESD jobs run through a [`JobExecutor`] at `ESD_POOL` workers (default 2),
+//! which must not change any line either.
 //!
 //! If the search changes *intentionally*, regenerate the fixture with
 //!
@@ -29,10 +32,13 @@
 //! and give the reason for every changed line.
 
 use esd::core::snapshot::fnv1a64;
+use esd::core::{kc_synthesize, KcStrategy, SynthesizedExecution};
+use esd::symex::SearchStats;
 use esd::workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
 use esd::workloads::{all_real_bugs, generate_bpf, BpfConfig};
 use esd::{EsdOptions, FrontierKind, GoalSpec, JobExecutor, JobSpec};
 use esd_bench::coverage::{coverage_frontiers, smoke_seeds};
+use esd_bench::KC_CAP;
 use std::fmt::Write as _;
 
 const FIXTURE: &str = include_str!("fixtures/trajectories.txt");
@@ -107,6 +113,18 @@ fn corpus() -> Vec<JobSpec> {
     jobs
 }
 
+/// Renders one fixture line.
+fn line(out: &mut String, label: &str, execution: Option<&SynthesizedExecution>, s: &SearchStats) {
+    let digest = execution
+        .map_or("none".to_string(), |e| format!("{:016x}", fnv1a64(e.to_json().as_bytes())));
+    writeln!(
+        out,
+        "{label} {digest} {} {} {} {} {}",
+        s.steps, s.solver_queries, s.states_created, s.states_pruned, s.max_live_states
+    )
+    .expect("writing to a String");
+}
+
 /// Runs the corpus and renders one fixture line per job.
 fn trajectories() -> String {
     let mut executor = JobExecutor::round_robin().pool_size(env_pool());
@@ -117,21 +135,21 @@ fn trajectories() -> String {
     );
     for handle in handles {
         let outcome = executor.take(handle).expect("an idle executor finished every job");
-        let digest = outcome.report().map_or("none".to_string(), |r| {
-            format!("{:016x}", fnv1a64(r.execution.to_json().as_bytes()))
-        });
-        let s = outcome.status.stats().expect("terminal statuses carry their stats");
-        writeln!(
-            out,
-            "{} {digest} {} {} {} {} {}",
-            outcome.label,
-            s.steps,
-            s.solver_queries,
-            s.states_created,
-            s.states_pruned,
-            s.max_live_states
-        )
-        .expect("writing to a String");
+        let stats = outcome.status.stats().expect("terminal statuses carry their stats");
+        line(&mut out, &outcome.label, outcome.report().map(|r| &r.execution), stats);
+    }
+    let bpf = generate_bpf(&BpfConfig { branches: 16, ..BpfConfig::default() });
+    let mut kc_jobs = Vec::new();
+    for w in all_real_bugs() {
+        let (dfs, rand) = (KcStrategy::Dfs, KcStrategy::RandomPath { seed: 11 });
+        kc_jobs.push((format!("kc-dfs/{}", w.name), w.program.clone(), w.goal(), dfs));
+        kc_jobs.push((format!("kc-randpath/{}", w.name), w.program.clone(), w.goal(), rand));
+    }
+    let rand = KcStrategy::RandomPath { seed: 5 };
+    kc_jobs.push((format!("kc-randpath/{}", bpf.name), bpf.program.clone(), bpf.goal(), rand));
+    for (label, program, goal, strategy) in kc_jobs {
+        let kc = kc_synthesize(&program, goal, strategy, KC_CAP);
+        line(&mut out, &label, kc.execution.as_ref(), &kc.stats);
     }
     out
 }
