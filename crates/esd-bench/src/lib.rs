@@ -12,13 +12,17 @@
 //! * `fig2` — time to a path to the bug for ESD, KC-DFS and KC-RandPath on
 //!   ls1–ls4 and the real-bug analogs. The analogs are small: all three
 //!   find every one of them at once.
-//! * `fig3` / `fig4` — ESD's time and steps, and KC-RandPath's time, over
-//!   BPF programs of growing branch count. ESD's steps grow with the
-//!   branch count, and KC-RandPath hits its cap from 64 branches on.
+//! * `fig3` — ESD's time and steps, and KC-RandPath's time, over BPF
+//!   programs of growing branch count, with each program's size in KLOC
+//!   (Figure 4's x-axis). ESD's steps grow with the branch count, and
+//!   KC-RandPath hits its cap from 64 branches on.
 //! * `ablation` — ESD's time and steps on the SQLite analog with each
 //!   search heuristic switched off in turn.
 //! * `stress_baseline` — bounded random testing, which reproduces no
 //!   failure; `playback_check` — every synthesized execution replays.
+//!
+//! The KC baseline is the [`EsdOptions::kc`] preset run through the same
+//! synthesizer as ESD.
 //!
 //! Beyond the paper's figures, the [`coverage`] module runs the generated
 //! bug corpus (seeded programs with injected bugs of known kind) through
@@ -29,7 +33,7 @@
 
 pub mod coverage;
 
-use esd_core::{kc_synthesize, stress_test, Esd, EsdOptions, KcStrategy, StressConfig};
+use esd_core::{stress_test, Esd, EsdOptions, StressConfig};
 use esd_playback::play;
 use esd_symex::FrontierKind;
 use esd_workloads::{all_real_bugs, generate_bpf, listing1, BpfConfig, Workload, WorkloadKind};
@@ -49,7 +53,7 @@ pub fn full_mode() -> bool {
 }
 
 /// The search frontier the ESD side of a benchmark should use, so the fig2 /
-/// fig3 / fig4 binaries can compare frontiers: the first positional CLI
+/// fig3 binaries can compare frontiers: the first positional CLI
 /// argument wins (`fig2 dfs`, `fig2 beam:16`), then the `ESD_FRONTIER`
 /// environment variable, then the paper's proximity-guided default. Accepted
 /// spellings are those of `FrontierKind::from_str`:
@@ -81,6 +85,14 @@ pub fn static_pruning_from_env() -> bool {
 
 pub(crate) fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
+}
+
+/// Runs the KC baseline on `w` — the [`EsdOptions::kc`] preset with the
+/// given Klee searcher and seed, capped at `kc_cap` steps — and returns its
+/// time to a path to the bug (None = cap reached).
+fn kc_secs(w: &Workload, frontier: FrontierKind, seed: u64, kc_cap: u64) -> Option<f64> {
+    let options = EsdOptions { max_steps: kc_cap, seed, ..EsdOptions::kc(frontier) };
+    Esd::new(options).synthesize_goal(&w.program, w.goal()).ok().map(|r| secs(r.elapsed))
 }
 
 /// One row of Table 1.
@@ -115,10 +127,12 @@ pub fn table1(esd_budget: u64) -> Vec<Table1Row> {
 
 /// Runs one Table-1 row.
 pub fn run_table1_row(w: &Workload, esd_budget: u64) -> Table1Row {
-    let esd = EsdOptions::builder()
-        .max_steps(esd_budget)
-        .static_pruning(static_pruning_from_env())
-        .synthesizer();
+    let esd = Esd::new(
+        EsdOptions::builder()
+            .max_steps(esd_budget)
+            .static_pruning(static_pruning_from_env())
+            .build(),
+    );
     let start = Instant::now();
     let result = esd.synthesize_goal(&w.program, w.goal());
     let elapsed = start.elapsed();
@@ -191,22 +205,20 @@ pub fn fig2(esd_budget: u64, kc_cap: u64, frontier: FrontierKind) -> Vec<Fig2Row
 
 /// Runs one Figure-2 bar group with the given ESD frontier.
 pub fn run_fig2_row(w: &Workload, esd_budget: u64, kc_cap: u64, frontier: FrontierKind) -> Fig2Row {
-    let goal = w.goal();
-    let esd = EsdOptions::builder()
-        .max_steps(esd_budget)
-        .frontier(frontier)
-        .static_pruning(static_pruning_from_env())
-        .synthesizer();
+    let esd = Esd::new(
+        EsdOptions::builder()
+            .max_steps(esd_budget)
+            .frontier(frontier)
+            .static_pruning(static_pruning_from_env())
+            .build(),
+    );
     let start = Instant::now();
-    let esd_secs =
-        esd.synthesize_goal(&w.program, goal.clone()).ok().map(|_| secs(start.elapsed()));
-    let dfs = kc_synthesize(&w.program, goal.clone(), KcStrategy::Dfs, kc_cap);
-    let rand = kc_synthesize(&w.program, goal, KcStrategy::RandomPath { seed: 11 }, kc_cap);
+    let esd_secs = esd.synthesize_goal(&w.program, w.goal()).ok().map(|_| secs(start.elapsed()));
     Fig2Row {
         system: w.name.clone(),
         esd_secs,
-        kc_dfs_secs: dfs.execution.as_ref().map(|_| secs(dfs.elapsed)),
-        kc_rand_secs: rand.execution.as_ref().map(|_| secs(rand.elapsed)),
+        kc_dfs_secs: kc_secs(w, FrontierKind::Dfs, 0, kc_cap),
+        kc_rand_secs: kc_secs(w, FrontierKind::Random, 11, kc_cap),
     }
 }
 
@@ -230,7 +242,7 @@ pub fn print_fig2(rows: &[Fig2Row], frontier: FrontierKind) {
     }
 }
 
-/// One point of Figures 3 and 4.
+/// One point of Figure 3 (and of Figure 4, whose x-axis is `kloc`).
 #[derive(Debug, Clone)]
 pub struct BpfRow {
     /// Number of branch instructions in the generated program.
@@ -245,8 +257,9 @@ pub struct BpfRow {
     pub kc_secs: Option<f64>,
 }
 
-/// Regenerates Figure 3 / Figure 4: synthesis time vs BPF program complexity,
-/// with the ESD side using the given search frontier.
+/// Regenerates Figure 3: synthesis time vs BPF program complexity, with the
+/// ESD side using the given search frontier. Each row also carries the
+/// program's size in KLOC, Figure 4's x-axis.
 pub fn fig3(
     branch_counts: &[u32],
     esd_budget: u64,
@@ -256,22 +269,22 @@ pub fn fig3(
     let mut rows = Vec::new();
     for &branches in branch_counts {
         let w = generate_bpf(&BpfConfig { branches, ..Default::default() });
-        let goal = w.goal();
-        let esd = EsdOptions::builder()
-            .max_steps(esd_budget)
-            .frontier(frontier)
-            .static_pruning(static_pruning_from_env())
-            .synthesizer();
+        let esd = Esd::new(
+            EsdOptions::builder()
+                .max_steps(esd_budget)
+                .frontier(frontier)
+                .static_pruning(static_pruning_from_env())
+                .build(),
+        );
         let start = Instant::now();
-        let esd_result = esd.synthesize_goal(&w.program, goal.clone());
+        let esd_result = esd.synthesize_goal(&w.program, w.goal());
         let esd_elapsed = start.elapsed();
-        let kc = kc_synthesize(&w.program, goal, KcStrategy::RandomPath { seed: 5 }, kc_cap);
         rows.push(BpfRow {
             branches,
             kloc: w.program.estimated_c_loc() as f64 / 1000.0,
             esd_secs: esd_result.as_ref().ok().map(|_| secs(esd_elapsed)),
             esd_steps: esd_result.as_ref().map(|r| r.stats.steps).unwrap_or(0),
-            kc_secs: kc.execution.as_ref().map(|_| secs(kc.elapsed)),
+            kc_secs: kc_secs(&w, FrontierKind::Random, 5, kc_cap),
         });
     }
     rows
@@ -287,32 +300,27 @@ pub fn fig3_branch_counts() -> Vec<u32> {
     }
 }
 
-/// Renders Figure 3 (x = branches).
+/// Renders Figure 3 (x = branches) with Figure 4's x-axis (program size in
+/// KLOC) as one more column.
 pub fn print_fig3(rows: &[BpfRow], frontier: FrontierKind) {
     println!(
-        "Figure 3: BPF — synthesis time vs number of branches \
+        "Figure 3/4: BPF — synthesis time vs number of branches and program size \
          (ESD[{frontier}] vs KC-RandPath)"
     );
-    println!("{:<10} {:>12} {:>12} {:>12}", "branches", "ESD [s]", "steps", "KC [s]");
+    println!(
+        "{:<10} {:>10} {:>12} {:>12} {:>12}",
+        "branches", "KLOC", "ESD [s]", "steps", "KC [s]"
+    );
     let fmt = |v: &Option<f64>| v.map(|s| format!("{s:.2}")).unwrap_or_else(|| "cap".into());
     for r in rows {
         println!(
-            "{:<10} {:>12} {:>12} {:>12}",
+            "{:<10} {:>10.3} {:>12} {:>12} {:>12}",
             r.branches,
+            r.kloc,
             fmt(&r.esd_secs),
             r.esd_steps,
             fmt(&r.kc_secs)
         );
-    }
-}
-
-/// Renders Figure 4 (x = program size in KLOC).
-pub fn print_fig4(rows: &[BpfRow], frontier: FrontierKind) {
-    println!("Figure 4: BPF — synthesis time vs program size (KLOC), ESD[{frontier}]");
-    println!("{:<10} {:>12}", "KLOC", "ESD [s]");
-    let fmt = |v: &Option<f64>| v.map(|s| format!("{s:.2}")).unwrap_or_else(|| "cap".into());
-    for r in rows {
-        println!("{:<10.3} {:>12}", r.kloc, fmt(&r.esd_secs));
     }
 }
 
@@ -403,10 +411,12 @@ pub fn stress_baseline(runs: u32) -> Vec<(String, bool, u64)> {
 pub fn playback_check(esd_budget: u64, repetitions: u32) -> Vec<(String, bool)> {
     let mut out = Vec::new();
     for w in all_real_bugs() {
-        let esd = EsdOptions::builder()
-            .max_steps(esd_budget)
-            .static_pruning(static_pruning_from_env())
-            .synthesizer();
+        let esd = Esd::new(
+            EsdOptions::builder()
+                .max_steps(esd_budget)
+                .static_pruning(static_pruning_from_env())
+                .build(),
+        );
         let ok = match esd.synthesize_goal(&w.program, w.goal()) {
             Ok(r) => (0..repetitions).all(|_| play(&w.program, &r.execution).reproduced),
             Err(_) => false,

@@ -37,10 +37,9 @@
 use crate::journal::{self, JournalRecord, JournalWriter, RecoveryError};
 use crate::session::{Observer, ProgressEvent, SessionSnapshot, SessionStatus, SynthesisSession};
 use crate::snapshot::{load_snapshot, save_snapshot, SnapshotError};
-use crate::synth::EsdOptions;
 use esd_analysis::StaticAnalysis;
 use esd_ir::Program;
-use esd_symex::{GoalSpec, SearchStats};
+use esd_symex::{EsdOptions, GoalSpec, SearchStats};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -74,13 +73,24 @@ impl JobHandle {
     }
 }
 
-/// One job submitted to a [`JobExecutor`]: a program, a goal, and the
-/// [`EsdOptions`] its one synthesis session runs with.
+/// One job: a label, a program, a goal, and the [`EsdOptions`] its one
+/// synthesis session runs with.
+///
+/// The one job description at every layer: what [`JobExecutor::submit`]
+/// takes, what a queued job holds, what snapshots and the journal's
+/// `Submit` record store, and what the service front door submits over the
+/// wire. The program is shared, so cloning a spec is cheap.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct JobSpec {
-    label: String,
-    program: Arc<Program>,
-    goal: GoalSpec,
-    options: EsdOptions,
+    /// Human-readable label, echoed in stats, statuses and outcomes.
+    pub label: String,
+    /// The program under debug.
+    pub program: Arc<Program>,
+    /// The goal to synthesize an execution for.
+    pub goal: GoalSpec,
+    /// The options the job's session runs with, including the one deadline
+    /// a job has, [`EsdOptions::deadline`].
+    pub options: EsdOptions,
 }
 
 impl JobSpec {
@@ -262,13 +272,10 @@ pub struct ExecutorStats {
     pub jobs: Vec<JobStat>,
 }
 
-/// A queued job's not-yet-admitted ingredients: program, goal, options.
-type PendingJob = (Arc<Program>, GoalSpec, EsdOptions);
-
 /// Where a job is, holding exactly the data of that stage.
 enum Stage {
     /// Submitted, waiting for admission; no session exists yet.
-    Queued(PendingJob),
+    Queued(JobSpec),
     /// Admitted: the job's live session, whose clock started at admission.
     /// Boxed because slots are never removed and every dispatch scans them
     /// all: an inline session would make each slot, queued and finished
@@ -325,10 +332,6 @@ impl JobSlot {
     }
 }
 
-/// The not-yet-admitted ingredients of a queued job as serialized in a
-/// snapshot: its program, goal and options.
-pub type PendingJobSnapshot = (Program, GoalSpec, EsdOptions);
-
 /// The durable state of one job, part of an [`ExecutorSnapshot`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct JobSnapshot {
@@ -343,11 +346,11 @@ pub struct JobSnapshot {
 /// The durable form of a job's stage, part of a [`JobSnapshot`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub enum JobStageSnapshot {
-    /// Queued: the not-yet-admitted ingredients.
-    Queued(PendingJobSnapshot),
-    /// Running: the complete session snapshot. It embeds the program,
-    /// options and engine state, and its `elapsed` carries the job's wall
-    /// clock across the crash.
+    /// Queued: the job as submitted.
+    Queued(JobSpec),
+    /// Running: the complete session snapshot. It embeds the program and
+    /// the engine state (options included), and its `elapsed` carries the
+    /// job's wall clock across the crash.
     Running(Box<SessionSnapshot>),
     /// Finished: the totals frozen at finalize.
     Finished {
@@ -540,19 +543,13 @@ impl JobExecutor {
     pub fn submit(&mut self, spec: JobSpec) -> JobHandle {
         let handle = JobHandle(self.slots.len() as u64);
         if self.durable.is_some() {
-            self.journal_append(&JournalRecord::Submit {
-                handle: handle.0,
-                label: spec.label.clone(),
-                program: Program::clone(&spec.program),
-                goal: spec.goal.clone(),
-                options: spec.options.clone(),
-            });
+            self.journal_append(&JournalRecord::Submit { handle: handle.0, spec: spec.clone() });
         }
         self.slots.push(JobSlot {
-            label: spec.label,
+            label: spec.label.clone(),
             observer: None,
             slices: 0,
-            stage: Stage::Queued((spec.program, spec.goal, spec.options)),
+            stage: Stage::Queued(spec),
         });
         handle
     }
@@ -822,17 +819,18 @@ impl JobExecutor {
             if running >= self.max_running {
                 break;
             }
-            let Stage::Queued((program, goal, options)) = &slot.stage else {
+            let Stage::Queued(spec) = &slot.stage else {
                 continue;
             };
             let started_at = Instant::now();
             // One static phase per job, over every goal location.
-            let analysis = Arc::new(StaticAnalysis::compute_multi(program, &goal.primary_locs()));
+            let analysis =
+                Arc::new(StaticAnalysis::compute_multi(&spec.program, &spec.goal.primary_locs()));
             let mut session = SynthesisSession::from_parts(
-                Arc::clone(program),
+                Arc::clone(&spec.program),
                 analysis,
-                goal.clone(),
-                options.clone(),
+                spec.goal.clone(),
+                spec.options.clone(),
                 None,
                 0,
             );
@@ -919,9 +917,7 @@ impl JobExecutor {
                 label: slot.label.clone(),
                 slices: slot.slices,
                 stage: match &slot.stage {
-                    Stage::Queued((p, g, o)) => {
-                        JobStageSnapshot::Queued((Program::clone(p), g.clone(), o.clone()))
-                    }
+                    Stage::Queued(spec) => JobStageSnapshot::Queued(spec.clone()),
                     Stage::Running(session) => {
                         JobStageSnapshot::Running(Box::new(session.snapshot()))
                     }
@@ -958,9 +954,7 @@ fn restore_snapshot(snapshot: &ExecutorSnapshot) -> JobExecutor {
             observer: None,
             slices: job.slices,
             stage: match &job.stage {
-                JobStageSnapshot::Queued((p, g, o)) => {
-                    Stage::Queued((Arc::new(p.clone()), g.clone(), o.clone()))
-                }
+                JobStageSnapshot::Queued(spec) => Stage::Queued(spec.clone()),
                 JobStageSnapshot::Running(session) => {
                     Stage::Running(Box::new(SynthesisSession::restore(session)))
                 }
@@ -997,7 +991,7 @@ fn replay_records(
     let mut exec = restore_snapshot(snapshot);
     for record in records {
         match record {
-            JournalRecord::Submit { handle, label, program, goal, options } => {
+            JournalRecord::Submit { handle, spec } => {
                 let expected = exec.slots.len() as u64;
                 if *handle != expected {
                     return Err(RecoveryError::Divergence(format!(
@@ -1005,9 +999,7 @@ fn replay_records(
                          {expected}"
                     )));
                 }
-                exec.submit(
-                    JobSpec::new(label.clone(), program, goal.clone()).options(options.clone()),
-                );
+                exec.submit(spec.clone());
             }
             JournalRecord::Grant { grants } => {
                 exec.admit();

@@ -29,11 +29,8 @@
 //! [`JobExecutor`]: crate::executor::JobExecutor
 //! [`JobExecutor::recover`]: crate::executor::JobExecutor::recover
 
-use crate::executor::JobVerdict;
+use crate::executor::{JobSpec, JobVerdict};
 use crate::snapshot::{fnv1a64, SnapshotError};
-use crate::synth::EsdOptions;
-use esd_ir::Program;
-use esd_symex::GoalSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -50,20 +47,14 @@ const FRAME_HEADER: usize = 4 + 8;
 /// consequence of replaying them in order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum JournalRecord {
-    /// A job was submitted. Carries the full ingredients (program, goal,
-    /// options) so recovery can resubmit it verbatim.
+    /// A job was submitted. Carries the whole [`JobSpec`] so recovery can
+    /// resubmit it verbatim.
     Submit {
         /// The handle the executor assigned (dense submit order; replay
         /// verifies it assigns the same one).
         handle: u64,
-        /// The job's label.
-        label: String,
-        /// The program under synthesis.
-        program: Program,
-        /// The goal the job searches for.
-        goal: GoalSpec,
-        /// The options the job's session runs with.
-        options: EsdOptions,
+        /// The job as submitted.
+        spec: JobSpec,
     },
     /// The executor granted one batch of slices to distinct jobs (one grant
     /// per pool thread, at most), each slice the executor's slice length.

@@ -12,7 +12,8 @@
 //!   dynamic phase, constraint solving, execution-file emission.
 //! * [`session`] — the resumable form of `esdsynth`: stepwise
 //!   [`SynthesisSession`]s with progress [`Observer`]s, deadlines and
-//!   cancellation, configured via the builder-style [`EsdOptionsBuilder`].
+//!   cancellation, configured by one [`EsdOptions`] value (re-exported from
+//!   `esd_symex`, built with [`EsdOptions::builder`]).
 //! * [`executor`] — the multi-job layer: a [`JobExecutor`] holds N
 //!   independent jobs (each one session) and time-slices them
 //!   round-robin, with per-job observer fan-out and aggregate
@@ -23,7 +24,9 @@
 //! * [`journal`] — the append-only commit log of executor decisions and the
 //!   `reduce(snapshot, journal)` crash recovery behind
 //!   [`JobExecutor::recover`](executor::JobExecutor::recover).
-//! * [`kc`] — the KC baseline (Klee searchers + Chess preemption bounding).
+//! * the KC baseline (Klee searchers + Chess preemption bounding) is no
+//!   separate driver: it is the [`EsdOptions::kc`] preset, run through a
+//!   [`SynthesisSession`] like every other job.
 //! * [`stress`] — the brute-force stress/random-testing baseline (§7.2),
 //!   which doubles as the way workload failures "happen in production" and
 //!   produce coredumps.
@@ -38,7 +41,6 @@
 pub mod execfile;
 pub mod executor;
 pub mod journal;
-pub mod kc;
 pub mod report;
 pub mod session;
 pub mod snapshot;
@@ -46,18 +48,16 @@ pub mod stress;
 pub mod synth;
 pub mod triage;
 
+pub use esd_symex::{EsdOptions, EsdOptionsBuilder};
 pub use execfile::{InputEntry, SynthesizedExecution};
 pub use executor::{
     ExecutorSnapshot, ExecutorStats, JobExecutor, JobHandle, JobOutcome, JobPhase, JobSnapshot,
     JobSpec, JobStageSnapshot, JobStat, JobStatus, JobVerdict,
 };
 pub use journal::{JournalDamage, JournalRecord, JournalScan, JournalWriter, RecoveryError};
-pub use kc::{kc_synthesize, KcStrategy};
 pub use report::{extract_goal, BugKind, BugReport};
-pub use session::{
-    EsdOptionsBuilder, Observer, ProgressEvent, SessionSnapshot, SessionStatus, SynthesisSession,
-};
+pub use session::{Observer, ProgressEvent, SessionSnapshot, SessionStatus, SynthesisSession};
 pub use snapshot::{SnapshotError, SNAPSHOT_FORMAT_VERSION};
 pub use stress::{stress_test, StressConfig, StressOutcome};
-pub use synth::{Esd, EsdOptions, SynthesisError, SynthesisReport};
+pub use synth::{Esd, SynthesisError, SynthesisReport};
 pub use triage::{same_bug, TriageResult};

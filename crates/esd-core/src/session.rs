@@ -21,25 +21,25 @@
 //! one round at a time synthesizes the exact execution the one-shot facade
 //! produces, because the facade *is* a loop over the same rounds.
 //!
-//! Sessions are configured with the builder-style [`EsdOptionsBuilder`]
-//! (`EsdOptions::builder()`). The multi-job
+//! A session is configured by one [`EsdOptions`] value, which its engine
+//! holds (built with `EsdOptions::builder()`, or the KC baseline's
+//! [`EsdOptions::kc`] preset). The multi-job
 //! [`JobExecutor`](crate::executor::JobExecutor) above them holds one
 //! session per job and time-slices the jobs round-robin. A job's one
 //! deadline is its session's [`EsdOptions::deadline`].
 
 use crate::execfile::SynthesizedExecution;
-use crate::synth::{Esd, EsdOptions, SynthesisReport};
+use crate::synth::SynthesisReport;
 use esd_analysis::StaticAnalysis;
 use esd_ir::Program;
 use esd_symex::{
-    Engine, EngineConfig, EngineSnapshot, FrontierKind, GoalSpec, SearchConfig, SearchStats,
-    StepOutcome, Synthesized,
+    Engine, EngineSnapshot, EsdOptions, GoalSpec, SearchStats, StepOutcome, Synthesized,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How many rounds a session runs between [`ProgressEvent`]s by default
-/// (overridable via [`EsdOptionsBuilder::progress_every`]).
+/// (overridable via [`SynthesisSession::from_parts`]).
 pub const DEFAULT_PROGRESS_EVERY: u64 = 4096;
 
 /// How a session slice is advanced internally by the blocking facade.
@@ -65,15 +65,18 @@ pub struct ProgressEvent {
 
 /// Receives progress callbacks from a [`SynthesisSession`].
 ///
-/// Attach one with [`EsdOptionsBuilder::observer`]. Both methods have empty
-/// default bodies so implementors opt into exactly the callbacks they need.
+/// Pass one to [`SynthesisSession::from_parts`], or attach one to an
+/// executor job with
+/// [`JobExecutor::observe`](crate::executor::JobExecutor::observe). Both
+/// methods have empty default bodies so implementors opt into exactly the
+/// callbacks they need.
 /// Observers are `Send` because the executor advances sessions on a worker
 /// thread pool; callbacks still fire from one thread at a time (and job
 /// observers always fire on the executor's own thread, in deterministic
 /// merge order).
 pub trait Observer: Send {
-    /// Called every [`EsdOptionsBuilder::progress_every`] rounds while the
-    /// session is running.
+    /// Called every `progress_every` rounds (see
+    /// [`SynthesisSession::from_parts`]) while the session is running.
     fn on_progress(&mut self, _event: &ProgressEvent) {}
 
     /// Called exactly once, when the session reaches a terminal
@@ -133,9 +136,11 @@ impl SessionStatus {
 /// [`SynthesisSession::snapshot`] and consumed by
 /// [`SynthesisSession::restore`].
 ///
-/// The snapshot is self-contained: it embeds the program, the options and
-/// the exact engine state (frontier contents, dedup fingerprints, RNG
-/// stream, statistics), so `restore` needs nothing but the snapshot. The
+/// The snapshot is self-contained: it embeds the program and the exact
+/// engine state (the options, frontier contents, dedup fingerprints, RNG
+/// stream, statistics), so `restore` needs nothing but the snapshot. Each
+/// thing is stored once: the options live only in the engine snapshot, and
+/// the program is shared with the live session rather than copied. The
 /// static analysis is deliberately *not* stored — it is recomputed on
 /// restore, which is deterministic. Serialization is canonical: taking a
 /// snapshot of a restored session yields byte-identical JSON (pinned by the
@@ -143,10 +148,8 @@ impl SessionStatus {
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct SessionSnapshot {
     /// The program under synthesis.
-    pub program: Program,
-    /// The options the session was created with.
-    pub options: EsdOptions,
-    /// The engine's durable state (states, frontier, stats, RNG).
+    pub program: Arc<Program>,
+    /// The engine's durable state (options, states, frontier, stats, RNG).
     pub engine: EngineSnapshot,
     /// Search rounds advanced so far.
     pub rounds: u64,
@@ -156,147 +159,21 @@ pub struct SessionSnapshot {
     /// taken; `restore` rebases the session clock by this much so deadlines
     /// keep covering the pre-snapshot work.
     pub elapsed: Duration,
-    /// The progress cadence ([`EsdOptionsBuilder::progress_every`]).
+    /// The progress cadence (see [`SynthesisSession::from_parts`]).
     pub progress_every: u64,
-}
-
-/// Builder-style configuration for [`EsdOptions`], sessions and synthesizers
-/// — obtained from [`EsdOptions::builder`].
-///
-/// Every knob of the plain options struct has a chainable setter, plus the
-/// session-only knobs (deadline, observer, progress cadence). Finish with
-/// [`build`](EsdOptionsBuilder::build) for a plain [`EsdOptions`],
-/// [`synthesizer`](EsdOptionsBuilder::synthesizer) for a blocking [`Esd`],
-/// or [`session`](EsdOptionsBuilder::session) for a resumable
-/// [`SynthesisSession`] (the only finisher that uses an attached observer).
-#[derive(Default)]
-pub struct EsdOptionsBuilder {
-    options: EsdOptions,
-    observer: Option<Box<dyn Observer>>,
-    progress_every: Option<u64>,
-}
-
-impl EsdOptionsBuilder {
-    /// Total instruction budget for the dynamic phase.
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.options.max_steps = max_steps;
-        self
-    }
-
-    /// Maximum number of live execution states.
-    pub fn max_states(mut self, max_states: usize) -> Self {
-        self.options.max_states = max_states;
-        self
-    }
-
-    /// Random seed for the stochastic frontiers.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.options.seed = seed;
-        self
-    }
-
-    /// Which search frontier orders the exploration.
-    pub fn frontier(mut self, frontier: FrontierKind) -> Self {
-        self.options.frontier = frontier;
-        self
-    }
-
-    /// Use intermediate goals from the static phase.
-    pub fn use_intermediate_goals(mut self, on: bool) -> Self {
-        self.options.use_intermediate_goals = on;
-        self
-    }
-
-    /// Abandon paths that violate critical edges.
-    pub fn use_critical_edges(mut self, on: bool) -> Self {
-        self.options.use_critical_edges = on;
-        self
-    }
-
-    /// Use the deadlock schedule-distance bias.
-    pub fn schedule_bias(mut self, on: bool) -> Self {
-        self.options.schedule_bias = on;
-        self
-    }
-
-    /// Enable lockset-race-directed preemptions (`--with-race-det`).
-    pub fn with_race_detection(mut self, on: bool) -> Self {
-        self.options.with_race_detection = on;
-        self
-    }
-
-    /// Consult the static phase's result-invariant verdicts (on by
-    /// default): interval branch verdicts skip solver queries on provably
-    /// one-sided branches, and race-pair candidates skip speculative
-    /// preemption forks in race-preemption mode (concretely flagged
-    /// accesses always fork).
-    pub fn static_pruning(mut self, on: bool) -> Self {
-        self.options.static_pruning = on;
-        self
-    }
-
-    /// Wall-clock deadline: the search stops with
-    /// [`SessionStatus::DeadlineExpired`] (or
-    /// [`SynthesisError::DeadlineExpired`](crate::SynthesisError) from the
-    /// blocking facade) once this much time has passed since the session was
-    /// created.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.options.deadline = Some(deadline);
-        self
-    }
-
-    /// Attach a progress [`Observer`]. Observers are carried by sessions, so
-    /// this only takes effect through the
-    /// [`session`](EsdOptionsBuilder::session) finisher.
-    pub fn observer(mut self, observer: Box<dyn Observer>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// How many rounds between [`Observer::on_progress`] calls
-    /// (default [`DEFAULT_PROGRESS_EVERY`]; `0` disables periodic events).
-    pub fn progress_every(mut self, rounds: u64) -> Self {
-        self.progress_every = Some(rounds);
-        self
-    }
-
-    /// Finishes into a plain [`EsdOptions`] (any attached observer is for
-    /// sessions only and is dropped here).
-    pub fn build(self) -> EsdOptions {
-        self.options
-    }
-
-    /// Finishes into a blocking [`Esd`] synthesizer with these options.
-    pub fn synthesizer(self) -> Esd {
-        Esd::new(self.options)
-    }
-
-    /// Finishes into a resumable [`SynthesisSession`] for one job, carrying
-    /// the attached observer. The static phase runs here; the dynamic phase
-    /// runs as the caller advances the session.
-    pub fn session(self, program: &Program, goal: GoalSpec) -> SynthesisSession {
-        let mut session = SynthesisSession::new(program, goal, self.options);
-        session.observer = self.observer;
-        session.progress_every = self.progress_every.unwrap_or(DEFAULT_PROGRESS_EVERY);
-        session
-    }
 }
 
 /// One resumable synthesis job: the program, its static analysis and the
 /// search engine, advanced in caller-controlled slices.
 ///
-/// Create one with [`EsdOptions::builder`]`()...`[`session`](EsdOptionsBuilder::session)
-/// (or [`SynthesisSession::new`]). Determinism invariant: for a fixed seed,
+/// Create one with [`SynthesisSession::new`] (or
+/// [`SynthesisSession::from_parts`]). Determinism invariant: for a fixed seed,
 /// the slicing pattern (`run_for(1)` a million times, `run_for(u64::MAX)`
 /// once, or anything between) never changes the synthesized execution —
 /// see the `session_slicing_is_deterministic` integration test.
 pub struct SynthesisSession {
     engine: Engine,
     observer: Option<Box<dyn Observer>>,
-    /// The options the session was created with, retained so a
-    /// [`SessionSnapshot`] can rebuild an equivalent session.
-    options: EsdOptions,
-    deadline: Option<Duration>,
     progress_every: u64,
     /// When this job's clock started. Constructors that run the static
     /// phase themselves rebase this so `elapsed` (and the deadline) cover
@@ -309,7 +186,7 @@ pub struct SynthesisSession {
 
 impl SynthesisSession {
     /// Creates a session for one job with the given options (no observer;
-    /// use the builder to attach one).
+    /// [`SynthesisSession::from_parts`] attaches one).
     pub fn new(program: &Program, goal: GoalSpec, options: EsdOptions) -> Self {
         let started_at = Instant::now();
         let program = Arc::new(program.clone());
@@ -325,8 +202,9 @@ impl SynthesisSession {
 
     /// Creates a session over an already-computed static analysis, so the
     /// caller decides where the static phase runs and what it is charged to
-    /// (the executor times it as part of admission). `progress_every == 0`
-    /// disables periodic progress events.
+    /// (the executor times it as part of admission). The `observer`, if
+    /// any, receives a progress event every `progress_every` rounds
+    /// (`0` disables periodic events) and the terminal status.
     pub fn from_parts(
         program: Arc<Program>,
         analysis: Arc<StaticAnalysis>,
@@ -335,24 +213,9 @@ impl SynthesisSession {
         observer: Option<Box<dyn Observer>>,
         progress_every: u64,
     ) -> Self {
-        let config = EngineConfig {
-            search: SearchConfig { kind: options.frontier, seed: options.seed },
-            preemption_bound: None,
-            max_steps: options.max_steps,
-            max_states: options.max_states,
-            use_intermediate_goals: options.use_intermediate_goals,
-            use_critical_edges: options.use_critical_edges,
-            schedule_bias: options.schedule_bias,
-            race_preemptions: options.with_race_detection,
-            static_pruning: options.static_pruning,
-            ..EngineConfig::default()
-        };
-        let engine = Engine::new(program, analysis, goal, config);
         SynthesisSession {
-            engine,
+            engine: Engine::new(program, analysis, goal, options),
             observer,
-            deadline: options.deadline,
-            options,
             progress_every,
             started_at: Instant::now(),
             rounds: 0,
@@ -365,8 +228,7 @@ impl SynthesisSession {
     /// of the snapshot — observers are live callbacks, not state.
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
-            program: Program::clone(self.engine.program()),
-            options: self.options.clone(),
+            program: Arc::clone(self.engine.program()),
             engine: self.engine.snapshot(),
             rounds: self.rounds,
             status: self.status.clone(),
@@ -386,7 +248,7 @@ impl SynthesisSession {
     /// byte-identical synthesized execution an uninterrupted run produces
     /// (pinned by the crash-recovery test matrix).
     pub fn restore(snapshot: &SessionSnapshot) -> Self {
-        let program = Arc::new(snapshot.program.clone());
+        let program = Arc::clone(&snapshot.program);
         let analysis =
             Arc::new(StaticAnalysis::compute_multi(&program, &snapshot.engine.goal.primary_locs()));
         let engine = Engine::restore(program, analysis, &snapshot.engine);
@@ -394,8 +256,6 @@ impl SynthesisSession {
         SynthesisSession {
             engine,
             observer: None,
-            deadline: snapshot.options.deadline,
-            options: snapshot.options.clone(),
             progress_every: snapshot.progress_every,
             started_at,
             rounds: snapshot.rounds,
@@ -413,7 +273,7 @@ impl SynthesisSession {
             if !self.status.is_running() {
                 break;
             }
-            if let Some(deadline) = self.deadline {
+            if let Some(deadline) = self.engine.options().deadline {
                 if self.started_at.elapsed() >= deadline {
                     let stats = self.engine.stats().clone();
                     self.finish(SessionStatus::DeadlineExpired(stats));
@@ -533,6 +393,7 @@ impl SynthesisSession {
 mod tests {
     use super::*;
     use esd_ir::{CmpOp, Loc, ProgramBuilder};
+    use esd_symex::FrontierKind;
     use std::sync::{Arc, Mutex};
 
     fn crashy() -> (esd_ir::Program, Loc) {
@@ -606,9 +467,9 @@ mod tests {
     #[test]
     fn two_lock_deadlock_is_synthesized_with_multi_goal_static_phase() {
         let (p, locs) = deadlocky();
-        let mut session = EsdOptions::builder()
-            .max_steps(400_000)
-            .session(&p, GoalSpec::Deadlock { thread_locs: locs });
+        let options = EsdOptions::builder().max_steps(400_000).build();
+        let mut session =
+            SynthesisSession::new(&p, GoalSpec::Deadlock { thread_locs: locs }, options);
         let status = session.run_to_completion();
         let report = status.found().expect("the AB/BA deadlock must be synthesized");
         assert_eq!(report.execution.fault_tag, "deadlock");
@@ -625,8 +486,8 @@ mod tests {
     #[test]
     fn best_proximity_reports_raw_distance_on_deadlock_goals() {
         let (p, locs) = deadlocky();
-        let mut session =
-            EsdOptions::builder().session(&p, GoalSpec::Deadlock { thread_locs: locs });
+        let goal = GoalSpec::Deadlock { thread_locs: locs };
+        let mut session = SynthesisSession::new(&p, goal, EsdOptions::default());
         session.run_for(1);
         let proximity = session
             .progress_event()
@@ -641,37 +502,56 @@ mod tests {
         session.cancel();
     }
 
+    /// The KC baseline is a preset of the options and runs through a
+    /// session like every other job.
     #[test]
-    fn builder_round_trips_every_option() {
-        let options = EsdOptions::builder()
-            .max_steps(123)
-            .max_states(45)
-            .seed(6)
-            .frontier(FrontierKind::Dfs)
-            .use_intermediate_goals(false)
-            .use_critical_edges(false)
-            .schedule_bias(false)
-            .with_race_detection(true)
-            .static_pruning(false)
-            .deadline(Duration::from_secs(9))
-            .build();
-        assert_eq!(options.max_steps, 123);
-        assert_eq!(options.max_states, 45);
-        assert_eq!(options.seed, 6);
-        assert_eq!(options.frontier, FrontierKind::Dfs);
-        assert!(!options.use_intermediate_goals);
-        assert!(!options.use_critical_edges);
-        assert!(!options.schedule_bias);
-        assert!(options.with_race_detection);
-        assert!(!options.static_pruning);
-        assert_eq!(options.deadline, Some(Duration::from_secs(9)));
+    fn kc_preset_finds_simple_sequential_bugs() {
+        let (p, loc) = crashy();
+        for (frontier, seed) in [(FrontierKind::Dfs, 0), (FrontierKind::Random, 1)] {
+            let options = EsdOptions { max_steps: 100_000, seed, ..EsdOptions::kc(frontier) };
+            let mut session = SynthesisSession::new(&p, GoalSpec::Crash { loc }, options);
+            let report = session.run_to_completion().found().expect("KC finds the crash");
+            assert_eq!(report.execution.inputs[0].value, 42);
+        }
+    }
+
+    /// A program with an unbounded input-dependent loop and no bug: KC must
+    /// stop at its budget and report it.
+    #[test]
+    fn kc_preset_respects_its_budget() {
+        let mut pb = ProgramBuilder::new("loopy");
+        pb.function("main", 0, |f| {
+            let head = f.new_block("head");
+            let body = f.new_block("body");
+            let done = f.new_block("done");
+            f.br(head);
+            f.switch_to(head);
+            let x = f.getchar();
+            let c = f.cmp(CmpOp::Ne, x, 0);
+            f.cond_br(c, body, done);
+            f.switch_to(body);
+            f.nop();
+            f.br(head);
+            f.switch_to(done);
+            let z = f.konst(0);
+            let v = f.load(z); // never part of the goal below
+            f.output(v);
+            f.ret_void();
+        });
+        let p = pb.finish("main");
+        let goal = GoalSpec::Crash { loc: Loc::new(p.entry, esd_ir::BlockId(1), 99) };
+        let options =
+            EsdOptions { max_steps: 5_000, seed: 7, ..EsdOptions::kc(FrontierKind::Random) };
+        let mut session = SynthesisSession::new(&p, goal, options);
+        let status = session.run_to_completion();
+        assert!(matches!(status, SessionStatus::BudgetExceeded(s) if s.steps >= 5_000));
     }
 
     #[test]
     fn session_finds_the_goal_in_single_round_slices() {
         let (p, loc) = crashy();
-        let mut session =
-            EsdOptions::builder().max_steps(100_000).session(&p, GoalSpec::Crash { loc });
+        let options = EsdOptions::builder().max_steps(100_000).build();
+        let mut session = SynthesisSession::new(&p, GoalSpec::Crash { loc }, options);
         let mut slices = 0u64;
         while session.poll().is_running() {
             session.run_for(1);
@@ -703,9 +583,8 @@ mod tests {
     #[test]
     fn deadline_expires_a_session() {
         let (p, loc) = crashy();
-        let mut session = EsdOptions::builder()
-            .deadline(Duration::from_secs(0))
-            .session(&p, GoalSpec::Crash { loc });
+        let options = EsdOptions::builder().deadline(Duration::from_secs(0)).build();
+        let mut session = SynthesisSession::new(&p, GoalSpec::Crash { loc }, options);
         assert!(matches!(session.run_for(10), SessionStatus::DeadlineExpired(_)));
     }
 
@@ -740,10 +619,18 @@ mod tests {
     fn observer_sees_progress_and_the_finish() {
         let (p, loc) = crashy();
         let recording = Arc::new(Mutex::new(Recording::default()));
-        let mut session = EsdOptions::builder()
-            .observer(Box::new(RecordingObserver(recording.clone())))
-            .progress_every(2)
-            .session(&p, GoalSpec::Crash { loc });
+        let goal = GoalSpec::Crash { loc };
+        let program = Arc::new(p);
+        let analysis = Arc::new(StaticAnalysis::compute_multi(&program, &goal.primary_locs()));
+        let observer = Box::new(RecordingObserver(recording.clone()));
+        let mut session = SynthesisSession::from_parts(
+            program,
+            analysis,
+            goal,
+            EsdOptions::default(),
+            Some(observer),
+            2,
+        );
         session.run_to_completion();
         let recording = recording.lock().unwrap();
         assert_eq!(recording.finished, Some("found"));

@@ -27,7 +27,7 @@ use std::path::Path;
 /// The current snapshot envelope format version. Bump when the envelope (or
 /// the canonical payload encoding) changes shape; [`unseal`] rejects any
 /// other version with [`SnapshotError::UnknownVersion`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 11;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 12;
 
 /// 64-bit FNV-1a over `bytes` — the dependency-free checksum used by both
 /// snapshot envelopes and journal frames.

@@ -7,86 +7,11 @@
 //! [`crate::executor`]).
 
 use crate::report::{extract_goal, BugKind, BugReport};
-use crate::session::{EsdOptionsBuilder, SessionStatus, SynthesisSession};
+use crate::session::{SessionStatus, SynthesisSession};
 use crate::SynthesizedExecution;
 use esd_ir::Program;
-use esd_symex::{FrontierKind, GoalSpec, SearchStats};
+use esd_symex::{EsdOptions, GoalSpec, SearchStats};
 use std::time::Duration;
-
-/// Knobs for a synthesis run (sensible defaults reproduce the paper's ESD
-/// configuration; the ablation benches flip individual heuristics off).
-///
-/// Prefer constructing these with the chainable [`EsdOptions::builder`]:
-///
-/// ```
-/// use esd_core::EsdOptions;
-/// use esd_symex::FrontierKind;
-///
-/// let options = EsdOptions::builder()
-///     .max_steps(1_000_000)
-///     .frontier(FrontierKind::beam())
-///     .build();
-/// assert_eq!(options.max_steps, 1_000_000);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct EsdOptions {
-    /// Total instruction budget for the dynamic phase.
-    pub max_steps: u64,
-    /// Maximum number of live execution states.
-    pub max_states: usize,
-    /// Random seed for the uniform queue choice.
-    pub seed: u64,
-    /// Which search frontier orders the exploration (the paper's
-    /// proximity-guided frontier by default; DFS / BFS / random / beam are
-    /// available for comparison — see `esd_symex::frontier`).
-    pub frontier: FrontierKind,
-    /// Use intermediate goals from the static phase.
-    pub use_intermediate_goals: bool,
-    /// Abandon paths that violate critical edges.
-    pub use_critical_edges: bool,
-    /// Use the deadlock schedule-distance bias.
-    pub schedule_bias: bool,
-    /// Enable lockset-race-directed preemptions (`--with-race-det`).
-    pub with_race_detection: bool,
-    /// Consult the static phase's result-invariant verdicts: interval
-    /// branch verdicts skip solver queries on branches proven one-sided for
-    /// all inputs, and in race-preemption mode the race-pair candidates skip
-    /// speculative preemption forks at yields no candidate pair surrounds
-    /// (see `esd_symex::EngineConfig::static_pruning`). Neither changes what
-    /// is synthesized. On by default; `ESD_STATIC_PRUNING=0` turns it off in
-    /// the benches and CI.
-    pub static_pruning: bool,
-    /// Optional wall-clock deadline for the search, measured from session
-    /// creation.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for EsdOptions {
-    fn default() -> Self {
-        EsdOptions {
-            max_steps: 5_000_000,
-            max_states: 50_000,
-            seed: 1,
-            frontier: FrontierKind::Proximity,
-            use_intermediate_goals: true,
-            use_critical_edges: true,
-            schedule_bias: true,
-            with_race_detection: false,
-            static_pruning: true,
-            deadline: None,
-        }
-    }
-}
-
-impl EsdOptions {
-    /// Starts a builder over the default options; finish with
-    /// [`build`](EsdOptionsBuilder::build),
-    /// [`synthesizer`](EsdOptionsBuilder::synthesizer) or
-    /// [`session`](EsdOptionsBuilder::session).
-    pub fn builder() -> EsdOptionsBuilder {
-        EsdOptionsBuilder::default()
-    }
-}
 
 /// Why a synthesis attempt failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,9 +254,7 @@ mod tests {
     #[test]
     fn synthesize_goal_honours_the_race_detection_option() {
         let (p, loc) = racy_counter();
-        let report = EsdOptions::builder()
-            .with_race_detection(true)
-            .synthesizer()
+        let report = Esd::new(EsdOptions::builder().with_race_detection(true).build())
             .synthesize_goal(&p, GoalSpec::Crash { loc })
             .expect("with_race_detection(true) must synthesize the race");
         assert_eq!(report.execution.fault_tag, "assert-failure");

@@ -1,4 +1,4 @@
-//! The transport-agnostic service surface: [`JobRequest`] in,
+//! The transport-agnostic service surface: [`JobSpec`] in,
 //! [`JobTicket`] out, one [`JobStatus`] everywhere.
 //!
 //! The [`Service`] trait is implemented by the in-process backend
@@ -10,51 +10,9 @@
 //! synthesized execution files are byte-identical either way.
 
 use crate::error::ServiceError;
-use esd_core::{EsdOptions, JobOutcome, JobSpec, JobStatus, ProgressEvent};
-use esd_ir::Program;
-use esd_symex::GoalSpec;
+use esd_core::{JobOutcome, JobSpec, JobStatus, ProgressEvent};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-
-/// A submission to the debugging service: the program under debug, the
-/// goal to synthesize an execution for, and the options of [`JobSpec`] —
-/// minus anything that cannot cross a process boundary (job observers are
-/// replaced by [`Service::subscribe`] streams).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct JobRequest {
-    /// Human-readable label, echoed in statuses and outcomes.
-    pub label: String,
-    /// The program under debug, shared like [`JobSpec`]'s.
-    pub program: Arc<Program>,
-    /// The goal to synthesize an execution for.
-    pub goal: GoalSpec,
-    /// The options the job's session runs with (see [`JobSpec::options`]),
-    /// including the one deadline a job has, [`EsdOptions::deadline`].
-    pub options: EsdOptions,
-}
-
-impl JobRequest {
-    /// A request with default options.
-    pub fn new(label: impl Into<String>, program: &Program, goal: GoalSpec) -> Self {
-        JobRequest {
-            label: label.into(),
-            program: Arc::new(program.clone()),
-            goal,
-            options: EsdOptions::default(),
-        }
-    }
-
-    /// Sets the options the job's session runs with.
-    pub fn options(mut self, options: EsdOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Lowers the request into the executor's [`JobSpec`].
-    pub(crate) fn into_spec(self) -> JobSpec {
-        JobSpec::new(self.label, &self.program, self.goal).options(self.options)
-    }
-}
 
 /// The service's receipt for a submitted job; every other [`Service`] call
 /// takes one. Tickets are dense per-service indices (the in-process backend
@@ -88,8 +46,10 @@ pub enum ProgressUpdate {
 /// submitting past the backend's admission bound returns
 /// [`ServiceError::Overloaded`] instead of buffering without limit.
 pub trait Service {
-    /// Submits a job, subject to admission control.
-    fn submit(&mut self, request: JobRequest) -> Result<JobTicket, ServiceError>;
+    /// Submits a job, subject to admission control. Job observers are not
+    /// part of a [`JobSpec`]; [`Service::subscribe`] streams stand in for
+    /// them across a process boundary.
+    fn submit(&mut self, spec: JobSpec) -> Result<JobTicket, ServiceError>;
 
     /// The job's current [`JobStatus`] — the same enum the executor and the
     /// wire protocol use.

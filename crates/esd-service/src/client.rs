@@ -6,11 +6,11 @@
 //! event stream (switched to non-blocking), so progress frames never
 //! interleave with responses.
 
-use crate::api::{JobRequest, JobTicket, ProgressUpdate, Service, Subscription, SubscriptionInner};
+use crate::api::{JobTicket, ProgressUpdate, Service, Subscription, SubscriptionInner};
 use crate::error::ServiceError;
 use crate::net::{read_available, write_frame, Stream};
 use crate::wire::{decode_response, encode_request, FrameDecoder, WireRequest, WireResponse};
-use esd_core::{JobOutcome, JobStatus};
+use esd_core::{JobOutcome, JobSpec, JobStatus};
 use std::io::Read;
 use std::net::TcpStream;
 #[cfg(unix)]
@@ -108,8 +108,8 @@ fn read_frame_blocking(
 }
 
 impl Service for RemoteClient {
-    fn submit(&mut self, request: JobRequest) -> Result<JobTicket, ServiceError> {
-        match self.call(&WireRequest::Submit { request })? {
+    fn submit(&mut self, spec: JobSpec) -> Result<JobTicket, ServiceError> {
+        match self.call(&WireRequest::Submit { request: spec })? {
             WireResponse::Ticket { ticket } => Ok(JobTicket { id: ticket }),
             other => Err(unexpected("Ticket", &other)),
         }

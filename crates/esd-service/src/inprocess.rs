@@ -10,12 +10,12 @@
 //! can neither exhaust memory nor block the submitter.
 
 use crate::api::{
-    EventFeed, JobRequest, JobTicket, ProgressUpdate, Service, Subscription, SubscriptionInner,
+    EventFeed, JobTicket, ProgressUpdate, Service, Subscription, SubscriptionInner,
     EVENT_BUFFER_CAP,
 };
 use crate::error::ServiceError;
 use esd_core::{
-    JobExecutor, JobHandle, JobOutcome, JobStatus, JobVerdict, Observer, ProgressEvent,
+    JobExecutor, JobHandle, JobOutcome, JobSpec, JobStatus, JobVerdict, Observer, ProgressEvent,
     SessionStatus,
 };
 use std::collections::VecDeque;
@@ -127,7 +127,7 @@ impl InProcessService {
 }
 
 impl Service for InProcessService {
-    fn submit(&mut self, request: JobRequest) -> Result<JobTicket, ServiceError> {
+    fn submit(&mut self, spec: JobSpec) -> Result<JobTicket, ServiceError> {
         let stats = self.executor.stats();
         if stats.queued >= self.max_pending {
             // The backlog that must drain before a retry can be admitted:
@@ -135,7 +135,7 @@ impl Service for InProcessService {
             // queue length is the floor of the wait.
             return Err(ServiceError::Overloaded { retry_after_slices: stats.queued as u64 });
         }
-        let handle = self.executor.submit(request.into_spec());
+        let handle = self.executor.submit(spec);
         debug_assert_eq!(handle.id() as usize, self.feeds.len());
         let feed = attach_feed(&mut self.executor, handle);
         self.feeds.push(feed);

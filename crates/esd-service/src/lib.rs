@@ -4,8 +4,9 @@
 //! The paper's usage model is a *service* — developers ship a bug report,
 //! the synthesizer finds an execution. This crate is that front door:
 //!
-//! * [`Service`] — the transport-agnostic trait: [`Service::submit`] a
-//!   [`JobRequest`] for a [`JobTicket`], [`Service::poll`] the unified
+//! * [`Service`] — the transport-agnostic trait: [`Service::submit`] an
+//!   [`esd_core::JobSpec`] — the executor's one job description — for a
+//!   [`JobTicket`], [`Service::poll`] the unified
 //!   [`esd_core::JobStatus`], [`Service::cancel`], [`Service::take`] the
 //!   outcome, and [`Service::subscribe`] a stream of [`ProgressUpdate`]s.
 //! * [`InProcessService`] — the embedded backend: a
@@ -36,9 +37,12 @@ pub mod inprocess;
 mod net;
 pub mod wire;
 
-pub use api::{JobRequest, JobTicket, ProgressUpdate, Service, Subscription};
+pub use api::{JobTicket, ProgressUpdate, Service, Subscription};
 pub use client::RemoteClient;
 pub use daemon::Daemon;
 pub use error::ServiceError;
+/// The service-side name of [`esd_core::JobSpec`], kept for callers that
+/// submit under it.
+pub use esd_core::JobSpec as JobRequest;
 pub use inprocess::{InProcessService, DEFAULT_MAX_PENDING};
 pub use wire::{WireRequest, WireResponse};

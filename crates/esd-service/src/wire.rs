@@ -13,10 +13,10 @@
 //! uses (the environment is offline; there is no tonic and no crates.io
 //! serde_json).
 
-use crate::api::{JobRequest, ProgressUpdate};
+use crate::api::ProgressUpdate;
 use crate::error::ServiceError;
 use esd_core::snapshot::fnv1a64;
-use esd_core::{JobOutcome, JobStatus};
+use esd_core::{JobOutcome, JobSpec, JobStatus};
 
 /// Frame header size: 4-byte length prefix + 8-byte FNV-1a checksum.
 pub const FRAME_HEADER: usize = 4 + 8;
@@ -34,7 +34,7 @@ pub enum WireRequest {
     /// [`crate::Service::submit`].
     Submit {
         /// The job to run.
-        request: JobRequest,
+        request: JobSpec,
     },
     /// [`crate::Service::poll`].
     Poll {
@@ -261,7 +261,7 @@ mod tests {
             deadline: Some(std::time::Duration::from_secs(1)),
             ..Default::default()
         };
-        let request = JobRequest::new("job", &program, goal).options(options);
+        let request = JobSpec::new("job", &program, goal).options(options);
         let text = serde_json::to_string(&WireRequest::Submit { request }).expect("serializes");
         let deadline = r#""deadline":[1,0]"#;
         assert!(text.contains(deadline), "{text}");

@@ -9,13 +9,15 @@
 //! concrete inputs and the recorded serialized schedule becomes the
 //! synthesized execution.
 //!
-//! Which state is advanced next is decided by a pluggable [`SearchFrontier`]
-//! (see [`crate::frontier`]) selected through [`SearchConfig`]: ESD's
+//! The engine is configured by one [`EsdOptions`] value. Which state is
+//! advanced next is decided by a pluggable [`SearchFrontier`] (see
+//! [`crate::frontier`]) built from its `frontier` and `seed`: ESD's
 //! proximity-guided virtual queues — ordered by the Algorithm-1 proximity
 //! estimate, biased by the deadlock schedule distance (§4.1), with
 //! critical-edge path abandonment and intermediate goals from the static
 //! phase — or the DFS / BFS / RandomPath baselines, optionally with
-//! Chess-style preemption bounding (the KC baseline).
+//! Chess-style preemption bounding (the KC baseline,
+//! [`EsdOptions::kc`]).
 //!
 //! # Beam batches
 //!
@@ -46,7 +48,8 @@
 //! writes the hot state as if it had been pushed last, and
 //! [`Engine::live_states`] counts it.
 
-use crate::frontier::{FrontierSnapshot, HotState, SearchConfig, SearchFrontier, StatePriority};
+use crate::frontier::{FrontierSnapshot, HotState, SearchFrontier, StatePriority};
+use crate::options::EsdOptions;
 use crate::state::{ExecState, SchedDistance};
 use crate::stepper::{PendingFork, Promotion, Solution, Stepper, TurnResult, TurnVerdict};
 use esd_analysis::goaldist::GoalDistances;
@@ -89,85 +92,6 @@ impl GoalSpec {
     }
 }
 
-/// Engine configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EngineConfig {
-    /// Which search frontier orders the exploration, and its seed.
-    pub search: SearchConfig,
-    /// Chess-style preemption bound (the KC baseline uses `Some(2)`); `None`
-    /// leaves preemptions unbounded as in ESD.
-    pub preemption_bound: Option<u32>,
-    /// Total instruction budget across all states (checked between rounds, so
-    /// a round may overshoot by at most one batch's burst).
-    pub max_steps: u64,
-    /// Maximum number of live states kept at once.
-    pub max_states: usize,
-    /// Use the intermediate goals from the static phase as extra queues.
-    pub use_intermediate_goals: bool,
-    /// Abandon states that take the wrong side of a critical edge.
-    pub use_critical_edges: bool,
-    /// Apply the deadlock schedule-distance heuristic (near/far bias).
-    pub schedule_bias: bool,
-    /// Insert preemption points before accesses flagged by the lockset race
-    /// detector (needed to synthesize data-race schedules).
-    pub race_preemptions: bool,
-    /// Drop forked states whose structural fingerprint has been seen before.
-    /// Part of ESD's scalability story (on by default); the KC baseline runs
-    /// without it, as Klee/Chess enumerate paths and interleavings without
-    /// state deduplication.
-    pub dedup_states: bool,
-    /// Consult the static phase's result-invariant verdicts before forking
-    /// (on by default; off in the KC baseline, which has no static phase):
-    ///
-    /// * branches the interval analysis proves one-sided for *all* inputs
-    ///   take that side without a solver query — the taken side's
-    ///   constraint is still recorded, so the search trajectory is
-    ///   unchanged and only the query is skipped;
-    /// * in race-preemption mode, yields with no race-pair candidate
-    ///   material around them skip the speculative preemption fork (counted
-    ///   in [`SearchStats::preemptions_pruned_static`]). Sound because the
-    ///   candidate set over-approximates the real races (MHP + lockset,
-    ///   both conservative) — and accesses the dynamic detector concretely
-    ///   flags always fork regardless, so static imprecision can delay but
-    ///   never hide a race.
-    pub static_pruning: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            search: SearchConfig::default(),
-            preemption_bound: None,
-            max_steps: 2_000_000,
-            max_states: 20_000,
-            use_intermediate_goals: true,
-            use_critical_edges: true,
-            schedule_bias: true,
-            race_preemptions: false,
-            dedup_states: true,
-            static_pruning: true,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// The configuration used for the KC baseline (Klee + Chess): the given
-    /// search frontier, preemption bounding at 2, and none of ESD's
-    /// goal-directed heuristics.
-    pub fn kc(search: SearchConfig) -> Self {
-        EngineConfig {
-            search,
-            preemption_bound: Some(2),
-            use_intermediate_goals: false,
-            use_critical_edges: false,
-            schedule_bias: false,
-            dedup_states: false,
-            static_pruning: false,
-            ..Default::default()
-        }
-    }
-}
-
 /// Search statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchStats {
@@ -190,7 +114,7 @@ pub struct SearchStats {
     pub solver_queries_saved: u64,
     /// Preemption forks skipped because the yield has no static race-pair
     /// candidate material around it
-    /// ([`EngineConfig::static_pruning`]).
+    /// ([`EsdOptions::static_pruning`]).
     pub preemptions_pruned_static: u64,
     /// Bugs found that did not match the goal (the paper: "ESD has
     /// discovered a different bug").
@@ -219,20 +143,9 @@ pub struct Synthesized {
     pub stats: SearchStats,
 }
 
-/// Outcome of a search.
-#[derive(Debug, Clone)]
-pub enum SearchOutcome {
-    /// The goal was reached and an execution synthesized.
-    Found(Box<Synthesized>),
-    /// Every state was explored or abandoned without reaching the goal.
-    Exhausted(SearchStats),
-    /// The step budget ran out.
-    BudgetExceeded(SearchStats),
-}
-
 /// Outcome of advancing the search by one round ([`Engine::step_round`]):
-/// either the search can continue, or it ended the way a [`SearchOutcome`]
-/// ends (the stats live on the engine — [`Engine::stats`]).
+/// either the search can continue, or it ended (the stats live on the
+/// engine — [`Engine::stats`]).
 #[derive(Debug)]
 pub enum StepOutcome {
     /// The round completed without reaching a verdict; call
@@ -244,24 +157,6 @@ pub enum StepOutcome {
     Exhausted,
     /// The step budget ran out.
     BudgetExceeded,
-}
-
-impl SearchOutcome {
-    /// Returns the synthesized execution if the search succeeded.
-    pub fn found(self) -> Option<Synthesized> {
-        match self {
-            SearchOutcome::Found(s) => Some(*s),
-            _ => None,
-        }
-    }
-
-    /// The statistics regardless of outcome.
-    pub fn stats(&self) -> &SearchStats {
-        match self {
-            SearchOutcome::Found(s) => &s.stats,
-            SearchOutcome::Exhausted(s) | SearchOutcome::BudgetExceeded(s) => s,
-        }
-    }
 }
 
 const SCHED_WEIGHT: u64 = 1_000_000_000;
@@ -291,8 +186,8 @@ const BATCH_BURST: u32 = 32;
 pub struct EngineSnapshot {
     /// The goal the engine searches for.
     pub goal: GoalSpec,
-    /// The full engine configuration.
-    pub config: EngineConfig,
+    /// The search configuration.
+    pub config: EsdOptions,
     /// Every live execution state, sorted by state id.
     pub states: Vec<ExecState>,
     /// The next state id the pool will assign.
@@ -315,7 +210,7 @@ pub struct EngineSnapshot {
 /// callers that outlive the current stack frame — resumable synthesis
 /// sessions, the executor's jobs — can own an engine outright. The search is
 /// re-entrant: [`Engine::step_round`] advances exactly one frontier batch
-/// and returns a [`StepOutcome`]; [`Engine::run`] is a thin loop over it.
+/// and returns a [`StepOutcome`].
 /// State advancement itself lives in the `Stepper`; see the
 /// [module docs](self) for how beam batches are advanced and merged.
 pub struct Engine {
@@ -323,7 +218,7 @@ pub struct Engine {
     analysis: Arc<StaticAnalysis>,
     guidance: Guidance,
     goal: GoalSpec,
-    config: EngineConfig,
+    options: EsdOptions,
     states: HashMap<u64, ExecState>,
     /// The state the last round advanced, outside `states` and the frontier
     /// until a selection passes it over (see the [module docs](self)).
@@ -346,13 +241,13 @@ impl Engine {
         program: Arc<Program>,
         analysis: Arc<StaticAnalysis>,
         goal: GoalSpec,
-        config: EngineConfig,
+        options: EsdOptions,
     ) -> Self {
         let oracle = StaticAnalysis::distance_oracle(&analysis, &program);
         // One virtual queue per goal target set: intermediate goals, then the
         // final goal.
         let mut queue_targets: Vec<Vec<Loc>> = Vec::new();
-        if config.use_intermediate_goals {
+        if options.use_intermediate_goals {
             for alts in analysis.goal_info.intermediate_goal_locs() {
                 if !alts.is_empty() {
                     queue_targets.push(alts);
@@ -360,7 +255,7 @@ impl Engine {
             }
         }
         queue_targets.push(goal.primary_locs());
-        let frontier = config.search.build(queue_targets.len());
+        let frontier = options.frontier.build(options.seed, queue_targets.len());
         let read = if !frontier.wants_priorities() {
             0
         } else if frontier.wants_intermediate_priorities() {
@@ -377,14 +272,14 @@ impl Engine {
         let guidance = Guidance {
             oracle,
             queues,
-            schedule_bias: config.schedule_bias && matches!(goal, GoalSpec::Deadlock { .. }),
+            schedule_bias: options.schedule_bias && matches!(goal, GoalSpec::Deadlock { .. }),
         };
         Engine {
             program,
             analysis,
             guidance,
             goal,
-            config,
+            options,
             states: HashMap::new(),
             hot: None,
             next_state_id: 0,
@@ -416,7 +311,7 @@ impl Engine {
         seen_fingerprints.sort_unstable();
         EngineSnapshot {
             goal: self.goal.clone(),
-            config: self.config.clone(),
+            config: self.options.clone(),
             states,
             next_state_id: self.next_state_id,
             started: self.started,
@@ -454,15 +349,15 @@ impl Engine {
     /// This is the re-entrant core of the engine: callers may interleave
     /// rounds of several engines, stop between rounds (the partial
     /// [`Engine::stats`] stay accessible), and resume later — the search
-    /// trajectory is exactly the one [`Engine::run`] would take, because
-    /// `run` *is* a loop over `step_round`.
+    /// trajectory depends only on the sequence of rounds, never on where
+    /// the caller stopped between them.
     pub fn step_round(&mut self) -> StepOutcome {
         if !self.started {
             self.started = true;
             let init = ExecState::initial(&self.program);
             self.register_state(init);
         }
-        if self.stats.steps >= self.config.max_steps {
+        if self.stats.steps >= self.options.max_steps {
             return StepOutcome::BudgetExceeded;
         }
         let batch = match &self.hot {
@@ -487,24 +382,9 @@ impl Engine {
             return StepOutcome::Running;
         }
         let burst = if jobs.len() > 1 { BATCH_BURST } else { 1 };
-        let mut stepper = Stepper::new(&self.program, &self.analysis, &self.goal, &self.config);
+        let mut stepper = Stepper::new(&self.program, &self.analysis, &self.goal, &self.options);
         let results = jobs.into_iter().map(|state| stepper.turn(state.id, state, burst)).collect();
         self.merge(results)
-    }
-
-    /// Runs the search to completion: a thin loop over
-    /// [`Engine::step_round`].
-    pub fn run(&mut self) -> SearchOutcome {
-        loop {
-            match self.step_round() {
-                StepOutcome::Running => continue,
-                StepOutcome::Found(synth) => return SearchOutcome::Found(synth),
-                StepOutcome::Exhausted => return SearchOutcome::Exhausted(self.stats.clone()),
-                StepOutcome::BudgetExceeded => {
-                    return SearchOutcome::BudgetExceeded(self.stats.clone())
-                }
-            }
-        }
     }
 
     /// Access to the search statistics so far.
@@ -520,6 +400,11 @@ impl Engine {
     /// The goal this engine searches for.
     pub fn goal(&self) -> &GoalSpec {
         &self.goal
+    }
+
+    /// The options this engine searches with.
+    pub fn options(&self) -> &EsdOptions {
+        &self.options
     }
 
     /// The program under search.
@@ -626,11 +511,11 @@ impl Engine {
     /// `None` when the state was dropped (pool full, or its fingerprint was
     /// already explored).
     fn register_state(&mut self, mut state: ExecState) -> Option<u64> {
-        if self.states.len() >= self.config.max_states {
+        if self.states.len() >= self.options.max_states {
             self.stats.states_pruned += 1;
             return None;
         }
-        if self.config.dedup_states {
+        if !self.options.kc_baseline {
             let fp = Self::fingerprint(&state);
             if !self.seen_fingerprints.insert(fp) {
                 self.stats.states_pruned += 1;

@@ -5,7 +5,8 @@
 //! into). Which state the frontier hands back next is the search strategy —
 //! the only part of the dynamic phase that differs between ESD and the
 //! baselines it is compared against — so it is factored out behind the
-//! [`SearchFrontier`] trait and selected via [`SearchConfig`]:
+//! [`SearchFrontier`] trait and selected by a [`FrontierKind`] (the
+//! `frontier` field of [`EsdOptions`](crate::EsdOptions)):
 //!
 //! * [`ProximityFrontier`] — ESD's strategy (§3.4, Algorithm 1): one virtual
 //!   priority queue per goal (intermediate goals from the static phase plus
@@ -76,6 +77,21 @@ impl FrontierKind {
     pub fn beam() -> Self {
         FrontierKind::Beam { width: DEFAULT_BEAM_WIDTH }
     }
+
+    /// Instantiates the frontier. `seed` seeds the stochastic frontiers
+    /// ([`FrontierKind::Random`] and [`FrontierKind::Proximity`]);
+    /// `num_queues` is the number of virtual goal queues the engine
+    /// maintains (intermediate goals + the final goal), which only the
+    /// proximity frontier uses.
+    pub fn build(self, seed: u64, num_queues: usize) -> Box<dyn SearchFrontier> {
+        match self {
+            FrontierKind::Dfs => Box::new(DfsFrontier::new()),
+            FrontierKind::Bfs => Box::new(BfsFrontier::new()),
+            FrontierKind::Random => Box::new(RandomFrontier::new(seed)),
+            FrontierKind::Proximity => Box::new(ProximityFrontier::new(num_queues, seed)),
+            FrontierKind::Beam { width } => Box::new(BeamFrontier::new(width)),
+        }
+    }
 }
 
 impl std::str::FromStr for FrontierKind {
@@ -115,63 +131,6 @@ impl std::fmt::Display for FrontierKind {
             FrontierKind::Proximity => f.write_str("proximity"),
             FrontierKind::Beam { width } if *width == DEFAULT_BEAM_WIDTH => f.write_str("beam"),
             FrontierKind::Beam { width } => write!(f, "beam:{width}"),
-        }
-    }
-}
-
-/// How the engine orders its exploration: a frontier implementation plus the
-/// seed for the stochastic ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SearchConfig {
-    /// The frontier implementation to use.
-    pub kind: FrontierKind,
-    /// PRNG seed for [`FrontierKind::Random`] and [`FrontierKind::Proximity`]
-    /// (ignored by the deterministic frontiers).
-    pub seed: u64,
-}
-
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig::proximity(1)
-    }
-}
-
-impl SearchConfig {
-    /// Depth-first exploration.
-    pub fn dfs() -> Self {
-        SearchConfig { kind: FrontierKind::Dfs, seed: 0 }
-    }
-
-    /// Breadth-first exploration.
-    pub fn bfs() -> Self {
-        SearchConfig { kind: FrontierKind::Bfs, seed: 0 }
-    }
-
-    /// Uniformly random state selection with the given seed.
-    pub fn random(seed: u64) -> Self {
-        SearchConfig { kind: FrontierKind::Random, seed }
-    }
-
-    /// ESD's proximity-guided selection with the given seed.
-    pub fn proximity(seed: u64) -> Self {
-        SearchConfig { kind: FrontierKind::Proximity, seed }
-    }
-
-    /// Batched proximity selection advancing `width` states per batch.
-    pub fn beam(width: usize) -> Self {
-        SearchConfig { kind: FrontierKind::Beam { width }, seed: 0 }
-    }
-
-    /// Instantiates the frontier. `num_queues` is the number of virtual goal
-    /// queues the engine maintains (intermediate goals + the final goal);
-    /// only the proximity frontier uses it.
-    pub fn build(&self, num_queues: usize) -> Box<dyn SearchFrontier> {
-        match self.kind {
-            FrontierKind::Dfs => Box::new(DfsFrontier::new()),
-            FrontierKind::Bfs => Box::new(BfsFrontier::new()),
-            FrontierKind::Random => Box::new(RandomFrontier::new(self.seed)),
-            FrontierKind::Proximity => Box::new(ProximityFrontier::new(num_queues, self.seed)),
-            FrontierKind::Beam { width } => Box::new(BeamFrontier::new(width)),
         }
     }
 }

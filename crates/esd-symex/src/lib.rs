@@ -9,8 +9,10 @@
 //!   lists, and per-state concurrency analysis (each interleaving carries its
 //!   own O(1)-forkable lockset race detector),
 //! * pluggable search [`frontier`]s — ESD's proximity-guided virtual queues
-//!   plus DFS / BFS / RandomPath baselines — selected via
-//!   [`SearchConfig`],
+//!   plus DFS / BFS / RandomPath baselines — selected by a
+//!   [`FrontierKind`],
+//! * the one search configuration, [`EsdOptions`] (its [`options`]
+//!   module), of which the KC baseline is a preset ([`EsdOptions::kc`]),
 //! * the search [`engine`] driving it all, with critical-edge path
 //!   abandonment, intermediate goals, Chess-style preemption bounding (the
 //!   KC baseline) and the deadlock / data-race schedule-synthesis
@@ -26,21 +28,20 @@
 pub mod engine;
 pub mod expr;
 pub mod frontier;
+pub mod options;
 pub mod solver;
 pub mod state;
 mod stepper;
 #[cfg(test)]
 mod tests;
 
-pub use engine::{
-    Engine, EngineConfig, EngineSnapshot, GoalSpec, SearchOutcome, SearchStats, StepOutcome,
-    Synthesized,
-};
+pub use engine::{Engine, EngineSnapshot, GoalSpec, SearchStats, StepOutcome, Synthesized};
 pub use expr::{SymExpr, SymValue, SymVar, SymVarInfo};
 pub use frontier::{
     BeamFrontier, BfsFrontier, DfsFrontier, FrontierKind, FrontierSnapshot, HotState,
-    LivenessSnapshot, ProximityFrontier, RandomFrontier, SearchConfig, SearchFrontier,
-    StatePriority, DEFAULT_BEAM_WIDTH,
+    LivenessSnapshot, ProximityFrontier, RandomFrontier, SearchFrontier, StatePriority,
+    DEFAULT_BEAM_WIDTH,
 };
+pub use options::{EsdOptions, EsdOptionsBuilder, KC_PREEMPTION_BOUND};
 pub use solver::{Solver, SolverConfig, SolverResult};
 pub use state::{ExecState, RaceDetector, SchedDistance, SymMemory, SymThread};

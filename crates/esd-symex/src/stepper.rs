@@ -13,8 +13,9 @@
 //! a beam committed for the whole batch: no state of the batch sees another
 //! one's forks before the merge.
 
-use crate::engine::{EngineConfig, GoalSpec};
+use crate::engine::GoalSpec;
 use crate::expr::{SymExpr, SymValue, SymVarInfo};
+use crate::options::{EsdOptions, KC_PREEMPTION_BOUND};
 use crate::solver::{Solver, SolverResult};
 use crate::state::{ExecState, SchedDistance, SymFrame, SymMemError, SymThread};
 use esd_analysis::{Feasibility, StaticAnalysis};
@@ -133,7 +134,7 @@ pub(crate) struct Stepper<'a> {
     program: &'a Arc<Program>,
     analysis: &'a Arc<StaticAnalysis>,
     goal: &'a GoalSpec,
-    config: &'a EngineConfig,
+    options: &'a EsdOptions,
     solver: Solver,
     forks: Vec<PendingFork>,
     promotions: Vec<Promotion>,
@@ -151,13 +152,13 @@ impl<'a> Stepper<'a> {
         program: &'a Arc<Program>,
         analysis: &'a Arc<StaticAnalysis>,
         goal: &'a GoalSpec,
-        config: &'a EngineConfig,
+        options: &'a EsdOptions,
     ) -> Self {
         Stepper {
             program,
             analysis,
             goal,
-            config,
+            options,
             solver: Solver::default(),
             forks: Vec::new(),
             promotions: Vec::new(),
@@ -412,10 +413,8 @@ impl<'a> Stepper<'a> {
     /// the engine applies the dedup fingerprint and the pool cap when the
     /// batch is merged. Returns true when a fork was recorded.
     fn fork_preempted(&mut self, state: &ExecState, next: ThreadId) -> bool {
-        if let Some(bound) = self.config.preemption_bound {
-            if state.preemptions >= bound {
-                return false;
-            }
+        if self.options.kc_baseline && state.preemptions >= KC_PREEMPTION_BOUND {
+            return false;
         }
         // If the scheduled thread has not advanced at all since the last
         // context switch, a preemption here would recreate an already-seen
@@ -456,7 +455,7 @@ impl<'a> Stepper<'a> {
         let block = func.block(frame_loc.block);
 
         // Critical-edge / relevance abandonment (ESD only).
-        if self.config.use_critical_edges
+        if self.options.use_critical_edges
             && state.thread(cur).frames.len() == 1
             && self.analysis.goal_info.is_irrelevant_block(frame_loc)
             && !matches!(self.goal, GoalSpec::Deadlock { .. })
@@ -547,7 +546,7 @@ impl<'a> Stepper<'a> {
         // recorded exactly as the solver path would have recorded it, so a
         // verdict that the solver would also have reached leaves the search
         // trajectory untouched — only the query count drops.
-        let verdict = if self.config.static_pruning {
+        let verdict = if self.options.static_pruning {
             self.analysis.branch_feasibility.verdict(loc.func, loc.block)
         } else {
             Feasibility::Unknown
@@ -556,7 +555,7 @@ impl<'a> Stepper<'a> {
         // single-location (crash) goals: for deadlocks the static info is
         // computed from one thread's blocked location and must not constrain
         // the other threads' paths.
-        if self.config.use_critical_edges && !matches!(self.goal, GoalSpec::Deadlock { .. }) {
+        if self.options.use_critical_edges && !matches!(self.goal, GoalSpec::Deadlock { .. }) {
             if let Some(edge) = self.analysis.goal_info.critical_edge_at(loc.func, loc.block) {
                 let (take, expr) = if edge.required_value {
                     (then_bb, cond.clone())
@@ -1014,13 +1013,13 @@ impl<'a> Stepper<'a> {
                 // store are reachable; the default search keeps treating
                 // yield as a no-op (the bounded searches and BPF workloads
                 // rely on that).
-                if self.config.race_preemptions {
+                if self.options.with_race_detection {
                     // Static race-candidate gating: a yield with no candidate
                     // access before *and* after it (in same-thread order)
                     // cannot split a racing pair, so the preemption fork is
                     // skipped. The candidate set over-approximates the real
                     // races, so no schedule that can reach a race is lost.
-                    if self.config.static_pruning
+                    if self.options.static_pruning
                         && !self.analysis.race_candidates.is_relevant_yield(loc)
                     {
                         if self.other_runnable(state).is_some() {
@@ -1149,7 +1148,7 @@ impl<'a> Stepper<'a> {
     /// Called before the access is counted, so the fork's schedule segment
     /// ends just before it and playback switches threads there.
     fn maybe_race_preempt(&mut self, state: &mut ExecState, p: Ptr, loc: Loc, is_write: bool) {
-        if !self.config.race_preemptions {
+        if !self.options.with_race_detection {
             return;
         }
         // Only consider globals and heap objects (locals are thread-private).
@@ -1210,7 +1209,7 @@ impl<'a> Stepper<'a> {
                 // Inner-lock heuristic: if this acquisition happened at one of
                 // the reported blocked-lock locations, remember it and
                 // preempt, so another thread can come and request this mutex.
-                if self.config.schedule_bias {
+                if self.options.schedule_bias {
                     if let GoalSpec::Deadlock { thread_locs } = self.goal {
                         if thread_locs.contains(&loc) {
                             state.thread_mut(cur).inner_lock_held = Some(p);
@@ -1226,7 +1225,7 @@ impl<'a> Stepper<'a> {
             Some(owner) => {
                 // The mutex is held (possibly by this very thread: self
                 // deadlock). Apply the roll-back heuristic, then block.
-                if self.config.schedule_bias
+                if self.options.schedule_bias
                     && owner != cur
                     && state.threads[owner.0 as usize].inner_lock_held == Some(p)
                 {

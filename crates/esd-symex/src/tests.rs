@@ -1,8 +1,9 @@
 //! Engine-level tests: sequential path synthesis, deadlock schedule
 //! synthesis, and the KC baseline behaviour — all on small programs.
 
-use crate::engine::{Engine, EngineConfig, GoalSpec, SearchOutcome};
-use crate::frontier::SearchConfig;
+use crate::engine::{Engine, GoalSpec, SearchStats, StepOutcome, Synthesized};
+use crate::frontier::FrontierKind;
+use crate::options::EsdOptions;
 use crate::state::ExecState;
 use crate::stepper::Stepper;
 use esd_analysis::StaticAnalysis;
@@ -113,17 +114,53 @@ fn listing1_program() -> (Program, Vec<Loc>) {
     (p, vec![relock_loc.unwrap(), inner_m2_loc.unwrap()])
 }
 
-fn run_engine(p: &Program, goal: GoalSpec, config: EngineConfig) -> SearchOutcome {
+/// How a search run ended.
+#[derive(Debug)]
+enum Outcome {
+    Found(Box<Synthesized>),
+    Exhausted(SearchStats),
+    BudgetExceeded(SearchStats),
+}
+
+impl Outcome {
+    fn found(self) -> Option<Synthesized> {
+        match self {
+            Outcome::Found(s) => Some(*s),
+            _ => None,
+        }
+    }
+
+    fn stats(&self) -> &SearchStats {
+        match self {
+            Outcome::Found(s) => &s.stats,
+            Outcome::Exhausted(s) | Outcome::BudgetExceeded(s) => s,
+        }
+    }
+}
+
+/// Drives [`Engine::step_round`] to a verdict.
+fn run(engine: &mut Engine) -> Outcome {
+    loop {
+        match engine.step_round() {
+            StepOutcome::Running => {}
+            StepOutcome::Found(synth) => return Outcome::Found(synth),
+            StepOutcome::Exhausted => return Outcome::Exhausted(engine.stats().clone()),
+            StepOutcome::BudgetExceeded => return Outcome::BudgetExceeded(engine.stats().clone()),
+        }
+    }
+}
+
+fn run_engine(p: &Program, goal: GoalSpec, options: EsdOptions) -> Outcome {
     let primary = goal.primary_locs()[0];
     let analysis = Arc::new(StaticAnalysis::compute(p, primary));
-    let mut engine = Engine::new(Arc::new(p.clone()), analysis, goal, config);
-    engine.run()
+    let mut engine = Engine::new(Arc::new(p.clone()), analysis, goal, options);
+    run(&mut engine)
 }
 
 #[test]
 fn sequential_crash_path_is_synthesized_with_correct_inputs() {
     let (p, crash_loc) = crashy_program();
-    let outcome = run_engine(&p, GoalSpec::Crash { loc: crash_loc }, EngineConfig::default());
+    let outcome = run_engine(&p, GoalSpec::Crash { loc: crash_loc }, EsdOptions::default());
     let synth = outcome.found().expect("crash must be synthesized");
     assert!(matches!(synth.fault, FaultKind::SegFault { .. }));
     assert_eq!(synth.fault_loc, Some(crash_loc));
@@ -148,7 +185,7 @@ fn sequential_crash_path_is_synthesized_with_correct_inputs() {
 fn dfs_also_finds_the_sequential_crash() {
     let (p, crash_loc) = crashy_program();
     let outcome =
-        run_engine(&p, GoalSpec::Crash { loc: crash_loc }, EngineConfig::kc(SearchConfig::dfs()));
+        run_engine(&p, GoalSpec::Crash { loc: crash_loc }, EsdOptions::kc(FrontierKind::Dfs));
     assert!(outcome.found().is_some());
 }
 
@@ -156,7 +193,7 @@ fn dfs_also_finds_the_sequential_crash() {
 fn bfs_also_finds_the_sequential_crash() {
     let (p, crash_loc) = crashy_program();
     let outcome =
-        run_engine(&p, GoalSpec::Crash { loc: crash_loc }, EngineConfig::kc(SearchConfig::bfs()));
+        run_engine(&p, GoalSpec::Crash { loc: crash_loc }, EsdOptions::kc(FrontierKind::Bfs));
     assert!(outcome.found().is_some());
 }
 
@@ -174,8 +211,8 @@ fn unreachable_crash_goal_is_reported_as_exhausted() {
     });
     let p = pb.finish("main");
     let goal = GoalSpec::Crash { loc: Loc::new(p.entry, BlockId(1), 1) };
-    let outcome = run_engine(&p, goal, EngineConfig::default());
-    assert!(matches!(outcome, SearchOutcome::Exhausted(_)));
+    let outcome = run_engine(&p, goal, EsdOptions::default());
+    assert!(matches!(outcome, Outcome::Exhausted(_)));
 }
 
 #[test]
@@ -184,7 +221,7 @@ fn listing1_deadlock_schedule_is_synthesized_by_proximity_search() {
     let outcome = run_engine(
         &p,
         GoalSpec::Deadlock { thread_locs: thread_locs.clone() },
-        EngineConfig { max_steps: 400_000, ..EngineConfig::default() },
+        EsdOptions { max_steps: 400_000, ..EsdOptions::default() },
     );
     let synth = outcome.found().expect("deadlock must be synthesized");
     assert!(matches!(synth.fault, FaultKind::Deadlock));
@@ -221,14 +258,14 @@ fn esd_explores_less_than_kc_on_listing1() {
     let esd = run_engine(
         &p,
         GoalSpec::Deadlock { thread_locs: thread_locs.clone() },
-        EngineConfig { max_steps: 400_000, ..EngineConfig::default() },
+        EsdOptions { max_steps: 400_000, ..EsdOptions::default() },
     );
     let esd_steps = esd.stats().steps;
     assert!(esd.found().is_some());
     let kc = run_engine(
         &p,
         GoalSpec::Deadlock { thread_locs },
-        EngineConfig { max_steps: 400_000, ..EngineConfig::kc(SearchConfig::random(3)) },
+        EsdOptions { max_steps: 400_000, seed: 3, ..EsdOptions::kc(FrontierKind::Random) },
     );
     let kc_steps = kc.stats().steps;
     // Listing 1 is tiny, so both approaches succeed quickly here; the paper's
@@ -252,8 +289,7 @@ fn assertion_violation_goal_with_symbolic_condition() {
         f.ret_void();
     });
     let p = pb.finish("main");
-    let outcome =
-        run_engine(&p, GoalSpec::Crash { loc: goal_loc.unwrap() }, EngineConfig::default());
+    let outcome = run_engine(&p, GoalSpec::Crash { loc: goal_loc.unwrap() }, EsdOptions::default());
     let synth = outcome.found().expect("assertion failure must be synthesized");
     assert!(matches!(synth.fault, FaultKind::AssertFailure { .. }));
     let stdin = synth.inputs.iter().find(|(i, _)| i.seq == 0).map(|(_, v)| *v).unwrap();
@@ -285,13 +321,9 @@ fn other_bugs_found_along_the_way_are_recorded() {
     let p = pb.finish("main");
     let primary = crash_loc.unwrap();
     let analysis = Arc::new(StaticAnalysis::compute(&p, primary));
-    let mut engine = Engine::new(
-        Arc::new(p),
-        analysis,
-        GoalSpec::Crash { loc: primary },
-        EngineConfig::default(),
-    );
-    let outcome = engine.run();
+    let mut engine =
+        Engine::new(Arc::new(p), analysis, GoalSpec::Crash { loc: primary }, EsdOptions::default());
+    let outcome = run(&mut engine);
     let synth = outcome.found().expect("goal crash found");
     assert_eq!(synth.inputs[0].1, 2);
     assert!(engine.other_bugs.iter().any(|(f, _)| matches!(f, FaultKind::AssertFailure { .. })));
@@ -342,19 +374,19 @@ fn sibling_forks_flag_the_same_race_independently() {
 
     // Unreachable crash goal: the search explores everything and exhausts.
     let goal = GoalSpec::Crash { loc: Loc::new(main_id, BlockId(1), 0) };
-    let config = EngineConfig {
-        search: SearchConfig::dfs(),
+    let config = EsdOptions {
+        frontier: FrontierKind::Dfs,
         use_intermediate_goals: false,
         use_critical_edges: false,
         schedule_bias: false,
-        race_preemptions: true,
-        ..EngineConfig::default()
+        with_race_detection: true,
+        ..EsdOptions::default()
     };
     let primary = goal.primary_locs()[0];
     let analysis = Arc::new(StaticAnalysis::compute(&p, primary));
     let mut engine = Engine::new(Arc::new(p), analysis, goal, config);
-    let outcome = engine.run();
-    assert!(matches!(outcome, SearchOutcome::Exhausted(_)), "tiny program must be exhausted");
+    let outcome = run(&mut engine);
+    assert!(matches!(outcome, Outcome::Exhausted(_)), "tiny program must be exhausted");
     assert_eq!(
         outcome.stats().races_flagged,
         2,
@@ -414,17 +446,17 @@ fn flagged_races_fork_even_outside_the_static_candidate_set() {
     // Simulate a static phase that missed every candidate (the worst
     // possible MHP/points-to imprecision).
     analysis.race_candidates = Default::default();
-    let config = EngineConfig {
-        search: SearchConfig::dfs(),
-        race_preemptions: true,
+    let config = EsdOptions {
+        frontier: FrontierKind::Dfs,
+        with_race_detection: true,
         static_pruning: true,
-        ..EngineConfig::default()
+        ..EsdOptions::default()
     };
     let mut engine =
         Engine::new(Arc::new(p), Arc::new(analysis), GoalSpec::Crash { loc: primary }, config);
-    let outcome = engine.run();
+    let outcome = run(&mut engine);
     assert!(
-        matches!(outcome, SearchOutcome::Found(_)),
+        matches!(outcome, Outcome::Found(_)),
         "the concretely flagged race must fork its preemption even though the \
          static candidate set is empty: {outcome:?}"
     );
@@ -442,21 +474,22 @@ fn snapshot_restore_resumes_identically_for_every_frontier() {
     let goal = GoalSpec::Deadlock { thread_locs };
     let primary = goal.primary_locs()[0];
     let analysis = Arc::new(StaticAnalysis::compute(&program, primary));
-    for search in [
-        SearchConfig::dfs(),
-        SearchConfig::bfs(),
-        SearchConfig::random(7),
-        SearchConfig::proximity(1),
-        SearchConfig::beam(8),
+    for (search, seed) in [
+        (FrontierKind::Dfs, 0),
+        (FrontierKind::Bfs, 0),
+        (FrontierKind::Random, 7),
+        (FrontierKind::Proximity, 1),
+        (FrontierKind::Beam { width: 8 }, 0),
     ] {
-        let config = EngineConfig { search, max_steps: 400_000, ..EngineConfig::default() };
+        let config =
+            EsdOptions { frontier: search, seed, max_steps: 400_000, ..EsdOptions::default() };
         let mut uninterrupted =
             Engine::new(program.clone(), analysis.clone(), goal.clone(), config.clone());
         // Advance partway (few enough rounds that even the fast beam search
         // has not finished yet), snapshot, then run both to completion.
         for _ in 0..3 {
             match uninterrupted.step_round() {
-                crate::engine::StepOutcome::Running => {}
+                StepOutcome::Running => {}
                 other => panic!("{search:?}: ended during warmup: {other:?}"),
             }
         }
@@ -469,16 +502,16 @@ fn snapshot_restore_resumes_identically_for_every_frontier() {
             json,
             "{search:?}: re-snapshot of the restored engine must be byte-identical"
         );
-        let a = uninterrupted.run();
-        let b = restored.run();
+        let a = run(&mut uninterrupted);
+        let b = run(&mut restored);
         match (&a, &b) {
-            (SearchOutcome::Found(x), SearchOutcome::Found(y)) => {
+            (Outcome::Found(x), Outcome::Found(y)) => {
                 assert_eq!(x.schedule, y.schedule, "{search:?}: schedules diverged");
                 assert_eq!(x.inputs, y.inputs, "{search:?}: inputs diverged");
                 assert_eq!(x.stats, y.stats, "{search:?}: stats diverged");
             }
-            (SearchOutcome::Exhausted(x), SearchOutcome::Exhausted(y))
-            | (SearchOutcome::BudgetExceeded(x), SearchOutcome::BudgetExceeded(y)) => {
+            (Outcome::Exhausted(x), Outcome::Exhausted(y))
+            | (Outcome::BudgetExceeded(x), Outcome::BudgetExceeded(y)) => {
                 assert_eq!(x, y, "{search:?}: stats diverged");
             }
             _ => panic!("{search:?}: outcomes diverged: {a:?} vs {b:?}"),
@@ -501,11 +534,11 @@ fn budget_exhaustion_is_reported() {
     // Unreachable goal in an infinite loop: the search must stop at the step
     // budget rather than hang.
     let goal = GoalSpec::Crash { loc: Loc::new(p.entry, BlockId(1), 999) };
-    let outcome = run_engine(&p, goal, EngineConfig { max_steps: 5_000, ..Default::default() });
+    let outcome = run_engine(&p, goal, EsdOptions { max_steps: 5_000, ..Default::default() });
     match outcome {
-        SearchOutcome::BudgetExceeded(stats) => assert!(stats.steps >= 5_000),
-        SearchOutcome::Exhausted(_) => {}
-        SearchOutcome::Found(_) => panic!("cannot find an unreachable goal"),
+        Outcome::BudgetExceeded(stats) => assert!(stats.steps >= 5_000),
+        Outcome::Exhausted(_) => {}
+        Outcome::Found(_) => panic!("cannot find an unreachable goal"),
     }
 }
 
@@ -565,7 +598,7 @@ fn dedup_fingerprint_distinguishes_equal_length_constraint_sets() {
     let p = pb.finish("main");
     // DFS makes the registration order deterministic: the x == 1 path's
     // else-fork reaches the colliding position first.
-    let config = EngineConfig { search: SearchConfig::dfs(), ..EngineConfig::default() };
+    let config = EsdOptions { frontier: FrontierKind::Dfs, ..EsdOptions::default() };
     let outcome = run_engine(&p, GoalSpec::Crash { loc: bug_loc.unwrap() }, config);
     let synth = outcome.found().expect(
         "the only goal-reaching state has the same constraint count as an \
@@ -582,10 +615,10 @@ fn dedup_fingerprint_distinguishes_equal_length_constraint_sets() {
 #[test]
 fn listing1_deadlock_is_synthesized_by_beam_search() {
     let (p, thread_locs) = listing1_program();
-    let config = EngineConfig {
-        search: SearchConfig::beam(8),
+    let config = EsdOptions {
+        frontier: FrontierKind::Beam { width: 8 },
         max_steps: 400_000,
-        ..EngineConfig::default()
+        ..EsdOptions::default()
     };
     let synth = run_engine(&p, GoalSpec::Deadlock { thread_locs }, config)
         .found()
@@ -629,7 +662,7 @@ fn branch_refuted_by_pinned_inputs_does_not_fork() {
     let goal = GoalSpec::Crash { loc: goal_loc };
     // Neither static verdicts nor critical edges: the solver decides.
     let config =
-        EngineConfig { static_pruning: false, use_critical_edges: false, ..Default::default() };
+        EsdOptions { static_pruning: false, use_critical_edges: false, ..Default::default() };
     let mut stepper = Stepper::new(&p, &analysis, &goal, &config);
     let turn = stepper.turn(0, ExecState::initial(&p), 64);
     assert!(turn.forks.is_empty(), "the refuted side must not fork");

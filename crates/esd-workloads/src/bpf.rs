@@ -203,7 +203,7 @@ pub fn generate_bpf(config: &BpfConfig) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esd_core::{stress_test, EsdOptions, StressConfig};
+    use esd_core::{stress_test, Esd, EsdOptions, StressConfig};
 
     #[test]
     fn generated_programs_scale_with_the_branch_knob() {
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn esd_synthesizes_the_bpf_deadlock_on_a_small_config() {
         let w = generate_bpf(&BpfConfig { branches: 16, ..Default::default() });
-        let esd = EsdOptions::builder().max_steps(3_000_000).synthesizer();
+        let esd = Esd::new(EsdOptions::builder().max_steps(3_000_000).build());
         let result = esd.synthesize_goal(&w.program, w.goal()).expect("bpf deadlock");
         assert_eq!(result.execution.fault_tag, "deadlock");
         // The synthesized inputs must include the two magic values.

@@ -592,7 +592,7 @@ pub fn generate(config: &GenConfig) -> GeneratedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esd_core::EsdOptions;
+    use esd_core::{Esd, EsdOptions};
     use esd_ir::printer::print_program;
     use esd_ir::validate::validate;
 
@@ -636,10 +636,12 @@ mod tests {
     fn proximity_synthesizes_each_injected_bug_and_the_truth_matches() {
         for kind in InjectedBugKind::ALL {
             let w = generate(&GenConfig::new(11, kind));
-            let esd = EsdOptions::builder()
-                .max_steps(2_000_000)
-                .with_race_detection(w.truth.needs_race_preemptions)
-                .synthesizer();
+            let esd = Esd::new(
+                EsdOptions::builder()
+                    .max_steps(2_000_000)
+                    .with_race_detection(w.truth.needs_race_preemptions)
+                    .build(),
+            );
             let report = esd
                 .synthesize_goal(&w.program, w.truth.goal.clone())
                 .unwrap_or_else(|e| panic!("{}: {e:?}", w.name));

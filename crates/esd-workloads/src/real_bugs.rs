@@ -642,12 +642,12 @@ pub fn all_real_bugs() -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esd_core::EsdOptions;
+    use esd_core::{Esd, EsdOptions};
 
     #[test]
     fn listing1_and_hawknl_deadlocks_are_synthesized() {
         for w in [listing1(), hawknl_close_shutdown()] {
-            let esd = EsdOptions::builder().max_steps(2_000_000).synthesizer();
+            let esd = Esd::new(EsdOptions::builder().max_steps(2_000_000).build());
             let result = esd
                 .synthesize_goal(&w.program, w.goal())
                 .unwrap_or_else(|e| panic!("{}: {:?}", w.name, e));
@@ -662,7 +662,7 @@ mod tests {
             ls_injected(1),
             coreutils_crash("mknod", "x", 'z' as i64, 1.0, 3),
         ] {
-            let esd = EsdOptions::builder().max_steps(2_000_000).synthesizer();
+            let esd = Esd::new(EsdOptions::builder().max_steps(2_000_000).build());
             let result = esd
                 .synthesize_goal(&w.program, w.goal())
                 .unwrap_or_else(|e| panic!("{}: {:?}", w.name, e));

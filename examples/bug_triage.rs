@@ -6,10 +6,10 @@
 
 use esd::core::{same_bug, BugReport, TriageResult};
 use esd::workloads::{capture_coredump, real_bugs::ls_injected};
-use esd::EsdOptions;
+use esd::Esd;
 
 fn main() {
-    let esd = EsdOptions::builder().synthesizer();
+    let esd = Esd::with_defaults();
     // Two independent reports of the ls1 bug and one report of the ls2 bug.
     let ls1_a = ls_injected(1);
     let ls1_b = ls_injected(1);

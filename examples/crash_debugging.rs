@@ -8,14 +8,14 @@
 use esd::core::BugReport;
 use esd::playback::Debugger;
 use esd::workloads::{capture_coredump, real_bugs::ghttpd_log_overflow};
-use esd::EsdOptions;
+use esd::Esd;
 
 fn main() {
     let workload = ghttpd_log_overflow();
     let dump = capture_coredump(&workload, 5).expect("the overflow crashes at the user site");
     println!("coredump: {}", dump.summary());
 
-    let esd = EsdOptions::builder().synthesizer();
+    let esd = Esd::with_defaults();
     let report = esd
         .synthesize(&workload.program, &BugReport::from_coredump(dump))
         .expect("ESD synthesizes the overflow");

@@ -6,11 +6,11 @@
 
 use esd::playback::{play, verify_patch};
 use esd::workloads::real_bugs::sqlite_recursive_lock;
-use esd::EsdOptions;
+use esd::{Esd, EsdOptions};
 
 fn main() {
     let workload = sqlite_recursive_lock();
-    let esd = EsdOptions::builder().synthesizer();
+    let esd = Esd::with_defaults();
     let report = esd
         .synthesize_goal(&workload.program, workload.goal())
         .expect("ESD synthesizes the SQLite deadlock");

@@ -18,7 +18,7 @@ use esd::workloads::genbug::{generate, GenConfig, InjectedBugKind};
 use esd::workloads::real_bugs::paste_invalid_free;
 use esd::workloads::Workload;
 use esd::{
-    Daemon, EsdOptions, InProcessService, JobExecutor, JobRequest, JobVerdict, ProgressUpdate,
+    Daemon, EsdOptions, InProcessService, JobExecutor, JobSpec, JobVerdict, ProgressUpdate,
     RemoteClient, Service,
 };
 use std::time::Duration;
@@ -43,13 +43,13 @@ fn main() {
     let race: Workload = generate(&GenConfig::new(7, InjectedBugKind::DataRace)).to_workload();
     let paste_ticket = client
         .submit(
-            JobRequest::new(&paste.name, &paste.program, paste.goal())
+            JobSpec::new(&paste.name, &paste.program, paste.goal())
                 .options(EsdOptions::builder().max_steps(8_000_000).build()),
         )
         .expect("submit the paste job");
     let race_ticket =
         client
-            .submit(JobRequest::new(&race.name, &race.program, race.goal()).options(
+            .submit(JobSpec::new(&race.name, &race.program, race.goal()).options(
                 EsdOptions::builder().max_steps(8_000_000).with_race_detection(true).build(),
             ))
             .expect("submit the race job");

@@ -13,7 +13,7 @@
 
 use esd::symex::FrontierKind;
 use esd::workloads::listing1;
-use esd::EsdOptions;
+use esd::{Esd, EsdOptions};
 
 fn main() {
     let workload = listing1();
@@ -28,7 +28,7 @@ fn main() {
         FrontierKind::Random,
         FrontierKind::beam(),
     ] {
-        let esd = EsdOptions::builder().frontier(frontier).max_steps(2_000_000).synthesizer();
+        let esd = Esd::new(EsdOptions::builder().frontier(frontier).max_steps(2_000_000).build());
         match esd.synthesize_goal(&workload.program, workload.goal()) {
             Ok(report) => println!(
                 "{:<12} {:>10} {:>10} {:>12}",

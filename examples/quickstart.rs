@@ -13,7 +13,7 @@
 
 use esd::playback::play;
 use esd::workloads::listing1;
-use esd::EsdOptions;
+use esd::{Esd, EsdOptions};
 
 fn main() {
     let workload = listing1();
@@ -24,7 +24,7 @@ fn main() {
         .ok()
         .map(|s| s.parse().expect("ESD_FRONTIER must be dfs|bfs|random|proximity|beam[:width]"))
         .unwrap_or_default();
-    let esd = EsdOptions::builder().frontier(frontier).synthesizer();
+    let esd = Esd::new(EsdOptions::builder().frontier(frontier).build());
     let report = esd
         .synthesize_goal(&workload.program, workload.goal())
         .expect("ESD synthesizes the Listing-1 deadlock");

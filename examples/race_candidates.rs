@@ -11,7 +11,7 @@
 
 use esd::analysis::StaticAnalysis;
 use esd::ir::{CmpOp, Loc, ProgramBuilder};
-use esd::{EsdOptions, GoalSpec};
+use esd::{Esd, EsdOptions, GoalSpec};
 
 fn main() {
     // Two workers do counter = counter + 1 without holding the lock.
@@ -64,7 +64,7 @@ fn main() {
 
     // Synthesize with static pruning on (the default): preemption forks
     // happen only at the accesses and yields printed above.
-    let esd = EsdOptions::builder().with_race_detection(true).synthesizer();
+    let esd = Esd::new(EsdOptions::builder().with_race_detection(true).build());
     match esd.synthesize_goal(&program, GoalSpec::Crash { loc: goal_loc }) {
         Ok(report) => println!(
             "\nsynthesized in {:.2?}: {} states forked, {} preemption forks \

@@ -7,7 +7,7 @@
 
 use esd::ir::{CmpOp, Loc, ProgramBuilder};
 use esd::playback::play;
-use esd::{EsdOptions, GoalSpec};
+use esd::{Esd, EsdOptions, GoalSpec};
 
 fn main() {
     // Two workers do counter = counter + 1 without holding the lock.
@@ -39,7 +39,7 @@ fn main() {
     let program = pb.finish("main");
 
     let goal = GoalSpec::Crash { loc: assert_loc.unwrap() };
-    let esd = EsdOptions::builder().with_race_detection(true).synthesizer();
+    let esd = Esd::new(EsdOptions::builder().with_race_detection(true).build());
     match esd.synthesize_goal(&program, goal) {
         Ok(report) => {
             println!(

@@ -28,7 +28,7 @@
 //! adverse schedule):
 //!
 //! ```
-//! use esd::EsdOptions;
+//! use esd::{Esd, EsdOptions};
 //! use esd::playback::play;
 //! use esd::workloads::listing1;
 //!
@@ -36,7 +36,7 @@
 //!
 //! // Synthesize an execution that reaches the reported deadlock: concrete
 //! // values for every program input plus a serialized thread schedule.
-//! let esd = EsdOptions::builder().max_steps(400_000).synthesizer();
+//! let esd = Esd::new(EsdOptions::builder().max_steps(400_000).build());
 //! let report = esd
 //!     .synthesize_goal(&workload.program, workload.goal())
 //!     .expect("ESD synthesizes the Listing-1 deadlock");
@@ -56,13 +56,12 @@
 //! such sessions, one per job.
 //!
 //! ```
-//! use esd::{EsdOptions, SessionStatus};
+//! use esd::{EsdOptions, SessionStatus, SynthesisSession};
 //! use esd::workloads::listing1;
 //!
 //! let workload = listing1();
-//! let mut session = EsdOptions::builder()
-//!     .max_steps(400_000)
-//!     .session(&workload.program, workload.goal());
+//! let options = EsdOptions::builder().max_steps(400_000).build();
+//! let mut session = SynthesisSession::new(&workload.program, workload.goal(), options);
 //!
 //! // Advance the search 1000 rounds at a time.
 //! while session.poll().is_running() {
@@ -80,8 +79,8 @@ pub use esd_service as service;
 pub use esd_symex as symex;
 pub use esd_workloads as workloads;
 
-/// The synthesis pipeline (re-exported from [`esd_core`]), home of [`Esd`]
-/// and [`EsdOptions`].
+/// The synthesis pipeline (re-exported from [`esd_core`]), home of
+/// [`Esd`]; its one configuration, [`EsdOptions`], lives in [`symex`].
 pub use esd_core::synth;
 
 /// Stepwise synthesis sessions (re-exported from [`esd_core`]), home of
@@ -100,10 +99,10 @@ pub use esd_core::{
 };
 pub use esd_playback::{play, Debugger};
 pub use esd_service::{
-    Daemon, InProcessService, JobRequest, JobTicket, ProgressUpdate, RemoteClient, Service,
-    ServiceError, Subscription,
+    Daemon, InProcessService, JobTicket, ProgressUpdate, RemoteClient, Service, ServiceError,
+    Subscription,
 };
-pub use esd_symex::{FrontierKind, GoalSpec, SearchConfig, StepOutcome};
+pub use esd_symex::{FrontierKind, GoalSpec, StepOutcome};
 
 use std::fmt;
 
@@ -116,13 +115,13 @@ use std::fmt;
 /// into `Result<_, EsdError>`:
 ///
 /// ```
-/// use esd::{EsdError, InProcessService, JobExecutor, JobRequest, Service};
+/// use esd::{EsdError, InProcessService, JobExecutor, JobSpec, Service};
 /// use esd::workloads::listing1;
 ///
 /// fn submit_one() -> Result<(), EsdError> {
 ///     let w = listing1();
 ///     let mut service = InProcessService::new(JobExecutor::round_robin());
-///     let ticket = service.submit(JobRequest::new("job", &w.program, w.goal()))?;
+///     let ticket = service.submit(JobSpec::new("job", &w.program, w.goal()))?;
 ///     let _status = service.poll(ticket)?;
 ///     Ok(())
 /// }

@@ -59,10 +59,12 @@ fn smoke_corpus_is_covered_soundly_and_deterministically() {
 #[test]
 fn smoke_corpus_winners_replay_to_the_injected_failure() {
     for w in corpus(&smoke_config()) {
-        let esd = EsdOptions::builder()
-            .max_steps(BUDGET)
-            .with_race_detection(w.truth.needs_race_preemptions)
-            .synthesizer();
+        let esd = Esd::new(
+            EsdOptions::builder()
+                .max_steps(BUDGET)
+                .with_race_detection(w.truth.needs_race_preemptions)
+                .build(),
+        );
         let report = esd
             .synthesize_goal(&w.program, w.truth.goal.clone())
             .unwrap_or_else(|e| panic!("{}: proximity synthesis failed: {e:?}", w.name));
@@ -84,14 +86,16 @@ fn smoke_corpus_winners_replay_to_the_injected_failure() {
 fn race_preemption_forks_replay_the_interleaving_they_found() {
     let w =
         generate(&GenConfig { seed: 60, kind: InjectedBugKind::DataRace, size: GenSize::medium() });
-    let report = EsdOptions::builder()
-        .max_steps(BUDGET)
-        .frontier(FrontierKind::Random)
-        .seed(1)
-        .with_race_detection(true)
-        .synthesizer()
-        .synthesize_goal(&w.program, w.truth.goal.clone())
-        .unwrap_or_else(|e| panic!("{}: random synthesis failed: {e:?}", w.name));
+    let report = Esd::new(
+        EsdOptions::builder()
+            .max_steps(BUDGET)
+            .frontier(FrontierKind::Random)
+            .seed(1)
+            .with_race_detection(true)
+            .build(),
+    )
+    .synthesize_goal(&w.program, w.truth.goal.clone())
+    .unwrap_or_else(|e| panic!("{}: random synthesis failed: {e:?}", w.name));
     w.truth
         .matches(&report.execution)
         .unwrap_or_else(|e| panic!("{}: ground truth mismatch: {e}", w.name));

@@ -4,12 +4,12 @@
 use esd::core::BugReport;
 use esd::playback::play;
 use esd::workloads::{all_real_bugs, capture_coredump, WorkloadKind};
-use esd::EsdOptions;
+use esd::{Esd, EsdOptions};
 
 /// Crashes: coredump → goal extraction → synthesis → playback, end to end.
 #[test]
 fn crash_workloads_roundtrip_from_coredump_to_replay() {
-    let esd = EsdOptions::builder().max_steps(4_000_000).synthesizer();
+    let esd = Esd::new(EsdOptions::builder().max_steps(4_000_000).build());
     for w in all_real_bugs() {
         if w.kind != WorkloadKind::Crash {
             continue;
@@ -27,7 +27,7 @@ fn crash_workloads_roundtrip_from_coredump_to_replay() {
 /// Deadlocks: synthesis from the reported goal and deterministic replay.
 #[test]
 fn deadlock_workloads_synthesize_and_replay() {
-    let esd = EsdOptions::builder().max_steps(6_000_000).synthesizer();
+    let esd = Esd::new(EsdOptions::builder().max_steps(6_000_000).build());
     for w in all_real_bugs() {
         if w.kind != WorkloadKind::Hang {
             continue;
@@ -47,7 +47,7 @@ fn deadlock_workloads_synthesize_and_replay() {
 /// still replays.
 #[test]
 fn execution_files_replay_after_json_roundtrip() {
-    let esd = EsdOptions::builder().max_steps(2_000_000).synthesizer();
+    let esd = Esd::new(EsdOptions::builder().max_steps(2_000_000).build());
     let w = esd::workloads::real_bugs::paste_invalid_free();
     let report = esd.synthesize_goal(&w.program, w.goal()).unwrap();
     let json = report.execution.to_json();

@@ -17,7 +17,7 @@
 use esd::core::SynthesizedExecution;
 use esd::playback::play;
 use esd::workloads::real_bugs::paste_invalid_free;
-use esd::{EsdOptions, FrontierKind};
+use esd::{Esd, EsdOptions, FrontierKind};
 
 const FIXTURE: &str = include_str!("fixtures/paste_execution.json");
 const BEAM_FIXTURE: &str = include_str!("fixtures/paste_execution_beam.json");
@@ -44,11 +44,13 @@ fn env_static_pruning() -> bool {
 
 fn synthesize_beam() -> String {
     let w = paste_invalid_free();
-    let esd = EsdOptions::builder()
-        .max_steps(2_000_000)
-        .frontier(FrontierKind::Beam { width: 16 })
-        .static_pruning(env_static_pruning())
-        .synthesizer();
+    let esd = Esd::new(
+        EsdOptions::builder()
+            .max_steps(2_000_000)
+            .frontier(FrontierKind::Beam { width: 16 })
+            .static_pruning(env_static_pruning())
+            .build(),
+    );
     let report = esd.synthesize_goal(&w.program, w.goal()).expect("synthesis succeeds");
     let mut json = report.execution.to_json();
     json.push('\n');
@@ -63,7 +65,7 @@ fn a_regenerate_fixture_when_requested() {
         return;
     }
     let w = paste_invalid_free();
-    let esd = EsdOptions::builder().max_steps(2_000_000).synthesizer();
+    let esd = Esd::new(EsdOptions::builder().max_steps(2_000_000).build());
     let report = esd.synthesize_goal(&w.program, w.goal()).expect("synthesis succeeds");
     let mut json = report.execution.to_json();
     json.push('\n');
@@ -133,7 +135,8 @@ fn golden_execution_file_is_invariant_to_static_pruning() {
     }
     let w = paste_invalid_free();
     for pruning in [true, false] {
-        let esd = EsdOptions::builder().max_steps(2_000_000).static_pruning(pruning).synthesizer();
+        let esd =
+            Esd::new(EsdOptions::builder().max_steps(2_000_000).static_pruning(pruning).build());
         let report = esd.synthesize_goal(&w.program, w.goal()).expect("synthesis succeeds");
         assert_eq!(
             format!("{}\n", report.execution.to_json()),
@@ -187,11 +190,13 @@ fn race_execution_files_are_invariant_to_candidate_pruning() {
 
     let mut baseline: Option<String> = None;
     for pruning in [true, false] {
-        let esd = EsdOptions::builder()
-            .max_steps(2_000_000)
-            .with_race_detection(true)
-            .static_pruning(pruning)
-            .synthesizer();
+        let esd = Esd::new(
+            EsdOptions::builder()
+                .max_steps(2_000_000)
+                .with_race_detection(true)
+                .static_pruning(pruning)
+                .build(),
+        );
         let report = esd
             .synthesize_goal(&racy, racy_goal.clone())
             .unwrap_or_else(|e| panic!("racy_counter: race synthesis (pruning={pruning}): {e:?}"));
@@ -213,11 +218,13 @@ fn race_execution_files_are_invariant_to_candidate_pruning() {
     let genbug = generate(&GenConfig::new(2, InjectedBugKind::DataRace));
     let mut states = [0u64; 2];
     for (i, pruning) in [true, false].into_iter().enumerate() {
-        let esd = EsdOptions::builder()
-            .max_steps(2_000_000)
-            .with_race_detection(true)
-            .static_pruning(pruning)
-            .synthesizer();
+        let esd = Esd::new(
+            EsdOptions::builder()
+                .max_steps(2_000_000)
+                .with_race_detection(true)
+                .static_pruning(pruning)
+                .build(),
+        );
         let report =
             esd.synthesize_goal(&genbug.program, genbug.truth.goal.clone()).unwrap_or_else(|e| {
                 panic!("{}: race synthesis (pruning={pruning}): {e:?}", genbug.name)

@@ -38,7 +38,11 @@ fn regen_requested() -> bool {
 /// wall-clock `elapsed` zeroed so the fixture bytes are reproducible.
 fn fixture_snapshot() -> SessionSnapshot {
     let w = generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload();
-    let mut session = EsdOptions::builder().max_steps(2_000_000).session(&w.program, w.goal());
+    let mut session = SynthesisSession::new(
+        &w.program,
+        w.goal(),
+        EsdOptions::builder().max_steps(2_000_000).build(),
+    );
     session.run_for(10);
     let mut snap = session.snapshot();
     snap.elapsed = Duration::ZERO;

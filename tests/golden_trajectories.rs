@@ -20,8 +20,9 @@
 //!
 //! Static pruning is on for every ESD job, whatever `ESD_STATIC_PRUNING`
 //! says: pruning skips solver queries, so it shows in `solver_queries`. The
-//! ESD jobs run through a [`JobExecutor`] at `ESD_POOL` workers (default 2),
-//! which must not change any line either.
+//! KC jobs run the [`EsdOptions::kc`] preset, which has no static verdicts.
+//! Every job runs through a [`JobExecutor`] at `ESD_POOL` workers (default
+//! 2), which must not change any line either.
 //!
 //! If the search changes *intentionally*, regenerate the fixture with
 //!
@@ -32,8 +33,6 @@
 //! and give the reason for every changed line.
 
 use esd::core::snapshot::fnv1a64;
-use esd::core::{kc_synthesize, KcStrategy, SynthesizedExecution};
-use esd::symex::SearchStats;
 use esd::workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
 use esd::workloads::{all_real_bugs, generate_bpf, BpfConfig};
 use esd::{EsdOptions, FrontierKind, GoalSpec, JobExecutor, JobSpec};
@@ -110,19 +109,16 @@ fn corpus() -> Vec<JobSpec> {
     let bpf = generate_bpf(&BpfConfig { branches: 128, ..BpfConfig::default() });
     let opts = options(FrontierKind::Proximity, false);
     jobs.push(job(format!("proximity/{}", bpf.name), &bpf.program, bpf.goal(), opts));
+    let kc = |frontier, seed| EsdOptions { max_steps: KC_CAP, seed, ..EsdOptions::kc(frontier) };
+    for w in &real {
+        let (dfs, rand) = (kc(FrontierKind::Dfs, 0), kc(FrontierKind::Random, 11));
+        jobs.push(job(format!("kc-dfs/{}", w.name), &w.program, w.goal(), dfs));
+        jobs.push(job(format!("kc-randpath/{}", w.name), &w.program, w.goal(), rand));
+    }
+    let bpf = generate_bpf(&BpfConfig { branches: 16, ..BpfConfig::default() });
+    let rand = kc(FrontierKind::Random, 5);
+    jobs.push(job(format!("kc-randpath/{}", bpf.name), &bpf.program, bpf.goal(), rand));
     jobs
-}
-
-/// Renders one fixture line.
-fn line(out: &mut String, label: &str, execution: Option<&SynthesizedExecution>, s: &SearchStats) {
-    let digest = execution
-        .map_or("none".to_string(), |e| format!("{:016x}", fnv1a64(e.to_json().as_bytes())));
-    writeln!(
-        out,
-        "{label} {digest} {} {} {} {} {}",
-        s.steps, s.solver_queries, s.states_created, s.states_pruned, s.max_live_states
-    )
-    .expect("writing to a String");
 }
 
 /// Runs the corpus and renders one fixture line per job.
@@ -135,21 +131,21 @@ fn trajectories() -> String {
     );
     for handle in handles {
         let outcome = executor.take(handle).expect("an idle executor finished every job");
-        let stats = outcome.status.stats().expect("terminal statuses carry their stats");
-        line(&mut out, &outcome.label, outcome.report().map(|r| &r.execution), stats);
-    }
-    let bpf = generate_bpf(&BpfConfig { branches: 16, ..BpfConfig::default() });
-    let mut kc_jobs = Vec::new();
-    for w in all_real_bugs() {
-        let (dfs, rand) = (KcStrategy::Dfs, KcStrategy::RandomPath { seed: 11 });
-        kc_jobs.push((format!("kc-dfs/{}", w.name), w.program.clone(), w.goal(), dfs));
-        kc_jobs.push((format!("kc-randpath/{}", w.name), w.program.clone(), w.goal(), rand));
-    }
-    let rand = KcStrategy::RandomPath { seed: 5 };
-    kc_jobs.push((format!("kc-randpath/{}", bpf.name), bpf.program.clone(), bpf.goal(), rand));
-    for (label, program, goal, strategy) in kc_jobs {
-        let kc = kc_synthesize(&program, goal, strategy, KC_CAP);
-        line(&mut out, &label, kc.execution.as_ref(), &kc.stats);
+        let digest = outcome.report().map_or("none".to_string(), |r| {
+            format!("{:016x}", fnv1a64(r.execution.to_json().as_bytes()))
+        });
+        let s = outcome.status.stats().expect("terminal statuses carry their stats");
+        writeln!(
+            out,
+            "{} {digest} {} {} {} {} {}",
+            outcome.label,
+            s.steps,
+            s.solver_queries,
+            s.states_created,
+            s.states_pruned,
+            s.max_live_states
+        )
+        .expect("writing to a String");
     }
     out
 }

@@ -323,7 +323,7 @@ proptest! {
     ) {
         let w = generate(&GenConfig::new(seed, InjectedBugKind::ALL[kind_idx])).to_workload();
         let mut session =
-            EsdOptions::builder().max_steps(100_000).session(&w.program, w.goal());
+            SynthesisSession::new(&w.program, w.goal(), EsdOptions::builder().max_steps(100_000).build());
         session.run_for(rounds);
         let snap = session.snapshot();
         let mut again = SynthesisSession::restore(&snap).snapshot();
@@ -355,11 +355,10 @@ proptest! {
             FrontierKind::beam(),
         ][frontier_idx];
         let w = generate(&GenConfig::new(seed, InjectedBugKind::ALL[kind_idx])).to_workload();
-        let mut original = EsdOptions::builder()
+        let mut original = SynthesisSession::new(&w.program, w.goal(), EsdOptions::builder()
             .max_steps(100_000)
             .seed(seed)
-            .frontier(frontier)
-            .session(&w.program, w.goal());
+            .frontier(frontier).build());
         original.run_for(k);
         let mut restored = SynthesisSession::restore(&original.snapshot());
         let mut images = Vec::new();
@@ -680,8 +679,8 @@ fn wire_status(n: u64) -> esd::JobStatus {
 }
 
 /// A submission with non-default options, the search deadline included, so
-/// every `JobRequest` field crosses the wire.
-fn wire_request(n: u64) -> esd::JobRequest {
+/// every `JobSpec` field crosses the wire.
+fn wire_request(n: u64) -> esd::JobSpec {
     let (program, loc) = wire_program(n as i64, true);
     let options = EsdOptions::builder()
         .frontier(if n.is_multiple_of(2) { FrontierKind::Dfs } else { FrontierKind::beam() })
@@ -690,7 +689,7 @@ fn wire_request(n: u64) -> esd::JobRequest {
         .with_race_detection(n.is_multiple_of(3))
         .deadline(Duration::from_millis(n + 1))
         .build();
-    esd::JobRequest::new(format!("job{n}"), &program, esd::GoalSpec::Crash { loc }).options(options)
+    esd::JobSpec::new(format!("job{n}"), &program, esd::GoalSpec::Crash { loc }).options(options)
 }
 
 /// `main` reads one input and crashes on a null load when it equals

@@ -4,10 +4,10 @@
 //! executor pool size — and the backpressure contract must hold: a full
 //! submit queue is a typed `Overloaded` error, never an OOM or a block.
 
-use esd::service::{Daemon, InProcessService, JobRequest, ProgressUpdate, Service, ServiceError};
+use esd::service::{Daemon, InProcessService, ProgressUpdate, Service, ServiceError};
 use esd::workloads::real_bugs::paste_invalid_free;
 use esd::workloads::{all_real_bugs, generate_bpf, BpfConfig, Workload};
-use esd::{EsdOptions, FrontierKind, JobExecutor, JobStatus, JobVerdict, RemoteClient};
+use esd::{EsdOptions, FrontierKind, JobExecutor, JobSpec, JobStatus, JobVerdict, RemoteClient};
 use std::time::Duration;
 
 /// The executor pool size under test (the CI matrix sets `ESD_POOL` to
@@ -22,13 +22,13 @@ fn mkfifo() -> Workload {
 
 /// The two e2e workloads: `mkfifo` on the default proximity frontier and
 /// `paste` on the batched beam frontier.
-fn requests() -> Vec<JobRequest> {
+fn requests() -> Vec<JobSpec> {
     let mkfifo = mkfifo();
     let paste = paste_invalid_free();
     vec![
-        JobRequest::new("mkfifo", &mkfifo.program, mkfifo.goal())
+        JobSpec::new("mkfifo", &mkfifo.program, mkfifo.goal())
             .options(EsdOptions::builder().max_steps(8_000_000).build()),
-        JobRequest::new("paste", &paste.program, paste.goal()).options(
+        JobSpec::new("paste", &paste.program, paste.goal()).options(
             EsdOptions::builder()
                 .max_steps(8_000_000)
                 .frontier(FrontierKind::Beam { width: 16 })
@@ -139,7 +139,7 @@ fn submit_past_the_bounded_queue_is_a_typed_overloaded() {
     let mut service =
         InProcessService::new(JobExecutor::round_robin().slice_rounds(512)).max_pending(2);
     let request = || {
-        JobRequest::new("queued", &w.program, w.goal())
+        JobSpec::new("queued", &w.program, w.goal())
             .options(EsdOptions::builder().max_steps(8_000_000).build())
     };
     service.submit(request()).expect("first fits the queue");
@@ -172,7 +172,7 @@ fn overloaded_crosses_the_wire_as_a_typed_error() {
     let server = std::thread::spawn(move || daemon.run().expect("daemon run"));
     let mut client = RemoteClient::connect_tcp(addr.to_string()).expect("connect");
     let expensive = || {
-        JobRequest::new("slow", &w.program, w.goal()).options(
+        JobSpec::new("slow", &w.program, w.goal()).options(
             EsdOptions::builder().max_steps(u64::MAX / 2).frontier(FrontierKind::Bfs).build(),
         )
     };
@@ -209,7 +209,7 @@ fn maximal_deadlines_neither_panic_submit_nor_recovery() {
     let dir = std::env::temp_dir().join(format!("esd_svc_max_deadline_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let w = mkfifo();
-    let request = JobRequest::new("forever", &w.program, w.goal())
+    let request = JobSpec::new("forever", &w.program, w.goal())
         .options(EsdOptions::builder().max_steps(8_000_000).deadline(Duration::MAX).build());
     let executor = JobExecutor::round_robin().checkpoint_every(1000).durable_dir(&dir);
     let mut service = InProcessService::new(executor.expect("durable dir"));
@@ -249,7 +249,7 @@ fn local_subscriptions_stream_progress_then_done() {
     let mut service = InProcessService::new(JobExecutor::round_robin().slice_rounds(4));
     let ticket = service
         .submit(
-            JobRequest::new("watched", &w.program, w.goal())
+            JobSpec::new("watched", &w.program, w.goal())
                 .options(EsdOptions::builder().max_steps(8_000_000).build()),
         )
         .expect("submit");
@@ -286,7 +286,7 @@ fn recovered_executor_serves_its_old_tickets() {
     let _ = std::fs::remove_dir_all(&dir);
     let w = mkfifo();
     let request = |label: &str| {
-        JobRequest::new(label, &w.program, w.goal())
+        JobSpec::new(label, &w.program, w.goal())
             .options(EsdOptions::builder().max_steps(8_000_000).build())
     };
     let executor = JobExecutor::round_robin()

@@ -4,7 +4,7 @@
 
 use esd::playback::play;
 use esd::workloads::{listing1, real_bugs::paste_invalid_free};
-use esd::{Esd, EsdOptions, SessionStatus};
+use esd::{Esd, EsdOptions, SessionStatus, SynthesisSession};
 
 /// Determinism invariant of the tentpole: for a fixed seed, a session
 /// advanced via `run_for(1)` slices yields byte-identical execution-file
@@ -19,7 +19,11 @@ fn session_slicing_is_deterministic() {
         .synthesize_goal(&w.program, w.goal())
         .expect("one-shot synthesis succeeds");
 
-    let mut session = EsdOptions::builder().max_steps(2_000_000).session(&w.program, w.goal());
+    let mut session = SynthesisSession::new(
+        &w.program,
+        w.goal(),
+        EsdOptions::builder().max_steps(2_000_000).build(),
+    );
     while session.poll().is_running() {
         session.run_for(1);
     }
@@ -44,10 +48,11 @@ fn session_slicing_is_deterministic() {
 fn progress_events_surface_static_pruning_counters() {
     let w = esd::workloads::all_real_bugs().into_iter().find(|w| w.name == "mkfifo").unwrap();
     let run = |pruning: bool| {
-        let mut session = EsdOptions::builder()
-            .max_steps(2_000_000)
-            .static_pruning(pruning)
-            .session(&w.program, w.goal());
+        let mut session = SynthesisSession::new(
+            &w.program,
+            w.goal(),
+            EsdOptions::builder().max_steps(2_000_000).static_pruning(pruning).build(),
+        );
         while session.poll().is_running() {
             session.run_for(64);
         }
@@ -77,7 +82,7 @@ fn progress_events_surface_static_pruning_counters() {
 #[test]
 fn cancel_surfaces_partial_stats() {
     let w = listing1();
-    let mut session = EsdOptions::builder().session(&w.program, w.goal());
+    let mut session = SynthesisSession::new(&w.program, w.goal(), EsdOptions::builder().build());
     session.run_for(50);
     assert!(session.poll().is_running(), "listing1 takes more than 50 rounds");
     let stats = session.cancel();
