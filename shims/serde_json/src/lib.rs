@@ -297,12 +297,22 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape with
+                    // one UTF-8 check. Neither byte occurs inside a multi-byte
+                    // sequence, so a run never splits a character.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let run = &rest[..len.unwrap_or(rest.len())];
+                    match std::str::from_utf8(run) {
+                        Ok(text) => {
+                            out.push_str(text);
+                            self.pos += run.len();
+                        }
+                        Err(e) => {
+                            self.pos += e.valid_up_to();
+                            return Err(self.err("invalid UTF-8"));
+                        }
+                    }
                 }
             }
         }
@@ -378,6 +388,24 @@ mod tests {
             out
         };
         assert_eq!(parse(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn strings_decode_multi_byte_runs_next_to_escapes() {
+        let text = "\"ünïcødé\\n→\\\"x\\u00e9🦀 é\"";
+        assert_eq!(parse(text).unwrap(), Value::Str("ünïcødé\n→\"xé🦀 é".into()));
+    }
+
+    #[test]
+    fn invalid_utf8_is_reported_at_its_own_position() {
+        // "é" then a lone continuation byte at offset 3, then a valid tail.
+        let bytes = b"\"\xc3\xa9\xa9ok\\n\"";
+        let mut p = Parser { bytes, pos: 0 };
+        assert_eq!(p.string().unwrap_err(), Error("invalid UTF-8 at byte 3".into()));
+        // Invalid bytes after the string do not fail it.
+        let bytes = b"\"ok\" \xff";
+        let mut p = Parser { bytes, pos: 0 };
+        assert_eq!(p.string().unwrap(), "ok");
     }
 
     #[test]
