@@ -1,7 +1,15 @@
 //! §7.1 playback check: every synthesized execution replays deterministically.
+//!
+//! Exits 2 when any workload does not (the `coverage_matrix` exit-code
+//! convention), so CI can gate on it.
 fn main() {
     println!("{:<20} {:>24}", "workload", "replays deterministically");
+    let mut failed = false;
     for (name, ok) in esd_bench::playback_check(esd_bench::ESD_BUDGET, 3) {
         println!("{:<20} {:>24}", name, if ok { "yes" } else { "NO" });
+        failed |= !ok;
+    }
+    if failed {
+        std::process::exit(2);
     }
 }

@@ -1,5 +1,17 @@
 //! Regenerates Table 1 of the paper (ESD synthesis time per real bug).
+//!
+//! Exits 2 when an analog is not synthesized or its execution does not
+//! replay (the `coverage_matrix` exit-code convention), so CI can gate on it.
 fn main() {
     let rows = esd_bench::table1(esd_bench::ESD_BUDGET);
     esd_bench::print_table1(&rows);
+    let failed: Vec<&str> = rows
+        .iter()
+        .filter(|r| r.esd_secs.is_none() || !r.playback_ok)
+        .map(|r| r.system.as_str())
+        .collect();
+    if !failed.is_empty() {
+        eprintln!("FAIL: not synthesized or not replayed: {}", failed.join(", "));
+        std::process::exit(2);
+    }
 }
