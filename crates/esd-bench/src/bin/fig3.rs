@@ -3,6 +3,9 @@
 //! The ESD search frontier is selectable, to compare frontiers on the same
 //! sweep: `fig3 [dfs|bfs|random|proximity|beam[:width]]`, or the `ESD_FRONTIER`
 //! environment variable (default: proximity).
+//!
+//! Exits 2 when ESD does not synthesize a row within its budget (the
+//! `table1` exit-code convention), so CI can gate on it.
 fn main() {
     let frontier = esd_bench::frontier_from_args();
     let rows = esd_bench::fig3(
@@ -12,4 +15,10 @@ fn main() {
         frontier,
     );
     esd_bench::print_fig3(&rows, frontier);
+    let missed: Vec<String> =
+        rows.iter().filter(|r| r.esd_secs.is_none()).map(|r| r.branches.to_string()).collect();
+    if !missed.is_empty() {
+        eprintln!("FAIL: ESD did not synthesize the BPF rows with branches: {}", missed.join(", "));
+        std::process::exit(2);
+    }
 }

@@ -12,10 +12,10 @@
 //! * `fig2` — time to a path to the bug for ESD, KC-DFS and KC-RandPath on
 //!   ls1–ls4 and the real-bug analogs. The analogs are small: all three
 //!   find every one of them at once.
-//! * `fig3` — ESD's time and steps, and KC-RandPath's time, over BPF
-//!   programs of growing branch count, with each program's size in KLOC
-//!   (Figure 4's x-axis). ESD's steps grow with the branch count, and
-//!   KC-RandPath hits its cap from 64 branches on.
+//! * `fig3` — ESD's and KC-RandPath's time and steps over BPF programs of
+//!   growing branch count, with each program's size in KLOC (Figure 4's
+//!   x-axis). ESD's steps grow with the branch count, and KC-RandPath hits
+//!   its cap from 64 branches on. Exits 2 when ESD misses a row.
 //! * `ablation` — ESD's time and steps on the SQLite analog with each
 //!   search heuristic switched off in turn.
 //! * `stress_baseline` — bounded random testing, which reproduces no
@@ -33,7 +33,7 @@
 
 pub mod coverage;
 
-use esd_core::{stress_test, Esd, EsdOptions, StressConfig};
+use esd_core::{stress_test, Esd, EsdOptions, StressConfig, SynthesisReport};
 use esd_playback::play;
 use esd_symex::FrontierKind;
 use esd_workloads::{all_real_bugs, generate_bpf, listing1, BpfConfig, Workload, WorkloadKind};
@@ -89,10 +89,10 @@ pub(crate) fn secs(d: Duration) -> f64 {
 
 /// Runs the KC baseline on `w` — the [`EsdOptions::kc`] preset with the
 /// given Klee searcher and seed, capped at `kc_cap` steps — and returns its
-/// time to a path to the bug (None = cap reached).
-fn kc_secs(w: &Workload, frontier: FrontierKind, seed: u64, kc_cap: u64) -> Option<f64> {
+/// report (None = cap reached).
+fn kc_run(w: &Workload, frontier: FrontierKind, seed: u64, kc_cap: u64) -> Option<SynthesisReport> {
     let options = EsdOptions { max_steps: kc_cap, seed, ..EsdOptions::kc(frontier) };
-    Esd::new(options).synthesize_goal(&w.program, w.goal()).ok().map(|r| secs(r.elapsed))
+    Esd::new(options).synthesize_goal(&w.program, w.goal()).ok()
 }
 
 /// One row of Table 1.
@@ -217,8 +217,8 @@ pub fn run_fig2_row(w: &Workload, esd_budget: u64, kc_cap: u64, frontier: Fronti
     Fig2Row {
         system: w.name.clone(),
         esd_secs,
-        kc_dfs_secs: kc_secs(w, FrontierKind::Dfs, 0, kc_cap),
-        kc_rand_secs: kc_secs(w, FrontierKind::Random, 11, kc_cap),
+        kc_dfs_secs: kc_run(w, FrontierKind::Dfs, 0, kc_cap).map(|r| secs(r.elapsed)),
+        kc_rand_secs: kc_run(w, FrontierKind::Random, 11, kc_cap).map(|r| secs(r.elapsed)),
     }
 }
 
@@ -255,6 +255,8 @@ pub struct BpfRow {
     pub esd_steps: u64,
     /// KC (RandomPath) time (None = cap reached).
     pub kc_secs: Option<f64>,
+    /// KC (RandomPath) search steps (None = cap reached).
+    pub kc_steps: Option<u64>,
 }
 
 /// Regenerates Figure 3: synthesis time vs BPF program complexity, with the
@@ -279,12 +281,14 @@ pub fn fig3(
         let start = Instant::now();
         let esd_result = esd.synthesize_goal(&w.program, w.goal());
         let esd_elapsed = start.elapsed();
+        let kc = kc_run(&w, FrontierKind::Random, 5, kc_cap);
         rows.push(BpfRow {
             branches,
             kloc: w.program.estimated_c_loc() as f64 / 1000.0,
             esd_secs: esd_result.as_ref().ok().map(|_| secs(esd_elapsed)),
             esd_steps: esd_result.as_ref().map(|r| r.stats.steps).unwrap_or(0),
-            kc_secs: kc_secs(&w, FrontierKind::Random, 5, kc_cap),
+            kc_secs: kc.as_ref().map(|r| secs(r.elapsed)),
+            kc_steps: kc.map(|r| r.stats.steps),
         });
     }
     rows
@@ -308,18 +312,19 @@ pub fn print_fig3(rows: &[BpfRow], frontier: FrontierKind) {
          (ESD[{frontier}] vs KC-RandPath)"
     );
     println!(
-        "{:<10} {:>10} {:>12} {:>12} {:>12}",
-        "branches", "KLOC", "ESD [s]", "steps", "KC [s]"
+        "{:<10} {:>10} {:>12} {:>12} {:>12} {:>12}",
+        "branches", "KLOC", "ESD [s]", "ESD steps", "KC [s]", "KC steps"
     );
     let fmt = |v: &Option<f64>| v.map(|s| format!("{s:.2}")).unwrap_or_else(|| "cap".into());
     for r in rows {
         println!(
-            "{:<10} {:>10.3} {:>12} {:>12} {:>12}",
+            "{:<10} {:>10.3} {:>12} {:>12} {:>12} {:>12}",
             r.branches,
             r.kloc,
             fmt(&r.esd_secs),
             r.esd_steps,
-            fmt(&r.kc_secs)
+            fmt(&r.kc_secs),
+            r.kc_steps.map_or_else(|| "cap".into(), |s| s.to_string())
         );
     }
 }

@@ -5,8 +5,9 @@
 //! [`SynthesisSession`] is one resumable job. The [`JobExecutor`] is the
 //! layer above it: it holds N independent jobs at once — each exactly one
 //! session — and time-slices them round-robin: every running job gets an
-//! equal slice of [`JobExecutor::slice_rounds`] search rounds, in submit
-//! order, cycling over the running jobs. That is the executor's one
+//! equal slice of [`JobExecutor::slice_rounds`] search rounds (each round
+//! up to 32 micro-steps per selected state, one under race detection or
+//! the KC preset), in submit order, cycling over the running jobs. That is the executor's one
 //! scheduling rule. The only deadline a job has is
 //! [`EsdOptions::deadline`], which stops its search.
 //!
@@ -45,7 +46,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How many search rounds one dispatched slice advances by default
-/// (overridable via [`JobExecutor::slice_rounds`]).
+/// (overridable via [`JobExecutor::slice_rounds`]). A round advances each
+/// selected state a burst of up to 32 micro-steps, so a default slice runs
+/// up to 32k micro-steps per selected state; a job with race detection or
+/// the KC preset steps once per round.
 pub const DEFAULT_SLICE_ROUNDS: u64 = 1024;
 
 /// How many dispatched slices a durable executor runs between checkpoints
@@ -1060,6 +1064,14 @@ mod tests {
         let mut pb = ProgramBuilder::new(name);
         let mut loc = None;
         pb.function("main", 0, |f| {
+            // A straight-line prelude: at 32 micro-steps a round, the job
+            // runs 8 rounds before it reaches the branch, so a test can stop
+            // it mid-run.
+            let mut pad = f.konst(0);
+            for _ in 0..256 {
+                pad = f.add(pad, 1);
+            }
+            f.output(pad);
             let x = f.getchar();
             let c = f.cmp(CmpOp::Eq, x, trigger);
             let bug = f.new_block("bug");

@@ -400,6 +400,14 @@ mod tests {
         let mut pb = ProgramBuilder::new("session_crashy");
         let mut loc = None;
         pb.function("main", 0, |f| {
+            // A straight-line prelude: at 32 micro-steps a round, the job
+            // runs 8 rounds before it reaches the branch, so a test can stop
+            // it mid-run.
+            let mut pad = f.konst(0);
+            for _ in 0..256 {
+                pad = f.add(pad, 1);
+            }
+            f.output(pad);
             let x = f.getchar();
             let c = f.cmp(CmpOp::Eq, x, 42);
             let bug = f.new_block("bug");

@@ -19,7 +19,7 @@
 //! Chess-style preemption bounding (the KC baseline,
 //! [`EsdOptions::kc`]).
 //!
-//! # Beam batches
+//! # Batches and bursts
 //!
 //! The engine is split into a **search pool** (this module: the state map,
 //! the frontier, the dedup fingerprints, the statistics) and a `Stepper`
@@ -33,6 +33,18 @@
 //! into the pool **in batch order**. The stepper never touches the pool
 //! while a batch runs, so the beam is committed before it is drained:
 //! nothing is re-ranked between the states of a batch.
+//!
+//! Each selected state runs a *burst* of up to 32 micro-steps before the
+//! next selection, on every frontier; it stops early when it dies or
+//! reaches the goal, and the states it forks meanwhile wait in the merge.
+//! Re-selecting after every instruction made the proximity search enumerate
+//! about 2,000 states and 120,000–200,000 steps on a medium generated crash;
+//! letting the selected state run, as Klee's batching searcher does, reaches
+//! it in 250–12,000 steps. Two configurations keep one micro-step per
+//! selection: race detection, where every shared access is a preemption
+//! point (§4.2) and a burst only multiplies the live states, and the KC
+//! baseline ([`EsdOptions::kc`]), which models Klee's per-instruction
+//! searcher.
 //!
 //! # The hot state
 //!
@@ -161,10 +173,10 @@ pub enum StepOutcome {
 
 const SCHED_WEIGHT: u64 = 1_000_000_000;
 
-/// How many micro-steps each state of a *multi-state* batch advances per
-/// round. Single-state batches (every non-beam frontier, and a beam that
-/// drained to one live state) advance exactly one micro-step, keeping the
-/// single-state frontiers' one-instruction-per-selection granularity.
+/// How many micro-steps a selected state advances before the next selection
+/// (fewer when it dies or reaches the goal first), on every frontier. Race
+/// detection and the KC baseline advance one micro-step per selection
+/// instead; see the [module docs](self).
 const BATCH_BURST: u32 = 32;
 
 /// A complete, serializable image of an [`Engine`] mid-search, captured by
@@ -343,8 +355,9 @@ impl Engine {
     }
 
     /// Advances the search by one round: one frontier batch selection plus a
-    /// turn of every selected state (seeding the initial state first, on the
-    /// very first round).
+    /// turn of every selected state — a burst of up to 32 micro-steps, or one
+    /// under race detection and the KC baseline (seeding the initial state
+    /// first, on the very first round).
     ///
     /// This is the re-entrant core of the engine: callers may interleave
     /// rounds of several engines, stop between rounds (the partial
@@ -381,7 +394,13 @@ impl Engine {
         if jobs.is_empty() {
             return StepOutcome::Running;
         }
-        let burst = if jobs.len() > 1 { BATCH_BURST } else { 1 };
+        // A burst under race detection multiplies the live states without
+        // finding races sooner; KC models Klee's per-instruction searcher.
+        let burst = if self.options.with_race_detection || self.options.kc_baseline {
+            1
+        } else {
+            BATCH_BURST
+        };
         let mut stepper = Stepper::new(&self.program, &self.analysis, &self.goal, &self.options);
         let results = jobs.into_iter().map(|state| stepper.turn(state.id, state, burst)).collect();
         self.merge(results)

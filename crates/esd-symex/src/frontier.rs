@@ -1,8 +1,8 @@
 //! Pluggable search frontiers: the engine's worklist of execution states.
 //!
 //! The search engine repeatedly *pops* a state from the frontier, advances it
-//! by one micro-step, and *pushes* it back (or pushes the states it forked
-//! into). Which state the frontier hands back next is the search strategy —
+//! by a burst of up to 32 micro-steps (one under race detection and the KC
+//! baseline), and *pushes* it back along with the states it forked. Which state the frontier hands back next is the search strategy —
 //! the only part of the dynamic phase that differs between ESD and the
 //! baselines it is compared against — so it is factored out behind the
 //! [`SearchFrontier`] trait and selected by a [`FrontierKind`] (the

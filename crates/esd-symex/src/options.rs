@@ -30,8 +30,10 @@ pub const KC_PREEMPTION_BOUND: u32 = 2;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EsdOptions {
-    /// Total instruction budget for the dynamic phase (checked between
-    /// rounds, so a round may overshoot by at most one batch's burst).
+    /// Total instruction budget for the dynamic phase. It is checked
+    /// between rounds, so a round may overshoot it by at most one batch's
+    /// bursts: 32 micro-steps per selected state (a beam selects up to its
+    /// width), or one under race detection and the KC preset.
     pub max_steps: u64,
     /// Maximum number of live execution states.
     pub max_states: usize,

@@ -173,6 +173,9 @@ impl<'a> Stepper<'a> {
 
     /// Advances `state` by up to `burst` micro-steps (stopping early when it
     /// dies or reaches the goal) and returns everything the turn produced.
+    /// The engine passes 32 on every frontier, and 1 under race detection
+    /// and the KC baseline. Forks made during the turn are only recorded;
+    /// they reach the frontier when the engine merges the turn.
     pub fn turn(&mut self, id: u64, mut state: ExecState, burst: u32) -> TurnResult {
         let queries_before = self.solver.queries;
         let mut verdict = TurnVerdict::Continue;

@@ -485,9 +485,10 @@ fn snapshot_restore_resumes_identically_for_every_frontier() {
             EsdOptions { frontier: search, seed, max_steps: 400_000, ..EsdOptions::default() };
         let mut uninterrupted =
             Engine::new(program.clone(), analysis.clone(), goal.clone(), config.clone());
-        // Advance partway (few enough rounds that even the fast beam search
-        // has not finished yet), snapshot, then run both to completion.
-        for _ in 0..3 {
+        // Advance partway (two rounds of 32-step bursts: every frontier has
+        // forked but none has reached the deadlock yet), snapshot, then run
+        // both to completion.
+        for _ in 0..2 {
             match uninterrupted.step_round() {
                 StepOutcome::Running => {}
                 other => panic!("{search:?}: ended during warmup: {other:?}"),
@@ -672,4 +673,49 @@ fn branch_refuted_by_pinned_inputs_does_not_fork() {
     // refuted side never ran.
     assert_eq!(turn.other_bugs.len(), 2);
     assert!(turn.other_bugs.iter().all(|(f, _)| matches!(f, FaultKind::AssertFailure { .. })));
+}
+
+/// One round advances the selected state a 32-step burst on every frontier,
+/// and exactly one step under race detection and the KC baseline.
+#[test]
+fn a_round_runs_a_burst_except_under_race_detection_and_kc() {
+    let mut pb = ProgramBuilder::new("straight");
+    let mut crash_loc = None;
+    pb.function("main", 0, |f| {
+        let mut v = f.konst(0);
+        for _ in 0..100 {
+            v = f.add(v, 1);
+        }
+        let null = f.konst(0);
+        crash_loc = Some(Loc::new(esd_ir::FuncId(0), f.current_block(), f.next_inst_idx()));
+        let w = f.load(null);
+        f.output(w);
+        f.output(v);
+        f.ret_void();
+    });
+    let p = Arc::new(pb.finish("main"));
+    let goal = GoalSpec::Crash { loc: crash_loc.unwrap() };
+    let analysis = Arc::new(StaticAnalysis::compute(&p, goal.primary_locs()[0]));
+    let with_frontier = |frontier| EsdOptions { frontier, ..EsdOptions::default() };
+    let cases = [
+        (with_frontier(FrontierKind::Proximity), 32),
+        (with_frontier(FrontierKind::Bfs), 32),
+        (with_frontier(FrontierKind::Random), 32),
+        (with_frontier(FrontierKind::Dfs), 32),
+        (with_frontier(FrontierKind::beam()), 32),
+        (EsdOptions { with_race_detection: true, ..EsdOptions::default() }, 1),
+        (EsdOptions::kc(FrontierKind::Dfs), 1),
+        (EsdOptions::kc(FrontierKind::Random), 1),
+    ];
+    for (options, burst) in cases {
+        let label = format!(
+            "{:?} race={} kc={}",
+            options.frontier, options.with_race_detection, options.kc_baseline
+        );
+        let mut engine = Engine::new(p.clone(), analysis.clone(), goal.clone(), options);
+        for round in 1..=2 {
+            assert!(matches!(engine.step_round(), StepOutcome::Running), "{label}");
+            assert_eq!(engine.stats().steps, round * burst, "{label}: steps after round {round}");
+        }
+    }
 }

@@ -34,8 +34,9 @@ fn regen_requested() -> bool {
 }
 
 /// The fixture recipe: the seed-2 genbug crash workload (the smoke-corpus
-/// seed also pinned by `golden_genbug`) advanced 10 rounds, with the
-/// wall-clock `elapsed` zeroed so the fixture bytes are reproducible.
+/// seed also pinned by `golden_genbug`) advanced 4 rounds of 32-step bursts
+/// (it finds the crash in its eighth), with the wall-clock `elapsed` zeroed
+/// so the fixture bytes are reproducible.
 fn fixture_snapshot() -> SessionSnapshot {
     let w = generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload();
     let mut session = SynthesisSession::new(
@@ -43,7 +44,8 @@ fn fixture_snapshot() -> SessionSnapshot {
         w.goal(),
         EsdOptions::builder().max_steps(2_000_000).build(),
     );
-    session.run_for(10);
+    session.run_for(4);
+    assert!(session.poll().is_running(), "the fixture pins a mid-search session");
     let mut snap = session.snapshot();
     snap.elapsed = Duration::ZERO;
     snap
@@ -112,6 +114,10 @@ struct RawEnvelope {
 /// error or a panic (the version gate runs before everything else).
 #[test]
 fn future_format_versions_are_rejected_with_a_typed_error() {
+    if regen_requested() {
+        // The in-memory FIXTURE constant is stale during a regeneration run.
+        return;
+    }
     let mut envelope: RawEnvelope =
         serde_json::from_str(FIXTURE.trim_end()).expect("fixture envelope parses");
     assert_eq!(envelope.format_version, SNAPSHOT_FORMAT_VERSION);

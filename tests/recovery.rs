@@ -2,9 +2,10 @@
 //! crash at *every* batch boundary and still synthesize byte-identical
 //! execution files.
 //!
-//! The harness first runs an uninterrupted round-robin two-job batch (the `paste` invalid free on the batched `beam:16`
-//! frontier, plus a generated `genbug` corpus program) and records every
-//! job's winner execution bytes and search statistics. It then replays the
+//! The harness first runs an uninterrupted round-robin three-job batch
+//! (the `paste` invalid free on the batched `beam:16` frontier, plus a
+//! generated crash and a generated race on the proximity frontier) and
+//! records every job's winner execution bytes and search statistics. It then replays the
 //! same batch under a durable executor, crashing after `k` dispatched
 //! batches for every crash point `k` — the executor is dropped cold,
 //! exactly what a process kill leaves behind: the last checkpoint plus the
@@ -61,16 +62,21 @@ fn durable_dir(tag: &str) -> PathBuf {
 }
 
 /// The matrix jobs: the real `paste` bug on the batched beam frontier, and
-/// a generated corpus bug on the paper's proximity default.
+/// two generated corpus bugs on the paper's proximity default. The crash
+/// runs 32-step bursts and finishes within a few rounds; the race steps one
+/// instruction per round under race detection and keeps the batch going
+/// for about 30 slices, so the run crosses many batch boundaries.
 fn matrix_jobs() -> Vec<(Workload, EsdOptions)> {
     let beam = EsdOptions::builder()
         .max_steps(2_000_000)
         .frontier(FrontierKind::Beam { width: 16 })
         .build();
     let proximity = EsdOptions::builder().max_steps(2_000_000).build();
+    let race = EsdOptions::builder().max_steps(2_000_000).with_race_detection(true).build();
     vec![
         (paste_invalid_free(), beam),
         (generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload(), proximity),
+        (generate(&GenConfig::new(2, InjectedBugKind::DataRace)).to_workload(), race),
     ]
 }
 
@@ -166,7 +172,7 @@ fn run_matrix(name: &str, cadence: u64) {
     let expected = collect(&mut baseline, &handles);
     assert!(
         expected.iter().all(|e| e.verdict == JobVerdict::Found),
-        "{name}: both matrix jobs must be synthesizable uninterrupted"
+        "{name}: every matrix job must be synthesizable uninterrupted"
     );
 
     for k in crash_points(total, cadence) {

@@ -6,7 +6,7 @@
 
 use esd::service::{Daemon, InProcessService, ProgressUpdate, Service, ServiceError};
 use esd::workloads::real_bugs::paste_invalid_free;
-use esd::workloads::{all_real_bugs, generate_bpf, BpfConfig, Workload};
+use esd::workloads::{generate_bpf, BpfConfig, Workload};
 use esd::{EsdOptions, FrontierKind, JobExecutor, JobSpec, JobStatus, JobVerdict, RemoteClient};
 use std::time::Duration;
 
@@ -16,17 +16,19 @@ fn env_pool() -> usize {
     std::env::var("ESD_POOL").ok().and_then(|s| s.parse().ok()).unwrap_or(2)
 }
 
-fn mkfifo() -> Workload {
-    all_real_bugs().into_iter().find(|w| w.name == "mkfifo").expect("mkfifo workload exists")
+/// A 64-branch BPF deadlock: about 15 rounds on the proximity frontier, so
+/// a 4-round slice leaves it running.
+fn bpf64() -> Workload {
+    generate_bpf(&BpfConfig { branches: 64, ..Default::default() })
 }
 
-/// The two e2e workloads: `mkfifo` on the default proximity frontier and
+/// The two e2e workloads: `bpf64` on the default proximity frontier and
 /// `paste` on the batched beam frontier.
 fn requests() -> Vec<JobSpec> {
-    let mkfifo = mkfifo();
+    let bpf = bpf64();
     let paste = paste_invalid_free();
     vec![
-        JobSpec::new("mkfifo", &mkfifo.program, mkfifo.goal())
+        JobSpec::new("bpf64", &bpf.program, bpf.goal())
             .options(EsdOptions::builder().max_steps(8_000_000).build()),
         JobSpec::new("paste", &paste.program, paste.goal()).options(
             EsdOptions::builder()
@@ -135,7 +137,7 @@ fn tcp_submission_is_byte_identical_to_in_process() {
 /// backlog size, and admits again once the queue drains.
 #[test]
 fn submit_past_the_bounded_queue_is_a_typed_overloaded() {
-    let w = mkfifo();
+    let w = bpf64();
     let mut service =
         InProcessService::new(JobExecutor::round_robin().slice_rounds(512)).max_pending(2);
     let request = || {
@@ -208,7 +210,7 @@ fn overloaded_crosses_the_wire_as_a_typed_error() {
 fn maximal_deadlines_neither_panic_submit_nor_recovery() {
     let dir = std::env::temp_dir().join(format!("esd_svc_max_deadline_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let w = mkfifo();
+    let w = bpf64();
     let request = JobSpec::new("forever", &w.program, w.goal())
         .options(EsdOptions::builder().max_steps(8_000_000).deadline(Duration::MAX).build());
     let executor = JobExecutor::round_robin().checkpoint_every(1000).durable_dir(&dir);
@@ -245,7 +247,7 @@ fn unknown_tickets_are_typed_on_both_backends() {
 /// exactly one `Done` carrying the terminal status, then silence.
 #[test]
 fn local_subscriptions_stream_progress_then_done() {
-    let w = mkfifo();
+    let w = bpf64();
     let mut service = InProcessService::new(JobExecutor::round_robin().slice_rounds(4));
     let ticket = service
         .submit(
@@ -284,7 +286,7 @@ fn local_subscriptions_stream_progress_then_done() {
 fn recovered_executor_serves_its_old_tickets() {
     let dir = std::env::temp_dir().join(format!("esd_svc_recovered_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let w = mkfifo();
+    let w = bpf64();
     let request = |label: &str| {
         JobSpec::new(label, &w.program, w.goal())
             .options(EsdOptions::builder().max_steps(8_000_000).build())

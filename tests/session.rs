@@ -78,11 +78,13 @@ fn progress_events_surface_static_pruning_counters() {
 }
 
 /// Cancelling a running session keeps the partial `SearchStats` of the work
-/// done so far.
+/// done so far. Race detection steps one instruction per round, so the
+/// search is still running after 50 rounds.
 #[test]
 fn cancel_surfaces_partial_stats() {
     let w = listing1();
-    let mut session = SynthesisSession::new(&w.program, w.goal(), EsdOptions::builder().build());
+    let options = EsdOptions::builder().with_race_detection(true).build();
+    let mut session = SynthesisSession::new(&w.program, w.goal(), options);
     session.run_for(50);
     assert!(session.poll().is_running(), "listing1 takes more than 50 rounds");
     let stats = session.cancel();
