@@ -2,7 +2,7 @@
 //!
 //! [`coverage_matrix`] takes a corpus of `(seed, bug kind)` scenarios from
 //! the `esd-workloads` genbug generator and runs every search frontier
-//! (proximity, DFS, BFS, random, beam) against each scenario's ground
+//! (proximity, DFS, BFS, random) against each scenario's ground
 //! truth. The report answers two questions CI gates on:
 //!
 //! 1. **Coverage** — is every injected bug found by at least one frontier
@@ -23,15 +23,9 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// The frontier lineup of the matrix: every [`FrontierKind`] the engine
-/// offers, with the beam at the executor tests' width.
+/// offers, the paper's proximity frontier first.
 pub fn coverage_frontiers() -> Vec<FrontierKind> {
-    vec![
-        FrontierKind::Proximity,
-        FrontierKind::Dfs,
-        FrontierKind::Bfs,
-        FrontierKind::Random,
-        FrontierKind::Beam { width: 16 },
-    ]
+    vec![FrontierKind::Proximity, FrontierKind::Dfs, FrontierKind::Bfs, FrontierKind::Random]
 }
 
 /// The checked-in smoke corpus seeds (reduced mode / CI); ≥ 4 seeds so the

@@ -9,15 +9,14 @@
 //!
 //! * `table1` — ESD's time and search steps per real-bug analog, plus a
 //!   playback check of each synthesized execution.
-//! * `fig2` — time to a path to the bug for ESD, KC-DFS and KC-RandPath on
-//!   ls1–ls4 and the real-bug analogs. The analogs are small: all three
-//!   find every one of them at once.
+//! * `fig2` — search steps to a path to the bug for ESD, KC-DFS and
+//!   KC-RandPath on ls1–ls4 and the real-bug analogs. The analogs are small:
+//!   all three find every one of them within a few thousand steps, and ESD
+//!   takes about as many as KC-DFS. Exits 2 when ESD misses an analog.
 //! * `fig3` — ESD's and KC-RandPath's time and steps over BPF programs of
 //!   growing branch count, with each program's size in KLOC (Figure 4's
 //!   x-axis). ESD's steps grow with the branch count, and KC-RandPath hits
 //!   its cap from 64 branches on. Exits 2 when ESD misses a row.
-//! * `ablation` — ESD's time and steps on the SQLite analog with each
-//!   search heuristic switched off in turn.
 //! * `stress_baseline` — bounded random testing, which reproduces no
 //!   failure; `playback_check` — every synthesized execution replays.
 //!
@@ -54,10 +53,10 @@ pub fn full_mode() -> bool {
 
 /// The search frontier the ESD side of a benchmark should use, so the fig2 /
 /// fig3 binaries can compare frontiers: the first positional CLI
-/// argument wins (`fig2 dfs`, `fig2 beam:16`), then the `ESD_FRONTIER`
+/// argument wins (`fig2 dfs`, `fig2 random`), then the `ESD_FRONTIER`
 /// environment variable, then the paper's proximity-guided default. Accepted
 /// spellings are those of `FrontierKind::from_str`:
-/// `dfs|bfs|random|proximity|beam[:width]`. An unknown spelling aborts
+/// `dfs|bfs|random|proximity`. An unknown spelling aborts
 /// with the parser's message rather than silently measuring the wrong
 /// thing.
 pub fn frontier_from_args() -> FrontierKind {
@@ -176,22 +175,24 @@ pub fn print_table1(rows: &[Table1Row]) {
     }
 }
 
-/// One bar group of Figure 2.
+/// One bar group of Figure 2, in search steps (`None` = the budget or cap
+/// ran out without finding the path).
 #[derive(Debug, Clone)]
 pub struct Fig2Row {
     /// Workload name.
     pub system: String,
-    /// ESD synthesis time (None = budget exceeded).
-    pub esd_secs: Option<f64>,
-    /// KC with DFS (None = cap reached without finding the path).
-    pub kc_dfs_secs: Option<f64>,
-    /// KC with RandomPath (None = cap reached).
-    pub kc_rand_secs: Option<f64>,
+    /// ESD's search steps.
+    pub esd_steps: Option<u64>,
+    /// KC with DFS.
+    pub kc_dfs_steps: Option<u64>,
+    /// KC with RandomPath.
+    pub kc_rand_steps: Option<u64>,
 }
 
-/// Regenerates Figure 2: time to find a path to the bug, ESD (with the given
-/// search frontier) vs the two KC search strategies,
-/// on ls1–ls4 and the real-bug analogs.
+/// Regenerates Figure 2: search steps to find a path to the bug, ESD (with
+/// the given search frontier) vs the two KC search strategies, on ls1–ls4
+/// and the real-bug analogs. Steps are deterministic, unlike the paper's
+/// seconds, which are all near zero on analogs this small.
 pub fn fig2(esd_budget: u64, kc_cap: u64, frontier: FrontierKind) -> Vec<Fig2Row> {
     let mut rows = Vec::new();
     for w in all_real_bugs() {
@@ -212,13 +213,12 @@ pub fn run_fig2_row(w: &Workload, esd_budget: u64, kc_cap: u64, frontier: Fronti
             .static_pruning(static_pruning_from_env())
             .build(),
     );
-    let start = Instant::now();
-    let esd_secs = esd.synthesize_goal(&w.program, w.goal()).ok().map(|_| secs(start.elapsed()));
+    let esd_steps = esd.synthesize_goal(&w.program, w.goal()).ok().map(|r| r.stats.steps);
     Fig2Row {
         system: w.name.clone(),
-        esd_secs,
-        kc_dfs_secs: kc_run(w, FrontierKind::Dfs, 0, kc_cap).map(|r| secs(r.elapsed)),
-        kc_rand_secs: kc_run(w, FrontierKind::Random, 11, kc_cap).map(|r| secs(r.elapsed)),
+        esd_steps,
+        kc_dfs_steps: kc_run(w, FrontierKind::Dfs, 0, kc_cap).map(|r| r.stats.steps),
+        kc_rand_steps: kc_run(w, FrontierKind::Random, 11, kc_cap).map(|r| r.stats.steps),
     }
 }
 
@@ -226,20 +226,24 @@ pub fn run_fig2_row(w: &Workload, esd_budget: u64, kc_cap: u64, frontier: Fronti
 /// that fade out at the top of the paper's plot).
 pub fn print_fig2(rows: &[Fig2Row], frontier: FrontierKind) {
     println!(
-        "Figure 2: time to find a path to the bug — \
+        "Figure 2: search steps to find a path to the bug — \
          ESD[{frontier}] vs KC(DFS) vs KC(RandPath)"
     );
-    println!("{:<10} {:>12} {:>12} {:>14}", "System", "ESD [s]", "KC-DFS [s]", "KC-Rand [s]");
-    let fmt = |v: &Option<f64>| v.map(|s| format!("{s:.2}")).unwrap_or_else(|| "cap".into());
+    println!("{:<10} {:>12} {:>12} {:>14}", "System", "ESD steps", "KC-DFS", "KC-Rand");
     for r in rows {
         println!(
             "{:<10} {:>12} {:>12} {:>14}",
             r.system,
-            fmt(&r.esd_secs),
-            fmt(&r.kc_dfs_secs),
-            fmt(&r.kc_rand_secs)
+            steps_or_cap(r.esd_steps),
+            steps_or_cap(r.kc_dfs_steps),
+            steps_or_cap(r.kc_rand_steps)
         );
     }
+}
+
+/// A step count, or "cap" when the budget ran out.
+fn steps_or_cap(steps: Option<u64>) -> String {
+    steps.map_or_else(|| "cap".into(), |s| s.to_string())
 }
 
 /// One point of Figure 3 (and of Figure 4, whose x-axis is `kloc`).
@@ -324,57 +328,8 @@ pub fn print_fig3(rows: &[BpfRow], frontier: FrontierKind) {
             fmt(&r.esd_secs),
             r.esd_steps,
             fmt(&r.kc_secs),
-            r.kc_steps.map_or_else(|| "cap".into(), |s| s.to_string())
+            steps_or_cap(r.kc_steps)
         );
-    }
-}
-
-/// One row of the ablation study over ESD's search heuristics.
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    /// Which configuration was measured.
-    pub config: &'static str,
-    /// Synthesis time (None = budget exceeded).
-    pub secs: Option<f64>,
-    /// Search steps executed.
-    pub steps: u64,
-}
-
-/// Ablation of ESD's search heuristics on the SQLite analog: proximity
-/// guidance always on (it is the strategy itself), each of the other
-/// heuristics switched off one at a time.
-pub fn ablation(esd_budget: u64) -> Vec<AblationRow> {
-    let w = esd_workloads::real_bugs::sqlite_recursive_lock();
-    let base =
-        || EsdOptions::builder().max_steps(esd_budget).static_pruning(static_pruning_from_env());
-    let configs: Vec<(&'static str, EsdOptions)> = vec![
-        ("full ESD", base().build()),
-        ("no intermediate goals", base().use_intermediate_goals(false).build()),
-        ("no critical edges", base().use_critical_edges(false).build()),
-        ("no schedule bias", base().schedule_bias(false).build()),
-    ];
-    configs
-        .into_iter()
-        .map(|(name, opts)| {
-            let esd = Esd::new(opts);
-            let start = Instant::now();
-            let result = esd.synthesize_goal(&w.program, w.goal());
-            AblationRow {
-                config: name,
-                secs: result.as_ref().ok().map(|_| secs(start.elapsed())),
-                steps: result.map(|r| r.stats.steps).unwrap_or(0),
-            }
-        })
-        .collect()
-}
-
-/// Renders the ablation table.
-pub fn print_ablation(rows: &[AblationRow]) {
-    println!("Ablation: ESD heuristics on the SQLite deadlock analog");
-    println!("{:<24} {:>12} {:>12}", "configuration", "time [s]", "steps");
-    let fmt = |v: &Option<f64>| v.map(|s| format!("{s:.2}")).unwrap_or_else(|| "timeout".into());
-    for r in rows {
-        println!("{:<24} {:>12} {:>12}", r.config, fmt(&r.secs), r.steps);
     }
 }
 
@@ -594,13 +549,9 @@ mod tests {
     #[test]
     fn all_frontiers_are_selectable() {
         let w = all_real_bugs().into_iter().find(|w| w.name == "mkfifo").unwrap();
-        for frontier in [
-            FrontierKind::Dfs,
-            FrontierKind::Bfs,
-            FrontierKind::Random,
-            FrontierKind::Proximity,
-            FrontierKind::beam(),
-        ] {
+        for frontier in
+            [FrontierKind::Dfs, FrontierKind::Bfs, FrontierKind::Random, FrontierKind::Proximity]
+        {
             let row = run_fig2_row(&w, 20_000, 1_000, frontier);
             assert_eq!(row.system, "mkfifo");
         }

@@ -27,9 +27,11 @@ use std::path::Path;
 /// The current snapshot envelope format version. Bump when the envelope (or
 /// the canonical payload encoding) changes shape, or when the search steps
 /// differently: a payload written under the old stepping rule would resume
-/// along a different trajectory. [`unseal`] rejects any other version with
+/// along a different trajectory. Removing a variant a payload may hold
+/// (format 14 dropped the batched frontier's image) is a change of shape
+/// too. [`unseal`] rejects any other version with
 /// [`SnapshotError::UnknownVersion`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 13;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 14;
 
 /// 64-bit FNV-1a over `bytes` — the dependency-free checksum used by both
 /// snapshot envelopes and journal frames.

@@ -19,22 +19,18 @@
 //! Chess-style preemption bounding (the KC baseline,
 //! [`EsdOptions::kc`]).
 //!
-//! # Batches and bursts
+//! # Rounds and bursts
 //!
 //! The engine is split into a **search pool** (this module: the state map,
 //! the frontier, the dedup fingerprints, the statistics) and a `Stepper`
-//! (the crate-private `stepper` module) that advances individual states with
-//! its own private [`Solver`](crate::solver::Solver). One
-//! [`Engine::step_round`] selects a whole *batch* from the frontier — a
-//! single state for the single-state frontiers, the entire beam for
-//! [`FrontierKind::Beam`](crate::frontier::FrontierKind::Beam) — advances
-//! every state of the batch, and then merges the recorded effects (forked
-//! states, statistics, flagged races, other bugs, snapshot promotions) back
-//! into the pool **in batch order**. The stepper never touches the pool
-//! while a batch runs, so the beam is committed before it is drained:
-//! nothing is re-ranked between the states of a batch.
+//! (the crate-private `stepper` module) that advances one state with its
+//! own private [`Solver`](crate::solver::Solver). One [`Engine::step_round`]
+//! selects one state from the frontier, advances it, and then merges the
+//! recorded effects (forked states, statistics, flagged races, other bugs,
+//! snapshot promotions) back into the pool. The stepper never touches the
+//! pool while the state runs.
 //!
-//! Each selected state runs a *burst* of up to 32 micro-steps before the
+//! The selected state runs a *burst* of up to 32 micro-steps before the
 //! next selection, on every frontier; it stops early when it dies or
 //! reaches the goal, and the states it forks meanwhile wait in the merge.
 //! Re-selecting after every instruction made the proximity search enumerate
@@ -48,12 +44,12 @@
 //!
 //! # The hot state
 //!
-//! The last state of a batch that survives its turn does not go back into
-//! the pool. The engine holds it as the *hot* state, outside the state map
-//! and the frontier, and folds its final-goal distance into
+//! The state that survives its turn does not go back into the pool. The
+//! engine holds it as the *hot* state, outside the state map and the
+//! frontier, and folds its final-goal distance into
 //! [`SearchStats::best_proximity`] as a push would. The next round offers it
-//! to [`SearchFrontier::pop_batch_with`], which selects exactly what pushing
-//! it and calling [`SearchFrontier::pop_batch`] would have selected; only a
+//! to [`SearchFrontier::pop_with`], which selects exactly what pushing it
+//! and calling [`SearchFrontier::pop`] would have selected; only a
 //! selection that passes it over pushes it and puts it back into the map.
 //! Forks and promotions never flush it: the merge pushes them before the
 //! surviving state would have been re-pushed anyway. [`Engine::snapshot`]
@@ -70,7 +66,7 @@ use esd_concurrency::Schedule;
 use esd_ir::interp::ThreadStatus;
 use esd_ir::{FaultKind, Loc, Program};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 pub use crate::expr::SymVarInfo;
@@ -177,7 +173,7 @@ const SCHED_WEIGHT: u64 = 1_000_000_000;
 /// (fewer when it dies or reaches the goal first), on every frontier. Race
 /// detection and the KC baseline advance one micro-step per selection
 /// instead; see the [module docs](self).
-const BATCH_BURST: u32 = 32;
+const BURST: u32 = 32;
 
 /// A complete, serializable image of an [`Engine`] mid-search, captured by
 /// [`Engine::snapshot`] and rebuilt by [`Engine::restore`].
@@ -221,10 +217,10 @@ pub struct EngineSnapshot {
 /// The engine owns its program and static analysis (shared via [`Arc`]), so
 /// callers that outlive the current stack frame — resumable synthesis
 /// sessions, the executor's jobs — can own an engine outright. The search is
-/// re-entrant: [`Engine::step_round`] advances exactly one frontier batch
+/// re-entrant: [`Engine::step_round`] advances exactly one selected state
 /// and returns a [`StepOutcome`].
 /// State advancement itself lives in the `Stepper`; see the
-/// [module docs](self) for how beam batches are advanced and merged.
+/// [module docs](self) for how a round's burst is advanced and merged.
 pub struct Engine {
     program: Arc<Program>,
     analysis: Arc<StaticAnalysis>,
@@ -268,19 +264,16 @@ impl Engine {
         }
         queue_targets.push(goal.primary_locs());
         let frontier = options.frontier.build(options.seed, queue_targets.len());
-        let read = if !frontier.wants_priorities() {
-            0
-        } else if frontier.wants_intermediate_priorities() {
-            queue_targets.len()
+        // Resolve the distance maps of the queues the frontier reads once,
+        // instead of per state and step.
+        let queues = if frontier.wants_priorities() {
+            queue_targets
+                .iter()
+                .map(|targets| targets.iter().map(|t| oracle.goal_distances(*t)).collect())
+                .collect()
         } else {
-            1
+            Vec::new()
         };
-        // Resolve the distance maps of the queues the frontier reads (the
-        // last `read` ones) once, instead of per state and step.
-        let queues = queue_targets[queue_targets.len() - read..]
-            .iter()
-            .map(|targets| targets.iter().map(|t| oracle.goal_distances(*t)).collect())
-            .collect();
         let guidance = Guidance {
             oracle,
             queues,
@@ -354,10 +347,10 @@ impl Engine {
         engine
     }
 
-    /// Advances the search by one round: one frontier batch selection plus a
-    /// turn of every selected state — a burst of up to 32 micro-steps, or one
-    /// under race detection and the KC baseline (seeding the initial state
-    /// first, on the very first round).
+    /// Advances the search by one round: one frontier selection plus a turn
+    /// of the selected state — a burst of up to 32 micro-steps, or one under
+    /// race detection and the KC baseline (seeding the initial state first,
+    /// on the very first round).
     ///
     /// This is the re-entrant core of the engine: callers may interleave
     /// rounds of several engines, stop between rounds (the partial
@@ -373,37 +366,33 @@ impl Engine {
         if self.stats.steps >= self.options.max_steps {
             return StepOutcome::BudgetExceeded;
         }
-        let batch = match &self.hot {
-            Some(hot) => self.frontier.pop_batch_with(&HotKeys { hot, guidance: &self.guidance }),
-            None => self.frontier.pop_batch(),
+        let selected = match &self.hot {
+            Some(hot) => self.frontier.pop_with(&HotKeys { hot, guidance: &self.guidance }),
+            None => self.frontier.pop(),
         };
-        if batch.is_empty() {
+        let Some(id) = selected else {
             return StepOutcome::Exhausted;
-        }
-        let jobs: Vec<ExecState> = match self.hot.take() {
-            Some(hot) if batch == [hot.state.id] => vec![hot.state],
+        };
+        let state = match self.hot.take() {
+            Some(hot) if hot.state.id == id => hot.state,
             hot => {
-                // A hot state that was passed over is queued now, and one
-                // selected with others is taken back out of the map below.
+                // A hot state that was passed over is queued now.
                 if let Some(Hot { state, .. }) = hot {
                     self.states.insert(state.id, state);
                 }
-                batch.iter().filter_map(|id| self.states.remove(id)).collect()
+                match self.states.remove(&id) {
+                    Some(state) => state,
+                    None => return StepOutcome::Running,
+                }
             }
         };
-        if jobs.is_empty() {
-            return StepOutcome::Running;
-        }
         // A burst under race detection multiplies the live states without
         // finding races sooner; KC models Klee's per-instruction searcher.
-        let burst = if self.options.with_race_detection || self.options.kc_baseline {
-            1
-        } else {
-            BATCH_BURST
-        };
+        let burst =
+            if self.options.with_race_detection || self.options.kc_baseline { 1 } else { BURST };
         let mut stepper = Stepper::new(&self.program, &self.analysis, &self.goal, &self.options);
-        let results = jobs.into_iter().map(|state| stepper.turn(state.id, state, burst)).collect();
-        self.merge(results)
+        let result = stepper.turn(state, burst);
+        self.merge(result)
     }
 
     /// Access to the search statistics so far.
@@ -438,67 +427,59 @@ impl Engine {
 
     // ---- deterministic merge ------------------------------------------------
 
-    /// Merges a batch's turn results into the shared pool, strictly in batch
-    /// order: statistics first, then snapshot promotions, then fork
-    /// admission (dedup fingerprint + pool cap, assigning state ids in
-    /// creation order), then the surviving parent re-enters the frontier —
-    /// or, for the batch's last result, becomes the hot state. The first
-    /// goal-reaching result in batch order wins; later results of the same
-    /// batch are discarded.
-    fn merge(&mut self, results: Vec<TurnResult>) -> StepOutcome {
-        let mut pending: VecDeque<TurnResult> = results.into();
-        while let Some(mut result) = pending.pop_front() {
-            self.stats.steps += result.steps;
-            self.stats.solver_queries += result.solver_queries;
-            self.stats.branches_pruned_static += result.branches_pruned_static;
-            self.stats.solver_queries_saved += result.solver_queries_saved;
-            self.stats.preemptions_pruned_static += result.preemptions_pruned_static;
-            self.stats.races_flagged += result.races_flagged;
-            self.stats.other_bugs_found += result.other_bugs.len();
-            self.other_bugs.append(&mut result.other_bugs);
-            for promotion in std::mem::take(&mut result.promotions) {
-                match promotion {
-                    Promotion::Registered(sid) => self.promote_snapshot(sid, &mut pending),
-                    // A snapshot forked earlier in the same turn: promote it
-                    // before admission so it enters the frontier with the
-                    // promoted priority (sequentially the fork would have
-                    // registered Neutral and been re-pushed Near one round
-                    // later — the effective frontier position is the same).
-                    Promotion::Pending(fork) => {
-                        result.forks[fork].state.sched_distance = SchedDistance::Near;
-                    }
+    /// Merges a turn's result into the shared pool: statistics first, then
+    /// snapshot promotions, then fork admission (dedup fingerprint + pool
+    /// cap, assigning state ids in creation order); a surviving state then
+    /// becomes the hot state.
+    fn merge(&mut self, mut result: TurnResult) -> StepOutcome {
+        self.stats.steps += result.steps;
+        self.stats.solver_queries += result.solver_queries;
+        self.stats.branches_pruned_static += result.branches_pruned_static;
+        self.stats.solver_queries_saved += result.solver_queries_saved;
+        self.stats.preemptions_pruned_static += result.preemptions_pruned_static;
+        self.stats.races_flagged += result.races_flagged;
+        self.stats.other_bugs_found += result.other_bugs.len();
+        self.other_bugs.append(&mut result.other_bugs);
+        for promotion in std::mem::take(&mut result.promotions) {
+            match promotion {
+                Promotion::Registered(sid) => self.promote_snapshot(sid),
+                // A snapshot forked earlier in the same turn: promote it
+                // before admission so it enters the frontier with the
+                // promoted priority (sequentially the fork would have
+                // registered Neutral and been re-pushed Near one round
+                // later — the effective frontier position is the same).
+                Promotion::Pending(fork) => {
+                    result.forks[fork].state.sched_distance = SchedDistance::Near;
                 }
             }
-            for PendingFork { state, lock_snapshot } in std::mem::take(&mut result.forks) {
-                if let Some(id) = self.register_state(state) {
-                    if let Some(mutex) = lock_snapshot {
-                        result.state.lock_snapshots.push((mutex, id));
-                    }
+        }
+        for PendingFork { state, lock_snapshot } in std::mem::take(&mut result.forks) {
+            if let Some(id) = self.register_state(state) {
+                if let Some(mutex) = lock_snapshot {
+                    result.state.lock_snapshots.push((mutex, id));
                 }
             }
-            match result.verdict {
-                TurnVerdict::Continue if pending.is_empty() => {
-                    let final_dist = self.guidance.final_distance(&result.state);
-                    self.note_proximity(final_dist);
-                    self.hot = Some(Hot { state: result.state, final_dist });
-                }
-                TurnVerdict::Continue => self.reinsert_state(result.state),
-                TurnVerdict::Dead => {}
-                TurnVerdict::Goal { solution: Some(solution) } => {
-                    return StepOutcome::Found(Box::new(self.synthesized(solution)));
-                }
-                // The goal state's constraints could not be solved: abandon
-                // it and keep searching.
-                TurnVerdict::Goal { solution: None } => {}
+        }
+        match result.verdict {
+            TurnVerdict::Continue => {
+                let final_dist = self.guidance.final_distance(&result.state);
+                self.note_proximity(final_dist);
+                self.hot = Some(Hot { state: result.state, final_dist });
             }
+            TurnVerdict::Dead => {}
+            TurnVerdict::Goal { solution: Some(solution) } => {
+                return StepOutcome::Found(Box::new(self.synthesized(solution)));
+            }
+            // The goal state's constraints could not be solved: abandon it
+            // and keep searching.
+            TurnVerdict::Goal { solution: None } => {}
         }
         StepOutcome::Running
     }
 
-    /// Applies the deadlock roll-back heuristic to a snapshot state: promote
-    /// it to [`SchedDistance::Near`] wherever it currently lives — the pool,
-    /// or the not-yet-merged remainder of the current batch.
-    fn promote_snapshot(&mut self, sid: u64, pending: &mut VecDeque<TurnResult>) {
+    /// Applies the deadlock roll-back heuristic to a snapshot state in the
+    /// pool: re-push it as [`SchedDistance::Near`].
+    fn promote_snapshot(&mut self, sid: u64) {
         if let Some(mut state) = self.states.remove(&sid) {
             // Taken out of the map only to satisfy the borrow checker across
             // the push (which recomputes the priority keys); reinserted
@@ -506,11 +487,6 @@ impl Engine {
             state.sched_distance = SchedDistance::Near;
             self.push_to_frontier(&state);
             self.states.insert(sid, state);
-        } else if let Some(result) = pending.iter_mut().find(|r| r.id == sid) {
-            // The snapshot is part of this very batch: its re-entry into the
-            // frontier (with the promoted priority) happens when its own
-            // result is merged.
-            result.state.sched_distance = SchedDistance::Near;
         }
     }
 
@@ -582,11 +558,6 @@ impl Engine {
         h.finish()
     }
 
-    fn reinsert_state(&mut self, state: ExecState) {
-        self.push_to_frontier(&state);
-        self.states.insert(state.id, state);
-    }
-
     /// (Re-)enters a state into the frontier, computing the per-goal-queue
     /// priority keys only when the frontier consumes them.
     fn push_to_frontier(&mut self, state: &ExecState) {
@@ -650,8 +621,8 @@ struct Guidance {
     oracle: DistanceOracle,
     /// The distance maps of every target of each virtual queue whose key the
     /// frontier reads, final goal last: every queue for the proximity
-    /// frontier, only the final one for the beam, none for the frontiers
-    /// without priorities. Resolved once, when the engine is built.
+    /// frontier, none for the frontiers without priorities. Resolved once,
+    /// when the engine is built.
     queues: Vec<Vec<Arc<GoalDistances>>>,
     /// Whether the deadlock schedule-distance bias (§4.1) applies.
     schedule_bias: bool,

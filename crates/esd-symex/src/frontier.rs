@@ -1,8 +1,9 @@
 //! Pluggable search frontiers: the engine's worklist of execution states.
 //!
-//! The search engine repeatedly *pops* a state from the frontier, advances it
-//! by a burst of up to 32 micro-steps (one under race detection and the KC
-//! baseline), and *pushes* it back along with the states it forked. Which state the frontier hands back next is the search strategy —
+//! The search engine repeatedly *pops* one state from the frontier, advances
+//! it by a burst of up to 32 micro-steps (one under race detection and the KC
+//! baseline), and *pushes* it back along with the states it forked. Which
+//! state the frontier hands back next is the search strategy —
 //! the only part of the dynamic phase that differs between ESD and the
 //! baselines it is compared against — so it is factored out behind the
 //! [`SearchFrontier`] trait and selected by a [`FrontierKind`] (the
@@ -19,10 +20,6 @@
 //!   a fairness baseline when comparing frontiers in `esd-bench`.
 //! * [`RandomFrontier`] — uniformly random among live states (Klee's
 //!   RandomPath searcher, the second KC baseline).
-//! * [`BeamFrontier`] — batched proximity search: selection picks the `k`
-//!   closest states at once and advances each of them before re-selecting.
-//!   Not in the paper; a batched frontier that commits to `k` states per
-//!   selection.
 //!
 //! # Contract
 //!
@@ -36,9 +33,9 @@
 //!
 //! The state the engine just advanced does not re-enter the frontier at
 //! once. The engine holds it as the *hot* state and offers it to the next
-//! selection, [`SearchFrontier::pop_batch_with`], which must decide exactly
-//! what a `push` of it followed by [`SearchFrontier::pop_batch`] would have
-//! decided. The default does that push and pop. [`ProximityFrontier`]
+//! selection, [`SearchFrontier::pop_with`], which must decide exactly what a
+//! `push` of it followed by [`SearchFrontier::pop`] would have decided. The
+//! default does that push and pop. [`ProximityFrontier`]
 //! compares the hot state with the top of the one queue it draws, and pushes
 //! it (computing its keys for every queue) only when it loses.
 
@@ -47,10 +44,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-
-/// The beam width [`FrontierKind::Beam`] uses when none is given explicitly
-/// (`"beam"` parses to this width).
-pub const DEFAULT_BEAM_WIDTH: usize = 8;
 
 /// Which [`SearchFrontier`] implementation the engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -64,20 +57,9 @@ pub enum FrontierKind {
     /// ESD's proximity-guided virtual queues ([`ProximityFrontier`]).
     #[default]
     Proximity,
-    /// Batched proximity search ([`BeamFrontier`]): advance the `width`
-    /// closest states per selection.
-    Beam {
-        /// How many states each selection batch advances.
-        width: usize,
-    },
 }
 
 impl FrontierKind {
-    /// The beam frontier at its default width.
-    pub fn beam() -> Self {
-        FrontierKind::Beam { width: DEFAULT_BEAM_WIDTH }
-    }
-
     /// Instantiates the frontier. `seed` seeds the stochastic frontiers
     /// ([`FrontierKind::Random`] and [`FrontierKind::Proximity`]);
     /// `num_queues` is the number of virtual goal queues the engine
@@ -89,7 +71,6 @@ impl FrontierKind {
             FrontierKind::Bfs => Box::new(BfsFrontier::new()),
             FrontierKind::Random => Box::new(RandomFrontier::new(seed)),
             FrontierKind::Proximity => Box::new(ProximityFrontier::new(num_queues, seed)),
-            FrontierKind::Beam { width } => Box::new(BeamFrontier::new(width)),
         }
     }
 }
@@ -97,27 +78,16 @@ impl FrontierKind {
 impl std::str::FromStr for FrontierKind {
     type Err = String;
 
-    /// Parses `"dfs"`, `"bfs"`, `"random"` / `"randompath"`, `"proximity"` /
-    /// `"esd"`, or `"beam"` / `"beam:<width>"` (case-insensitive) — the
-    /// spellings accepted by the `esd-bench` binaries and `ESD_FRONTIER`
-    /// environment variable.
+    /// Parses `"dfs"`, `"bfs"`, `"random"` / `"randompath"`, or
+    /// `"proximity"` / `"esd"` (case-insensitive) — the spellings accepted by
+    /// the `esd-bench` binaries and `ESD_FRONTIER` environment variable.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
-        if let Some(width) = lower.strip_prefix("beam:") {
-            return match width.parse::<usize>() {
-                Ok(w) if w > 0 => Ok(FrontierKind::Beam { width: w }),
-                _ => Err(format!("beam width {width:?} must be a positive integer")),
-            };
-        }
-        match lower.as_str() {
+        match s.to_ascii_lowercase().as_str() {
             "dfs" => Ok(FrontierKind::Dfs),
             "bfs" => Ok(FrontierKind::Bfs),
             "random" | "randompath" => Ok(FrontierKind::Random),
             "proximity" | "esd" => Ok(FrontierKind::Proximity),
-            "beam" => Ok(FrontierKind::beam()),
-            other => Err(format!(
-                "unknown frontier {other:?} (expected dfs|bfs|random|proximity|beam[:width])"
-            )),
+            other => Err(format!("unknown frontier {other:?} (expected dfs|bfs|random|proximity)")),
         }
     }
 }
@@ -129,8 +99,6 @@ impl std::fmt::Display for FrontierKind {
             FrontierKind::Bfs => f.write_str("bfs"),
             FrontierKind::Random => f.write_str("random"),
             FrontierKind::Proximity => f.write_str("proximity"),
-            FrontierKind::Beam { width } if *width == DEFAULT_BEAM_WIDTH => f.write_str("beam"),
-            FrontierKind::Beam { width } => write!(f, "beam:{width}"),
         }
     }
 }
@@ -183,45 +151,23 @@ pub trait SearchFrontier: Send {
     /// frontier is empty.
     fn pop(&mut self) -> Option<u64>;
 
-    /// Removes and returns the next *batch* of states to advance: every
-    /// state of a batch is advanced before the frontier is consulted again.
-    ///
-    /// The default implementation returns a batch of at most one state
-    /// (`pop()`), which is what the single-state frontiers want; the
-    /// [`BeamFrontier`] overrides it to hand back its whole beam at once.
-    /// The returned ids are removed from the frontier, and their order is
-    /// deterministic: the engine merges batch results in exactly this order.
-    fn pop_batch(&mut self) -> Vec<u64> {
-        self.pop().into_iter().collect()
-    }
-
-    /// Selects the next batch as if `hot` had been pushed just before
-    /// [`pop_batch`](SearchFrontier::pop_batch): the same ids in the same
-    /// order, leaving a frontier with an equal
-    /// [`snapshot`](SearchFrontier::snapshot). `hot` ends up in the frontier
-    /// exactly when the batch does not contain it.
+    /// Selects the next state as if `hot` had been pushed just before
+    /// [`pop`](SearchFrontier::pop): the same id, leaving a frontier with an
+    /// equal [`snapshot`](SearchFrontier::snapshot). `hot` ends up in the
+    /// frontier exactly when another state is selected.
     ///
     /// The default does exactly that push and pop; [`ProximityFrontier`]
     /// overrides it to push `hot` only when another state is selected.
-    fn pop_batch_with(&mut self, hot: &dyn HotState) -> Vec<u64> {
+    fn pop_with(&mut self, hot: &dyn HotState) -> Option<u64> {
         self.push(hot.id(), &hot.priority());
-        self.pop_batch()
+        self.pop()
     }
 
-    /// True if this frontier consumes [`StatePriority::queue_keys`]; the
-    /// engine skips the per-goal proximity computation otherwise.
+    /// True if this frontier consumes [`StatePriority::queue_keys`], one per
+    /// virtual goal queue; the engine skips the proximity computation
+    /// otherwise.
     fn wants_priorities(&self) -> bool {
         false
-    }
-
-    /// True if the frontier consumes one key *per virtual goal queue*
-    /// (intermediate goals and final goal). When false — and
-    /// [`wants_priorities`](SearchFrontier::wants_priorities) is true — the
-    /// engine computes only the final-goal key and pushes
-    /// `queue_keys == [final_key]`, skipping the per-intermediate-goal
-    /// proximity scans.
-    fn wants_intermediate_priorities(&self) -> bool {
-        true
     }
 
     /// Number of states currently in the frontier.
@@ -248,8 +194,8 @@ pub trait SearchFrontier: Send {
 /// stamp order decides ties, so the restored frontier selects exactly what
 /// the captured one would have, and two frontiers that differ only in stale
 /// entries or in how many pushes came before serialize identically.
-/// Ordered containers (the DFS stack, the BFS queue, a committed beam, the
-/// random frontier's id vector) keep their order — it *is* the search order.
+/// Ordered containers (the DFS stack, the BFS queue, the random frontier's
+/// id vector) keep their order — it *is* the search order.
 /// Heaps are stored as their entry sets sorted ascending: the entries are
 /// distinct totally-ordered tuples, so a heap rebuilt from them pops
 /// identically.
@@ -286,18 +232,6 @@ pub enum FrontierSnapshot {
         /// The PRNG's exact position, as its four state words.
         rng: (u64, u64, u64, u64),
     },
-    /// Image of a [`BeamFrontier`].
-    Beam {
-        /// States advanced per selection.
-        width: u64,
-        /// Heap entries `(key, inverted depth, stamp, id)`, sorted ascending.
-        heap: Vec<(u64, u64, u64, u64)>,
-        /// The committed, partially drained beam of `(stamp, id)` entries,
-        /// front first.
-        beam: Vec<(u64, u64)>,
-        /// The lazy-invalidation table.
-        live: LivenessSnapshot,
-    },
 }
 
 impl FrontierSnapshot {
@@ -324,12 +258,6 @@ impl FrontierSnapshot {
                     .collect(),
                 live: Liveness::restore(live),
                 rng: StdRng::from_state([rng.0, rng.1, rng.2, rng.3]),
-            }),
-            FrontierSnapshot::Beam { width, heap, beam, live } => Box::new(BeamFrontier {
-                width: (*width as usize).max(1),
-                heap: heap.iter().map(|e| Reverse(*e)).collect(),
-                beam: beam.iter().copied().collect(),
-                live: Liveness::restore(live),
             }),
         }
     }
@@ -419,7 +347,7 @@ impl Liveness {
     }
 
     /// True if `(id, stamp)` is the valid entry for `id`, without consuming
-    /// it (used when moving entries between internal containers).
+    /// it.
     fn is_current(&self, id: u64, stamp: u64) -> bool {
         self.current.get(&id) == Some(&stamp)
     }
@@ -641,7 +569,7 @@ impl SearchFrontier for ProximityFrontier {
         self.live.take_any()
     }
 
-    fn pop_batch_with(&mut self, hot: &dyn HotState) -> Vec<u64> {
+    fn pop_with(&mut self, hot: &dyn HotState) -> Option<u64> {
         // `pop`'s draw. Had `hot` been pushed, every queue would hold a live
         // entry, so that first draw would always select.
         let qi = self.rng.gen_range(0..self.queues.len());
@@ -662,9 +590,9 @@ impl SearchFrontier for ProximityFrontier {
                 // No other push comes between `pop`'s removal and this one,
                 // so every stamp keeps its order relative to `hot`'s.
                 self.push(hot.id(), &hot.priority());
-                vec![id]
+                Some(id)
             }
-            _ => vec![hot.id()],
+            _ => Some(hot.id()),
         }
     }
 
@@ -686,137 +614,6 @@ impl SearchFrontier for ProximityFrontier {
     }
 }
 
-/// Batched proximity frontier: selection draws the `width` states with the
-/// lowest *final-goal* priority key into a beam, and `pop` drains the beam
-/// before re-selecting. Every state of a beam is therefore advanced once per
-/// selection — the ROADMAP's "advance k states per selection" batched
-/// frontier. Compared to [`ProximityFrontier`] it trades selection sharpness
-/// (the beam is not re-ranked after each micro-step) for selection work that
-/// is amortized over `width` states.
-#[derive(Debug)]
-pub struct BeamFrontier {
-    width: usize,
-    heap: StateQueue,
-    /// The current beam, drained by `pop`; entries carry their stamp so a
-    /// re-push while beamed (a priority promotion) invalidates them here too.
-    beam: VecDeque<(u64, u64)>,
-    live: Liveness,
-}
-
-impl BeamFrontier {
-    /// Creates an empty beam frontier advancing `width` states per selection.
-    pub fn new(width: usize) -> Self {
-        BeamFrontier {
-            width: width.max(1),
-            heap: BinaryHeap::new(),
-            beam: VecDeque::new(),
-            live: Liveness::default(),
-        }
-    }
-
-    /// Moves the `width` best live entries from the heap into the beam.
-    fn refill(&mut self) {
-        while self.beam.len() < self.width {
-            match self.heap.pop() {
-                Some(Reverse((_, _, stamp, id))) => {
-                    // Stale entries (superseded by a later push) are dropped;
-                    // live ones keep their stamp and stay live while beamed.
-                    if self.live.is_current(id, stamp) {
-                        self.beam.push_back((stamp, id));
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Takes the next live entry out of the current beam, skipping entries
-    /// invalidated by a re-push since they were beamed.
-    fn drain_one(&mut self) -> Option<u64> {
-        while let Some((stamp, id)) = self.beam.pop_front() {
-            if self.live.take(id, stamp) {
-                return Some(id);
-            }
-        }
-        None
-    }
-}
-
-impl SearchFrontier for BeamFrontier {
-    fn push(&mut self, id: u64, prio: &StatePriority) {
-        // Order by the final-goal key only (the last — and, since this
-        // frontier opts out of intermediate priorities, only — queue key):
-        // the beam is a batch of the states globally closest to the
-        // reported failure.
-        let key = prio.queue_keys.last().copied().unwrap_or(0);
-        let stamp = self.live.stamp(id);
-        self.heap.push(Reverse((key, u64::MAX - prio.depth, stamp, id)));
-    }
-
-    fn pop(&mut self) -> Option<u64> {
-        loop {
-            if let Some(id) = self.drain_one() {
-                return Some(id);
-            }
-            if self.live.len() == 0 {
-                return None;
-            }
-            self.refill();
-            if self.beam.is_empty() {
-                // Every heap entry was stale but live states remain: degrade
-                // to any live state rather than stalling the search.
-                return self.live.take_any();
-            }
-        }
-    }
-
-    fn pop_batch(&mut self) -> Vec<u64> {
-        // Hand the whole beam over as one batch: select (refill) the `width`
-        // closest live states and return them all, preserving the selection
-        // order `pop` would have drained them in.
-        let mut batch = Vec::new();
-        loop {
-            while let Some(id) = self.drain_one() {
-                batch.push(id);
-            }
-            if !batch.is_empty() || self.live.len() == 0 {
-                return batch;
-            }
-            self.refill();
-            if self.beam.is_empty() {
-                // Every heap entry was stale but live states remain: degrade
-                // to any live state rather than stalling the search.
-                batch.extend(self.live.take_any());
-                return batch;
-            }
-        }
-    }
-
-    fn wants_priorities(&self) -> bool {
-        true
-    }
-
-    fn wants_intermediate_priorities(&self) -> bool {
-        // Only the final-goal key is consumed; let the engine skip the
-        // per-intermediate-goal proximity scans.
-        false
-    }
-
-    fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    fn snapshot(&self) -> FrontierSnapshot {
-        let (live, renumber) = self.live.snapshot();
-        FrontierSnapshot::Beam {
-            width: self.width as u64,
-            heap: renumber.heap(&self.heap),
-            beam: renumber.ordered(self.beam.iter().copied()),
-            live,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -833,19 +630,18 @@ mod tests {
             ("RandomPath", FrontierKind::Random),
             ("esd", FrontierKind::Proximity),
             ("proximity", FrontierKind::Proximity),
-            ("beam", FrontierKind::Beam { width: DEFAULT_BEAM_WIDTH }),
-            ("beam:4", FrontierKind::Beam { width: 4 }),
         ] {
             assert_eq!(s.parse::<FrontierKind>().unwrap(), k);
         }
-        assert!("weird".parse::<FrontierKind>().is_err());
-        assert!("beam:0".parse::<FrontierKind>().is_err());
-        assert!("beam:x".parse::<FrontierKind>().is_err());
+        // Unknown spellings, the removed batched frontier's included, are rejected.
+        for s in ["weird", "beam", "beam:16"] {
+            assert!(s.parse::<FrontierKind>().is_err(), "{s} must be rejected");
+        }
         assert_eq!(FrontierKind::Proximity.to_string(), "proximity");
-        assert_eq!(FrontierKind::beam().to_string(), "beam");
-        assert_eq!(FrontierKind::Beam { width: 16 }.to_string(), "beam:16");
         // Display round-trips through FromStr for every kind.
-        for k in [FrontierKind::beam(), FrontierKind::Beam { width: 3 }, FrontierKind::Dfs] {
+        for k in
+            [FrontierKind::Dfs, FrontierKind::Bfs, FrontierKind::Random, FrontierKind::Proximity]
+        {
             assert_eq!(k.to_string().parse::<FrontierKind>().unwrap(), k);
         }
     }
@@ -916,57 +712,6 @@ mod tests {
         assert_eq!(f.pop(), Some(10));
         assert_eq!(f.pop(), None);
         assert!(f.wants_priorities());
-    }
-
-    #[test]
-    fn beam_advances_the_selected_batch_before_reselecting() {
-        let mut f = BeamFrontier::new(2);
-        f.push(1, &prio(&[10], 0));
-        f.push(2, &prio(&[20], 0));
-        f.push(3, &prio(&[30], 0));
-        // The first selection beams {1, 2} (the two lowest keys).
-        assert_eq!(f.pop(), Some(1));
-        // A closer state arriving mid-beam must wait for the next selection —
-        // the batch is committed.
-        f.push(4, &prio(&[0], 0));
-        assert_eq!(f.pop(), Some(2));
-        // Next selection re-ranks: {4, 3}.
-        assert_eq!(f.pop(), Some(4));
-        assert_eq!(f.pop(), Some(3));
-        assert_eq!(f.pop(), None);
-        assert!(f.wants_priorities());
-    }
-
-    #[test]
-    fn beam_repush_supersedes_even_inside_the_beam() {
-        let mut f = BeamFrontier::new(4);
-        f.push(1, &prio(&[10], 0));
-        f.push(2, &prio(&[20], 0));
-        // Both are beamed by the first selection; re-pushing 2 while it is
-        // beamed must not make it pop twice.
-        assert_eq!(f.pop(), Some(1));
-        f.push(2, &prio(&[5], 0));
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.pop(), Some(2));
-        assert_eq!(f.pop(), None);
-    }
-
-    #[test]
-    fn pop_batch_drains_the_whole_beam_at_once() {
-        let mut f = BeamFrontier::new(2);
-        f.push(1, &prio(&[10], 0));
-        f.push(2, &prio(&[20], 0));
-        f.push(3, &prio(&[30], 0));
-        assert_eq!(f.pop_batch(), vec![1, 2]);
-        assert_eq!(f.pop_batch(), vec![3]);
-        assert!(f.pop_batch().is_empty());
-        // Single-state frontiers batch one state at a time (the default).
-        let mut d = DfsFrontier::new();
-        d.push(1, &prio(&[], 0));
-        d.push(2, &prio(&[], 0));
-        assert_eq!(d.pop_batch(), vec![2]);
-        assert_eq!(d.pop_batch(), vec![1]);
-        assert!(d.pop_batch().is_empty());
     }
 
     #[test]

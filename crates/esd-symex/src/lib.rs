@@ -17,8 +17,8 @@
 //!   abandonment, intermediate goals, Chess-style preemption bounding (the
 //!   KC baseline) and the deadlock / data-race schedule-synthesis
 //!   heuristics. The engine is split into a search pool and a stepper
-//!   (owning its own solver) that records a whole frontier batch's effects,
-//!   merged back into the pool in batch order.
+//!   (owning its own solver) that records the effects of one selected
+//!   state's burst, merged back into the pool after the turn.
 
 // Documentation enforcement (see ARCHITECTURE.md): every public item must
 // carry rustdoc, extended from the esd-concurrency pilot now that the
@@ -38,9 +38,8 @@ mod tests;
 pub use engine::{Engine, EngineSnapshot, GoalSpec, SearchStats, StepOutcome, Synthesized};
 pub use expr::{SymExpr, SymValue, SymVar, SymVarInfo};
 pub use frontier::{
-    BeamFrontier, BfsFrontier, DfsFrontier, FrontierKind, FrontierSnapshot, HotState,
-    LivenessSnapshot, ProximityFrontier, RandomFrontier, SearchFrontier, StatePriority,
-    DEFAULT_BEAM_WIDTH,
+    BfsFrontier, DfsFrontier, FrontierKind, FrontierSnapshot, HotState, LivenessSnapshot,
+    ProximityFrontier, RandomFrontier, SearchFrontier, StatePriority,
 };
 pub use options::{EsdOptions, EsdOptionsBuilder, KC_PREEMPTION_BOUND};
 pub use solver::{Solver, SolverConfig, SolverResult};

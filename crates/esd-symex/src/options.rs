@@ -15,7 +15,7 @@ use std::time::Duration;
 pub const KC_PREEMPTION_BOUND: u32 = 2;
 
 /// Knobs for a synthesis run (sensible defaults reproduce the paper's ESD
-/// configuration; the ablation benches flip individual heuristics off).
+/// configuration; each heuristic can be switched off on its own).
 ///
 /// Prefer constructing these with the chainable [`EsdOptions::builder`]:
 ///
@@ -24,16 +24,15 @@ pub const KC_PREEMPTION_BOUND: u32 = 2;
 ///
 /// let options = EsdOptions::builder()
 ///     .max_steps(1_000_000)
-///     .frontier(FrontierKind::beam())
+///     .frontier(FrontierKind::Dfs)
 ///     .build();
 /// assert_eq!(options.max_steps, 1_000_000);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EsdOptions {
     /// Total instruction budget for the dynamic phase. It is checked
-    /// between rounds, so a round may overshoot it by at most one batch's
-    /// bursts: 32 micro-steps per selected state (a beam selects up to its
-    /// width), or one under race detection and the KC preset.
+    /// between rounds, so a round may overshoot it by at most one burst:
+    /// 32 micro-steps, or one under race detection and the KC preset.
     pub max_steps: u64,
     /// Maximum number of live execution states.
     pub max_states: usize,
@@ -41,7 +40,7 @@ pub struct EsdOptions {
     /// [`FrontierKind::Proximity`]; ignored by the deterministic ones).
     pub seed: u64,
     /// Which search frontier orders the exploration (the paper's
-    /// proximity-guided frontier by default; DFS / BFS / random / beam are
+    /// proximity-guided frontier by default; DFS / BFS / random are
     /// available for comparison — see [`crate::frontier`]).
     pub frontier: FrontierKind,
     /// Use the intermediate goals from the static phase as extra queues.

@@ -1,17 +1,18 @@
 //! The state stepper: the micro-step interpreter of the search engine,
-//! factored out of the search pool so a whole frontier batch is advanced
-//! before any of its effects is merged.
+//! factored out of the search pool so a selected state's whole burst is
+//! advanced before any of its effects is merged.
 //!
-//! A [`Stepper`] owns everything needed to advance execution states
+//! A [`Stepper`] owns everything needed to advance an execution state
 //! *independently* of the search pool: immutable views of the program, the
 //! static analysis and the goal, plus its **own** [`Solver`]. Everything a
 //! micro-step would have written into the engine — forked states,
 //! schedule-snapshot promotions, flagged races, other bugs found, executed
 //! steps, solver queries — is *recorded* into a [`TurnResult`] instead, and
-//! the engine merges the results of a batch back into the pool in batch
-//! order (see [`crate::engine`]). That record-then-merge split is what keeps
-//! a beam committed for the whole batch: no state of the batch sees another
-//! one's forks before the merge.
+//! the engine merges it back into the pool after the turn (see
+//! [`crate::engine`]). That record-then-merge split is what lets a burst
+//! run up to 32 micro-steps: the states it forks, including snapshots the
+//! deadlock roll-back promotes before they have an id
+//! ([`Promotion::Pending`]), wait for the merge.
 
 use crate::engine::GoalSpec;
 use crate::expr::{SymExpr, SymValue, SymVarInfo};
@@ -94,11 +95,8 @@ pub(crate) enum TurnVerdict {
     },
 }
 
-/// Everything one state's turn produced, to be merged into the engine in
-/// deterministic batch order.
+/// Everything one state's turn produced, to be merged into the engine.
 pub(crate) struct TurnResult {
-    /// The id of the state that was advanced.
-    pub id: u64,
     /// The post-turn state (meaningful for [`TurnVerdict::Continue`]; carried
     /// regardless so the merge can patch `lock_snapshots` and apply pending
     /// promotions uniformly).
@@ -147,7 +145,7 @@ pub(crate) struct Stepper<'a> {
 }
 
 impl<'a> Stepper<'a> {
-    /// Creates a stepper for one batch; `turn` may be called repeatedly.
+    /// Creates a stepper for one round's turn.
     pub fn new(
         program: &'a Arc<Program>,
         analysis: &'a Arc<StaticAnalysis>,
@@ -176,7 +174,7 @@ impl<'a> Stepper<'a> {
     /// The engine passes 32 on every frontier, and 1 under race detection
     /// and the KC baseline. Forks made during the turn are only recorded;
     /// they reach the frontier when the engine merges the turn.
-    pub fn turn(&mut self, id: u64, mut state: ExecState, burst: u32) -> TurnResult {
+    pub fn turn(&mut self, mut state: ExecState, burst: u32) -> TurnResult {
         let queries_before = self.solver.queries;
         let mut verdict = TurnVerdict::Continue;
         for _ in 0..burst.max(1) {
@@ -194,7 +192,6 @@ impl<'a> Stepper<'a> {
             }
         }
         TurnResult {
-            id,
             state,
             verdict,
             forks: std::mem::take(&mut self.forks),
@@ -414,7 +411,7 @@ impl<'a> Stepper<'a> {
     /// (before executing its next instruction) and `next` runs instead.
     /// Respects the preemption bound. The fork is *recorded*, not admitted:
     /// the engine applies the dedup fingerprint and the pool cap when the
-    /// batch is merged. Returns true when a fork was recorded.
+    /// turn is merged. Returns true when a fork was recorded.
     fn fork_preempted(&mut self, state: &ExecState, next: ThreadId) -> bool {
         if self.options.kc_baseline && state.preemptions >= KC_PREEMPTION_BOUND {
             return false;

@@ -479,7 +479,6 @@ fn snapshot_restore_resumes_identically_for_every_frontier() {
         (FrontierKind::Bfs, 0),
         (FrontierKind::Random, 7),
         (FrontierKind::Proximity, 1),
-        (FrontierKind::Beam { width: 8 }, 0),
     ] {
         let config =
             EsdOptions { frontier: search, seed, max_steps: 400_000, ..EsdOptions::default() };
@@ -609,21 +608,21 @@ fn dedup_fingerprint_distinguishes_equal_length_constraint_sets() {
     assert_ne!(synth.inputs[1].1, 2, "y must take the second fork's side");
 }
 
-/// The batched beam frontier must also synthesize the Listing-1 deadlock —
-/// this exercises the burst path end to end, including the in-burst deadlock
-/// roll-back promotions (a lock-snapshot fork and the conflicting lock
-/// attempt can share one 32-step turn).
+/// The proximity search must synthesize the Listing-1 deadlock through its
+/// 32-step bursts — this exercises the burst path end to end, including the
+/// in-burst deadlock roll-back promotions (a lock-snapshot fork and the
+/// conflicting lock attempt can share one turn).
 #[test]
-fn listing1_deadlock_is_synthesized_by_beam_search() {
+fn listing1_deadlock_is_synthesized_through_in_burst_promotions() {
     let (p, thread_locs) = listing1_program();
     let config = EsdOptions {
-        frontier: FrontierKind::Beam { width: 8 },
+        frontier: FrontierKind::Proximity,
         max_steps: 400_000,
         ..EsdOptions::default()
     };
     let synth = run_engine(&p, GoalSpec::Deadlock { thread_locs }, config)
         .found()
-        .expect("beam search must synthesize the deadlock");
+        .expect("proximity search must synthesize the deadlock");
     assert!(matches!(synth.fault, FaultKind::Deadlock));
 }
 
@@ -665,7 +664,7 @@ fn branch_refuted_by_pinned_inputs_does_not_fork() {
     let config =
         EsdOptions { static_pruning: false, use_critical_edges: false, ..Default::default() };
     let mut stepper = Stepper::new(&p, &analysis, &goal, &config);
-    let turn = stepper.turn(0, ExecState::initial(&p), 64);
+    let turn = stepper.turn(ExecState::initial(&p), 64);
     assert!(turn.forks.is_empty(), "the refuted side must not fork");
     // Two queries per assert and two for the branch.
     assert_eq!(turn.solver_queries, 6);
@@ -702,7 +701,6 @@ fn a_round_runs_a_burst_except_under_race_detection_and_kc() {
         (with_frontier(FrontierKind::Bfs), 32),
         (with_frontier(FrontierKind::Random), 32),
         (with_frontier(FrontierKind::Dfs), 32),
-        (with_frontier(FrontierKind::beam()), 32),
         (EsdOptions { with_race_detection: true, ..EsdOptions::default() }, 1),
         (EsdOptions::kc(FrontierKind::Dfs), 1),
         (EsdOptions::kc(FrontierKind::Random), 1),

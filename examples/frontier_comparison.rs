@@ -4,10 +4,10 @@
 //! is printed side by side.
 //!
 //! Listing 1 is tiny, so every frontier succeeds here (an undirected search
-//! can even get lucky and win); the proximity frontier's advantage — the
-//! paper's Figure-2/Figure-3 gap — shows up on the larger real-bug analogs
-//! and BPF sweeps, where the undirected frontiers hit the exploration cap.
-//! Run `fig2 dfs`, `fig2 bfs`, `fig2 proximity` from `esd-bench` to see it.
+//! can even get lucky and win). The real-bug analogs of `fig2` are small
+//! too. The proximity frontier's advantage — the paper's Figure-3 gap —
+//! shows up on the BPF sweep, where KC-RandPath hits its exploration cap
+//! from 64 branches on. Run `fig3` from `esd-bench` to see it.
 //!
 //! Run with: `cargo run --release --example frontier_comparison`
 
@@ -21,13 +21,9 @@ fn main() {
     println!("goal (from the bug report): {:?}\n", workload.goal());
     println!("{:<12} {:>10} {:>10} {:>12}", "frontier", "steps", "states", "outcome");
 
-    for frontier in [
-        FrontierKind::Proximity,
-        FrontierKind::Dfs,
-        FrontierKind::Bfs,
-        FrontierKind::Random,
-        FrontierKind::beam(),
-    ] {
+    for frontier in
+        [FrontierKind::Proximity, FrontierKind::Dfs, FrontierKind::Bfs, FrontierKind::Random]
+    {
         let esd = Esd::new(EsdOptions::builder().frontier(frontier).max_steps(2_000_000).build());
         match esd.synthesize_goal(&workload.program, workload.goal()) {
             Ok(report) => println!(

@@ -22,7 +22,7 @@ fn main() {
 
     let frontier = std::env::var("ESD_FRONTIER")
         .ok()
-        .map(|s| s.parse().expect("ESD_FRONTIER must be dfs|bfs|random|proximity|beam[:width]"))
+        .map(|s| s.parse().expect("ESD_FRONTIER must be dfs|bfs|random|proximity"))
         .unwrap_or_default();
     let esd = Esd::new(EsdOptions::builder().frontier(frontier).build());
     let report = esd

@@ -28,17 +28,12 @@ fn main() {
         .durable_dir(&dir)
         .expect("durable directory is writable");
 
-    // Two jobs: the paper's `paste` invalid free on a beam frontier, and a
-    // generated corpus bug on the default proximity frontier.
+    // Two jobs: the paper's `paste` invalid free on the random frontier, and
+    // a generated corpus bug on the default proximity frontier.
     let paste = paste_invalid_free();
-    executor.submit(
-        JobSpec::new(&paste.name, &paste.program, paste.goal()).options(
-            EsdOptions::builder()
-                .max_steps(2_000_000)
-                .frontier(FrontierKind::Beam { width: 16 })
-                .build(),
-        ),
-    );
+    executor.submit(JobSpec::new(&paste.name, &paste.program, paste.goal()).options(
+        EsdOptions::builder().max_steps(2_000_000).frontier(FrontierKind::Random).build(),
+    ));
     let genbug = generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload();
     executor.submit(
         JobSpec::new(&genbug.name, &genbug.program, genbug.goal())

@@ -46,8 +46,8 @@ fn interleaving_batch() -> Vec<(Workload, bool)> {
     ]
 }
 
-/// Per-job options for the interleaving test: the paste job runs the beam
-/// frontier so the executor drives the batched engine path; the rest use
+/// Per-job options for the interleaving test: the paste job runs the random
+/// frontier so the executor drives a second frontier kind; the rest use
 /// the paper's proximity default. Static pruning follows the environment.
 fn batch_options(name: &str, race: bool) -> EsdOptions {
     let base = EsdOptions::builder()
@@ -55,7 +55,7 @@ fn batch_options(name: &str, race: bool) -> EsdOptions {
         .static_pruning(env_static_pruning())
         .with_race_detection(race);
     if name == "paste" {
-        base.frontier(FrontierKind::Beam { width: 16 }).build()
+        base.frontier(FrontierKind::Random).build()
     } else {
         base.build()
     }

@@ -17,47 +17,19 @@
 use esd::core::SynthesizedExecution;
 use esd::playback::play;
 use esd::workloads::real_bugs::paste_invalid_free;
-use esd::{Esd, EsdOptions, FrontierKind};
+use esd::{Esd, EsdOptions};
 
 const FIXTURE: &str = include_str!("fixtures/paste_execution.json");
-const BEAM_FIXTURE: &str = include_str!("fixtures/paste_execution_beam.json");
 
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/paste_execution.json")
-}
-
-fn beam_fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/paste_execution_beam.json")
 }
 
 fn regen_requested() -> bool {
     std::env::var("ESD_REGEN_GOLDEN").ok().as_deref() == Some("1")
 }
 
-/// Whether static pruning is on for this run (the CI determinism matrix
-/// pins one leg to `ESD_STATIC_PRUNING=0`; pruning must never change what
-/// is synthesized, so every leg reproduces the same fixtures).
-fn env_static_pruning() -> bool {
-    std::env::var("ESD_STATIC_PRUNING").ok().as_deref() != Some("0")
-}
-
-fn synthesize_beam() -> String {
-    let w = paste_invalid_free();
-    let esd = Esd::new(
-        EsdOptions::builder()
-            .max_steps(2_000_000)
-            .frontier(FrontierKind::Beam { width: 16 })
-            .static_pruning(env_static_pruning())
-            .build(),
-    );
-    let report = esd.synthesize_goal(&w.program, w.goal()).expect("synthesis succeeds");
-    let mut json = report.execution.to_json();
-    json.push('\n');
-    json
-}
-
-/// Regenerates the fixtures (only when `ESD_REGEN_GOLDEN=1`); run this before
+/// Regenerates the fixture (only when `ESD_REGEN_GOLDEN=1`); run this before
 /// the read-only golden tests in the same invocation.
 #[test]
 fn a_regenerate_fixture_when_requested() {
@@ -70,24 +42,6 @@ fn a_regenerate_fixture_when_requested() {
     let mut json = report.execution.to_json();
     json.push('\n');
     std::fs::write(fixture_path(), json).expect("fixture written");
-    std::fs::write(beam_fixture_path(), synthesize_beam()).expect("beam fixture written");
-}
-
-/// Golden determinism of the batched beam engine: a fresh beam synthesis
-/// (at the matrix's `ESD_STATIC_PRUNING` setting) must reproduce the
-/// checked-in beam execution file byte for byte.
-#[test]
-fn golden_beam_execution_file_matches_fresh_synthesis() {
-    if regen_requested() {
-        return;
-    }
-    assert_eq!(
-        synthesize_beam(),
-        BEAM_FIXTURE,
-        "a beam run must reproduce the checked-in execution file byte for \
-         byte (regenerate intentionally with ESD_REGEN_GOLDEN=1 cargo test \
-         --test golden_execfile)"
-    );
 }
 
 #[test]

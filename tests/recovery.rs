@@ -3,8 +3,8 @@
 //! execution files.
 //!
 //! The harness first runs an uninterrupted round-robin three-job batch
-//! (the `paste` invalid free on the batched `beam:16` frontier, plus a
-//! generated crash and a generated race on the proximity frontier) and
+//! (the `paste` invalid free on the random frontier, plus a generated
+//! crash and a generated race on the proximity frontier) and
 //! records every job's winner execution bytes and search statistics. It then replays the
 //! same batch under a durable executor, crashing after `k` dispatched
 //! batches for every crash point `k` — the executor is dropped cold,
@@ -61,20 +61,17 @@ fn durable_dir(tag: &str) -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("recovery_tmp").join(tag)
 }
 
-/// The matrix jobs: the real `paste` bug on the batched beam frontier, and
-/// two generated corpus bugs on the paper's proximity default. The crash
+/// The matrix jobs: the real `paste` bug on the random frontier, and two
+/// generated corpus bugs on the paper's proximity default. The crash
 /// runs 32-step bursts and finishes within a few rounds; the race steps one
 /// instruction per round under race detection and keeps the batch going
 /// for about 30 slices, so the run crosses many batch boundaries.
 fn matrix_jobs() -> Vec<(Workload, EsdOptions)> {
-    let beam = EsdOptions::builder()
-        .max_steps(2_000_000)
-        .frontier(FrontierKind::Beam { width: 16 })
-        .build();
+    let random = EsdOptions::builder().max_steps(2_000_000).frontier(FrontierKind::Random).build();
     let proximity = EsdOptions::builder().max_steps(2_000_000).build();
     let race = EsdOptions::builder().max_steps(2_000_000).with_race_detection(true).build();
     vec![
-        (paste_invalid_free(), beam),
+        (paste_invalid_free(), random),
         (generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload(), proximity),
         (generate(&GenConfig::new(2, InjectedBugKind::DataRace)).to_workload(), race),
     ]

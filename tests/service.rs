@@ -23,7 +23,7 @@ fn bpf64() -> Workload {
 }
 
 /// The two e2e workloads: `bpf64` on the default proximity frontier and
-/// `paste` on the batched beam frontier.
+/// `paste` on the random frontier.
 fn requests() -> Vec<JobSpec> {
     let bpf = bpf64();
     let paste = paste_invalid_free();
@@ -31,10 +31,7 @@ fn requests() -> Vec<JobSpec> {
         JobSpec::new("bpf64", &bpf.program, bpf.goal())
             .options(EsdOptions::builder().max_steps(8_000_000).build()),
         JobSpec::new("paste", &paste.program, paste.goal()).options(
-            EsdOptions::builder()
-                .max_steps(8_000_000)
-                .frontier(FrontierKind::Beam { width: 16 })
-                .build(),
+            EsdOptions::builder().max_steps(8_000_000).frontier(FrontierKind::Random).build(),
         ),
     ]
 }
