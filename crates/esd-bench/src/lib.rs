@@ -7,8 +7,8 @@
 //! (and our substrate is an IR interpreter rather than LLVM/Klee). What the
 //! bins measure:
 //!
-//! * `table1` — ESD's time and search steps per real-bug analog, plus a
-//!   playback check of each synthesized execution.
+//! * `table1` — ESD's search steps per real-bug analog beside the paper's
+//!   seconds, plus a playback check of each synthesized execution.
 //! * `fig2` — search steps to a path to the bug for ESD, KC-DFS and
 //!   KC-RandPath on ls1–ls4 and the real-bug analogs. The analogs are small:
 //!   all three find every one of them within a few thousand steps, and ESD
@@ -101,18 +101,17 @@ pub struct Table1Row {
     pub system: String,
     /// "hang" or "crash".
     pub manifestation: &'static str,
-    /// Measured synthesis time (None = not synthesized within the budget).
-    pub esd_secs: Option<f64>,
-    /// Instructions explored by the search.
-    pub esd_steps: u64,
+    /// Instructions the search explored to synthesize the execution (None =
+    /// not synthesized within the budget).
+    pub esd_steps: Option<u64>,
     /// The paper's reported time, for side-by-side comparison.
     pub paper_secs: Option<f64>,
     /// Whether the synthesized execution replays to the same failure.
     pub playback_ok: bool,
 }
 
-/// Regenerates Table 1: ESD synthesis time for every real-bug analog, plus a
-/// playback check of each synthesized execution.
+/// Regenerates Table 1: ESD synthesis steps for every real-bug analog, plus
+/// a playback check of each synthesized execution.
 pub fn table1(esd_budget: u64) -> Vec<Table1Row> {
     let mut rows = Vec::new();
     for w in all_real_bugs() {
@@ -132,44 +131,36 @@ pub fn run_table1_row(w: &Workload, esd_budget: u64) -> Table1Row {
             .static_pruning(static_pruning_from_env())
             .build(),
     );
-    let start = Instant::now();
-    let result = esd.synthesize_goal(&w.program, w.goal());
-    let elapsed = start.elapsed();
-    let (esd_secs, esd_steps, playback_ok) = match &result {
-        Ok(r) => {
-            let pb = play(&w.program, &r.execution);
-            (Some(secs(elapsed)), r.stats.steps, pb.reproduced)
-        }
-        Err(_) => (None, 0, false),
-    };
+    let result = esd.synthesize_goal(&w.program, w.goal()).ok();
+    let esd_steps = result.as_ref().map(|r| r.stats.steps);
+    let playback_ok = result.is_some_and(|r| play(&w.program, &r.execution).reproduced);
     Table1Row {
         system: w.name.clone(),
         manifestation: match w.kind {
             WorkloadKind::Hang => "hang",
             WorkloadKind::Crash => "crash",
         },
-        esd_secs,
         esd_steps,
         paper_secs: w.paper_synth_time_secs,
         playback_ok,
     }
 }
 
-/// Renders Table 1 in the paper's layout.
+/// Renders Table 1 in the paper's layout, with ESD's cost in search steps
+/// beside the paper's seconds.
 pub fn print_table1(rows: &[Table1Row]) {
     println!("Table 1: ESD applied to real bugs (analog workloads)");
     println!(
-        "{:<10} {:>14} {:>16} {:>14} {:>12} {:>10}",
-        "System", "Manifestation", "ESD synth [s]", "paper [s]", "steps", "replays"
+        "{:<10} {:>14} {:>12} {:>14} {:>10}",
+        "System", "Manifestation", "ESD steps", "paper [s]", "replays"
     );
     for r in rows {
         println!(
-            "{:<10} {:>14} {:>16} {:>14} {:>12} {:>10}",
+            "{:<10} {:>14} {:>12} {:>14} {:>10}",
             r.system,
             r.manifestation,
-            r.esd_secs.map(|s| format!("{s:.2}")).unwrap_or_else(|| "timeout".into()),
+            r.esd_steps.map(|s| s.to_string()).unwrap_or_else(|| "timeout".into()),
             r.paper_secs.map(|s| format!("{s:.0}")).unwrap_or_else(|| "-".into()),
-            r.esd_steps,
             if r.playback_ok { "yes" } else { "no" },
         );
     }
@@ -533,7 +524,7 @@ mod tests {
     fn quick_crash_rows_synthesize_and_replay() {
         let w = all_real_bugs().into_iter().find(|w| w.name == "mkfifo").unwrap();
         let row = run_table1_row(&w, 2_000_000);
-        assert!(row.esd_secs.is_some());
+        assert!(row.esd_steps.is_some());
         assert!(row.playback_ok);
     }
 

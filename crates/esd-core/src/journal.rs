@@ -13,11 +13,7 @@
 //!
 //! ## Frame format
 //!
-//! Each record is one length-prefixed, checksummed frame:
-//!
-//! ```text
-//! [len: u32 LE] [checksum: u64 LE = FNV-1a(payload)] [payload: compact JSON]
-//! ```
+//! Each record is one [`crate::frame`] around the record's compact JSON.
 //!
 //! The writer appends a whole frame and flushes before the decision it
 //! records takes effect (write-ahead), so a crash can tear at most the final
@@ -30,15 +26,13 @@
 //! [`JobExecutor::recover`]: crate::executor::JobExecutor::recover
 
 use crate::executor::{JobSpec, JobVerdict};
-use crate::snapshot::{fnv1a64, SnapshotError};
+use crate::frame::{self, FRAME_HEADER};
+use crate::snapshot::SnapshotError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
-
-/// Bytes of frame header preceding each payload (length + checksum).
-const FRAME_HEADER: usize = 4 + 8;
 
 /// One durable executor decision.
 ///
@@ -129,12 +123,7 @@ pub struct JournalScan {
 /// Encodes one record as a framed byte sequence.
 pub fn encode_frame(record: &JournalRecord) -> Vec<u8> {
     let payload = serde_json::to_string(record).expect("journal record serializes");
-    let payload = payload.as_bytes();
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
+    frame::encode_frame(payload.as_bytes())
 }
 
 /// Decodes a journal byte stream into the longest valid prefix of records.
@@ -145,34 +134,23 @@ pub fn scan(bytes: &[u8]) -> JournalScan {
     let mut offset = 0usize;
     let mut damage = None;
     while offset < bytes.len() {
-        let remaining = bytes.len() - offset;
-        if remaining < FRAME_HEADER {
-            damage = Some(JournalDamage::Torn { offset });
-            break;
-        }
-        let len =
-            u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let checksum =
-            u64::from_le_bytes(bytes[offset + 4..offset + 12].try_into().expect("8 bytes"));
-        if remaining - FRAME_HEADER < len {
-            damage = Some(JournalDamage::Torn { offset });
-            break;
-        }
-        let payload = &bytes[offset + FRAME_HEADER..offset + FRAME_HEADER + len];
-        if fnv1a64(payload) != checksum {
-            damage = Some(JournalDamage::Corrupt { offset });
-            break;
-        }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            damage = Some(JournalDamage::Corrupt { offset });
+        // The journal is already in memory, so no length needs a bound: a
+        // frame longer than the bytes left is a torn tail.
+        let decoded = frame::decode_frame(&bytes[offset..], usize::MAX);
+        let Ok(Some(payload)) = decoded else {
+            damage = Some(match decoded {
+                Ok(_) => JournalDamage::Torn { offset },
+                Err(_) => JournalDamage::Corrupt { offset },
+            });
             break;
         };
-        let Ok(record) = serde_json::from_str::<JournalRecord>(text) else {
+        let text = std::str::from_utf8(payload).ok();
+        let Some(record) = text.and_then(|t| serde_json::from_str::<JournalRecord>(t).ok()) else {
             damage = Some(JournalDamage::Corrupt { offset });
             break;
         };
         records.push(record);
-        offset += FRAME_HEADER + len;
+        offset += FRAME_HEADER + payload.len();
     }
     JournalScan { records, valid_len: offset, damage }
 }

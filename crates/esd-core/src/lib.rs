@@ -21,6 +21,8 @@
 //! * [`snapshot`] — versioned, checksummed snapshot envelopes for durable
 //!   sessions (see [`session::SessionSnapshot`] /
 //!   [`executor::ExecutorSnapshot`]).
+//! * [`frame`] — the length-prefixed, checksummed frame the journal and
+//!   the service wire protocol share.
 //! * [`journal`] — the append-only commit log of executor decisions and the
 //!   `reduce(snapshot, journal)` crash recovery behind
 //!   [`JobExecutor::recover`](executor::JobExecutor::recover).
@@ -40,6 +42,7 @@
 
 pub mod execfile;
 pub mod executor;
+pub mod frame;
 pub mod journal;
 pub mod report;
 pub mod session;

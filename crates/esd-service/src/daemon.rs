@@ -41,13 +41,15 @@ struct Conn {
     closed: bool,
 }
 
+/// Slice batches pumped per loop turn while jobs are runnable: more favors
+/// throughput, fewer request latency.
+const PUMP_PER_TURN: u64 = 4;
+
 /// A daemon serving one [`InProcessService`] over TCP or UDS.
 pub struct Daemon {
     listener: Listener,
     service: InProcessService,
     conns: Vec<Conn>,
-    /// Slice batches pumped per loop turn while jobs are runnable.
-    pump_per_turn: u64,
     shutdown: bool,
 }
 
@@ -75,14 +77,7 @@ impl Daemon {
     }
 
     fn with_listener(listener: Listener, service: InProcessService) -> Self {
-        Daemon { listener, service, conns: Vec::new(), pump_per_turn: 4, shutdown: false }
-    }
-
-    /// Sets how many slice batches each loop turn pumps (clamped to ≥ 1).
-    /// Larger values favor throughput, smaller ones request latency.
-    pub fn pump_per_turn(mut self, n: u64) -> Self {
-        self.pump_per_turn = n.max(1);
-        self
+        Daemon { listener, service, conns: Vec::new(), shutdown: false }
     }
 
     /// The TCP daemon's bound address.
@@ -113,7 +108,7 @@ impl Daemon {
         let mut worked = self.accept_pending();
         worked |= self.serve_requests();
         if self.service.has_work() {
-            worked |= self.service.pump(self.pump_per_turn) > 0;
+            worked |= self.service.pump(PUMP_PER_TURN) > 0;
         }
         worked |= self.stream_events();
         self.conns.retain(|c| !c.closed);

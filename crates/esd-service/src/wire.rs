@@ -1,12 +1,11 @@
 //! The hand-rolled wire protocol: length+checksum framing around compact
 //! JSON payloads.
 //!
-//! Frames reuse the journal's discipline exactly
-//! (see `esd_core::journal`): `[len: u32 LE][checksum: u64 LE =
-//! FNV-1a(payload)][payload]`. Decoding is *total* — torn frames wait for
-//! more bytes, bit-flipped frames and oversized length prefixes are typed
-//! [`ServiceError`]s, never panics — which is what the wire-protocol
-//! property tests pin.
+//! Frames are the journal's frames (see `esd_core::frame`): `[len: u32
+//! LE][checksum: u64 LE = FNV-1a(payload)][payload]`. Decoding is *total*
+//! — torn frames wait for more bytes, bit-flipped frames and oversized
+//! length prefixes are typed [`ServiceError`]s, never panics — which is
+//! what the wire-protocol property tests pin.
 //!
 //! Payloads are the [`WireRequest`] / [`WireResponse`] enums, one frame per
 //! message, encoded with the same vendored serde the rest of the system
@@ -15,11 +14,9 @@
 
 use crate::api::ProgressUpdate;
 use crate::error::ServiceError;
-use esd_core::snapshot::fnv1a64;
+use esd_core::frame::decode_frame;
+pub use esd_core::frame::{encode_frame, FRAME_HEADER};
 use esd_core::{JobOutcome, JobSpec, JobStatus};
-
-/// Frame header size: 4-byte length prefix + 8-byte FNV-1a checksum.
-pub const FRAME_HEADER: usize = 4 + 8;
 
 /// Upper bound on a frame's payload length. A length prefix beyond this is
 /// treated as corruption — the decoder must never allocate unbounded
@@ -104,15 +101,6 @@ pub enum WireResponse {
     Bye,
 }
 
-/// Wraps a payload in a `[len][fnv1a64][payload]` frame.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
-}
-
 /// Encodes a request as one frame.
 pub fn encode_request(request: &WireRequest) -> Vec<u8> {
     encode_frame(serde_json::to_string(request).expect("wire requests serialize").as_bytes())
@@ -174,29 +162,12 @@ impl FrameDecoder {
     /// The next complete frame's payload, `Ok(None)` if more bytes are
     /// needed, or a typed error on corruption.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ServiceError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < FRAME_HEADER {
+        let decoded = decode_frame(&self.buf[self.pos..], MAX_FRAME_LEN)
+            .map_err(|e| ServiceError::protocol(format!("frame rejected: {e:?}")))?;
+        let Some(payload) = decoded.map(<[u8]>::to_vec) else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[0..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(ServiceError::protocol(format!(
-                "frame length {len} exceeds the {MAX_FRAME_LEN}-byte bound"
-            )));
-        }
-        if avail.len() < FRAME_HEADER + len {
-            return Ok(None);
-        }
-        let stored = u64::from_le_bytes(avail[4..12].try_into().expect("8 bytes"));
-        let payload = &avail[FRAME_HEADER..FRAME_HEADER + len];
-        let actual = fnv1a64(payload);
-        if stored != actual {
-            return Err(ServiceError::protocol(format!(
-                "frame checksum mismatch: stored {stored:#x}, actual {actual:#x}"
-            )));
-        }
-        let payload = payload.to_vec();
-        self.pos += FRAME_HEADER + len;
+        };
+        self.pos += FRAME_HEADER + payload.len();
         Ok(Some(payload))
     }
 }

@@ -15,8 +15,9 @@
 //! proximity-guided virtual queues — ordered by the Algorithm-1 proximity
 //! estimate, biased by the deadlock schedule distance (§4.1), with
 //! critical-edge path abandonment and intermediate goals from the static
-//! phase — or the DFS / BFS / RandomPath baselines, optionally with
-//! Chess-style preemption bounding (the KC baseline,
+//! phase — or the DFS / BFS / RandomPath baselines. ESD's guidance is on
+//! unless [`EsdOptions::kc_baseline`] is set, which turns all of it off
+//! and adds Chess-style preemption bounding (the KC baseline,
 //! [`EsdOptions::kc`]).
 //!
 //! # Rounds and bursts
@@ -25,10 +26,10 @@
 //! the frontier, the dedup fingerprints, the statistics) and a `Stepper`
 //! (the crate-private `stepper` module) that advances one state with its
 //! own private [`Solver`](crate::solver::Solver). One [`Engine::step_round`]
-//! selects one state from the frontier, advances it, and then merges the
-//! recorded effects (forked states, statistics, flagged races, other bugs,
-//! snapshot promotions) back into the pool. The stepper never touches the
-//! pool while the state runs.
+//! selects one state from the frontier and advances it; the stepper counts
+//! straight into the engine's [`SearchStats`] and other bugs, and records
+//! forked states and snapshot promotions, which the round then merges into
+//! the pool. The stepper never touches the pool while the state runs.
 //!
 //! The selected state runs a *burst* of up to 32 micro-steps before the
 //! next selection, on every frontier; it stops early when it dies or
@@ -255,7 +256,7 @@ impl Engine {
         // One virtual queue per goal target set: intermediate goals, then the
         // final goal.
         let mut queue_targets: Vec<Vec<Loc>> = Vec::new();
-        if options.use_intermediate_goals {
+        if !options.kc_baseline {
             for alts in analysis.goal_info.intermediate_goal_locs() {
                 if !alts.is_empty() {
                     queue_targets.push(alts);
@@ -277,7 +278,7 @@ impl Engine {
         let guidance = Guidance {
             oracle,
             queues,
-            schedule_bias: options.schedule_bias && matches!(goal, GoalSpec::Deadlock { .. }),
+            schedule_bias: !options.kc_baseline && matches!(goal, GoalSpec::Deadlock { .. }),
         };
         Engine {
             program,
@@ -390,7 +391,14 @@ impl Engine {
         // finding races sooner; KC models Klee's per-instruction searcher.
         let burst =
             if self.options.with_race_detection || self.options.kc_baseline { 1 } else { BURST };
-        let mut stepper = Stepper::new(&self.program, &self.analysis, &self.goal, &self.options);
+        let mut stepper = Stepper::new(
+            &self.program,
+            &self.analysis,
+            &self.goal,
+            &self.options,
+            &mut self.stats,
+            &mut self.other_bugs,
+        );
         let result = stepper.turn(state, burst);
         self.merge(result)
     }
@@ -427,19 +435,11 @@ impl Engine {
 
     // ---- deterministic merge ------------------------------------------------
 
-    /// Merges a turn's result into the shared pool: statistics first, then
-    /// snapshot promotions, then fork admission (dedup fingerprint + pool
-    /// cap, assigning state ids in creation order); a surviving state then
-    /// becomes the hot state.
+    /// Merges a turn's result into the shared pool: snapshot promotions
+    /// first, then fork admission (dedup fingerprint + pool cap, assigning
+    /// state ids in creation order); a surviving state then becomes the hot
+    /// state.
     fn merge(&mut self, mut result: TurnResult) -> StepOutcome {
-        self.stats.steps += result.steps;
-        self.stats.solver_queries += result.solver_queries;
-        self.stats.branches_pruned_static += result.branches_pruned_static;
-        self.stats.solver_queries_saved += result.solver_queries_saved;
-        self.stats.preemptions_pruned_static += result.preemptions_pruned_static;
-        self.stats.races_flagged += result.races_flagged;
-        self.stats.other_bugs_found += result.other_bugs.len();
-        self.other_bugs.append(&mut result.other_bugs);
         for promotion in std::mem::take(&mut result.promotions) {
             match promotion {
                 Promotion::Registered(sid) => self.promote_snapshot(sid),

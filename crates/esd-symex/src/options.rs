@@ -14,8 +14,8 @@ use std::time::Duration;
 /// ([`EsdOptions::kc_baseline`]).
 pub const KC_PREEMPTION_BOUND: u32 = 2;
 
-/// Knobs for a synthesis run (sensible defaults reproduce the paper's ESD
-/// configuration; each heuristic can be switched off on its own).
+/// Knobs for a synthesis run (the defaults reproduce the paper's ESD
+/// configuration; [`EsdOptions::kc_baseline`] switches to the KC baseline).
 ///
 /// Prefer constructing these with the chainable [`EsdOptions::builder`]:
 ///
@@ -43,12 +43,6 @@ pub struct EsdOptions {
     /// proximity-guided frontier by default; DFS / BFS / random are
     /// available for comparison — see [`crate::frontier`]).
     pub frontier: FrontierKind,
-    /// Use the intermediate goals from the static phase as extra queues.
-    pub use_intermediate_goals: bool,
-    /// Abandon states that take the wrong side of a critical edge.
-    pub use_critical_edges: bool,
-    /// Apply the deadlock schedule-distance heuristic (near/far bias).
-    pub schedule_bias: bool,
     /// Insert preemption points before accesses flagged by the lockset race
     /// detector, needed to synthesize data-race schedules
     /// (`--with-race-det`).
@@ -75,10 +69,13 @@ pub struct EsdOptions {
     /// Optional wall-clock deadline for the search, measured from session
     /// creation.
     pub deadline: Option<Duration>,
-    /// Run as the KC baseline's substrate: bound preemptions at
-    /// [`KC_PREEMPTION_BOUND`], as Chess does, and keep every forked state,
-    /// as Klee and Chess enumerate paths and interleavings without state
-    /// deduplication. Off for ESD; set by the [`EsdOptions::kc`] preset.
+    /// Run as the KC baseline instead of ESD. Off, the search uses ESD's
+    /// guidance: intermediate goals, critical-edge and relevance
+    /// abandonment (§3.2–3.4) and the deadlock schedule heuristics (§4.1).
+    /// On, it uses none of them, bounds preemptions at
+    /// [`KC_PREEMPTION_BOUND`], as Chess does, and keeps every forked
+    /// state, as Klee and Chess do not deduplicate states. Set by the
+    /// [`EsdOptions::kc`] preset.
     pub kc_baseline: bool,
 }
 
@@ -89,9 +86,6 @@ impl Default for EsdOptions {
             max_states: 50_000,
             seed: 1,
             frontier: FrontierKind::Proximity,
-            use_intermediate_goals: true,
-            use_critical_edges: true,
-            schedule_bias: true,
             with_race_detection: false,
             static_pruning: true,
             deadline: None,
@@ -108,17 +102,14 @@ impl EsdOptions {
     }
 
     /// The KC baseline (§7.2, "a hybrid system that embodies the Klee and
-    /// Chess techniques"): the given Klee searcher, Chess's preemption bound
-    /// without state deduplication ([`EsdOptions::kc_baseline`]), a pool of
-    /// 20,000 live states, and none of ESD's goal-directed heuristics or
-    /// static verdicts.
+    /// Chess techniques"): the given Klee searcher with
+    /// [`EsdOptions::kc_baseline`] on — none of ESD's guidance, Chess's
+    /// preemption bound, no state deduplication — a pool of 20,000 live
+    /// states, and no static verdicts.
     pub fn kc(frontier: FrontierKind) -> Self {
         EsdOptions {
             max_states: 20_000,
             frontier,
-            use_intermediate_goals: false,
-            use_critical_edges: false,
-            schedule_bias: false,
             static_pruning: false,
             kc_baseline: true,
             ..EsdOptions::default()
@@ -159,24 +150,6 @@ impl EsdOptionsBuilder {
         self
     }
 
-    /// Use intermediate goals from the static phase.
-    pub fn use_intermediate_goals(mut self, on: bool) -> Self {
-        self.options.use_intermediate_goals = on;
-        self
-    }
-
-    /// Abandon paths that violate critical edges.
-    pub fn use_critical_edges(mut self, on: bool) -> Self {
-        self.options.use_critical_edges = on;
-        self
-    }
-
-    /// Use the deadlock schedule-distance bias.
-    pub fn schedule_bias(mut self, on: bool) -> Self {
-        self.options.schedule_bias = on;
-        self
-    }
-
     /// Enable lockset-race-directed preemptions (`--with-race-det`).
     pub fn with_race_detection(mut self, on: bool) -> Self {
         self.options.with_race_detection = on;
@@ -214,9 +187,6 @@ mod tests {
             .max_states(45)
             .seed(6)
             .frontier(FrontierKind::Dfs)
-            .use_intermediate_goals(false)
-            .use_critical_edges(false)
-            .schedule_bias(false)
             .with_race_detection(true)
             .static_pruning(false)
             .deadline(Duration::from_secs(9))
@@ -225,9 +195,6 @@ mod tests {
         assert_eq!(options.max_states, 45);
         assert_eq!(options.seed, 6);
         assert_eq!(options.frontier, FrontierKind::Dfs);
-        assert!(!options.use_intermediate_goals);
-        assert!(!options.use_critical_edges);
-        assert!(!options.schedule_bias);
         assert!(options.with_race_detection);
         assert!(!options.static_pruning);
         assert_eq!(options.deadline, Some(Duration::from_secs(9)));

@@ -2,19 +2,20 @@
 //! factored out of the search pool so a selected state's whole burst is
 //! advanced before any of its effects is merged.
 //!
-//! A [`Stepper`] owns everything needed to advance an execution state
-//! *independently* of the search pool: immutable views of the program, the
-//! static analysis and the goal, plus its **own** [`Solver`]. Everything a
-//! micro-step would have written into the engine — forked states,
-//! schedule-snapshot promotions, flagged races, other bugs found, executed
-//! steps, solver queries — is *recorded* into a [`TurnResult`] instead, and
-//! the engine merges it back into the pool after the turn (see
+//! A [`Stepper`] borrows everything needed to advance an execution state
+//! apart from the search pool: immutable views of the program, the static
+//! analysis and the goal, its **own** [`Solver`], and the engine's
+//! [`SearchStats`] and other-bugs list. Counters — executed steps, solver
+//! queries, static-pruning savings, flagged races, other bugs found — go
+//! straight into those as they happen. What touches the pool — forked
+//! states and schedule-snapshot promotions — is *recorded* into a
+//! [`TurnResult`] instead, and the engine merges it after the turn (see
 //! [`crate::engine`]). That record-then-merge split is what lets a burst
 //! run up to 32 micro-steps: the states it forks, including snapshots the
 //! deadlock roll-back promotes before they have an id
 //! ([`Promotion::Pending`]), wait for the merge.
 
-use crate::engine::GoalSpec;
+use crate::engine::{GoalSpec, SearchStats};
 use crate::expr::{SymExpr, SymValue, SymVarInfo};
 use crate::options::{EsdOptions, KC_PREEMPTION_BOUND};
 use crate::solver::{Solver, SolverResult};
@@ -108,74 +109,52 @@ pub(crate) struct TurnResult {
     /// Snapshot states to promote to [`SchedDistance::Near`] (the deadlock
     /// roll-back heuristic of §4.1), in occurrence order.
     pub promotions: Vec<Promotion>,
-    /// Faults found that did not match the goal.
-    pub other_bugs: Vec<(FaultKind, Option<Loc>)>,
-    /// Data races flagged by the per-state lockset detector.
-    pub races_flagged: usize,
-    /// Instructions executed during the turn.
-    pub steps: u64,
-    /// Solver queries issued during the turn.
-    pub solver_queries: u64,
-    /// Branch forks decided by a static feasibility verdict this turn.
-    pub branches_pruned_static: u64,
-    /// Solver queries those verdicts made unnecessary this turn.
-    pub solver_queries_saved: u64,
-    /// Preemption forks skipped this turn because the yield has no static
-    /// race-pair candidate material around it (accesses the dynamic
-    /// detector actually flags always fork, candidate or not).
-    pub preemptions_pruned_static: u64,
 }
 
-/// A stepper: immutable views of the search job plus a private solver and
-/// the per-turn effect accumulators.
+/// A stepper: immutable views of the search job, a private solver, the
+/// engine's counters, and the turn's recorded forks and promotions.
 pub(crate) struct Stepper<'a> {
     program: &'a Arc<Program>,
     analysis: &'a Arc<StaticAnalysis>,
     goal: &'a GoalSpec,
     options: &'a EsdOptions,
+    stats: &'a mut SearchStats,
+    other_bugs: &'a mut Vec<(FaultKind, Option<Loc>)>,
     solver: Solver,
     forks: Vec<PendingFork>,
     promotions: Vec<Promotion>,
-    other_bugs: Vec<(FaultKind, Option<Loc>)>,
-    races_flagged: usize,
-    steps: u64,
-    branches_pruned_static: u64,
-    solver_queries_saved: u64,
-    preemptions_pruned_static: u64,
 }
 
 impl<'a> Stepper<'a> {
-    /// Creates a stepper for one round's turn.
+    /// Creates a stepper for one round's turn, counting into `stats` and
+    /// appending faults that do not match the goal to `other_bugs`.
     pub fn new(
         program: &'a Arc<Program>,
         analysis: &'a Arc<StaticAnalysis>,
         goal: &'a GoalSpec,
         options: &'a EsdOptions,
+        stats: &'a mut SearchStats,
+        other_bugs: &'a mut Vec<(FaultKind, Option<Loc>)>,
     ) -> Self {
         Stepper {
             program,
             analysis,
             goal,
             options,
+            stats,
+            other_bugs,
             solver: Solver::default(),
             forks: Vec::new(),
             promotions: Vec::new(),
-            other_bugs: Vec::new(),
-            races_flagged: 0,
-            steps: 0,
-            branches_pruned_static: 0,
-            solver_queries_saved: 0,
-            preemptions_pruned_static: 0,
         }
     }
 
     /// Advances `state` by up to `burst` micro-steps (stopping early when it
-    /// dies or reaches the goal) and returns everything the turn produced.
+    /// dies or reaches the goal) and returns what the engine must merge.
     /// The engine passes 32 on every frontier, and 1 under race detection
     /// and the KC baseline. Forks made during the turn are only recorded;
     /// they reach the frontier when the engine merges the turn.
     pub fn turn(&mut self, mut state: ExecState, burst: u32) -> TurnResult {
-        let queries_before = self.solver.queries;
         let mut verdict = TurnVerdict::Continue;
         for _ in 0..burst.max(1) {
             match self.step(&mut state) {
@@ -191,18 +170,12 @@ impl<'a> Stepper<'a> {
                 }
             }
         }
+        self.stats.solver_queries += std::mem::take(&mut self.solver.queries);
         TurnResult {
             state,
             verdict,
             forks: std::mem::take(&mut self.forks),
             promotions: std::mem::take(&mut self.promotions),
-            other_bugs: std::mem::take(&mut self.other_bugs),
-            races_flagged: std::mem::take(&mut self.races_flagged),
-            steps: std::mem::take(&mut self.steps),
-            solver_queries: self.solver.queries - queries_before,
-            branches_pruned_static: std::mem::take(&mut self.branches_pruned_static),
-            solver_queries_saved: std::mem::take(&mut self.solver_queries_saved),
-            preemptions_pruned_static: std::mem::take(&mut self.preemptions_pruned_static),
         }
     }
 
@@ -230,7 +203,7 @@ impl<'a> Stepper<'a> {
     fn count_step(&mut self, state: &mut ExecState) {
         state.steps += 1;
         state.segment_steps += 1;
-        self.steps += 1;
+        self.stats.steps += 1;
     }
 
     /// Concretizes a symbolic value to an integer, pinning it with an
@@ -277,7 +250,7 @@ impl<'a> Stepper<'a> {
 
     // ---- fault / goal handling ----------------------------------------------
 
-    fn handle_fault(&mut self, state: &mut ExecState, fault: FaultKind, loc: Loc) -> StepEffect {
+    fn handle_fault(&mut self, fault: FaultKind, loc: Loc) -> StepEffect {
         let is_goal = match self.goal {
             GoalSpec::Crash { loc: goal_loc } => loc == *goal_loc,
             GoalSpec::Deadlock { .. } => false,
@@ -285,10 +258,14 @@ impl<'a> Stepper<'a> {
         if is_goal {
             StepEffect::Goal { fault, fault_loc: Some(loc) }
         } else {
-            self.other_bugs.push((fault, Some(loc)));
-            let _ = state;
+            self.record_other_bug(fault, Some(loc));
             StepEffect::Dead
         }
+    }
+
+    fn record_other_bug(&mut self, fault: FaultKind, loc: Option<Loc>) {
+        self.other_bugs.push((fault, loc));
+        self.stats.other_bugs_found += 1;
     }
 
     /// Checks whether the state's blocked threads form the reported deadlock
@@ -337,7 +314,7 @@ impl<'a> Stepper<'a> {
             // abandon the state (the paper rolls back and resumes the search
             // for the reported deadlock; abandoning this state achieves the
             // same because its fork ancestors are still in the pool).
-            self.other_bugs.push((FaultKind::Deadlock, state.current_loc()));
+            self.record_other_bug(FaultKind::Deadlock, state.current_loc());
             return Some(StepEffect::Dead);
         }
         None
@@ -455,7 +432,7 @@ impl<'a> Stepper<'a> {
         let block = func.block(frame_loc.block);
 
         // Critical-edge / relevance abandonment (ESD only).
-        if self.options.use_critical_edges
+        if !self.options.kc_baseline
             && state.thread(cur).frames.len() == 1
             && self.analysis.goal_info.is_irrelevant_block(frame_loc)
             && !matches!(self.goal, GoalSpec::Deadlock { .. })
@@ -525,9 +502,7 @@ impl<'a> Stepper<'a> {
                 }
                 StepEffect::Continue
             }
-            Terminator::Unreachable => {
-                self.handle_fault(state, FaultKind::UnreachableExecuted, loc)
-            }
+            Terminator::Unreachable => self.handle_fault(FaultKind::UnreachableExecuted, loc),
         }
     }
 
@@ -555,7 +530,7 @@ impl<'a> Stepper<'a> {
         // single-location (crash) goals: for deadlocks the static info is
         // computed from one thread's blocked location and must not constrain
         // the other threads' paths.
-        if self.options.use_critical_edges && !matches!(self.goal, GoalSpec::Deadlock { .. }) {
+        if !self.options.kc_baseline && !matches!(self.goal, GoalSpec::Deadlock { .. }) {
             if let Some(edge) = self.analysis.goal_info.critical_edge_at(loc.func, loc.block) {
                 let (take, expr) = if edge.required_value {
                     (then_bb, cond.clone())
@@ -568,8 +543,8 @@ impl<'a> Stepper<'a> {
                     Feasibility::Unknown => None,
                 };
                 if let Some(takeable) = statically_required {
-                    self.branches_pruned_static += 1;
-                    self.solver_queries_saved += 1;
+                    self.stats.branches_pruned_static += 1;
+                    self.stats.solver_queries_saved += 1;
                     if !takeable {
                         // The branch always takes the side the goal forbids.
                         return StepEffect::Dead;
@@ -592,8 +567,8 @@ impl<'a> Stepper<'a> {
         }
         match verdict {
             Feasibility::AlwaysTrue | Feasibility::AlwaysFalse => {
-                self.branches_pruned_static += 1;
-                self.solver_queries_saved += 2;
+                self.stats.branches_pruned_static += 1;
+                self.stats.solver_queries_saved += 2;
                 let (bb, c) = if verdict == Feasibility::AlwaysTrue {
                     (then_bb, cond)
                 } else {
@@ -659,7 +634,7 @@ impl<'a> Stepper<'a> {
                         self.advance(state);
                         StepEffect::Continue
                     }
-                    Err(f) => self.handle_fault(state, f, loc),
+                    Err(f) => self.handle_fault(f, loc),
                 }
             }
             Inst::Cmp { dst, op, a, b } => {
@@ -732,7 +707,7 @@ impl<'a> Stepper<'a> {
                         self.advance(state);
                         StepEffect::Continue
                     }
-                    Err(e) => self.handle_fault(state, Self::mem_fault(e, cv), loc),
+                    Err(e) => self.handle_fault(Self::mem_fault(e, cv), loc),
                 }
             }
             Inst::Load { dst, addr } => {
@@ -749,9 +724,9 @@ impl<'a> Stepper<'a> {
                             self.advance(state);
                             StepEffect::Continue
                         }
-                        Err(e) => self.handle_fault(state, Self::mem_fault(e, Value::Ptr(p)), loc),
+                        Err(e) => self.handle_fault(Self::mem_fault(e, Value::Ptr(p)), loc),
                     },
-                    Err(f) => self.handle_fault(state, f, loc),
+                    Err(f) => self.handle_fault(f, loc),
                 }
             }
             Inst::Store { addr, value } => {
@@ -768,9 +743,9 @@ impl<'a> Stepper<'a> {
                             self.advance(state);
                             StepEffect::Continue
                         }
-                        Err(e) => self.handle_fault(state, Self::mem_fault(e, Value::Ptr(p)), loc),
+                        Err(e) => self.handle_fault(Self::mem_fault(e, Value::Ptr(p)), loc),
                     },
-                    Err(f) => self.handle_fault(state, f, loc),
+                    Err(f) => self.handle_fault(f, loc),
                 }
             }
             Inst::Gep { dst, base, offset } => {
@@ -796,7 +771,7 @@ impl<'a> Stepper<'a> {
                 self.count_step(state);
                 let target = match self.resolve_callee(state, &callee) {
                     Ok(t) => t,
-                    Err(f) => return self.handle_fault(state, f, loc),
+                    Err(f) => return self.handle_fault(f, loc),
                 };
                 let argv: Vec<SymValue> = args.iter().map(|a| self.eval(state, *a)).collect();
                 self.advance(state);
@@ -826,7 +801,7 @@ impl<'a> Stepper<'a> {
                             self.advance(state);
                             StepEffect::Continue
                         } else {
-                            self.handle_fault(state, FaultKind::AssertFailure { msg }, loc)
+                            self.handle_fault(FaultKind::AssertFailure { msg }, loc)
                         }
                     }
                     None => {
@@ -855,7 +830,7 @@ impl<'a> Stepper<'a> {
                             let (passing, violating) =
                                 self.solver.branch_feasible(&state.constraints, &e);
                             if violating {
-                                self.other_bugs.push((FaultKind::AssertFailure { msg }, Some(loc)));
+                                self.record_other_bug(FaultKind::AssertFailure { msg }, Some(loc));
                             }
                             state.add_constraint(e);
                             if !passing {
@@ -873,11 +848,10 @@ impl<'a> Stepper<'a> {
                 let av = self.eval(state, mutex);
                 let p = match self.as_address(state, &av) {
                     Ok(p) => p,
-                    Err(f) => return self.handle_fault(state, f, loc),
+                    Err(f) => return self.handle_fault(f, loc),
                 };
                 if state.sync.holder_of(p) != Some(cur) {
                     return self.handle_fault(
-                        state,
                         FaultKind::SyncMisuse { what: "unlock of a mutex not held".into() },
                         loc,
                     );
@@ -904,7 +878,7 @@ impl<'a> Stepper<'a> {
                 let mv = self.eval(state, mutex);
                 let (cp, mp) = match (self.as_address(state, &cv), self.as_address(state, &mv)) {
                     (Ok(c), Ok(m)) => (c, m),
-                    (Err(f), _) | (_, Err(f)) => return self.handle_fault(state, f, loc),
+                    (Err(f), _) | (_, Err(f)) => return self.handle_fault(f, loc),
                 };
                 if state.thread(cur).cond_resume == Some(mp) {
                     if state.sync.holder_of(mp).is_none() {
@@ -920,7 +894,6 @@ impl<'a> Stepper<'a> {
                 }
                 if state.sync.holder_of(mp) != Some(cur) {
                     return self.handle_fault(
-                        state,
                         FaultKind::SyncMisuse {
                             what: "cond_wait without holding the mutex".into(),
                         },
@@ -947,7 +920,7 @@ impl<'a> Stepper<'a> {
                 let cv = self.eval(state, cond);
                 let cp = match self.as_address(state, &cv) {
                     Ok(p) => p,
-                    Err(f) => return self.handle_fault(state, f, loc),
+                    Err(f) => return self.handle_fault(f, loc),
                 };
                 let waiters = {
                     let c = state.sync.cond_mut(cp);
@@ -970,7 +943,7 @@ impl<'a> Stepper<'a> {
                 self.count_step(state);
                 let target = match self.resolve_callee(state, &func) {
                     Ok(t) => t,
-                    Err(f) => return self.handle_fault(state, f, loc),
+                    Err(f) => return self.handle_fault(f, loc),
                 };
                 let av = self.eval(state, arg);
                 let new_tid = ThreadId(state.threads.len() as u32);
@@ -991,7 +964,6 @@ impl<'a> Stepper<'a> {
                 let idx = self.concretize(state, &tv).unwrap_or(-1);
                 if idx < 0 || idx as usize >= state.threads.len() {
                     return self.handle_fault(
-                        state,
                         FaultKind::SyncMisuse { what: format!("join of invalid thread id {idx}") },
                         loc,
                     );
@@ -1023,7 +995,7 @@ impl<'a> Stepper<'a> {
                         && !self.analysis.race_candidates.is_relevant_yield(loc)
                     {
                         if self.other_runnable(state).is_some() {
-                            self.preemptions_pruned_static += 1;
+                            self.stats.preemptions_pruned_static += 1;
                         }
                     } else if let Some(next) = self.other_runnable(state) {
                         self.fork_preempted(state, next);
@@ -1165,7 +1137,7 @@ impl<'a> Stepper<'a> {
         // every sibling interleaving that reaches the same pair.
         let race = state.race_detector.access((p.obj.0, p.off), cur.0, loc, is_write, &held);
         if race.is_some() {
-            self.races_flagged += 1;
+            self.stats.races_flagged += 1;
             // Concrete runtime evidence beats the static candidate set: a
             // flagged access forks its delayed alternative even when
             // `static_pruning` is on and the access belongs to no
@@ -1187,7 +1159,7 @@ impl<'a> Stepper<'a> {
             Ok(p) => p,
             Err(f) => {
                 self.count_step(state);
-                return self.handle_fault(state, f, loc);
+                return self.handle_fault(f, loc);
             }
         };
         let holder = state.sync.holder_of(p);
@@ -1209,7 +1181,7 @@ impl<'a> Stepper<'a> {
                 // Inner-lock heuristic: if this acquisition happened at one of
                 // the reported blocked-lock locations, remember it and
                 // preempt, so another thread can come and request this mutex.
-                if self.options.schedule_bias {
+                if !self.options.kc_baseline {
                     if let GoalSpec::Deadlock { thread_locs } = self.goal {
                         if thread_locs.contains(&loc) {
                             state.thread_mut(cur).inner_lock_held = Some(p);
@@ -1225,7 +1197,7 @@ impl<'a> Stepper<'a> {
             Some(owner) => {
                 // The mutex is held (possibly by this very thread: self
                 // deadlock). Apply the roll-back heuristic, then block.
-                if self.options.schedule_bias
+                if !self.options.kc_baseline
                     && owner != cur
                     && state.threads[owner.0 as usize].inner_lock_held == Some(p)
                 {

@@ -373,13 +373,12 @@ fn sibling_forks_flag_the_same_race_independently() {
     let p = pb.finish("main");
 
     // Unreachable crash goal: the search explores everything and exhausts.
+    // No ESD guidance: the goal's critical edge would abandon sibling `b`.
     let goal = GoalSpec::Crash { loc: Loc::new(main_id, BlockId(1), 0) };
     let config = EsdOptions {
         frontier: FrontierKind::Dfs,
-        use_intermediate_goals: false,
-        use_critical_edges: false,
-        schedule_bias: false,
         with_race_detection: true,
+        kc_baseline: true,
         ..EsdOptions::default()
     };
     let primary = goal.primary_locs()[0];
@@ -660,18 +659,19 @@ fn branch_refuted_by_pinned_inputs_does_not_fork() {
     let goal_loc = goal_loc.unwrap();
     let analysis = Arc::new(StaticAnalysis::compute(&p, goal_loc));
     let goal = GoalSpec::Crash { loc: goal_loc };
-    // Neither static verdicts nor critical edges: the solver decides.
-    let config =
-        EsdOptions { static_pruning: false, use_critical_edges: false, ..Default::default() };
-    let mut stepper = Stepper::new(&p, &analysis, &goal, &config);
+    // Neither static verdicts nor the KC preset's lack of critical edges:
+    // the solver decides.
+    let config = EsdOptions { static_pruning: false, kc_baseline: true, ..Default::default() };
+    let (mut stats, mut other_bugs) = (SearchStats::default(), Vec::new());
+    let mut stepper = Stepper::new(&p, &analysis, &goal, &config, &mut stats, &mut other_bugs);
     let turn = stepper.turn(ExecState::initial(&p), 64);
     assert!(turn.forks.is_empty(), "the refuted side must not fork");
     // Two queries per assert and two for the branch.
-    assert_eq!(turn.solver_queries, 6);
+    assert_eq!(stats.solver_queries, 6);
     // Only the asserts' violations were found: the null dereference on the
     // refuted side never ran.
-    assert_eq!(turn.other_bugs.len(), 2);
-    assert!(turn.other_bugs.iter().all(|(f, _)| matches!(f, FaultKind::AssertFailure { .. })));
+    assert_eq!((other_bugs.len(), stats.other_bugs_found), (2, 2));
+    assert!(other_bugs.iter().all(|(f, _)| matches!(f, FaultKind::AssertFailure { .. })));
 }
 
 /// One round advances the selected state a 32-step burst on every frontier,

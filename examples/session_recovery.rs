@@ -3,7 +3,8 @@
 //! 1. Start a durable [`JobExecutor`]: every scheduling decision is
 //!    journaled write-ahead, and a full checkpoint is written every few
 //!    slices (`checkpoint_every`).
-//! 2. Submit two synthesis jobs and run part of the batch.
+//! 2. Submit two synthesis jobs and run part of the batch, so the crash
+//!    below hits a job mid-search.
 //! 3. "Crash" — drop the live executor cold, exactly what `kill -9` leaves
 //!    behind: the last checkpoint plus the journal tail.
 //! 4. Recover with [`JobExecutor::recover`]: the checkpoint is loaded, the
@@ -14,7 +15,7 @@
 //! Run with: `cargo run --example session_recovery`
 
 use esd::workloads::genbug::{generate, GenConfig, InjectedBugKind};
-use esd::workloads::real_bugs::paste_invalid_free;
+use esd::workloads::{generate_bpf, BpfConfig};
 use esd::{EsdOptions, FrontierKind, JobExecutor, JobSpec};
 
 fn main() {
@@ -28,10 +29,11 @@ fn main() {
         .durable_dir(&dir)
         .expect("durable directory is writable");
 
-    // Two jobs: the paper's `paste` invalid free on the random frontier, and
-    // a generated corpus bug on the default proximity frontier.
-    let paste = paste_invalid_free();
-    executor.submit(JobSpec::new(&paste.name, &paste.program, paste.goal()).options(
+    // Two jobs: a 64-branch BPF deadlock on the random frontier, which
+    // takes several slices, and a generated corpus bug on the default
+    // proximity frontier.
+    let bpf = generate_bpf(&BpfConfig::default());
+    executor.submit(JobSpec::new(&bpf.name, &bpf.program, bpf.goal()).options(
         EsdOptions::builder().max_steps(2_000_000).frontier(FrontierKind::Random).build(),
     ));
     let genbug = generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload();
@@ -49,6 +51,9 @@ fn main() {
         "crashing after {} slices ({} search rounds dispatched)...",
         before.slices_dispatched, before.rounds_dispatched
     );
+    for job in &before.jobs {
+        println!("  {}: {:?} after {} rounds", job.label, job.phase, job.rounds);
+    }
     drop(executor); // the crash: only the durable directory survives
 
     // Recovery: reduce(snapshot, journal) rebuilds the executor exactly.

@@ -3,7 +3,7 @@
 //! execution files.
 //!
 //! The harness first runs an uninterrupted round-robin three-job batch
-//! (the `paste` invalid free on the random frontier, plus a generated
+//! (a 32-branch BPF deadlock on the random frontier, plus a generated
 //! crash and a generated race on the proximity frontier) and
 //! records every job's winner execution bytes and search statistics. It then replays the
 //! same batch under a durable executor, crashing after `k` dispatched
@@ -28,8 +28,7 @@
 
 use esd::symex::SearchStats;
 use esd::workloads::genbug::{generate, GenConfig, InjectedBugKind};
-use esd::workloads::real_bugs::paste_invalid_free;
-use esd::workloads::Workload;
+use esd::workloads::{generate_bpf, BpfConfig, Workload};
 use esd::{EsdOptions, FrontierKind, JobExecutor, JobPhase, JobSpec, JobVerdict};
 use std::path::PathBuf;
 
@@ -61,17 +60,19 @@ fn durable_dir(tag: &str) -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("recovery_tmp").join(tag)
 }
 
-/// The matrix jobs: the real `paste` bug on the random frontier, and two
-/// generated corpus bugs on the paper's proximity default. The crash
-/// runs 32-step bursts and finishes within a few rounds; the race steps one
-/// instruction per round under race detection and keeps the batch going
-/// for about 30 slices, so the run crosses many batch boundaries.
+/// The matrix jobs: a BPF deadlock on the random frontier, and two
+/// generated corpus bugs on the paper's proximity default. The deadlock
+/// takes several slices, so the random frontier's image is checkpointed
+/// mid-search. The crash runs 32-step bursts and finishes within a few
+/// rounds; the race steps one instruction per round under race detection
+/// and keeps the batch going for about 30 slices, so the run crosses many
+/// batch boundaries.
 fn matrix_jobs() -> Vec<(Workload, EsdOptions)> {
     let random = EsdOptions::builder().max_steps(2_000_000).frontier(FrontierKind::Random).build();
     let proximity = EsdOptions::builder().max_steps(2_000_000).build();
     let race = EsdOptions::builder().max_steps(2_000_000).with_race_detection(true).build();
     vec![
-        (paste_invalid_free(), random),
+        (generate_bpf(&BpfConfig { branches: 32, ..BpfConfig::default() }), random),
         (generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload(), proximity),
         (generate(&GenConfig::new(2, InjectedBugKind::DataRace)).to_workload(), race),
     ]
@@ -166,6 +167,10 @@ fn run_matrix(name: &str, cadence: u64) {
         boundaries.push(boundary_state(&baseline));
     }
     let total = boundaries.len() as u64 - 1;
+    assert!(
+        baseline.stats().jobs[0].slices >= 2,
+        "{name}: the random-frontier job must still be searching after its first slice"
+    );
     let expected = collect(&mut baseline, &handles);
     assert!(
         expected.iter().all(|e| e.verdict == JobVerdict::Found),
