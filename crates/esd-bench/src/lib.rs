@@ -12,7 +12,9 @@
 //! * `fig2` — search steps to a path to the bug for ESD, KC-DFS and
 //!   KC-RandPath on ls1–ls4 and the real-bug analogs. The analogs are small:
 //!   all three find every one of them within a few thousand steps, and ESD
-//!   takes about as many as KC-DFS. Exits 2 when ESD misses an analog.
+//!   takes about as many as KC-DFS. A second table runs ESD against KC-DFS
+//!   on medium generated bugs, per bug kind ([`fig2_genbugs`]). Exits 2
+//!   when ESD misses an analog or a generated bug.
 //! * `fig3` — ESD's and KC-RandPath's time and steps over BPF programs of
 //!   growing branch count, with each program's size in KLOC (Figure 4's
 //!   x-axis). ESD's steps grow with the branch count, and KC-RandPath hits
@@ -35,6 +37,9 @@ pub mod coverage;
 use esd_core::{stress_test, Esd, EsdOptions, StressConfig, SynthesisReport};
 use esd_playback::play;
 use esd_symex::FrontierKind;
+use esd_workloads::genbug::{
+    generate as generate_bug, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind,
+};
 use esd_workloads::{all_real_bugs, generate_bpf, listing1, BpfConfig, Workload, WorkloadKind};
 use serde::Serialize;
 use std::time::{Duration, Instant};
@@ -235,6 +240,96 @@ pub fn print_fig2(rows: &[Fig2Row], frontier: FrontierKind) {
 /// A step count, or "cap" when the budget ran out.
 fn steps_or_cap(steps: Option<u64>) -> String {
     steps.map_or_else(|| "cap".into(), |s| s.to_string())
+}
+
+/// The generator seeds of the medium-genbug Figure 2.
+pub const GENBUG_FIG2_SEEDS: std::ops::Range<u64> = 0..8;
+
+/// One bug kind of the medium-genbug Figure 2: search steps per seed, in
+/// [`GENBUG_FIG2_SEEDS`] order (`None` = the budget or cap ran out, or the
+/// execution did not match the injected ground truth).
+#[derive(Debug, Clone)]
+pub struct GenbugFig2Row {
+    /// The injected bug kind.
+    pub kind: InjectedBugKind,
+    /// ESD's search steps.
+    pub esd_steps: Vec<Option<u64>>,
+    /// KC with DFS.
+    pub kc_dfs_steps: Vec<Option<u64>>,
+}
+
+/// Figure 2 on the generated corpus: search steps to each medium generated
+/// bug (seeds [`GENBUG_FIG2_SEEDS`]), ESD (with the given search frontier)
+/// against KC-DFS, one row per bug kind. Race kinds run with race detection
+/// on both sides. A step count is reported only when the execution matches
+/// the injected ground truth.
+pub fn fig2_genbugs(esd_budget: u64, kc_cap: u64, frontier: FrontierKind) -> Vec<GenbugFig2Row> {
+    let steps = |w: &GeneratedWorkload, options: EsdOptions| {
+        let options = EsdOptions { with_race_detection: w.truth.needs_race_preemptions, ..options };
+        let report = Esd::new(options).synthesize_goal(&w.program, w.truth.goal.clone()).ok()?;
+        w.truth.matches(&report.execution).ok().map(|()| report.stats.steps)
+    };
+    let esd = EsdOptions::builder()
+        .max_steps(esd_budget)
+        .frontier(frontier)
+        .static_pruning(static_pruning_from_env())
+        .build();
+    let kc = EsdOptions { max_steps: kc_cap, ..EsdOptions::kc(FrontierKind::Dfs) };
+    InjectedBugKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let corpus: Vec<GeneratedWorkload> = GENBUG_FIG2_SEEDS
+                .map(|seed| generate_bug(&GenConfig { seed, kind, size: GenSize::medium() }))
+                .collect();
+            GenbugFig2Row {
+                kind,
+                esd_steps: corpus.iter().map(|w| steps(w, esd.clone())).collect(),
+                kc_dfs_steps: corpus.iter().map(|w| steps(w, kc.clone())).collect(),
+            }
+        })
+        .collect()
+}
+
+/// Renders the medium-genbug Figure 2: per bug kind, the fewest, most and
+/// summed steps over the seeds for ESD and KC-DFS, and on how many seeds
+/// ESD needed no more steps than KC-DFS.
+pub fn print_fig2_genbugs(rows: &[GenbugFig2Row], frontier: FrontierKind) {
+    println!(
+        "Figure 2 (generated): search steps over medium genbug seeds {}..{} — \
+         ESD[{frontier}] vs KC(DFS)",
+        GENBUG_FIG2_SEEDS.start, GENBUG_FIG2_SEEDS.end
+    );
+    println!(
+        "{:<10} {:>14} {:>10} {:>14} {:>10} {:>12}",
+        "Kind", "ESD min-max", "ESD sum", "KC-DFS min-max", "KC-DFS sum", "ESD<=KC-DFS"
+    );
+    // "cap" when any seed ran out of budget.
+    let span = |steps: &[Option<u64>]| match steps.iter().copied().collect::<Option<Vec<u64>>>() {
+        Some(s) => {
+            let (lo, hi) = (s.iter().min().unwrap_or(&0), s.iter().max().unwrap_or(&0));
+            (format!("{lo}-{hi}"), s.iter().sum::<u64>().to_string())
+        }
+        None => ("cap".into(), "cap".into()),
+    };
+    for r in rows {
+        let (esd_range, esd_sum) = span(&r.esd_steps);
+        let (kc_range, kc_sum) = span(&r.kc_dfs_steps);
+        let wins = r
+            .esd_steps
+            .iter()
+            .zip(&r.kc_dfs_steps)
+            .filter(|(esd, kc)| esd.is_some_and(|e| kc.is_none_or(|k| e <= k)))
+            .count();
+        println!(
+            "{:<10} {:>14} {:>10} {:>14} {:>10} {:>12}",
+            r.kind.slug(),
+            esd_range,
+            esd_sum,
+            kc_range,
+            kc_sum,
+            format!("{wins}/{}", r.esd_steps.len())
+        );
+    }
 }
 
 /// One point of Figure 3 (and of Figure 4, whose x-axis is `kloc`).

@@ -27,12 +27,14 @@ use std::path::Path;
 /// The current snapshot envelope format version. Bump when the envelope (or
 /// the canonical payload encoding) changes shape, or when the search steps
 /// differently: a payload written under the old stepping rule would resume
-/// along a different trajectory. Removing a variant or a field a payload may
-/// hold (format 14 dropped the batched frontier's image, format 15 the three
-/// per-heuristic switches of the stored `EsdOptions`) is a change of shape
-/// too. [`unseal`] rejects any other version with
-/// [`SnapshotError::UnknownVersion`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 15;
+/// along a different trajectory; so does a frontier image whose keys were
+/// computed under an old proximity rule (format 16 counts every thread that
+/// has not finished). Removing a variant or a field a payload may hold
+/// (format 14 dropped the batched frontier's image, format 15 the three
+/// per-heuristic switches of the stored `EsdOptions`, format 16
+/// `SearchStats::other_bugs_found`) is a change of shape too. [`unseal`]
+/// rejects any other version with [`SnapshotError::UnknownVersion`].
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 16;
 
 /// 64-bit FNV-1a over `bytes` — the dependency-free checksum used by both
 /// snapshot envelopes and journal frames.

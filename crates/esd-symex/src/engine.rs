@@ -37,7 +37,7 @@
 //! Re-selecting after every instruction made the proximity search enumerate
 //! about 2,000 states and 120,000–200,000 steps on a medium generated crash;
 //! letting the selected state run, as Klee's batching searcher does, reaches
-//! it in 250–12,000 steps. Two configurations keep one micro-step per
+//! it in about 250 steps. Two configurations keep one micro-step per
 //! selection: race detection, where every shared access is a preemption
 //! point (§4.2) and a burst only multiplies the live states, and the KC
 //! baseline ([`EsdOptions::kc`]), which models Klee's per-instruction
@@ -125,9 +125,6 @@ pub struct SearchStats {
     /// candidate material around it
     /// ([`EsdOptions::static_pruning`]).
     pub preemptions_pruned_static: u64,
-    /// Bugs found that did not match the goal (the paper: "ESD has
-    /// discovered a different bug").
-    pub other_bugs_found: usize,
     /// Data races flagged by the lockset detector.
     pub races_flagged: usize,
     /// The lowest raw path distance to the final goal observed so far (the
@@ -654,12 +651,14 @@ impl Guidance {
     }
 
     /// The state's raw path distance to `targets`: the best proximity any
-    /// runnable thread (preferring the scheduled one) has to any of the
-    /// queue's target locations.
+    /// thread that has not finished has to any of the queue's target
+    /// locations. A thread blocked in `join` or on a mutex resumes where it
+    /// stands, so it counts like a runnable one; skipping it would leave a
+    /// `main` joined on its workers with no path to its own tail.
     fn path_distance(&self, state: &ExecState, targets: &[Arc<GoalDistances>]) -> u64 {
         let mut path_dist = INF;
         for thread in &state.threads {
-            if thread.is_finished() || (!thread.is_runnable() && thread.id != state.current) {
+            if thread.is_finished() {
                 continue;
             }
             let stack = thread.stack_locs();

@@ -258,14 +258,9 @@ impl<'a> Stepper<'a> {
         if is_goal {
             StepEffect::Goal { fault, fault_loc: Some(loc) }
         } else {
-            self.record_other_bug(fault, Some(loc));
+            self.other_bugs.push((fault, Some(loc)));
             StepEffect::Dead
         }
-    }
-
-    fn record_other_bug(&mut self, fault: FaultKind, loc: Option<Loc>) {
-        self.other_bugs.push((fault, loc));
-        self.stats.other_bugs_found += 1;
     }
 
     /// Checks whether the state's blocked threads form the reported deadlock
@@ -314,7 +309,7 @@ impl<'a> Stepper<'a> {
             // abandon the state (the paper rolls back and resumes the search
             // for the reported deadlock; abandoning this state achieves the
             // same because its fork ancestors are still in the pool).
-            self.record_other_bug(FaultKind::Deadlock, state.current_loc());
+            self.other_bugs.push((FaultKind::Deadlock, state.current_loc()));
             return Some(StepEffect::Dead);
         }
         None
@@ -830,7 +825,7 @@ impl<'a> Stepper<'a> {
                             let (passing, violating) =
                                 self.solver.branch_feasible(&state.constraints, &e);
                             if violating {
-                                self.record_other_bug(FaultKind::AssertFailure { msg }, Some(loc));
+                                self.other_bugs.push((FaultKind::AssertFailure { msg }, Some(loc)));
                             }
                             state.add_constraint(e);
                             if !passing {

@@ -34,9 +34,9 @@ fn regen_requested() -> bool {
 }
 
 /// The fixture recipe: the seed-2 genbug crash workload (the smoke-corpus
-/// seed also pinned by `golden_genbug`) advanced 4 rounds of 32-step bursts
-/// (it finds the crash in its eighth), with the wall-clock `elapsed` zeroed
-/// so the fixture bytes are reproducible.
+/// seed also pinned by `golden_genbug`) advanced 3 rounds of 32-step bursts
+/// (it finds the crash in its fourth, at 115 steps), with the wall-clock
+/// `elapsed` zeroed so the fixture bytes are reproducible.
 fn fixture_snapshot() -> SessionSnapshot {
     let w = generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload();
     let mut session = SynthesisSession::new(
@@ -44,7 +44,7 @@ fn fixture_snapshot() -> SessionSnapshot {
         w.goal(),
         EsdOptions::builder().max_steps(2_000_000).build(),
     );
-    session.run_for(4);
+    session.run_for(3);
     assert!(session.poll().is_running(), "the fixture pins a mid-search session");
     let mut snap = session.snapshot();
     snap.elapsed = Duration::ZERO;

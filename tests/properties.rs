@@ -659,7 +659,6 @@ fn wire_status(n: u64) -> esd::JobStatus {
                     branches_pruned_static: n % 23,
                     solver_queries_saved: n % 29,
                     preemptions_pruned_static: n % 37,
-                    other_bugs_found: (n % 3) as usize,
                     races_flagged: (n % 5) as usize,
                     best_proximity: if n.is_multiple_of(2) { Some(n % 31) } else { None },
                 },

@@ -4,8 +4,9 @@
 //!
 //! The harness first runs an uninterrupted round-robin three-job batch
 //! (a 32-branch BPF deadlock on the random frontier, plus a generated
-//! crash and a generated race on the proximity frontier) and
-//! records every job's winner execution bytes and search statistics. It then replays the
+//! crash and a generated race on the proximity frontier), requires it to
+//! cross at least 24 batch boundaries, and records every job's winner
+//! execution bytes and search statistics. It then replays the
 //! same batch under a durable executor, crashing after `k` dispatched
 //! batches for every crash point `k` — the executor is dropped cold,
 //! exactly what a process kill leaves behind: the last checkpoint plus the
@@ -27,7 +28,7 @@
 //! the default exercises every boundary.
 
 use esd::symex::SearchStats;
-use esd::workloads::genbug::{generate, GenConfig, InjectedBugKind};
+use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind};
 use esd::workloads::{generate_bpf, BpfConfig, Workload};
 use esd::{EsdOptions, FrontierKind, JobExecutor, JobPhase, JobSpec, JobVerdict};
 use std::path::PathBuf;
@@ -60,12 +61,24 @@ fn durable_dir(tag: &str) -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("recovery_tmp").join(tag)
 }
 
+/// The fewest batch boundaries the uninterrupted run must cross at any pool
+/// size, so the matrix's coverage cannot shrink unnoticed.
+const MIN_BOUNDARIES: u64 = 24;
+
+/// The matrix's race: a medium generated race with 32 distractor branches.
+/// It steps one instruction per round under race detection and takes 748
+/// rounds, 24 slices of 32, the only job left after the first few batches.
+fn race_workload() -> Workload {
+    let size = GenSize { branches: 32, ..GenSize::medium() };
+    generate(&GenConfig { seed: 19, kind: InjectedBugKind::DataRace, size }).to_workload()
+}
+
 /// The matrix jobs: a BPF deadlock on the random frontier, and two
 /// generated corpus bugs on the paper's proximity default. The deadlock
 /// takes several slices, so the random frontier's image is checkpointed
 /// mid-search. The crash runs 32-step bursts and finishes within a few
-/// rounds; the race steps one instruction per round under race detection
-/// and keeps the batch going for about 30 slices, so the run crosses many
+/// rounds; the [race](race_workload) keeps the batch going for at least
+/// [`MIN_BOUNDARIES`] batches at every pool size, so the run crosses many
 /// batch boundaries.
 fn matrix_jobs() -> Vec<(Workload, EsdOptions)> {
     let random = EsdOptions::builder().max_steps(2_000_000).frontier(FrontierKind::Random).build();
@@ -74,7 +87,7 @@ fn matrix_jobs() -> Vec<(Workload, EsdOptions)> {
     vec![
         (generate_bpf(&BpfConfig { branches: 32, ..BpfConfig::default() }), random),
         (generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload(), proximity),
-        (generate(&GenConfig::new(2, InjectedBugKind::DataRace)).to_workload(), race),
+        (race_workload(), race),
     ]
 }
 
@@ -167,6 +180,10 @@ fn run_matrix(name: &str, cadence: u64) {
         boundaries.push(boundary_state(&baseline));
     }
     let total = boundaries.len() as u64 - 1;
+    assert!(
+        total >= MIN_BOUNDARIES,
+        "{name}: the uninterrupted run crossed {total} batch boundaries, under {MIN_BOUNDARIES}"
+    );
     assert!(
         baseline.stats().jobs[0].slices >= 2,
         "{name}: the random-frontier job must still be searching after its first slice"

@@ -1,23 +1,28 @@
-//! The 32-step burst, measured in deterministic search steps.
+//! The 32-step burst and the proximity key, measured in deterministic
+//! search steps.
 //!
 //! Each selected state runs a burst of up to 32 micro-steps before the next
-//! selection (see the `esd-symex` engine docs). On the medium generated
-//! crash and out-of-bounds bugs this is what lets the proximity search reach
-//! the goal in at most about 12,000 steps (most in under 1,500); re-selecting
-//! after every instruction took 120,000–200,000 steps and about 2,000 live
-//! states on each. Race detection keeps one micro-step per selection, so the
-//! medium races keep their live-state peak.
+//! selection (see the `esd-symex` engine docs), and a state's proximity key
+//! counts every thread that has not finished, a `main` blocked in `join`
+//! included. On the medium generated crash and out-of-bounds bugs the
+//! proximity search reaches the goal in at most about 260 steps. Race
+//! detection keeps one micro-step per selection; the medium races take 716
+//! steps and at most 30 live states. The bounds leave headroom over these
+//! measurements; lower them when the search improves, never raise them.
 
 use esd::playback::play;
 use esd::workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
 use esd::{Esd, EsdOptions};
 
 /// The step budget a medium crash or out-of-bounds bug must be found in.
-const CRASH_STEPS: u64 = 20_000;
+const CRASH_STEPS: u64 = 1_000;
 
-/// The highest live-state peak a medium race reached when every frontier
-/// re-selected after every instruction.
-const RACE_LIVE_STATES: usize = 2_406;
+/// The step budget a medium race must be found in.
+const RACE_STEPS: u64 = 2_000;
+
+/// The highest live-state peak a medium race may reach: the measured peak
+/// over seeds 0..16 is 30 (seed 8).
+const RACE_LIVE_STATES: usize = 32;
 
 fn medium(seed: u64, kind: InjectedBugKind) -> GeneratedWorkload {
     generate(&GenConfig { seed, kind, size: GenSize::medium() })
@@ -37,7 +42,7 @@ fn synthesize_and_replay(w: &GeneratedWorkload, options: EsdOptions) -> esd::sym
 }
 
 #[test]
-fn medium_crashes_and_oobs_are_found_within_20k_steps() {
+fn medium_crashes_and_oobs_are_found_within_1k_steps() {
     for kind in [InjectedBugKind::CrashOnPath, InjectedBugKind::OutOfBounds] {
         for seed in 0..16 {
             let w = medium(seed, kind);
@@ -50,10 +55,11 @@ fn medium_crashes_and_oobs_are_found_within_20k_steps() {
 
 #[test]
 fn medium_races_keep_their_live_state_peak() {
-    for seed in 0..4 {
+    for seed in 0..16 {
         let w = medium(seed, InjectedBugKind::DataRace);
-        let stats =
-            synthesize_and_replay(&w, EsdOptions::builder().with_race_detection(true).build());
+        let options = EsdOptions::builder().max_steps(RACE_STEPS).with_race_detection(true).build();
+        let stats = synthesize_and_replay(&w, options);
+        assert!(stats.steps <= RACE_STEPS, "{}: {} steps", w.name, stats.steps);
         assert!(
             stats.max_live_states <= RACE_LIVE_STATES,
             "{}: {} live states",
