@@ -97,8 +97,10 @@ impl Interval {
 
 /// Abstract evaluation of one binary operation, mirroring the engine's
 /// wrapping concrete semantics (`esd_symex::expr::eval_bin`): any endpoint
-/// computation that could wrap returns [`Interval::TOP`].
-fn bin_interval(op: BinOp, a: Interval, b: Interval) -> Interval {
+/// computation that could wrap returns [`Interval::TOP`]. The solver's bounds
+/// pass evaluates path conditions with this and [`cmp_interval`] too, so it
+/// refutes the branch sides these transfer functions rule out.
+pub fn bin_interval(op: BinOp, a: Interval, b: Interval) -> Interval {
     match op {
         BinOp::Add => match (a.lo.checked_add(b.lo), a.hi.checked_add(b.hi)) {
             (Some(lo), Some(hi)) => Interval::new(lo, hi),
@@ -190,7 +192,7 @@ fn esd_ir_eval_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {
 
 /// Abstract evaluation of a comparison: `[1, 1]` / `[0, 0]` when the operand
 /// ranges decide it, `[0, 1]` otherwise.
-fn cmp_interval(op: CmpOp, a: Interval, b: Interval) -> Interval {
+pub fn cmp_interval(op: CmpOp, a: Interval, b: Interval) -> Interval {
     let decided: Option<bool> = match op {
         CmpOp::Eq => {
             if a.hi < b.lo || b.hi < a.lo {

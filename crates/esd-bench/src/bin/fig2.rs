@@ -8,11 +8,18 @@
 //!
 //! Exits 2 when ESD does not synthesize an analog or a generated bug within
 //! its budget (the `table1` exit-code convention), so CI can gate on it.
+use esd_workloads::genbug::InjectedBugKind;
+
 fn main() {
     let frontier = esd_bench::frontier_from_args();
     let rows = esd_bench::fig2(esd_bench::ESD_BUDGET, esd_bench::KC_CAP, frontier);
     esd_bench::print_fig2(&rows, frontier);
-    let genbugs = esd_bench::fig2_genbugs(esd_bench::ESD_BUDGET, esd_bench::KC_CAP, frontier);
+    let genbugs = esd_bench::fig2_genbugs(
+        &InjectedBugKind::ALL,
+        esd_bench::ESD_BUDGET,
+        esd_bench::KC_CAP,
+        frontier,
+    );
     println!();
     esd_bench::print_fig2_genbugs(&genbugs, frontier);
     let mut missed: Vec<String> =

@@ -79,7 +79,8 @@ pub fn frontier_from_args() -> FrontierKind {
 /// the variable being unset — leaves them on, matching the engine default.
 /// The CI determinism matrix pins one leg to `ESD_STATIC_PRUNING=0` to prove
 /// pruning never changes *what* is synthesized, only how much solver work
-/// and how many preemption forks it costs.
+/// and how many preemption forks it costs, and CI runs `fig2` with it off
+/// too, where ESD must still find every analog and medium generated bug.
 pub fn static_pruning_from_env() -> bool {
     match std::env::var("ESD_STATIC_PRUNING") {
         Ok(v) => !matches!(v.trim(), "0" | "off" | "false" | "no"),
@@ -260,10 +261,15 @@ pub struct GenbugFig2Row {
 
 /// Figure 2 on the generated corpus: search steps to each medium generated
 /// bug (seeds [`GENBUG_FIG2_SEEDS`]), ESD (with the given search frontier)
-/// against KC-DFS, one row per bug kind. Race kinds run with race detection
-/// on both sides. A step count is reported only when the execution matches
-/// the injected ground truth.
-pub fn fig2_genbugs(esd_budget: u64, kc_cap: u64, frontier: FrontierKind) -> Vec<GenbugFig2Row> {
+/// against KC-DFS, one row per bug kind in `kinds`. Race kinds run with race
+/// detection on both sides. A step count is reported only when the
+/// execution matches the injected ground truth.
+pub fn fig2_genbugs(
+    kinds: &[InjectedBugKind],
+    esd_budget: u64,
+    kc_cap: u64,
+    frontier: FrontierKind,
+) -> Vec<GenbugFig2Row> {
     let steps = |w: &GeneratedWorkload, options: EsdOptions| {
         let options = EsdOptions { with_race_detection: w.truth.needs_race_preemptions, ..options };
         let report = Esd::new(options).synthesize_goal(&w.program, w.truth.goal.clone()).ok()?;
@@ -275,9 +281,9 @@ pub fn fig2_genbugs(esd_budget: u64, kc_cap: u64, frontier: FrontierKind) -> Vec
         .static_pruning(static_pruning_from_env())
         .build();
     let kc = EsdOptions { max_steps: kc_cap, ..EsdOptions::kc(FrontierKind::Dfs) };
-    InjectedBugKind::ALL
-        .into_iter()
-        .map(|kind| {
+    kinds
+        .iter()
+        .map(|&kind| {
             let corpus: Vec<GeneratedWorkload> = GENBUG_FIG2_SEEDS
                 .map(|seed| generate_bug(&GenConfig { seed, kind, size: GenSize::medium() }))
                 .collect();

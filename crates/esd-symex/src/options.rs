@@ -53,8 +53,10 @@ pub struct EsdOptions {
     ///
     /// * branches the interval analysis proves one-sided for *all* inputs
     ///   take that side without a solver query — the taken side's
-    ///   constraint is still recorded, so the search trajectory is
-    ///   unchanged and only the query is skipped;
+    ///   constraint is still recorded, and the solver evaluates the same
+    ///   interval transfer functions, so with the verdicts off it refutes
+    ///   the other side itself: the search trajectory is unchanged and only
+    ///   the query is skipped;
     /// * in race-preemption mode, yields with no race-pair candidate
     ///   material around them skip the speculative preemption fork (counted
     ///   in [`SearchStats::preemptions_pruned_static`]). Sound because the

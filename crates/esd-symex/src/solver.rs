@@ -6,8 +6,9 @@
 //!
 //! 1. the bounds pass: interval narrowing from `var <op> const`
 //!    constraints. It answers `Unsat` on a constant-0 conjunct, an empty
-//!    interval, or a conjunct that is false at the values the intervals pin
-//!    its variables to, and it is the only step that ever answers `Unsat`;
+//!    interval, or a conjunct whose value range is exactly 0 under the
+//!    static interval analysis's transfer functions, and it is the only step
+//!    that ever answers `Unsat`;
 //! 2. a candidate assignment from the narrowed intervals, the values
 //!    `var == const` constraints fix and the "interesting constants"
 //!    appearing in the constraints;
@@ -28,6 +29,8 @@
 //! the paper's discussion of inherently hard constraints (§8).
 
 use crate::expr::{SymExpr, SymVar};
+use esd_analysis::interval::{bin_interval, cmp_interval};
+use esd_analysis::{Feasibility, Interval};
 use esd_ir::CmpOp;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -195,9 +198,8 @@ impl Hints {
 }
 
 /// The bounds pass, the solver's only `Unsat` decider: a constant-0
-/// conjunct, an empty harvested interval, or a conjunct that is false at the
-/// values its variables are pinned to (see [`consistent`]). Returns the harvested
-/// intervals, or `None` when the conjunction is unsatisfiable. `hints`, when
+/// conjunct, an empty harvested interval, or a conjunct whose range is
+/// exactly 0 (see [`consistent`]). Returns the harvested intervals, or `None` when the conjunction is unsatisfiable. `hints`, when
 /// given, also collects what `solve` needs for its candidate model.
 fn bounds(constraints: &[Arc<SymExpr>], mut hints: Option<&mut Hints>) -> Option<Intervals> {
     if has_false_conjunct(constraints) {
@@ -226,44 +228,36 @@ fn has_false_conjunct(constraints: &[Arc<SymExpr>]) -> bool {
 
 /// Whether the harvested `intervals` leave the conjunction possible. The
 /// bounds come from single-variable constraints over the full i64 range, so
-/// an empty interval is a definitive Unsat. A variable whose interval is one
-/// value (`lo == hi`) takes that value in every model, so a conjunct whose
-/// variables are all pinned and that evaluates to 0 at those values, under
-/// the same `eval` that `verify` checks, is a definitive Unsat too.
+/// an empty interval is a definitive Unsat. So is a conjunct whose [`range`]
+/// is exactly 0; that covers a conjunct false at the values one-value
+/// intervals pin its variables to, unless evaluating it could wrap.
 fn consistent<'a>(
-    conjuncts: impl Iterator<Item = &'a Arc<SymExpr>>,
+    mut conjuncts: impl Iterator<Item = &'a Arc<SymExpr>>,
     intervals: &Intervals,
 ) -> bool {
-    if intervals.values().any(|(lo, hi)| lo > hi) {
-        return false;
-    }
-    let mut pinned: Option<HashMap<SymVar, i64>> = None;
-    for c in conjuncts {
-        if all_pinned(c, intervals) {
-            let values = pinned.get_or_insert_with(|| {
-                intervals
-                    .iter()
-                    .filter(|(_, (lo, hi))| lo == hi)
-                    .map(|(v, (lo, _))| (*v, *lo))
-                    .collect()
-            });
-            if c.eval(values) == 0 {
-                return false;
-            }
-        }
-    }
-    true
+    !intervals.values().any(|(lo, hi)| lo > hi)
+        && conjuncts.all(|c| range(c, intervals).as_const() != Some(0))
 }
 
-/// True if every variable of `expr` has a one-value interval.
-fn all_pinned(expr: &SymExpr, intervals: &Intervals) -> bool {
+/// The values `expr` can take with each variable in its harvested interval,
+/// under the static interval analysis's own transfer functions. A branch
+/// that analysis proves one-sided (say `x & 63 <= 63`) is therefore refuted
+/// here on its other side, so a search with the static verdicts off forks
+/// no branch that one with them on takes as decided. Callers have already
+/// rejected empty intervals.
+fn range(expr: &SymExpr, intervals: &Intervals) -> Interval {
     match expr {
-        SymExpr::Const(_) => true,
-        SymExpr::Var(v) => intervals.get(v).is_some_and(|(lo, hi)| lo == hi),
-        SymExpr::Bin(_, a, b) | SymExpr::Cmp(_, a, b) => {
-            all_pinned(a, intervals) && all_pinned(b, intervals)
+        SymExpr::Const(c) => Interval::exact(*c),
+        SymExpr::Var(v) => {
+            intervals.get(v).map_or(Interval::TOP, |(lo, hi)| Interval::new(*lo, *hi))
         }
-        SymExpr::Not(a) => all_pinned(a, intervals),
+        SymExpr::Bin(op, a, b) => bin_interval(*op, range(a, intervals), range(b, intervals)),
+        SymExpr::Cmp(op, a, b) => cmp_interval(*op, range(a, intervals), range(b, intervals)),
+        SymExpr::Not(a) => match range(a, intervals).feasibility() {
+            Feasibility::AlwaysTrue => Interval::exact(0),
+            Feasibility::AlwaysFalse => Interval::exact(1),
+            Feasibility::Unknown => Interval::new(0, 1),
+        },
     }
 }
 
@@ -525,6 +519,30 @@ mod tests {
         assert_eq!(s.branch_feasible(&pinned, &sum), (true, false));
         assert_eq!(s.branch_feasible(&[c(0)], &sum), (false, false));
         assert_eq!(s.queries, 8);
+    }
+
+    /// Regression: the masked range check `x & 63 <= 63` holds for every
+    /// input, and the static interval analysis decides it, but the bounds
+    /// pass called its else side feasible. A search without the static
+    /// verdicts then forked that infeasible side and never reached a bug
+    /// armed by `x == 18`, which the else side contradicts.
+    #[test]
+    fn ranges_refute_what_the_interval_analysis_decides() {
+        let mut s = Solver::default();
+        let masked = SymExpr::bin(BinOp::And, var(0), c(63));
+        let in_range = SymExpr::cmp(CmpOp::Le, masked.clone(), c(63));
+        assert_eq!(s.branch_feasible(&[], &in_range), (true, false));
+        assert_eq!(s.solve(&[SymExpr::not(in_range)]), SolverResult::Unsat);
+        // Harvested bounds narrow the range too: `100 < x < 1000` puts
+        // `x + 1` in `[102, 1000]`. (Without the upper bound `x + 1` could
+        // wrap, and the range is the full one.)
+        let prefix =
+            vec![SymExpr::cmp(CmpOp::Gt, var(0), c(100)), SymExpr::cmp(CmpOp::Lt, var(0), c(1000))];
+        let small = SymExpr::cmp(CmpOp::Lt, SymExpr::bin(BinOp::Add, var(0), c(1)), c(50));
+        assert_eq!(s.branch_feasible(&prefix, &small), (false, true));
+        // An undecided range leaves both sides open.
+        let low = SymExpr::cmp(CmpOp::Lt, masked, c(10));
+        assert_eq!(s.branch_feasible(&[], &low), (true, true));
     }
 
     /// Regression: harvesting used to start every variable at the sampling

@@ -9,6 +9,12 @@
 //! detection keeps one micro-step per selection; the medium races take 716
 //! steps and at most 30 live states. The bounds leave headroom over these
 //! measurements; lower them when the search improves, never raise them.
+//!
+//! Static pruning (`EsdOptions::static_pruning`) may change what a search
+//! costs, never what it finds. With it off, crash, out-of-bounds and
+//! deadlock searches take the very same path, and the medium races, which
+//! then fork at every yield, are still found within the race bound (661
+//! steps each).
 
 use esd::playback::play;
 use esd::workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
@@ -66,5 +72,46 @@ fn medium_races_keep_their_live_state_peak() {
             w.name,
             stats.max_live_states
         );
+    }
+}
+
+#[test]
+fn medium_races_are_found_with_static_pruning_off() {
+    for seed in 0..16 {
+        let w = medium(seed, InjectedBugKind::DataRace);
+        let options = EsdOptions::builder()
+            .max_steps(RACE_STEPS)
+            .with_race_detection(true)
+            .static_pruning(false)
+            .build();
+        let stats = synthesize_and_replay(&w, options);
+        assert!(stats.steps <= RACE_STEPS, "{}: {} steps", w.name, stats.steps);
+    }
+}
+
+/// Without race detection there is no yield gating, so the only static
+/// verdicts are the branch-feasibility ones, and the solver refutes every
+/// branch side they rule out: the searches match step for step and
+/// synthesize the same execution. Only the solver-query counts differ.
+#[test]
+fn static_pruning_changes_no_search_path_outside_races() {
+    let kinds =
+        [InjectedBugKind::CrashOnPath, InjectedBugKind::OutOfBounds, InjectedBugKind::AbbaDeadlock];
+    for kind in kinds {
+        for seed in 0..8 {
+            let w = medium(seed, kind);
+            let run = |pruning: bool| {
+                let options = EsdOptions::builder().static_pruning(pruning).build();
+                Esd::new(options)
+                    .synthesize_goal(&w.program, w.truth.goal.clone())
+                    .unwrap_or_else(|e| panic!("{} (pruning {pruning}): {e:?}", w.name))
+            };
+            let (on, off) = (run(true), run(false));
+            assert_eq!(on.execution, off.execution, "{}: executions differ", w.name);
+            let counts = |r: &esd::core::SynthesisReport| {
+                (r.stats.steps, r.stats.states_created, r.stats.states_pruned)
+            };
+            assert_eq!(counts(&on), counts(&off), "{}: (steps, created, pruned)", w.name);
+        }
     }
 }
