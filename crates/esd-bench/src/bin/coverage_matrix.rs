@@ -8,8 +8,8 @@
 //! * Default mode is the *reduced* smoke corpus CI runs (`coverage-smoke`
 //!   job); `ESD_BENCH_FULL=1` widens the seed set and enlarges the
 //!   generated programs.
-//! * The JSON lands in `BENCH_coverage.json`, or in the first CLI argument
-//!   ending in `.json`, or in `$ESD_BENCH_OUT`.
+//! * The JSON lands in the first CLI argument ending in `.json`, or else
+//!   in `BENCH_coverage.json`.
 //! * Exit codes gate CI: 2 = an injected bug was missed by every frontier,
 //!   3 = a false-positive goal report.
 
@@ -25,7 +25,6 @@ fn out_path() -> String {
     std::env::args()
         .skip(1)
         .find(|a| a.ends_with(".json"))
-        .or_else(|| std::env::var("ESD_BENCH_OUT").ok())
         .unwrap_or_else(|| "BENCH_coverage.json".into())
 }
 

@@ -3,8 +3,7 @@
 //! comparison against KC-DFS over the medium generated bugs.
 //!
 //! The ESD column's search frontier is selectable, to compare frontiers on
-//! the same workloads: `fig2 [dfs|bfs|random|proximity]`, or the
-//! `ESD_FRONTIER` environment variable (default: proximity).
+//! the same workloads: `fig2 [dfs|random|proximity]` (default: proximity).
 //!
 //! Exits 2 when ESD does not synthesize an analog or a generated bug within
 //! its budget (the `table1` exit-code convention), so CI can gate on it.

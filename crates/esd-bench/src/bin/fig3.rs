@@ -1,8 +1,7 @@
 //! Regenerates Figure 3 (BPF: synthesis time vs number of branches).
 //!
 //! The ESD search frontier is selectable, to compare frontiers on the same
-//! sweep: `fig3 [dfs|bfs|random|proximity]`, or the `ESD_FRONTIER`
-//! environment variable (default: proximity).
+//! sweep: `fig3 [dfs|random|proximity]` (default: proximity).
 //!
 //! Exits 2 when ESD does not synthesize a row within its budget (the
 //! `table1` exit-code convention), so CI can gate on it.

@@ -2,7 +2,7 @@
 //!
 //! [`coverage_matrix`] takes a corpus of `(seed, bug kind)` scenarios from
 //! the `esd-workloads` genbug generator and runs every search frontier
-//! (proximity, DFS, BFS, random) against each scenario's ground
+//! (proximity, DFS, random) against each scenario's ground
 //! truth. The report answers two questions CI gates on:
 //!
 //! 1. **Coverage** — is every injected bug found by at least one frontier
@@ -25,7 +25,7 @@ use std::time::Instant;
 /// The frontier lineup of the matrix: every [`FrontierKind`] the engine
 /// offers, the paper's proximity frontier first.
 pub fn coverage_frontiers() -> Vec<FrontierKind> {
-    vec![FrontierKind::Proximity, FrontierKind::Dfs, FrontierKind::Bfs, FrontierKind::Random]
+    vec![FrontierKind::Proximity, FrontierKind::Dfs, FrontierKind::Random]
 }
 
 /// The checked-in smoke corpus seeds (reduced mode / CI); ≥ 4 seeds so the

@@ -58,16 +58,15 @@ pub fn full_mode() -> bool {
 
 /// The search frontier the ESD side of a benchmark should use, so the fig2 /
 /// fig3 binaries can compare frontiers: the first positional CLI
-/// argument wins (`fig2 dfs`, `fig2 random`), then the `ESD_FRONTIER`
-/// environment variable, then the paper's proximity-guided default. Accepted
-/// spellings are those of `FrontierKind::from_str`:
-/// `dfs|bfs|random|proximity`. An unknown spelling aborts
-/// with the parser's message rather than silently measuring the wrong
-/// thing.
+/// argument (`fig2 dfs`, `fig2 random`), or else the paper's
+/// proximity-guided default. Accepted spellings are those of
+/// `FrontierKind::from_str`: `dfs|random|proximity`. An unknown spelling
+/// aborts with the parser's message rather than silently measuring the
+/// wrong thing.
 pub fn frontier_from_args() -> FrontierKind {
-    let positional = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-    positional
-        .or_else(|| std::env::var("ESD_FRONTIER").ok())
+    std::env::args()
+        .skip(1)
+        .find(|a| !a.starts_with('-'))
         .map(|s| s.parse().unwrap_or_else(|e: String| panic!("{e}")))
         .unwrap_or_default()
 }
@@ -641,9 +640,7 @@ mod tests {
     #[test]
     fn all_frontiers_are_selectable() {
         let w = all_real_bugs().into_iter().find(|w| w.name == "mkfifo").unwrap();
-        for frontier in
-            [FrontierKind::Dfs, FrontierKind::Bfs, FrontierKind::Random, FrontierKind::Proximity]
-        {
+        for frontier in [FrontierKind::Dfs, FrontierKind::Random, FrontierKind::Proximity] {
             let row = run_fig2_row(&w, 20_000, 1_000, frontier);
             assert_eq!(row.system, "mkfifo");
         }

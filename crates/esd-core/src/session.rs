@@ -93,9 +93,11 @@ pub enum SessionStatus {
     Running,
     /// The goal was reached: the synthesized execution and its report.
     Found(Box<SynthesisReport>),
-    /// Every state was explored or abandoned without reaching the goal.
+    /// Every state was explored or abandoned without reaching the goal, and
+    /// the state cap (`max_states`) dropped no fork.
     Exhausted(SearchStats),
-    /// The instruction budget (`max_steps`) ran out.
+    /// The instruction budget (`max_steps`) ran out, or the search ran out
+    /// of states after the state cap (`max_states`) may have dropped a fork.
     BudgetExceeded(SearchStats),
     /// The wall-clock deadline passed before the search reached a verdict.
     DeadlineExpired(SearchStats),

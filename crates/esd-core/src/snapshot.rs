@@ -32,9 +32,10 @@ use std::path::Path;
 /// has not finished). Removing a variant or a field a payload may hold
 /// (format 14 dropped the batched frontier's image, format 15 the three
 /// per-heuristic switches of the stored `EsdOptions`, format 16
-/// `SearchStats::other_bugs_found`) is a change of shape too. [`unseal`]
-/// rejects any other version with [`SnapshotError::UnknownVersion`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 16;
+/// `SearchStats::other_bugs_found`, format 17 the breadth-first frontier's
+/// image) is a change of shape too. [`unseal`] rejects any other version
+/// with [`SnapshotError::UnknownVersion`].
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 17;
 
 /// 64-bit FNV-1a over `bytes` — the dependency-free checksum used by both
 /// snapshot envelopes and journal frames.

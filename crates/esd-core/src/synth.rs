@@ -18,9 +18,12 @@ use std::time::Duration;
 pub enum SynthesisError {
     /// The coredump could not be turned into a goal.
     GoalExtraction(String),
-    /// The search space was exhausted without reaching the goal.
+    /// The search space was exhausted without reaching the goal, and the
+    /// state cap (`max_states`) dropped no fork on the way.
     Exhausted,
-    /// The step budget was exceeded before reaching the goal.
+    /// The step budget was exceeded before reaching the goal, or the search
+    /// ran out of states after the state cap (`max_states`) may have dropped
+    /// a fork.
     BudgetExceeded,
     /// The wall-clock deadline passed before reaching the goal.
     DeadlineExpired,

@@ -26,9 +26,12 @@ use esd_symex::GoalSpec;
 /// is still reachable: "If ESD can no longer synthesize an execution that
 /// triggers the bug, then the patch can be considered successful" (§5.2).
 ///
-/// Returns `Ok(true)` if the patch holds (no execution to the goal exists
-/// within the search budget), `Ok(false)` if ESD still synthesizes a failing
-/// execution, and `Err` if the search ran out of budget without a verdict.
+/// Returns `Ok(true)` if the patch holds (the search was exhausted: every
+/// path was explored without reaching the goal), `Ok(false)` if ESD still
+/// synthesizes a failing execution, and `Err` if the search ended without a
+/// verdict — its step budget ran out, or its state cap (`max_states`) may
+/// have dropped the fork that reaches the goal
+/// ([`SynthesisError::BudgetExceeded`]).
 pub fn verify_patch(
     patched: &Program,
     goal: GoalSpec,
@@ -47,6 +50,7 @@ mod tests {
     use super::*;
     use esd_core::BugReport;
     use esd_ir::{CmpOp, Loc, ProgramBuilder};
+    use esd_symex::FrontierKind;
 
     #[test]
     fn verify_patch_distinguishes_fixed_from_unfixed_programs() {
@@ -81,6 +85,56 @@ mod tests {
         let goal = GoalSpec::Crash { loc: loc.unwrap() };
         assert_eq!(verify_patch(&buggy, goal.clone(), EsdOptions::default()), Ok(false));
         assert_eq!(verify_patch(&fixed, goal, EsdOptions::default()), Ok(true));
+    }
+
+    /// A search whose state cap dropped forks has not shown the bug to be
+    /// unreachable, so it must not vouch for a patch.
+    #[test]
+    fn verify_patch_does_not_vouch_for_a_search_the_state_cap_cut_short() {
+        // Unpatched: three symbolic distractor branches, then a crash on the
+        // `else` arm of a fourth.
+        let mut pb = ProgramBuilder::new("capped");
+        let mut loc = None;
+        pb.function("main", 0, |f| {
+            for k in 1..=3 {
+                let x = f.getchar();
+                let c = f.cmp(CmpOp::Eq, x, k);
+                let then_bb = f.new_block("distractor");
+                let join = f.new_block("join");
+                f.cond_br(c, then_bb, join);
+                f.switch_to(then_bb);
+                f.output(k);
+                f.br(join);
+                f.switch_to(join);
+            }
+            let x = f.getchar();
+            let c = f.cmp(CmpOp::Eq, x, 7);
+            let ok = f.new_block("ok");
+            let bug = f.new_block("bug");
+            f.cond_br(c, ok, bug);
+            f.switch_to(bug);
+            let z = f.konst(0);
+            loc = Some(Loc::new(esd_ir::FuncId(0), bug, f.next_inst_idx()));
+            let v = f.load(z);
+            f.output(v);
+            f.ret_void();
+            f.switch_to(ok);
+            f.ret_void();
+        });
+        let program = pb.finish("main");
+        let goal = GoalSpec::Crash { loc: loc.unwrap() };
+        for frontier in [FrontierKind::Proximity, FrontierKind::Random] {
+            for max_states in 1..=3 {
+                let options = EsdOptions { max_states, ..EsdOptions::kc(frontier) };
+                assert_ne!(
+                    verify_patch(&program, goal.clone(), options),
+                    Ok(true),
+                    "{frontier} at max_states {max_states}"
+                );
+            }
+        }
+        let uncapped = verify_patch(&program, goal, EsdOptions::kc(FrontierKind::Proximity));
+        assert_eq!(uncapped, Ok(false));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! proximity-guided virtual queues — ordered by the Algorithm-1 proximity
 //! estimate, biased by the deadlock schedule distance (§4.1), with
 //! critical-edge path abandonment and intermediate goals from the static
-//! phase — or the DFS / BFS / RandomPath baselines. ESD's guidance is on
+//! phase — or the DFS / RandomPath baselines. ESD's guidance is on
 //! unless [`EsdOptions::kc_baseline`] is set, which turns all of it off
 //! and adds Chess-style preemption bounding (the KC baseline,
 //! [`EsdOptions::kc`]).
@@ -159,9 +159,12 @@ pub enum StepOutcome {
     Running,
     /// The goal was reached and an execution synthesized.
     Found(Box<Synthesized>),
-    /// Every state was explored or abandoned without reaching the goal.
+    /// Every state was explored or abandoned without reaching the goal, and
+    /// the pool never reached its `max_states` cap, so no fork was dropped.
     Exhausted,
-    /// The step budget ran out.
+    /// The step budget ran out, or the frontier emptied after the pool had
+    /// reached its `max_states` cap: the cap may have dropped the fork that
+    /// leads to the goal, so the search was cut short, not exhausted.
     BudgetExceeded,
 }
 
@@ -369,7 +372,12 @@ impl Engine {
             None => self.frontier.pop(),
         };
         let Some(id) = selected else {
-            return StepOutcome::Exhausted;
+            // `register_state` drops forks only while the pool is full.
+            return if self.stats.max_live_states >= self.options.max_states {
+                StepOutcome::BudgetExceeded
+            } else {
+                StepOutcome::Exhausted
+            };
         };
         let state = match self.hot.take() {
             Some(hot) if hot.state.id == id => hot.state,

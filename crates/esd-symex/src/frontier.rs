@@ -15,9 +15,6 @@
 //!   a queue uniformly at random and takes its closest state.
 //! * [`DfsFrontier`] — depth-first (Klee's DFS searcher, "equivalent to an
 //!   exhaustive search").
-//! * [`BfsFrontier`] — breadth-first: the frontier is a FIFO, so exploration
-//!   sweeps the whole state tree level by level. Not in the paper; useful as
-//!   a fairness baseline when comparing frontiers in `esd-bench`.
 //! * [`RandomFrontier`] — uniformly random among live states (Klee's
 //!   RandomPath searcher, the second KC baseline).
 //!
@@ -43,15 +40,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// Which [`SearchFrontier`] implementation the engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum FrontierKind {
     /// Depth-first search ([`DfsFrontier`]).
     Dfs,
-    /// Breadth-first search ([`BfsFrontier`]).
-    Bfs,
     /// Uniformly random among live states ([`RandomFrontier`]).
     Random,
     /// ESD's proximity-guided virtual queues ([`ProximityFrontier`]).
@@ -68,7 +63,6 @@ impl FrontierKind {
     pub fn build(self, seed: u64, num_queues: usize) -> Box<dyn SearchFrontier> {
         match self {
             FrontierKind::Dfs => Box::new(DfsFrontier::new()),
-            FrontierKind::Bfs => Box::new(BfsFrontier::new()),
             FrontierKind::Random => Box::new(RandomFrontier::new(seed)),
             FrontierKind::Proximity => Box::new(ProximityFrontier::new(num_queues, seed)),
         }
@@ -78,16 +72,15 @@ impl FrontierKind {
 impl std::str::FromStr for FrontierKind {
     type Err = String;
 
-    /// Parses `"dfs"`, `"bfs"`, `"random"` / `"randompath"`, or
-    /// `"proximity"` / `"esd"` (case-insensitive) — the spellings accepted by
-    /// the `esd-bench` binaries and `ESD_FRONTIER` environment variable.
+    /// Parses `"dfs"`, `"random"` / `"randompath"`, or `"proximity"` /
+    /// `"esd"` (case-insensitive) — the spellings the `esd-bench` binaries
+    /// accept as their first argument.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "dfs" => Ok(FrontierKind::Dfs),
-            "bfs" => Ok(FrontierKind::Bfs),
             "random" | "randompath" => Ok(FrontierKind::Random),
             "proximity" | "esd" => Ok(FrontierKind::Proximity),
-            other => Err(format!("unknown frontier {other:?} (expected dfs|bfs|random|proximity)")),
+            other => Err(format!("unknown frontier {other:?} (expected dfs|random|proximity)")),
         }
     }
 }
@@ -96,7 +89,6 @@ impl std::fmt::Display for FrontierKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FrontierKind::Dfs => f.write_str("dfs"),
-            FrontierKind::Bfs => f.write_str("bfs"),
             FrontierKind::Random => f.write_str("random"),
             FrontierKind::Proximity => f.write_str("proximity"),
         }
@@ -194,8 +186,8 @@ pub trait SearchFrontier: Send {
 /// stamp order decides ties, so the restored frontier selects exactly what
 /// the captured one would have, and two frontiers that differ only in stale
 /// entries or in how many pushes came before serialize identically.
-/// Ordered containers (the DFS stack, the BFS queue, the random frontier's
-/// id vector) keep their order — it *is* the search order.
+/// Ordered containers (the DFS stack, the random frontier's id vector) keep
+/// their order — it *is* the search order.
 /// Heaps are stored as their entry sets sorted ascending: the entries are
 /// distinct totally-ordered tuples, so a heap rebuilt from them pops
 /// identically.
@@ -205,13 +197,6 @@ pub enum FrontierSnapshot {
     Dfs {
         /// The LIFO stack of `(stamp, id)` entries, bottom first.
         stack: Vec<(u64, u64)>,
-        /// The lazy-invalidation table.
-        live: LivenessSnapshot,
-    },
-    /// Image of a [`BfsFrontier`].
-    Bfs {
-        /// The FIFO queue of `(stamp, id)` entries, front first.
-        queue: Vec<(u64, u64)>,
         /// The lazy-invalidation table.
         live: LivenessSnapshot,
     },
@@ -242,10 +227,6 @@ impl FrontierSnapshot {
             FrontierSnapshot::Dfs { stack, live } => {
                 Box::new(DfsFrontier { stack: stack.clone(), live: Liveness::restore(live) })
             }
-            FrontierSnapshot::Bfs { queue, live } => Box::new(BfsFrontier {
-                queue: queue.iter().copied().collect(),
-                live: Liveness::restore(live),
-            }),
             FrontierSnapshot::Random { ids, rng } => Box::new(RandomFrontier {
                 ids: ids.clone(),
                 present: ids.iter().copied().collect(),
@@ -352,16 +333,6 @@ impl Liveness {
         self.current.get(&id) == Some(&stamp)
     }
 
-    /// Removes and returns an arbitrary live id — the degraded fallback for
-    /// the case where a frontier's internal containers only hold stale
-    /// entries for ids that are still live (unreachable while the push/pop
-    /// invariants hold).
-    fn take_any(&mut self) -> Option<u64> {
-        let id = *self.current.keys().next()?;
-        self.current.remove(&id);
-        Some(id)
-    }
-
     fn len(&self) -> usize {
         self.current.len()
     }
@@ -424,46 +395,6 @@ impl SearchFrontier for DfsFrontier {
     fn snapshot(&self) -> FrontierSnapshot {
         let (live, renumber) = self.live.snapshot();
         FrontierSnapshot::Dfs { stack: renumber.ordered(self.stack.iter().copied()), live }
-    }
-}
-
-/// Breadth-first frontier: a FIFO queue, so states are advanced in the order
-/// they were created and the state tree is swept level by level.
-#[derive(Debug, Default)]
-pub struct BfsFrontier {
-    queue: VecDeque<(u64, u64)>,
-    live: Liveness,
-}
-
-impl BfsFrontier {
-    /// Creates an empty BFS frontier.
-    pub fn new() -> Self {
-        BfsFrontier::default()
-    }
-}
-
-impl SearchFrontier for BfsFrontier {
-    fn push(&mut self, id: u64, _prio: &StatePriority) {
-        let stamp = self.live.stamp(id);
-        self.queue.push_back((stamp, id));
-    }
-
-    fn pop(&mut self) -> Option<u64> {
-        while let Some((stamp, id)) = self.queue.pop_front() {
-            if self.live.take(id, stamp) {
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    fn snapshot(&self) -> FrontierSnapshot {
-        let (live, renumber) = self.live.snapshot();
-        FrontierSnapshot::Bfs { queue: renumber.ordered(self.queue.iter().copied()), live }
     }
 }
 
@@ -555,18 +486,16 @@ impl SearchFrontier for ProximityFrontier {
         if self.live.len() == 0 {
             return None;
         }
-        // Uniformly random queue, as in the paper; skip lazily-invalidated
-        // entries until a live, current-stamp one appears.
-        for _ in 0..self.queues.len() * 4 {
-            let qi = self.rng.gen_range(0..self.queues.len());
-            while let Some(Reverse((_, _, stamp, id))) = self.queues[qi].pop() {
-                if self.live.take(id, stamp) {
-                    return Some(id);
-                }
+        // Uniformly random queue, as in the paper. `push` gives every live
+        // state a current-stamp entry in every queue, so skipping the
+        // lazily-invalidated entries always reaches a live one.
+        let qi = self.rng.gen_range(0..self.queues.len());
+        while let Some(Reverse((_, _, stamp, id))) = self.queues[qi].pop() {
+            if self.live.take(id, stamp) {
+                return Some(id);
             }
         }
-        // Every sampled queue drained stale: fall back to any live state.
-        self.live.take_any()
+        unreachable!("a live state has an entry in every queue")
     }
 
     fn pop_with(&mut self, hot: &dyn HotState) -> Option<u64> {
@@ -626,22 +555,20 @@ mod tests {
     fn frontier_kind_parses_and_displays() {
         for (s, k) in [
             ("dfs", FrontierKind::Dfs),
-            ("BFS", FrontierKind::Bfs),
             ("RandomPath", FrontierKind::Random),
             ("esd", FrontierKind::Proximity),
             ("proximity", FrontierKind::Proximity),
         ] {
             assert_eq!(s.parse::<FrontierKind>().unwrap(), k);
         }
-        // Unknown spellings, the removed batched frontier's included, are rejected.
-        for s in ["weird", "beam", "beam:16"] {
+        // Unknown spellings, the removed breadth-first and batched frontiers'
+        // included, are rejected.
+        for s in ["weird", "bfs", "beam", "beam:16"] {
             assert!(s.parse::<FrontierKind>().is_err(), "{s} must be rejected");
         }
         assert_eq!(FrontierKind::Proximity.to_string(), "proximity");
         // Display round-trips through FromStr for every kind.
-        for k in
-            [FrontierKind::Dfs, FrontierKind::Bfs, FrontierKind::Random, FrontierKind::Proximity]
-        {
+        for k in [FrontierKind::Dfs, FrontierKind::Random, FrontierKind::Proximity] {
             assert_eq!(k.to_string().parse::<FrontierKind>().unwrap(), k);
         }
     }
@@ -658,20 +585,6 @@ mod tests {
         f.push(9, &prio(&[], 0));
         assert_eq!(f.pop(), Some(9));
         assert_eq!(f.pop(), Some(1));
-        assert_eq!(f.pop(), None);
-    }
-
-    #[test]
-    fn bfs_pops_oldest_first() {
-        let mut f = BfsFrontier::new();
-        for id in [1, 2, 3] {
-            f.push(id, &prio(&[], 0));
-        }
-        assert_eq!(f.pop(), Some(1));
-        f.push(9, &prio(&[], 0));
-        assert_eq!(f.pop(), Some(2));
-        assert_eq!(f.pop(), Some(3));
-        assert_eq!(f.pop(), Some(9));
         assert_eq!(f.pop(), None);
     }
 

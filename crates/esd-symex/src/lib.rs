@@ -9,7 +9,7 @@
 //!   lists, and per-state concurrency analysis (each interleaving carries its
 //!   own O(1)-forkable lockset race detector),
 //! * pluggable search [`frontier`]s — ESD's proximity-guided virtual queues
-//!   plus DFS / BFS / RandomPath baselines — selected by a
+//!   plus the KC baseline's DFS and RandomPath searchers — selected by a
 //!   [`FrontierKind`],
 //! * the one search configuration, [`EsdOptions`] (its [`options`]
 //!   module), of which the KC baseline is a preset ([`EsdOptions::kc`]),
@@ -38,8 +38,8 @@ mod tests;
 pub use engine::{Engine, EngineSnapshot, GoalSpec, SearchStats, StepOutcome, Synthesized};
 pub use expr::{SymExpr, SymValue, SymVar, SymVarInfo};
 pub use frontier::{
-    BfsFrontier, DfsFrontier, FrontierKind, FrontierSnapshot, HotState, LivenessSnapshot,
-    ProximityFrontier, RandomFrontier, SearchFrontier, StatePriority,
+    DfsFrontier, FrontierKind, FrontierSnapshot, HotState, LivenessSnapshot, ProximityFrontier,
+    RandomFrontier, SearchFrontier, StatePriority,
 };
 pub use options::{EsdOptions, EsdOptionsBuilder, KC_PREEMPTION_BOUND};
 pub use solver::{Solver, SolverConfig, SolverResult};

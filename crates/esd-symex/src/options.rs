@@ -40,8 +40,9 @@ pub struct EsdOptions {
     /// [`FrontierKind::Proximity`]; ignored by the deterministic ones).
     pub seed: u64,
     /// Which search frontier orders the exploration (the paper's
-    /// proximity-guided frontier by default; DFS / BFS / random are
-    /// available for comparison — see [`crate::frontier`]).
+    /// proximity-guided frontier by default; DFS and random, the KC
+    /// baseline's searchers, are available for comparison — see
+    /// [`crate::frontier`]).
     pub frontier: FrontierKind,
     /// Insert preemption points before accesses flagged by the lockset race
     /// detector, needed to synthesize data-race schedules

@@ -190,14 +190,6 @@ fn dfs_also_finds_the_sequential_crash() {
 }
 
 #[test]
-fn bfs_also_finds_the_sequential_crash() {
-    let (p, crash_loc) = crashy_program();
-    let outcome =
-        run_engine(&p, GoalSpec::Crash { loc: crash_loc }, EsdOptions::kc(FrontierKind::Bfs));
-    assert!(outcome.found().is_some());
-}
-
-#[test]
 fn unreachable_crash_goal_is_reported_as_exhausted() {
     let mut pb = ProgramBuilder::new("clean");
     pb.function("main", 0, |f| {
@@ -473,12 +465,9 @@ fn snapshot_restore_resumes_identically_for_every_frontier() {
     let goal = GoalSpec::Deadlock { thread_locs };
     let primary = goal.primary_locs()[0];
     let analysis = Arc::new(StaticAnalysis::compute(&program, primary));
-    for (search, seed) in [
-        (FrontierKind::Dfs, 0),
-        (FrontierKind::Bfs, 0),
-        (FrontierKind::Random, 7),
-        (FrontierKind::Proximity, 1),
-    ] {
+    for (search, seed) in
+        [(FrontierKind::Dfs, 0), (FrontierKind::Random, 7), (FrontierKind::Proximity, 1)]
+    {
         let config =
             EsdOptions { frontier: search, seed, max_steps: 400_000, ..EsdOptions::default() };
         let mut uninterrupted =
@@ -698,7 +687,6 @@ fn a_round_runs_a_burst_except_under_race_detection_and_kc() {
     let with_frontier = |frontier| EsdOptions { frontier, ..EsdOptions::default() };
     let cases = [
         (with_frontier(FrontierKind::Proximity), 32),
-        (with_frontier(FrontierKind::Bfs), 32),
         (with_frontier(FrontierKind::Random), 32),
         (with_frontier(FrontierKind::Dfs), 32),
         (EsdOptions { with_race_detection: true, ..EsdOptions::default() }, 1),

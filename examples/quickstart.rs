@@ -5,11 +5,9 @@
 //! 2. Ask ESD to synthesize an execution that reaches the reported deadlock.
 //! 3. Play the synthesized execution back deterministically.
 //!
-//! Run with: `cargo run --example quickstart`
-//!
-//! Set `ESD_FRONTIER=dfs|bfs|random|proximity` to swap the search frontier
-//! the synthesizer uses (see `examples/frontier_comparison.rs` for a
-//! side-by-side run).
+//! Run with: `cargo run --example quickstart [dfs|random|proximity]`; the
+//! argument swaps the search frontier the synthesizer uses (default:
+//! proximity; see `examples/frontier_comparison.rs` for a side-by-side run).
 
 use esd::playback::play;
 use esd::workloads::listing1;
@@ -20,9 +18,9 @@ fn main() {
     println!("program under debug: {}", workload.program.name);
     println!("goal (from the bug report): {:?}", workload.goal());
 
-    let frontier = std::env::var("ESD_FRONTIER")
-        .ok()
-        .map(|s| s.parse().expect("ESD_FRONTIER must be dfs|bfs|random|proximity"))
+    let frontier = std::env::args()
+        .nth(1)
+        .map(|s| s.parse().unwrap_or_else(|e: String| panic!("{e}")))
         .unwrap_or_default();
     let esd = Esd::new(EsdOptions::builder().frontier(frontier).build());
     let report = esd

@@ -152,13 +152,14 @@ fn interleaved_jobs_emit_byte_identical_execution_files() {
     }
 }
 
-/// A long-running job: a 512-branch BPF program searched breadth-first
-/// (undirected, so the path space is effectively inexhaustible within any
-/// budget the test dispatches).
+/// A long-running job: a 512-branch BPF program searched by the random
+/// frontier (undirected, so the path space is effectively inexhaustible
+/// within any budget the test dispatches).
 fn expensive_job(label: &str) -> JobSpec {
     let w = generate_bpf(&BpfConfig { branches: 512, ..Default::default() });
-    JobSpec::new(label, &w.program, w.goal())
-        .options(EsdOptions::builder().max_steps(u64::MAX / 2).frontier(FrontierKind::Bfs).build())
+    JobSpec::new(label, &w.program, w.goal()).options(
+        EsdOptions::builder().max_steps(u64::MAX / 2).frontier(FrontierKind::Random).build(),
+    )
 }
 
 /// Round-robin starvation freedom: a cheap job submitted *after* an

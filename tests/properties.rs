@@ -343,16 +343,12 @@ proptest! {
     fn restored_sessions_continue_identically(
         seed in 0u64..1_000_000,
         kind_idx in 0usize..4,
-        frontier_idx in 0usize..4,
+        frontier_idx in 0usize..3,
         k in 0u64..30,
         n in 1u64..40,
     ) {
-        let frontier = [
-            FrontierKind::Dfs,
-            FrontierKind::Bfs,
-            FrontierKind::Random,
-            FrontierKind::Proximity,
-        ][frontier_idx];
+        let frontier =
+            [FrontierKind::Dfs, FrontierKind::Random, FrontierKind::Proximity][frontier_idx];
         let w = generate(&GenConfig::new(seed, InjectedBugKind::ALL[kind_idx])).to_workload();
         let mut original = SynthesisSession::new(&w.program, w.goal(), EsdOptions::builder()
             .max_steps(100_000)

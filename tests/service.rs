@@ -155,8 +155,8 @@ fn submit_past_the_bounded_queue_is_a_typed_overloaded() {
 /// unchanged — remote clients see exactly the in-process error.
 #[test]
 fn overloaded_crosses_the_wire_as_a_typed_error() {
-    // A job the daemon cannot drain during the test: breadth-first over a
-    // 256-branch BPF program needs orders of magnitude more rounds than
+    // A job the daemon cannot drain during the test: the random frontier on
+    // a 256-branch BPF program needs orders of magnitude more rounds than
     // the few slices the daemon pumps between our submits, so the single
     // running slot stays occupied and the queue stays full.
     let w = generate_bpf(&BpfConfig { branches: 256, ..Default::default() });
@@ -172,7 +172,7 @@ fn overloaded_crosses_the_wire_as_a_typed_error() {
     let mut client = RemoteClient::connect_tcp(addr.to_string()).expect("connect");
     let expensive = || {
         JobSpec::new("slow", &w.program, w.goal()).options(
-            EsdOptions::builder().max_steps(u64::MAX / 2).frontier(FrontierKind::Bfs).build(),
+            EsdOptions::builder().max_steps(u64::MAX / 2).frontier(FrontierKind::Random).build(),
         )
     };
     let first = client.submit(expensive()).expect("first admitted");
