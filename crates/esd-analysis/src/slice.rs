@@ -31,8 +31,8 @@
 use crate::callgraph::CallGraph;
 use crate::costs::CostModel;
 use crate::pointsto::{AbsLoc, PointsTo};
-use esd_ir::{BlockId, Callee, FuncId, Inst, Loc, Operand, Program, Reg, Terminator};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use esd_ir::{BlockId, Callee, FuncId, Function, Inst, Loc, Operand, Program, Reg, Terminator};
+use std::collections::{BTreeSet, HashMap};
 
 /// The relevance slice for one goal set, with the sliced cost model derived
 /// from it.
@@ -67,13 +67,70 @@ impl RelevanceSlice {
 }
 
 /// Worklist items of the demand closure.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy)]
 enum Item {
     Inst(Loc),
     Reg(FuncId, Reg),
     Mem(AbsLoc),
     /// The return value of a function is demanded.
     Ret(FuncId),
+}
+
+/// One function's dense def index: the instructions defining register `r`
+/// are `sites[start[r]..start[r + 1]]` (compressed rows, in program order).
+struct Defs {
+    start: Vec<u32>,
+    sites: Vec<(BlockId, u32)>,
+}
+
+impl Defs {
+    /// Indexes `function`'s register definitions. Registers are numbered
+    /// below `num_regs`, but a def past it widens the index rather than
+    /// being lost.
+    fn build(function: &Function) -> Self {
+        let mut pairs: Vec<(u32, BlockId, u32)> = Vec::new();
+        for (bi, block) in function.blocks.iter().enumerate() {
+            for (ii, inst) in block.insts.iter().enumerate() {
+                if let Some(dst) = inst.def() {
+                    pairs.push((dst.0, BlockId(bi as u32), ii as u32));
+                }
+            }
+        }
+        let regs = pairs.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
+        let regs = regs.max(function.num_regs as usize);
+        let mut start = vec![0u32; regs + 1];
+        for (r, _, _) in &pairs {
+            start[*r as usize + 1] += 1;
+        }
+        for r in 0..regs {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut sites = vec![(BlockId(0), 0); pairs.len()];
+        for (r, b, i) in pairs {
+            let slot = &mut next[r as usize];
+            sites[*slot as usize] = (b, i);
+            *slot += 1;
+        }
+        Defs { start, sites }
+    }
+
+    fn regs(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn of(&self, r: Reg) -> &[(BlockId, u32)] {
+        let r = r.0 as usize;
+        &self.sites[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+}
+
+/// The stores that may write one abstract location, and whether the closure
+/// has demanded it yet.
+#[derive(Default)]
+struct MemSlot {
+    stores: Vec<Loc>,
+    demanded: bool,
 }
 
 /// Computes the backward relevance slice from `goals` and derives the sliced
@@ -86,181 +143,169 @@ pub fn compute(
     goals: &[Loc],
 ) -> RelevanceSlice {
     // ---- indices -----------------------------------------------------------
-    let mut defs: HashMap<(FuncId, Reg), Vec<Loc>> = HashMap::new();
-    let mut stores_touching: HashMap<AbsLoc, Vec<Loc>> = HashMap::new();
+    // `relevant` doubles as the closure's visited set for instructions.
+    let mut relevant: Vec<Vec<Vec<bool>>> = Vec::with_capacity(program.functions.len());
+    let mut defs: Vec<Defs> = Vec::with_capacity(program.functions.len());
+    let mut ret_regs: Vec<Vec<Reg>> = Vec::with_capacity(program.functions.len());
+    let mut mem: HashMap<AbsLoc, MemSlot> = HashMap::new();
     let mut unresolved_stores: Vec<Loc> = Vec::new();
-    let mut ret_uses: HashMap<FuncId, Vec<Reg>> = HashMap::new();
-    // Call-result registers → the callees whose return value they carry.
-    let mut call_results: HashMap<(FuncId, Reg), Vec<FuncId>> = HashMap::new();
+    let mut worklist: Vec<Item> = goals.iter().map(|g| Item::Inst(*g)).collect();
+    // `points_to.accesses` lists every load and store in program order, so a
+    // cursor finds each store's access without a lookup.
+    let mut accesses = points_to.accesses.iter().peekable();
 
     for fid in program.func_ids() {
         let function = program.func(fid);
+        let mut rets = Vec::new();
+        let mut bits = Vec::with_capacity(function.blocks.len());
         for (bi, block) in function.blocks.iter().enumerate() {
             for (ii, inst) in block.insts.iter().enumerate() {
                 let loc = Loc::new(fid, BlockId(bi as u32), ii as u32);
-                if let Some(dst) = inst.def() {
-                    defs.entry((fid, dst)).or_default().push(loc);
-                }
+                let access = match accesses.peek() {
+                    Some(a) if a.loc == loc => accesses.next(),
+                    _ => None,
+                };
                 match inst {
-                    Inst::Store { .. } => match points_to.access_at(loc) {
+                    Inst::Store { .. } => match access.or_else(|| points_to.access_at(loc)) {
                         Some(a) if !a.targets.is_empty() => {
                             for t in &a.targets {
-                                stores_touching.entry(*t).or_default().push(loc);
+                                mem.entry(*t).or_default().stores.push(loc);
                             }
                         }
                         _ => unresolved_stores.push(loc),
                     },
-                    Inst::Call { dst: Some(d), callee, .. } => {
-                        let targets = match callee {
-                            Callee::Direct(t) => vec![*t],
-                            Callee::Indirect(_) => callgraph
-                                .sites_of(fid)
-                                .iter()
-                                .find(|s| s.loc == loc)
-                                .map(|s| s.targets.clone())
-                                .unwrap_or_default(),
-                        };
-                        call_results.entry((fid, *d)).or_default().extend(targets);
-                    }
+                    // Seeds: every schedule-shaping instruction.
+                    Inst::MutexLock { .. }
+                    | Inst::MutexUnlock { .. }
+                    | Inst::CondWait { .. }
+                    | Inst::CondSignal { .. }
+                    | Inst::CondBroadcast { .. }
+                    | Inst::ThreadSpawn { .. }
+                    | Inst::ThreadJoin { .. }
+                    | Inst::Yield
+                    | Inst::Free { .. }
+                    | Inst::Assert { .. }
+                    | Inst::Call { .. } => worklist.push(Item::Inst(loc)),
                     _ => {}
                 }
             }
-            if let Terminator::Ret { value: Some(Operand::Reg(r)) } = &block.term {
-                ret_uses.entry(fid).or_default().push(*r);
+            match &block.term {
+                // Seeds: every branch condition.
+                Terminator::CondBr { cond: Operand::Reg(r), .. } => {
+                    worklist.push(Item::Reg(fid, *r))
+                }
+                Terminator::Ret { value: Some(Operand::Reg(r)) } => rets.push(*r),
+                _ => {}
             }
+            bits.push(vec![false; block.insts.len()]);
         }
+        relevant.push(bits);
+        defs.push(Defs::build(function));
+        ret_regs.push(rets);
     }
 
     // ---- demand closure ----------------------------------------------------
-    let mut relevant_insts: HashSet<Loc> = HashSet::new();
-    let mut demanded_regs: HashSet<(FuncId, Reg)> = HashSet::new();
-    let mut demanded_mem: HashSet<AbsLoc> = HashSet::new();
-    let mut demanded_rets: HashSet<FuncId> = HashSet::new();
-    let mut worklist: VecDeque<Item> = VecDeque::new();
+    let mut demanded_regs: Vec<Vec<bool>> = defs.iter().map(|d| vec![false; d.regs()]).collect();
+    let mut demanded_rets = vec![false; program.functions.len()];
+    let mut unresolved_stores_demanded = false;
+    let mut unresolved_load_seen = false;
 
-    // Seeds: the goals themselves, every schedule-shaping instruction, and
-    // every branch condition.
-    for g in goals {
-        worklist.push_back(Item::Inst(*g));
-    }
-    for fid in program.func_ids() {
-        let function = program.func(fid);
-        for (bi, block) in function.blocks.iter().enumerate() {
-            for (ii, inst) in block.insts.iter().enumerate() {
-                let always = matches!(
-                    inst,
-                    Inst::MutexLock { .. }
-                        | Inst::MutexUnlock { .. }
-                        | Inst::CondWait { .. }
-                        | Inst::CondSignal { .. }
-                        | Inst::CondBroadcast { .. }
-                        | Inst::ThreadSpawn { .. }
-                        | Inst::ThreadJoin { .. }
-                        | Inst::Yield
-                        | Inst::Free { .. }
-                        | Inst::Assert { .. }
-                        | Inst::Call { .. }
-                );
-                if always {
-                    worklist.push_back(Item::Inst(Loc::new(fid, BlockId(bi as u32), ii as u32)));
-                }
-            }
-            if let Terminator::CondBr { cond: Operand::Reg(r), .. } = &block.term {
-                worklist.push_back(Item::Reg(fid, *r));
-            }
+    // Any demanded memory, and any unresolved read, may be fed by a store
+    // through an unresolved address.
+    let mut demand_unresolved_stores = |worklist: &mut Vec<Item>| {
+        if !std::mem::replace(&mut unresolved_stores_demanded, true) {
+            worklist.extend(unresolved_stores.iter().map(|s| Item::Inst(*s)));
         }
-    }
+    };
 
-    while let Some(item) = worklist.pop_front() {
+    while let Some(item) = worklist.pop() {
         match item {
             Item::Inst(loc) => {
-                if !relevant_insts.insert(loc) {
+                let Some(bit) = relevant
+                    .get_mut(loc.func.0 as usize)
+                    .and_then(|f| f.get_mut(loc.block.0 as usize))
+                    .and_then(|b| b.get_mut(loc.idx as usize))
+                else {
+                    continue;
+                };
+                if std::mem::replace(bit, true) {
                     continue;
                 }
                 let Some(inst) = program.inst_at(loc) else { continue };
                 for op in inst.uses() {
                     if let Operand::Reg(r) = op {
-                        worklist.push_back(Item::Reg(loc.func, r));
+                        worklist.push(Item::Reg(loc.func, r));
                     }
                 }
                 if matches!(inst, Inst::Load { .. }) {
                     if let Some(a) = points_to.access_at(loc) {
-                        for t in &a.targets {
-                            worklist.push_back(Item::Mem(*t));
-                        }
-                        if a.targets.is_empty() {
+                        worklist.extend(a.targets.iter().map(|t| Item::Mem(*t)));
+                        if a.targets.is_empty()
+                            && !std::mem::replace(&mut unresolved_load_seen, true)
+                        {
                             // Unresolved read: any store may feed it.
-                            for l in stores_touching.keys() {
-                                worklist.push_back(Item::Mem(*l));
-                            }
+                            worklist.extend(mem.keys().map(|l| Item::Mem(*l)));
+                            demand_unresolved_stores(&mut worklist);
                         }
                     }
                 }
             }
             Item::Reg(f, r) => {
-                if !demanded_regs.insert((f, r)) {
+                let Some(seen) = demanded_regs[f.0 as usize].get_mut(r.0 as usize) else {
+                    // Past every def: nothing defines it.
+                    continue;
+                };
+                if std::mem::replace(seen, true) {
                     continue;
                 }
-                if let Some(ds) = defs.get(&(f, r)) {
-                    for d in ds {
-                        worklist.push_back(Item::Inst(*d));
-                    }
-                }
-                if let Some(callees) = call_results.get(&(f, r)) {
-                    for c in callees {
-                        worklist.push_back(Item::Ret(*c));
+                for &(block, idx) in defs[f.0 as usize].of(r) {
+                    let loc = Loc::new(f, block, idx);
+                    worklist.push(Item::Inst(loc));
+                    // A call's result carries its callees' return values.
+                    if let Some(Inst::Call { callee, .. }) = program.inst_at(loc) {
+                        match callee {
+                            Callee::Direct(t) => worklist.push(Item::Ret(*t)),
+                            Callee::Indirect(_) => {
+                                if let Some(site) =
+                                    callgraph.sites_of(f).iter().find(|s| s.loc == loc)
+                                {
+                                    worklist.extend(site.targets.iter().map(|t| Item::Ret(*t)));
+                                }
+                            }
+                        }
                     }
                 }
             }
             Item::Mem(l) => {
-                if !demanded_mem.insert(l) {
-                    continue;
-                }
-                if let Some(ss) = stores_touching.get(&l) {
-                    for s in ss {
-                        worklist.push_back(Item::Inst(*s));
+                demand_unresolved_stores(&mut worklist);
+                if let Some(slot) = mem.get_mut(&l) {
+                    if !std::mem::replace(&mut slot.demanded, true) {
+                        worklist.extend(slot.stores.iter().map(|s| Item::Inst(*s)));
                     }
-                }
-                for s in &unresolved_stores {
-                    worklist.push_back(Item::Inst(*s));
                 }
             }
             Item::Ret(f) => {
-                if !demanded_rets.insert(f) {
+                if std::mem::replace(&mut demanded_rets[f.0 as usize], true) {
                     continue;
                 }
-                if let Some(rs) = ret_uses.get(&f) {
-                    for r in rs {
-                        worklist.push_back(Item::Reg(f, *r));
-                    }
-                }
+                worklist.extend(ret_regs[f.0 as usize].iter().map(|r| Item::Reg(f, *r)));
             }
         }
     }
 
     // ---- sliced cost model -------------------------------------------------
-    let mut relevant: Vec<Vec<Vec<bool>>> = Vec::with_capacity(program.functions.len());
     let mut sliced = costs.clone();
-    for fid in program.func_ids() {
-        let function = program.func(fid);
-        let f = fid.0 as usize;
-        let mut per_func = Vec::with_capacity(function.blocks.len());
-        for (bi, block) in function.blocks.iter().enumerate() {
-            let mut bits = Vec::with_capacity(block.insts.len());
+    for (f, per_func) in relevant.iter().enumerate() {
+        for (bi, bits) in per_func.iter().enumerate() {
             let mut total = 1u64; // terminator
-            for (ii, _) in block.insts.iter().enumerate() {
-                let loc = Loc::new(fid, BlockId(bi as u32), ii as u32);
-                let keep = relevant_insts.contains(&loc);
-                bits.push(keep);
+            for (ii, keep) in bits.iter().enumerate() {
                 if !keep {
                     sliced.inst_cost[f][bi][ii] = 0;
                 }
                 total = total.saturating_add(sliced.inst_cost[f][bi][ii]);
             }
             sliced.block_cost[f][bi] = total.min(crate::costs::INF);
-            per_func.push(bits);
         }
-        relevant.push(per_func);
     }
 
     RelevanceSlice { goals: goals.iter().copied().collect(), relevant, costs: sliced }
@@ -349,6 +394,37 @@ mod tests {
             !slice.is_relevant(noise_store.unwrap()),
             "a store to memory the goal never reads is sliced away"
         );
+    }
+
+    /// A load through an address the points-to analysis cannot resolve may
+    /// read what any unresolved store wrote, even when no store in the
+    /// program resolved to an abstract location.
+    #[test]
+    fn unresolved_stores_feed_an_unresolved_load() {
+        let mut pb = ProgramBuilder::new("p");
+        let mut store = None;
+        let mut goal = None;
+        pb.function("main", 0, |f| {
+            let x = f.getchar();
+            let ptr = f.add(x, 8);
+            store = Some(f.here());
+            f.store(ptr, 1);
+            let v = f.load(ptr);
+            let c = f.eq(v, 1);
+            goal = Some(f.here());
+            f.assert(c, "read back what was written");
+            f.ret_void();
+        });
+        let p = pb.finish("main");
+        let store = store.unwrap();
+        let callgraph = CallGraph::build(&p);
+        let points_to = PointsTo::compute(&p, &callgraph);
+        assert!(
+            points_to.accesses.iter().all(|a| a.targets.is_empty()),
+            "both accesses go through an input-derived pointer"
+        );
+        let slice = run(&p, &[goal.unwrap()]);
+        assert!(slice.is_relevant(store), "the unresolved store may feed the goal's load");
     }
 
     #[test]
