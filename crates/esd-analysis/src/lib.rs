@@ -65,7 +65,7 @@ pub use racecand::{RaceCandidates, RacePairCandidate};
 pub use slice::RelevanceSlice;
 
 use esd_ir::{Inst, Loc, Program};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The complete static-analysis bundle for one synthesis goal.
 ///
@@ -73,6 +73,13 @@ use std::sync::Arc;
 /// graph and function-pointer resolution, dead-block identification, critical
 /// edge marking and intermediate goal derivation, plus the cost model backing
 /// the proximity heuristic.
+///
+/// Every public field is built eagerly, because every search reads it: the
+/// CFGs, call graph, cost model, goal info, branch verdicts, lock order,
+/// points-to facts and relevance slice. The race-pair candidates are built
+/// on demand ([`StaticAnalysis::race_candidates`]): only the race-directed
+/// search reads them, and they cost about as much as the rest of the bundle
+/// on large programs.
 pub struct StaticAnalysis {
     /// One CFG per function.
     pub cfgs: Vec<Cfg>,
@@ -91,11 +98,9 @@ pub struct StaticAnalysis {
     /// Andersen-style points-to/escape facts: which memory accesses may touch
     /// shared state.
     pub points_to: PointsTo,
-    /// The ranked set of statically identified race-pair candidates (§4.2):
-    /// pairs of may-shared accesses that may happen in parallel without a
-    /// common must-held lock. The stepper's race-preemption mode only forks
-    /// at accesses/yields this set marks relevant.
-    pub race_candidates: RaceCandidates,
+    /// The race-pair candidates, built on the first
+    /// [`StaticAnalysis::race_candidates`] call.
+    race_candidates: OnceLock<RaceCandidates>,
     /// The backward goal-directed relevance slice and its sliced cost model
     /// ([`StaticAnalysis::costs_for_goal`]).
     pub slice: RelevanceSlice,
@@ -130,8 +135,6 @@ impl StaticAnalysis {
         let branch_feasibility = BranchFeasibility::compute(program, &cfgs, &callgraph);
         let lock_order = lockorder::analyze(program, &cfgs, &callgraph);
         let points_to = PointsTo::compute(program, &callgraph);
-        let race_candidates =
-            racecand::compute(program, &cfgs, &callgraph, &points_to, &lock_order);
         let slice = slice::compute(program, &callgraph, &points_to, &costs, goals);
         // Deadlock goals (a goal at a blocked MutexLock) get the lock-order
         // cycles' acquisition sites as extra intermediate goals: the ranked
@@ -161,10 +164,47 @@ impl StaticAnalysis {
             branch_feasibility,
             lock_order,
             points_to,
-            race_candidates,
+            race_candidates: OnceLock::new(),
             slice,
             goal: goals[0],
         }
+    }
+
+    /// The ranked set of statically identified race-pair candidates (§4.2):
+    /// pairs of may-shared accesses that may happen in parallel without a
+    /// common must-held lock. The stepper's race-preemption mode only forks
+    /// at accesses/yields this set marks relevant.
+    ///
+    /// Built on the first call from the bundle's CFGs, call graph, points-to
+    /// facts and lock order, and kept for every later call; `program` must be
+    /// the program this analysis was computed for. The engine makes that
+    /// first call at set-up when its search will read the set (race
+    /// detection with static pruning), so the cost lands there and not
+    /// mid-search; other jobs never pay it.
+    pub fn race_candidates(&self, program: &Program) -> &RaceCandidates {
+        self.race_candidates.get_or_init(|| {
+            racecand::compute(
+                program,
+                &self.cfgs,
+                &self.callgraph,
+                &self.points_to,
+                &self.lock_order,
+            )
+        })
+    }
+
+    /// The race-pair candidates if [`StaticAnalysis::race_candidates`] has
+    /// built them (or [`StaticAnalysis::set_race_candidates`] installed
+    /// them), without building them.
+    pub fn race_candidates_if_built(&self) -> Option<&RaceCandidates> {
+        self.race_candidates.get()
+    }
+
+    /// Installs `candidates` in place of the computed set, replacing any
+    /// already built: later [`StaticAnalysis::race_candidates`] calls return
+    /// it. Useful to study the search under a less precise static phase.
+    pub fn set_race_candidates(&mut self, candidates: RaceCandidates) {
+        self.race_candidates = OnceLock::from(candidates);
     }
 
     /// The cost model to use when measuring distance toward `goal`: the
@@ -263,6 +303,46 @@ mod tests {
         // Blocks on the way to either goal stay relevant.
         assert!(!multi.goal_info.is_irrelevant_block(goal2));
         assert!(!multi.goal_info.is_irrelevant_block(goal1));
+    }
+
+    /// The race candidates are left out of the eager bundle, built by the
+    /// first accessor call to the same set `racecand::compute` gives, and
+    /// replaceable.
+    #[test]
+    fn race_candidates_are_built_on_first_read() {
+        let mut pb = ProgramBuilder::new("racy");
+        let counter = pb.global("counter", 1);
+        let worker = pb.function("worker", 1, |f| {
+            let cp = f.addr_global(counter);
+            let v = f.load(cp);
+            f.yield_now();
+            let v1 = f.add(v, 1);
+            f.store(cp, v1);
+            f.ret_void();
+        });
+        let mut goal = None;
+        pb.function("main", 0, |f| {
+            let t1 = f.spawn(worker, 1);
+            let t2 = f.spawn(worker, 2);
+            f.join(t1);
+            f.join(t2);
+            goal = Some(f.here());
+            f.output(0);
+            f.ret_void();
+        });
+        let p = pb.finish("main");
+        let mut sa = StaticAnalysis::compute(&p, goal.unwrap());
+        assert!(sa.race_candidates_if_built().is_none(), "not part of the eager bundle");
+
+        let direct = racecand::compute(&p, &sa.cfgs, &sa.callgraph, &sa.points_to, &sa.lock_order);
+        assert!(!direct.candidates.is_empty(), "the unlocked load and store race");
+        let built = sa.race_candidates(&p);
+        assert_eq!(built.candidates, direct.candidates);
+        assert_eq!(built.relevant_yields, direct.relevant_yields);
+        assert!(sa.race_candidates_if_built().is_some());
+
+        sa.set_race_candidates(RaceCandidates::default());
+        assert!(sa.race_candidates(&p).candidates.is_empty(), "the installed set wins");
     }
 
     #[test]

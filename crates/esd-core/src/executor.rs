@@ -1119,6 +1119,33 @@ mod tests {
         assert_eq!(rr.plan_batch(&handles(&[1, 2])), handles(&[2, 1]));
     }
 
+    /// Admission builds a job's race candidates exactly when its search
+    /// will read them (race detection with static pruning), so their cost
+    /// is charged to admission and not to a slice.
+    #[test]
+    fn admission_builds_race_candidates_only_for_race_jobs() {
+        let (p, loc) = crashy("exec_race_candidates", 9);
+        let goal = GoalSpec::Crash { loc };
+        let race = EsdOptions::builder().with_race_detection(true).build();
+        let unpruned = EsdOptions { static_pruning: false, ..race.clone() };
+        let mut exec = JobExecutor::round_robin().max_running(3);
+        for (label, options) in
+            [("race", race), ("plain", EsdOptions::default()), ("unpruned", unpruned)]
+        {
+            exec.submit(JobSpec { options, ..JobSpec::new(label, &p, goal.clone()) });
+        }
+        exec.admit();
+        let built: Vec<bool> = exec
+            .slots
+            .iter()
+            .map(|slot| match &slot.stage {
+                Stage::Running(session) => session.analysis().race_candidates_if_built().is_some(),
+                _ => panic!("{} was not admitted", slot.label),
+            })
+            .collect();
+        assert_eq!(built, [true, false, false]);
+    }
+
     #[test]
     fn submit_poll_take_lifecycle() {
         let (p, loc) = crashy("exec_lifecycle", 9);

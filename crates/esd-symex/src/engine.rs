@@ -252,6 +252,12 @@ impl Engine {
         goal: GoalSpec,
         options: EsdOptions,
     ) -> Self {
+        // The stepper gates preemption forks on the race candidates exactly
+        // when race detection runs with static pruning: build them now, so
+        // the cost is the set-up's and not a search round's.
+        if options.with_race_detection && options.static_pruning {
+            analysis.race_candidates(&program);
+        }
         let oracle = StaticAnalysis::distance_oracle(&analysis, &program);
         // One virtual queue per goal target set: intermediate goals, then the
         // final goal.

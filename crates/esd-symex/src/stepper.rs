@@ -987,7 +987,7 @@ impl<'a> Stepper<'a> {
                     // skipped. The candidate set over-approximates the real
                     // races, so no schedule that can reach a race is lost.
                     if self.options.static_pruning
-                        && !self.analysis.race_candidates.is_relevant_yield(loc)
+                        && !self.analysis.race_candidates(self.program).is_relevant_yield(loc)
                     {
                         if self.other_runnable(state).is_some() {
                             self.stats.preemptions_pruned_static += 1;

@@ -46,7 +46,7 @@ fn main() {
     // The static phase computes points-to, may-happen-in-parallel and
     // locksets once per goal; the candidate set falls out of their join.
     let analysis = StaticAnalysis::compute_multi(&program, &[goal_loc]);
-    let rc = &analysis.race_candidates;
+    let rc = analysis.race_candidates(&program);
     let at = |loc: Loc| format!("{}:bb{}:{}", program.func(loc.func).name, loc.block.0, loc.idx);
 
     println!("may-shared accesses:");

@@ -131,7 +131,7 @@ fn render_program(out: &mut String, name: &str, program: &Program, goals: &[esd:
         }
     }
 
-    let rc = &sa.race_candidates;
+    let rc = sa.race_candidates(program);
     writeln!(out, "race_candidates {}", rc.candidates.len()).unwrap();
     for c in &rc.candidates {
         writeln!(

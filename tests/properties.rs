@@ -262,7 +262,7 @@ proptest! {
         };
         let w = generate(&config);
         let analysis = StaticAnalysis::compute_multi(&w.program, &w.truth.goal_locs);
-        let rc = &analysis.race_candidates;
+        let rc = analysis.race_candidates(&w.program);
         let (load, store) = match w.truth.schedule_hint {
             ScheduleHint::PreemptBetween { load, store } => (load, store),
             ref other => panic!("{}: DataRace ground truth carries {other:?}", w.name),
