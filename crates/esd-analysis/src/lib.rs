@@ -23,7 +23,8 @@
 //! * a flow-insensitive Andersen-style points-to/escape analysis classifying
 //!   each memory access as thread-local or may-shared ([`pointsto`]),
 //! * may-happen-in-parallel + lockset race-pair candidates that bound the
-//!   dynamic phase's preemption forks in race mode ([`racecand`]),
+//!   dynamic phase's preemption forks in race mode ([`racecand`]; built on
+//!   demand, see [`StaticAnalysis::race_candidates`]),
 //! * a backward goal-directed relevance slice sharpening the proximity
 //!   heuristic's cost model ([`slice`](mod@slice)),
 //! * an IR lint framework with severity-ranked diagnostics ([`lint`]).
@@ -78,8 +79,8 @@ use std::sync::{Arc, OnceLock};
 /// CFGs, call graph, cost model, goal info, branch verdicts, lock order,
 /// points-to facts and relevance slice. The race-pair candidates are built
 /// on demand ([`StaticAnalysis::race_candidates`]): only the race-directed
-/// search reads them, and they cost about as much as the rest of the bundle
-/// on large programs.
+/// search reads them, and on the BPF programs they cost about 30% of what
+/// the bundle cost with them.
 pub struct StaticAnalysis {
     /// One CFG per function.
     pub cfgs: Vec<Cfg>,

@@ -18,7 +18,8 @@
 //!   relevant, which in turn demand their operands;
 //! * **abstract memory locations** — a relevant `Load` demands the
 //!   [`AbsLoc`]s it may read (from [`crate::pointsto`]), which makes every
-//!   `Store` that may touch them relevant;
+//!   `Store` that may touch them relevant; a load or store whose address
+//!   points-to cannot resolve counts as touching every location;
 //! * **control and schedule** — every branch condition is demanded (control
 //!   flow always decides reachability), and synchronization instructions
 //!   (locks, condition variables, spawn/join/yield, `Free`, `Assert`, and
@@ -31,7 +32,7 @@
 use crate::callgraph::CallGraph;
 use crate::costs::CostModel;
 use crate::pointsto::{AbsLoc, PointsTo};
-use esd_ir::{BlockId, Callee, FuncId, Function, Inst, Loc, Operand, Program, Reg, Terminator};
+use esd_ir::{BlockId, Callee, FuncId, Inst, Loc, Operand, Program, Reg, Terminator};
 use std::collections::{BTreeSet, HashMap};
 
 /// The relevance slice for one goal set, with the sliced cost model derived
@@ -84,23 +85,14 @@ struct Defs {
 }
 
 impl Defs {
-    /// Indexes `function`'s register definitions. Registers are numbered
-    /// below `num_regs`, but a def past it widens the index rather than
-    /// being lost.
-    fn build(function: &Function) -> Self {
-        let mut pairs: Vec<(u32, BlockId, u32)> = Vec::new();
-        for (bi, block) in function.blocks.iter().enumerate() {
-            for (ii, inst) in block.insts.iter().enumerate() {
-                if let Some(dst) = inst.def() {
-                    pairs.push((dst.0, BlockId(bi as u32), ii as u32));
-                }
-            }
-        }
-        let regs = pairs.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
-        let regs = regs.max(function.num_regs as usize);
+    /// Indexes a function's `(register, block, index)` definitions, listed
+    /// in program order. Registers are numbered below `num_regs`, but a def
+    /// past it widens the index rather than being lost.
+    fn new(pairs: Vec<(Reg, BlockId, u32)>, num_regs: u32) -> Self {
+        let regs = pairs.iter().map(|p| p.0 .0 + 1).max().unwrap_or(0).max(num_regs) as usize;
         let mut start = vec![0u32; regs + 1];
         for (r, _, _) in &pairs {
-            start[*r as usize + 1] += 1;
+            start[r.0 as usize + 1] += 1;
         }
         for r in 0..regs {
             start[r + 1] += start[r];
@@ -108,7 +100,7 @@ impl Defs {
         let mut next = start.clone();
         let mut sites = vec![(BlockId(0), 0); pairs.len()];
         for (r, b, i) in pairs {
-            let slot = &mut next[r as usize];
+            let slot = &mut next[r.0 as usize];
             sites[*slot as usize] = (b, i);
             *slot += 1;
         }
@@ -156,17 +148,18 @@ pub fn compute(
 
     for fid in program.func_ids() {
         let function = program.func(fid);
+        let mut def_sites = Vec::new();
         let mut rets = Vec::new();
         let mut bits = Vec::with_capacity(function.blocks.len());
         for (bi, block) in function.blocks.iter().enumerate() {
             for (ii, inst) in block.insts.iter().enumerate() {
                 let loc = Loc::new(fid, BlockId(bi as u32), ii as u32);
-                let access = match accesses.peek() {
-                    Some(a) if a.loc == loc => accesses.next(),
-                    _ => None,
-                };
+                let access = accesses.next_if(|a| a.loc == loc);
+                if let Some(dst) = inst.def() {
+                    def_sites.push((dst, loc.block, loc.idx));
+                }
                 match inst {
-                    Inst::Store { .. } => match access.or_else(|| points_to.access_at(loc)) {
+                    Inst::Store { .. } => match access {
                         Some(a) if !a.targets.is_empty() => {
                             for t in &a.targets {
                                 mem.entry(*t).or_default().stores.push(loc);
@@ -200,7 +193,7 @@ pub fn compute(
             bits.push(vec![false; block.insts.len()]);
         }
         relevant.push(bits);
-        defs.push(Defs::build(function));
+        defs.push(Defs::new(def_sites, function.num_regs));
         ret_regs.push(rets);
     }
 

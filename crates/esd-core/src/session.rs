@@ -363,7 +363,8 @@ impl SynthesisSession {
     }
 
     /// The static analysis the session's search runs over.
-    pub fn analysis(&self) -> &Arc<StaticAnalysis> {
+    #[cfg(test)]
+    pub(crate) fn analysis(&self) -> &Arc<StaticAnalysis> {
         self.engine.analysis()
     }
 
