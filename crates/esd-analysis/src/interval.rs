@@ -95,8 +95,8 @@ impl Interval {
     }
 }
 
-/// Abstract evaluation of one binary operation, mirroring the engine's
-/// wrapping concrete semantics (`esd_symex::expr::eval_bin`): any endpoint
+/// Abstract evaluation of one binary operation, sound for the IR's wrapping
+/// concrete semantics ([`BinOp::eval`]): any endpoint
 /// computation that could wrap returns [`Interval::TOP`]. The solver's bounds
 /// pass evaluates path conditions with this and [`cmp_interval`] too, so it
 /// refutes the branch sides these transfer functions rule out.
@@ -151,7 +151,7 @@ pub fn bin_interval(op: BinOp, a: Interval, b: Interval) -> Interval {
         }
         BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr | BinOp::Div | BinOp::Rem => {
             match (a.as_const(), b.as_const()) {
-                (Some(x), Some(y)) => match esd_ir_eval_bin(op, x, y) {
+                (Some(x), Some(y)) => match op.eval(x, y) {
                     Some(v) => Interval::exact(v),
                     None => Interval::TOP, // division by zero faults: no value flows on
                 },
@@ -159,35 +159,6 @@ pub fn bin_interval(op: BinOp, a: Interval, b: Interval) -> Interval {
             }
         }
     }
-}
-
-/// Concrete evaluation matching the interpreter and the symbolic engine
-/// (wrapping arithmetic, shift counts masked to 6 bits, `None` on division by
-/// zero). Duplicated from `esd_symex::expr::eval_bin` because this crate sits
-/// below `esd-symex` in the dependency order.
-fn esd_ir_eval_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {
-    Some(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-        BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-    })
 }
 
 /// Abstract evaluation of a comparison: `[1, 1]` / `[0, 0]` when the operand

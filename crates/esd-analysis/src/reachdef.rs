@@ -11,8 +11,8 @@
 //!   statically-known global addresses into symbolic variables;
 //! * [`global_stores`]: all stores to statically-known global addresses in
 //!   the program, with their stored value when it is a compile-time constant;
-//! * [`eval_cond`]: evaluate a traced condition under a candidate assignment
-//!   of values to global variables.
+//! * [`eval_tri`]: evaluate a traced condition under a partial assignment of
+//!   values to global variables.
 
 use esd_ir::{BinOp, CmpOp, Function, GlobalId, Inst, Loc, Operand, Program};
 use std::collections::HashMap;
@@ -250,75 +250,9 @@ pub fn eval_tri(expr: &CondExpr, assignment: &HashMap<(GlobalId, i64), i64>) -> 
                 return Tri::Known(0);
             }
             match (a, b) {
-                (Tri::Known(a), Tri::Known(b)) => {
-                    let v = match op {
-                        BinOp::Add => a.wrapping_add(b),
-                        BinOp::Sub => a.wrapping_sub(b),
-                        BinOp::Mul => a.wrapping_mul(b),
-                        BinOp::Div => {
-                            if b == 0 {
-                                return Tri::Unknown;
-                            }
-                            a.wrapping_div(b)
-                        }
-                        BinOp::Rem => {
-                            if b == 0 {
-                                return Tri::Unknown;
-                            }
-                            a.wrapping_rem(b)
-                        }
-                        BinOp::And => a & b,
-                        BinOp::Or => a | b,
-                        BinOp::Xor => a ^ b,
-                        BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-                        BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-                    };
-                    Tri::Known(v)
-                }
+                (Tri::Known(a), Tri::Known(b)) => op.eval(a, b).map_or(Tri::Unknown, Tri::Known),
                 _ => Tri::Unknown,
             }
-        }
-    }
-}
-
-/// Evaluates a traced condition under an assignment of global-variable
-/// values. Returns `None` if the expression depends on an opaque value.
-pub fn eval_cond(expr: &CondExpr, assignment: &HashMap<(GlobalId, i64), i64>) -> Option<i64> {
-    match expr {
-        CondExpr::Const(c) => Some(*c),
-        CondExpr::GlobalVar(g, off) => assignment.get(&(*g, *off)).copied(),
-        CondExpr::GlobalAddr(..) => Some(1), // a non-null pointer constant
-        CondExpr::Opaque => None,
-        CondExpr::Cmp(op, a, b) => {
-            let a = eval_cond(a, assignment)?;
-            let b = eval_cond(b, assignment)?;
-            Some(op.eval(a, b) as i64)
-        }
-        CondExpr::Bin(op, a, b) => {
-            let a = eval_cond(a, assignment)?;
-            let b = eval_cond(b, assignment)?;
-            Some(match op {
-                BinOp::Add => a.wrapping_add(b),
-                BinOp::Sub => a.wrapping_sub(b),
-                BinOp::Mul => a.wrapping_mul(b),
-                BinOp::Div => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a.wrapping_div(b)
-                }
-                BinOp::Rem => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a.wrapping_rem(b)
-                }
-                BinOp::And => a & b,
-                BinOp::Or => a | b,
-                BinOp::Xor => a ^ b,
-                BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-                BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-            })
         }
     }
 }
@@ -403,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_cond_with_assignments() {
+    fn eval_tri_with_assignments() {
         let p = condition_program();
         let mode = p.global_by_name("mode").unwrap();
         let main = p.func(p.entry);
@@ -412,16 +346,18 @@ mod tests {
             _ => unreachable!(),
         };
         let expr = DefIndex::new(main).trace(cond);
-        // The whole condition is opaque (depends on getchar) …
+        // The whole condition depends on getchar …
         let mut asg = HashMap::new();
+        assert_eq!(eval_tri(&expr, &asg), Tri::Unknown);
         asg.insert((mode, 0i64), 1i64);
-        assert_eq!(eval_cond(&expr, &asg), None);
-        // … but its non-opaque sub-expression evaluates.
-        if let CondExpr::Bin(_, lhs, _) = &expr {
-            assert_eq!(eval_cond(lhs, &asg), Some(1));
-            asg.insert((mode, 0), 2);
-            assert_eq!(eval_cond(lhs, &asg), Some(0));
-        }
+        assert_eq!(eval_tri(&expr, &asg), Tri::Unknown);
+        // … but its non-opaque sub-expression evaluates,
+        let CondExpr::Bin(_, lhs, _) = &expr else { panic!("expected a bin") };
+        assert_eq!(eval_tri(lhs, &asg), Tri::Known(1));
+        asg.insert((mode, 0), 2);
+        assert_eq!(eval_tri(lhs, &asg), Tri::Known(0));
+        // and a known-false side decides the `and` despite the opaque one.
+        assert_eq!(eval_tri(&expr, &asg), Tri::Known(0));
     }
 
     #[test]

@@ -24,5 +24,5 @@ pub mod schedule;
 
 pub use lockset::{LocksetDetector, RaceReport};
 pub use pmap::PMap;
-pub use rag::{find_mutex_deadlock, WaitGraph};
+pub use rag::WaitGraph;
 pub use schedule::{Schedule, ScheduleSegment, SegmentStop};

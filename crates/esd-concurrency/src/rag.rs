@@ -63,16 +63,6 @@ impl<T: Eq + Hash + Copy, M: Eq + Hash + Copy> WaitGraph<T, M> {
     }
 }
 
-/// Convenience wrapper: builds the graph from parallel maps and looks for a
-/// deadlock cycle.
-pub fn find_mutex_deadlock<T: Eq + Hash + Copy, M: Eq + Hash + Copy>(
-    waits_for: &HashMap<T, M>,
-    held_by: &HashMap<M, T>,
-) -> Option<Vec<T>> {
-    let g = WaitGraph { waits_for: waits_for.clone(), held_by: held_by.clone() };
-    g.find_cycle()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +124,14 @@ mod tests {
     }
 
     #[test]
-    fn helper_function_matches_graph_behaviour() {
-        let mut waits = HashMap::new();
-        let mut held = HashMap::new();
-        held.insert("A", 1u32);
-        held.insert("B", 2u32);
-        waits.insert(1u32, "B");
-        waits.insert(2u32, "A");
-        assert!(find_mutex_deadlock(&waits, &held).is_some());
-        waits.remove(&2);
-        assert!(find_mutex_deadlock(&waits, &held).is_none());
+    fn removing_a_wait_breaks_the_cycle() {
+        let mut g: WaitGraph<u32, &str> = WaitGraph::new();
+        g.hold("A", 1);
+        g.hold("B", 2);
+        g.wait(1, "B");
+        g.wait(2, "A");
+        assert!(g.find_cycle().is_some());
+        g.waits_for.remove(&2);
+        assert!(g.find_cycle().is_none());
     }
 }

@@ -56,6 +56,34 @@ pub enum BinOp {
     Shr,
 }
 
+impl BinOp {
+    /// Evaluates the operator on concrete words: wrapping arithmetic, shift
+    /// counts taken modulo 64, and `None` for division or remainder by zero
+    /// (a fault in both executors, no value in the analyses).
+    ///
+    /// This, [`CmpOp::eval`], [`crate::Value::word`], [`crate::Value::bin`],
+    /// [`crate::Value::compare`], [`crate::Value::offset_by`] and
+    /// [`crate::Program::function_at`] are the IR's one concrete semantics:
+    /// the interpreter, the symbolic stepper and its constant folder, and
+    /// the static analyses all call them, so a synthesized execution
+    /// computes what its playback computes.
+    pub fn eval(self, a: i64, b: i64) -> Option<i64> {
+        Some(match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::Div | BinOp::Rem if b == 0 => return None,
+            BinOp::Div => a.wrapping_div(b),
+            BinOp::Rem => a.wrapping_rem(b),
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            BinOp::Shl => a.wrapping_shl(b as u32 & 63),
+            BinOp::Shr => a.wrapping_shr(b as u32 & 63),
+        })
+    }
+}
+
 /// Comparison operators; the result is the integer 1 (true) or 0 (false).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Debug)]
 pub enum CmpOp {
@@ -98,7 +126,8 @@ impl CmpOp {
         }
     }
 
-    /// Evaluates the comparison on concrete integers.
+    /// Evaluates the comparison on concrete words (signed), part of the
+    /// IR's one concrete semantics (see [`BinOp::eval`]).
     pub fn eval(self, a: i64, b: i64) -> bool {
         match self {
             CmpOp::Eq => a == b,
@@ -117,8 +146,8 @@ pub enum Callee {
     /// A direct call to a known function.
     Direct(FuncId),
     /// An indirect call through a register holding a function "address"
-    /// (an integer equal to the target's [`FuncId`] index, as produced by
-    /// [`Inst::FuncAddr`]).
+    /// (as produced by [`Inst::FuncAddr`] and decoded by
+    /// [`crate::Program::function_at`]).
     Indirect(Operand),
 }
 
@@ -475,6 +504,20 @@ mod tests {
                 assert_eq!(op.eval(a, b), op.swap().eval(b, a), "swap {:?} {} {}", op, a, b);
             }
         }
+    }
+
+    #[test]
+    fn bin_eval_wraps_masks_shifts_and_refuses_zero_divisors() {
+        assert_eq!(BinOp::Add.eval(i64::MAX, 1), Some(i64::MIN));
+        assert_eq!(BinOp::Sub.eval(i64::MIN, 1), Some(i64::MAX));
+        assert_eq!(BinOp::Mul.eval(i64::MIN, -1), Some(i64::MIN));
+        assert_eq!(BinOp::Div.eval(i64::MIN, -1), Some(i64::MIN));
+        assert_eq!(BinOp::Rem.eval(i64::MIN, -1), Some(0));
+        assert_eq!(BinOp::Div.eval(7, 0), None);
+        assert_eq!(BinOp::Rem.eval(7, 0), None);
+        assert_eq!(BinOp::Shl.eval(1, 65), Some(2));
+        assert_eq!(BinOp::Shr.eval(-8, 1), Some(-4));
+        assert_eq!(BinOp::Xor.eval(0b1100, 0b1010), Some(0b0110));
     }
 
     #[test]

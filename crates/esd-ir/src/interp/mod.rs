@@ -26,7 +26,7 @@ pub use inputs::{InputProvider, MapInputs, RandomInputs, ZeroInputs};
 pub use memory::{MemError, Memory, ObjKind, Object};
 pub use thread::{CondState, Frame, MutexState, SyncState, Thread, ThreadStatus};
 
-use crate::inst::{BinOp, Callee, CmpOp, Inst, Operand, Terminator};
+use crate::inst::{Callee, Inst, Operand, Terminator};
 use crate::program::Program;
 use crate::types::{FuncId, Loc, Reg, ThreadId};
 use crate::value::{Ptr, Value};
@@ -34,16 +34,23 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Base offset of function "addresses" produced by `FuncAddr`, so that small
-/// integers (and null) are never valid indirect-call targets.
+/// integers (and null) are never valid indirect-call targets; decoded by
+/// [`Program::function_at`].
 pub const FUNC_ADDR_BASE: i64 = 0x1000;
 
-/// Maximum call-stack depth before the interpreter reports a stack overflow.
+// The limits below bind the symbolic stepper exactly as they bind this
+// interpreter, so every execution the stepper reaches plays back here.
+
+/// Maximum call-stack depth: a call at this depth is a stack overflow
+/// (`SegFault` at address -1).
 pub const MAX_STACK_DEPTH: usize = 4096;
 
-/// Maximum number of threads a program may create.
+/// Maximum number of threads a program may create; a spawn past it is a
+/// `SyncMisuse` fault.
 pub const MAX_THREADS: usize = 256;
 
-/// Maximum size (in words) of a single heap allocation.
+/// Maximum size (in words) of a single heap allocation; larger requests are
+/// clamped to it.
 pub const MAX_ALLOC_WORDS: i64 = 1 << 20;
 
 /// Which built-in scheduler [`Interpreter::run`] uses.
@@ -259,14 +266,6 @@ impl<'p> Interpreter<'p> {
         self.finished.as_ref()
     }
 
-    fn int_of(v: Value) -> i64 {
-        match v {
-            Value::Int(i) => i,
-            // A pointer cast to an integer: a stable non-zero encoding.
-            Value::Ptr(p) => 0x4000_0000_0000 + (p.obj.0 as i64) * 4096 + p.off,
-        }
-    }
-
     fn eval(&self, tid: ThreadId, op: Operand) -> Value {
         match op {
             Operand::Const(c) => Value::Int(c),
@@ -422,16 +421,6 @@ impl<'p> Interpreter<'p> {
         None
     }
 
-    fn resolve_indirect(&self, value: Value) -> Option<FuncId> {
-        let raw = value.as_int()?;
-        let idx = raw.checked_sub(FUNC_ADDR_BASE)?;
-        if idx >= 0 && (idx as usize) < self.program.functions.len() {
-            Some(FuncId(idx as u32))
-        } else {
-            None
-        }
-    }
-
     /// Executes one instruction of thread `tid`.
     ///
     /// Calling this on a blocked thread re-attempts the blocking operation
@@ -481,48 +470,15 @@ impl<'p> Interpreter<'p> {
             Inst::Bin { dst, op, a, b } => {
                 let va = self.eval(tid, a);
                 let vb = self.eval(tid, b);
-                let result = match (va, op) {
-                    (Value::Ptr(p), BinOp::Add) => Value::Ptr(p.add(Self::int_of(vb))),
-                    (Value::Ptr(p), BinOp::Sub) => Value::Ptr(p.add(-Self::int_of(vb))),
-                    _ => {
-                        let ia = Self::int_of(va);
-                        let ib = Self::int_of(vb);
-                        let r = match op {
-                            BinOp::Add => ia.wrapping_add(ib),
-                            BinOp::Sub => ia.wrapping_sub(ib),
-                            BinOp::Mul => ia.wrapping_mul(ib),
-                            BinOp::Div => {
-                                if ib == 0 {
-                                    return self.fault(FaultKind::DivByZero, tid, loc, Some(vb));
-                                }
-                                ia.wrapping_div(ib)
-                            }
-                            BinOp::Rem => {
-                                if ib == 0 {
-                                    return self.fault(FaultKind::DivByZero, tid, loc, Some(vb));
-                                }
-                                ia.wrapping_rem(ib)
-                            }
-                            BinOp::And => ia & ib,
-                            BinOp::Or => ia | ib,
-                            BinOp::Xor => ia ^ ib,
-                            BinOp::Shl => ia.wrapping_shl(ib as u32 & 63),
-                            BinOp::Shr => ia.wrapping_shr(ib as u32 & 63),
-                        };
-                        Value::Int(r)
-                    }
-                };
-                self.set_reg(tid, dst, result);
+                match va.bin(op, vb) {
+                    Some(r) => self.set_reg(tid, dst, r),
+                    None => return self.fault(FaultKind::DivByZero, tid, loc, Some(vb)),
+                }
             }
             Inst::Cmp { dst, op, a, b } => {
                 let va = self.eval(tid, a);
                 let vb = self.eval(tid, b);
-                let result = match op {
-                    CmpOp::Eq => va.value_eq(vb),
-                    CmpOp::Ne => !va.value_eq(vb),
-                    _ => op.eval(Self::int_of(va), Self::int_of(vb)),
-                };
-                self.set_reg(tid, dst, Value::Int(result as i64));
+                self.set_reg(tid, dst, Value::Int(va.compare(op, vb) as i64));
             }
             Inst::AddrLocal { dst, local } => {
                 let obj = self.threads[tid.0 as usize].top().locals[local.0 as usize];
@@ -536,7 +492,7 @@ impl<'p> Interpreter<'p> {
                 self.set_reg(tid, dst, Value::Int(FUNC_ADDR_BASE + func.0 as i64));
             }
             Inst::Alloc { dst, size } => {
-                let n = Self::int_of(self.eval(tid, size)).clamp(0, MAX_ALLOC_WORDS) as usize;
+                let n = self.eval(tid, size).word().clamp(0, MAX_ALLOC_WORDS) as usize;
                 let obj = self.mem.alloc(ObjKind::Heap, n);
                 self.set_reg(tid, dst, Value::Ptr(Ptr::to(obj)));
             }
@@ -569,12 +525,8 @@ impl<'p> Interpreter<'p> {
                 }
             }
             Inst::Gep { dst, base, offset } => {
-                let b = self.eval(tid, base);
-                let o = Self::int_of(self.eval(tid, offset));
-                let r = match b {
-                    Value::Ptr(p) => Value::Ptr(p.add(o)),
-                    Value::Int(i) => Value::Int(i.wrapping_add(o)),
-                };
+                let o = self.eval(tid, offset).word();
+                let r = self.eval(tid, base).offset_by(o);
                 self.set_reg(tid, dst, r);
             }
             Inst::Call { dst, callee, args } => {
@@ -582,7 +534,7 @@ impl<'p> Interpreter<'p> {
                     Callee::Direct(f) => f,
                     Callee::Indirect(op) => {
                         let v = self.eval(tid, op);
-                        match self.resolve_indirect(v) {
+                        match self.program.function_at(v.word()) {
                             Some(f) => f,
                             None => {
                                 return self.fault(
@@ -612,7 +564,7 @@ impl<'p> Interpreter<'p> {
                 self.set_reg(tid, dst, Value::Int(v));
             }
             Inst::Output { value } => {
-                let v = Self::int_of(self.eval(tid, value));
+                let v = self.eval(tid, value).word();
                 self.output.push(v);
             }
             Inst::Assert { cond, msg } => {
@@ -730,7 +682,7 @@ impl<'p> Interpreter<'p> {
                     Callee::Direct(f) => f,
                     Callee::Indirect(op) => {
                         let v = self.eval(tid, op);
-                        match self.resolve_indirect(v) {
+                        match self.program.function_at(v.word()) {
                             Some(f) => f,
                             None => {
                                 return self.fault(
@@ -763,7 +715,7 @@ impl<'p> Interpreter<'p> {
                 self.set_reg(tid, dst, Value::Int(new_tid.0 as i64));
             }
             Inst::ThreadJoin { thread } => {
-                let v = Self::int_of(self.eval(tid, thread));
+                let v = self.eval(tid, thread).word();
                 if v < 0 || v as usize >= self.threads.len() {
                     return self.fault(
                         FaultKind::SyncMisuse { what: format!("join of invalid thread id {v}") },
@@ -813,7 +765,7 @@ impl<'p> Interpreter<'p> {
                     self.threads[tid.0 as usize].return_value = ret_val;
                     self.wake_joiners(tid);
                     if tid == ThreadId(0) {
-                        let code = ret_val.map(Self::int_of).unwrap_or(0);
+                        let code = ret_val.map(Value::word).unwrap_or(0);
                         self.finished = Some(ExecOutcome::Exit { code });
                         return StepResult::ProgramExit { code };
                     }

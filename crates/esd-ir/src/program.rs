@@ -1,6 +1,7 @@
 //! Programs, functions, basic blocks and globals.
 
 use crate::inst::{Inst, Terminator};
+use crate::interp::FUNC_ADDR_BASE;
 use crate::types::{BlockId, FuncId, GlobalId, Loc};
 use serde::{Deserialize, Serialize};
 
@@ -127,6 +128,15 @@ impl Program {
         self.globals.iter().position(|g| g.name == name).map(|i| GlobalId(i as u32))
     }
 
+    /// The function whose "address" (as materialized by `FuncAddr`:
+    /// [`FUNC_ADDR_BASE`] plus its index) is `raw`, or `None` when `raw`
+    /// names no function — a bad indirect call. This is the one decoding
+    /// of call targets, shared by the interpreter and the symbolic stepper.
+    pub fn function_at(&self, raw: i64) -> Option<FuncId> {
+        let idx = usize::try_from(raw.checked_sub(FUNC_ADDR_BASE)?).ok()?;
+        (idx < self.functions.len()).then_some(FuncId(idx as u32))
+    }
+
     /// Iterates over all function ids.
     pub fn func_ids(&self) -> impl Iterator<Item = FuncId> + '_ {
         (0..self.functions.len() as u32).map(FuncId)
@@ -191,6 +201,15 @@ mod tests {
             blocks: vec![block],
         };
         Program { name: "tiny".into(), functions: vec![f], globals: vec![], entry: FuncId(0) }
+    }
+
+    #[test]
+    fn function_at_decodes_func_addrs_and_nothing_else() {
+        let p = tiny_program();
+        assert_eq!(p.function_at(FUNC_ADDR_BASE), Some(FuncId(0)));
+        for raw in [FUNC_ADDR_BASE + 1, FUNC_ADDR_BASE - 1, 0, -1, i64::MIN, i64::MAX] {
+            assert_eq!(p.function_at(raw), None, "{raw}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Runtime values: machine words and typed pointers into the object memory.
 
+use crate::inst::{BinOp, CmpOp};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -88,6 +89,52 @@ impl Value {
     pub fn value_eq(self, other: Value) -> bool {
         self == other
     }
+
+    /// The word this value reads as where the IR wants an integer (an
+    /// arithmetic operand, an ordering comparison, a size, a thread id, a
+    /// call target): an integer is itself, and a pointer casts to the
+    /// stable non-zero encoding `2^46 + obj * 4096 + off`, computed with
+    /// wrapping arithmetic so no offset can overflow.
+    pub fn word(self) -> i64 {
+        match self {
+            Value::Int(i) => i,
+            Value::Ptr(p) => 0x4000_0000_0000_i64
+                .wrapping_add((p.obj.0 as i64).wrapping_mul(4096))
+                .wrapping_add(p.off),
+        }
+    }
+
+    /// This value displaced by `delta` words: a pointer keeps its object and
+    /// moves its offset, an integer adds with wrapping (`Gep`).
+    pub fn offset_by(self, delta: i64) -> Value {
+        match self {
+            Value::Ptr(p) => Value::Ptr(p.add(delta)),
+            Value::Int(i) => Value::Int(i.wrapping_add(delta)),
+        }
+    }
+
+    /// `self <op> rhs` (the `Bin` instruction): a pointer plus or minus a
+    /// value stays a pointer into the same object, displaced by the value's
+    /// [`word`](Value::word); every other operation is [`BinOp::eval`] on
+    /// words. `None` is a division or remainder by zero.
+    pub fn bin(self, op: BinOp, rhs: Value) -> Option<Value> {
+        match (self, op) {
+            (Value::Ptr(_), BinOp::Add) => Some(self.offset_by(rhs.word())),
+            (Value::Ptr(_), BinOp::Sub) => Some(self.offset_by(rhs.word().wrapping_neg())),
+            _ => op.eval(self.word(), rhs.word()).map(Value::Int),
+        }
+    }
+
+    /// `self <op> rhs` (the `Cmp` instruction): equality is
+    /// [`value_eq`](Value::value_eq), orderings compare
+    /// [`word`](Value::word)s.
+    pub fn compare(self, op: CmpOp, rhs: Value) -> bool {
+        match op {
+            CmpOp::Eq => self.value_eq(rhs),
+            CmpOp::Ne => !self.value_eq(rhs),
+            _ => op.eval(self.word(), rhs.word()),
+        }
+    }
 }
 
 impl From<i64> for Value {
@@ -158,6 +205,38 @@ mod tests {
         assert_eq!(i.as_ptr(), None);
         assert_eq!(p.as_int(), None);
         assert!(p.as_ptr().is_some());
+    }
+
+    #[test]
+    fn pointers_read_as_their_word() {
+        let p = Value::Ptr(Ptr { obj: ObjId(1), off: 2 });
+        let w = 0x4000_0000_0000 + 4096 + 2;
+        assert_eq!(p.word(), w);
+        assert_eq!(Value::Int(-3).word(), -3);
+        // A far offset wraps instead of overflowing.
+        let far = Value::Ptr(Ptr { obj: ObjId(1), off: i64::MAX });
+        assert_eq!(far.word(), i64::MAX.wrapping_add(w - 2));
+        // `ptr + ptr` displaces by the right operand's word; orderings
+        // compare words, equality never equates a pointer with an integer.
+        assert_eq!(p.bin(BinOp::Add, p), Some(Value::Ptr(Ptr { obj: ObjId(1), off: 2 + w })));
+        assert_eq!(p.bin(BinOp::Mul, Value::Int(1)), Some(Value::Int(w)));
+        assert!(p.compare(CmpOp::Ge, Value::Int(w)) && p.compare(CmpOp::Le, Value::Int(w)));
+        assert!(!p.compare(CmpOp::Eq, Value::Int(w)));
+        assert!(p.compare(CmpOp::Ne, Value::Int(w)));
+    }
+
+    #[test]
+    fn arithmetic_wraps_instead_of_overflowing() {
+        let p = Value::Ptr(Ptr { obj: ObjId(1), off: 2 });
+        let min = Value::Int(i64::MIN);
+        assert_eq!(
+            p.bin(BinOp::Sub, min),
+            Some(Value::Ptr(Ptr { obj: ObjId(1), off: i64::MIN + 2 }))
+        );
+        assert_eq!(Value::Int(i64::MAX).offset_by(1), Value::Int(i64::MIN));
+        assert_eq!(p.offset_by(-2), Value::Ptr(Ptr::to(ObjId(1))));
+        assert_eq!(Value::Int(1).bin(BinOp::Rem, Value::Int(0)), None);
+        assert_eq!(p.bin(BinOp::Div, Value::Int(0)), None);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl SymExpr {
     /// Builds a binary operation with constant folding.
     pub fn bin(op: BinOp, a: Arc<SymExpr>, b: Arc<SymExpr>) -> Arc<SymExpr> {
         if let (SymExpr::Const(x), SymExpr::Const(y)) = (a.as_ref(), b.as_ref()) {
-            if let Some(v) = eval_bin(op, *x, *y) {
+            if let Some(v) = op.eval(*x, *y) {
                 return SymExpr::constant(v);
             }
         }
@@ -146,39 +146,11 @@ impl SymExpr {
         match self {
             SymExpr::Const(c) => *c,
             SymExpr::Var(v) => assignment.get(v).copied().unwrap_or(0),
-            SymExpr::Bin(op, a, b) => {
-                eval_bin(*op, a.eval(assignment), b.eval(assignment)).unwrap_or(0)
-            }
+            SymExpr::Bin(op, a, b) => op.eval(a.eval(assignment), b.eval(assignment)).unwrap_or(0),
             SymExpr::Cmp(op, a, b) => op.eval(a.eval(assignment), b.eval(assignment)) as i64,
             SymExpr::Not(e) => (e.eval(assignment) == 0) as i64,
         }
     }
-}
-
-/// Concrete evaluation of a binary operator (`None` for division by zero).
-pub fn eval_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {
-    Some(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-        BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-    })
 }
 
 /// A value during symbolic execution: either a concrete machine value (an
@@ -208,13 +180,13 @@ impl SymValue {
         }
     }
 
-    /// Returns the symbolic expression, converting concrete integers;
-    /// pointers cannot be converted and return `None`.
-    pub fn as_expr(&self) -> Option<Arc<SymExpr>> {
+    /// Returns the expression of the word this value reads as: a concrete
+    /// value is the constant of its [`Value::word`], a pointer included, as
+    /// in the interpreter's arithmetic and ordering comparisons.
+    pub fn as_expr(&self) -> Arc<SymExpr> {
         match self {
-            SymValue::Symbolic(e) => Some(e.clone()),
-            SymValue::Concrete(Value::Int(i)) => Some(SymExpr::constant(*i)),
-            SymValue::Concrete(Value::Ptr(_)) => None,
+            SymValue::Symbolic(e) => e.clone(),
+            SymValue::Concrete(v) => SymExpr::constant(v.word()),
         }
     }
 
@@ -297,12 +269,13 @@ mod tests {
         let c = SymValue::int(5);
         assert!(!c.is_symbolic());
         assert_eq!(c.as_concrete(), Some(Value::Int(5)));
-        assert_eq!(c.as_expr().unwrap().as_const(), Some(5));
+        assert_eq!(c.as_expr().as_const(), Some(5));
         let s = SymValue::Symbolic(SymExpr::var(SymVar(0)));
         assert!(s.is_symbolic());
         assert_eq!(s.as_concrete(), None);
-        let p = SymValue::Concrete(Value::Ptr(esd_ir::Ptr::to(esd_ir::ObjId(1))));
-        assert!(p.as_expr().is_none());
+        let ptr = Value::Ptr(esd_ir::Ptr::to(esd_ir::ObjId(1)));
+        let p = SymValue::Concrete(ptr);
+        assert_eq!(p.as_expr().as_const(), Some(ptr.word()));
         assert!(!p.is_symbolic());
     }
 }

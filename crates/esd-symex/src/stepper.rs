@@ -21,13 +21,14 @@ use crate::options::{EsdOptions, KC_PREEMPTION_BOUND};
 use crate::solver::{Solver, SolverResult};
 use crate::state::{ExecState, SchedDistance, SymFrame, SymMemError, SymThread};
 use esd_analysis::{Feasibility, StaticAnalysis};
-use esd_concurrency::{find_mutex_deadlock, Schedule, SegmentStop};
-use esd_ir::interp::{ObjKind, ThreadStatus};
+use esd_concurrency::{Schedule, SegmentStop, WaitGraph};
+use esd_ir::interp::{
+    ObjKind, ThreadStatus, FUNC_ADDR_BASE, MAX_ALLOC_WORDS, MAX_STACK_DEPTH, MAX_THREADS,
+};
 use esd_ir::{
     BinOp, Callee, CmpOp, FaultKind, FuncId, Inst, Loc, Operand, Program, Ptr, Reg, Terminator,
     ThreadId, Value,
 };
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Why a single micro-step of one state ended.
@@ -206,12 +207,13 @@ impl<'a> Stepper<'a> {
         self.stats.steps += 1;
     }
 
-    /// Concretizes a symbolic value to an integer, pinning it with an
-    /// equality constraint (used for addresses, allocation sizes, …).
+    /// Concretizes a value to the word it reads as, pinning a symbolic one
+    /// with an equality constraint (used for addresses, allocation sizes,
+    /// …); a concrete pointer reads as its [`Value::word`], as in the
+    /// interpreter. `None` only when the path constraints have no model.
     fn concretize(&mut self, state: &mut ExecState, v: &SymValue) -> Option<i64> {
         match v {
-            SymValue::Concrete(Value::Int(i)) => Some(*i),
-            SymValue::Concrete(Value::Ptr(_)) => None,
+            SymValue::Concrete(c) => Some(c.word()),
             SymValue::Symbolic(e) => {
                 if let Some(c) = e.as_const() {
                     return Some(c);
@@ -263,22 +265,64 @@ impl<'a> Stepper<'a> {
         }
     }
 
+    /// Faults with `fault` at `loc` where `holds` is false, as the
+    /// interpreter does, and otherwise adds `holds` to the path and returns
+    /// `None` so the step goes on. A symbolic `holds` splits the path: at
+    /// the goal a feasible violation is the goal; elsewhere it is recorded
+    /// as another bug and the passing side continues in this state.
+    fn fault_unless(
+        &mut self,
+        state: &mut ExecState,
+        loc: Loc,
+        holds: Arc<SymExpr>,
+        fault: FaultKind,
+    ) -> Option<StepEffect> {
+        match holds.as_const() {
+            Some(0) => return Some(self.handle_fault(fault, loc)),
+            Some(_) => return None,
+            None => {}
+        }
+        if matches!(self.goal, GoalSpec::Crash { loc: gl } if *gl == loc) {
+            // At the goal a feasible violation ends the search after one
+            // query, so the violating side is asked alone first; the goal
+            // state keeps its constraint for the model.
+            state.constraints.push(SymExpr::not(holds.clone()));
+            if self.solver.is_feasible(&state.constraints) {
+                return Some(StepEffect::Goal { fault, fault_loc: Some(loc) });
+            }
+            state.constraints.pop();
+            state.add_constraint(holds);
+            if !self.solver.is_feasible(&state.constraints) {
+                return Some(StepEffect::Dead);
+            }
+        } else {
+            let (passing, violating) = self.solver.branch_feasible(&state.constraints, &holds);
+            if violating {
+                self.other_bugs.push((fault, Some(loc)));
+            }
+            state.add_constraint(holds);
+            if !passing {
+                return Some(StepEffect::Dead);
+            }
+        }
+        None
+    }
+
     /// Checks whether the state's blocked threads form the reported deadlock
     /// (or some other deadlock). Returns the step effect if the state can no
     /// longer make progress toward the goal.
     fn check_deadlock(&mut self, state: &mut ExecState) -> Option<StepEffect> {
         // Build the wait-for relation over mutex-blocked threads.
-        let mut waits: HashMap<u32, Ptr> = HashMap::new();
-        let mut held: HashMap<Ptr, u32> = HashMap::new();
+        let mut graph = WaitGraph::new();
         for t in &state.threads {
             if let ThreadStatus::BlockedOnMutex(m) = t.status {
-                waits.insert(t.id.0, m);
+                graph.wait(t.id.0, m);
             }
             for h in &t.held_locks {
-                held.insert(*h, t.id.0);
+                graph.hold(*h, t.id.0);
             }
         }
-        let cycle = find_mutex_deadlock(&waits, &held);
+        let cycle = graph.find_cycle();
         let stalled = state.is_global_stall();
         if cycle.is_none() && !stalled {
             return None;
@@ -462,10 +506,7 @@ impl<'a> Stepper<'a> {
                         top.idx = 0;
                         StepEffect::Continue
                     }
-                    None => {
-                        let expr = v.as_expr().expect("symbolic condition");
-                        self.fork_on_branch(state, loc, expr, then_bb, else_bb)
-                    }
+                    None => self.fork_on_branch(state, loc, v.as_expr(), then_bb, else_bb),
                 }
             }
             Terminator::Ret { value } => {
@@ -622,7 +663,14 @@ impl<'a> Stepper<'a> {
                 self.count_step(state);
                 let va = self.eval(state, a);
                 let vb = self.eval(state, b);
-                let result = self.eval_bin(state, loc, op, va, vb);
+                if matches!(op, BinOp::Div | BinOp::Rem) && (va.is_symbolic() || vb.is_symbolic()) {
+                    let nonzero = SymExpr::cmp(CmpOp::Ne, vb.as_expr(), SymExpr::constant(0));
+                    if let Some(end) = self.fault_unless(state, loc, nonzero, FaultKind::DivByZero)
+                    {
+                        return end;
+                    }
+                }
+                let result = self.eval_bin(state, op, va, vb);
                 match result {
                     Ok(v) => {
                         self.set_reg(state, dst, v);
@@ -637,24 +685,15 @@ impl<'a> Stepper<'a> {
                 let va = self.eval(state, a);
                 let vb = self.eval(state, b);
                 let v = match (va.as_concrete(), vb.as_concrete()) {
-                    (Some(x), Some(y)) => {
-                        let r = match op {
-                            CmpOp::Eq => x.value_eq(y),
-                            CmpOp::Ne => !x.value_eq(y),
-                            _ => {
-                                let xi = Self::value_as_int(x);
-                                let yi = Self::value_as_int(y);
-                                op.eval(xi, yi)
-                            }
-                        };
-                        SymValue::int(r as i64)
+                    (Some(x), Some(y)) => SymValue::int(x.compare(op, y) as i64),
+                    // A symbolic value is an integer, which never equals a
+                    // pointer; orderings compare words.
+                    (Some(Value::Ptr(_)), _) | (_, Some(Value::Ptr(_)))
+                        if matches!(op, CmpOp::Eq | CmpOp::Ne) =>
+                    {
+                        SymValue::int((op == CmpOp::Ne) as i64)
                     }
-                    _ => match (va.as_expr(), vb.as_expr()) {
-                        (Some(ea), Some(eb)) => SymValue::Symbolic(SymExpr::cmp(op, ea, eb)),
-                        // Comparing a pointer with a symbolic integer:
-                        // pointers are never equal to integers here.
-                        _ => SymValue::int(matches!(op, CmpOp::Ne) as i64),
-                    },
+                    _ => SymValue::Symbolic(SymExpr::cmp(op, va.as_expr(), vb.as_expr())),
                 };
                 self.set_reg(state, dst, v);
                 self.advance(state);
@@ -676,18 +715,14 @@ impl<'a> Stepper<'a> {
             }
             Inst::FuncAddr { dst, func } => {
                 self.count_step(state);
-                self.set_reg(
-                    state,
-                    dst,
-                    SymValue::int(esd_ir::interp::FUNC_ADDR_BASE + func.0 as i64),
-                );
+                self.set_reg(state, dst, SymValue::int(FUNC_ADDR_BASE + func.0 as i64));
                 self.advance(state);
                 StepEffect::Continue
             }
             Inst::Alloc { dst, size } => {
                 self.count_step(state);
                 let sv = self.eval(state, size);
-                let n = self.concretize(state, &sv).unwrap_or(0).clamp(0, 1 << 20) as usize;
+                let n = self.concretize(state, &sv).unwrap_or(0).clamp(0, MAX_ALLOC_WORDS) as usize;
                 let obj = state.mem.alloc(ObjKind::Heap, n);
                 self.set_reg(state, dst, SymValue::Concrete(Value::Ptr(Ptr::to(obj))));
                 self.advance(state);
@@ -749,14 +784,12 @@ impl<'a> Stepper<'a> {
                 let ov = self.eval(state, offset);
                 let o = self.concretize(state, &ov).unwrap_or(0);
                 let r = match b.as_concrete() {
-                    Some(Value::Ptr(p)) => SymValue::Concrete(Value::Ptr(p.add(o))),
-                    Some(Value::Int(i)) => SymValue::int(i.wrapping_add(o)),
-                    None => match b.as_expr() {
-                        Some(e) => {
-                            SymValue::Symbolic(SymExpr::bin(BinOp::Add, e, SymExpr::constant(o)))
-                        }
-                        None => SymValue::int(o),
-                    },
+                    Some(c) => SymValue::Concrete(c.offset_by(o)),
+                    None => SymValue::Symbolic(SymExpr::bin(
+                        BinOp::Add,
+                        b.as_expr(),
+                        SymExpr::constant(o),
+                    )),
                 };
                 self.set_reg(state, dst, r);
                 self.advance(state);
@@ -768,6 +801,9 @@ impl<'a> Stepper<'a> {
                     Ok(t) => t,
                     Err(f) => return self.handle_fault(f, loc),
                 };
+                if state.thread(cur).frames.len() >= MAX_STACK_DEPTH {
+                    return self.handle_fault(FaultKind::SegFault { addr: Value::Int(-1) }, loc);
+                }
                 let argv: Vec<SymValue> = args.iter().map(|a| self.eval(state, *a)).collect();
                 self.advance(state);
                 self.push_frame(state, target, &argv, dst);
@@ -790,52 +826,17 @@ impl<'a> Stepper<'a> {
             Inst::Assert { cond, msg } => {
                 self.count_step(state);
                 let v = self.eval(state, cond);
-                match v.as_concrete() {
-                    Some(c) => {
-                        if c.truthy() {
-                            self.advance(state);
-                            StepEffect::Continue
-                        } else {
-                            self.handle_fault(FaultKind::AssertFailure { msg }, loc)
-                        }
-                    }
-                    None => {
-                        let e = v.as_expr().expect("symbolic assert");
-                        if matches!(self.goal, GoalSpec::Crash { loc: gl } if *gl == loc) {
-                            // At the goal a feasible violation ends the
-                            // search after one query, so the violating side
-                            // is asked alone first; the goal state keeps its
-                            // constraint for the model.
-                            state.constraints.push(SymExpr::not(e.clone()));
-                            if self.solver.is_feasible(&state.constraints) {
-                                return StepEffect::Goal {
-                                    fault: FaultKind::AssertFailure { msg },
-                                    fault_loc: Some(loc),
-                                };
-                            }
-                            state.constraints.pop();
-                            state.add_constraint(e);
-                            if !self.solver.is_feasible(&state.constraints) {
-                                return StepEffect::Dead;
-                            }
-                        } else {
-                            // The violating side is a failure at this
-                            // location; the passing side continues in this
-                            // state.
-                            let (passing, violating) =
-                                self.solver.branch_feasible(&state.constraints, &e);
-                            if violating {
-                                self.other_bugs.push((FaultKind::AssertFailure { msg }, Some(loc)));
-                            }
-                            state.add_constraint(e);
-                            if !passing {
-                                return StepEffect::Dead;
-                            }
-                        }
-                        self.advance(state);
-                        StepEffect::Continue
-                    }
+                let holds = match v.as_concrete() {
+                    Some(c) => SymExpr::constant(c.truthy() as i64),
+                    None => v.as_expr(),
+                };
+                if let Some(end) =
+                    self.fault_unless(state, loc, holds, FaultKind::AssertFailure { msg })
+                {
+                    return end;
                 }
+                self.advance(state);
+                StepEffect::Continue
             }
             Inst::MutexLock { mutex } => self.exec_lock(state, loc, mutex),
             Inst::MutexUnlock { mutex } => {
@@ -940,6 +941,12 @@ impl<'a> Stepper<'a> {
                     Ok(t) => t,
                     Err(f) => return self.handle_fault(f, loc),
                 };
+                if state.threads.len() >= MAX_THREADS {
+                    return self.handle_fault(
+                        FaultKind::SyncMisuse { what: "thread limit exceeded".into() },
+                        loc,
+                    );
+                }
                 let av = self.eval(state, arg);
                 let new_tid = ThreadId(state.threads.len() as u32);
                 let callee = self.program.func(target);
@@ -1006,57 +1013,24 @@ impl<'a> Stepper<'a> {
         }
     }
 
-    fn value_as_int(v: Value) -> i64 {
-        match v {
-            Value::Int(i) => i,
-            Value::Ptr(p) => 0x4000_0000_0000 + (p.obj.0 as i64) * 4096 + p.off,
-        }
-    }
-
     fn eval_bin(
         &mut self,
         state: &mut ExecState,
-        _loc: Loc,
         op: BinOp,
         a: SymValue,
         b: SymValue,
     ) -> Result<SymValue, FaultKind> {
-        // Pointer arithmetic stays concrete.
-        if let Some(Value::Ptr(p)) = a.as_concrete() {
-            if matches!(op, BinOp::Add | BinOp::Sub) {
-                let delta = self.concretize(state, &b).unwrap_or(0);
-                let delta = if op == BinOp::Sub { -delta } else { delta };
-                return Ok(SymValue::Concrete(Value::Ptr(p.add(delta))));
+        // Pointer arithmetic stays concrete: pin a symbolic displacement.
+        let b = match a.as_concrete() {
+            Some(Value::Ptr(_)) if matches!(op, BinOp::Add | BinOp::Sub) && b.is_symbolic() => {
+                SymValue::int(self.concretize(state, &b).unwrap_or(0))
             }
+            _ => b,
+        };
+        if let (Some(x), Some(y)) = (a.as_concrete(), b.as_concrete()) {
+            return x.bin(op, y).map(SymValue::Concrete).ok_or(FaultKind::DivByZero);
         }
-        match (a.as_concrete(), b.as_concrete()) {
-            (Some(x), Some(y)) => {
-                let xi = Self::value_as_int(x);
-                let yi = Self::value_as_int(y);
-                if matches!(op, BinOp::Div | BinOp::Rem) && yi == 0 {
-                    return Err(FaultKind::DivByZero);
-                }
-                Ok(SymValue::int(crate::expr::eval_bin(op, xi, yi).unwrap_or(0)))
-            }
-            _ => {
-                let ea = a.as_expr();
-                let eb = b.as_expr();
-                match (ea, eb) {
-                    (Some(ea), Some(eb)) => {
-                        if matches!(op, BinOp::Div | BinOp::Rem) {
-                            // Require a non-zero divisor on this path.
-                            state.add_constraint(SymExpr::cmp(
-                                CmpOp::Ne,
-                                eb.clone(),
-                                SymExpr::constant(0),
-                            ));
-                        }
-                        Ok(SymValue::Symbolic(SymExpr::bin(op, ea, eb)))
-                    }
-                    _ => Ok(SymValue::int(0)),
-                }
-            }
-        }
+        Ok(SymValue::Symbolic(SymExpr::bin(op, a.as_expr(), b.as_expr())))
     }
 
     fn resolve_callee(
@@ -1069,12 +1043,9 @@ impl<'a> Stepper<'a> {
             Callee::Indirect(op) => {
                 let v = self.eval(state, *op);
                 let raw = self.concretize(state, &v).unwrap_or(0);
-                let idx = raw - esd_ir::interp::FUNC_ADDR_BASE;
-                if idx >= 0 && (idx as usize) < self.program.functions.len() {
-                    Ok(FuncId(idx as u32))
-                } else {
-                    Err(FaultKind::BadIndirectCall { target: Value::Int(raw) })
-                }
+                self.program.function_at(raw).ok_or_else(|| FaultKind::BadIndirectCall {
+                    target: v.as_concrete().unwrap_or(Value::Int(raw)),
+                })
             }
         }
     }

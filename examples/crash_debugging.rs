@@ -2,6 +2,7 @@
 //! overflow. The failure is first captured at the (simulated) end-user site,
 //! then ESD re-creates it from the coredump alone, and the developer replays
 //! it under the debugger façade with a breakpoint on the overflowing store.
+//! Exits non-zero if the failure does not reproduce under the debugger.
 //!
 //! Run with: `cargo run --example crash_debugging`
 
@@ -26,4 +27,7 @@ fn main() {
     let (hits, result) = dbg.run();
     println!("breakpoint on the overflowing store hit {} time(s)", hits.len());
     println!("failure reproduced under the debugger: {}", result.reproduced);
+    if !result.reproduced {
+        std::process::exit(1);
+    }
 }
