@@ -247,9 +247,7 @@ mod tests {
     use esd_ir::{CmpOp, Operand, ProgramBuilder};
 
     fn build_model(p: &Program) -> CostModel {
-        let cfgs: Vec<Cfg> = p.func_ids().map(|f| Cfg::build(p.func(f), f)).collect();
-        let cg = CallGraph::build(p);
-        CostModel::new(p, &cfgs, &cg)
+        crate::ProgramFacts::compute(p).costs
     }
 
     #[test]

@@ -88,6 +88,7 @@ impl DistanceOracle {
             | Inst::ThreadSpawn { func: Callee::Direct(t), .. } => vec![*t],
             Inst::Call { callee: Callee::Indirect(_), args, .. } => self
                 .analysis
+                .facts
                 .callgraph
                 .address_taken
                 .iter()
@@ -111,7 +112,7 @@ impl DistanceOracle {
         // calls can have finite distances; iterate to a fixed point over
         // those (the dependency is: a caller's distance uses its callees'
         // entry distances).
-        let relevant = self.analysis.callgraph.functions_reaching(goal.func);
+        let relevant = self.analysis.facts.callgraph.functions_reaching(goal.func);
         let mut order: Vec<FuncId> = relevant.iter().copied().collect();
         // Process the goal's own function first, then the rest; the fixed
         // point iteration handles any remaining ordering issues.
@@ -143,7 +144,7 @@ impl DistanceOracle {
     /// current estimates of callee entry distances.
     fn function_block_distances(&self, f: FuncId, goal: Loc, func_entry: &[u64]) -> Vec<u64> {
         let function = self.program.func(f);
-        let cfg = &self.analysis.cfgs[f.0 as usize];
+        let cfg = &self.analysis.facts.cfgs[f.0 as usize];
         let n = function.blocks.len();
         let mut dist = vec![INF; n];
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
@@ -248,11 +249,12 @@ impl DistanceOracle {
         let mut dmin = self.distance_from(gd, pc);
         // Walk outward through the call stack: return from the current
         // frame(s), then continue toward the goal from the return address.
-        let mut ret_cost = self.analysis.costs.dist2ret(&self.program, pc);
+        let mut ret_cost = self.analysis.facts.costs.dist2ret(&self.program, pc);
         for caller in stack.iter().rev().skip(1) {
             let d = sat(sat(ret_cost, 1), self.distance_from(gd, *caller));
             dmin = dmin.min(d);
-            ret_cost = sat(sat(ret_cost, 1), self.analysis.costs.dist2ret(&self.program, *caller));
+            ret_cost =
+                sat(sat(ret_cost, 1), self.analysis.facts.costs.dist2ret(&self.program, *caller));
             if ret_cost >= INF {
                 break;
             }

@@ -612,9 +612,7 @@ mod tests {
     use esd_ir::ProgramBuilder;
 
     fn feasibility_of(program: &Program) -> BranchFeasibility {
-        let cfgs: Vec<Cfg> = program.func_ids().map(|f| Cfg::build(program.func(f), f)).collect();
-        let callgraph = CallGraph::build(program);
-        BranchFeasibility::compute(program, &cfgs, &callgraph)
+        crate::ProgramFacts::compute(program).branch_feasibility
     }
 
     #[test]

@@ -24,14 +24,16 @@
 //!   each memory access as thread-local or may-shared ([`pointsto`]),
 //! * may-happen-in-parallel + lockset race-pair candidates that bound the
 //!   dynamic phase's preemption forks in race mode ([`racecand`]; built on
-//!   demand, see [`StaticAnalysis::race_candidates`]),
+//!   demand, see [`ProgramFacts::race_candidates`]),
 //! * a backward goal-directed relevance slice sharpening the proximity
 //!   heuristic's cost model ([`slice`](mod@slice)),
-//! * an IR lint framework with severity-ranked diagnostics ([`lint`]).
+//! * seven IR lints with severity-ranked diagnostics ([`lint::run`]).
 //!
-//! [`StaticAnalysis`] bundles everything the dynamic phase needs for one
-//! goal — or, for multi-threaded goals such as deadlocks, for the whole set
-//! of goal locations at once ([`StaticAnalysis::compute_multi`]).
+//! [`ProgramFacts`] holds the goal-independent facts, built once per program
+//! by [`ProgramFacts::compute`]; the search and the lint both read them.
+//! [`StaticAnalysis`] adds what the dynamic phase needs for one goal — or,
+//! for multi-threaded goals such as deadlocks, for the whole set of goal
+//! locations at once ([`StaticAnalysis::compute_multi`]).
 
 // Documentation enforcement (see ARCHITECTURE.md): every public item must
 // carry rustdoc, extended from the esd-concurrency pilot now that the static
@@ -59,7 +61,7 @@ pub use critical::{CriticalEdge, IntermediateGoal, StaticGoalInfo};
 pub use dataflow::{ForwardAnalysis, JoinSemiLattice};
 pub use goaldist::DistanceOracle;
 pub use interval::{BranchFeasibility, Feasibility, Interval};
-pub use lint::{Diagnostic, LintContext, LintPass, LintRegistry, Severity};
+pub use lint::{Diagnostic, Severity};
 pub use lockorder::{LockCycle, LockEdge, LockOrderInfo};
 pub use pointsto::{AbsLoc, MemAccess, PointsTo};
 pub use racecand::{RaceCandidates, RacePairCandidate};
@@ -68,28 +70,21 @@ pub use slice::RelevanceSlice;
 use esd_ir::{Inst, Loc, Program};
 use std::sync::{Arc, OnceLock};
 
-/// The complete static-analysis bundle for one synthesis goal.
+/// The goal-independent static facts of one program: everything the static
+/// phase derives without knowing the goal. The search and the lint both read
+/// them, and [`ProgramFacts::compute`] is the one place that builds them.
 ///
-/// Construction performs the paper's static phase: CFG construction, call
-/// graph and function-pointer resolution, dead-block identification, critical
-/// edge marking and intermediate goal derivation, plus the cost model backing
-/// the proximity heuristic.
-///
-/// Every public field is built eagerly, because every search reads it: the
-/// CFGs, call graph, cost model, goal info, branch verdicts, lock order,
-/// points-to facts and relevance slice. The race-pair candidates are built
-/// on demand ([`StaticAnalysis::race_candidates`]): only the race-directed
-/// search reads them, and on the BPF programs they cost about 30% of what
-/// the bundle cost with them.
-pub struct StaticAnalysis {
+/// Every public field is built eagerly. The race-pair candidates are built
+/// on demand ([`ProgramFacts::race_candidates`]): only the race-directed
+/// search and the lint read them, and on the BPF programs they cost about
+/// 30% of what the bundle cost with them.
+pub struct ProgramFacts {
     /// One CFG per function.
     pub cfgs: Vec<Cfg>,
     /// The interprocedural call graph.
     pub callgraph: CallGraph,
     /// Cost model / distance-to-return oracle.
     pub costs: CostModel,
-    /// Per-goal critical edges and intermediate goals.
-    pub goal_info: StaticGoalInfo,
     /// Interval-analysis verdicts for conditional branches: which branches
     /// are statically one-sided for *all* inputs. The symbolic engine's
     /// stepper consults these before forking to skip solver queries.
@@ -100,13 +95,85 @@ pub struct StaticAnalysis {
     /// shared state.
     pub points_to: PointsTo,
     /// The race-pair candidates, built on the first
-    /// [`StaticAnalysis::race_candidates`] call.
+    /// [`ProgramFacts::race_candidates`] call.
     race_candidates: OnceLock<RaceCandidates>,
+}
+
+impl ProgramFacts {
+    /// Runs every goal-independent pass over `program`.
+    pub fn compute(program: &Program) -> Self {
+        let cfgs: Vec<Cfg> = program.func_ids().map(|f| Cfg::build(program.func(f), f)).collect();
+        let callgraph = CallGraph::build(program);
+        let costs = CostModel::new(program, &cfgs, &callgraph);
+        let branch_feasibility = BranchFeasibility::compute(program, &cfgs, &callgraph);
+        let lock_order = lockorder::analyze(program, &cfgs, &callgraph);
+        let points_to = PointsTo::compute(program, &callgraph);
+        ProgramFacts {
+            cfgs,
+            callgraph,
+            costs,
+            branch_feasibility,
+            lock_order,
+            points_to,
+            race_candidates: OnceLock::new(),
+        }
+    }
+
+    /// The ranked set of statically identified race-pair candidates (§4.2):
+    /// pairs of may-shared accesses that may happen in parallel without a
+    /// common must-held lock. The stepper's race-preemption mode only forks
+    /// at accesses/yields this set marks relevant.
+    ///
+    /// Built on the first call from the bundle's CFGs, call graph, points-to
+    /// facts and lock order, and kept for every later call; `program` must be
+    /// the program these facts were computed for. The engine makes that
+    /// first call at set-up when its search will read the set (race
+    /// detection with static pruning), so the cost lands there and not
+    /// mid-search; other jobs never pay it.
+    pub fn race_candidates(&self, program: &Program) -> &RaceCandidates {
+        self.race_candidates.get_or_init(|| {
+            racecand::compute(
+                program,
+                &self.cfgs,
+                &self.callgraph,
+                &self.points_to,
+                &self.lock_order,
+            )
+        })
+    }
+
+    /// The race-pair candidates if [`ProgramFacts::race_candidates`] has
+    /// built them (or [`ProgramFacts::set_race_candidates`] installed them),
+    /// without building them.
+    pub fn race_candidates_if_built(&self) -> Option<&RaceCandidates> {
+        self.race_candidates.get()
+    }
+
+    /// Installs `candidates` in place of the computed set, replacing any
+    /// already built: later [`ProgramFacts::race_candidates`] calls return
+    /// it. Useful to study the search under a less precise static phase.
+    pub fn set_race_candidates(&mut self, candidates: RaceCandidates) {
+        self.race_candidates = OnceLock::from(candidates);
+    }
+}
+
+/// The complete static-analysis bundle for one synthesis goal set: the
+/// program's goal-independent [`ProgramFacts`] plus the facts derived from
+/// the goals.
+///
+/// Construction performs the paper's static phase: CFG construction, call
+/// graph and function-pointer resolution, dead-block identification, critical
+/// edge marking and intermediate goal derivation, plus the cost model backing
+/// the proximity heuristic.
+pub struct StaticAnalysis {
+    /// The goal-independent facts.
+    pub facts: ProgramFacts,
+    /// Per-goal critical edges and intermediate goals.
+    pub goal_info: StaticGoalInfo,
     /// The backward goal-directed relevance slice and its sliced cost model
-    /// ([`StaticAnalysis::costs_for_goal`]).
+    /// ([`StaticAnalysis::costs_for_goal`]). Its `goals` are the goal set
+    /// this analysis was computed for.
     pub slice: RelevanceSlice,
-    /// The goal this analysis was computed for.
-    pub goal: Loc,
 }
 
 impl StaticAnalysis {
@@ -123,20 +190,16 @@ impl StaticAnalysis {
     ///
     /// # Panics
     ///
-    /// Panics when `goals` is empty. `goals[0]` becomes the nominal
-    /// [`StaticAnalysis::goal`].
+    /// Panics when `goals` is empty: there is nothing to direct the search
+    /// toward.
     pub fn compute_multi(program: &Program, goals: &[Loc]) -> Self {
         assert!(!goals.is_empty(), "at least one goal location");
-        let cfgs: Vec<Cfg> = program.func_ids().map(|f| Cfg::build(program.func(f), f)).collect();
-        let callgraph = CallGraph::build(program);
-        let costs = CostModel::new(program, &cfgs, &callgraph);
+        let facts = ProgramFacts::compute(program);
+        let (cfgs, callgraph) = (&facts.cfgs, &facts.callgraph);
         let infos =
-            goals.iter().map(|g| StaticGoalInfo::compute(program, &cfgs, &callgraph, *g)).collect();
+            goals.iter().map(|g| StaticGoalInfo::compute(program, cfgs, callgraph, *g)).collect();
         let mut goal_info = StaticGoalInfo::merge(infos);
-        let branch_feasibility = BranchFeasibility::compute(program, &cfgs, &callgraph);
-        let lock_order = lockorder::analyze(program, &cfgs, &callgraph);
-        let points_to = PointsTo::compute(program, &callgraph);
-        let slice = slice::compute(program, &callgraph, &points_to, &costs, goals);
+        let slice = slice::compute(program, callgraph, &facts.points_to, &facts.costs, goals);
         // Deadlock goals (a goal at a blocked MutexLock) get the lock-order
         // cycles' acquisition sites as extra intermediate goals: the ranked
         // candidate deadlock sites the paper's static phase promises (§4.1).
@@ -144,7 +207,7 @@ impl StaticAnalysis {
         let deadlockish =
             goals.iter().any(|g| matches!(program.inst_at(*g), Some(Inst::MutexLock { .. })));
         if deadlockish {
-            for cycle in &lock_order.cycles {
+            for cycle in &facts.lock_order.cycles {
                 let goal = IntermediateGoal {
                     alternatives: cycle.sites.clone(),
                     // Cycles are keyed on the lower mutex of the pair; the
@@ -157,55 +220,7 @@ impl StaticAnalysis {
                 }
             }
         }
-        StaticAnalysis {
-            cfgs,
-            callgraph,
-            costs,
-            goal_info,
-            branch_feasibility,
-            lock_order,
-            points_to,
-            race_candidates: OnceLock::new(),
-            slice,
-            goal: goals[0],
-        }
-    }
-
-    /// The ranked set of statically identified race-pair candidates (§4.2):
-    /// pairs of may-shared accesses that may happen in parallel without a
-    /// common must-held lock. The stepper's race-preemption mode only forks
-    /// at accesses/yields this set marks relevant.
-    ///
-    /// Built on the first call from the bundle's CFGs, call graph, points-to
-    /// facts and lock order, and kept for every later call; `program` must be
-    /// the program this analysis was computed for. The engine makes that
-    /// first call at set-up when its search will read the set (race
-    /// detection with static pruning), so the cost lands there and not
-    /// mid-search; other jobs never pay it.
-    pub fn race_candidates(&self, program: &Program) -> &RaceCandidates {
-        self.race_candidates.get_or_init(|| {
-            racecand::compute(
-                program,
-                &self.cfgs,
-                &self.callgraph,
-                &self.points_to,
-                &self.lock_order,
-            )
-        })
-    }
-
-    /// The race-pair candidates if [`StaticAnalysis::race_candidates`] has
-    /// built them (or [`StaticAnalysis::set_race_candidates`] installed
-    /// them), without building them.
-    pub fn race_candidates_if_built(&self) -> Option<&RaceCandidates> {
-        self.race_candidates.get()
-    }
-
-    /// Installs `candidates` in place of the computed set, replacing any
-    /// already built: later [`StaticAnalysis::race_candidates`] calls return
-    /// it. Useful to study the search under a less precise static phase.
-    pub fn set_race_candidates(&mut self, candidates: RaceCandidates) {
-        self.race_candidates = OnceLock::from(candidates);
+        StaticAnalysis { facts, goal_info, slice }
     }
 
     /// The cost model to use when measuring distance toward `goal`: the
@@ -216,7 +231,7 @@ impl StaticAnalysis {
         if self.slice.goals.contains(&goal) {
             &self.slice.costs
         } else {
-            &self.costs
+            &self.facts.costs
         }
     }
 
@@ -292,7 +307,6 @@ mod tests {
         assert!(single.goal_info.intermediate_goals.is_empty());
 
         let multi = StaticAnalysis::compute_multi(&p, &[goal1, goal2]);
-        assert_eq!(multi.goal, goal1, "the first location stays the nominal goal");
         let goals = &multi.goal_info.intermediate_goals;
         assert!(
             goals.iter().any(|g| g.alternatives.iter().any(|l| Some(l.block) == store_block)),
@@ -332,18 +346,24 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let mut sa = StaticAnalysis::compute(&p, goal.unwrap());
-        assert!(sa.race_candidates_if_built().is_none(), "not part of the eager bundle");
+        let mut facts = StaticAnalysis::compute(&p, goal.unwrap()).facts;
+        assert!(facts.race_candidates_if_built().is_none(), "not part of the eager bundle");
 
-        let direct = racecand::compute(&p, &sa.cfgs, &sa.callgraph, &sa.points_to, &sa.lock_order);
+        let direct = racecand::compute(
+            &p,
+            &facts.cfgs,
+            &facts.callgraph,
+            &facts.points_to,
+            &facts.lock_order,
+        );
         assert!(!direct.candidates.is_empty(), "the unlocked load and store race");
-        let built = sa.race_candidates(&p);
+        let built = facts.race_candidates(&p);
         assert_eq!(built.candidates, direct.candidates);
         assert_eq!(built.relevant_yields, direct.relevant_yields);
-        assert!(sa.race_candidates_if_built().is_some());
+        assert!(facts.race_candidates_if_built().is_some());
 
-        sa.set_race_candidates(RaceCandidates::default());
-        assert!(sa.race_candidates(&p).candidates.is_empty(), "the installed set wins");
+        facts.set_race_candidates(RaceCandidates::default());
+        assert!(facts.race_candidates(&p).candidates.is_empty(), "the installed set wins");
     }
 
     #[test]
@@ -369,8 +389,8 @@ mod tests {
         let p = pb.finish("main");
         let goal = Loc::new(p.entry, esd_ir::BlockId(1), 0);
         let sa = Arc::new(StaticAnalysis::compute(&p, goal));
-        assert_eq!(sa.cfgs.len(), 2);
-        assert_eq!(sa.goal, goal);
+        assert_eq!(sa.facts.cfgs.len(), 2);
+        assert_eq!(sa.slice.goals.iter().collect::<Vec<_>>(), vec![&goal]);
         let entry = Loc::new(p.entry, esd_ir::BlockId(0), 0);
         let p = Arc::new(p);
         let oracle = StaticAnalysis::distance_oracle(&sa, &p);

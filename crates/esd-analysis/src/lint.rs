@@ -1,27 +1,24 @@
-//! An IR lint framework: pluggable static checks with ranked diagnostics.
+//! IR lints: static checks with ranked diagnostics.
 //!
-//! Lints are the user-facing face of the static phase: the same analyses
-//! that prune the symbolic search ([`crate::interval`], [`crate::lockorder`],
-//! the CFG walks) double as bug-pattern detectors over workload IR. Each
-//! check implements [`LintPass`] against a shared read-only [`LintContext`];
-//! [`LintRegistry`] runs a pass list and returns [`Diagnostic`]s in a
-//! deterministic order, so lint output is goldenable.
+//! Lints are the user-facing face of the static phase: the same facts that
+//! prune the symbolic search ([`ProgramFacts`]: the interval verdicts, the
+//! lock order, the CFG walks) double as bug-pattern detectors over workload
+//! IR. [`run`] builds the facts once, runs every lint over them and returns
+//! [`Diagnostic`]s in a deterministic order, so lint output is goldenable.
 //!
-//! `Error`-severity diagnostics fail the CI `lint-gate`, which runs the
-//! default registry over every checked-in IR fixture and a genbug corpus;
-//! warnings and notes stay advisory.
+//! `Error`-severity diagnostics fail the CI `lint-gate`, which runs the lints
+//! over every checked-in IR fixture and a genbug corpus; warnings and notes
+//! stay advisory.
 //!
-//! Default passes: `unreachable-block`, `dead-store`, `constant-condition`,
+//! The lints: `unreachable-block`, `dead-store`, `constant-condition`,
 //! `lock-never-released`, `read-of-never-written`, `inconsistent-lock-guard`,
 //! `shared-unsynchronized-write`.
 
-use crate::callgraph::CallGraph;
-use crate::cfg::Cfg;
-use crate::interval::{BranchFeasibility, Feasibility};
-use crate::lockorder::{self, LockOrderInfo};
-use crate::pointsto::{AbsLoc, PointsTo};
-use crate::racecand::{self, RaceCandidates};
+use crate::interval::Feasibility;
+use crate::lockorder;
+use crate::pointsto::AbsLoc;
 use crate::reachdef::{CondExpr, DefIndex};
+use crate::ProgramFacts;
 use esd_ir::{BlockId, GlobalId, Inst, Loc, Operand, Program, Terminator};
 use std::fmt;
 
@@ -47,10 +44,10 @@ impl fmt::Display for Severity {
     }
 }
 
-/// One finding of one lint pass.
+/// One finding of one lint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// The reporting pass's [`LintPass::name`].
+    /// The reporting lint's stable kebab-case name.
     pub lint: &'static str,
     /// How serious the finding is.
     pub severity: Severity,
@@ -60,98 +57,29 @@ pub struct Diagnostic {
     pub message: String,
 }
 
-/// The shared read-only inputs every lint pass sees: the program plus the
-/// static-phase analyses, computed once per [`LintRegistry::run`].
-pub struct LintContext<'a> {
-    /// The program under lint.
-    pub program: &'a Program,
-    /// One CFG per function, indexed by function id.
-    pub cfgs: &'a [Cfg],
-    /// The program's call graph.
-    pub callgraph: &'a CallGraph,
-    /// Interval-analysis branch verdicts.
-    pub feasibility: &'a BranchFeasibility,
-    /// The lock-order graph and its ABBA cycles.
-    pub lockorder: &'a LockOrderInfo,
-    /// Andersen-style points-to/escape facts.
-    pub points_to: &'a PointsTo,
-    /// MHP + lockset race-pair candidates (with per-access may/must
-    /// locksets).
-    pub race_candidates: &'a RaceCandidates,
-}
-
-/// One static check. Implementations push any number of [`Diagnostic`]s;
-/// ordering does not matter (the registry sorts).
-pub trait LintPass {
-    /// The stable kebab-case name reported in diagnostics.
-    fn name(&self) -> &'static str;
-    /// Runs the check over the whole program.
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>);
-}
-
-/// An ordered collection of lint passes.
-#[derive(Default)]
-pub struct LintRegistry {
-    passes: Vec<Box<dyn LintPass>>,
-}
-
-impl LintRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The default pass list (all seven built-in lints).
-    pub fn with_default_lints() -> Self {
-        let mut r = Self::new();
-        r.register(Box::new(UnreachableBlock));
-        r.register(Box::new(DeadStore));
-        r.register(Box::new(ConstantCondition));
-        r.register(Box::new(LockNeverReleased));
-        r.register(Box::new(ReadOfNeverWritten));
-        r.register(Box::new(InconsistentLockGuard));
-        r.register(Box::new(SharedUnsynchronizedWrite));
-        r
-    }
-
-    /// Adds a pass to the registry.
-    pub fn register(&mut self, pass: Box<dyn LintPass>) {
-        self.passes.push(pass);
-    }
-
-    /// Runs every registered pass and returns the diagnostics, sorted by
-    /// location (then severity, pass name, message) and deduplicated.
-    pub fn run(&self, program: &Program) -> Vec<Diagnostic> {
-        let cfgs: Vec<Cfg> = program.func_ids().map(|f| Cfg::build(program.func(f), f)).collect();
-        let callgraph = CallGraph::build(program);
-        let feasibility = BranchFeasibility::compute(program, &cfgs, &callgraph);
-        let lockorder = lockorder::analyze(program, &cfgs, &callgraph);
-        let points_to = PointsTo::compute(program, &callgraph);
-        let race_candidates = racecand::compute(program, &cfgs, &callgraph, &points_to, &lockorder);
-        let ctx = LintContext {
-            program,
-            cfgs: &cfgs,
-            callgraph: &callgraph,
-            feasibility: &feasibility,
-            lockorder: &lockorder,
-            points_to: &points_to,
-            race_candidates: &race_candidates,
-        };
-        let mut out = Vec::new();
-        for pass in &self.passes {
-            pass.run(&ctx, &mut out);
-        }
-        out.sort_by(|a, b| {
-            (a.loc, std::cmp::Reverse(a.severity), a.lint, &a.message).cmp(&(
-                b.loc,
-                std::cmp::Reverse(b.severity),
-                b.lint,
-                &b.message,
-            ))
-        });
-        out.dedup();
-        out
-    }
+/// Runs every lint over `program` and returns the diagnostics, sorted by
+/// location (then severity, lint name, message) and deduplicated.
+pub fn run(program: &Program) -> Vec<Diagnostic> {
+    let facts = ProgramFacts::compute(program);
+    let globals = scan_globals(program);
+    let mut out = Vec::new();
+    unreachable_block(program, &facts, &mut out);
+    dead_store(program, &globals, &mut out);
+    constant_condition(program, &facts, &mut out);
+    lock_never_released(program, &facts, &mut out);
+    read_of_never_written(program, &globals, &mut out);
+    inconsistent_lock_guard(program, &facts, &mut out);
+    shared_unsynchronized_write(program, &facts, &mut out);
+    out.sort_by(|a, b| {
+        (a.loc, std::cmp::Reverse(a.severity), a.lint, &a.message).cmp(&(
+            b.loc,
+            std::cmp::Reverse(b.severity),
+            b.lint,
+            &b.message,
+        ))
+    });
+    out.dedup();
+    out
 }
 
 /// Renders diagnostics as stable human-readable text (one line each plus a
@@ -256,32 +184,24 @@ fn scan_globals(program: &Program) -> GlobalAccess {
 }
 
 // ---------------------------------------------------------------------------
-// The built-in passes.
+// The lints.
 
 /// Flags blocks with no CFG path from the function entry.
-pub struct UnreachableBlock;
-
-impl LintPass for UnreachableBlock {
-    fn name(&self) -> &'static str {
-        "unreachable-block"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for fid in ctx.program.func_ids() {
-            let function = ctx.program.func(fid);
-            let reachable = ctx.cfgs[fid.0 as usize].reachable_from_entry();
-            for (bi, block) in function.blocks.iter().enumerate() {
-                if reachable[bi] {
-                    continue;
-                }
-                let label = block.label.as_deref().map(|l| format!(" (`{l}`)")).unwrap_or_default();
-                out.push(Diagnostic {
-                    lint: self.name(),
-                    severity: Severity::Warning,
-                    loc: Loc::new(fid, BlockId(bi as u32), 0),
-                    message: format!("block bb{bi}{label} is unreachable from function entry"),
-                });
+fn unreachable_block(program: &Program, facts: &ProgramFacts, out: &mut Vec<Diagnostic>) {
+    for fid in program.func_ids() {
+        let function = program.func(fid);
+        let reachable = facts.cfgs[fid.0 as usize].reachable_from_entry();
+        for (bi, block) in function.blocks.iter().enumerate() {
+            if reachable[bi] {
+                continue;
             }
+            let label = block.label.as_deref().map(|l| format!(" (`{l}`)")).unwrap_or_default();
+            out.push(Diagnostic {
+                lint: "unreachable-block",
+                severity: Severity::Warning,
+                loc: Loc::new(fid, BlockId(bi as u32), 0),
+                message: format!("block bb{bi}{label} is unreachable from function entry"),
+            });
         }
     }
 }
@@ -289,71 +209,60 @@ impl LintPass for UnreachableBlock {
 /// Flags stores that cannot be observed: a same-block overwrite with no
 /// possible intervening reader, and globals that are written but never read
 /// (address never escaping static tracking).
-pub struct DeadStore;
-
-impl LintPass for DeadStore {
-    fn name(&self) -> &'static str {
-        "dead-store"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        use std::collections::HashMap;
-        // Same-block overwrites.
-        for fid in ctx.program.func_ids() {
-            let function = ctx.program.func(fid);
-            let defs = DefIndex::new(function);
-            for (bi, block) in function.blocks.iter().enumerate() {
-                // (global, word offset) → index of the last unread store.
-                let mut pending: HashMap<(GlobalId, i64), usize> = HashMap::new();
-                for (ii, inst) in block.insts.iter().enumerate() {
-                    match inst {
-                        Inst::Store { addr, .. } => {
-                            if let CondExpr::GlobalAddr(g, off) = defs.trace(*addr) {
-                                if let Some(prev) = pending.insert((g, off), ii) {
-                                    let name = &ctx.program.global(g).name;
-                                    out.push(Diagnostic {
-                                        lint: self.name(),
-                                        severity: Severity::Warning,
-                                        loc: Loc::new(fid, BlockId(bi as u32), prev as u32),
-                                        message: format!(
-                                            "store to `{name}`[{off}] is overwritten at \
-                                             instruction {ii} before any possible read"
-                                        ),
-                                    });
-                                }
-                            } else {
-                                // An untracked store may alias anything.
-                                pending.clear();
+fn dead_store(program: &Program, acc: &GlobalAccess, out: &mut Vec<Diagnostic>) {
+    use std::collections::HashMap;
+    // Same-block overwrites.
+    for fid in program.func_ids() {
+        let function = program.func(fid);
+        let defs = DefIndex::new(function);
+        for (bi, block) in function.blocks.iter().enumerate() {
+            // (global, word offset) → index of the last unread store.
+            let mut pending: HashMap<(GlobalId, i64), usize> = HashMap::new();
+            for (ii, inst) in block.insts.iter().enumerate() {
+                match inst {
+                    Inst::Store { addr, .. } => {
+                        if let CondExpr::GlobalAddr(g, off) = defs.trace(*addr) {
+                            if let Some(prev) = pending.insert((g, off), ii) {
+                                let name = &program.global(g).name;
+                                out.push(Diagnostic {
+                                    lint: "dead-store",
+                                    severity: Severity::Warning,
+                                    loc: Loc::new(fid, BlockId(bi as u32), prev as u32),
+                                    message: format!(
+                                        "store to `{name}`[{off}] is overwritten at \
+                                         instruction {ii} before any possible read"
+                                    ),
+                                });
                             }
+                        } else {
+                            // An untracked store may alias anything.
+                            pending.clear();
                         }
-                        // Anything that reads memory, calls out, or lets
-                        // another thread run can observe the store.
-                        Inst::Load { .. } | Inst::Call { .. } | Inst::Free { .. } => {
-                            pending.clear()
-                        }
-                        _ if inst.is_sync() => pending.clear(),
-                        _ => {}
                     }
+                    // Anything that reads memory, calls out, or lets
+                    // another thread run can observe the store.
+                    Inst::Load { .. } | Inst::Call { .. } | Inst::Free { .. } => pending.clear(),
+                    _ if inst.is_sync() => pending.clear(),
+                    _ => {}
                 }
             }
         }
-        // Write-only globals.
-        let acc = scan_globals(ctx.program);
-        for (gi, stores) in acc.stores.iter().enumerate() {
-            if stores.is_empty() || acc.escaped[gi] || !acc.loads[gi].is_empty() {
-                continue;
-            }
-            let name = &ctx.program.globals[gi].name;
-            out.push(Diagnostic {
-                lint: self.name(),
-                severity: Severity::Warning,
-                loc: stores[0],
-                message: format!(
-                    "global `{name}` is written ({} store(s)) but never read",
-                    stores.len()
-                ),
-            });
+    }
+    // Write-only globals.
+    for (gi, stores) in acc.stores.iter().enumerate() {
+        if stores.is_empty() || acc.escaped[gi] || !acc.loads[gi].is_empty() {
+            continue;
         }
+        let name = &program.globals[gi].name;
+        out.push(Diagnostic {
+            lint: "dead-store",
+            severity: Severity::Warning,
+            loc: stores[0],
+            message: format!(
+                "global `{name}` is written ({} store(s)) but never read",
+                stores.len()
+            ),
+        });
     }
 }
 
@@ -361,51 +270,43 @@ impl LintPass for DeadStore {
 /// literal constant is an error (one edge is textually dead); an
 /// interval-analysis verdict is a warning (the dead edge may be a deliberate
 /// defensive check).
-pub struct ConstantCondition;
-
-impl LintPass for ConstantCondition {
-    fn name(&self) -> &'static str {
-        "constant-condition"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for fid in ctx.program.func_ids() {
-            let function = ctx.program.func(fid);
-            let defs = DefIndex::new(function);
-            for (bi, block) in function.blocks.iter().enumerate() {
-                let Terminator::CondBr { cond, .. } = block.term else { continue };
-                let b = BlockId(bi as u32);
-                let loc = Loc::new(fid, b, block.insts.len() as u32);
-                if let CondExpr::Const(v) = defs.trace(cond) {
-                    let (taken, dead) = if v != 0 { ("then", "else") } else { ("else", "then") };
-                    out.push(Diagnostic {
-                        lint: self.name(),
-                        severity: Severity::Error,
-                        loc,
-                        message: format!(
-                            "branch condition is the constant {v}: the {taken} edge is \
-                             always taken and the {dead} edge is dead"
-                        ),
-                    });
-                    continue;
-                }
-                let verdict = ctx.feasibility.verdict(fid, b);
-                if verdict != Feasibility::Unknown {
-                    let way = match verdict {
-                        Feasibility::AlwaysTrue => "always true",
-                        Feasibility::AlwaysFalse => "always false",
-                        Feasibility::Unknown => unreachable!(),
-                    };
-                    out.push(Diagnostic {
-                        lint: self.name(),
-                        severity: Severity::Warning,
-                        loc,
-                        message: format!(
-                            "branch condition is {way} by interval analysis; \
-                             the other edge is statically infeasible"
-                        ),
-                    });
-                }
+fn constant_condition(program: &Program, facts: &ProgramFacts, out: &mut Vec<Diagnostic>) {
+    for fid in program.func_ids() {
+        let function = program.func(fid);
+        let defs = DefIndex::new(function);
+        for (bi, block) in function.blocks.iter().enumerate() {
+            let Terminator::CondBr { cond, .. } = block.term else { continue };
+            let b = BlockId(bi as u32);
+            let loc = Loc::new(fid, b, block.insts.len() as u32);
+            if let CondExpr::Const(v) = defs.trace(cond) {
+                let (taken, dead) = if v != 0 { ("then", "else") } else { ("else", "then") };
+                out.push(Diagnostic {
+                    lint: "constant-condition",
+                    severity: Severity::Error,
+                    loc,
+                    message: format!(
+                        "branch condition is the constant {v}: the {taken} edge is \
+                         always taken and the {dead} edge is dead"
+                    ),
+                });
+                continue;
+            }
+            let verdict = facts.branch_feasibility.verdict(fid, b);
+            if verdict != Feasibility::Unknown {
+                let way = match verdict {
+                    Feasibility::AlwaysTrue => "always true",
+                    Feasibility::AlwaysFalse => "always false",
+                    Feasibility::Unknown => unreachable!(),
+                };
+                out.push(Diagnostic {
+                    lint: "constant-condition",
+                    severity: Severity::Warning,
+                    loc,
+                    message: format!(
+                        "branch condition is {way} by interval analysis; \
+                         the other edge is statically infeasible"
+                    ),
+                });
             }
         }
     }
@@ -414,28 +315,20 @@ impl LintPass for ConstantCondition {
 /// Flags functions that may return while still holding a mutex they
 /// themselves acquired. Lock-helper functions legitimately do this, hence a
 /// warning; it also catches the classic leaked-lock bug shape.
-pub struct LockNeverReleased;
-
-impl LintPass for LockNeverReleased {
-    fn name(&self) -> &'static str {
-        "lock-never-released"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for fid in ctx.program.func_ids() {
-            let function = ctx.program.func(fid);
-            let cfg = &ctx.cfgs[fid.0 as usize];
-            for (loc, g) in lockorder::unreleased_at_return(function, cfg, fid) {
-                let name = &ctx.program.global(g).name;
-                out.push(Diagnostic {
-                    lint: self.name(),
-                    severity: Severity::Warning,
-                    loc,
-                    message: format!(
-                        "mutex `{name}` acquired in this function may still be held at return"
-                    ),
-                });
-            }
+fn lock_never_released(program: &Program, facts: &ProgramFacts, out: &mut Vec<Diagnostic>) {
+    for fid in program.func_ids() {
+        let function = program.func(fid);
+        let cfg = &facts.cfgs[fid.0 as usize];
+        for (loc, g) in lockorder::unreleased_at_return(function, cfg, fid) {
+            let name = &program.global(g).name;
+            out.push(Diagnostic {
+                lint: "lock-never-released",
+                severity: Severity::Warning,
+                loc,
+                message: format!(
+                    "mutex `{name}` acquired in this function may still be held at return"
+                ),
+            });
         }
     }
 }
@@ -443,36 +336,27 @@ impl LintPass for LockNeverReleased {
 /// Flags loads from global words that no instruction ever writes and the
 /// initializer leaves implicitly zero — the value can only ever be 0, which
 /// usually means a missing initialization or a vestigial flag.
-pub struct ReadOfNeverWritten;
-
-impl LintPass for ReadOfNeverWritten {
-    fn name(&self) -> &'static str {
-        "read-of-never-written"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let acc = scan_globals(ctx.program);
-        for (gi, loads) in acc.loads.iter().enumerate() {
-            if acc.escaped[gi] || !acc.stores[gi].is_empty() {
+fn read_of_never_written(program: &Program, acc: &GlobalAccess, out: &mut Vec<Diagnostic>) {
+    for (gi, loads) in acc.loads.iter().enumerate() {
+        if acc.escaped[gi] || !acc.stores[gi].is_empty() {
+            continue;
+        }
+        let global = &program.globals[gi];
+        for (loc, off) in loads {
+            let initialized = (0..global.init.len() as i64).contains(off);
+            if initialized {
                 continue;
             }
-            let global = &ctx.program.globals[gi];
-            for (loc, off) in loads {
-                let initialized = (0..global.init.len() as i64).contains(off);
-                if initialized {
-                    continue;
-                }
-                out.push(Diagnostic {
-                    lint: self.name(),
-                    severity: Severity::Warning,
-                    loc: *loc,
-                    message: format!(
-                        "load from `{}`[{off}] reads memory that is never written and not \
-                         initialized: the value is always 0",
-                        global.name
-                    ),
-                });
-            }
+            out.push(Diagnostic {
+                lint: "read-of-never-written",
+                severity: Severity::Warning,
+                loc: *loc,
+                message: format!(
+                    "load from `{}`[{off}] reads memory that is never written and not \
+                     initialized: the value is always 0",
+                    global.name
+                ),
+            });
         }
     }
 }
@@ -498,57 +382,49 @@ fn absloc_name(program: &Program, l: AbsLoc) -> String {
 /// lockset detectors hunt dynamically, caught statically via aliasing. A
 /// warning — the unguarded access may be ordered by spawn/join structure the
 /// lockset view cannot see.
-pub struct InconsistentLockGuard;
-
-impl LintPass for InconsistentLockGuard {
-    fn name(&self) -> &'static str {
-        "inconsistent-lock-guard"
+fn inconsistent_lock_guard(program: &Program, facts: &ProgramFacts, out: &mut Vec<Diagnostic>) {
+    use std::collections::BTreeMap;
+    let rc = facts.race_candidates(program);
+    // Group the may-shared accesses by the abstract locations they touch.
+    let mut by_target: BTreeMap<AbsLoc, Vec<Loc>> = BTreeMap::new();
+    for a in &facts.points_to.accesses {
+        if !a.may_shared {
+            continue;
+        }
+        for t in &a.targets {
+            by_target.entry(*t).or_default().push(a.loc);
+        }
     }
-
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        use std::collections::BTreeMap;
-        let rc = ctx.race_candidates;
-        // Group the may-shared accesses by the abstract locations they touch.
-        let mut by_target: BTreeMap<AbsLoc, Vec<Loc>> = BTreeMap::new();
-        for a in &ctx.points_to.accesses {
-            if !a.may_shared {
-                continue;
-            }
-            for t in &a.targets {
-                by_target.entry(*t).or_default().push(a.loc);
+    let empty = std::collections::BTreeSet::new();
+    for (target, accesses) in &by_target {
+        // Mutexes some access of this location *must* hold.
+        let mut guards: Vec<(GlobalId, Loc)> = Vec::new();
+        for loc in accesses {
+            for g in rc.must_locksets.get(loc).unwrap_or(&empty) {
+                if !guards.iter().any(|(have, _)| have == g) {
+                    guards.push((*g, *loc));
+                }
             }
         }
-        let empty = std::collections::BTreeSet::new();
-        for (target, accesses) in &by_target {
-            // Mutexes some access of this location *must* hold.
-            let mut guards: Vec<(GlobalId, Loc)> = Vec::new();
+        for (g, guarded_at) in guards {
             for loc in accesses {
-                for g in rc.must_locksets.get(loc).unwrap_or(&empty) {
-                    if !guards.iter().any(|(have, _)| have == g) {
-                        guards.push((*g, *loc));
-                    }
+                if rc.may_locksets.get(loc).unwrap_or(&empty).contains(&g) {
+                    continue;
                 }
-            }
-            for (g, guarded_at) in guards {
-                for loc in accesses {
-                    if rc.may_locksets.get(loc).unwrap_or(&empty).contains(&g) {
-                        continue;
-                    }
-                    let gname = &ctx.program.global(g).name;
-                    let gfn = &ctx.program.func(guarded_at.func).name;
-                    out.push(Diagnostic {
-                        lint: self.name(),
-                        severity: Severity::Warning,
-                        loc: *loc,
-                        message: format!(
-                            "{} is guarded by mutex `{gname}` at `{gfn}`:bb{}:{} but this \
-                             access may not hold it",
-                            absloc_name(ctx.program, *target),
-                            guarded_at.block.0,
-                            guarded_at.idx,
-                        ),
-                    });
-                }
+                let gname = &program.global(g).name;
+                let gfn = &program.func(guarded_at.func).name;
+                out.push(Diagnostic {
+                    lint: "inconsistent-lock-guard",
+                    severity: Severity::Warning,
+                    loc: *loc,
+                    message: format!(
+                        "{} is guarded by mutex `{gname}` at `{gfn}`:bb{}:{} but this \
+                         access may not hold it",
+                        absloc_name(program, *target),
+                        guarded_at.block.0,
+                        guarded_at.idx,
+                    ),
+                });
             }
         }
     }
@@ -558,40 +434,28 @@ impl LintPass for InconsistentLockGuard {
 /// all while the write belongs to a race-pair candidate: nothing orders it
 /// against the other side of the pair. A warning — the race workloads in the
 /// corpus do this deliberately.
-pub struct SharedUnsynchronizedWrite;
-
-impl LintPass for SharedUnsynchronizedWrite {
-    fn name(&self) -> &'static str {
-        "shared-unsynchronized-write"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let rc = ctx.race_candidates;
-        let empty = std::collections::BTreeSet::new();
-        for a in &ctx.points_to.accesses {
-            if !a.is_write || !a.may_shared || !rc.is_candidate_access(a.loc) {
-                continue;
-            }
-            if !rc.may_locksets.get(&a.loc).unwrap_or(&empty).is_empty() {
-                continue;
-            }
-            let what = a
-                .targets
-                .iter()
-                .map(|t| absloc_name(ctx.program, *t))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let what = if what.is_empty() { "an unresolved address".to_string() } else { what };
-            out.push(Diagnostic {
-                lint: self.name(),
-                severity: Severity::Warning,
-                loc: a.loc,
-                message: format!(
-                    "write to may-shared {what} holds no lock and races with another \
-                     access (static race-pair candidate)"
-                ),
-            });
+fn shared_unsynchronized_write(program: &Program, facts: &ProgramFacts, out: &mut Vec<Diagnostic>) {
+    let rc = facts.race_candidates(program);
+    let empty = std::collections::BTreeSet::new();
+    for a in &facts.points_to.accesses {
+        if !a.is_write || !a.may_shared || !rc.is_candidate_access(a.loc) {
+            continue;
         }
+        if !rc.may_locksets.get(&a.loc).unwrap_or(&empty).is_empty() {
+            continue;
+        }
+        let what =
+            a.targets.iter().map(|t| absloc_name(program, *t)).collect::<Vec<_>>().join(", ");
+        let what = if what.is_empty() { "an unresolved address".to_string() } else { what };
+        out.push(Diagnostic {
+            lint: "shared-unsynchronized-write",
+            severity: Severity::Warning,
+            loc: a.loc,
+            message: format!(
+                "write to may-shared {what} holds no lock and races with another \
+                 access (static race-pair candidate)"
+            ),
+        });
     }
 }
 
@@ -599,10 +463,6 @@ impl LintPass for SharedUnsynchronizedWrite {
 mod tests {
     use super::*;
     use esd_ir::{CmpOp, ProgramBuilder};
-
-    fn lint(program: &Program) -> Vec<Diagnostic> {
-        LintRegistry::with_default_lints().run(program)
-    }
 
     fn names(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.lint).collect()
@@ -618,7 +478,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let diags = lint(&p);
+        let diags = run(&p);
         assert_eq!(names(&diags), vec!["unreachable-block"]);
         assert!(diags[0].message.contains("orphan"));
         assert_eq!(diags[0].severity, Severity::Warning);
@@ -646,7 +506,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let diags = lint(&p);
+        let diags = run(&p);
         assert_eq!(names(&diags), vec!["dead-store"]);
         assert!(diags[0].message.contains("`g`"));
     }
@@ -662,7 +522,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let diags = lint(&p);
+        let diags = run(&p);
         assert_eq!(names(&diags), vec!["dead-store"]);
         assert!(diags[0].message.contains("never read"));
     }
@@ -685,7 +545,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        assert!(lint(&p).is_empty());
+        assert!(run(&p).is_empty());
     }
 
     #[test]
@@ -697,7 +557,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let diags = lint(&p);
+        let diags = run(&p);
         // The dead else-arm also trips unreachable-block? No: both arms are
         // CFG-reachable — only the constant-condition error fires.
         assert_eq!(names(&diags), vec!["constant-condition"]);
@@ -718,7 +578,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let diags = lint(&p);
+        let diags = run(&p);
         assert_eq!(names(&diags), vec!["constant-condition"]);
         assert_eq!(diags[0].severity, Severity::Warning);
         assert!(diags[0].message.contains("always true"));
@@ -734,7 +594,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let diags = lint(&p);
+        let diags = run(&p);
         assert_eq!(names(&diags), vec!["lock-never-released"]);
         assert!(diags[0].message.contains("`m`"));
     }
@@ -755,7 +615,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let diags = lint(&p);
+        let diags = run(&p);
         assert_eq!(names(&diags), vec!["read-of-never-written"]);
         assert!(diags[0].message.contains("`ghost`"));
     }
@@ -791,7 +651,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let diags = lint(&p);
+        let diags = run(&p);
         let guard: Vec<_> = diags.iter().filter(|d| d.lint == "inconsistent-lock-guard").collect();
         assert!(!guard.is_empty(), "the unguarded access must be flagged: {diags:?}");
         assert!(guard.iter().any(|d| d.loc == naked.unwrap()));
@@ -825,7 +685,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let diags = lint(&p);
+        let diags = run(&p);
         assert!(
             !diags.iter().any(|d| matches!(
                 d.lint,
@@ -847,7 +707,7 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let diags = lint(&p);
+        let diags = run(&p);
         let text = render(&p, &diags);
         assert!(text.contains("error[constant-condition] main:"));
         assert!(text.contains("warning[lock-never-released] main:"));

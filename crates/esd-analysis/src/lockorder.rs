@@ -259,9 +259,7 @@ mod tests {
     use esd_ir::{CmpOp, ProgramBuilder};
 
     fn run(program: &Program) -> LockOrderInfo {
-        let cfgs: Vec<Cfg> = program.func_ids().map(|f| Cfg::build(program.func(f), f)).collect();
-        let callgraph = CallGraph::build(program);
-        analyze(program, &cfgs, &callgraph)
+        crate::ProgramFacts::compute(program).lock_order
     }
 
     #[test]

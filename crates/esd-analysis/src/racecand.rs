@@ -286,7 +286,7 @@ fn call_reachable(callgraph: &CallGraph, root: FuncId) -> HashSet<FuncId> {
 }
 
 /// Runs the race-candidate analysis. `points_to` and `lock_order` are the
-/// already-computed sibling analyses from [`crate::StaticAnalysis`].
+/// already-computed sibling analyses from [`crate::ProgramFacts`].
 pub fn compute(
     program: &Program,
     cfgs: &[Cfg],
@@ -750,11 +750,8 @@ mod tests {
     use esd_ir::{CmpOp, ProgramBuilder};
 
     fn run(program: &Program) -> RaceCandidates {
-        let cfgs: Vec<Cfg> = program.func_ids().map(|f| Cfg::build(program.func(f), f)).collect();
-        let callgraph = CallGraph::build(program);
-        let points_to = PointsTo::compute(program, &callgraph);
-        let lock_order = lockorder::analyze(program, &cfgs, &callgraph);
-        compute(program, &cfgs, &callgraph, &points_to, &lock_order)
+        let facts = crate::ProgramFacts::compute(program);
+        compute(program, &facts.cfgs, &facts.callgraph, &facts.points_to, &facts.lock_order)
     }
 
     /// The PR 1 `racy_counter` shape: two spawns of a worker that does an

@@ -307,15 +307,11 @@ pub fn compute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::Cfg;
     use esd_ir::{CmpOp, ProgramBuilder};
 
     fn run(program: &Program, goals: &[Loc]) -> RelevanceSlice {
-        let cfgs: Vec<Cfg> = program.func_ids().map(|f| Cfg::build(program.func(f), f)).collect();
-        let callgraph = CallGraph::build(program);
-        let points_to = PointsTo::compute(program, &callgraph);
-        let costs = CostModel::new(program, &cfgs, &callgraph);
-        compute(program, &callgraph, &points_to, &costs, goals)
+        let facts = crate::ProgramFacts::compute(program);
+        compute(program, &facts.callgraph, &facts.points_to, &facts.costs, goals)
     }
 
     #[test]
@@ -345,11 +341,7 @@ mod tests {
         assert!(slice.costs.inst_cost(goal) >= 1);
         assert!(slice.pruned_count() >= 2, "const + mul are both irrelevant");
         // Output itself is sliced (pure observation), its feeder too.
-        let full = {
-            let cfgs: Vec<Cfg> = p.func_ids().map(|f| Cfg::build(p.func(f), f)).collect();
-            let cg = CallGraph::build(&p);
-            CostModel::new(&p, &cfgs, &cg)
-        };
+        let full = crate::ProgramFacts::compute(&p).costs;
         assert!(
             slice.costs.block_cost[0][0] < full.block_cost[0][0],
             "the sliced block is cheaper than the full one"

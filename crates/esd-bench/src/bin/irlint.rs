@@ -1,35 +1,24 @@
 //! IR lint gate over the shipped program corpus.
 //!
-//! Runs the default lint lineup (`esd_analysis::LintRegistry`) over every
-//! program this repository ships — the real-bug analog workloads, the
-//! Listing-1 running example, and the smoke-corpus genbug programs — and
-//! prints one diagnostic per line plus a per-program summary. This is the
+//! Runs every lint (`esd_analysis::lint::run`) over every program this
+//! repository ships — the real-bug analog workloads, the Listing-1 running
+//! example, and the smoke-corpus genbug programs — and prints one diagnostic
+//! per line plus a per-program summary. This is the
 //! CI `lint-gate` job's tool: any `Error`-severity diagnostic fails the run
 //! with exit code 2, so an IR-level bug (a lock that is never released, a
 //! literal-constant branch) in a checked-in or generated workload is caught
 //! before the synthesis benchmarks ever execute it.
 //!
-//! `irlint --json` emits the same sweep as a single JSON object (the flat
-//! diagnostic list plus the severity counts) for editor and dashboard
-//! integration; the exit-code contract is identical in both modes.
-//!
 //! The rendered output is byte-stable; `tests/irlint_golden.rs` pins it as
 //! a golden fixture (`ESD_REGEN_GOLDEN=1` regenerates).
 
 fn main() {
-    let json = std::env::args().skip(1).any(|a| a == "--json");
     let report = esd_bench::irlint_report();
-    if json {
-        let payload =
-            serde_json::to_string_pretty(&report.json_report()).expect("the report serializes");
-        println!("{payload}");
-    } else {
-        print!("{}", report.text);
-        println!(
-            "irlint: {} program(s), {} error(s), {} warning(s), {} note(s)",
-            report.programs, report.errors, report.warnings, report.notes
-        );
-    }
+    print!("{}", report.text);
+    println!(
+        "irlint: {} program(s), {} error(s), {} warning(s), {} note(s)",
+        report.programs, report.errors, report.warnings, report.notes
+    );
     if report.errors > 0 {
         eprintln!("FAIL: {} Error-severity diagnostic(s) in the corpus", report.errors);
         std::process::exit(2);

@@ -41,7 +41,6 @@ use esd_workloads::genbug::{
     generate as generate_bug, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind,
 };
 use esd_workloads::{all_real_bugs, generate_bpf, listing1, BpfConfig, Workload, WorkloadKind};
-use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Default instruction budget for ESD runs.
@@ -477,37 +476,12 @@ pub fn playback_check(esd_budget: u64, repetitions: u32) -> Vec<(String, bool)> 
     out
 }
 
-/// One diagnostic of an `irlint` sweep, flattened into plain serializable
-/// fields for the binary's `--json` mode (the lint crate itself carries no
-/// serde dependency, so the mirror lives here).
-#[derive(Debug, Clone, Serialize)]
-pub struct IrlintDiagnostic {
-    /// The corpus program the diagnostic was reported on.
-    pub program: String,
-    /// The reporting pass's name (e.g. `shared-unsynchronized-write`).
-    pub lint: &'static str,
-    /// `"error"`, `"warning"` or `"note"`.
-    pub severity: &'static str,
-    /// The function the diagnostic is anchored in.
-    pub function: String,
-    /// The basic block within the function.
-    pub block: u32,
-    /// The instruction index within the block (`== insts.len()` = the
-    /// block's terminator).
-    pub idx: u32,
-    /// Human-readable description.
-    pub message: String,
-}
-
 /// The result of one `irlint` sweep over the shipped program corpus.
 #[derive(Debug, Clone)]
 pub struct IrlintReport {
     /// The rendered diagnostics: a `=== name ===` header per program
     /// followed by `esd_analysis::lint::render` output, in corpus order.
     pub text: String,
-    /// Every diagnostic across the corpus, in stable corpus order — the
-    /// machine-readable half behind `irlint --json`.
-    pub diagnostics: Vec<IrlintDiagnostic>,
     /// Programs linted.
     pub programs: usize,
     /// `Error`-severity diagnostics across the corpus — the CI `lint-gate`
@@ -519,45 +493,15 @@ pub struct IrlintReport {
     pub notes: usize,
 }
 
-/// The serializable shape behind `irlint --json`: everything of
-/// [`IrlintReport`] except the rendered text (which the golden fixture
-/// already pins byte-for-byte in the default mode).
-#[derive(Debug, Clone, Serialize)]
-pub struct IrlintJsonReport {
-    /// Every diagnostic across the corpus, in stable corpus order.
-    pub diagnostics: Vec<IrlintDiagnostic>,
-    /// Programs linted.
-    pub programs: usize,
-    /// `Error`-severity diagnostics across the corpus.
-    pub errors: usize,
-    /// `Warning`-severity diagnostics across the corpus.
-    pub warnings: usize,
-    /// `Note`-severity diagnostics across the corpus.
-    pub notes: usize,
-}
-
-impl IrlintReport {
-    /// The machine-readable projection printed by `irlint --json`.
-    pub fn json_report(&self) -> IrlintJsonReport {
-        IrlintJsonReport {
-            diagnostics: self.diagnostics.clone(),
-            programs: self.programs,
-            errors: self.errors,
-            warnings: self.warnings,
-            notes: self.notes,
-        }
-    }
-}
-
-/// Runs the default lint lineup ([`esd_analysis::LintRegistry`]) over every
-/// program this repository ships — the real-bug analog workloads, the
-/// Listing-1 running example, and the smoke-corpus genbug programs (the
-/// same 4 seeds × 4 kinds the differential matrix exercises) — and renders
-/// the diagnostics in stable corpus order. The `irlint` binary prints the
-/// text and exits non-zero on any `Error`-severity diagnostic;
-/// `tests/irlint_golden.rs` pins the exact bytes.
+/// Runs every lint ([`esd_analysis::lint::run`]) over every program this
+/// repository ships — the real-bug analog workloads, the Listing-1 running
+/// example, and the smoke-corpus genbug programs (the same 4 seeds × 4
+/// kinds the differential matrix exercises) — and renders the diagnostics
+/// in stable corpus order. The `irlint` binary prints the text and exits
+/// non-zero on any `Error`-severity diagnostic; `tests/irlint_golden.rs`
+/// pins the exact bytes.
 pub fn irlint_report() -> IrlintReport {
-    use esd_analysis::{lint, LintRegistry, Severity};
+    use esd_analysis::{lint, Severity};
     use esd_workloads::genbug::{generate, GenConfig, InjectedBugKind};
 
     let mut corpus: Vec<Workload> = all_real_bugs();
@@ -568,17 +512,10 @@ pub fn irlint_report() -> IrlintReport {
         }
     }
 
-    let registry = LintRegistry::with_default_lints();
-    let mut report = IrlintReport {
-        text: String::new(),
-        diagnostics: Vec::new(),
-        programs: 0,
-        errors: 0,
-        warnings: 0,
-        notes: 0,
-    };
+    let mut report =
+        IrlintReport { text: String::new(), programs: 0, errors: 0, warnings: 0, notes: 0 };
     for w in &corpus {
-        let diags = registry.run(&w.program);
+        let diags = lint::run(&w.program);
         report.programs += 1;
         for d in &diags {
             match d.severity {
@@ -586,19 +523,6 @@ pub fn irlint_report() -> IrlintReport {
                 Severity::Warning => report.warnings += 1,
                 Severity::Note => report.notes += 1,
             }
-            report.diagnostics.push(IrlintDiagnostic {
-                program: w.name.clone(),
-                lint: d.lint,
-                severity: match d.severity {
-                    Severity::Error => "error",
-                    Severity::Warning => "warning",
-                    Severity::Note => "note",
-                },
-                function: w.program.functions[d.loc.func.0 as usize].name.clone(),
-                block: d.loc.block.0,
-                idx: d.loc.idx,
-                message: d.message.clone(),
-            });
         }
         report.text.push_str(&format!("=== {} ===\n", w.name));
         report.text.push_str(&lint::render(&w.program, &diags));

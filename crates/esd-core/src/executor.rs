@@ -1139,7 +1139,9 @@ mod tests {
             .slots
             .iter()
             .map(|slot| match &slot.stage {
-                Stage::Running(session) => session.analysis().race_candidates_if_built().is_some(),
+                Stage::Running(session) => {
+                    session.analysis().facts.race_candidates_if_built().is_some()
+                }
                 _ => panic!("{} was not admitted", slot.label),
             })
             .collect();

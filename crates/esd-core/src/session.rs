@@ -485,19 +485,19 @@ mod tests {
         let goal = GoalSpec::Crash { loc };
         let race = EsdOptions::builder().with_race_detection(true).build();
         let session = SynthesisSession::new(&p, goal.clone(), race.clone());
-        assert!(session.analysis().race_candidates_if_built().is_some());
+        assert!(session.analysis().facts.race_candidates_if_built().is_some());
         let mut restored = SynthesisSession::restore(&session.snapshot());
-        assert!(restored.analysis().race_candidates_if_built().is_some());
+        assert!(restored.analysis().facts.race_candidates_if_built().is_some());
         assert!(restored.run_to_completion().found().is_some());
 
         let unpruned = EsdOptions { static_pruning: false, ..race };
         for options in [EsdOptions::default(), unpruned] {
             let mut session = SynthesisSession::new(&p, goal.clone(), options);
-            assert!(session.analysis().race_candidates_if_built().is_none());
+            assert!(session.analysis().facts.race_candidates_if_built().is_none());
             let restored = SynthesisSession::restore(&session.snapshot());
-            assert!(restored.analysis().race_candidates_if_built().is_none());
+            assert!(restored.analysis().facts.race_candidates_if_built().is_none());
             session.run_to_completion();
-            assert!(session.analysis().race_candidates_if_built().is_none());
+            assert!(session.analysis().facts.race_candidates_if_built().is_none());
         }
     }
 

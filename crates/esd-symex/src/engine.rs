@@ -256,7 +256,7 @@ impl Engine {
         // when race detection runs with static pruning: build them now, so
         // the cost is the set-up's and not a search round's.
         if options.with_race_detection && options.static_pruning {
-            analysis.race_candidates(&program);
+            analysis.facts.race_candidates(&program);
         }
         let oracle = StaticAnalysis::distance_oracle(&analysis, &program);
         // One virtual queue per goal target set: intermediate goals, then the

@@ -558,7 +558,7 @@ impl<'a> Stepper<'a> {
         // verdict that the solver would also have reached leaves the search
         // trajectory untouched — only the query count drops.
         let verdict = if self.options.static_pruning {
-            self.analysis.branch_feasibility.verdict(loc.func, loc.block)
+            self.analysis.facts.branch_feasibility.verdict(loc.func, loc.block)
         } else {
             Feasibility::Unknown
         };
@@ -994,7 +994,7 @@ impl<'a> Stepper<'a> {
                     // skipped. The candidate set over-approximates the real
                     // races, so no schedule that can reach a race is lost.
                     if self.options.static_pruning
-                        && !self.analysis.race_candidates(self.program).is_relevant_yield(loc)
+                        && !self.analysis.facts.race_candidates(self.program).is_relevant_yield(loc)
                     {
                         if self.other_runnable(state).is_some() {
                             self.stats.preemptions_pruned_static += 1;

@@ -436,7 +436,7 @@ fn flagged_races_fork_even_outside_the_static_candidate_set() {
     let mut analysis = StaticAnalysis::compute(&p, primary);
     // Simulate a static phase that missed every candidate (the worst
     // possible MHP/points-to imprecision).
-    analysis.set_race_candidates(Default::default());
+    analysis.facts.set_race_candidates(Default::default());
     let config = EsdOptions {
         frontier: FrontierKind::Dfs,
         with_race_detection: true,

@@ -5,7 +5,7 @@
 //! visible to the interval analysis (that is what guarantees the engine's
 //! `branches_pruned_static` counter moves on generated programs).
 
-use esd_analysis::{LintRegistry, Severity};
+use esd_analysis::{lint, Severity};
 use esd_workloads::genbug::{generate, GenConfig, InjectedBugKind};
 use esd_workloads::real_bugs::all_real_bugs;
 
@@ -13,25 +13,19 @@ const SEEDS: [u64; 4] = [2, 11, 23, 47];
 
 #[test]
 fn real_bug_workloads_carry_no_error_diagnostics() {
-    let registry = LintRegistry::with_default_lints();
     for w in all_real_bugs() {
-        let errors: Vec<_> = registry
-            .run(&w.program)
-            .into_iter()
-            .filter(|d| d.severity == Severity::Error)
-            .collect();
+        let errors: Vec<_> =
+            lint::run(&w.program).into_iter().filter(|d| d.severity == Severity::Error).collect();
         assert!(errors.is_empty(), "{}: unexpected lint errors: {errors:?}", w.name);
     }
 }
 
 #[test]
 fn genbug_corpus_carries_no_error_diagnostics() {
-    let registry = LintRegistry::with_default_lints();
     for kind in InjectedBugKind::ALL {
         for seed in SEEDS {
             let gen = generate(&GenConfig::new(seed, kind));
-            let errors: Vec<_> = registry
-                .run(&gen.program)
+            let errors: Vec<_> = lint::run(&gen.program)
                 .into_iter()
                 .filter(|d| d.severity == Severity::Error)
                 .collect();
@@ -49,11 +43,10 @@ fn genbug_defensive_check_is_statically_decided() {
     // the constant-condition lint (backed by the interval analysis) must see
     // it as a warning — proof that the static phase decides at least one
     // branch on every generated program.
-    let registry = LintRegistry::with_default_lints();
     for kind in InjectedBugKind::ALL {
         for seed in SEEDS {
             let gen = generate(&GenConfig::new(seed, kind));
-            let diags = registry.run(&gen.program);
+            let diags = lint::run(&gen.program);
             assert!(
                 diags.iter().any(|d| {
                     d.lint == "constant-condition"

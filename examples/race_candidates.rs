@@ -46,11 +46,11 @@ fn main() {
     // The static phase computes points-to, may-happen-in-parallel and
     // locksets once per goal; the candidate set falls out of their join.
     let analysis = StaticAnalysis::compute_multi(&program, &[goal_loc]);
-    let rc = analysis.race_candidates(&program);
+    let rc = analysis.facts.race_candidates(&program);
     let at = |loc: Loc| format!("{}:bb{}:{}", program.func(loc.func).name, loc.block.0, loc.idx);
 
     println!("may-shared accesses:");
-    for access in analysis.points_to.accesses.iter().filter(|a| a.may_shared) {
+    for access in analysis.facts.points_to.accesses.iter().filter(|a| a.may_shared) {
         println!("  {} {}", if access.is_write { "store at" } else { "load  at" }, at(access.loc));
     }
     println!(

@@ -74,7 +74,7 @@ fn render_program(out: &mut String, name: &str, program: &Program, goals: &[esd:
     let sa = StaticAnalysis::compute_multi(program, goals);
     writeln!(out, "=== {name} goals={goals:?} ===").unwrap();
 
-    let mut verdicts: Vec<_> = sa.branch_feasibility.iter().collect();
+    let mut verdicts: Vec<_> = sa.facts.branch_feasibility.iter().collect();
     verdicts.sort_by_key(|(key, _)| *key);
     writeln!(out, "feasibility {}", verdicts.len()).unwrap();
     for ((func, block), verdict) in verdicts {
@@ -131,7 +131,7 @@ fn render_program(out: &mut String, name: &str, program: &Program, goals: &[esd:
         }
     }
 
-    let rc = sa.race_candidates(program);
+    let rc = sa.facts.race_candidates(program);
     writeln!(out, "race_candidates {}", rc.candidates.len()).unwrap();
     for c in &rc.candidates {
         writeln!(

@@ -194,7 +194,7 @@ proptest! {
         kind_idx in 0usize..4,
         dims in (0u32..12, 0u32..32, 0u32..12, 0u32..12, 0u32..12),
     ) {
-        use esd::analysis::{BranchFeasibility, CallGraph, Cfg, Feasibility};
+        use esd::analysis::{Feasibility, ProgramFacts};
         use esd::ir::inst::Terminator;
 
         let (inputs, branches, loop_iters, threads, locks) = dims;
@@ -205,10 +205,7 @@ proptest! {
         };
         let w = generate(&config);
         let program = &w.program;
-        let cfgs: Vec<Cfg> =
-            program.func_ids().map(|f| Cfg::build(program.func(f), f)).collect();
-        let callgraph = CallGraph::build(program);
-        let feasibility = BranchFeasibility::compute(program, &cfgs, &callgraph);
+        let feasibility = ProgramFacts::compute(program).branch_feasibility;
 
         for goal in &w.truth.goal_locs {
             // Reachability from the goal function's entry, walking only the
@@ -252,7 +249,7 @@ proptest! {
         seed in 0u64..1_000_000_000,
         dims in (0u32..12, 0u32..32, 0u32..12, 0u32..12, 0u32..12),
     ) {
-        use esd::analysis::StaticAnalysis;
+        use esd::analysis::ProgramFacts;
 
         let (inputs, branches, loop_iters, threads, locks) = dims;
         let config = GenConfig {
@@ -261,8 +258,8 @@ proptest! {
             size: GenSize { inputs, branches, loop_iters, threads, locks },
         };
         let w = generate(&config);
-        let analysis = StaticAnalysis::compute_multi(&w.program, &w.truth.goal_locs);
-        let rc = analysis.race_candidates(&w.program);
+        let facts = ProgramFacts::compute(&w.program);
+        let rc = facts.race_candidates(&w.program);
         let (load, store) = match w.truth.schedule_hint {
             ScheduleHint::PreemptBetween { load, store } => (load, store),
             ref other => panic!("{}: DataRace ground truth carries {other:?}", w.name),
@@ -635,6 +632,95 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+}
+
+/// The interval analysis's branch verdicts against concrete runs (a truth
+/// oracle, not a self-consistency check): a branch a concrete run takes is
+/// never judged to go the other way. Every real-bug analog, `listing1` and
+/// the genbugs of seeds 0..8 (every kind, small and medium) run once on
+/// their failing inputs and 20 times on random inputs, each under a seeded
+/// random choice among the runnable threads before every step. At each
+/// executed `CondBr` the successor must agree with
+/// `ProgramFacts::branch_feasibility`: `AlwaysFalse` never goes to `then`,
+/// and `AlwaysTrue` never goes to `else`.
+#[test]
+fn branch_verdicts_never_contradict_a_concrete_run() {
+    use esd::analysis::{Feasibility, ProgramFacts};
+    use esd::ir::inst::Terminator;
+    use esd::ir::interp::{InputProvider, RandomInputs, StepResult};
+    use esd::workloads::{all_real_bugs, listing1};
+
+    const RANDOM_RUNS: u64 = 20;
+    const MAX_STEPS: u64 = 20_000;
+
+    let mut corpus = all_real_bugs();
+    corpus.push(listing1());
+    for seed in 0..8 {
+        for kind in InjectedBugKind::ALL {
+            for size in [GenSize::small(), GenSize::medium()] {
+                corpus.push(generate(&GenConfig { seed, kind, size }).to_workload());
+            }
+        }
+    }
+    let mut decided = 0u64;
+    for (pi, w) in corpus.iter().enumerate() {
+        let program = &w.program;
+        let verdicts = ProgramFacts::compute(program).branch_feasibility;
+        let failing = w.failing_inputs.as_ref().expect("every corpus program has failing inputs");
+        let failing =
+            MapInputs::from_entries(failing.iter().map(|((t, s), v)| ((ThreadId(*t), *s), *v)));
+        let random = (0..RANDOM_RUNS)
+            .map(|seed| Box::new(RandomInputs::new(seed, 0, 127)) as Box<dyn InputProvider>);
+        let runs = std::iter::once(Box::new(failing) as Box<dyn InputProvider>).chain(random);
+        for (run, inputs) in runs.enumerate() {
+            let mut interp = Interpreter::new(program, inputs);
+            // SplitMix64 over (program, run): the thread choice before each step.
+            let mut rng = ((pi as u64) << 32) | run as u64;
+            let mut next = move || {
+                rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (rng ^ (rng >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            for _ in 0..MAX_STEPS {
+                let runnable = interp.runnable_threads();
+                if runnable.is_empty() {
+                    break;
+                }
+                let tid = runnable[next() as usize % runnable.len()];
+                let at = interp.current_loc(tid).expect("a runnable thread has a location");
+                let block = program.func(at.func).block(at.block);
+                let arms = match block.term {
+                    Terminator::CondBr { then_bb, else_bb, .. }
+                        if at.idx as usize == block.insts.len() =>
+                    {
+                        Some((then_bb, else_bb))
+                    }
+                    _ => None,
+                };
+                match interp.step_thread(tid) {
+                    StepResult::Continue => {}
+                    StepResult::Blocked | StepResult::ThreadFinished => continue,
+                    StepResult::ProgramExit { .. } | StepResult::Fault(_) => break,
+                }
+                let Some((then_bb, else_bb)) = arms else { continue };
+                let verdict = verdicts.verdict(at.func, at.block);
+                let ruled_out = match verdict {
+                    Feasibility::AlwaysFalse => then_bb,
+                    Feasibility::AlwaysTrue => else_bb,
+                    Feasibility::Unknown => continue,
+                };
+                decided += 1;
+                let to = interp.current_loc(tid).expect("a branch keeps its thread alive").block;
+                assert!(
+                    to != ruled_out || then_bb == else_bb,
+                    "{}: the branch at {at:?} is judged {verdict:?} but run {run} went to {to:?}",
+                    w.name
+                );
+            }
+        }
+    }
+    assert!(decided > 0, "no statically decided branch ran, so nothing was checked");
 }
 
 /// One of each `JobStatus` shape, chosen by `n`, with `n`-derived payloads.
