@@ -11,8 +11,11 @@
 //!
 //! The rendered output is byte-stable; `tests/irlint_golden.rs` pins it as
 //! a golden fixture (`ESD_REGEN_GOLDEN=1` regenerates).
+//!
+//! Takes no arguments: any argument prints a usage line and exits 2.
 
 fn main() {
+    esd_bench::reject_args("irlint");
     let report = esd_bench::irlint_report();
     print!("{}", report.text);
     println!(

@@ -4,7 +4,9 @@
 //!
 //! Exits 2 when an analog is not synthesized or its execution does not
 //! replay (the `coverage_matrix` exit-code convention), so CI can gate on it.
+//! Takes no arguments: any argument prints a usage line and exits 2.
 fn main() {
+    esd_bench::reject_args("table1");
     let rows = esd_bench::table1(esd_bench::ESD_BUDGET);
     esd_bench::print_table1(&rows);
     let failed: Vec<&str> = rows

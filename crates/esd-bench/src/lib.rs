@@ -55,6 +55,16 @@ pub fn full_mode() -> bool {
     std::env::var("ESD_BENCH_FULL").map(|v| v == "1").unwrap_or(false)
 }
 
+/// For the binaries that take no options: any argument prints a usage line
+/// to stderr and exits 2, so a mistyped or removed flag fails loudly
+/// instead of running as if it were absent.
+pub fn reject_args(bin: &str) {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: {bin} (takes no arguments)");
+        std::process::exit(2);
+    }
+}
+
 /// The search frontier the ESD side of a benchmark should use, so the fig2 /
 /// fig3 binaries can compare frontiers: the first positional CLI
 /// argument (`fig2 dfs`, `fig2 random`), or else the paper's

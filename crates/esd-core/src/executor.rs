@@ -6,8 +6,8 @@
 //! layer above it: it holds N independent jobs at once — each exactly one
 //! session — and time-slices them round-robin: every running job gets an
 //! equal slice of [`JobExecutor::slice_rounds`] search rounds (each round
-//! up to 32 micro-steps per selected state, one under race detection or
-//! the KC preset), in submit order, cycling over the running jobs. That is the executor's one
+//! up to 32 micro-steps per selected state, one under the KC preset), in
+//! submit order, cycling over the running jobs. That is the executor's one
 //! scheduling rule. The only deadline a job has is
 //! [`EsdOptions::deadline`], which stops its search.
 //!
@@ -48,8 +48,8 @@ use std::time::{Duration, Instant};
 /// How many search rounds one dispatched slice advances by default
 /// (overridable via [`JobExecutor::slice_rounds`]). A round advances each
 /// selected state a burst of up to 32 micro-steps, so a default slice runs
-/// up to 32k micro-steps per selected state; a job with race detection or
-/// the KC preset steps once per round.
+/// up to 32k micro-steps per selected state; a job with the KC preset
+/// steps once per round.
 pub const DEFAULT_SLICE_ROUNDS: u64 = 1024;
 
 /// How many dispatched slices a durable executor runs between checkpoints

@@ -29,13 +29,15 @@ use std::path::Path;
 /// differently: a payload written under the old stepping rule would resume
 /// along a different trajectory; so does a frontier image whose keys were
 /// computed under an old proximity rule (format 16 counts every thread that
-/// has not finished). Removing a variant or a field a payload may hold
+/// has not finished), or a race-detection job written when race detection
+/// still stepped one instruction per selection (format 18 gives it the
+/// 32-step burst). Removing a variant or a field a payload may hold
 /// (format 14 dropped the batched frontier's image, format 15 the three
 /// per-heuristic switches of the stored `EsdOptions`, format 16
 /// `SearchStats::other_bugs_found`, format 17 the breadth-first frontier's
 /// image) is a change of shape too. [`unseal`] rejects any other version
 /// with [`SnapshotError::UnknownVersion`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 17;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 18;
 
 /// 64-bit FNV-1a over `bytes` — the dependency-free checksum used by both
 /// snapshot envelopes and journal frames.

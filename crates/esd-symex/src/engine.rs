@@ -37,10 +37,13 @@
 //! Re-selecting after every instruction made the proximity search enumerate
 //! about 2,000 states and 120,000–200,000 steps on a medium generated crash;
 //! letting the selected state run, as Klee's batching searcher does, reaches
-//! it in about 250 steps. Two configurations keep one micro-step per
-//! selection: race detection, where every shared access is a preemption
-//! point (§4.2) and a burst only multiplies the live states, and the KC
-//! baseline ([`EsdOptions::kc`]), which models Klee's per-instruction
+//! it in about 250 steps. Race detection, where every shared access is a
+//! preemption point (§4.2), takes the burst too: the medium generated
+//! races take 306–316 steps at seeds 0..8, where re-selecting after every
+//! instruction took 716, against KC-DFS's 316 (`fig2`'s race row), and
+//! peak at 12–20 live states over seeds 0..16, where they peaked at 30.
+//! The one configuration that keeps one micro-step per selection is the
+//! KC baseline ([`EsdOptions::kc`]), which models Klee's per-instruction
 //! searcher.
 //!
 //! # The hot state
@@ -171,9 +174,9 @@ pub enum StepOutcome {
 const SCHED_WEIGHT: u64 = 1_000_000_000;
 
 /// How many micro-steps a selected state advances before the next selection
-/// (fewer when it dies or reaches the goal first), on every frontier. Race
-/// detection and the KC baseline advance one micro-step per selection
-/// instead; see the [module docs](self).
+/// (fewer when it dies or reaches the goal first), on every frontier and
+/// under race detection. The KC baseline advances one micro-step per
+/// selection instead; see the [module docs](self).
 const BURST: u32 = 32;
 
 /// A complete, serializable image of an [`Engine`] mid-search, captured by
@@ -356,8 +359,8 @@ impl Engine {
 
     /// Advances the search by one round: one frontier selection plus a turn
     /// of the selected state — a burst of up to 32 micro-steps, or one under
-    /// race detection and the KC baseline (seeding the initial state first,
-    /// on the very first round).
+    /// the KC baseline (seeding the initial state first, on the very first
+    /// round).
     ///
     /// This is the re-entrant core of the engine: callers may interleave
     /// rounds of several engines, stop between rounds (the partial
@@ -398,10 +401,8 @@ impl Engine {
                 }
             }
         };
-        // A burst under race detection multiplies the live states without
-        // finding races sooner; KC models Klee's per-instruction searcher.
-        let burst =
-            if self.options.with_race_detection || self.options.kc_baseline { 1 } else { BURST };
+        // KC models Klee's per-instruction searcher.
+        let burst = if self.options.kc_baseline { 1 } else { BURST };
         let mut stepper = Stepper::new(
             &self.program,
             &self.analysis,

@@ -1,8 +1,8 @@
 //! Pluggable search frontiers: the engine's worklist of execution states.
 //!
 //! The search engine repeatedly *pops* one state from the frontier, advances
-//! it by a burst of up to 32 micro-steps (one under race detection and the KC
-//! baseline), and *pushes* it back along with the states it forked. Which
+//! it by a burst of up to 32 micro-steps (one under the KC baseline), and
+//! *pushes* it back along with the states it forked. Which
 //! state the frontier hands back next is the search strategy —
 //! the only part of the dynamic phase that differs between ESD and the
 //! baselines it is compared against — so it is factored out behind the

@@ -32,7 +32,7 @@ pub const KC_PREEMPTION_BOUND: u32 = 2;
 pub struct EsdOptions {
     /// Total instruction budget for the dynamic phase. It is checked
     /// between rounds, so a round may overshoot it by at most one burst:
-    /// 32 micro-steps, or one under race detection and the KC preset.
+    /// 32 micro-steps, or one under the KC preset.
     pub max_steps: u64,
     /// Maximum number of live execution states.
     pub max_states: usize,

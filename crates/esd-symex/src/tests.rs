@@ -664,9 +664,9 @@ fn branch_refuted_by_pinned_inputs_does_not_fork() {
 }
 
 /// One round advances the selected state a 32-step burst on every frontier,
-/// and exactly one step under race detection and the KC baseline.
+/// race detection included, and exactly one step under the KC baseline.
 #[test]
-fn a_round_runs_a_burst_except_under_race_detection_and_kc() {
+fn a_round_runs_a_burst_except_under_kc() {
     let mut pb = ProgramBuilder::new("straight");
     let mut crash_loc = None;
     pb.function("main", 0, |f| {
@@ -689,7 +689,7 @@ fn a_round_runs_a_burst_except_under_race_detection_and_kc() {
         (with_frontier(FrontierKind::Proximity), 32),
         (with_frontier(FrontierKind::Random), 32),
         (with_frontier(FrontierKind::Dfs), 32),
-        (EsdOptions { with_race_detection: true, ..EsdOptions::default() }, 1),
+        (EsdOptions { with_race_detection: true, ..EsdOptions::default() }, 32),
         (EsdOptions::kc(FrontierKind::Dfs), 1),
         (EsdOptions::kc(FrontierKind::Random), 1),
     ];

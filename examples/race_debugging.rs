@@ -2,6 +2,8 @@
 //! update makes a final assertion fail only under an adverse interleaving.
 //! ESD is pointed at the failed assertion (the place where the inconsistency
 //! is detected, as in §3.1) and race-directed preemptions are enabled.
+//! Exits non-zero if synthesis does not reach the assertion or playback
+//! does not reproduce the failure.
 //!
 //! Run with: `cargo run --example race_debugging`
 
@@ -48,7 +50,13 @@ fn main() {
             );
             let replay = play(&program, &report.execution);
             println!("playback reproduced the failure: {}", replay.reproduced);
+            if !replay.reproduced {
+                std::process::exit(1);
+            }
         }
-        Err(e) => println!("synthesis did not reach the assertion within budget: {e:?}"),
+        Err(e) => {
+            println!("synthesis did not reach the assertion within budget: {e:?}");
+            std::process::exit(1);
+        }
     }
 }

@@ -8,11 +8,11 @@
 //! * Figure 2: on every real-bug analog, ESD needs no more search steps than
 //!   KC-RandPath. (ESD ≈ KC-DFS on these small analogs; the paper's gap to
 //!   KC-DFS does not reproduce here, so it is not asserted.)
-//! * Figure 2 on the generated corpus: on every medium crash and
-//!   out-of-bounds genbug the figure runs, ESD needs no more search steps
-//!   than KC-DFS. On races KC-DFS wins (316 steps against ESD's 716), and
-//!   on deadlocks ESD wins 7 of 8 seeds (307 against 315) and loses one
-//!   (474), so neither is asserted.
+//! * Figure 2 on the generated corpus: on every medium crash,
+//!   out-of-bounds and race genbug the figure runs, ESD needs no more
+//!   search steps than KC-DFS (races: 306–316 steps against 316, with
+//!   static pruning on or off). On deadlocks ESD wins 7 of 8 seeds (307
+//!   against 315) and loses one (474), so they are not asserted.
 //! * Figure 3: ESD synthesizes the BPF deadlock at 16, 32 and 64 branches,
 //!   and its steps grow slower than the branch count; KC-RandPath needs
 //!   over 100× ESD's steps at 16 branches.
@@ -38,8 +38,9 @@ fn esd_needs_no_more_steps_than_kc_randpath_on_every_analog() {
 }
 
 #[test]
-fn esd_needs_no_more_steps_than_kc_dfs_on_medium_crashes_and_oobs() {
-    let kinds = [InjectedBugKind::CrashOnPath, InjectedBugKind::OutOfBounds];
+fn esd_needs_no_more_steps_than_kc_dfs_on_medium_crashes_oobs_and_races() {
+    let kinds =
+        [InjectedBugKind::CrashOnPath, InjectedBugKind::OutOfBounds, InjectedBugKind::DataRace];
     let rows = fig2_genbugs(&kinds, ESD_BUDGET, KC_CAP, FrontierKind::Proximity);
     for r in &rows {
         let runs = r.esd_steps.iter().zip(&r.kc_dfs_steps);

@@ -2,18 +2,18 @@
 //! crash at *every* batch boundary and still synthesize byte-identical
 //! execution files.
 //!
-//! The harness first runs an uninterrupted round-robin three-job batch
-//! (a 32-branch BPF deadlock on the random frontier, plus a generated
-//! crash and a generated race on the proximity frontier), requires it to
-//! cross at least 24 batch boundaries, and records every job's winner
-//! execution bytes and search statistics. It then replays the
-//! same batch under a durable executor, crashing after `k` dispatched
-//! batches for every crash point `k` — the executor is dropped cold,
-//! exactly what a process kill leaves behind: the last checkpoint plus the
-//! journal tail — recovers with [`JobExecutor::recover`], asserts the
-//! recovered executor's state equals the uninterrupted run's at that
-//! boundary, finishes the batch, and asserts the outcomes are identical to
-//! the uninterrupted run.
+//! The harness first runs an uninterrupted round-robin four-job batch (a
+//! 32-branch BPF deadlock on the random frontier, a generated crash and a
+//! generated race on the proximity frontier, and a second race under the
+//! KC-DFS baseline), requires it to cross at least 24 batch boundaries, and
+//! records every job's winner execution bytes and search statistics. It
+//! then replays the same batch under a durable executor, crashing after
+//! `k` dispatched batches for every crash point `k` — the executor is
+//! dropped cold, exactly what a process kill leaves behind: the last
+//! checkpoint plus the journal tail — recovers with
+//! [`JobExecutor::recover`], asserts the recovered executor's state equals
+//! the uninterrupted run's at that boundary, finishes the batch, and
+//! asserts the outcomes are identical to the uninterrupted run.
 //!
 //! Every executor runs at the `ESD_POOL` pool size (default 2), so a
 //! journaled `Grant` record holds one grant per job of the batch and
@@ -65,29 +65,39 @@ fn durable_dir(tag: &str) -> PathBuf {
 /// size, so the matrix's coverage cannot shrink unnoticed.
 const MIN_BOUNDARIES: u64 = 24;
 
-/// The matrix's race: a medium generated race with 32 distractor branches.
-/// It steps one instruction per round under race detection and takes 748
-/// rounds, 24 slices of 32, the only job left after the first few batches.
-fn race_workload() -> Workload {
-    let size = GenSize { branches: 32, ..GenSize::medium() };
+/// The matrix's races: the seed-19 medium generated race with `branches`
+/// distractor branches.
+fn race_workload(branches: u32) -> Workload {
+    let size = GenSize { branches, ..GenSize::medium() };
     generate(&GenConfig { seed: 19, kind: InjectedBugKind::DataRace, size }).to_workload()
 }
 
-/// The matrix jobs: a BPF deadlock on the random frontier, and two
-/// generated corpus bugs on the paper's proximity default. The deadlock
-/// takes several slices, so the random frontier's image is checkpointed
-/// mid-search. The crash runs 32-step bursts and finishes within a few
-/// rounds; the [race](race_workload) keeps the batch going for at least
-/// [`MIN_BOUNDARIES`] batches at every pool size, so the run crosses many
-/// batch boundaries.
+/// The matrix jobs: a BPF deadlock on the random frontier, a generated
+/// crash and a generated race on the paper's proximity default, and a
+/// generated race under the KC-DFS baseline. The deadlock takes several
+/// slices, so the random frontier's image is checkpointed mid-search. The
+/// crash runs 32-step bursts and finishes within a few rounds. The
+/// proximity race, with 256 distractor branches, runs 32-step bursts and
+/// takes 53 rounds, so ESD's race search is checkpointed mid-search too.
+/// KC-DFS steps one instruction per round and takes 940 rounds on the race
+/// with 128 distractor branches, 30 slices of 32: it keeps the batch going
+/// for at least [`MIN_BOUNDARIES`] batches at every pool size, so the run
+/// crosses many batch boundaries and the DFS frontier's image is
+/// checkpointed at each.
 fn matrix_jobs() -> Vec<(Workload, EsdOptions)> {
     let random = EsdOptions::builder().max_steps(2_000_000).frontier(FrontierKind::Random).build();
     let proximity = EsdOptions::builder().max_steps(2_000_000).build();
     let race = EsdOptions::builder().max_steps(2_000_000).with_race_detection(true).build();
+    let kc_race = EsdOptions {
+        max_steps: 2_000_000,
+        with_race_detection: true,
+        ..EsdOptions::kc(FrontierKind::Dfs)
+    };
     vec![
         (generate_bpf(&BpfConfig { branches: 32, ..BpfConfig::default() }), random),
         (generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload(), proximity),
-        (race_workload(), race),
+        (race_workload(256), race),
+        (race_workload(128), kc_race),
     ]
 }
 
@@ -184,10 +194,12 @@ fn run_matrix(name: &str, cadence: u64) {
         total >= MIN_BOUNDARIES,
         "{name}: the uninterrupted run crossed {total} batch boundaries, under {MIN_BOUNDARIES}"
     );
-    assert!(
-        baseline.stats().jobs[0].slices >= 2,
-        "{name}: the random-frontier job must still be searching after its first slice"
-    );
+    for (job, what) in [(0, "random-frontier job"), (2, "proximity race")] {
+        assert!(
+            baseline.stats().jobs[job].slices >= 2,
+            "{name}: the {what} must still be searching after its first slice"
+        );
+    }
     let expected = collect(&mut baseline, &handles);
     assert!(
         expected.iter().all(|e| e.verdict == JobVerdict::Found),

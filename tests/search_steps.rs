@@ -2,33 +2,31 @@
 //! search steps.
 //!
 //! Each selected state runs a burst of up to 32 micro-steps before the next
-//! selection (see the `esd-symex` engine docs), and a state's proximity key
-//! counts every thread that has not finished, a `main` blocked in `join`
-//! included. On the medium generated crash and out-of-bounds bugs the
-//! proximity search reaches the goal in at most about 260 steps. Race
-//! detection keeps one micro-step per selection; the medium races take 716
-//! steps and at most 30 live states. The bounds leave headroom over these
-//! measurements; lower them when the search improves, never raise them.
+//! selection (see the `esd-symex` engine docs), race detection included,
+//! and a state's proximity key counts every thread that has not finished, a
+//! `main` blocked in `join` included. Over seeds 0..16 the proximity search
+//! reaches the medium generated crash and out-of-bounds bugs in at most
+//! about 260 steps, and the medium races in 284–316 steps at most 20 live
+//! states. The bounds leave headroom over these measurements; lower them
+//! when the search improves, never raise them.
 //!
 //! Static pruning (`EsdOptions::static_pruning`) may change what a search
 //! costs, never what it finds. With it off, crash, out-of-bounds and
 //! deadlock searches take the very same path, and the medium races, which
-//! then fork at every yield, are still found within the race bound (661
-//! steps each).
+//! then fork at every yield, take the same 284–316 steps at most 23 live
+//! states.
 
 use esd::playback::play;
 use esd::workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
 use esd::{Esd, EsdOptions};
 
-/// The step budget a medium crash or out-of-bounds bug must be found in.
-const CRASH_STEPS: u64 = 1_000;
-
-/// The step budget a medium race must be found in.
-const RACE_STEPS: u64 = 2_000;
+/// The step budget a medium crash, out-of-bounds bug or race must be found
+/// in.
+const MEDIUM_STEPS: u64 = 1_000;
 
 /// The highest live-state peak a medium race may reach: the measured peak
-/// over seeds 0..16 is 30 (seed 8).
-const RACE_LIVE_STATES: usize = 32;
+/// over seeds 0..16 is 20 (seed 13), 23 with static pruning off.
+const RACE_LIVE_STATES: usize = 24;
 
 fn medium(seed: u64, kind: InjectedBugKind) -> GeneratedWorkload {
     generate(&GenConfig { seed, kind, size: GenSize::medium() })
@@ -53,8 +51,8 @@ fn medium_crashes_and_oobs_are_found_within_1k_steps() {
         for seed in 0..16 {
             let w = medium(seed, kind);
             let stats =
-                synthesize_and_replay(&w, EsdOptions::builder().max_steps(CRASH_STEPS).build());
-            assert!(stats.steps <= CRASH_STEPS, "{}: {} steps", w.name, stats.steps);
+                synthesize_and_replay(&w, EsdOptions::builder().max_steps(MEDIUM_STEPS).build());
+            assert!(stats.steps <= MEDIUM_STEPS, "{}: {} steps", w.name, stats.steps);
         }
     }
 }
@@ -63,9 +61,10 @@ fn medium_crashes_and_oobs_are_found_within_1k_steps() {
 fn medium_races_keep_their_live_state_peak() {
     for seed in 0..16 {
         let w = medium(seed, InjectedBugKind::DataRace);
-        let options = EsdOptions::builder().max_steps(RACE_STEPS).with_race_detection(true).build();
+        let options =
+            EsdOptions::builder().max_steps(MEDIUM_STEPS).with_race_detection(true).build();
         let stats = synthesize_and_replay(&w, options);
-        assert!(stats.steps <= RACE_STEPS, "{}: {} steps", w.name, stats.steps);
+        assert!(stats.steps <= MEDIUM_STEPS, "{}: {} steps", w.name, stats.steps);
         assert!(
             stats.max_live_states <= RACE_LIVE_STATES,
             "{}: {} live states",
@@ -80,12 +79,18 @@ fn medium_races_are_found_with_static_pruning_off() {
     for seed in 0..16 {
         let w = medium(seed, InjectedBugKind::DataRace);
         let options = EsdOptions::builder()
-            .max_steps(RACE_STEPS)
+            .max_steps(MEDIUM_STEPS)
             .with_race_detection(true)
             .static_pruning(false)
             .build();
         let stats = synthesize_and_replay(&w, options);
-        assert!(stats.steps <= RACE_STEPS, "{}: {} steps", w.name, stats.steps);
+        assert!(stats.steps <= MEDIUM_STEPS, "{}: {} steps", w.name, stats.steps);
+        assert!(
+            stats.max_live_states <= RACE_LIVE_STATES,
+            "{}: {} live states",
+            w.name,
+            stats.max_live_states
+        );
     }
 }
 

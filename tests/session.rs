@@ -4,7 +4,7 @@
 
 use esd::playback::play;
 use esd::workloads::{listing1, real_bugs::paste_invalid_free};
-use esd::{Esd, EsdOptions, SessionStatus, SynthesisSession};
+use esd::{Esd, EsdOptions, FrontierKind, SessionStatus, SynthesisSession};
 
 /// Determinism invariant of the tentpole: for a fixed seed, a session
 /// advanced via `run_for(1)` slices yields byte-identical execution-file
@@ -78,12 +78,13 @@ fn progress_events_surface_static_pruning_counters() {
 }
 
 /// Cancelling a running session keeps the partial `SearchStats` of the work
-/// done so far. Race detection steps one instruction per round, so the
-/// search is still running after 50 rounds.
+/// done so far. The KC-DFS baseline steps one instruction per round and
+/// takes 62 rounds on listing1 with race detection, so the search is still
+/// running after 50 rounds; ESD's 32-step bursts find it in 3.
 #[test]
 fn cancel_surfaces_partial_stats() {
     let w = listing1();
-    let options = EsdOptions::builder().with_race_detection(true).build();
+    let options = EsdOptions { with_race_detection: true, ..EsdOptions::kc(FrontierKind::Dfs) };
     let mut session = SynthesisSession::new(&w.program, w.goal(), options);
     session.run_for(50);
     assert!(session.poll().is_running(), "listing1 takes more than 50 rounds");
