@@ -8,8 +8,9 @@
 //! * Default mode is the *reduced* smoke corpus CI runs (`coverage-smoke`
 //!   job); `ESD_BENCH_FULL=1` widens the seed set and enlarges the
 //!   generated programs.
-//! * The JSON lands in the first CLI argument ending in `.json`, or else
-//!   in `BENCH_coverage.json`.
+//! * The JSON lands in the one optional CLI argument, which must end in
+//!   `.json` (default `BENCH_coverage.json`); any other argument prints a
+//!   usage line and exits 2.
 //! * Exit codes gate CI: 2 = an injected bug was missed by every frontier,
 //!   3 = a false-positive goal report.
 
@@ -21,14 +22,8 @@ const SMOKE_BUDGET: u64 = 4_000_000;
 /// Full-mode instruction budget per synthesis run.
 const FULL_BUDGET: u64 = 16_000_000;
 
-fn out_path() -> String {
-    std::env::args()
-        .skip(1)
-        .find(|a| a.ends_with(".json"))
-        .unwrap_or_else(|| "BENCH_coverage.json".into())
-}
-
 fn main() {
+    let path = esd_bench::json_path_from_args("coverage_matrix", "BENCH_coverage.json");
     let config = if full_mode() {
         CoverageConfig::full(FULL_BUDGET)
     } else {
@@ -37,7 +32,6 @@ fn main() {
     let report = coverage_matrix(&config);
     print_coverage(&report);
 
-    let path = out_path();
     let json = serde_json::to_string_pretty(&report).expect("the report serializes");
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("wrote {path}");

@@ -4,13 +4,14 @@
 //!
 //! The ESD column's search frontier is selectable, to compare frontiers on
 //! the same workloads: `fig2 [dfs|random|proximity]` (default: proximity).
+//! Any other argument, or a second one, prints a usage line and exits 2.
 //!
 //! Exits 2 when ESD does not synthesize an analog or a generated bug within
 //! its budget (the `table1` exit-code convention), so CI can gate on it.
 use esd_workloads::genbug::InjectedBugKind;
 
 fn main() {
-    let frontier = esd_bench::frontier_from_args();
+    let frontier = esd_bench::frontier_from_args("fig2");
     let rows = esd_bench::fig2(esd_bench::ESD_BUDGET, esd_bench::KC_CAP, frontier);
     esd_bench::print_fig2(&rows, frontier);
     let genbugs = esd_bench::fig2_genbugs(

@@ -2,11 +2,12 @@
 //!
 //! The ESD search frontier is selectable, to compare frontiers on the same
 //! sweep: `fig3 [dfs|random|proximity]` (default: proximity).
+//! Any other argument, or a second one, prints a usage line and exits 2.
 //!
 //! Exits 2 when ESD does not synthesize a row within its budget (the
 //! `table1` exit-code convention), so CI can gate on it.
 fn main() {
-    let frontier = esd_bench::frontier_from_args();
+    let frontier = esd_bench::frontier_from_args("fig3");
     let rows = esd_bench::fig3(
         &esd_bench::fig3_branch_counts(),
         esd_bench::ESD_BUDGET,

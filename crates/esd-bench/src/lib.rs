@@ -55,29 +55,59 @@ pub fn full_mode() -> bool {
     std::env::var("ESD_BENCH_FULL").map(|v| v == "1").unwrap_or(false)
 }
 
+/// Prints `usage: <bin> <usage>` to stderr, then `why` if it is not
+/// empty, and exits 2: how every bench binary refuses its arguments.
+fn usage_exit(bin: &str, usage: &str, why: &str) -> ! {
+    eprintln!("usage: {bin} {usage}");
+    if !why.is_empty() {
+        eprintln!("{why}");
+    }
+    std::process::exit(2);
+}
+
 /// For the binaries that take no options: any argument prints a usage line
 /// to stderr and exits 2, so a mistyped or removed flag fails loudly
 /// instead of running as if it were absent.
 pub fn reject_args(bin: &str) {
     if std::env::args().len() > 1 {
-        eprintln!("usage: {bin} (takes no arguments)");
-        std::process::exit(2);
+        usage_exit(bin, "(takes no arguments)", "");
+    }
+}
+
+/// The one optional argument of a bench binary, parsed by `parse`: `None`
+/// without arguments. A second argument, or one `parse` refuses, prints the
+/// usage line (and `parse`'s reason) and exits 2, like [`reject_args`].
+fn optional_arg<T>(bin: &str, usage: &str, parse: impl Fn(&str) -> Result<T, String>) -> Option<T> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => None,
+        [arg] => Some(parse(arg).unwrap_or_else(|why| usage_exit(bin, usage, &why))),
+        _ => usage_exit(bin, usage, "at most one argument"),
     }
 }
 
 /// The search frontier the ESD side of a benchmark should use, so the fig2 /
-/// fig3 binaries can compare frontiers: the first positional CLI
-/// argument (`fig2 dfs`, `fig2 random`), or else the paper's
-/// proximity-guided default. Accepted spellings are those of
-/// `FrontierKind::from_str`: `dfs|random|proximity`. An unknown spelling
-/// aborts with the parser's message rather than silently measuring the
-/// wrong thing.
-pub fn frontier_from_args() -> FrontierKind {
-    std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with('-'))
-        .map(|s| s.parse().unwrap_or_else(|e: String| panic!("{e}")))
-        .unwrap_or_default()
+/// fig3 binaries can compare frontiers: the one optional CLI argument
+/// (`fig2 dfs`, `fig2 random`), or else the paper's proximity-guided
+/// default. Accepted spellings are those of `FrontierKind::from_str`:
+/// `dfs|random|proximity`. Any other argument, or a second one, prints a
+/// usage line and exits 2 rather than silently measuring the wrong thing.
+pub fn frontier_from_args(bin: &str) -> FrontierKind {
+    optional_arg(bin, "[dfs|random|proximity]", |arg| arg.parse()).unwrap_or_default()
+}
+
+/// The JSON output path of a report binary: the one optional CLI argument,
+/// which must end in `.json`, or else `default`. Any other argument, or a
+/// second one, prints a usage line and exits 2.
+pub fn json_path_from_args(bin: &str, default: &str) -> String {
+    optional_arg(bin, "[<path>.json]", |arg| {
+        if arg.ends_with(".json") {
+            Ok(arg.to_string())
+        } else {
+            Err(format!("{arg:?} does not end in .json"))
+        }
+    })
+    .unwrap_or_else(|| default.to_string())
 }
 
 /// Whether the searches the benchmarks launch consult the static phase's

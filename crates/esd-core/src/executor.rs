@@ -35,12 +35,15 @@
 //! hold live sessions at once; excess submissions wait in a FIFO queue and
 //! are admitted (paying their static phase then) as running jobs finish.
 
-use crate::journal::{self, JournalRecord, JournalWriter, RecoveryError};
+use crate::journal::{
+    self, FinishedLog, FinishedRecord, JournalRecord, JournalWriter, RecoveryError,
+};
 use crate::session::{Observer, ProgressEvent, SessionSnapshot, SessionStatus, SynthesisSession};
 use crate::snapshot::{load_snapshot, save_snapshot, SnapshotError};
 use esd_analysis::StaticAnalysis;
 use esd_ir::Program;
 use esd_symex::{EsdOptions, GoalSpec, SearchStats};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -281,9 +284,9 @@ enum Stage {
     /// Submitted, waiting for admission; no session exists yet.
     Queued(JobSpec),
     /// Admitted: the job's live session, whose clock started at admission.
-    /// Boxed because slots are never removed and every dispatch scans them
-    /// all: an inline session would make each slot, queued and finished
-    /// ones included, about a kilobyte larger.
+    /// Boxed because slots are never removed: an inline session would make
+    /// each slot, queued and finished ones included, about a kilobyte
+    /// larger.
     Running(Box<SynthesisSession>),
     /// Terminal: the totals frozen at finalize, so [`JobExecutor::stats`]
     /// and [`JobExecutor::status`] stay exact after the outcome's `status`
@@ -339,6 +342,8 @@ impl JobSlot {
 /// The durable state of one job, part of an [`ExecutorSnapshot`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct JobSnapshot {
+    /// The job's handle id.
+    pub handle: u64,
     /// The job's label.
     pub label: String,
     /// Executor slices dispatched to the job.
@@ -369,8 +374,15 @@ pub enum JobStageSnapshot {
     },
 }
 
-/// The complete durable state of a [`JobExecutor`], written at every
-/// checkpoint and consumed by [`JobExecutor::recover`].
+/// The durable state of a [`JobExecutor`] beside its finished log, written
+/// at every checkpoint and consumed by [`JobExecutor::recover`].
+///
+/// It holds the scheduler fields and every job the finished log does not:
+/// the queued and running jobs, the finished ones whose outcome is still to
+/// be taken, and (outside a checkpoint) the ones taken since the last
+/// checkpoint. A checkpoint first appends every taken job to the log, so
+/// the snapshot it writes holds live jobs only, and its size does not grow
+/// with the executor's history (see [`crate::journal`]).
 ///
 /// Observers are deliberately absent: they are live callbacks, not state.
 /// A recovered executor runs without them until
@@ -394,21 +406,28 @@ pub struct ExecutorSnapshot {
     /// The journal epoch this snapshot pairs with: recovery replays
     /// `journal-<epoch>.log` and ignores journals of other epochs.
     pub epoch: u64,
-    /// Every job slot, in handle order.
+    /// The byte length of `finished.log` this snapshot pairs with: recovery
+    /// reads exactly that prefix and truncates whatever follows it.
+    pub finished_len: u64,
+    /// Every job not in that prefix of the finished log, in handle order.
     pub jobs: Vec<JobSnapshot>,
 }
 
 /// The live half of a durable executor: where the snapshot and journal go,
-/// the open journal writer, and the checkpoint countdown.
+/// the open journal writer and finished log, and the checkpoint countdown.
 struct Durability {
     dir: PathBuf,
     journal: JournalWriter,
+    finished: FinishedLog,
     epoch: u64,
     slices_since_checkpoint: u64,
 }
 
 /// The snapshot file name inside a durable directory.
 const SNAPSHOT_FILE: &str = "snapshot.json";
+
+/// The finished-job log's file name inside a durable directory.
+const FINISHED_FILE: &str = "finished.log";
 
 /// The journal file name for a given epoch.
 fn journal_file(epoch: u64) -> String {
@@ -428,7 +447,15 @@ pub struct JobExecutor {
     /// against the running set frozen at batch start), so it is part of
     /// snapshots and replay — but never what any job synthesizes.
     pool_size: usize,
+    /// Every job ever submitted, indexed by handle id.
     slots: Vec<JobSlot>,
+    /// The queued and running jobs, in handle order: what admission,
+    /// planning and dispatch look at, so a slice's bookkeeping does not
+    /// grow with the jobs that finished before it.
+    unfinished: BTreeSet<usize>,
+    /// Every job not yet in the finished log, in handle order: what a
+    /// snapshot holds. A checkpoint moves the taken ones to the log.
+    unlogged: BTreeSet<usize>,
     durable: Option<Durability>,
 }
 
@@ -443,6 +470,8 @@ impl JobExecutor {
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             pool_size: 1,
             slots: Vec::new(),
+            unfinished: BTreeSet::new(),
+            unlogged: BTreeSet::new(),
             durable: None,
         }
     }
@@ -481,9 +510,10 @@ impl JobExecutor {
         self
     }
 
-    /// Checkpoint cadence for durable executors: a fresh
-    /// [`ExecutorSnapshot`] is written (and the journal truncated) every `n`
-    /// dispatched slices (clamped to ≥ 1; default
+    /// Checkpoint cadence for durable executors: a [`checkpoint`](Self::checkpoint)
+    /// (the jobs taken since the last one appended to the finished log, a
+    /// fresh [`ExecutorSnapshot`] of the live jobs, a new journal) runs
+    /// every `n` dispatched slices (clamped to ≥ 1; default
     /// [`DEFAULT_CHECKPOINT_EVERY`]). A smaller `n` bounds replay work after
     /// a crash at the price of more snapshot I/O — the trade-off perfbench's
     /// `service-stream` workload reports as `durability.tax_frac` and
@@ -494,7 +524,7 @@ impl JobExecutor {
     }
 
     /// Makes the executor durable: every state-changing decision is
-    /// journaled to `dir` (write-ahead, length+checksum framed) and a full
+    /// journaled to `dir` (write-ahead, length+checksum framed) and a
     /// checkpoint is written every [`checkpoint_every`](Self::checkpoint_every)
     /// slices, so [`JobExecutor::recover`] can rebuild the executor after a
     /// crash. The directory is created if absent; an initial checkpoint is
@@ -502,26 +532,33 @@ impl JobExecutor {
     /// this returns.
     pub fn durable_dir(mut self, dir: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        let journal = JournalWriter::create(&dir.join(journal_file(0)))
-            .map_err(|e| SnapshotError::Io(e.to_string()))?;
-        self.durable = Some(Durability { dir, journal, epoch: 0, slices_since_checkpoint: 0 });
+        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
+        std::fs::create_dir_all(&dir).map_err(io)?;
+        let journal = JournalWriter::create(&dir.join(journal_file(0))).map_err(io)?;
+        let finished = FinishedLog::create(&dir.join(FINISHED_FILE)).map_err(io)?;
+        self.durable =
+            Some(Durability { dir, journal, finished, epoch: 0, slices_since_checkpoint: 0 });
         self.checkpoint()?;
         Ok(self)
     }
 
     /// Recovers a crashed durable executor from `dir`: loads the latest
-    /// checkpoint, replays the journal's valid prefix (tolerating a torn
-    /// final record), truncates any damaged tail, and re-attaches the
-    /// durable directory so the recovered executor keeps journaling where
-    /// the crashed one stopped. See [`crate::journal`] for the
-    /// `reduce(snapshot, journal)` invariant this relies on.
+    /// checkpoint and the prefix of the finished log it pairs with
+    /// (truncating whatever follows that prefix), replays the journal's
+    /// valid prefix (tolerating a torn final record), truncates any damaged
+    /// tail, and re-attaches the durable directory so the recovered
+    /// executor keeps journaling where the crashed one stopped. See
+    /// [`crate::journal`] for the `reduce(finished log ⊕ snapshot,
+    /// journal)` invariant this relies on.
     pub fn recover(dir: impl AsRef<Path>) -> Result<Self, RecoveryError> {
         let dir = dir.as_ref();
         let snapshot: ExecutorSnapshot = load_snapshot(&dir.join(SNAPSHOT_FILE))?;
+        let (finished, records) =
+            FinishedLog::open(&dir.join(FINISHED_FILE), snapshot.finished_len)?;
         let journal_path = dir.join(journal_file(snapshot.epoch));
         let scanned = journal::load(&journal_path)?;
-        let mut exec = replay_records(&snapshot, &scanned.records)?;
+        let mut exec = restore(&snapshot, records)?;
+        replay_records(&mut exec, &scanned.records)?;
         if scanned.damage.is_some() {
             // Drop the torn/corrupt tail so appends resume from the last
             // valid frame.
@@ -535,6 +572,7 @@ impl JobExecutor {
         exec.durable = Some(Durability {
             dir: dir.to_path_buf(),
             journal,
+            finished,
             epoch: snapshot.epoch,
             slices_since_checkpoint: 0,
         });
@@ -549,6 +587,8 @@ impl JobExecutor {
         if self.durable.is_some() {
             self.journal_append(&JournalRecord::Submit { handle: handle.0, spec: spec.clone() });
         }
+        self.unfinished.insert(self.slots.len());
+        self.unlogged.insert(self.slots.len());
         self.slots.push(JobSlot {
             label: spec.label.clone(),
             observer: None,
@@ -651,7 +691,7 @@ impl JobExecutor {
 
     /// True while any job is queued or running.
     pub fn has_work(&self) -> bool {
-        self.slots.iter().any(|s| !matches!(s.stage, Stage::Finished { .. }))
+        !self.unfinished.is_empty()
     }
 
     /// Dispatches one slice *batch*: admits queued jobs up to the admission
@@ -720,17 +760,21 @@ impl JobExecutor {
     /// deterministic as well.
     fn execute_batch(&mut self, grants: &[JobHandle]) {
         let rounds = self.base_slice;
-        let mut sessions: Vec<&mut SynthesisSession> = self
-            .slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, slot)| match &mut slot.stage {
-                Stage::Running(session) if grants.contains(&JobHandle(i as u64)) => {
-                    Some(&mut **session)
-                }
-                _ => None,
-            })
-            .collect();
+        // Borrow the granted slots apart, in handle order: split the slot
+        // vector at each granted index instead of scanning every slot.
+        let mut granted: Vec<usize> = grants.iter().map(|h| h.0 as usize).collect();
+        granted.sort_unstable();
+        let mut sessions: Vec<&mut SynthesisSession> = Vec::with_capacity(granted.len());
+        let (mut tail, mut base) = (&mut self.slots[..], 0);
+        for idx in granted {
+            let (slot, rest) = std::mem::take(&mut tail)[idx - base..]
+                .split_first_mut()
+                .expect("grants name distinct jobs");
+            if let Stage::Running(session) = &mut slot.stage {
+                sessions.push(&mut **session);
+            }
+            (tail, base) = (rest, idx + 1);
+        }
         let (first, rest) = sessions.split_first_mut().expect("planned batches are non-empty");
         std::thread::scope(|scope| {
             for session in rest {
@@ -765,11 +809,10 @@ impl JobExecutor {
 
     /// The handle of every running job, in submit order.
     fn running_handles(&self) -> Vec<JobHandle> {
-        self.slots
+        self.unfinished
             .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s.stage, Stage::Running(_)))
-            .map(|(i, _)| JobHandle(i as u64))
+            .filter(|&&i| matches!(self.slots[i].stage, Stage::Running(_)))
+            .map(|&i| JobHandle(i as u64))
             .collect()
     }
 
@@ -817,12 +860,17 @@ impl JobExecutor {
     /// Admits queued jobs (FIFO) while the running count is below the cap.
     /// Admission runs the job's static phase and starts its wall clock.
     fn admit(&mut self) {
-        let mut running =
-            self.slots.iter().filter(|s| matches!(s.stage, Stage::Running(_))).count();
-        for slot in &mut self.slots {
+        let slots = &mut self.slots;
+        let mut running = self
+            .unfinished
+            .iter()
+            .filter(|&&i| matches!(slots[i].stage, Stage::Running(_)))
+            .count();
+        for &idx in &self.unfinished {
             if running >= self.max_running {
                 break;
             }
+            let slot = &mut slots[idx];
             let Stage::Queued(spec) = &slot.stage else {
                 continue;
             };
@@ -865,6 +913,7 @@ impl JobExecutor {
             observer.on_finish(&status);
         }
         slot.stage = Stage::Finished { verdict, rounds, wall, status: Some(status) };
+        self.unfinished.remove(&idx);
         if self.durable.is_some() {
             self.journal_append(&JournalRecord::Finalize { handle: idx as u64, verdict });
         }
@@ -879,35 +928,79 @@ impl JobExecutor {
         }
     }
 
-    /// Writes a fresh checkpoint: the next-epoch journal is created first,
-    /// then the snapshot naming that epoch is written atomically, then the
-    /// old journal is deleted. A crash between any two of those steps leaves
-    /// a consistent (snapshot, journal) pair for [`JobExecutor::recover`] —
-    /// either the old pair (snapshot not yet renamed) or the new one.
+    /// Writes a fresh checkpoint. The next-epoch journal is created first;
+    /// then every job taken since the last checkpoint is appended to the
+    /// finished log; then the snapshot naming the new epoch and the log's
+    /// new length is written atomically; then the old journal is deleted.
+    /// A crash between any two of those steps leaves a consistent
+    /// (finished-log prefix, snapshot, journal) triple for
+    /// [`JobExecutor::recover`] — either the old one (snapshot not yet
+    /// renamed: recovery truncates the frames it does not cover) or the new
+    /// one. The snapshot holds live jobs only, so a checkpoint costs
+    /// O(live jobs + jobs taken since the last one). I/O failures are a
+    /// [`SnapshotError`], and leave the executor able to checkpoint again.
     /// No-op on non-durable executors.
     pub fn checkpoint(&mut self) -> Result<(), SnapshotError> {
-        if self.durable.is_none() {
+        let Some(durable) = &self.durable else {
             return Ok(());
-        }
-        let (dir, old_epoch) = {
-            let durable = self.durable.as_ref().expect("checked above");
-            (durable.dir.clone(), durable.epoch)
         };
+        let (dir, old_epoch) = (durable.dir.clone(), durable.epoch);
         let new_epoch = old_epoch + 1;
         let journal = JournalWriter::create(&dir.join(journal_file(new_epoch)))
             .map_err(|e| SnapshotError::Io(e.to_string()))?;
+        self.log_taken_jobs()?;
         let snapshot = self.snapshot_with_epoch(new_epoch);
         save_snapshot(&dir.join(SNAPSHOT_FILE), &snapshot)?;
-        let durable = self.durable.as_mut().expect("checked above");
-        durable.journal = journal;
-        durable.epoch = new_epoch;
-        durable.slices_since_checkpoint = 0;
+        if let Some(durable) = &mut self.durable {
+            durable.journal = journal;
+            durable.epoch = new_epoch;
+            durable.slices_since_checkpoint = 0;
+        }
         let _ = std::fs::remove_file(dir.join(journal_file(old_epoch)));
         Ok(())
     }
 
-    /// Captures the executor's complete durable state (see
-    /// [`ExecutorSnapshot`]). Job observers are not captured.
+    /// Appends every job whose outcome has been taken and that the finished
+    /// log does not hold yet, in handle order, and drops it from the set a
+    /// snapshot writes. Such a job can never change again.
+    fn log_taken_jobs(&mut self) -> Result<(), SnapshotError> {
+        let Some(durable) = &mut self.durable else {
+            return Ok(());
+        };
+        let records: Vec<FinishedRecord> = self
+            .unlogged
+            .iter()
+            .filter_map(|&idx| {
+                let slot = &self.slots[idx];
+                match slot.stage {
+                    Stage::Finished { verdict, rounds, wall, status: None } => {
+                        Some(FinishedRecord {
+                            handle: idx as u64,
+                            label: slot.label.clone(),
+                            slices: slot.slices,
+                            verdict,
+                            rounds,
+                            wall,
+                        })
+                    }
+                    _ => None,
+                }
+            })
+            .collect();
+        if records.is_empty() {
+            return Ok(());
+        }
+        durable.finished.append(&records)?;
+        for record in &records {
+            self.unlogged.remove(&(record.handle as usize));
+        }
+        Ok(())
+    }
+
+    /// Captures the executor's durable state beside its finished log (see
+    /// [`ExecutorSnapshot`]): every job the log does not hold. On a
+    /// non-durable executor that is every job. Job observers are not
+    /// captured.
     pub fn snapshot(&self) -> ExecutorSnapshot {
         let epoch = self.durable.as_ref().map(|d| d.epoch).unwrap_or(0);
         self.snapshot_with_epoch(epoch)
@@ -915,25 +1008,29 @@ impl JobExecutor {
 
     fn snapshot_with_epoch(&self, epoch: u64) -> ExecutorSnapshot {
         let jobs = self
-            .slots
+            .unlogged
             .iter()
-            .map(|slot| JobSnapshot {
-                label: slot.label.clone(),
-                slices: slot.slices,
-                stage: match &slot.stage {
-                    Stage::Queued(spec) => JobStageSnapshot::Queued(spec.clone()),
-                    Stage::Running(session) => {
-                        JobStageSnapshot::Running(Box::new(session.snapshot()))
-                    }
-                    Stage::Finished { verdict, rounds, wall, status } => {
-                        JobStageSnapshot::Finished {
-                            verdict: *verdict,
-                            rounds: *rounds,
-                            wall: *wall,
-                            status: status.clone(),
+            .map(|&idx| {
+                let slot = &self.slots[idx];
+                JobSnapshot {
+                    handle: idx as u64,
+                    label: slot.label.clone(),
+                    slices: slot.slices,
+                    stage: match &slot.stage {
+                        Stage::Queued(spec) => JobStageSnapshot::Queued(spec.clone()),
+                        Stage::Running(session) => {
+                            JobStageSnapshot::Running(Box::new(session.snapshot()))
                         }
-                    }
-                },
+                        Stage::Finished { verdict, rounds, wall, status } => {
+                            JobStageSnapshot::Finished {
+                                verdict: *verdict,
+                                rounds: *rounds,
+                                wall: *wall,
+                                status: status.clone(),
+                            }
+                        }
+                    },
+                }
             })
             .collect();
         ExecutorSnapshot {
@@ -943,56 +1040,86 @@ impl JobExecutor {
             checkpoint_every: self.checkpoint_every,
             pool_size: self.pool_size,
             epoch,
+            finished_len: self.durable.as_ref().map_or(0, |d| d.finished.len()),
             jobs,
         }
     }
 }
 
-/// Restores an executor from a snapshot (no journal replay, no durability).
-fn restore_snapshot(snapshot: &ExecutorSnapshot) -> JobExecutor {
-    let slots = snapshot
-        .jobs
-        .iter()
-        .map(|job| JobSlot {
-            label: job.label.clone(),
-            observer: None,
-            slices: job.slices,
-            stage: match &job.stage {
-                JobStageSnapshot::Queued(spec) => Stage::Queued(spec.clone()),
-                JobStageSnapshot::Running(session) => {
-                    Stage::Running(Box::new(SynthesisSession::restore(session)))
-                }
-                JobStageSnapshot::Finished { verdict, rounds, wall, status } => Stage::Finished {
-                    verdict: *verdict,
-                    rounds: *rounds,
-                    wall: *wall,
-                    status: status.clone(),
-                },
+/// Restores an executor from the records of its finished log and the
+/// snapshot paired with them (no journal replay, no durability). Together
+/// they must hold every handle below their joint count exactly once;
+/// anything else is a [`RecoveryError::Divergence`].
+fn restore(
+    snapshot: &ExecutorSnapshot,
+    finished: Vec<FinishedRecord>,
+) -> Result<JobExecutor, RecoveryError> {
+    let count = finished.len() + snapshot.jobs.len();
+    let mut slots: Vec<Option<JobSlot>> = std::iter::repeat_with(|| None).take(count).collect();
+    let mut place = |handle: u64, slot: JobSlot| match slots.get_mut(handle as usize) {
+        Some(place @ None) => {
+            *place = Some(slot);
+            Ok(())
+        }
+        _ => Err(RecoveryError::Divergence(format!(
+            "job {handle} is duplicated or out of range across the finished log and the \
+             snapshot, which hold {count} jobs together"
+        ))),
+    };
+    for record in finished {
+        let stage = Stage::Finished {
+            verdict: record.verdict,
+            rounds: record.rounds,
+            wall: record.wall,
+            status: None,
+        };
+        place(
+            record.handle,
+            JobSlot { label: record.label, observer: None, slices: record.slices, stage },
+        )?;
+    }
+    for job in &snapshot.jobs {
+        let stage = match &job.stage {
+            JobStageSnapshot::Queued(spec) => Stage::Queued(spec.clone()),
+            JobStageSnapshot::Running(session) => {
+                Stage::Running(Box::new(SynthesisSession::restore(session)))
+            }
+            JobStageSnapshot::Finished { verdict, rounds, wall, status } => Stage::Finished {
+                verdict: *verdict,
+                rounds: *rounds,
+                wall: *wall,
+                status: status.clone(),
             },
-        })
-        .collect();
-    JobExecutor {
+        };
+        place(
+            job.handle,
+            JobSlot { label: job.label.clone(), observer: None, slices: job.slices, stage },
+        )?;
+    }
+    // Every place is filled: `count` distinct handles, each below `count`.
+    let slots: Vec<JobSlot> = slots.into_iter().flatten().collect();
+    let unfinished =
+        (0..slots.len()).filter(|&i| !matches!(slots[i].stage, Stage::Finished { .. })).collect();
+    Ok(JobExecutor {
         rotation: snapshot.rotation.map(JobHandle),
         base_slice: snapshot.base_slice,
         max_running: snapshot.max_running,
         checkpoint_every: snapshot.checkpoint_every,
         pool_size: snapshot.pool_size.max(1),
         slots,
+        unfinished,
+        unlogged: snapshot.jobs.iter().map(|job| job.handle as usize).collect(),
         durable: None,
-    }
+    })
 }
 
 /// Replays a journal's valid prefix of records on top of a restored
-/// snapshot — the `reduce(snapshot, journal)` behind
+/// executor — the `reduce(finished log ⊕ snapshot, journal)` behind
 /// [`JobExecutor::recover`]. Grants re-plan
 /// the batch from the restored rotation cursor and every re-taken decision
 /// is verified against the journaled one; any mismatch is a
 /// [`RecoveryError::Divergence`], never a panic.
-fn replay_records(
-    snapshot: &ExecutorSnapshot,
-    records: &[JournalRecord],
-) -> Result<JobExecutor, RecoveryError> {
-    let mut exec = restore_snapshot(snapshot);
+fn replay_records(exec: &mut JobExecutor, records: &[JournalRecord]) -> Result<(), RecoveryError> {
     for record in records {
         match record {
             JournalRecord::Submit { handle, spec } => {
@@ -1051,7 +1178,7 @@ fn replay_records(
             }
         }
     }
-    Ok(exec)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1413,18 +1540,43 @@ mod tests {
         exec.checkpoint().expect("checkpoint");
         let snapshot = exec.snapshot();
         assert_eq!(snapshot.pool_size, 4);
+        let stage = |h: JobHandle| snapshot.jobs.iter().find(|j| j.handle == h.0).map(|j| &j.stage);
         assert!(matches!(
-            snapshot.jobs[found.0 as usize].stage,
-            JobStageSnapshot::Finished { verdict: JobVerdict::Found, status: Some(_), .. }
+            stage(found),
+            Some(JobStageSnapshot::Finished { verdict: JobVerdict::Found, status: Some(_), .. })
         ));
-        assert!(matches!(
-            snapshot.jobs[taken.0 as usize].stage,
-            JobStageSnapshot::Finished { verdict: JobVerdict::Found, status: None, .. }
-        ));
+        // The taken job is final: the checkpoint moved it to the finished
+        // log, and the snapshot holds the other five.
+        assert!(stage(taken).is_none());
+        assert_eq!(snapshot.jobs.len(), 5);
+        assert!(snapshot.finished_len > 0);
         let restored = JobExecutor::recover(&dir).expect("the snapshot restores");
         assert_eq!(restored.pool_size, 4);
         assert_eq!(observable(&restored), expected, "snapshot restore");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint that cannot write reports a typed error and leaves the
+    /// executor usable: here the durable directory has been replaced by a
+    /// regular file after a job finished and was taken.
+    #[test]
+    fn checkpoint_io_failures_are_typed_errors() {
+        let dir = std::env::temp_dir().join(format!("esd_checkpoint_io_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (p, loc) = crashy("exec_checkpoint_io", 3);
+        let mut exec = JobExecutor::round_robin()
+            .checkpoint_every(1000)
+            .durable_dir(&dir)
+            .expect("durable dir");
+        let h = exec.submit(JobSpec::new("a", &p, GoalSpec::Crash { loc }));
+        exec.run_until_idle();
+        exec.take(h).expect("job finished");
+        std::fs::remove_dir_all(&dir).expect("durable dir removed");
+        std::fs::write(&dir, b"not a directory").expect("file written");
+        assert!(matches!(exec.checkpoint(), Err(SnapshotError::Io(_))));
+        assert!(matches!(exec.checkpoint(), Err(SnapshotError::Io(_))), "and again");
+        assert_eq!(exec.status(h), JobStatus::Finished { verdict: JobVerdict::Found });
+        let _ = std::fs::remove_file(&dir);
     }
 
     /// Durable multi-grant batches recover: a pool-2 executor journals

@@ -1,25 +1,44 @@
-//! The append-only commit log of executor decisions, and crash recovery.
+//! The append-only logs of a durable executor, and crash recovery.
 //!
-//! A durable [`JobExecutor`] persists itself
-//! as `reduce(snapshot, journal)`: a periodic [`ExecutorSnapshot`]
-//! (see [`crate::snapshot`] for the envelope) plus an append-only journal of
-//! every scheduling decision taken since that snapshot. Because the executor
+//! A durable [`JobExecutor`] keeps three files in its durable directory:
+//!
+//! * `finished.log` — one record per job whose outcome was taken: its
+//!   handle, label, slices, verdict, rounds and wall time. Such a job can
+//!   never change again, so the first checkpoint after its
+//!   [`take`](crate::executor::JobExecutor::take) appends it once and no
+//!   later checkpoint rewrites it.
+//! * `snapshot.json` — the [`ExecutorSnapshot`] (see [`crate::snapshot`]
+//!   for the envelope): the scheduler fields and every job *not* in the
+//!   log, that is the queued, running and untaken finished ones. Its
+//!   `finished_len` names the byte length of `finished.log` it pairs with.
+//! * `journal-<epoch>.log` — every scheduling decision taken since that
+//!   snapshot, one [`JournalRecord`] each.
+//!
+//! The executor is `reduce(finished log ⊕ snapshot, journal)`. Because it
 //! is deterministic — batch planning is a pure function of the running set
 //! and the rotation cursor, and the engines are deterministic in their
-//! seeds — replaying the journal against
-//! the restored snapshot rebuilds the exact pre-crash state.
-//! [`JobExecutor::recover`] is that reduction: it loads the snapshot,
-//! replays the journal and verifies every re-taken decision against it.
+//! seeds — replaying the journal against the restored jobs rebuilds the
+//! exact pre-crash state. [`JobExecutor::recover`] is that reduction: it
+//! reads exactly the first `finished_len` bytes of the log (truncating any
+//! tail a checkpoint appended before it crashed short of renaming its
+//! snapshot), restores the snapshot's jobs beside them, replays the journal
+//! and verifies every re-taken decision against it.
+//!
+//! A checkpoint therefore costs O(live jobs + jobs taken since the last
+//! checkpoint), not O(every job ever submitted): the snapshot holds only
+//! the live jobs, and the log grows by one frame per finished job.
 //!
 //! ## Frame format
 //!
-//! Each record is one [`crate::frame`] around the record's compact JSON.
+//! Each record, in the journal and in the finished log alike, is one
+//! [`crate::frame`] around the record's compact JSON.
 //!
-//! The writer appends a whole frame and flushes before the decision it
-//! records takes effect (write-ahead), so a crash can tear at most the final
-//! frame. The [`scan`] reader stops at the first torn or corrupt frame and
-//! reports what it found; recovery replays the longest valid prefix and
-//! never panics on damaged input (pinned by the `properties` suite).
+//! The journal writer appends a whole frame and flushes before the
+//! decision it records takes effect (write-ahead), so a crash can tear at
+//! most the final frame. The [`scan`] reader stops at the first torn or
+//! corrupt frame and reports what it found; recovery replays the longest
+//! valid prefix and never panics on damaged input (pinned by the
+//! `properties` suite).
 //!
 //! [`ExecutorSnapshot`]: crate::executor::ExecutorSnapshot
 //! [`JobExecutor`]: crate::executor::JobExecutor
@@ -31,8 +50,9 @@ use crate::snapshot::SnapshotError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::time::Duration;
 
 /// One durable executor decision.
 ///
@@ -130,11 +150,18 @@ pub fn encode_frame(record: &JournalRecord) -> Vec<u8> {
 /// Never panics: torn tails and corrupt frames stop the scan and are
 /// reported in [`JournalScan::damage`].
 pub fn scan(bytes: &[u8]) -> JournalScan {
+    let (records, valid_len, damage) = scan_records(bytes);
+    JournalScan { records, valid_len, damage }
+}
+
+/// The longest valid prefix of framed `R` records in `bytes`: the records,
+/// the bytes they cover, and what stopped the scan early, if anything.
+fn scan_records<R: Deserialize>(bytes: &[u8]) -> (Vec<R>, usize, Option<JournalDamage>) {
     let mut records = Vec::new();
     let mut offset = 0usize;
     let mut damage = None;
     while offset < bytes.len() {
-        // The journal is already in memory, so no length needs a bound: a
+        // The bytes are already in memory, so no length needs a bound: a
         // frame longer than the bytes left is a torn tail.
         let decoded = frame::decode_frame(&bytes[offset..], usize::MAX);
         let Ok(Some(payload)) = decoded else {
@@ -145,14 +172,14 @@ pub fn scan(bytes: &[u8]) -> JournalScan {
             break;
         };
         let text = std::str::from_utf8(payload).ok();
-        let Some(record) = text.and_then(|t| serde_json::from_str::<JournalRecord>(t).ok()) else {
+        let Some(record) = text.and_then(|t| serde_json::from_str::<R>(t).ok()) else {
             damage = Some(JournalDamage::Corrupt { offset });
             break;
         };
         records.push(record);
         offset += FRAME_HEADER + payload.len();
     }
-    JournalScan { records, valid_len: offset, damage }
+    (records, offset, damage)
 }
 
 /// Reads and [`scan`]s a journal file. A missing file is an empty, clean
@@ -192,6 +219,106 @@ impl JournalWriter {
     }
 }
 
+/// A job whose outcome has been taken, as `finished.log` holds it: final,
+/// so it is written once and never rewritten. Recovery restores it as a
+/// finished job with no outcome left to take.
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct FinishedRecord {
+    /// The job's handle id.
+    pub(crate) handle: u64,
+    /// The job's label.
+    pub(crate) label: String,
+    /// Executor slices dispatched to the job.
+    pub(crate) slices: u64,
+    /// How the job ended.
+    pub(crate) verdict: JobVerdict,
+    /// Search rounds the job advanced.
+    pub(crate) rounds: u64,
+    /// Wall-clock time from admission to the terminal state.
+    pub(crate) wall: Duration,
+}
+
+/// The append-only `finished.log` of a durable executor: one framed
+/// [`FinishedRecord`] per job, opened once and kept, like the journal.
+///
+/// Its [`len`](FinishedLog::len) is the byte length of the records
+/// appended so far; a snapshot stores it as `finished_len`, and recovery
+/// reads exactly that prefix. Each append writes at that length, so bytes
+/// a failed append left behind are overwritten by the next one and never
+/// read.
+#[derive(Debug)]
+pub(crate) struct FinishedLog {
+    file: File,
+    len: u64,
+}
+
+impl FinishedLog {
+    /// Creates (truncating) an empty log at `path`.
+    pub(crate) fn create(path: &Path) -> std::io::Result<Self> {
+        Ok(FinishedLog { file: File::create(path)?, len: 0 })
+    }
+
+    /// Opens the log at `path` for a snapshot that pairs with its first
+    /// `len` bytes: returns the records of that prefix and the log,
+    /// truncated to it and ready to append. Bytes past `len` are frames a
+    /// checkpoint appended before it crashed short of renaming its snapshot
+    /// (or a torn tail of them); the snapshot does not cover them, so they
+    /// go. A prefix that is missing, short, torn or corrupt is an error:
+    /// the snapshot relies on every byte of it.
+    pub(crate) fn open(
+        path: &Path,
+        len: u64,
+    ) -> Result<(Self, Vec<FinishedRecord>), RecoveryError> {
+        let io = |e: std::io::Error| RecoveryError::Io(format!("{}: {e}", path.display()));
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(len == 0).open(path).map_err(io)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(io)?;
+        let prefix = usize::try_from(len).ok().and_then(|n| bytes.get(..n)).ok_or_else(|| {
+            RecoveryError::Divergence(format!(
+                "the snapshot pairs with {len} bytes of {}, which holds {}",
+                path.display(),
+                bytes.len()
+            ))
+        })?;
+        let (records, valid_len, damage) = scan_records(prefix);
+        if let Some(damage) = damage {
+            return Err(RecoveryError::Divergence(format!(
+                "{} within the {valid_len} of {len} bytes the snapshot pairs with: {damage}",
+                path.display()
+            )));
+        }
+        if bytes.len() as u64 > len {
+            file.set_len(len).map_err(io)?;
+        }
+        Ok((FinishedLog { file, len }, records))
+    }
+
+    /// Bytes of the records appended so far: the `finished_len` a snapshot
+    /// taken now pairs with.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Appends `records`, one frame each, in one write at the end of the
+    /// records appended so far, and flushes it to the OS. On error the
+    /// log's [`len`](FinishedLog::len) is unchanged.
+    pub(crate) fn append(&mut self, records: &[FinishedRecord]) -> Result<(), SnapshotError> {
+        let mut bytes = Vec::new();
+        for record in records {
+            let payload =
+                serde_json::to_string(record).map_err(|e| SnapshotError::Decode(e.to_string()))?;
+            bytes.extend_from_slice(&frame::encode_frame(payload.as_bytes()));
+        }
+        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
+        self.file.seek(SeekFrom::Start(self.len)).map_err(io)?;
+        self.file.write_all(&bytes).map_err(io)?;
+        self.file.flush().map_err(io)?;
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+}
+
 /// Why a crashed executor could not be recovered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryError {
@@ -200,8 +327,10 @@ pub enum RecoveryError {
     /// Reading durable state failed.
     Io(String),
     /// Replay re-planned a batch or re-took a decision differently than
-    /// the journal records — the durable state is inconsistent with
-    /// this build.
+    /// the journal records, or the durable files disagree with each other
+    /// (a damaged finished-log prefix, a job missing from both the log and
+    /// the snapshot) — the durable state is inconsistent with itself or
+    /// with this build.
     Divergence(String),
 }
 

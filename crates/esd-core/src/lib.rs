@@ -23,8 +23,9 @@
 //!   [`executor::ExecutorSnapshot`]).
 //! * [`frame`] — the length-prefixed, checksummed frame the journal and
 //!   the service wire protocol share.
-//! * [`journal`] — the append-only commit log of executor decisions and the
-//!   `reduce(snapshot, journal)` crash recovery behind
+//! * [`journal`] — the append-only commit log of executor decisions, the
+//!   append-only log of finished jobs, and the `reduce(finished log ⊕
+//!   snapshot, journal)` crash recovery behind
 //!   [`JobExecutor::recover`](executor::JobExecutor::recover).
 //! * the KC baseline (Klee searchers + Chess preemption bounding) is no
 //!   separate driver: it is the [`EsdOptions::kc`] preset, run through a

@@ -370,7 +370,9 @@ impl<T: Serialize> Serialize for [T] {
 }
 
 /// Orders two serialized values so map output is deterministic regardless of
-/// `HashMap` iteration order.
+/// `HashMap` iteration order. The key renders the whole value, so callers
+/// sort with `sort_by_cached_key`, which renders each value once instead of
+/// once per comparison.
 fn value_sort_key(v: &Value) -> String {
     crate::to_compact_string(v)
 }
@@ -380,7 +382,7 @@ fn value_sort_key(v: &Value) -> String {
 /// `Serialize` impls over hash-ordered containers in other crates can emit
 /// the same deterministic output as the built-in map/set impls.
 pub fn sort_values(items: &mut [Value]) {
-    items.sort_by_key(value_sort_key);
+    items.sort_by_cached_key(value_sort_key);
 }
 
 /// Renders a `Value` compactly; used only for deterministic map ordering.
@@ -412,7 +414,7 @@ where
 {
     let mut pairs: Vec<Value> =
         entries.map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()])).collect();
-    pairs.sort_by_key(value_sort_key);
+    pairs.sort_by_cached_key(value_sort_key);
     Value::Array(pairs)
 }
 
@@ -454,7 +456,7 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 impl<T: Serialize, S> Serialize for HashSet<T, S> {
     fn to_value(&self) -> Value {
         let mut items: Vec<Value> = self.iter().map(Serialize::to_value).collect();
-        items.sort_by_key(value_sort_key);
+        items.sort_by_cached_key(value_sort_key);
         Value::Array(items)
     }
 }

@@ -24,6 +24,12 @@
 //! Every job runs through a [`JobExecutor`] at `ESD_POOL` workers (default
 //! 2), which must not change any line either.
 //!
+//! Every execution a line pins must also be right, not only unchanged: a
+//! generated job's execution must match its injected ground truth
+//! (`GroundTruth::matches`), and every job's execution must replay to its
+//! failure under [`esd::play`]. Both checks run before a regeneration
+//! writes the fixture, so it cannot pin a wrong execution.
+//!
 //! If the search changes *intentionally*, regenerate the fixture with
 //!
 //! ```text
@@ -33,9 +39,11 @@
 //! and give the reason for every changed line.
 
 use esd::core::snapshot::fnv1a64;
-use esd::workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
+use esd::workloads::genbug::{
+    generate, GenConfig, GenSize, GeneratedWorkload, GroundTruth, InjectedBugKind,
+};
 use esd::workloads::{all_real_bugs, generate_bpf, BpfConfig};
-use esd::{EsdOptions, FrontierKind, GoalSpec, JobExecutor, JobSpec};
+use esd::{play, EsdOptions, FrontierKind, GoalSpec, JobExecutor, JobSpec};
 use esd_bench::coverage::{coverage_frontiers, smoke_seeds};
 use esd_bench::KC_CAP;
 use std::fmt::Write as _;
@@ -76,17 +84,22 @@ fn options(frontier: FrontierKind, race: bool) -> EsdOptions {
         .build()
 }
 
-fn job(label: String, program: &esd::ir::Program, goal: GoalSpec, opts: EsdOptions) -> JobSpec {
-    JobSpec::new(label, program, goal).options(opts)
+/// One job of the corpus, with the injected ground truth its execution
+/// must match when it is a generated bug.
+type Job = (JobSpec, Option<GroundTruth>);
+
+fn job(label: String, program: &esd::ir::Program, goal: GoalSpec, opts: EsdOptions) -> Job {
+    (JobSpec::new(label, program, goal).options(opts), None)
 }
 
-fn genbug_job(frontier: FrontierKind, w: &GeneratedWorkload) -> JobSpec {
+fn genbug_job(frontier: FrontierKind, w: &GeneratedWorkload) -> Job {
     let opts = options(frontier, w.truth.needs_race_preemptions);
-    job(format!("{frontier}/{}", w.name), &w.program, w.truth.goal.clone(), opts)
+    let label = format!("{frontier}/{}", w.name);
+    (JobSpec::new(label, &w.program, w.truth.goal.clone()).options(opts), Some(w.truth.clone()))
 }
 
 /// Every job of the corpus, in fixture order.
-fn corpus() -> Vec<JobSpec> {
+fn corpus() -> Vec<Job> {
     let real = all_real_bugs();
     let smoke: Vec<GeneratedWorkload> = smoke_seeds()
         .into_iter()
@@ -121,16 +134,28 @@ fn corpus() -> Vec<JobSpec> {
     jobs
 }
 
-/// Runs the corpus and renders one fixture line per job.
+/// Runs the corpus and renders one fixture line per job, after checking
+/// each synthesized execution against the ground truth and playback.
 fn trajectories() -> String {
+    let (specs, truths): (Vec<JobSpec>, Vec<Option<GroundTruth>>) = corpus().into_iter().unzip();
+    let programs: Vec<_> = specs.iter().map(|spec| spec.program.clone()).collect();
     let mut executor = JobExecutor::round_robin().pool_size(env_pool());
-    let handles = executor.submit_batch(corpus());
+    let handles = executor.submit_batch(specs);
     executor.run_until_idle();
     let mut out = String::from(
         "# label digest steps solver_queries states_created states_pruned max_live_states\n",
     );
-    for handle in handles {
+    for ((handle, truth), program) in handles.into_iter().zip(truths).zip(programs) {
         let outcome = executor.take(handle).expect("an idle executor finished every job");
+        if let Some(report) = outcome.report() {
+            if let Some(truth) = truth {
+                truth
+                    .matches(&report.execution)
+                    .unwrap_or_else(|e| panic!("{}: ground truth mismatch: {e}", outcome.label));
+            }
+            let replay = play(&program, &report.execution);
+            assert!(replay.reproduced, "{}: the execution must replay", outcome.label);
+        }
         let digest = outcome.report().map_or("none".to_string(), |r| {
             format!("{:016x}", fnv1a64(r.execution.to_json().as_bytes()))
         });

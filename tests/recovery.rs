@@ -27,11 +27,18 @@
 //! `ESD_RECOVERY_REDUCED=1` subsamples the crash points (CI smoke mode);
 //! the default exercises every boundary.
 
+use esd::core::frame::{decode_frame, FRAME_HEADER};
+use esd::core::snapshot::load_snapshot;
+use esd::core::JobStageSnapshot;
 use esd::symex::SearchStats;
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind};
 use esd::workloads::{generate_bpf, BpfConfig, Workload};
-use esd::{EsdOptions, FrontierKind, JobExecutor, JobPhase, JobSpec, JobVerdict};
+use esd::{
+    EsdOptions, ExecutorSnapshot, FrontierKind, JobExecutor, JobHandle, JobPhase, JobSpec,
+    JobStatus, JobVerdict, SessionStatus,
+};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn reduced() -> bool {
     std::env::var("ESD_RECOVERY_REDUCED").ok().as_deref() == Some("1")
@@ -296,5 +303,253 @@ fn recovery_tolerates_a_torn_journal_tail() {
     let actual = collect(&mut recovered, &handles);
     assert_matches(&actual, &expected, "torn-journal");
 
+    remove_durable_dir(&dir);
+}
+
+/// A cheap job for the finished-log tests: the seed-2 generated crash,
+/// found in its fourth round on the proximity frontier.
+fn quick_job(label: &str) -> JobSpec {
+    let w = generate(&GenConfig::new(2, InjectedBugKind::CrashOnPath)).to_workload();
+    JobSpec::new(label, &w.program, w.goal())
+}
+
+/// What recovery must rebuild of an executor: every job's status (a running
+/// job's clock left out), the aggregate counters, and each job's phase,
+/// slices and rounds. Wall clocks are left out: a job that finishes during
+/// journal replay is timed anew.
+type Observable = (Vec<JobStatus>, [u64; 7], Vec<(JobPhase, u64, u64)>);
+
+fn observable(executor: &JobExecutor) -> Observable {
+    let stats = executor.stats();
+    let statuses = stats
+        .jobs
+        .iter()
+        .map(|job| match executor.status(job.handle) {
+            JobStatus::Running { slices, mut progress } => {
+                progress.elapsed = Duration::ZERO;
+                JobStatus::Running { slices, progress }
+            }
+            status => status,
+        })
+        .collect();
+    let counters = [
+        stats.submitted,
+        stats.queued as u64,
+        stats.running as u64,
+        stats.finished,
+        stats.cancelled,
+        stats.slices_dispatched,
+        stats.rounds_dispatched,
+    ];
+    let jobs = stats.jobs.iter().map(|j| (j.phase, j.slices, j.rounds)).collect();
+    (statuses, counters, jobs)
+}
+
+/// Every job's wall clock, in handle order.
+fn walls(executor: &JobExecutor) -> Vec<Duration> {
+    executor.stats().jobs.iter().map(|j| j.wall).collect()
+}
+
+/// Takes every outcome left to take, in handle order: the handle and the
+/// synthesized execution (if any) of each.
+fn take_all(executor: &mut JobExecutor) -> Vec<(u64, Option<String>)> {
+    let handles: Vec<JobHandle> = executor.stats().jobs.iter().map(|j| j.handle).collect();
+    handles
+        .into_iter()
+        .filter_map(|h| executor.take(h))
+        .map(|o| (o.handle.id(), o.report().map(|r| r.execution.to_json())))
+        .collect()
+}
+
+/// The frames of a finished log, counted: each must be whole and valid,
+/// and together they must cover the file.
+fn count_frames(bytes: &[u8]) -> usize {
+    let mut offset = 0;
+    let mut frames = 0;
+    while offset < bytes.len() {
+        let payload = decode_frame(&bytes[offset..], usize::MAX)
+            .expect("finished-log frames pass their checksum")
+            .expect("finished-log frames are whole");
+        offset += FRAME_HEADER + payload.len();
+        frames += 1;
+    }
+    frames
+}
+
+/// What one run of [`run_history`] leaves behind.
+struct History {
+    snapshot: ExecutorSnapshot,
+    snapshot_bytes: u64,
+    finished_frames: usize,
+}
+
+/// Runs a durable executor with a fixed live set — job 0 found and job 1
+/// cancelled while queued, neither outcome taken — through `finished` more
+/// jobs that each finish and are taken, checkpointing after the live set
+/// and again at the end. Checks that recovery rebuilds the same state,
+/// every finished job's wall clock included, with only the live outcomes
+/// left to take.
+fn run_history(finished: usize) -> History {
+    let dir = durable_dir(&format!("history-{finished}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut executor = JobExecutor::round_robin()
+        .checkpoint_every(1000)
+        .durable_dir(&dir)
+        .expect("durable directory is writable");
+    let found = executor.submit(quick_job("live: found"));
+    executor.run_until_idle();
+    let cancelled = executor.submit(quick_job("live: cancelled while queued"));
+    assert!(executor.cancel(cancelled));
+    executor.checkpoint().expect("checkpoint");
+    let log = dir.join("finished.log");
+    assert_eq!(std::fs::metadata(&log).expect("finished.log exists").len(), 0);
+    for _ in 0..finished {
+        let h = executor.submit(quick_job("done"));
+        executor.run_until_idle();
+        assert_eq!(executor.take(h).expect("finished").verdict(), JobVerdict::Found);
+    }
+    executor.checkpoint().expect("checkpoint");
+    let expected = (observable(&executor), walls(&executor));
+    drop(executor);
+
+    let log_bytes = std::fs::read(&log).expect("finished.log reads");
+    let snapshot: ExecutorSnapshot =
+        load_snapshot(&dir.join("snapshot.json")).expect("snapshot loads");
+    assert_eq!(snapshot.finished_len, log_bytes.len() as u64);
+    let mut recovered = JobExecutor::recover(&dir).expect("recovery succeeds");
+    assert_eq!(
+        (observable(&recovered), walls(&recovered)),
+        expected,
+        "{finished} jobs: recovered state"
+    );
+    let outcomes = take_all(&mut recovered);
+    let live: Vec<u64> = outcomes.iter().map(|(h, _)| *h).collect();
+    assert_eq!(live, [found.id(), cancelled.id()], "only the live outcomes are left to take");
+    let history = History {
+        snapshot,
+        snapshot_bytes: std::fs::metadata(dir.join("snapshot.json")).expect("snapshot").len(),
+        finished_frames: count_frames(&log_bytes),
+    };
+    remove_durable_dir(&dir);
+    history
+}
+
+/// A checkpoint writes the live jobs only: after 20 or 200 finished and
+/// taken jobs, the snapshot holds the same two live jobs and is the same
+/// size, while the finished log holds one frame per taken job.
+#[test]
+fn checkpoint_size_does_not_grow_with_finished_jobs() {
+    let small = run_history(20);
+    let large = run_history(200);
+    assert_eq!(small.finished_frames, 20);
+    assert_eq!(large.finished_frames, 200);
+    // The two snapshots differ only in clocks, in the rotation cursor (the
+    // last job served, 21 against 201) and in the finished log's length, so
+    // they are equal once those are cleared, and their sizes differ by the
+    // digits of those numbers and of the envelope's checksum.
+    let normalized = |snapshot: &ExecutorSnapshot| {
+        let mut snapshot = snapshot.clone();
+        snapshot.rotation = None;
+        snapshot.finished_len = 0;
+        for job in &mut snapshot.jobs {
+            if let JobStageSnapshot::Finished { wall, status, .. } = &mut job.stage {
+                *wall = Duration::ZERO;
+                if let Some(SessionStatus::Found(report)) = status {
+                    report.elapsed = Duration::ZERO;
+                }
+            }
+        }
+        serde_json::to_string(&snapshot).expect("snapshot serializes")
+    };
+    let handles: Vec<u64> = large.snapshot.jobs.iter().map(|j| j.handle).collect();
+    assert_eq!(handles, [0, 1]);
+    assert_eq!(normalized(&small.snapshot), normalized(&large.snapshot));
+    assert!(
+        small.snapshot_bytes.abs_diff(large.snapshot_bytes) <= 24,
+        "snapshot.json is {} bytes after 20 taken jobs and {} after 200",
+        small.snapshot_bytes,
+        large.snapshot_bytes
+    );
+}
+
+/// Copies every file of a durable directory into a new one.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).expect("directory is writable");
+    for entry in std::fs::read_dir(from).expect("directory reads").flatten() {
+        std::fs::copy(entry.path(), to.join(entry.file_name())).expect("file copies");
+    }
+}
+
+/// A crash between a checkpoint's steps: the finished log already holds
+/// the frames the checkpoint appended, but the snapshot that would cover
+/// them was never renamed into place. Recovery must read only the prefix
+/// the old snapshot pairs with, whether the extra frames are whole or the
+/// last one is torn, and rebuild exactly what a crash just before the
+/// checkpoint rebuilds.
+#[test]
+fn recovery_ignores_finished_frames_past_the_snapshot() {
+    let dir = durable_dir("finished-crash");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut executor = JobExecutor::round_robin()
+        .slice_rounds(1)
+        .pool_size(env_pool())
+        .checkpoint_every(1000)
+        .durable_dir(&dir)
+        .expect("durable directory is writable");
+    let run_and_take = |executor: &mut JobExecutor, n: usize| {
+        for _ in 0..n {
+            let h = executor.submit(quick_job("done"));
+            executor.run_until_idle();
+            executor.take(h).expect("finished");
+        }
+    };
+    run_and_take(&mut executor, 4);
+    executor.checkpoint().expect("checkpoint");
+    let log = dir.join("finished.log");
+    let paired = std::fs::metadata(&log).expect("finished.log exists").len();
+    // Three more jobs are taken, a fourth is left running mid-search, and
+    // the journal holds every decision since the checkpoint.
+    run_and_take(&mut executor, 3);
+    executor.submit(quick_job("running"));
+    assert!(executor.run_slice());
+    let at_crash = observable(&executor);
+    let before = durable_dir("finished-crash-before");
+    copy_dir(&dir, &before);
+    executor.checkpoint().expect("checkpoint");
+    let appended = std::fs::read(&log).expect("finished.log reads")[paired as usize..].to_vec();
+    assert_eq!(count_frames(&appended), 3, "the checkpoint appended the three taken jobs");
+    drop(executor);
+
+    // Recovery re-attaches the directory it reads, so each recovery below
+    // runs on its own copy of the pre-checkpoint state.
+    let crashed = durable_dir("finished-crash-after");
+    copy_dir(&before, &crashed);
+    let mut crash_free = JobExecutor::recover(&crashed).expect("recovery succeeds");
+    let expected = observable(&crash_free);
+    assert_eq!(expected, at_crash, "crash-free recovery");
+    crash_free.run_until_idle();
+    let expected_outcomes = take_all(&mut crash_free);
+    // Takes are recorded by the next checkpoint, which never happened: the
+    // three taken jobs come back with their outcomes, beside the one that
+    // was running.
+    assert_eq!(expected_outcomes.len(), 4);
+    drop(crash_free);
+
+    let torn = &appended[..appended.len() - 5];
+    for (what, extra) in [("whole frames", &appended[..]), ("torn frame", torn)] {
+        copy_dir(&before, &crashed);
+        let mut bytes = std::fs::read(crashed.join("finished.log")).expect("finished.log reads");
+        bytes.extend_from_slice(extra);
+        std::fs::write(crashed.join("finished.log"), bytes).expect("finished.log writes");
+        let mut recovered = JobExecutor::recover(&crashed).expect("recovery succeeds");
+        assert_eq!(observable(&recovered), expected, "{what}: recovered state");
+        let len = std::fs::metadata(crashed.join("finished.log")).expect("finished.log").len();
+        assert_eq!(len, paired, "{what}: recovery truncates the frames past the snapshot's");
+        recovered.run_until_idle();
+        assert_eq!(take_all(&mut recovered), expected_outcomes, "{what}: outcomes");
+        remove_durable_dir(&crashed);
+    }
+    remove_durable_dir(&before);
     remove_durable_dir(&dir);
 }
