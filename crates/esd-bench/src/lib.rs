@@ -29,9 +29,12 @@
 //! bug corpus (seeded programs with injected bugs of known kind) through
 //! every search frontier against ground truth — the differential harness
 //! behind the `coverage_matrix` binary and the CI `coverage-smoke` job.
+//! The [`codec`] module builds the documents the `codec_speed` binary
+//! times the JSON codec on.
 
 #![deny(missing_docs)]
 
+pub mod codec;
 pub mod coverage;
 
 use esd_core::{stress_test, Esd, EsdOptions, StressConfig, SynthesisReport};

@@ -23,6 +23,13 @@ fn irlint_rejects_arguments_with_a_usage_line() {
 }
 
 #[test]
+fn codec_speed_rejects_arguments_with_a_usage_line() {
+    for arg in ["--bogus", "extra"] {
+        assert_refused("codec_speed", env!("CARGO_BIN_EXE_codec_speed"), &[arg]);
+    }
+}
+
+#[test]
 fn figure_bins_reject_anything_but_one_frontier() {
     for (bin, exe) in [("fig2", env!("CARGO_BIN_EXE_fig2")), ("fig3", env!("CARGO_BIN_EXE_fig3"))] {
         for args in [&["--bogus"][..], &["--json"], &["bfs"], &["proximity", "extra"]] {

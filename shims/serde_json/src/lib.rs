@@ -415,3 +415,83 @@ mod tests {
         assert!(parse("1 2").is_err());
     }
 }
+
+#[cfg(test)]
+mod order_pins {
+    //! Unordered containers (and `BTreeMap`, whose entries sort the same
+    //! way) are written in one canonical order: by the entry's compact
+    //! text, with strings rendered as Rust `{:?}` and integral floats
+    //! without `.0`. These pins were taken from the `Value`-tree codec.
+    use super::*;
+    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::hash::{Hash, Hasher};
+
+    #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, Copy, PartialEq)]
+    struct F(f64);
+    impl Eq for F {}
+    impl Hash for F {
+        fn hash<H: Hasher>(&self, h: &mut H) {
+            self.0.to_bits().hash(h)
+        }
+    }
+
+    fn owned(items: &[&str]) -> Vec<String> {
+        items.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn unordered_containers_keep_their_canonical_order() {
+        let strings: HashSet<String> =
+            owned(&["b", "a\"", "é", "a\n", "A", "\u{1}", "\u{7f}", "a", "", "\\", "ab", "a b"])
+                .into_iter()
+                .collect();
+        assert_eq!(
+            to_string(&strings).unwrap(),
+            "[\"\",\"A\",\"\\\\\",\"\\u0001\",\"\u{7f}\",\"a b\",\"a\",\"a\\\"\",\"a\\n\",\"ab\",\"b\",\"é\"]"
+        );
+        let floats: HashSet<F> =
+            [1.0, 0.5, 10.0, 2.0, -1.0, 1.25, 1e20, -0.0, 0.0, 1.0000000000000002]
+                .into_iter()
+                .map(F)
+                .collect();
+        assert_eq!(
+            to_string(&floats).unwrap(),
+            "[-0.0,-1.0,0.0,0.5,1.0,1.0000000000000002,1.25,10.0,100000000000000000000,2.0]"
+        );
+        let pairs: HashSet<(F, u64)> = [(1.0, 5), (1.05, 0), (1.0, 0), (10.0, 1)]
+            .into_iter()
+            .map(|(a, b)| (F(a), b))
+            .collect();
+        assert_eq!(to_string(&pairs).unwrap(), "[[1.0,0],[1.0,5],[1.05,0],[10.0,1]]");
+        let map: HashMap<i64, String> = [(-1, "x"), (10, "y"), (2, "z"), (1, "w"), (-10, "v")]
+            .into_iter()
+            .map(|(k, v)| (k, v.to_string()))
+            .collect();
+        assert_eq!(
+            to_string(&map).unwrap(),
+            "[[-1,\"x\"],[-10,\"v\"],[1,\"w\"],[10,\"y\"],[2,\"z\"]]"
+        );
+        let btree: BTreeMap<u64, u8> = [(2, 0), (10, 1), (1, 2), (100, 3)].into_iter().collect();
+        assert_eq!(to_string(&btree).unwrap(), "[[1,2],[10,1],[100,3],[2,0]]");
+        let options: HashSet<Option<String>> =
+            [None, Some("x".to_string()), Some(String::new())].into_iter().collect();
+        assert_eq!(to_string(&options).unwrap(), "[\"\",\"x\",null]");
+        let tuples: HashMap<(u32, u32), ()> =
+            [((1, 0), ()), ((11, 0), ()), ((1, 10), ()), ((2, 3), ())].into_iter().collect();
+        assert_eq!(
+            to_string(&tuples).unwrap(),
+            "[[[1,0],null],[[1,10],null],[[11,0],null],[[2,3],null]]"
+        );
+        let keyed: HashMap<String, u8> =
+            [("a\u{7f}", 1), ("a", 2), ("a~", 3), ("a\u{e9}", 4), ("a\t", 5)]
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect();
+        assert_eq!(
+            to_string_pretty(&keyed).unwrap(),
+            "[\n  [\n    \"a\",\n    2\n  ],\n  [\n    \"a\\t\",\n    5\n  ],\n  [\n    \"a\u{7f}\",\n    1\n  ],\n  [\n    \"a~\",\n    3\n  ],\n  [\n    \"aé\",\n    4\n  ]\n]"
+        );
+        let back: HashMap<String, u8> = from_str(&to_string(&keyed).unwrap()).unwrap();
+        assert_eq!(back, keyed);
+    }
+}
