@@ -2,9 +2,11 @@
 //! per real-bug analog, a listing1 `Outcome`, and an executor snapshot
 //! holding a running race-detection job.
 //!
-//! `tests/golden_codec.rs` pins their bytes and the `codec_speed` binary
-//! reports encode and decode MB/s over them. Wall-clock fields are zeroed,
-//! so every document is reproducible byte for byte.
+//! `tests/golden_codec.rs` pins their bytes in `tests/fixtures/`, in the
+//! format [`write_frames`] writes and [`read_frames`] reads, and the
+//! `codec_speed` binary reports encode and decode MB/s over them.
+//! Wall-clock fields are zeroed, so every document is reproducible byte
+//! for byte.
 
 use esd_core::{
     EsdOptions, ExecutorSnapshot, JobExecutor, JobHandle, JobOutcome, JobSpec, JobStageSnapshot,
@@ -66,4 +68,40 @@ pub fn snapshot_without_clocks(exec: &JobExecutor) -> ExecutorSnapshot {
         }
     }
     snapshot
+}
+
+/// The line that opens each frame of a frames file, followed by its name.
+const FRAME_HEADER: &str = "=== ";
+
+/// A frames file: each frame is a header line holding its name, then its
+/// text (several lines for a pretty-printed document), then a newline.
+pub fn write_frames<'a>(frames: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
+    let mut out = String::new();
+    for (name, text) in frames {
+        out.push_str(FRAME_HEADER);
+        out.push_str(name);
+        out.push('\n');
+        out.push_str(text);
+        out.push('\n');
+    }
+    out
+}
+
+/// The `(name, text)` frames of a file [`write_frames`] wrote.
+pub fn read_frames(file: &str) -> Vec<(String, String)> {
+    let mut frames: Vec<(String, String)> = Vec::new();
+    for line in file.lines() {
+        match (line.strip_prefix(FRAME_HEADER), frames.last_mut()) {
+            (Some(name), _) => frames.push((name.to_string(), String::new())),
+            (None, Some((_, text))) => {
+                if !text.is_empty() {
+                    text.push('\n');
+                }
+                text.push_str(line);
+            }
+            // Text before the first header belongs to no frame.
+            (None, None) => {}
+        }
+    }
+    frames
 }

@@ -59,28 +59,37 @@ impl<T: PartialEq, L: Eq + Hash, A: PartialEq> PartialEq for WordInfo<T, L, A> {
 // `HashSet` lockset needs on `L`). The `HashSet` serializes in the shim's
 // canonical sorted order, so output is deterministic.
 impl<T: Serialize, L: Serialize, A: Serialize> Serialize for WordInfo<T, L, A> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("state".to_string(), self.state.to_value()),
-            ("first_thread".to_string(), self.first_thread.to_value()),
-            ("lockset".to_string(), self.lockset.to_value()),
-            ("last_write".to_string(), self.last_write.to_value()),
-            ("accesses".to_string(), self.accesses.to_value()),
-        ])
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.begin_object();
+        w.key(true, "\"state\"");
+        self.state.serialize(w);
+        w.key(false, "\"first_thread\"");
+        self.first_thread.serialize(w);
+        w.key(false, "\"lockset\"");
+        self.lockset.serialize(w);
+        w.key(false, "\"last_write\"");
+        self.last_write.serialize(w);
+        w.key(false, "\"accesses\"");
+        self.accesses.serialize(w);
+        w.end_object(false);
     }
 }
 
 impl<T: Deserialize, L: Deserialize + Eq + Hash, A: Deserialize> Deserialize for WordInfo<T, L, A> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let field = |k: &str| {
-            v.get(k).ok_or_else(|| serde::DeError(format!("missing WordInfo field `{k}`")))
+    fn deserialize(v: serde::Node<'_, '_>) -> Result<Self, serde::DeError> {
+        let mut fields = v.object().ok();
+        let mut field = |k: &str| {
+            fields
+                .as_mut()
+                .and_then(|f| f.get(k))
+                .ok_or_else(|| serde::DeError(format!("missing WordInfo field `{k}`")))
         };
         Ok(WordInfo {
-            state: Deserialize::from_value(field("state")?)?,
-            first_thread: Deserialize::from_value(field("first_thread")?)?,
-            lockset: Deserialize::from_value(field("lockset")?)?,
-            last_write: Deserialize::from_value(field("last_write")?)?,
-            accesses: Deserialize::from_value(field("accesses")?)?,
+            state: Deserialize::deserialize(field("state")?)?,
+            first_thread: Deserialize::deserialize(field("first_thread")?)?,
+            lockset: Deserialize::deserialize(field("lockset")?)?,
+            last_write: Deserialize::deserialize(field("last_write")?)?,
+            accesses: Deserialize::deserialize(field("accesses")?)?,
         })
     }
 }
@@ -241,11 +250,13 @@ where
 impl<V: Serialize, T: Serialize, L: Serialize, A: Serialize> Serialize
     for LocksetDetector<V, T, L, A>
 {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("words".to_string(), self.words.to_value()),
-            ("reported".to_string(), self.reported.to_value()),
-        ])
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.begin_object();
+        w.key(true, "\"words\"");
+        self.words.serialize(w);
+        w.key(false, "\"reported\"");
+        self.reported.serialize(w);
+        w.end_object(false);
     }
 }
 
@@ -256,13 +267,17 @@ where
     L: Deserialize + Eq + Hash + Clone,
     A: Deserialize + Eq + Hash + Clone,
 {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let field = |k: &str| {
-            v.get(k).ok_or_else(|| serde::DeError(format!("missing LocksetDetector field `{k}`")))
+    fn deserialize(v: serde::Node<'_, '_>) -> Result<Self, serde::DeError> {
+        let mut fields = v.object().ok();
+        let mut field = |k: &str| {
+            fields
+                .as_mut()
+                .and_then(|f| f.get(k))
+                .ok_or_else(|| serde::DeError(format!("missing LocksetDetector field `{k}`")))
         };
         Ok(LocksetDetector {
-            words: Deserialize::from_value(field("words")?)?,
-            reported: Deserialize::from_value(field("reported")?)?,
+            words: Deserialize::deserialize(field("words")?)?,
+            reported: Deserialize::deserialize(field("reported")?)?,
         })
     }
 }

@@ -20,7 +20,7 @@
 //! needed (analysis state only grows along a path) and is omitted to keep
 //! the structure small.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Writer};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -217,31 +217,21 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
 }
 
 /// Serializes like the shim's `HashMap`: an array of `[key, value]` pairs in
-/// canonical (compact-rendered) order, so the output is deterministic no
-/// matter what trie shape or iteration order produced it.
+/// the canonical order of unordered containers, so the output is
+/// deterministic no matter what trie shape or iteration order produced it.
 impl<K: Serialize, V: Serialize> Serialize for PMap<K, V> {
-    fn to_value(&self) -> Value {
-        let mut pairs: Vec<Value> =
-            self.iter().map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()])).collect();
-        serde::sort_values(&mut pairs);
-        Value::Array(pairs)
+    fn serialize(&self, w: &mut Writer) {
+        w.unordered_map(self.iter());
     }
 }
 
 /// Rebuilds by insertion; the result is content-equal to the serialized map
 /// (trie shape may differ, which no operation observes).
 impl<K: Deserialize + Eq + Hash + Clone, V: Deserialize + Clone> Deserialize for PMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let items =
-            v.as_array().ok_or_else(|| DeError::expected("array of [key, value] pairs", v))?;
+    fn deserialize(v: serde::Node<'_, '_>) -> Result<Self, DeError> {
         let mut map = PMap::new();
-        for pair in items {
-            match pair.as_array() {
-                Some([k, val]) => {
-                    map.insert(K::from_value(k)?, V::from_value(val)?);
-                }
-                _ => return Err(DeError::expected("[key, value] pair", pair)),
-            }
+        for (k, val) in serde::deserialize_pairs(v)? {
+            map.insert(k, val);
         }
         Ok(map)
     }

@@ -694,6 +694,14 @@ impl JobExecutor {
         !self.unfinished.is_empty()
     }
 
+    /// The number of jobs waiting for admission: what
+    /// [`stats`](Self::stats) reports as `queued`, counted over the
+    /// unfinished jobs only, so its cost does not grow with the jobs that
+    /// finished before it.
+    pub fn queued(&self) -> usize {
+        self.unfinished.iter().filter(|&&i| matches!(self.slots[i].stage, Stage::Queued(_))).count()
+    }
+
     /// Dispatches one slice *batch*: admits queued jobs up to the admission
     /// cap, plans up to [`pool_size`](Self::pool_size) grants to distinct
     /// runnable jobs, runs each on its own thread, and merges the results in
@@ -1309,7 +1317,9 @@ mod tests {
         assert_eq!(exec.status(b), JobStatus::Queued, "the cap keeps b queued");
         let stats = exec.stats();
         assert_eq!((stats.queued, stats.running), (1, 1));
+        assert_eq!(exec.queued(), 1, "queued() counts what stats() does");
         exec.run_until_idle();
+        assert_eq!(exec.queued(), 0);
         assert_eq!(exec.status(a).verdict(), Some(JobVerdict::Found));
         assert_eq!(
             exec.status(b).verdict(),
@@ -1471,6 +1481,7 @@ mod tests {
 
     fn observable(exec: &JobExecutor) -> Observable {
         let stats = exec.stats();
+        assert_eq!(exec.queued(), stats.queued, "queued() counts what stats() does");
         let statuses = stats
             .jobs
             .iter()

@@ -128,12 +128,12 @@ impl InProcessService {
 
 impl Service for InProcessService {
     fn submit(&mut self, spec: JobSpec) -> Result<JobTicket, ServiceError> {
-        let stats = self.executor.stats();
-        if stats.queued >= self.max_pending {
+        let queued = self.executor.queued();
+        if queued >= self.max_pending {
             // The backlog that must drain before a retry can be admitted:
             // every queued job needs at least one slice to start, so the
             // queue length is the floor of the wait.
-            return Err(ServiceError::Overloaded { retry_after_slices: stats.queued as u64 });
+            return Err(ServiceError::Overloaded { retry_after_slices: queued as u64 });
         }
         let handle = self.executor.submit(spec);
         debug_assert_eq!(handle.id() as usize, self.feeds.len());

@@ -380,49 +380,54 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 // ---------------------------------------------------------------------------
 // Code generation
 // ---------------------------------------------------------------------------
+// ---------------------------------------------------------------------------
+
+/// A Rust string literal holding `name` quoted as JSON, built at expansion
+/// time: `"\"name\""`. Identifiers need no JSON escape.
+fn quoted(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\""))
+}
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
-        Body::Unit => "::serde::Value::Null".to_string(),
-        Body::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        Body::Unit => "__w.null();".to_string(),
+        Body::Tuple(1) => "::serde::Serialize::serialize(&self.0, __w);".to_string(),
         Body::Tuple(n) => {
-            let items: Vec<String> =
-                (0..*n).map(|k| format!("::serde::Serialize::to_value(&self.{k})")).collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
+            let fields: Vec<String> = (0..*n).map(|k| format!("&self.{k}")).collect();
+            ser_array(&fields)
         }
-        Body::Named(fields) => ser_named_fields(fields, "self."),
+        Body::Named(fields) => {
+            let values: Vec<String> = fields.iter().map(|f| format!("&self.{f}")).collect();
+            ser_object(fields, &values)
+        }
         Body::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
                     let vname = &v.name;
-                    match &v.shape {
-                        VariantShape::Unit => format!(
-                            "{name}::{vname} => ::serde::Value::Str({vname:?}.to_string()),"
-                        ),
-                        VariantShape::Tuple(1) => format!(
-                            "{name}::{vname}(__f0) => ::serde::Value::Object(vec![({vname:?}.to_string(), ::serde::Serialize::to_value(__f0))]),"
+                    let (pattern, inner) = match &v.shape {
+                        VariantShape::Unit => {
+                            let arm =
+                                format!("{name}::{vname} => __w.quoted({}),", quoted(vname));
+                            return arm;
+                        }
+                        VariantShape::Tuple(1) => (
+                            "(__f0)".to_string(),
+                            "::serde::Serialize::serialize(__f0, __w);".to_string(),
                         ),
                         VariantShape::Tuple(n) => {
-                            let pats: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                            let vals: Vec<String> = (0..*n)
-                                .map(|k| format!("::serde::Serialize::to_value(__f{k})"))
-                                .collect();
-                            format!(
-                                "{name}::{vname}({pats}) => ::serde::Value::Object(vec![({vname:?}.to_string(), ::serde::Value::Array(vec![{vals}]))]),",
-                                pats = pats.join(", "),
-                                vals = vals.join(", ")
-                            )
+                            let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
+                            (format!("({})", binds.join(", ")), ser_array(&binds))
                         }
                         VariantShape::Named(fields) => {
-                            let pats = fields.join(", ");
-                            let inner = ser_named_fields(fields, "");
-                            format!(
-                                "{name}::{vname} {{ {pats} }} => ::serde::Value::Object(vec![({vname:?}.to_string(), {inner})]),"
-                            )
+                            (format!(" {{ {} }}", fields.join(", ")), ser_object(fields, fields))
                         }
-                    }
+                    };
+                    format!(
+                        "{name}::{vname}{pattern} => {{ __w.begin_object(); __w.key(true, {key}); {inner} __w.end_object(false); }}",
+                        key = quoted(vname)
+                    )
                 })
                 .collect();
             format!("match self {{ {} }}", arms.join(" "))
@@ -432,7 +437,7 @@ fn gen_serialize(item: &Item) -> String {
         "#[automatically_derived]\n\
          #[allow(clippy::all)]\n\
          impl {decl} ::serde::Serialize for {name}{args} {bounds} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn serialize(&self, __w: &mut ::serde::Writer) {{ {body} }}\n\
          }}",
         decl = item.decl(),
         args = item.args(),
@@ -440,40 +445,43 @@ fn gen_serialize(item: &Item) -> String {
     )
 }
 
-/// `Value::Object(vec![("f", to_value(&{prefix}f)), ...])`; with an empty
-/// prefix the field name itself must be an in-scope binding.
-fn ser_named_fields(fields: &[String], prefix: &str) -> String {
-    let entries: Vec<String> = fields
+/// Writes the `values` (expressions of references) as an array.
+fn ser_array(values: &[String]) -> String {
+    let items: String = values
         .iter()
-        .map(|f| {
-            let access = if prefix.is_empty() { f.clone() } else { format!("&{prefix}{f}") };
-            format!("({f:?}.to_string(), ::serde::Serialize::to_value({access}))")
+        .enumerate()
+        .map(|(k, v)| format!("__w.element({}); ::serde::Serialize::serialize({v}, __w);", k == 0))
+        .collect();
+    format!("__w.begin_array(); {items} __w.end_array({});", values.is_empty())
+}
+
+/// Writes an object of `fields`, each field's value the matching
+/// expression of `values`, with each key a literal.
+fn ser_object(fields: &[String], values: &[String]) -> String {
+    let entries: String = fields
+        .iter()
+        .zip(values)
+        .enumerate()
+        .map(|(k, (f, v))| {
+            format!("__w.key({}, {}); ::serde::Serialize::serialize({v}, __w);", k == 0, quoted(f))
         })
         .collect();
-    format!("::serde::Value::Object(vec![{}])", entries.join(", "))
+    format!("__w.begin_object(); {entries} __w.end_object({});", fields.is_empty())
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
         Body::Unit => format!(
-            "match __v {{ ::serde::Value::Null => Ok({name}), __other => Err(::serde::DeError::expected(\"null\", __other)) }}"
+            "match __v.token() {{ ::serde::Token::Null => Ok({name}), _ => Err(::serde::DeError::expected(\"null\", __v)) }}"
         ),
-        Body::Tuple(1) => format!("Ok({name}(::serde::Deserialize::from_value(__v)?))"),
-        Body::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Deserialize::from_value(&__items[{k}])?"))
-                .collect();
-            format!(
-                "match __v.as_array() {{\n\
-                     Some(__items) if __items.len() == {n} => Ok({name}({items})),\n\
-                     _ => Err(::serde::DeError::expected(\"array of length {n}\", __v)),\n\
-                 }}",
-                items = items.join(", ")
-            )
-        }
+        Body::Tuple(1) => format!("Ok({name}(::serde::Deserialize::deserialize(__v)?))"),
+        Body::Tuple(n) => de_tuple(name, *n, "__v"),
         Body::Named(fields) => de_named_fields(name, fields, "__v"),
         Body::Enum(variants) => {
+            let unknown = format!(
+                "__other => Err(::serde::DeError(format!(\"unknown variant `{{__other}}` of {name}\"))),"
+            );
             let unit_arms: Vec<String> = variants
                 .iter()
                 .filter(|v| matches!(v.shape, VariantShape::Unit))
@@ -483,60 +491,36 @@ fn gen_deserialize(item: &Item) -> String {
                 .iter()
                 .filter_map(|v| {
                     let vname = &v.name;
-                    match &v.shape {
-                        VariantShape::Unit => None,
-                        VariantShape::Tuple(1) => Some(format!(
-                            "{vname:?} => Ok({name}::{vname}(::serde::Deserialize::from_value(__inner)?)),"
-                        )),
-                        VariantShape::Tuple(n) => {
-                            let items: Vec<String> = (0..*n)
-                                .map(|k| format!("::serde::Deserialize::from_value(&__items[{k}])?"))
-                                .collect();
-                            Some(format!(
-                                "{vname:?} => match __inner.as_array() {{\n\
-                                     Some(__items) if __items.len() == {n} => Ok({name}::{vname}({items})),\n\
-                                     _ => Err(::serde::DeError::expected(\"array of length {n}\", __inner)),\n\
-                                 }},",
-                                items = items.join(", ")
-                            ))
+                    let path = format!("{name}::{vname}");
+                    let body = match &v.shape {
+                        VariantShape::Unit => return None,
+                        VariantShape::Tuple(1) => {
+                            format!("Ok({path}(::serde::Deserialize::deserialize(__inner)?))")
                         }
-                        VariantShape::Named(fields) => Some(format!(
-                            "{vname:?} => {body},",
-                            body = de_named_fields(&format!("{name}::{vname}"), fields, "__inner")
-                        )),
-                    }
+                        VariantShape::Tuple(n) => de_tuple(&path, *n, "__inner"),
+                        VariantShape::Named(fields) => de_named_fields(&path, fields, "__inner"),
+                    };
+                    Some(format!("{vname:?} => {{ {body} }}"))
                 })
                 .collect();
-            let str_arm = if unit_arms.is_empty() {
+            let unit_arm = if unit_arms.is_empty() {
                 String::new()
             } else {
-                format!(
-                    "::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                         {arms}\n\
-                         __other => Err(::serde::DeError(format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
-                     }},",
-                    arms = unit_arms.join("\n")
-                )
+                format!("Some((__tag, None)) => match __tag {{ {} {unknown} }},", unit_arms.join(" "))
             };
-            let obj_arm = if data_arms.is_empty() {
+            let data_arm = if data_arms.is_empty() {
                 String::new()
             } else {
                 format!(
-                    "::serde::Value::Object(__entries) if __entries.len() == 1 => {{\n\
-                         let (__tag, __inner) = &__entries[0];\n\
-                         match __tag.as_str() {{\n\
-                             {arms}\n\
-                             __other => Err(::serde::DeError(format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
-                         }}\n\
-                     }},",
-                    arms = data_arms.join("\n")
+                    "Some((__tag, Some(__inner))) => match __tag {{ {} {unknown} }},",
+                    data_arms.join(" ")
                 )
             };
             format!(
-                "match __v {{\n\
-                     {str_arm}\n\
-                     {obj_arm}\n\
-                     __other => Err(::serde::DeError::expected(\"{name} variant\", __other)),\n\
+                "match __v.variant() {{\n\
+                     {unit_arm}\n\
+                     {data_arm}\n\
+                     _ => Err(::serde::DeError::expected(\"{name} variant\", __v)),\n\
                  }}"
             )
         }
@@ -545,7 +529,7 @@ fn gen_deserialize(item: &Item) -> String {
         "#[automatically_derived]\n\
          #[allow(clippy::all)]\n\
          impl {decl} ::serde::Deserialize for {name}{args} {bounds} {{\n\
-             fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::DeError> {{ {body} }}\n\
+             fn deserialize(__v: ::serde::Node<'_, '_>) -> Result<Self, ::serde::DeError> {{ {body} }}\n\
          }}",
         decl = item.decl(),
         args = item.args(),
@@ -553,22 +537,27 @@ fn gen_deserialize(item: &Item) -> String {
     )
 }
 
-/// `Ok(Ctor { f: from_value(src.get("f")...)?, ... })` over an object `src`.
+/// `Ctor(...)` from an array of exactly `n` elements at `src`.
+fn de_tuple(ctor: &str, n: usize, src: &str) -> String {
+    let binds: Vec<String> = (0..n).map(|k| format!("__e{k}")).collect();
+    let items: Vec<String> =
+        binds.iter().map(|b| format!("::serde::Deserialize::deserialize({b})?")).collect();
+    format!(
+        "let [{binds}] = {src}.array_of::<{n}>().ok_or_else(|| ::serde::DeError::expected(\"array of length {n}\", {src}))?;\n\
+         Ok({ctor}({items}))",
+        binds = binds.join(", "),
+        items = items.join(", ")
+    )
+}
+
+/// `Ctor { f: ..., ... }` from the object at `src`, its fields read by name.
 fn de_named_fields(ctor: &str, fields: &[String], src: &str) -> String {
+    if fields.is_empty() {
+        return format!("{src}.object()?; Ok({ctor} {{}})");
+    }
     let inits: Vec<String> = fields
         .iter()
-        .map(|f| {
-            format!(
-                "{f}: ::serde::Deserialize::from_value({src}.get({f:?}).ok_or_else(|| ::serde::DeError(format!(\"missing field `{f}`\")))?)?"
-            )
-        })
+        .map(|f| format!("{f}: ::serde::Deserialize::deserialize(__fields.field({f:?})?)?"))
         .collect();
-    format!(
-        "if {src}.as_object().is_none() {{\n\
-             Err(::serde::DeError::expected(\"object\", {src}))\n\
-         }} else {{\n\
-             Ok({ctor} {{ {inits} }})\n\
-         }}",
-        inits = inits.join(", ")
-    )
+    format!("let mut __fields = {src}.object()?; Ok({ctor} {{ {} }})", inits.join(", "))
 }

@@ -1,19 +1,62 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Renders the vendored [`serde::Value`] tree to JSON text and parses JSON
-//! text back into it. Exposes the exact call surface the workspace uses:
-//! [`to_string`], [`to_string_pretty`], [`from_str`] and [`Error`].
+//! Exposes the exact call surface the workspace uses: [`to_string`],
+//! [`to_string_pretty`], [`from_str`] and [`Error`]. Writing is the
+//! vendored [`serde::Writer`]'s job. Reading parses the text once, without
+//! recursion, into a flat tape of [`serde::Token`]s (one `Vec` per
+//! document, strings without escapes borrowed from the text) and hands its
+//! root [`serde::Node`] to the type's `Deserialize` impl.
+//!
+//! Parsing is total: malformed text of any kind is an [`Error`], never a
+//! panic, and arrays and objects nested more than [`MAX_DEPTH`] deep are
+//! refused with [`Category::Depth`] before the tape grows past them, so a
+//! hostile document can neither exhaust the stack of the recursive
+//! `Deserialize` impls nor abort the process.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Node, Serialize, Token, Writer};
+use std::borrow::Cow;
 use std::fmt;
 
+/// The deepest nesting of arrays and objects [`from_str`] accepts. The
+/// documents this workspace writes reach about 15 levels, a session
+/// snapshot's symbolic expressions a few more per level of expression.
+pub const MAX_DEPTH: usize = 512;
+
+/// What kind of failure an [`Error`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Category {
+    /// The text is not well-formed JSON.
+    Syntax,
+    /// The text nests arrays and objects deeper than [`MAX_DEPTH`].
+    Depth,
+    /// The JSON is well-formed but does not have the shape of the type.
+    Data,
+}
+
 /// Error produced by serialization or deserialization.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error(String);
+#[derive(Clone, PartialEq, Eq)]
+pub struct Error {
+    category: Category,
+    message: String,
+}
+
+impl Error {
+    /// What kind of failure this is.
+    pub fn classify(&self) -> Category {
+        self.category
+    }
+}
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.message)
+    }
+}
+
+/// `Error("<message>")`, the form wire errors quote.
+impl fmt::Debug for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Error").field(&self.message).finish()
     }
 }
 
@@ -21,119 +64,31 @@ impl std::error::Error for Error {}
 
 impl From<DeError> for Error {
     fn from(e: DeError) -> Self {
-        Error(e.0)
+        Error { category: Category::Data, message: e.0 }
     }
 }
 
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    let mut w = Writer::compact();
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Serializes `value` as pretty-printed JSON (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    let mut w = Writer::pretty();
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Parses a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse(s)?;
-    Ok(T::from_value(&value)?)
-}
-
-// ---------------------------------------------------------------------------
-// Writing
-// ---------------------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::F64(x) => write_f64(out, *x),
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_value(out, item, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        // Keep integral floats distinguishable as numbers and round-trippable.
-        if x == x.trunc() && x.abs() < 1e15 {
-            out.push_str(&format!("{x:.1}"));
-        } else {
-            out.push_str(&x.to_string());
-        }
-    } else {
-        // JSON has no NaN/Infinity; real serde_json errors here, we emit null.
-        out.push_str("null");
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let tape = parse(s)?;
+    // A parsed document holds at least its root token.
+    let root = Node::root(&tape)
+        .ok_or_else(|| Error { category: Category::Syntax, message: "empty document".into() })?;
+    Ok(T::deserialize(root)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -141,33 +96,80 @@ fn write_string(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    tape: Vec<Token<'a>>,
+    /// The tape indices of the arrays and objects still open, innermost
+    /// last.
+    open: Vec<usize>,
 }
 
-fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
+/// Parses a whole document into its tape.
+fn parse(text: &str) -> Result<Vec<Token<'_>>, Error> {
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        pos: 0,
+        tape: Vec::with_capacity(text.len() / 4),
+        open: Vec::new(),
+    };
+    loop {
+        p.skip_ws();
+        // A value that opens a non-empty container is complete only once
+        // its contents are; parse them first.
+        if !p.value()? {
+            continue;
+        }
+        // Count the value in its container, then close every container it
+        // completes, until one expects another value.
+        loop {
+            let Some(&top) = p.open.last() else {
+                p.skip_ws();
+                if p.pos != p.bytes.len() {
+                    return Err(p.err("trailing characters after JSON value"));
+                }
+                return Ok(p.tape);
+            };
+            // `open` holds only arrays and objects.
+            let object = match &mut p.tape[top] {
+                Token::Object { len, .. } => {
+                    *len += 1;
+                    true
+                }
+                Token::Array { len, .. } => {
+                    *len += 1;
+                    false
+                }
+                _ => false,
+            };
+            p.skip_ws();
+            match p.peek() {
+                Some(b',') => {
+                    p.pos += 1;
+                    if object {
+                        p.skip_ws();
+                        p.key()?;
+                    }
+                    break;
+                }
+                Some(b']') if !object => p.close(),
+                Some(b'}') if object => p.close(),
+                _ if object => return Err(p.err("expected `,` or `}`")),
+                _ => return Err(p.err("expected `,` or `]`")),
+            }
+        }
     }
-    Ok(v)
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.pos))
+        Error { category: Category::Syntax, message: format!("{msg} at byte {}", self.pos) }
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
@@ -184,146 +186,151 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> Result<(), Error> {
+    fn keyword(&mut self, kw: &str, token: Token<'a>) -> Result<(), Error> {
         if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
+            self.tape.push(token);
             Ok(())
         } else {
             Err(self.err(&format!("expected `{kw}`")))
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') => self.eat_keyword("null").map(|_| Value::Null),
-            Some(b't') => self.eat_keyword("true").map(|_| Value::Bool(true)),
-            Some(b'f') => self.eat_keyword("false").map(|_| Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
+    /// Reads one value onto the tape. A scalar or an empty container is
+    /// complete (`true`); a non-empty container is left open, positioned at
+    /// its first value (`false`).
+    fn value(&mut self) -> Result<bool, Error> {
+        let close = match self.peek() {
+            Some(b'n') => return self.keyword("null", Token::Null).map(|()| true),
+            Some(b't') => return self.keyword("true", Token::Bool(true)).map(|()| true),
+            Some(b'f') => return self.keyword("false", Token::Bool(false)).map(|()| true),
+            Some(b'"') => {
+                let s = self.string()?;
+                self.tape.push(Token::Str(s));
+                return Ok(true);
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => return self.number().map(|()| true),
+            Some(b'[') => b']',
+            Some(b'{') => b'}',
+            _ => return Err(self.err("expected a JSON value")),
+        };
+        if self.open.len() == MAX_DEPTH {
+            return Err(Error {
+                category: Category::Depth,
+                message: format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos),
+            });
         }
+        self.pos += 1;
+        self.open.push(self.tape.len());
+        let object = close == b'}';
+        self.tape.push(if object {
+            Token::Object { len: 0, end: 0 }
+        } else {
+            Token::Array { len: 0, end: 0 }
+        });
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.close();
+            return Ok(true);
+        }
+        if object {
+            self.key()?;
+        }
+        Ok(false)
     }
 
-    fn array(&mut self) -> Result<Value, Error> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
+    /// Reads an object key and its `:`.
+    fn key(&mut self) -> Result<(), Error> {
+        let key = self.string()?;
+        self.tape.push(Token::Str(key));
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
+        self.eat(b':')
+    }
+
+    /// Steps past the closing bracket of the innermost open container,
+    /// whose contents end here.
+    fn close(&mut self) {
+        self.pos += 1;
+        let at = self.tape.len();
+        if let Some(idx) = self.open.pop() {
+            if let Token::Array { end, .. } | Token::Object { end, .. } = &mut self.tape[idx] {
+                *end = at;
             }
         }
     }
 
-    fn object(&mut self) -> Result<Value, Error> {
-        self.eat(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
+    /// Reads a string: borrowed from the text when it holds no escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("unknown escape")),
+            // Copy the whole run up to the next quote or escape. Neither
+            // byte occurs inside a multi-byte sequence, so a run never
+            // splits a character.
+            let start = self.pos;
+            let rest = &self.bytes[start..];
+            let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
+            let Some(len) = len else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += len;
+            let run = &self.text[start..self.pos];
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote or escape with
-                    // one UTF-8 check. Neither byte occurs inside a multi-byte
-                    // sequence, so a run never splits a character.
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
-                    let run = &rest[..len.unwrap_or(rest.len())];
-                    match std::str::from_utf8(run) {
-                        Ok(text) => {
-                            out.push_str(text);
-                            self.pos += run.len();
-                        }
-                        Err(e) => {
-                            self.pos += e.valid_up_to();
-                            return Err(self.err("invalid UTF-8"));
-                        }
-                    }
-                }
+                });
             }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(run);
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    // Surrogate pairs are not produced by our writer; map
+                    // lone surrogates to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("unknown escape")),
+            }
+            self.pos += 1;
         }
     }
 
-    fn number(&mut self) -> Result<Value, Error> {
+    fn number(&mut self) -> Result<(), Error> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        // The magnitude of a plain integer, while it fits a `u64`.
+        let mut magnitude = Some(0u64);
+        let mut digits = 0;
+        while let Some(c @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude
+                .and_then(|m| m.checked_mul(10))
+                .and_then(|m| m.checked_add(u64::from(c - b'0')));
+            digits += 1;
             self.pos += 1;
         }
         let mut is_float = false;
@@ -344,17 +351,22 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if !is_float {
-            if let Ok(n) = text.parse::<i64>() {
-                return Ok(Value::I64(n));
+        let integer = match (is_float || digits == 0, magnitude) {
+            (false, Some(m)) if !negative => {
+                Some(i64::try_from(m).map_or(Token::U64(m), Token::I64))
             }
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::U64(n));
-            }
-        }
-        text.parse::<f64>().map(Value::F64).map_err(|_| self.err("invalid number"))
+            (false, Some(m)) => 0i64.checked_sub_unsigned(m).map(Token::I64),
+            _ => None,
+        };
+        let token = match integer {
+            Some(token) => token,
+            // Every byte consumed is ASCII, so both ends are char boundaries.
+            None => Token::F64(
+                self.text[start..self.pos].parse().map_err(|_| self.err("invalid number"))?,
+            ),
+        };
+        self.tape.push(token);
+        Ok(())
     }
 }
 
@@ -362,57 +374,80 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrip_scalars() {
-        assert_eq!(parse("null").unwrap(), Value::Null);
-        assert_eq!(parse("true").unwrap(), Value::Bool(true));
-        assert_eq!(parse("-42").unwrap(), Value::I64(-42));
-        assert_eq!(parse("18446744073709551615").unwrap(), Value::U64(u64::MAX));
-        assert_eq!(parse("1.5").unwrap(), Value::F64(1.5));
-        assert_eq!(parse("\"a\\nb\"").unwrap(), Value::Str("a\nb".into()));
+    fn tape(text: &str) -> Vec<Token<'_>> {
+        parse(text).unwrap()
     }
 
     #[test]
-    fn roundtrip_nested() {
+    fn scalars_parse_to_one_token() {
+        assert_eq!(tape("null"), [Token::Null]);
+        assert_eq!(tape("true"), [Token::Bool(true)]);
+        assert_eq!(tape("-42"), [Token::I64(-42)]);
+        assert_eq!(tape("18446744073709551615"), [Token::U64(u64::MAX)]);
+        assert_eq!(tape("1.5"), [Token::F64(1.5)]);
+        assert_eq!(tape("\"a\\nb\""), [Token::Str("a\nb".into())]);
+    }
+
+    #[test]
+    fn containers_record_their_length_and_end() {
         let text = "{\"a\": [1, {\"b\": null}], \"c\": \"x\"}";
-        let v = parse(text).unwrap();
-        let compact = {
-            let mut out = String::new();
-            write_value(&mut out, &v, None, 0);
-            out
-        };
-        assert_eq!(parse(&compact).unwrap(), v);
-        let pretty = {
-            let mut out = String::new();
-            write_value(&mut out, &v, Some(2), 0);
-            out
-        };
-        assert_eq!(parse(&pretty).unwrap(), v);
+        let obj = |len, end| Token::Object { len, end };
+        let arr = |len, end| Token::Array { len, end };
+        let s = |t: &'static str| Token::Str(t.into());
+        let expected = [
+            obj(2, 9),
+            s("a"),
+            arr(2, 7),
+            Token::I64(1),
+            obj(1, 7),
+            s("b"),
+            Token::Null,
+            s("c"),
+            s("x"),
+        ];
+        assert_eq!(tape(text), expected);
+        let compact: String = text.chars().filter(|c| *c != ' ').collect();
+        assert_eq!(tape(&compact), expected);
+        assert_eq!(tape("[[],{}]"), [arr(2, 3), arr(0, 2), obj(0, 3)]);
+    }
+
+    #[test]
+    fn strings_without_escapes_borrow_the_text() {
+        let t = tape("[\"plain ünïcødé\", \"esc\\taped\"]");
+        assert!(matches!(&t[1], Token::Str(Cow::Borrowed("plain ünïcødé"))));
+        assert!(matches!(&t[2], Token::Str(Cow::Owned(s)) if s == "esc\taped"));
     }
 
     #[test]
     fn strings_decode_multi_byte_runs_next_to_escapes() {
         let text = "\"ünïcødé\\n→\\\"x\\u00e9🦀 é\"";
-        assert_eq!(parse(text).unwrap(), Value::Str("ünïcødé\n→\"xé🦀 é".into()));
-    }
-
-    #[test]
-    fn invalid_utf8_is_reported_at_its_own_position() {
-        // "é" then a lone continuation byte at offset 3, then a valid tail.
-        let bytes = b"\"\xc3\xa9\xa9ok\\n\"";
-        let mut p = Parser { bytes, pos: 0 };
-        assert_eq!(p.string().unwrap_err(), Error("invalid UTF-8 at byte 3".into()));
-        // Invalid bytes after the string do not fail it.
-        let bytes = b"\"ok\" \xff";
-        let mut p = Parser { bytes, pos: 0 };
-        assert_eq!(p.string().unwrap(), "ok");
+        assert_eq!(tape(text), [Token::Str("ünïcødé\n→\"xé🦀 é".into())]);
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse("{\"a\":}").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("1 2").is_err());
+        for text in ["{\"a\":}", "[1,]", "1 2", "", "[", "{\"a\" 1}", "\"\\u12", "-", "[1 2]"] {
+            assert_eq!(parse(text).unwrap_err().classify(), Category::Syntax, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_depth_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert_eq!(parse(&nested(MAX_DEPTH)).unwrap().len(), MAX_DEPTH);
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.classify(), Category::Depth);
+        assert_eq!(err.to_string(), format!("nesting deeper than 1024 levels at byte {MAX_DEPTH}"));
+        let err = from_str::<Vec<u8>>(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.classify(), Category::Depth);
+    }
+
+    #[test]
+    fn shape_mismatches_are_data_errors() {
+        let err = from_str::<Vec<u8>>("[1, 300]").unwrap_err();
+        assert_eq!(err.classify(), Category::Data);
+        assert_eq!(err.to_string(), "300 out of range for u8");
+        assert_eq!(format!("{err:?}"), "Error(\"300 out of range for u8\")");
     }
 }
 

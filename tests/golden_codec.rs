@@ -25,15 +25,13 @@ use esd::service::WireResponse;
 use esd::workloads::real_bugs::listing1;
 use esd::{ExecutorSnapshot, JobSpec, JobStatus, JobVerdict, SynthesizedExecution};
 use esd_bench::codec::{
-    listing1_outcome, running_race_executor, snapshot_without_clocks, submit_requests,
+    listing1_outcome, read_frames, running_race_executor, snapshot_without_clocks, submit_requests,
+    write_frames,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 const FIXTURE: &str = include_str!("fixtures/codec_frames.txt");
-
-/// The line that opens each frame in the fixture, followed by its name.
-const HEADER: &str = "=== ";
 
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/codec_frames.txt")
@@ -110,38 +108,14 @@ fn frames() -> Vec<Frame> {
     frames
 }
 
-/// The fixture's frames as `(name, text)` pairs.
-fn pinned() -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = Vec::new();
-    for line in FIXTURE.lines() {
-        match line.strip_prefix(HEADER) {
-            Some(name) => out.push((name.to_string(), String::new())),
-            None => {
-                let (_, text) = out.last_mut().expect("the fixture opens with a header");
-                if !text.is_empty() {
-                    text.push('\n');
-                }
-                text.push_str(line);
-            }
-        }
-    }
-    out
-}
-
 /// Regenerates the fixture (only when `ESD_REGEN_GOLDEN=1`).
 #[test]
 fn a_regenerate_fixture_when_requested() {
     if !regen_requested() {
         return;
     }
-    let mut text = String::new();
-    for frame in frames() {
-        text.push_str(HEADER);
-        text.push_str(&frame.name);
-        text.push('\n');
-        text.push_str(&frame.text);
-        text.push('\n');
-    }
+    let frames = frames();
+    let text = write_frames(frames.iter().map(|f| (f.name.as_str(), f.text.as_str())));
     std::fs::write(fixture_path(), text).expect("fixture written");
 }
 
@@ -151,7 +125,7 @@ fn encoding_matches_the_pinned_frames() {
     if regen_requested() {
         return;
     }
-    let pinned = pinned();
+    let pinned = read_frames(FIXTURE);
     let fresh = frames();
     let names = |v: Vec<&String>| v.into_iter().cloned().collect::<Vec<_>>();
     assert_eq!(
@@ -171,7 +145,7 @@ fn decoding_then_encoding_is_the_identity() {
         return;
     }
     let fresh = frames();
-    for (frame, (name, text)) in fresh.iter().zip(pinned()) {
+    for (frame, (name, text)) in fresh.iter().zip(read_frames(FIXTURE)) {
         let again = (frame.reencode)(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(again == text, "{name}: decode then encode changed the bytes");
     }

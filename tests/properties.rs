@@ -16,7 +16,10 @@ use esd::symex::{
     SolverResult, StatePriority, SymExpr, SymVar,
 };
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind, ScheduleHint};
-use esd::{EsdOptions, FrontierKind, SessionStatus, SynthesisSession};
+use esd::{
+    EsdOptions, ExecutorSnapshot, FrontierKind, ServiceError, SessionStatus, SynthesisSession,
+    SynthesizedExecution,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -533,6 +536,26 @@ proptest! {
         }
     }
 
+    /// Every decoder a peer or a disk can reach is total on the payload
+    /// itself, below the frame checksum (which any peer can compute): a
+    /// pinned codec document truncated anywhere, or with any byte replaced
+    /// by any other, decodes to a value or an error as each decoder's type
+    /// — never a panic.
+    #[test]
+    fn decoders_survive_truncated_and_mutated_payloads(
+        pick in 0usize..1000,
+        cut in 0usize..1_000_000,
+        at in 0usize..1_000_000,
+        byte in 0u8..=255,
+    ) {
+        let corpus = codec_corpus();
+        let original = corpus[pick % corpus.len()].as_bytes();
+        decode_with_every_decoder(&original[..cut % (original.len() + 1)]);
+        let mut mutated = original.to_vec();
+        mutated[at % original.len()] = byte;
+        decode_with_every_decoder(&mutated);
+    }
+
     /// Wire decoding is total: flipping any single bit of a framed stream,
     /// or truncating it anywhere, yields typed errors or a wait for more
     /// bytes — never a panic — and every frame delivered before the damage
@@ -632,6 +655,69 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+}
+
+/// The documents of the codec golden (`tests/fixtures/codec_frames.txt`):
+/// wire requests and responses, journal records, an executor snapshot and
+/// a pretty-printed execution file.
+fn codec_corpus() -> Vec<String> {
+    let file = include_str!("fixtures/codec_frames.txt");
+    esd_bench::codec::read_frames(file).into_iter().map(|(_, text)| text).collect()
+}
+
+/// Decodes `payload` as each type a peer or a disk hands the system: a wire
+/// request and response, a journal record, an executor snapshot and an
+/// execution file. The outcomes do not matter; returning does.
+fn decode_with_every_decoder(payload: &[u8]) {
+    let _ = decode_request(payload);
+    let _ = decode_response(payload);
+    let text = String::from_utf8_lossy(payload);
+    let _ = serde_json::from_str::<JournalRecord>(&text);
+    let _ = serde_json::from_str::<ExecutorSnapshot>(&text);
+    let _ = SynthesizedExecution::from_json(&text);
+}
+
+/// A megabyte of `[` — one frame's worth of nesting a hostile peer can
+/// send — is a typed error from every decoder on a thread with a 2 MB
+/// stack: the parser refuses nesting past `serde_json::MAX_DEPTH` without
+/// recursing. Nesting right up to the bound, in the deepest recursive type
+/// a payload holds (a chain of symbolic `Not`s, which a session snapshot
+/// can carry), still decodes on that stack.
+#[test]
+fn nesting_past_the_depth_bound_is_a_typed_error_on_a_small_stack() {
+    let brackets = vec![b'['; 1 << 20];
+    let small_stack = std::thread::Builder::new().stack_size(2 << 20);
+    let checked = small_stack.spawn(move || {
+        for decoded in [decode_request(&brackets).err(), decode_response(&brackets).err()] {
+            assert!(matches!(decoded, Some(ServiceError::Protocol { .. })), "{decoded:?}");
+        }
+        let text = std::str::from_utf8(&brackets).expect("ASCII");
+        let errors = [
+            serde_json::from_str::<JournalRecord>(text).err(),
+            serde_json::from_str::<ExecutorSnapshot>(text).err(),
+            SynthesizedExecution::from_json(text).err(),
+        ];
+        for error in errors {
+            let category = error.map(|e| e.classify());
+            assert_eq!(category, Some(serde_json::Category::Depth));
+        }
+
+        let chain = |nots: usize| {
+            format!("{}{{\"Const\":1}}{}", "{\"Not\":".repeat(nots), "}".repeat(nots))
+        };
+        let deepest = serde_json::MAX_DEPTH - 1;
+        let expr: SymExpr = serde_json::from_str(&chain(deepest)).expect("at the bound decodes");
+        let mut depth = 0;
+        let mut node = &expr;
+        while let SymExpr::Not(inner) = node {
+            depth += 1;
+            node = inner;
+        }
+        assert_eq!((depth, node), (deepest, &SymExpr::Const(1)));
+        let past = serde_json::from_str::<SymExpr>(&chain(deepest + 1)).map(|_| ());
+        assert_eq!(past.map_err(|e| e.classify()), Err(serde_json::Category::Depth));
+    });
+    checked.expect("spawns").join().expect("no decoder overflows a 2 MB stack");
 }
 
 /// The interval analysis's branch verdicts against concrete runs (a truth
