@@ -1,6 +1,5 @@
 //! Deserializing: [`Deserialize`] impls read a [`Node`] of a parsed tape.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
@@ -8,11 +7,27 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One token of a parsed JSON document. A document is a flat tape of
-/// tokens in text order: a container's token is followed by its contents,
-/// and records where they end, so a reader skips a whole value in one step.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token<'a> {
+/// A parsed JSON document: its text and the flat tape of tokens over it.
+///
+/// The tokens are in text order: a container's token is followed by its
+/// contents and records where they end, so a reader skips a whole value in
+/// one step. A string without escapes is a span of the text; the others
+/// are decoded once into `unescaped`.
+#[derive(Debug, Clone, Default)]
+pub struct Tape<'a> {
+    /// The document's text.
+    pub text: &'a str,
+    /// The decoded contents of the strings that held escapes, back to back.
+    pub unescaped: String,
+    /// The tokens, in text order.
+    pub tokens: Vec<Token>,
+}
+
+/// One token of a [`Tape`]: a scalar, a string span, or the head of an
+/// array or object. Offsets and counts are `u32`, which keeps a token at
+/// 16 bytes; the parser refuses longer documents.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token {
     /// JSON `null`.
     Null,
     /// JSON boolean.
@@ -23,24 +38,37 @@ pub enum Token<'a> {
     U64(u64),
     /// Any other number.
     F64(f64),
-    /// A string or an object key; borrowed from the text unless it held
-    /// an escape.
-    Str(Cow<'a, str>),
+    /// A string or an object key without escapes: `len` bytes of the text
+    /// from `start`.
+    Str {
+        /// The byte offset of the contents in [`Tape::text`].
+        start: u32,
+        /// The byte length of the contents.
+        len: u32,
+    },
+    /// A string or an object key that held escapes: `len` bytes of
+    /// [`Tape::unescaped`] from `start`.
+    Unescaped {
+        /// The byte offset of the decoded contents in [`Tape::unescaped`].
+        start: u32,
+        /// The byte length of the decoded contents.
+        len: u32,
+    },
     /// An array of `len` elements, which follow it; `end` is the index of
     /// the first token after the last of them.
     Array {
         /// The number of elements.
-        len: usize,
+        len: u32,
         /// The index just past the array's last token.
-        end: usize,
+        end: u32,
     },
-    /// An object of `len` entries, each a [`Token::Str`] key followed by its
-    /// value; `end` is the index of the first token after the last value.
+    /// An object of `len` entries, each a string key followed by its value;
+    /// `end` is the index of the first token after the last value.
     Object {
         /// The number of entries.
-        len: usize,
+        len: u32,
         /// The index just past the object's last token.
-        end: usize,
+        end: u32,
     },
 }
 
@@ -73,20 +101,20 @@ pub trait Deserialize: Sized {
 /// tokens of its contents.
 #[derive(Clone, Copy)]
 pub struct Node<'t, 'a> {
-    tape: &'t [Token<'a>],
+    tape: &'t Tape<'a>,
     idx: usize,
 }
 
 impl<'t, 'a> Node<'t, 'a> {
     /// The document's root value: the tape's first token (`None` for an
     /// empty tape).
-    pub fn root(tape: &'t [Token<'a>]) -> Option<Self> {
-        (!tape.is_empty()).then_some(Node { tape, idx: 0 })
+    pub fn root(tape: &'t Tape<'a>) -> Option<Self> {
+        (!tape.tokens.is_empty()).then_some(Node { tape, idx: 0 })
     }
 
     /// The value's own token.
-    pub fn token(self) -> &'t Token<'a> {
-        &self.tape[self.idx]
+    pub fn token(self) -> Token {
+        self.tape.tokens[self.idx]
     }
 
     /// A short name for the value's shape, used in error messages.
@@ -95,7 +123,7 @@ impl<'t, 'a> Node<'t, 'a> {
             Token::Null => "null",
             Token::Bool(_) => "bool",
             Token::I64(_) | Token::U64(_) | Token::F64(_) => "number",
-            Token::Str(_) => "string",
+            Token::Str { .. } | Token::Unescaped { .. } => "string",
             Token::Array { .. } => "array",
             Token::Object { .. } => "object",
         }
@@ -104,7 +132,7 @@ impl<'t, 'a> Node<'t, 'a> {
     /// The index of the token after this value.
     fn end(self) -> usize {
         match self.token() {
-            Token::Array { end, .. } | Token::Object { end, .. } => *end,
+            Token::Array { end, .. } | Token::Object { end, .. } => end as usize,
             _ => self.idx + 1,
         }
     }
@@ -115,8 +143,10 @@ impl<'t, 'a> Node<'t, 'a> {
 
     /// The string, if the value is one.
     pub fn as_str(self) -> Option<&'t str> {
+        let span = |start: u32, len: u32| start as usize..start as usize + len as usize;
         match self.token() {
-            Token::Str(s) => Some(s),
+            Token::Str { start, len } => self.tape.text.get(span(start, len)),
+            Token::Unescaped { start, len } => self.tape.unescaped.get(span(start, len)),
             _ => None,
         }
     }
@@ -124,7 +154,9 @@ impl<'t, 'a> Node<'t, 'a> {
     /// The array's elements, in order.
     pub fn elements(self) -> Result<Elements<'t, 'a>, DeError> {
         match self.token() {
-            Token::Array { len, .. } => Ok(Elements { next: self.at(self.idx + 1), left: *len }),
+            Token::Array { len, .. } => {
+                Ok(Elements { next: self.at(self.idx + 1), left: len as usize })
+            }
             _ => Err(DeError::expected("array", self)),
         }
     }
@@ -132,7 +164,7 @@ impl<'t, 'a> Node<'t, 'a> {
     /// The array's elements if it has exactly `N`, else `None`.
     pub fn array_of<const N: usize>(self) -> Option<[Node<'t, 'a>; N]> {
         match self.token() {
-            Token::Array { len, .. } if *len == N => {}
+            Token::Array { len, .. } if len as usize == N => {}
             _ => return None,
         }
         let mut items = [self; N];
@@ -148,7 +180,7 @@ impl<'t, 'a> Node<'t, 'a> {
     pub fn object(self) -> Result<Fields<'t, 'a>, DeError> {
         match self.token() {
             Token::Object { end, .. } => {
-                Ok(Fields { tape: self.tape, start: self.idx + 1, cursor: self.idx + 1, end: *end })
+                Ok(Fields { first: self.at(self.idx + 1), cursor: self.idx + 1, end: end as usize })
             }
             _ => Err(DeError::expected("object", self)),
         }
@@ -159,12 +191,11 @@ impl<'t, 'a> Node<'t, 'a> {
     /// other shape.
     pub fn variant(self) -> Option<(&'t str, Option<Node<'t, 'a>>)> {
         match self.token() {
-            Token::Str(name) => Some((name, None)),
             Token::Object { len: 1, .. } => {
                 let name = self.at(self.idx + 1).as_str()?;
                 Some((name, Some(self.at(self.idx + 2))))
             }
-            _ => None,
+            _ => Some((self.as_str()?, None)),
         }
     }
 }
@@ -202,37 +233,30 @@ impl ExactSizeIterator for Elements<'_, '_> {}
 /// entry after the previous hit and only scans the whole object when that
 /// entry has another key. Either way a key's first entry wins.
 pub struct Fields<'t, 'a> {
-    tape: &'t [Token<'a>],
-    start: usize,
+    /// The first entry's key.
+    first: Node<'t, 'a>,
     /// The key of the entry after the last one found in order.
     cursor: usize,
     end: usize,
 }
 
 impl<'t, 'a> Fields<'t, 'a> {
-    fn key_at(&self, idx: usize) -> Option<&'t str> {
-        match &self.tape[idx] {
-            Token::Str(key) => Some(key),
-            _ => None,
-        }
-    }
-
     /// The value of the first entry named `name`, if any.
     pub fn get(&mut self, name: &str) -> Option<Node<'t, 'a>> {
         // The entries before the cursor were found in order under other
         // names, so the entry at the cursor is its key's first.
-        if self.cursor < self.end && self.key_at(self.cursor) == Some(name) {
-            let value = Node { tape: self.tape, idx: self.cursor + 1 };
+        if self.cursor < self.end && self.first.at(self.cursor).as_str() == Some(name) {
+            let value = self.first.at(self.cursor + 1);
             self.cursor = value.end();
             return Some(value);
         }
-        let mut key = self.start;
-        while key < self.end {
-            let value = Node { tape: self.tape, idx: key + 1 };
-            if self.key_at(key) == Some(name) {
+        let mut key = self.first;
+        while key.idx < self.end {
+            let value = key.at(key.idx + 1);
+            if key.as_str() == Some(name) {
                 return Some(value);
             }
-            key = value.end();
+            key = key.at(value.end());
         }
         None
     }
@@ -255,8 +279,8 @@ macro_rules! impl_int {
                     DeError(format!("{n} out of range for {}", stringify!($t)))
                 };
                 match v.token() {
-                    Token::I64(n) => <$t>::try_from(*n).map_err(|_| range(n)),
-                    Token::U64(n) => <$t>::try_from(*n).map_err(|_| range(n)),
+                    Token::I64(n) => <$t>::try_from(n).map_err(|_| range(&n)),
+                    Token::U64(n) => <$t>::try_from(n).map_err(|_| range(&n)),
                     _ => Err(DeError::expected("integer", v)),
                 }
             }
@@ -269,7 +293,7 @@ impl_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 impl Deserialize for bool {
     fn deserialize(v: Node<'_, '_>) -> Result<Self, DeError> {
         match v.token() {
-            Token::Bool(b) => Ok(*b),
+            Token::Bool(b) => Ok(b),
             _ => Err(DeError::expected("bool", v)),
         }
     }
@@ -278,9 +302,9 @@ impl Deserialize for bool {
 impl Deserialize for f64 {
     fn deserialize(v: Node<'_, '_>) -> Result<Self, DeError> {
         match v.token() {
-            Token::F64(x) => Ok(*x),
-            Token::I64(n) => Ok(*n as f64),
-            Token::U64(n) => Ok(*n as f64),
+            Token::F64(x) => Ok(x),
+            Token::I64(n) => Ok(n as f64),
+            Token::U64(n) => Ok(n as f64),
             _ => Err(DeError::expected("number", v)),
         }
     }
@@ -356,7 +380,12 @@ impl<T: Deserialize> Deserialize for Option<T> {
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn deserialize(v: Node<'_, '_>) -> Result<Self, DeError> {
-        v.elements()?.map(T::deserialize).collect()
+        let items = v.elements()?;
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            out.push(T::deserialize(item)?);
+        }
+        Ok(out)
     }
 }
 

@@ -8,9 +8,9 @@
 //! Unlike real serde there is no `Serializer`/`Deserializer` visitor
 //! machinery, and no intermediate tree either. Serializing writes JSON text
 //! straight into a [`Writer`]'s `String`, compact or pretty. Deserializing
-//! reads a flat tape of [`Token`]s that `serde_json` parses once per
-//! document, where keys and escape-free strings borrow the input text; a
-//! [`Node`] is one value on that tape. The derived impls follow serde's
+//! reads a flat [`Tape`] of 16-byte [`Token`]s that `serde_json` parses once
+//! per document, where keys and escape-free strings are spans of the input
+//! text; a [`Node`] is one value on that tape. The derived impls follow serde's
 //! externally-tagged conventions (newtype structs are transparent, unit
 //! variants are strings, data variants are single-key objects) so the
 //! produced JSON looks like what real serde_json would emit. The one
@@ -27,5 +27,5 @@ pub use serde_derive::{Deserialize, Serialize};
 mod de;
 mod ser;
 
-pub use de::{deserialize_pairs, DeError, Deserialize, Elements, Fields, Node, Token};
+pub use de::{deserialize_pairs, DeError, Deserialize, Elements, Fields, Node, Tape, Token};
 pub use ser::{Serialize, Writer};

@@ -229,10 +229,11 @@ impl Writer {
 
     /// Writes `entries` as an array of `[key, value]` pairs in the
     /// canonical order of unordered containers, so the output does not
-    /// depend on iteration order: by each pair's [sort key](sort_key). The
-    /// pairs are ordered by the key's text followed by a comma, which orders
-    /// them as their whole text would (a rendered value is
-    /// self-delimiting), and values are rendered only to break ties. Public
+    /// depend on iteration order. That order sorts each pair by its compact
+    /// text with strings in Rust `{:?}` form and floats in `{}` form
+    /// (integral ones without `.0`). The text of the key followed by a comma
+    /// orders the pairs the same way, since a rendered value is
+    /// self-delimiting, so values are rendered only to break ties. Public
     /// so hash-ordered containers in other crates write the same way.
     pub fn unordered_map<'a, K, V, I>(&mut self, entries: I)
     where

@@ -3,9 +3,9 @@
 //! Exposes the exact call surface the workspace uses: [`to_string`],
 //! [`to_string_pretty`], [`from_str`] and [`Error`]. Writing is the
 //! vendored [`serde::Writer`]'s job. Reading parses the text once, without
-//! recursion, into a flat tape of [`serde::Token`]s (one `Vec` per
-//! document, strings without escapes borrowed from the text) and hands its
-//! root [`serde::Node`] to the type's `Deserialize` impl.
+//! recursion, into a flat [`serde::Tape`] of tokens (one `Vec` per
+//! document, strings without escapes left as spans of the text) and hands
+//! its root [`serde::Node`] to the type's `Deserialize` impl.
 //!
 //! Parsing is total: malformed text of any kind is an [`Error`], never a
 //! panic, and arrays and objects nested more than [`MAX_DEPTH`] deep are
@@ -13,8 +13,7 @@
 //! hostile document can neither exhaust the stack of the recursive
 //! `Deserialize` impls nor abort the process.
 
-use serde::{DeError, Deserialize, Node, Serialize, Token, Writer};
-use std::borrow::Cow;
+use serde::{DeError, Deserialize, Node, Serialize, Tape, Token, Writer};
 use std::fmt;
 
 /// The deepest nesting of arrays and objects [`from_str`] accepts. The
@@ -96,24 +95,26 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
-    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    tape: Vec<Token<'a>>,
-    /// The tape indices of the arrays and objects still open, innermost
+    tape: Tape<'a>,
+    /// The token indices of the arrays and objects still open, innermost
     /// last.
     open: Vec<usize>,
 }
 
 /// Parses a whole document into its tape.
-fn parse(text: &str) -> Result<Vec<Token<'_>>, Error> {
+fn parse(text: &str) -> Result<Tape<'_>, Error> {
     let mut p = Parser {
-        text,
         bytes: text.as_bytes(),
         pos: 0,
-        tape: Vec::with_capacity(text.len() / 4),
+        // Compact JSON holds about one token per 4–6 bytes.
+        tape: Tape { text, unescaped: String::new(), tokens: Vec::with_capacity(text.len() / 4) },
         open: Vec::new(),
     };
+    if u32::try_from(text.len()).is_err() {
+        return Err(p.err("documents longer than 4 GiB are not supported"));
+    }
     loop {
         p.skip_ws();
         // A value that opens a non-empty container is complete only once
@@ -132,7 +133,7 @@ fn parse(text: &str) -> Result<Vec<Token<'_>>, Error> {
                 return Ok(p.tape);
             };
             // `open` holds only arrays and objects.
-            let object = match &mut p.tape[top] {
+            let object = match &mut p.tape.tokens[top] {
                 Token::Object { len, .. } => {
                     *len += 1;
                     true
@@ -186,11 +187,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn keyword(&mut self, kw: &str, token: Token<'a>) -> Result<(), Error> {
+    fn push(&mut self, token: Token) -> Result<bool, Error> {
+        self.tape.tokens.push(token);
+        Ok(true)
+    }
+
+    fn keyword(&mut self, kw: &str, token: Token) -> Result<bool, Error> {
         if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
-            self.tape.push(token);
-            Ok(())
+            self.push(token)
         } else {
             Err(self.err(&format!("expected `{kw}`")))
         }
@@ -201,15 +206,17 @@ impl<'a> Parser<'a> {
     /// its first value (`false`).
     fn value(&mut self) -> Result<bool, Error> {
         let close = match self.peek() {
-            Some(b'n') => return self.keyword("null", Token::Null).map(|()| true),
-            Some(b't') => return self.keyword("true", Token::Bool(true)).map(|()| true),
-            Some(b'f') => return self.keyword("false", Token::Bool(false)).map(|()| true),
+            Some(b'n') => return self.keyword("null", Token::Null),
+            Some(b't') => return self.keyword("true", Token::Bool(true)),
+            Some(b'f') => return self.keyword("false", Token::Bool(false)),
             Some(b'"') => {
                 let s = self.string()?;
-                self.tape.push(Token::Str(s));
-                return Ok(true);
+                return self.push(s);
             }
-            Some(c) if c == b'-' || c.is_ascii_digit() => return self.number().map(|()| true),
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                let n = self.number()?;
+                return self.push(n);
+            }
             Some(b'[') => b']',
             Some(b'{') => b'}',
             _ => return Err(self.err("expected a JSON value")),
@@ -221,9 +228,9 @@ impl<'a> Parser<'a> {
             });
         }
         self.pos += 1;
-        self.open.push(self.tape.len());
+        self.open.push(self.tape.tokens.len());
         let object = close == b'}';
-        self.tape.push(if object {
+        self.tape.tokens.push(if object {
             Token::Object { len: 0, end: 0 }
         } else {
             Token::Array { len: 0, end: 0 }
@@ -242,7 +249,7 @@ impl<'a> Parser<'a> {
     /// Reads an object key and its `:`.
     fn key(&mut self) -> Result<(), Error> {
         let key = self.string()?;
-        self.tape.push(Token::Str(key));
+        self.tape.tokens.push(key);
         self.skip_ws();
         self.eat(b':')
     }
@@ -251,73 +258,85 @@ impl<'a> Parser<'a> {
     /// whose contents end here.
     fn close(&mut self) {
         self.pos += 1;
-        let at = self.tape.len();
+        // Token counts fit `u32`: a document has fewer tokens than bytes.
+        let at = self.tape.tokens.len() as u32;
         if let Some(idx) = self.open.pop() {
-            if let Token::Array { end, .. } | Token::Object { end, .. } = &mut self.tape[idx] {
+            if let Token::Array { end, .. } | Token::Object { end, .. } = &mut self.tape.tokens[idx]
+            {
                 *end = at;
             }
         }
     }
 
-    /// Reads a string: borrowed from the text when it holds no escape.
-    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+    /// Reads a string: a span of the text when it holds no escape, else
+    /// decoded onto the end of the tape's `unescaped`. Offsets fit `u32`
+    /// because the document's length does.
+    fn string(&mut self) -> Result<Token, Error> {
         self.eat(b'"')?;
-        let mut owned: Option<String> = None;
+        let mut unescaped: Option<usize> = None;
         loop {
-            // Copy the whole run up to the next quote or escape. Neither
+            // Take the whole run up to the next quote or escape. Neither
             // byte occurs inside a multi-byte sequence, so a run never
             // splits a character.
             let start = self.pos;
             let rest = &self.bytes[start..];
-            let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
-            let Some(len) = len else {
+            let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
                 self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
             self.pos += len;
-            let run = &self.text[start..self.pos];
-            if self.bytes[self.pos] == b'"' {
-                self.pos += 1;
-                return Ok(match owned {
-                    None => Cow::Borrowed(run),
-                    Some(mut s) => {
-                        s.push_str(run);
-                        Cow::Owned(s)
-                    }
-                });
-            }
-            let out = owned.get_or_insert_with(String::new);
-            out.push_str(run);
+            let run = &self.tape.text[start..self.pos];
+            let quote = self.bytes[self.pos] == b'"';
             self.pos += 1;
-            match self.peek() {
-                Some(b'"') => out.push('"'),
-                Some(b'\\') => out.push('\\'),
-                Some(b'/') => out.push('/'),
-                Some(b'n') => out.push('\n'),
-                Some(b'r') => out.push('\r'),
-                Some(b't') => out.push('\t'),
-                Some(b'b') => out.push('\u{8}'),
-                Some(b'f') => out.push('\u{c}'),
-                Some(b'u') => {
-                    let hex = self
-                        .bytes
-                        .get(self.pos + 1..self.pos + 5)
-                        .ok_or_else(|| self.err("truncated \\u escape"))?;
-                    let hex = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                    let code =
-                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-                    // Surrogate pairs are not produced by our writer; map
-                    // lone surrogates to the replacement char.
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    self.pos += 4;
+            let Some(from) = unescaped else {
+                if quote {
+                    return Ok(Token::Str { start: start as u32, len: len as u32 });
                 }
-                _ => return Err(self.err("unknown escape")),
+                unescaped = Some(self.tape.unescaped.len());
+                self.tape.unescaped.push_str(run);
+                self.escape()?;
+                continue;
+            };
+            self.tape.unescaped.push_str(run);
+            if quote {
+                let len = self.tape.unescaped.len() - from;
+                return Ok(Token::Unescaped { start: from as u32, len: len as u32 });
             }
-            self.pos += 1;
+            self.escape()?;
         }
     }
 
-    fn number(&mut self) -> Result<(), Error> {
+    /// Decodes the escape after a backslash onto `unescaped`.
+    fn escape(&mut self) -> Result<(), Error> {
+        let out = &mut self.tape.unescaped;
+        match self.bytes.get(self.pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = self
+                    .bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let hex = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                // Surrogate pairs are not produced by our writer; map lone
+                // surrogates to the replacement char.
+                self.tape.unescaped.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                self.pos += 4;
+            }
+            _ => return Err(self.err("unknown escape")),
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn number(&mut self) -> Result<Token, Error> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -358,15 +377,14 @@ impl<'a> Parser<'a> {
             (false, Some(m)) => 0i64.checked_sub_unsigned(m).map(Token::I64),
             _ => None,
         };
-        let token = match integer {
-            Some(token) => token,
+        match integer {
+            Some(token) => Ok(token),
             // Every byte consumed is ASCII, so both ends are char boundaries.
-            None => Token::F64(
-                self.text[start..self.pos].parse().map_err(|_| self.err("invalid number"))?,
-            ),
-        };
-        self.tape.push(token);
-        Ok(())
+            None => self.tape.text[start..self.pos]
+                .parse()
+                .map(Token::F64)
+                .map_err(|_| self.err("invalid number")),
+        }
     }
 }
 
@@ -374,18 +392,41 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    fn tape(text: &str) -> Vec<Token<'_>> {
-        parse(text).unwrap()
+    fn tokens(text: &str) -> Vec<Token> {
+        parse(text).unwrap().tokens
+    }
+
+    /// The strings of `text`, in tape order.
+    fn strings(text: &str) -> Vec<String> {
+        let tape = parse(text).unwrap();
+        let span = |s: &str, start: u32, len: u32| s[start as usize..][..len as usize].to_owned();
+        (tape.tokens.iter())
+            .filter_map(|t| match *t {
+                Token::Str { start, len } => Some(span(tape.text, start, len)),
+                Token::Unescaped { start, len } => Some(span(&tape.unescaped, start, len)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tokens_stay_small() {
+        assert_eq!(std::mem::size_of::<Token>(), 16);
     }
 
     #[test]
     fn scalars_parse_to_one_token() {
-        assert_eq!(tape("null"), [Token::Null]);
-        assert_eq!(tape("true"), [Token::Bool(true)]);
-        assert_eq!(tape("-42"), [Token::I64(-42)]);
-        assert_eq!(tape("18446744073709551615"), [Token::U64(u64::MAX)]);
-        assert_eq!(tape("1.5"), [Token::F64(1.5)]);
-        assert_eq!(tape("\"a\\nb\""), [Token::Str("a\nb".into())]);
+        assert_eq!(tokens("null"), [Token::Null]);
+        assert_eq!(tokens("true"), [Token::Bool(true)]);
+        assert_eq!(tokens("-42"), [Token::I64(-42)]);
+        assert_eq!(tokens("-9223372036854775808"), [Token::I64(i64::MIN)]);
+        assert_eq!(tokens("18446744073709551615"), [Token::U64(u64::MAX)]);
+        assert_eq!(tokens("18446744073709551616"), [Token::F64(18446744073709551616.0)]);
+        assert_eq!(tokens("-9223372036854775809"), [Token::F64(-9223372036854775809.0)]);
+        assert_eq!(tokens("1.5"), [Token::F64(1.5)]);
+        assert_eq!(tokens("2e3"), [Token::F64(2000.0)]);
+        assert_eq!(tokens("\"a\\nb\""), [Token::Unescaped { start: 0, len: 3 }]);
+        assert_eq!(strings("\"a\\nb\""), ["a\nb"]);
     }
 
     #[test]
@@ -393,35 +434,45 @@ mod tests {
         let text = "{\"a\": [1, {\"b\": null}], \"c\": \"x\"}";
         let obj = |len, end| Token::Object { len, end };
         let arr = |len, end| Token::Array { len, end };
-        let s = |t: &'static str| Token::Str(t.into());
+        let kinds = |t: &[Token]| -> Vec<Option<Token>> {
+            t.iter()
+                .map(|t| match t {
+                    Token::Str { .. } => None,
+                    other => Some(*other),
+                })
+                .collect()
+        };
         let expected = [
-            obj(2, 9),
-            s("a"),
-            arr(2, 7),
-            Token::I64(1),
-            obj(1, 7),
-            s("b"),
-            Token::Null,
-            s("c"),
-            s("x"),
+            Some(obj(2, 9)),
+            None,
+            Some(arr(2, 7)),
+            Some(Token::I64(1)),
+            Some(obj(1, 7)),
+            None,
+            Some(Token::Null),
+            None,
+            None,
         ];
-        assert_eq!(tape(text), expected);
+        assert_eq!(kinds(&tokens(text)), expected);
+        assert_eq!(strings(text), ["a", "b", "c", "x"]);
         let compact: String = text.chars().filter(|c| *c != ' ').collect();
-        assert_eq!(tape(&compact), expected);
-        assert_eq!(tape("[[],{}]"), [arr(2, 3), arr(0, 2), obj(0, 3)]);
+        assert_eq!(kinds(&tokens(&compact)), expected);
+        assert_eq!(tokens("[[],{}]"), [arr(2, 3), arr(0, 2), obj(0, 3)]);
     }
 
     #[test]
-    fn strings_without_escapes_borrow_the_text() {
-        let t = tape("[\"plain ünïcødé\", \"esc\\taped\"]");
-        assert!(matches!(&t[1], Token::Str(Cow::Borrowed("plain ünïcødé"))));
-        assert!(matches!(&t[2], Token::Str(Cow::Owned(s)) if s == "esc\taped"));
+    fn strings_without_escapes_are_spans_of_the_text() {
+        let text = "[\"plain ünïcødé\", \"esc\\taped\", \"\\\"\"]";
+        let tape = parse(text).unwrap();
+        assert_eq!(tape.tokens[1], Token::Str { start: 2, len: 17 });
+        assert_eq!(tape.unescaped, "esc\taped\"");
+        assert_eq!(strings(text), ["plain ünïcødé", "esc\taped", "\""]);
     }
 
     #[test]
     fn strings_decode_multi_byte_runs_next_to_escapes() {
         let text = "\"ünïcødé\\n→\\\"x\\u00e9🦀 é\"";
-        assert_eq!(tape(text), [Token::Str("ünïcødé\n→\"xé🦀 é".into())]);
+        assert_eq!(strings(text), ["ünïcødé\n→\"xé🦀 é"]);
     }
 
     #[test]
@@ -434,10 +485,10 @@ mod tests {
     #[test]
     fn nesting_past_the_bound_is_a_depth_error() {
         let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
-        assert_eq!(parse(&nested(MAX_DEPTH)).unwrap().len(), MAX_DEPTH);
+        assert_eq!(parse(&nested(MAX_DEPTH)).unwrap().tokens.len(), MAX_DEPTH);
         let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
         assert_eq!(err.classify(), Category::Depth);
-        assert_eq!(err.to_string(), format!("nesting deeper than 1024 levels at byte {MAX_DEPTH}"));
+        assert_eq!(err.to_string(), format!("nesting deeper than 512 levels at byte {MAX_DEPTH}"));
         let err = from_str::<Vec<u8>>(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
         assert_eq!(err.classify(), Category::Depth);
     }
