@@ -10,7 +10,9 @@
 //! Payloads are the [`WireRequest`] / [`WireResponse`] enums, one frame per
 //! message, encoded with the same vendored serde the rest of the system
 //! uses (the environment is offline; there is no tonic and no crates.io
-//! serde_json).
+//! serde_json). Payload decoding is total too, checksum or not: the
+//! parser refuses nesting deeper than `serde_json::MAX_DEPTH` without
+//! recursing, so a hostile payload is a typed [`ServiceError::Protocol`].
 
 use crate::api::ProgressUpdate;
 use crate::error::ServiceError;

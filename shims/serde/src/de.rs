@@ -7,20 +7,29 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A parsed JSON document: its text and the flat tape of tokens over it.
+/// A parsed JSON document: its text and the flat tape of tokens over it,
+/// built by [`Tape::parse`].
 ///
 /// The tokens are in text order: a container's token is followed by its
 /// contents and records where they end, so a reader skips a whole value in
 /// one step. A string without escapes is a span of the text; the others
-/// are decoded once into `unescaped`.
-#[derive(Debug, Clone, Default)]
+/// are decoded once into `unescaped`. The parser keeps every count, end
+/// index and span consistent, which is why the fields are private.
+#[derive(Debug, Clone)]
 pub struct Tape<'a> {
     /// The document's text.
-    pub text: &'a str,
+    pub(crate) text: &'a str,
     /// The decoded contents of the strings that held escapes, back to back.
-    pub unescaped: String,
-    /// The tokens, in text order.
-    pub tokens: Vec<Token>,
+    pub(crate) unescaped: String,
+    /// The tokens, in text order; never empty.
+    pub(crate) tokens: Vec<Token>,
+}
+
+impl<'a> Tape<'a> {
+    /// The document's root value.
+    pub fn root(&self) -> Node<'_, 'a> {
+        Node { tape: self, idx: 0 }
+    }
 }
 
 /// One token of a [`Tape`]: a scalar, a string span, or the head of an
@@ -41,15 +50,15 @@ pub enum Token {
     /// A string or an object key without escapes: `len` bytes of the text
     /// from `start`.
     Str {
-        /// The byte offset of the contents in [`Tape::text`].
+        /// The byte offset of the contents in the document text.
         start: u32,
         /// The byte length of the contents.
         len: u32,
     },
-    /// A string or an object key that held escapes: `len` bytes of
-    /// [`Tape::unescaped`] from `start`.
+    /// A string or an object key that held escapes: `len` bytes of the
+    /// tape's buffer of decoded escapes from `start`.
     Unescaped {
-        /// The byte offset of the decoded contents in [`Tape::unescaped`].
+        /// The byte offset of the decoded contents in that buffer.
         start: u32,
         /// The byte length of the decoded contents.
         len: u32,
@@ -106,12 +115,6 @@ pub struct Node<'t, 'a> {
 }
 
 impl<'t, 'a> Node<'t, 'a> {
-    /// The document's root value: the tape's first token (`None` for an
-    /// empty tape).
-    pub fn root(tape: &'t Tape<'a>) -> Option<Self> {
-        (!tape.tokens.is_empty()).then_some(Node { tape, idx: 0 })
-    }
-
     /// The value's own token.
     pub fn token(self) -> Token {
         self.tape.tokens[self.idx]

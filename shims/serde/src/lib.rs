@@ -8,9 +8,11 @@
 //! Unlike real serde there is no `Serializer`/`Deserializer` visitor
 //! machinery, and no intermediate tree either. Serializing writes JSON text
 //! straight into a [`Writer`]'s `String`, compact or pretty. Deserializing
-//! reads a flat [`Tape`] of 16-byte [`Token`]s that `serde_json` parses once
-//! per document, where keys and escape-free strings are spans of the input
-//! text; a [`Node`] is one value on that tape. The derived impls follow serde's
+//! reads a flat [`Tape`] of 16-byte [`Token`]s, parsed once per document
+//! without recursion ([`Tape::parse`]), where keys and escape-free strings
+//! are spans of the input text; a [`Node`] is one value on that tape. So
+//! this crate holds the JSON format on both sides, and `serde_json` is the
+//! entry points and the error type over it. The derived impls follow serde's
 //! externally-tagged conventions (newtype structs are transparent, unit
 //! variants are strings, data variants are single-key objects) so the
 //! produced JSON looks like what real serde_json would emit. The one
@@ -25,7 +27,9 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 mod de;
+mod parse;
 mod ser;
 
 pub use de::{deserialize_pairs, DeError, Deserialize, Elements, Fields, Node, Tape, Token};
+pub use parse::{ParseError, MAX_DEPTH};
 pub use ser::{Serialize, Writer};
