@@ -30,15 +30,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl<'a> Tape<'a> {
-    /// Parses a whole document. Total: malformed text of any kind is an
-    /// error, never a panic, and nesting past [`MAX_DEPTH`] is refused
-    /// before the tape grows past it.
-    pub fn parse(text: &'a str) -> Result<Tape<'a>, ParseError> {
-        parse(text)
-    }
-}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -48,61 +39,69 @@ struct Parser<'a> {
     open: Vec<usize>,
 }
 
-/// Parses a whole document into its tape.
-fn parse(text: &str) -> Result<Tape<'_>, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        // Compact JSON holds about one token per 4–6 bytes.
-        tape: Tape { text, unescaped: String::new(), tokens: Vec::with_capacity(text.len() / 4) },
-        open: Vec::new(),
-    };
-    if u32::try_from(text.len()).is_err() {
-        return Err(p.err("documents longer than 4 GiB are not supported"));
-    }
-    loop {
-        p.skip_ws();
-        // A value that opens a non-empty container is complete only once
-        // its contents are; parse them first.
-        if !p.value()? {
-            continue;
+impl<'a> Tape<'a> {
+    /// Parses a whole document. Total: malformed text of any kind is an
+    /// error, never a panic, and nesting past [`MAX_DEPTH`] is refused
+    /// before the tape grows past it.
+    pub fn parse(text: &'a str) -> Result<Tape<'a>, ParseError> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            // Compact JSON holds about one token per 4–6 bytes.
+            tape: Tape {
+                text,
+                unescaped: String::new(),
+                tokens: Vec::with_capacity(text.len() / 4),
+            },
+            open: Vec::new(),
+        };
+        if u32::try_from(text.len()).is_err() {
+            return Err(p.err("documents longer than 4 GiB are not supported"));
         }
-        // Count the value in its container, then close every container it
-        // completes, until one expects another value.
         loop {
-            let Some(&top) = p.open.last() else {
-                p.skip_ws();
-                if p.pos != p.bytes.len() {
-                    return Err(p.err("trailing characters after JSON value"));
-                }
-                return Ok(p.tape);
-            };
-            // `open` holds only arrays and objects.
-            let object = match &mut p.tape.tokens[top] {
-                Token::Object { len, .. } => {
-                    *len += 1;
-                    true
-                }
-                Token::Array { len, .. } => {
-                    *len += 1;
-                    false
-                }
-                _ => false,
-            };
             p.skip_ws();
-            match p.peek() {
-                Some(b',') => {
-                    p.pos += 1;
-                    if object {
-                        p.skip_ws();
-                        p.key()?;
+            // A value that opens a non-empty container is complete only once
+            // its contents are; parse them first.
+            if !p.value()? {
+                continue;
+            }
+            // Count the value in its container, then close every container it
+            // completes, until one expects another value.
+            loop {
+                let Some(&top) = p.open.last() else {
+                    p.skip_ws();
+                    if p.pos != p.bytes.len() {
+                        return Err(p.err("trailing characters after JSON value"));
                     }
-                    break;
+                    return Ok(p.tape);
+                };
+                // `open` holds only arrays and objects.
+                let object = match &mut p.tape.tokens[top] {
+                    Token::Object { len, .. } => {
+                        *len += 1;
+                        true
+                    }
+                    Token::Array { len, .. } => {
+                        *len += 1;
+                        false
+                    }
+                    _ => false,
+                };
+                p.skip_ws();
+                match p.peek() {
+                    Some(b',') => {
+                        p.pos += 1;
+                        if object {
+                            p.skip_ws();
+                            p.key()?;
+                        }
+                        break;
+                    }
+                    Some(b']') if !object => p.close(),
+                    Some(b'}') if object => p.close(),
+                    _ if object => return Err(p.err("expected `,` or `}`")),
+                    _ => return Err(p.err("expected `,` or `]`")),
                 }
-                Some(b']') if !object => p.close(),
-                Some(b'}') if object => p.close(),
-                _ if object => return Err(p.err("expected `,` or `}`")),
-                _ => return Err(p.err("expected `,` or `]`")),
             }
         }
     }
@@ -338,7 +337,7 @@ mod tests {
     use super::*;
 
     fn tokens(text: &str) -> Vec<Token> {
-        parse(text).unwrap().tokens
+        Tape::parse(text).unwrap().tokens
     }
 
     fn is_syntax(r: Result<Tape<'_>, ParseError>) -> bool {
@@ -347,7 +346,7 @@ mod tests {
 
     /// The strings of `text`, in tape order.
     fn strings(text: &str) -> Vec<String> {
-        let tape = parse(text).unwrap();
+        let tape = Tape::parse(text).unwrap();
         let span = |s: &str, start: u32, len: u32| s[start as usize..][..len as usize].to_owned();
         (tape.tokens.iter())
             .filter_map(|t| match *t {
@@ -412,7 +411,7 @@ mod tests {
     #[test]
     fn strings_without_escapes_are_spans_of_the_text() {
         let text = "[\"plain ünïcødé\", \"esc\\taped\", \"\\\"\"]";
-        let tape = parse(text).unwrap();
+        let tape = Tape::parse(text).unwrap();
         assert_eq!(tape.tokens[1], Token::Str { start: 2, len: 17 });
         assert_eq!(tape.unescaped, "esc\taped\"");
         assert_eq!(strings(text), ["plain ünïcødé", "esc\taped", "\""]);
@@ -427,15 +426,15 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         for text in ["{\"a\":}", "[1,]", "1 2", "", "[", "{\"a\" 1}", "\"\\u12", "-", "[1 2]"] {
-            assert!(is_syntax(parse(text)), "{text:?}");
+            assert!(is_syntax(Tape::parse(text)), "{text:?}");
         }
     }
 
     #[test]
     fn nesting_past_the_bound_is_a_depth_error() {
         let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
-        assert_eq!(parse(&nested(MAX_DEPTH)).unwrap().tokens.len(), MAX_DEPTH);
-        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(Tape::parse(&nested(MAX_DEPTH)).unwrap().tokens.len(), MAX_DEPTH);
+        let err = Tape::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
         let expected = format!("nesting deeper than 512 levels at byte {MAX_DEPTH}");
         assert_eq!(err, ParseError::TooDeep(expected));
     }
