@@ -144,12 +144,6 @@ impl Writer {
         self.out.push('"');
     }
 
-    /// Writes a string literal that is already quoted and needs no escape,
-    /// such as a derived unit variant's name.
-    pub fn quoted(&mut self, literal: &str) {
-        self.out.push_str(literal);
-    }
-
     fn begin(&mut self, bracket: char) {
         self.out.push(bracket);
         self.level += 1;

@@ -408,9 +408,7 @@ fn gen_serialize(item: &Item) -> String {
                     let vname = &v.name;
                     let (pattern, inner) = match &v.shape {
                         VariantShape::Unit => {
-                            let arm =
-                                format!("{name}::{vname} => __w.quoted({}),", quoted(vname));
-                            return arm;
+                            return format!("{name}::{vname} => __w.str({vname:?}),");
                         }
                         VariantShape::Tuple(1) => (
                             "(__f0)".to_string(),
