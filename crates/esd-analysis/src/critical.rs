@@ -1,5 +1,5 @@
-//! Critical edges, intermediate goals and goal-relevance pruning
-//! (the output of the paper's static phase, §3.2).
+//! Critical edges and intermediate goals (the output of the paper's static
+//! phase, §3.2).
 //!
 //! * A **critical edge** is a CFG edge that *must* be followed on any path to
 //!   the goal: at a conditional branch from which only one successor can
@@ -9,9 +9,6 @@
 //!   critical edge to be traversable: a definition of one of the variables in
 //!   the branch condition that (alone or in combination with definitions of
 //!   the other variables) gives the condition its required value.
-//! * The **relevance map** marks blocks of the goal's function from which the
-//!   goal is no longer reachable; the search deprioritizes or abandons states
-//!   stuck in irrelevant blocks.
 
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
@@ -54,17 +51,12 @@ pub struct StaticGoalInfo {
     pub critical_edges: Vec<CriticalEdge>,
     /// Intermediate goals derived from the critical edges' conditions.
     pub intermediate_goals: Vec<IntermediateGoal>,
-    /// `relevant[f][b]` — false when a state whose innermost frame sits in
-    /// block `b` of function `f` can no longer reach the goal without first
-    /// returning to a caller.
-    pub relevant: Vec<Vec<bool>>,
-    /// Functions from which the goal's function is reachable through calls.
-    pub goal_reaching_funcs: HashSet<FuncId>,
 }
 
 impl StaticGoalInfo {
-    /// Runs the static phase for `goal`.
-    pub fn compute(program: &Program, cfgs: &[Cfg], callgraph: &CallGraph, goal: Loc) -> Self {
+    /// Runs the static phase for `goal`. Every result lies within the goal's
+    /// function, so `_callgraph` is unused; it stays for existing callers.
+    pub fn compute(program: &Program, cfgs: &[Cfg], _callgraph: &CallGraph, goal: Loc) -> Self {
         let goal_cfg = &cfgs[goal.func.0 as usize];
         let can_reach_goal = goal_cfg.can_reach(goal.block);
         let critical_edges = find_critical_edges(program, goal_cfg, goal, &can_reach_goal);
@@ -72,23 +64,7 @@ impl StaticGoalInfo {
         let defs = DefIndex::new(program.func(goal.func));
         let intermediate_goals =
             derive_intermediate_goals(program, &defs, &critical_edges, &stores);
-        let goal_reaching_funcs = callgraph.functions_reaching(goal.func);
-        let relevant = compute_relevance(
-            program,
-            cfgs,
-            callgraph,
-            goal,
-            &can_reach_goal,
-            &goal_reaching_funcs,
-        );
-        StaticGoalInfo { goal, critical_edges, intermediate_goals, relevant, goal_reaching_funcs }
-    }
-
-    /// True if a state whose innermost frame is at `loc` should be abandoned
-    /// because the goal is unreachable from there (unless it can return to a
-    /// caller that can still reach the goal — the caller decides that).
-    pub fn is_irrelevant_block(&self, loc: Loc) -> bool {
-        !self.relevant[loc.func.0 as usize][loc.block.0 as usize]
+        StaticGoalInfo { goal, critical_edges, intermediate_goals }
     }
 
     /// Returns the critical edge at `branch_block` of the goal function, if
@@ -113,9 +89,7 @@ impl StaticGoalInfo {
     /// * **critical edges** are the intersection — an edge is only "must
     ///   take" if every goal requires it (with a single goal this is the
     ///   identity, and the engine does not apply critical edges to deadlock
-    ///   goals anyway);
-    /// * a block is **relevant** if it is relevant for *any* goal, and the
-    ///   goal-reaching function set is the union.
+    ///   goals anyway).
     ///
     /// `goal` (and the panic on an empty list) keep the single-goal shape:
     /// the first location stays the nominal primary goal.
@@ -129,12 +103,6 @@ impl StaticGoalInfo {
                     merged.intermediate_goals.push(goal);
                 }
             }
-            for (f, blocks) in merged.relevant.iter_mut().enumerate() {
-                for (b, relevant) in blocks.iter_mut().enumerate() {
-                    *relevant = *relevant || info.relevant[f][b];
-                }
-            }
-            merged.goal_reaching_funcs.extend(info.goal_reaching_funcs);
         }
         merged
     }
@@ -272,45 +240,6 @@ fn derive_intermediate_goals(
     goals
 }
 
-/// Computes the per-function block relevance map.
-fn compute_relevance(
-    program: &Program,
-    cfgs: &[Cfg],
-    callgraph: &CallGraph,
-    goal: Loc,
-    can_reach_goal: &[bool],
-    goal_reaching_funcs: &HashSet<FuncId>,
-) -> Vec<Vec<bool>> {
-    let mut relevant: Vec<Vec<bool>> =
-        program.functions.iter().map(|f| vec![true; f.blocks.len()]).collect();
-    // Only the goal's own function gets precise pruning: a block is relevant
-    // if it can reach the goal block, or if it can reach a call into a
-    // function from which the goal's function is reachable (a re-entrant
-    // path), otherwise a state sitting there can only reach the goal by
-    // returning first — which the proximity walk accounts for, so the block
-    // itself is marked irrelevant.
-    let f = goal.func;
-    let cfg = &cfgs[f.0 as usize];
-    let mut call_blocks: HashSet<BlockId> = HashSet::new();
-    for site in callgraph.sites_of(f) {
-        if site.targets.iter().any(|t| goal_reaching_funcs.contains(t)) {
-            call_blocks.insert(site.loc.block);
-        }
-    }
-    let mut reach_call = vec![false; cfg.num_blocks()];
-    for cb in &call_blocks {
-        for (bi, ok) in cfg.can_reach(*cb).iter().enumerate() {
-            if *ok {
-                reach_call[bi] = true;
-            }
-        }
-    }
-    for b in 0..cfg.num_blocks() {
-        relevant[f.0 as usize][b] = can_reach_goal[b] || reach_call[b];
-    }
-    relevant
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,18 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn relevance_prunes_blocks_past_the_goal() {
-        let p = listing1_like();
-        let main = p.entry;
-        let info = compute(&p, Loc::new(main, BlockId(6), 0));
-        // The "other" block (7) cannot reach the goal.
-        assert!(info.is_irrelevant_block(Loc::new(main, BlockId(7), 0)));
-        // The entry and the goal itself are relevant.
-        assert!(!info.is_irrelevant_block(Loc::new(main, BlockId(0), 0)));
-        assert!(!info.is_irrelevant_block(Loc::new(main, BlockId(6), 0)));
-    }
-
-    #[test]
     fn no_critical_edges_when_goal_reachable_from_both_sides() {
         let mut pb = ProgramBuilder::new("p");
         pb.function("main", 0, |f| {
@@ -443,28 +360,5 @@ mod tests {
         // immediately and no critical edges are reported.
         assert!(info.critical_edges.is_empty());
         assert!(info.intermediate_goals.is_empty());
-    }
-
-    #[test]
-    fn goal_reaching_funcs_include_transitive_callers() {
-        let mut pb = ProgramBuilder::new("p");
-        let inner = pb.function("inner", 0, |f| {
-            f.output(1);
-            f.ret_void();
-        });
-        let outer = pb.function("outer", 0, |f| {
-            f.call_void(inner, vec![]);
-            f.ret_void();
-        });
-        pb.function("main", 0, |f| {
-            f.call_void(outer, vec![]);
-            f.ret_void();
-        });
-        let p = pb.finish("main");
-        let inner_id = p.func_by_name("inner").unwrap();
-        let info = compute(&p, Loc::new(inner_id, BlockId(0), 0));
-        assert!(info.goal_reaching_funcs.contains(&p.func_by_name("main").unwrap()));
-        assert!(info.goal_reaching_funcs.contains(&p.func_by_name("outer").unwrap()));
-        assert_eq!(info.goal_reaching_funcs.len(), 3);
     }
 }

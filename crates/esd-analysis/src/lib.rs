@@ -185,8 +185,8 @@ impl StaticAnalysis {
     /// Runs the static phase for a *set* of goal locations and merges the
     /// per-goal results ([`StaticGoalInfo::merge`]). Deadlock goals list one
     /// blocked-lock location per deadlocked thread; computing the phase over
-    /// all of them makes the intermediate-goal queues (and the relevance
-    /// map) cover every thread's lock site instead of only the first one's.
+    /// all of them makes the intermediate-goal queues cover every thread's
+    /// lock site instead of only the first one's.
     ///
     /// # Panics
     ///
@@ -315,9 +315,6 @@ mod tests {
         // Critical edges merge by intersection: goal1 has none, so the merged
         // info must not impose goal2's edge on paths to goal1.
         assert!(multi.goal_info.critical_edges.is_empty());
-        // Blocks on the way to either goal stay relevant.
-        assert!(!multi.goal_info.is_irrelevant_block(goal2));
-        assert!(!multi.goal_info.is_irrelevant_block(goal1));
     }
 
     /// The race candidates are left out of the eager bundle, built by the

@@ -31,16 +31,18 @@ use std::path::Path;
 /// computed under an old proximity rule (format 16 counts every thread that
 /// has not finished), or a race-detection job written when race detection
 /// still stepped one instruction per selection (format 18 gives it the
-/// 32-step burst). Removing a variant or a field a payload may hold
-/// (format 14 dropped the batched frontier's image, format 15 the three
-/// per-heuristic switches of the stored `EsdOptions`, format 16
-/// `SearchStats::other_bugs_found`, format 17 the breadth-first frontier's
-/// image) is a change of shape too, and so is a payload that now leaves
-/// part of the state to a file beside it (format 19: an executor snapshot
-/// holds only the jobs its `finished.log` prefix does not, names each by
-/// handle, and records that prefix's `finished_len`). [`unseal`] rejects
-/// any other version with [`SnapshotError::UnknownVersion`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 19;
+/// 32-step burst), or a job written while states were still abandoned in
+/// blocks that cannot reach the goal (format 20 abandons none there).
+/// Removing a variant or a field a payload may hold (format 14 dropped the
+/// batched frontier's image, format 15 the three per-heuristic switches of
+/// the stored `EsdOptions`, format 16 `SearchStats::other_bugs_found`,
+/// format 17 the breadth-first frontier's image) is a change of shape too,
+/// and so is a payload that now leaves part of the state to a file beside
+/// it (format 19: an executor snapshot holds only the jobs its
+/// `finished.log` prefix does not, names each by handle, and records that
+/// prefix's `finished_len`). [`unseal`] rejects any other version with
+/// [`SnapshotError::UnknownVersion`].
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 20;
 
 /// 64-bit FNV-1a over `bytes` — the dependency-free checksum used by both
 /// snapshot envelopes and journal frames.

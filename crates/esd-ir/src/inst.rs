@@ -420,11 +420,6 @@ impl Inst {
     pub fn is_mem_access(&self) -> bool {
         matches!(self, Inst::Load { .. } | Inst::Store { .. })
     }
-
-    /// Returns true for instructions that read external input.
-    pub fn is_input(&self) -> bool {
-        matches!(self, Inst::Input { .. })
-    }
 }
 
 /// A basic-block terminator.
@@ -553,7 +548,6 @@ mod tests {
         assert!(!Inst::Nop.is_sync());
         assert!(Inst::Load { dst: Reg(0), addr: Operand::Const(0) }.is_mem_access());
         assert!(!Inst::Const { dst: Reg(0), value: 1 }.is_mem_access());
-        assert!(Inst::Input { dst: Reg(0), source: InputSource::Stdin }.is_input());
     }
 
     #[test]

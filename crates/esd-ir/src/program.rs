@@ -155,13 +155,6 @@ impl Program {
         b.insts.get(loc.idx as usize)
     }
 
-    /// Returns the terminator of the block designated by `loc`.
-    pub fn term_at(&self, loc: Loc) -> Option<&Terminator> {
-        let f = self.functions.get(loc.func.0 as usize)?;
-        let b = f.blocks.get(loc.block.0 as usize)?;
-        Some(&b.term)
-    }
-
     /// Returns true if `loc` points at the terminator of its block.
     pub fn is_terminator_loc(&self, loc: Loc) -> bool {
         let f = &self.functions[loc.func.0 as usize];
@@ -231,7 +224,6 @@ mod tests {
         assert!(p.inst_at(l1).is_none());
         assert!(!p.is_terminator_loc(l0));
         assert!(p.is_terminator_loc(l1));
-        assert!(p.term_at(l1).is_some());
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Loc {
     pub fn new(func: FuncId, block: BlockId, idx: u32) -> Self {
         Loc { func, block, idx }
     }
-
-    /// The location of the first instruction of a block.
-    pub fn block_start(func: FuncId, block: BlockId) -> Self {
-        Loc { func, block, idx: 0 }
-    }
 }
 
 impl fmt::Debug for FuncId {
@@ -115,14 +110,6 @@ mod tests {
         let c = Loc::new(FuncId(0), BlockId(1), 0);
         let d = Loc::new(FuncId(1), BlockId(0), 0);
         assert!(a < b && b < c && c < d);
-    }
-
-    #[test]
-    fn loc_block_start_has_index_zero() {
-        let l = Loc::block_start(FuncId(3), BlockId(7));
-        assert_eq!(l.idx, 0);
-        assert_eq!(l.func, FuncId(3));
-        assert_eq!(l.block, BlockId(7));
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub struct EsdOptions {
     /// creation.
     pub deadline: Option<Duration>,
     /// Run as the KC baseline instead of ESD. Off, the search uses ESD's
-    /// guidance: intermediate goals, critical-edge and relevance
-    /// abandonment (§3.2–3.4) and the deadlock schedule heuristics (§4.1).
+    /// guidance: intermediate goals, critical-edge abandonment (§3.2–3.4)
+    /// and the deadlock schedule heuristics (§4.1).
     /// On, it uses none of them, bounds preemptions at
     /// [`KC_PREEMPTION_BOUND`], as Chess does, and keeps every forked
     /// state, as Klee and Chess do not deduplicate states. Set by the

@@ -470,15 +470,6 @@ impl<'a> Stepper<'a> {
         let func = self.program.func(frame_loc.func);
         let block = func.block(frame_loc.block);
 
-        // Critical-edge / relevance abandonment (ESD only).
-        if !self.options.kc_baseline
-            && state.thread(cur).frames.len() == 1
-            && self.analysis.goal_info.is_irrelevant_block(frame_loc)
-            && !matches!(self.goal, GoalSpec::Deadlock { .. })
-        {
-            return StepEffect::Dead;
-        }
-
         if frame_loc.idx as usize >= block.insts.len() {
             let term = block.term.clone();
             return self.exec_terminator(state, frame_loc, term);

@@ -7,9 +7,9 @@ use esd::ir::{
     BinOp, CmpOp, FaultKind, FunctionBuilder, Interpreter, Program, ProgramBuilder, Reg, ThreadId,
     Value,
 };
-use esd::playback::play;
+use esd::playback::{play, verify_patch};
 use esd::workloads::{all_real_bugs, capture_coredump, WorkloadKind};
-use esd::{Esd, EsdOptions};
+use esd::{Esd, EsdOptions, FrontierKind};
 
 /// Crashes: coredump → goal extraction → synthesis → playback, end to end.
 #[test]
@@ -217,4 +217,51 @@ fn division_by_a_symbolic_zero_is_synthesized_from_its_coredump() {
     });
     let fault = synthesize_from_the_interpreters_coredump(&program, 10_000);
     assert_eq!(fault, FaultKind::DivByZero);
+}
+
+/// Two instances of one thread function, and only the second can crash:
+/// `worker(arg)` loads through null when `arg == 2` and it reads `'q'`.
+/// The first instance's concrete branch leads into a block from which the
+/// crash is unreachable, yet the state as a whole can still reach it
+/// through the second thread, so no frontier may give the state up there.
+#[test]
+fn a_crash_in_the_second_instance_of_a_spawned_worker_is_synthesized() {
+    let mut pb = ProgramBuilder::new("second_worker_crashes");
+    let worker = pb.function("worker", 1, |f| {
+        let second = f.cmp(CmpOp::Eq, f.param(0), 2);
+        let read = f.new_block("read");
+        let done = f.new_block("done");
+        f.cond_br(second, read, done);
+        f.switch_to(read);
+        let c = f.getchar();
+        let q = f.cmp(CmpOp::Eq, c, 'q' as i64);
+        crash_if(f, q);
+        f.ret_void();
+        f.switch_to(done);
+        f.ret_void();
+    });
+    pb.function("main", 0, |f| {
+        let t1 = f.spawn(worker, 1);
+        let t2 = f.spawn(worker, 2);
+        f.join(t1);
+        f.join(t2);
+        f.ret_void();
+    });
+    let program = pb.finish("main");
+
+    let inputs = MapInputs::from_entries([((ThreadId(2), 0), 'q' as i64)]);
+    let run = Interpreter::new(&program, Box::new(inputs)).run(&InterpreterConfig::default());
+    let dump = run.outcome.coredump().expect("the second worker crashes on 'q'").clone();
+    let report = BugReport::from_coredump(dump);
+
+    for frontier in [FrontierKind::Proximity, FrontierKind::Dfs, FrontierKind::Random] {
+        let esd = Esd::new(EsdOptions::builder().frontier(frontier).max_steps(10_000).build());
+        let synthesized = esd
+            .synthesize(&program, &report)
+            .unwrap_or_else(|e| panic!("{frontier:?}: synthesis failed: {e:?}"));
+        assert!(play(&program, &synthesized.execution).reproduced, "{frontier:?}: must replay");
+    }
+
+    let goal = esd::core::extract_goal(&program, &report).expect("a crash goal");
+    assert_eq!(verify_patch(&program, goal, EsdOptions::default()), Ok(false));
 }

@@ -2,12 +2,11 @@
 //!
 //! The static passes are pure functions of the program: branch-feasibility
 //! verdicts, the global stores behind intermediate goals, the merged
-//! per-goal info (critical edges, intermediate goals, relevance), the
-//! instructions the relevance slice cuts away and the race candidates with
-//! their per-access locksets. This fixture renders all
-//! of them in a stable textual form, so an optimization of any pass must
-//! reproduce its results byte for byte rather than merely keep the searches
-//! that consume them passing.
+//! per-goal info (critical edges, intermediate goals), the instructions the
+//! relevance slice cuts away and the race candidates with their per-access
+//! locksets. This fixture renders all of them in a stable textual form, so
+//! an optimization of any pass must reproduce its results byte for byte
+//! rather than merely keep the searches that consume them passing.
 //!
 //! The corpus: every real-bug analog (Listing 1 included), the genbug smoke
 //! seeds × 4 kinds, two medium-size genbug seeds per kind, and BPF at 128
@@ -96,16 +95,6 @@ fn render_program(out: &mut String, name: &str, program: &Program, goals: &[esd:
     for g in &info.intermediate_goals {
         writeln!(out, "  {:?}[{}] <- {:?}", g.variable.0, g.variable.1, g.alternatives).unwrap();
     }
-    writeln!(out, "irrelevant_blocks").unwrap();
-    for (f, blocks) in info.relevant.iter().enumerate() {
-        let dead: Vec<usize> = (0..blocks.len()).filter(|b| !blocks[*b]).collect();
-        if !dead.is_empty() {
-            writeln!(out, "  f{f} {dead:?}").unwrap();
-        }
-    }
-    let mut reaching: Vec<_> = info.goal_reaching_funcs.iter().copied().collect();
-    reaching.sort();
-    writeln!(out, "goal_reaching_funcs {reaching:?}").unwrap();
 
     writeln!(out, "sliced_away {}", sa.slice.pruned_count()).unwrap();
     for (f, blocks) in sa.slice.relevant.iter().enumerate() {
