@@ -35,9 +35,7 @@
 //! hold live sessions at once; excess submissions wait in a FIFO queue and
 //! are admitted (paying their static phase then) as running jobs finish.
 
-use crate::journal::{
-    self, FinishedLog, FinishedRecord, JournalRecord, JournalWriter, RecoveryError,
-};
+use crate::journal::{FramedLog, JournalRecord, RecoveryError};
 use crate::session::{Observer, ProgressEvent, SessionSnapshot, SessionStatus, SynthesisSession};
 use crate::snapshot::{load_snapshot, save_snapshot, SnapshotError};
 use esd_analysis::StaticAnalysis;
@@ -337,9 +335,27 @@ impl JobSlot {
             Stage::Finished { wall, .. } => *wall,
         }
     }
+
+    /// The job's durable form under handle id `handle`: what a snapshot
+    /// holds of it, and what `finished.log` holds once its outcome is taken.
+    fn snapshot(&self, handle: usize) -> JobSnapshot {
+        let stage = match &self.stage {
+            Stage::Queued(spec) => JobStageSnapshot::Queued(spec.clone()),
+            Stage::Running(session) => JobStageSnapshot::Running(Box::new(session.snapshot())),
+            Stage::Finished { verdict, rounds, wall, status } => JobStageSnapshot::Finished {
+                verdict: *verdict,
+                rounds: *rounds,
+                wall: *wall,
+                status: status.clone(),
+            },
+        };
+        JobSnapshot { handle: handle as u64, label: self.label.clone(), slices: self.slices, stage }
+    }
 }
 
-/// The durable state of one job, part of an [`ExecutorSnapshot`].
+/// The durable state of one job: part of an [`ExecutorSnapshot`], or, once
+/// its outcome is taken, one record of the durable directory's
+/// `finished.log`.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct JobSnapshot {
     /// The job's handle id.
@@ -414,17 +430,17 @@ pub struct ExecutorSnapshot {
 }
 
 /// The live half of a durable executor: where the snapshot and journal go,
-/// the open journal writer and finished log, and the checkpoint countdown.
+/// the open journal and finished log, and the checkpoint countdown.
 struct Durability {
     dir: PathBuf,
-    journal: JournalWriter,
-    finished: FinishedLog,
+    journal: FramedLog,
+    finished: FramedLog,
     epoch: u64,
     slices_since_checkpoint: u64,
 }
 
 /// The snapshot file name inside a durable directory.
-const SNAPSHOT_FILE: &str = "snapshot.json";
+const SNAPSHOT_FILE: &str = "snapshot.frame";
 
 /// The finished-job log's file name inside a durable directory.
 const FINISHED_FILE: &str = "finished.log";
@@ -534,8 +550,8 @@ impl JobExecutor {
         let dir = dir.as_ref().to_path_buf();
         let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
         std::fs::create_dir_all(&dir).map_err(io)?;
-        let journal = JournalWriter::create(&dir.join(journal_file(0))).map_err(io)?;
-        let finished = FinishedLog::create(&dir.join(FINISHED_FILE)).map_err(io)?;
+        let journal = FramedLog::create(&dir.join(journal_file(0))).map_err(io)?;
+        let finished = FramedLog::create(&dir.join(FINISHED_FILE)).map_err(io)?;
         self.durable =
             Some(Durability { dir, journal, finished, epoch: 0, slices_since_checkpoint: 0 });
         self.checkpoint()?;
@@ -543,32 +559,21 @@ impl JobExecutor {
     }
 
     /// Recovers a crashed durable executor from `dir`: loads the latest
-    /// checkpoint and the prefix of the finished log it pairs with
-    /// (truncating whatever follows that prefix), replays the journal's
-    /// valid prefix (tolerating a torn final record), truncates any damaged
-    /// tail, and re-attaches the durable directory so the recovered
-    /// executor keeps journaling where the crashed one stopped. See
+    /// checkpoint and the prefix of the finished log it pairs with, replays
+    /// the journal's valid prefix (tolerating a torn or corrupt final
+    /// record), and re-attaches the durable directory so the recovered
+    /// executor keeps journaling where the crashed one stopped. Each log is
+    /// truncated in place to the prefix recovery read. See
     /// [`crate::journal`] for the `reduce(finished log ⊕ snapshot,
     /// journal)` invariant this relies on.
     pub fn recover(dir: impl AsRef<Path>) -> Result<Self, RecoveryError> {
         let dir = dir.as_ref();
         let snapshot: ExecutorSnapshot = load_snapshot(&dir.join(SNAPSHOT_FILE))?;
-        let (finished, records) =
-            FinishedLog::open(&dir.join(FINISHED_FILE), snapshot.finished_len)?;
-        let journal_path = dir.join(journal_file(snapshot.epoch));
-        let scanned = journal::load(&journal_path)?;
-        let mut exec = restore(&snapshot, records)?;
-        replay_records(&mut exec, &scanned.records)?;
-        if scanned.damage.is_some() {
-            // Drop the torn/corrupt tail so appends resume from the last
-            // valid frame.
-            let bytes =
-                std::fs::read(&journal_path).map_err(|e| RecoveryError::Io(e.to_string()))?;
-            std::fs::write(&journal_path, &bytes[..scanned.valid_len.min(bytes.len())])
-                .map_err(|e| RecoveryError::Io(e.to_string()))?;
-        }
-        let journal = JournalWriter::open_append(&journal_path)
-            .map_err(|e| RecoveryError::Io(e.to_string()))?;
+        let (finished, logged) =
+            FramedLog::open(&dir.join(FINISHED_FILE), Some(snapshot.finished_len))?;
+        let (journal, records) = FramedLog::open(&dir.join(journal_file(snapshot.epoch)), None)?;
+        let mut exec = restore(&snapshot, &logged)?;
+        replay_records(&mut exec, &records)?;
         exec.durable = Some(Durability {
             dir: dir.to_path_buf(),
             journal,
@@ -932,7 +937,10 @@ impl JobExecutor {
     /// log cannot honor its recovery contract.
     fn journal_append(&mut self, record: &JournalRecord) {
         if let Some(durable) = &mut self.durable {
-            durable.journal.append(record).expect("durable executor failed to append its journal");
+            durable
+                .journal
+                .append(std::slice::from_ref(record))
+                .expect("durable executor failed to append its journal");
         }
     }
 
@@ -954,7 +962,7 @@ impl JobExecutor {
         };
         let (dir, old_epoch) = (durable.dir.clone(), durable.epoch);
         let new_epoch = old_epoch + 1;
-        let journal = JournalWriter::create(&dir.join(journal_file(new_epoch)))
+        let journal = FramedLog::create(&dir.join(journal_file(new_epoch)))
             .map_err(|e| SnapshotError::Io(e.to_string()))?;
         self.log_taken_jobs()?;
         let snapshot = self.snapshot_with_epoch(new_epoch);
@@ -975,32 +983,18 @@ impl JobExecutor {
         let Some(durable) = &mut self.durable else {
             return Ok(());
         };
-        let records: Vec<FinishedRecord> = self
+        let taken: Vec<JobSnapshot> = self
             .unlogged
             .iter()
-            .filter_map(|&idx| {
-                let slot = &self.slots[idx];
-                match slot.stage {
-                    Stage::Finished { verdict, rounds, wall, status: None } => {
-                        Some(FinishedRecord {
-                            handle: idx as u64,
-                            label: slot.label.clone(),
-                            slices: slot.slices,
-                            verdict,
-                            rounds,
-                            wall,
-                        })
-                    }
-                    _ => None,
-                }
-            })
+            .filter(|&&idx| matches!(self.slots[idx].stage, Stage::Finished { status: None, .. }))
+            .map(|&idx| self.slots[idx].snapshot(idx))
             .collect();
-        if records.is_empty() {
+        if taken.is_empty() {
             return Ok(());
         }
-        durable.finished.append(&records)?;
-        for record in &records {
-            self.unlogged.remove(&(record.handle as usize));
+        durable.finished.append(&taken).map_err(|e| SnapshotError::Io(e.to_string()))?;
+        for job in &taken {
+            self.unlogged.remove(&(job.handle as usize));
         }
         Ok(())
     }
@@ -1015,32 +1009,7 @@ impl JobExecutor {
     }
 
     fn snapshot_with_epoch(&self, epoch: u64) -> ExecutorSnapshot {
-        let jobs = self
-            .unlogged
-            .iter()
-            .map(|&idx| {
-                let slot = &self.slots[idx];
-                JobSnapshot {
-                    handle: idx as u64,
-                    label: slot.label.clone(),
-                    slices: slot.slices,
-                    stage: match &slot.stage {
-                        Stage::Queued(spec) => JobStageSnapshot::Queued(spec.clone()),
-                        Stage::Running(session) => {
-                            JobStageSnapshot::Running(Box::new(session.snapshot()))
-                        }
-                        Stage::Finished { verdict, rounds, wall, status } => {
-                            JobStageSnapshot::Finished {
-                                verdict: *verdict,
-                                rounds: *rounds,
-                                wall: *wall,
-                                status: status.clone(),
-                            }
-                        }
-                    },
-                }
-            })
-            .collect();
+        let jobs = self.unlogged.iter().map(|&idx| self.slots[idx].snapshot(idx)).collect();
         ExecutorSnapshot {
             rotation: self.rotation.map(|h| h.0),
             base_slice: self.base_slice,
@@ -1054,39 +1023,27 @@ impl JobExecutor {
     }
 }
 
-/// Restores an executor from the records of its finished log and the
-/// snapshot paired with them (no journal replay, no durability). Together
-/// they must hold every handle below their joint count exactly once;
-/// anything else is a [`RecoveryError::Divergence`].
+/// Restores an executor from the jobs of its finished log and the snapshot
+/// paired with them (no journal replay, no durability). Every logged job
+/// must be a taken finished one, and together the two must hold every
+/// handle below their joint count exactly once; anything else is a
+/// [`RecoveryError::Divergence`].
 fn restore(
     snapshot: &ExecutorSnapshot,
-    finished: Vec<FinishedRecord>,
+    logged: &[JobSnapshot],
 ) -> Result<JobExecutor, RecoveryError> {
-    let count = finished.len() + snapshot.jobs.len();
-    let mut slots: Vec<Option<JobSlot>> = std::iter::repeat_with(|| None).take(count).collect();
-    let mut place = |handle: u64, slot: JobSlot| match slots.get_mut(handle as usize) {
-        Some(place @ None) => {
-            *place = Some(slot);
-            Ok(())
-        }
-        _ => Err(RecoveryError::Divergence(format!(
-            "job {handle} is duplicated or out of range across the finished log and the \
-             snapshot, which hold {count} jobs together"
-        ))),
-    };
-    for record in finished {
-        let stage = Stage::Finished {
-            verdict: record.verdict,
-            rounds: record.rounds,
-            wall: record.wall,
-            status: None,
-        };
-        place(
-            record.handle,
-            JobSlot { label: record.label, observer: None, slices: record.slices, stage },
-        )?;
+    if let Some(job) = logged
+        .iter()
+        .find(|job| !matches!(job.stage, JobStageSnapshot::Finished { status: None, .. }))
+    {
+        return Err(RecoveryError::Divergence(format!(
+            "the finished log holds job {}, which is not a taken finished job",
+            job.handle
+        )));
     }
-    for job in &snapshot.jobs {
+    let count = logged.len() + snapshot.jobs.len();
+    let mut slots: Vec<Option<JobSlot>> = std::iter::repeat_with(|| None).take(count).collect();
+    for job in logged.iter().chain(&snapshot.jobs) {
         let stage = match &job.stage {
             JobStageSnapshot::Queued(spec) => Stage::Queued(spec.clone()),
             JobStageSnapshot::Running(session) => {
@@ -1099,10 +1056,15 @@ fn restore(
                 status: status.clone(),
             },
         };
-        place(
-            job.handle,
-            JobSlot { label: job.label.clone(), observer: None, slices: job.slices, stage },
-        )?;
+        let Some(place @ None) = slots.get_mut(job.handle as usize) else {
+            return Err(RecoveryError::Divergence(format!(
+                "job {} is duplicated or out of range across the finished log and the \
+                 snapshot, which hold {count} jobs together",
+                job.handle
+            )));
+        };
+        *place =
+            Some(JobSlot { label: job.label.clone(), observer: None, slices: job.slices, stage });
     }
     // Every place is filled: `count` distinct handles, each below `count`.
     let slots: Vec<JobSlot> = slots.into_iter().flatten().collect();
@@ -1192,6 +1154,7 @@ fn replay_records(exec: &mut JobExecutor, records: &[JournalRecord]) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal;
     use esd_ir::{CmpOp, Loc, ProgramBuilder};
     use std::sync::{Arc, Mutex};
 
@@ -1567,6 +1530,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `finished.log` holds taken finished jobs only: a record in any other
+    /// stage, or one whose outcome is still to take, is a divergence.
+    #[test]
+    fn restore_rejects_logged_jobs_that_are_not_taken() {
+        let (p, loc) = crashy("exec_restore_logged", 2);
+        let mut exec = JobExecutor::round_robin();
+        let h = exec.submit(JobSpec::new("a", &p, GoalSpec::Crash { loc }));
+        let queued = exec.snapshot();
+        exec.run_until_idle();
+        let untaken = exec.snapshot();
+        exec.take(h).expect("job finished");
+        let taken = exec.snapshot();
+        let empty = ExecutorSnapshot { jobs: Vec::new(), ..taken.clone() };
+        assert!(restore(&empty, &taken.jobs).is_ok());
+        for logged in [&queued.jobs, &untaken.jobs] {
+            assert!(matches!(restore(&empty, logged), Err(RecoveryError::Divergence(_))));
+        }
+    }
+
     /// A checkpoint that cannot write reports a typed error and leaves the
     /// executor usable: here the durable directory has been replaced by a
     /// regular file after a job finished and was taken.
@@ -1611,7 +1593,8 @@ mod tests {
         assert!(exec.run_slice());
         assert!(exec.run_slice());
         drop(exec);
-        let scanned = journal::load(&dir.join(journal_file(1))).expect("journal reads");
+        let bytes = std::fs::read(dir.join(journal_file(1))).expect("journal reads");
+        let scanned = journal::scan(&bytes);
         let batch_sizes: Vec<usize> = scanned
             .records
             .iter()

@@ -1,4 +1,5 @@
-//! The frame shared by the journal and the service wire protocol:
+//! The frame shared by every durable file (the journal, `finished.log`, the
+//! snapshot) and the service wire protocol:
 //! `[len: u32 LE] [checksum: u64 LE = FNV-1a(payload)] [payload]`.
 
 use crate::snapshot::fnv1a64;
@@ -12,7 +13,12 @@ pub enum FrameError {
     /// The length prefix, carried here, exceeds the reader's bound.
     TooLong(usize),
     /// The payload does not hash to the stored checksum.
-    ChecksumMismatch,
+    ChecksumMismatch {
+        /// The checksum stored in the frame's header.
+        stored: u64,
+        /// The checksum of the payload actually present.
+        actual: u64,
+    },
 }
 
 /// Wraps a payload in a `[len][fnv1a64][payload]` frame.
@@ -39,8 +45,10 @@ pub fn decode_frame(bytes: &[u8], max_len: usize) -> Result<Option<&[u8]>, Frame
     let Some(payload) = rest.get(..len) else {
         return Ok(None);
     };
-    if fnv1a64(payload).to_le_bytes() != header[4..] {
-        return Err(FrameError::ChecksumMismatch);
+    let stored = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+    let actual = fnv1a64(payload);
+    if actual != stored {
+        return Err(FrameError::ChecksumMismatch { stored, actual });
     }
     Ok(Some(payload))
 }

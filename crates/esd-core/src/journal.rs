@@ -1,14 +1,15 @@
 //! The append-only logs of a durable executor, and crash recovery.
 //!
-//! A durable [`JobExecutor`] keeps three files in its durable directory:
+//! A durable [`JobExecutor`] keeps three files in its durable directory,
+//! each made of [`crate::frame`]s around compact JSON:
 //!
-//! * `finished.log` — one record per job whose outcome was taken: its
-//!   handle, label, slices, verdict, rounds and wall time. Such a job can
-//!   never change again, so the first checkpoint after its
+//! * `finished.log` — one [`JobSnapshot`] per job whose outcome was taken,
+//!   in its finished stage with no status left. Such a job can never
+//!   change again, so the first checkpoint after its
 //!   [`take`](crate::executor::JobExecutor::take) appends it once and no
 //!   later checkpoint rewrites it.
-//! * `snapshot.json` — the [`ExecutorSnapshot`] (see [`crate::snapshot`]
-//!   for the envelope): the scheduler fields and every job *not* in the
+//! * `snapshot.frame` — the [`ExecutorSnapshot`] (see [`crate::snapshot`]
+//!   for the container): the scheduler fields and every job *not* in the
 //!   log, that is the queued, running and untaken finished ones. Its
 //!   `finished_len` names the byte length of `finished.log` it pairs with.
 //! * `journal-<epoch>.log` — every scheduling decision taken since that
@@ -19,28 +20,31 @@
 //! and the rotation cursor, and the engines are deterministic in their
 //! seeds — replaying the journal against the restored jobs rebuilds the
 //! exact pre-crash state. [`JobExecutor::recover`] is that reduction: it
-//! reads exactly the first `finished_len` bytes of the log (truncating any
-//! tail a checkpoint appended before it crashed short of renaming its
-//! snapshot), restores the snapshot's jobs beside them, replays the journal
-//! and verifies every re-taken decision against it.
+//! reads exactly the first `finished_len` bytes of the log, restores the
+//! snapshot's jobs beside them, replays the journal and verifies every
+//! re-taken decision against it.
 //!
 //! A checkpoint therefore costs O(live jobs + jobs taken since the last
 //! checkpoint), not O(every job ever submitted): the snapshot holds only
 //! the live jobs, and the log grows by one frame per finished job.
 //!
-//! ## Frame format
+//! ## One log type
 //!
-//! Each record, in the journal and in the finished log alike, is one
-//! [`crate::frame`] around the record's compact JSON.
-//!
-//! The journal writer appends a whole frame and flushes before the
-//! decision it records takes effect (write-ahead), so a crash can tear at
-//! most the final frame. The [`scan`] reader stops at the first torn or
-//! corrupt frame and reports what it found; recovery replays the longest
-//! valid prefix and never panics on damaged input (pinned by the
-//! `properties` suite).
+//! The journal and `finished.log` are both a `FramedLog`: the file and the
+//! byte length of its valid records. Every append writes whole frames at
+//! that length and flushes them; the journal's are written before the
+//! decision they record takes effect (write-ahead), so a crash can tear at
+//! most the final frame. Opening a log [`scan`]s it and truncates, in
+//! place, whatever follows the prefix it trusts. Only that prefix differs:
+//! the journal trusts its longest valid prefix and drops a torn or corrupt
+//! tail, while `finished.log` trusts exactly the `finished_len` bytes the
+//! snapshot pairs with and drops the frames a checkpoint appended before it
+//! crashed short of renaming its snapshot; damage inside those bytes is a
+//! [`RecoveryError::Divergence`]. Recovery never panics on damaged input
+//! (pinned by the `properties` suite).
 //!
 //! [`ExecutorSnapshot`]: crate::executor::ExecutorSnapshot
+//! [`JobSnapshot`]: crate::executor::JobSnapshot
 //! [`JobExecutor`]: crate::executor::JobExecutor
 //! [`JobExecutor::recover`]: crate::executor::JobExecutor::recover
 
@@ -52,7 +56,6 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::time::Duration;
 
 /// One durable executor decision.
 ///
@@ -140,9 +143,10 @@ pub struct JournalScan {
     pub damage: Option<JournalDamage>,
 }
 
-/// Encodes one record as a framed byte sequence.
-pub fn encode_frame(record: &JournalRecord) -> Vec<u8> {
-    let payload = serde_json::to_string(record).expect("journal record serializes");
+/// Encodes one record (a [`JournalRecord`], or a `finished.log` job) as a
+/// framed byte sequence.
+pub fn encode_frame<R: Serialize>(record: &R) -> Vec<u8> {
+    let payload = serde_json::to_string(record).expect("log records serialize");
     frame::encode_frame(payload.as_bytes())
 }
 
@@ -182,138 +186,83 @@ fn scan_records<R: Deserialize>(bytes: &[u8]) -> (Vec<R>, usize, Option<JournalD
     (records, offset, damage)
 }
 
-/// Reads and [`scan`]s a journal file. A missing file is an empty, clean
-/// journal (the executor may crash before its first append).
-pub fn load(path: &Path) -> Result<JournalScan, RecoveryError> {
-    match std::fs::read(path) {
-        Ok(bytes) => Ok(scan(&bytes)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            Ok(JournalScan { records: Vec::new(), valid_len: 0, damage: None })
-        }
-        Err(e) => Err(RecoveryError::Io(e.to_string())),
-    }
-}
-
-/// Appends framed [`JournalRecord`]s to a journal file, flushing each frame
-/// so at most the in-flight frame can be lost to a crash.
+/// An append-only file of framed records: the journal and `finished.log`
+/// alike (see the module docs). It holds the file and the byte length of
+/// its valid records, and appends at that length, so bytes a failed append
+/// left behind are overwritten by the next one and never read.
 #[derive(Debug)]
-pub struct JournalWriter {
-    file: File,
-}
-
-impl JournalWriter {
-    /// Creates (truncating) a journal at `path`.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(JournalWriter { file: File::create(path)? })
-    }
-
-    /// Opens a journal for appending, creating it if absent.
-    pub fn open_append(path: &Path) -> std::io::Result<Self> {
-        Ok(JournalWriter { file: OpenOptions::new().create(true).append(true).open(path)? })
-    }
-
-    /// Appends one framed record and flushes it to the OS.
-    pub fn append(&mut self, record: &JournalRecord) -> std::io::Result<()> {
-        self.file.write_all(&encode_frame(record))?;
-        self.file.flush()
-    }
-}
-
-/// A job whose outcome has been taken, as `finished.log` holds it: final,
-/// so it is written once and never rewritten. Recovery restores it as a
-/// finished job with no outcome left to take.
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct FinishedRecord {
-    /// The job's handle id.
-    pub(crate) handle: u64,
-    /// The job's label.
-    pub(crate) label: String,
-    /// Executor slices dispatched to the job.
-    pub(crate) slices: u64,
-    /// How the job ended.
-    pub(crate) verdict: JobVerdict,
-    /// Search rounds the job advanced.
-    pub(crate) rounds: u64,
-    /// Wall-clock time from admission to the terminal state.
-    pub(crate) wall: Duration,
-}
-
-/// The append-only `finished.log` of a durable executor: one framed
-/// [`FinishedRecord`] per job, opened once and kept, like the journal.
-///
-/// Its [`len`](FinishedLog::len) is the byte length of the records
-/// appended so far; a snapshot stores it as `finished_len`, and recovery
-/// reads exactly that prefix. Each append writes at that length, so bytes
-/// a failed append left behind are overwritten by the next one and never
-/// read.
-#[derive(Debug)]
-pub(crate) struct FinishedLog {
+pub(crate) struct FramedLog {
     file: File,
     len: u64,
 }
 
-impl FinishedLog {
+impl FramedLog {
     /// Creates (truncating) an empty log at `path`.
     pub(crate) fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(FinishedLog { file: File::create(path)?, len: 0 })
+        Ok(FramedLog { file: File::create(path)?, len: 0 })
     }
 
-    /// Opens the log at `path` for a snapshot that pairs with its first
-    /// `len` bytes: returns the records of that prefix and the log,
-    /// truncated to it and ready to append. Bytes past `len` are frames a
-    /// checkpoint appended before it crashed short of renaming its snapshot
-    /// (or a torn tail of them); the snapshot does not cover them, so they
-    /// go. A prefix that is missing, short, torn or corrupt is an error:
-    /// the snapshot relies on every byte of it.
-    pub(crate) fn open(
+    /// Opens the log at `path`, creating it if absent, and returns it with
+    /// the records of the prefix it trusts; whatever follows that prefix is
+    /// truncated in place. With `paired_len` `None` (the journal) that
+    /// prefix is the longest valid one, and a torn or corrupt tail goes.
+    /// With `Some(len)` (`finished.log`) it is exactly the first `len`
+    /// bytes, the ones a snapshot pairs with: bytes past them go, and a
+    /// prefix that is short, torn or corrupt is a
+    /// [`RecoveryError::Divergence`] that leaves the file as it is.
+    pub(crate) fn open<R: Deserialize>(
         path: &Path,
-        len: u64,
-    ) -> Result<(Self, Vec<FinishedRecord>), RecoveryError> {
+        paired_len: Option<u64>,
+    ) -> Result<(Self, Vec<R>), RecoveryError> {
         let io = |e: std::io::Error| RecoveryError::Io(format!("{}: {e}", path.display()));
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(len == 0).open(path).map_err(io)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .map_err(io)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes).map_err(io)?;
-        let prefix = usize::try_from(len).ok().and_then(|n| bytes.get(..n)).ok_or_else(|| {
-            RecoveryError::Divergence(format!(
-                "the snapshot pairs with {len} bytes of {}, which holds {}",
-                path.display(),
-                bytes.len()
-            ))
-        })?;
-        let (records, valid_len, damage) = scan_records(prefix);
-        if let Some(damage) = damage {
+        let trusted = match paired_len {
+            None => &bytes[..],
+            Some(len) => {
+                usize::try_from(len).ok().and_then(|n| bytes.get(..n)).ok_or_else(|| {
+                    RecoveryError::Divergence(format!(
+                        "the snapshot pairs with {len} bytes of {}, which holds {}",
+                        path.display(),
+                        bytes.len()
+                    ))
+                })?
+            }
+        };
+        let (records, valid_len, damage) = scan_records(trusted);
+        if let (Some(len), Some(damage)) = (paired_len, damage) {
             return Err(RecoveryError::Divergence(format!(
                 "{} within the {valid_len} of {len} bytes the snapshot pairs with: {damage}",
                 path.display()
             )));
         }
-        if bytes.len() as u64 > len {
-            file.set_len(len).map_err(io)?;
+        if bytes.len() > valid_len {
+            file.set_len(valid_len as u64).map_err(io)?;
         }
-        Ok((FinishedLog { file, len }, records))
+        Ok((FramedLog { file, len: valid_len as u64 }, records))
     }
 
-    /// Bytes of the records appended so far: the `finished_len` a snapshot
-    /// taken now pairs with.
+    /// Bytes of the records appended so far: for `finished.log`, the
+    /// `finished_len` a snapshot taken now pairs with.
     pub(crate) fn len(&self) -> u64 {
         self.len
     }
 
     /// Appends `records`, one frame each, in one write at the end of the
     /// records appended so far, and flushes it to the OS. On error the
-    /// log's [`len`](FinishedLog::len) is unchanged.
-    pub(crate) fn append(&mut self, records: &[FinishedRecord]) -> Result<(), SnapshotError> {
-        let mut bytes = Vec::new();
-        for record in records {
-            let payload =
-                serde_json::to_string(record).map_err(|e| SnapshotError::Decode(e.to_string()))?;
-            bytes.extend_from_slice(&frame::encode_frame(payload.as_bytes()));
-        }
-        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
-        self.file.seek(SeekFrom::Start(self.len)).map_err(io)?;
-        self.file.write_all(&bytes).map_err(io)?;
-        self.file.flush().map_err(io)?;
+    /// log's [`len`](FramedLog::len) is unchanged.
+    pub(crate) fn append<R: Serialize>(&mut self, records: &[R]) -> std::io::Result<()> {
+        let bytes = records.iter().map(encode_frame).collect::<Vec<_>>().concat();
+        self.file.seek(SeekFrom::Start(self.len))?;
+        self.file.write_all(&bytes)?;
+        self.file.flush()?;
         self.len += bytes.len() as u64;
         Ok(())
     }
@@ -322,15 +271,15 @@ impl FinishedLog {
 /// Why a crashed executor could not be recovered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryError {
-    /// The snapshot envelope failed to load or verify.
+    /// The snapshot file failed to load or verify.
     Snapshot(SnapshotError),
     /// Reading durable state failed.
     Io(String),
     /// Replay re-planned a batch or re-took a decision differently than
     /// the journal records, or the durable files disagree with each other
-    /// (a damaged finished-log prefix, a job missing from both the log and
-    /// the snapshot) — the durable state is inconsistent with itself or
-    /// with this build.
+    /// (a damaged finished-log prefix, a logged job that is not a taken
+    /// finished one, a job missing from both the log and the snapshot) —
+    /// the durable state is inconsistent with itself or with this build.
     Divergence(String),
 }
 

@@ -18,14 +18,14 @@
 //!   independent jobs (each one session) and time-slices them
 //!   round-robin, with per-job observer fan-out and aggregate
 //!   [`ExecutorStats`].
-//! * [`snapshot`] — versioned, checksummed snapshot envelopes for durable
-//!   sessions (see [`session::SessionSnapshot`] /
-//!   [`executor::ExecutorSnapshot`]).
-//! * [`frame`] — the length-prefixed, checksummed frame the journal and
-//!   the service wire protocol share.
-//! * [`journal`] — the append-only commit log of executor decisions, the
-//!   append-only log of finished jobs, and the `reduce(finished log ⊕
-//!   snapshot, journal)` crash recovery behind
+//! * [`snapshot`] — versioned, checksummed snapshot files (a format
+//!   version word and one [`frame`]) for durable sessions (see
+//!   [`session::SessionSnapshot`] / [`executor::ExecutorSnapshot`]).
+//! * [`frame`] — the length-prefixed, checksummed frame every durable file
+//!   and the service wire protocol share.
+//! * [`journal`] — the append-only framed log behind both the commit log
+//!   of executor decisions and the log of finished jobs, and the
+//!   `reduce(finished log ⊕ snapshot, journal)` crash recovery behind
 //!   [`JobExecutor::recover`](executor::JobExecutor::recover).
 //! * the KC baseline (Klee searchers + Chess preemption bounding) is no
 //!   separate driver: it is the [`EsdOptions::kc`] preset, run through a
@@ -58,7 +58,7 @@ pub use executor::{
     ExecutorSnapshot, ExecutorStats, JobExecutor, JobHandle, JobOutcome, JobPhase, JobSnapshot,
     JobSpec, JobStageSnapshot, JobStat, JobStatus, JobVerdict,
 };
-pub use journal::{JournalDamage, JournalRecord, JournalScan, JournalWriter, RecoveryError};
+pub use journal::{JournalDamage, JournalRecord, JournalScan, RecoveryError};
 pub use report::{extract_goal, BugKind, BugReport};
 pub use session::{Observer, ProgressEvent, SessionSnapshot, SessionStatus, SynthesisSession};
 pub use snapshot::{SnapshotError, SNAPSHOT_FORMAT_VERSION};

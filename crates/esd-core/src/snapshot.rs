@@ -1,51 +1,42 @@
-//! Versioned, checksummed snapshot envelopes — the on-disk half of durable
+//! Versioned, checksummed snapshot files — the on-disk half of durable
 //! sessions.
 //!
-//! A snapshot file is a small JSON envelope around an opaque JSON payload:
+//! A snapshot file is a format version word followed by one
+//! [`crate::frame`] around the payload's compact JSON:
 //!
-//! ```json
-//! { "format_version": 1, "checksum": 1234567890, "payload": "{...}" }
+//! ```text
+//! [SNAPSHOT_FORMAT_VERSION: u32 LE] [len: u32 LE] [fnv1a64: u64 LE] [payload]
 //! ```
 //!
-//! The payload is stored as a *string* so the checksum covers its exact
-//! bytes: [`seal`] computes an FNV-1a 64 hash of the payload text and
-//! [`unseal`] refuses to hand the payload back unless the stored hash
-//! matches and the format version is known. Every failure mode is a typed
-//! [`SnapshotError`] — a corrupt or future-format snapshot is a reported
-//! condition, never a panic.
+//! [`decode_snapshot`] checks the version first, then the checksum, and
+//! hands the payload back only when both hold and the frame ends the file.
+//! Every failure mode is a typed [`SnapshotError`] — a corrupt or
+//! future-format snapshot is a reported condition, never a panic.
 //!
-//! The envelope is deliberately format-agnostic: [`save_snapshot`] /
-//! [`load_snapshot`] seal any serde-serializable value, and the same
-//! envelope wraps the [`ExecutorSnapshot`](crate::executor::ExecutorSnapshot)
-//! written by a durable [`JobExecutor`](crate::executor::JobExecutor) and
-//! the golden [`SessionSnapshot`](crate::session::SessionSnapshot) fixture.
+//! The container is format-agnostic: [`save_snapshot`] / [`load_snapshot`]
+//! wrap any serde-serializable value, such as the
+//! [`ExecutorSnapshot`](crate::executor::ExecutorSnapshot) written by a
+//! durable [`JobExecutor`](crate::executor::JobExecutor) or a
+//! [`SessionSnapshot`](crate::session::SessionSnapshot).
 
+use crate::frame::{self, FrameError, FRAME_HEADER};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
-/// The current snapshot envelope format version. Bump when the envelope (or
-/// the canonical payload encoding) changes shape, or when the search steps
-/// differently: a payload written under the old stepping rule would resume
-/// along a different trajectory; so does a frontier image whose keys were
-/// computed under an old proximity rule (format 16 counts every thread that
-/// has not finished), or a race-detection job written when race detection
-/// still stepped one instruction per selection (format 18 gives it the
-/// 32-step burst), or a job written while states were still abandoned in
-/// blocks that cannot reach the goal (format 20 abandons none there).
-/// Removing a variant or a field a payload may hold (format 14 dropped the
-/// batched frontier's image, format 15 the three per-heuristic switches of
-/// the stored `EsdOptions`, format 16 `SearchStats::other_bugs_found`,
-/// format 17 the breadth-first frontier's image) is a change of shape too,
-/// and so is a payload that now leaves part of the state to a file beside
-/// it (format 19: an executor snapshot holds only the jobs its
-/// `finished.log` prefix does not, names each by handle, and records that
-/// prefix's `finished_len`). [`unseal`] rejects any other version with
-/// [`SnapshotError::UnknownVersion`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 20;
+/// The current snapshot format version. Bump it whenever a snapshot written
+/// by the previous build would read back differently or resume along a
+/// different trajectory: the container or the payload changes shape (a
+/// variant or field added, removed or renamed, or part of the state moved to
+/// another file), or the search steps differently. [`decode_snapshot`]
+/// rejects any other version with [`SnapshotError::UnknownVersion`].
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 21;
 
-/// 64-bit FNV-1a over `bytes` — the dependency-free checksum used by both
-/// snapshot envelopes and journal frames.
+/// Bytes of the version word that precedes a snapshot's frame.
+const VERSION_WORD: usize = 4;
+
+/// 64-bit FNV-1a over `bytes` — the dependency-free checksum of every
+/// [`crate::frame`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -62,13 +53,14 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub enum SnapshotError {
     /// Reading or writing the snapshot file failed.
     Io(String),
-    /// The envelope is not valid JSON of the expected shape.
+    /// The file is not a version word followed by exactly one whole frame
+    /// around UTF-8 text.
     Malformed(String),
-    /// The envelope's format version is not one this build understands.
+    /// The file's format version is not one this build understands.
     UnknownVersion(u32),
     /// The payload bytes do not hash to the stored checksum.
     ChecksumMismatch {
-        /// The checksum stored in the envelope.
+        /// The checksum stored in the frame.
         stored: u64,
         /// The checksum of the payload actually present.
         actual: u64,
@@ -82,7 +74,7 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
-            SnapshotError::Malformed(e) => write!(f, "malformed snapshot envelope: {e}"),
+            SnapshotError::Malformed(e) => write!(f, "malformed snapshot file: {e}"),
             SnapshotError::UnknownVersion(v) => {
                 write!(
                     f,
@@ -100,55 +92,56 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The envelope as it appears on disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Envelope {
-    format_version: u32,
-    checksum: u64,
-    payload: String,
+/// Wraps a payload in a snapshot file's bytes: the format version word,
+/// then one frame (the inverse of [`decode_snapshot`]).
+pub fn encode_snapshot(payload: &str) -> Vec<u8> {
+    [&SNAPSHOT_FORMAT_VERSION.to_le_bytes()[..], &frame::encode_frame(payload.as_bytes())].concat()
 }
 
-/// Wraps `payload` in a versioned, checksummed envelope (the inverse of
-/// [`unseal`]).
-pub fn seal(payload: &str) -> String {
-    let envelope = Envelope {
-        format_version: SNAPSHOT_FORMAT_VERSION,
-        checksum: fnv1a64(payload.as_bytes()),
-        payload: payload.to_string(),
+/// Verifies a snapshot file's bytes and returns its payload. The version is
+/// checked before the checksum, so a future format is
+/// [`SnapshotError::UnknownVersion`] whatever its frame holds; bytes that
+/// are too short, end inside the frame, run past it or are not UTF-8 are
+/// [`SnapshotError::Malformed`].
+pub fn decode_snapshot(bytes: &[u8]) -> Result<&str, SnapshotError> {
+    let malformed = |what: &str| SnapshotError::Malformed(what.to_string());
+    let Some((version, framed)) = bytes.split_first_chunk::<VERSION_WORD>() else {
+        return Err(malformed("shorter than its version word"));
     };
-    serde_json::to_string(&envelope).expect("snapshot envelope serializes")
+    let version = u32::from_le_bytes(*version);
+    if version != SNAPSHOT_FORMAT_VERSION {
+        return Err(SnapshotError::UnknownVersion(version));
+    }
+    let payload = match frame::decode_frame(framed, usize::MAX) {
+        Ok(Some(payload)) => payload,
+        Ok(None) | Err(FrameError::TooLong(_)) => {
+            return Err(malformed("the file ends inside its frame"))
+        }
+        Err(FrameError::ChecksumMismatch { stored, actual }) => {
+            return Err(SnapshotError::ChecksumMismatch { stored, actual })
+        }
+    };
+    if FRAME_HEADER + payload.len() != framed.len() {
+        return Err(malformed("bytes follow the frame"));
+    }
+    std::str::from_utf8(payload).map_err(|e| SnapshotError::Malformed(e.to_string()))
 }
 
-/// Verifies an envelope produced by [`seal`] and returns its payload.
-pub fn unseal(text: &str) -> Result<String, SnapshotError> {
-    let envelope: Envelope =
-        serde_json::from_str(text).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
-    if envelope.format_version != SNAPSHOT_FORMAT_VERSION {
-        return Err(SnapshotError::UnknownVersion(envelope.format_version));
-    }
-    let actual = fnv1a64(envelope.payload.as_bytes());
-    if actual != envelope.checksum {
-        return Err(SnapshotError::ChecksumMismatch { stored: envelope.checksum, actual });
-    }
-    Ok(envelope.payload)
-}
-
-/// Serializes `value`, seals it, and writes it to `path` atomically (a
-/// temporary sibling file renamed into place, so a crash mid-write never
-/// leaves a half-written snapshot under the final name).
+/// Serializes `value` and writes it to `path` as a snapshot file,
+/// atomically (a temporary sibling file renamed into place, so a crash
+/// mid-write never leaves a half-written snapshot under the final name).
 pub fn save_snapshot<T: Serialize>(path: &Path, value: &T) -> Result<(), SnapshotError> {
     let payload = serde_json::to_string(value).map_err(|e| SnapshotError::Decode(e.to_string()))?;
-    let sealed = seal(&payload);
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, sealed).map_err(|e| SnapshotError::Io(e.to_string()))?;
+    std::fs::write(&tmp, encode_snapshot(&payload))
+        .map_err(|e| SnapshotError::Io(e.to_string()))?;
     std::fs::rename(&tmp, path).map_err(|e| SnapshotError::Io(e.to_string()))
 }
 
 /// Reads, verifies and decodes a snapshot written by [`save_snapshot`].
 pub fn load_snapshot<T: Deserialize>(path: &Path) -> Result<T, SnapshotError> {
-    let text = std::fs::read_to_string(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-    let payload = unseal(&text)?;
-    serde_json::from_str(&payload).map_err(|e| SnapshotError::Decode(e.to_string()))
+    let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
+    serde_json::from_str(decode_snapshot(&bytes)?).map_err(|e| SnapshotError::Decode(e.to_string()))
 }
 
 #[cfg(test)]
@@ -164,17 +157,31 @@ mod tests {
     }
 
     #[test]
-    fn seal_unseal_round_trips() {
-        let payload = r#"{"hello":"world"}"#;
-        assert_eq!(unseal(&seal(payload)).unwrap(), payload);
+    fn the_container_is_a_version_word_and_one_frame() {
+        let payload = r#"{"a":1}"#;
+        let bytes = encode_snapshot(payload);
+        assert_eq!(bytes[..4], SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+        assert_eq!(bytes[4..8], 7u32.to_le_bytes());
+        assert_eq!(bytes[8..16], fnv1a64(payload.as_bytes()).to_le_bytes());
+        assert_eq!(&bytes[16..], payload.as_bytes());
+        assert_eq!(decode_snapshot(&bytes), Ok(payload));
     }
 
     #[test]
-    fn unseal_rejects_unknown_versions_and_corruption() {
-        let future = r#"{"format_version": 999, "checksum": 0, "payload": ""}"#;
-        assert_eq!(unseal(future), Err(SnapshotError::UnknownVersion(999)));
-        let corrupt = seal("hello-data").replace("hello-data", "hello-dataX");
-        assert!(matches!(unseal(&corrupt), Err(SnapshotError::ChecksumMismatch { .. })));
-        assert!(matches!(unseal("not json"), Err(SnapshotError::Malformed(_))));
+    fn decode_rejects_unknown_versions_and_corruption() {
+        let mut future = encode_snapshot("hello-data");
+        future[..4].copy_from_slice(&999u32.to_le_bytes());
+        future[20] ^= 1;
+        assert_eq!(decode_snapshot(&future), Err(SnapshotError::UnknownVersion(999)));
+        let mut corrupt = encode_snapshot("hello-data");
+        corrupt[20] ^= 1;
+        assert!(matches!(decode_snapshot(&corrupt), Err(SnapshotError::ChecksumMismatch { .. })));
+        let whole = encode_snapshot("hello-data");
+        for bad in [&whole[..3], &whole[..whole.len() - 1], &[whole.as_slice(), b"x"].concat()] {
+            assert!(matches!(decode_snapshot(bad), Err(SnapshotError::Malformed(_))));
+        }
+        let version = SNAPSHOT_FORMAT_VERSION.to_le_bytes();
+        let not_utf8 = [&version[..], &frame::encode_frame(&[0xff])].concat();
+        assert!(matches!(decode_snapshot(&not_utf8), Err(SnapshotError::Malformed(_))));
     }
 }

@@ -1,10 +1,10 @@
 //! Golden test for the durable session snapshot format
 //! (`esd-core/src/snapshot.rs` + `esd-core/src/session.rs`).
 //!
-//! A sealed [`SessionSnapshot`] of a mid-search session is checked in under
-//! `tests/fixtures/`. It must keep unsealing, deserializing and restoring,
-//! so any change to the envelope (`format_version`, checksum) or to the
-//! snapshot payload — field renames, engine-state encoding, RNG state — is
+//! The compact JSON payload of a mid-search [`SessionSnapshot`] is checked
+//! in under `tests/fixtures/`. It must keep deserializing and restoring, and
+//! wrapped in the snapshot container it must keep decoding, so any change to
+//! the payload — field renames, engine-state encoding, RNG state — is
 //! caught here instead of silently orphaning snapshots written by earlier
 //! builds.
 //!
@@ -17,7 +17,9 @@
 //!
 //! and commit the new fixture together with the format change.
 
-use esd::core::snapshot::{seal, unseal, SnapshotError, SNAPSHOT_FORMAT_VERSION};
+use esd::core::snapshot::{
+    decode_snapshot, encode_snapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION,
+};
 use esd::core::SessionSnapshot;
 use esd::workloads::genbug::{generate, GenConfig, InjectedBugKind};
 use esd::{EsdOptions, SessionStatus, SynthesisSession};
@@ -59,9 +61,7 @@ fn a_regenerate_fixture_when_requested() {
         return;
     }
     let payload = serde_json::to_string(&fixture_snapshot()).expect("snapshot serializes");
-    let mut sealed = seal(&payload);
-    sealed.push('\n');
-    std::fs::write(fixture_path(), sealed).expect("fixture written");
+    std::fs::write(fixture_path(), payload).expect("fixture written");
 }
 
 /// Golden determinism of the snapshot payload: re-running the fixture
@@ -71,25 +71,27 @@ fn golden_snapshot_payload_matches_fresh_session() {
     if regen_requested() {
         return;
     }
-    let payload = unseal(FIXTURE.trim_end()).expect("fixture envelope unseals");
     let fresh = serde_json::to_string(&fixture_snapshot()).expect("snapshot serializes");
     assert_eq!(
-        fresh, payload,
+        fresh, FIXTURE,
         "the session snapshot format (or search determinism) drifted — if \
          intentional, regenerate with ESD_REGEN_GOLDEN=1 and bump \
          SNAPSHOT_FORMAT_VERSION if old snapshots can no longer be read"
     );
 }
 
-/// The checked-in snapshot still restores to a working session: the
-/// restored search runs to completion and synthesizes the injected bug.
+/// The checked-in snapshot, wrapped in the snapshot container, still
+/// decodes and restores to a working session: the restored search runs to
+/// completion and synthesizes the injected bug.
 #[test]
 fn golden_snapshot_restores_to_a_live_session() {
     if regen_requested() {
         return;
     }
-    let payload = unseal(FIXTURE.trim_end()).expect("fixture envelope unseals");
-    let snap: SessionSnapshot = serde_json::from_str(&payload).expect("fixture deserializes");
+    let file = encode_snapshot(FIXTURE);
+    let payload = decode_snapshot(&file).expect("the wrapped fixture decodes");
+    assert_eq!(payload, FIXTURE);
+    let snap: SessionSnapshot = serde_json::from_str(payload).expect("fixture deserializes");
     let mut session = SynthesisSession::restore(&snap);
     while session.poll().is_running() {
         session.run_for(1000);
@@ -98,15 +100,6 @@ fn golden_snapshot_restores_to_a_live_session() {
         matches!(session.poll(), SessionStatus::Found(_)),
         "the restored session must still find the injected bug"
     );
-}
-
-/// The envelope as written on disk; mirrored here so the test can bump the
-/// version field without depending on the envelope's exact text rendering.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct RawEnvelope {
-    format_version: u32,
-    checksum: u64,
-    payload: String,
 }
 
 /// Snapshots from a future format version fail with the typed
@@ -118,13 +111,13 @@ fn future_format_versions_are_rejected_with_a_typed_error() {
         // The in-memory FIXTURE constant is stale during a regeneration run.
         return;
     }
-    let mut envelope: RawEnvelope =
-        serde_json::from_str(FIXTURE.trim_end()).expect("fixture envelope parses");
-    assert_eq!(envelope.format_version, SNAPSHOT_FORMAT_VERSION);
-    envelope.format_version = SNAPSHOT_FORMAT_VERSION + 1;
-    let bad = serde_json::to_string(&envelope).expect("envelope serializes");
+    let mut file = encode_snapshot(FIXTURE);
+    assert_eq!(file[..4], SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+    file[..4].copy_from_slice(&(SNAPSHOT_FORMAT_VERSION + 1).to_le_bytes());
+    // A checksum that fails as well must not mask the version.
+    *file.last_mut().expect("the payload is not empty") ^= 1;
     assert_eq!(
-        unseal(&bad),
+        decode_snapshot(&file),
         Err(SnapshotError::UnknownVersion(SNAPSHOT_FORMAT_VERSION + 1)),
         "a bumped format version must be the reported error"
     );

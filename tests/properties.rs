@@ -2,6 +2,7 @@
 
 use esd::concurrency::{Schedule, SegmentStop};
 use esd::core::journal::{encode_frame, scan, JournalRecord};
+use esd::core::snapshot::{load_snapshot, save_snapshot, SnapshotError};
 use esd::ir::interp::{InterpreterConfig, MapInputs, SchedulerKind};
 use esd::ir::printer::print_program;
 use esd::ir::validate::validate;
@@ -484,6 +485,63 @@ proptest! {
         let again = scan(&mangled[..scanned.valid_len]);
         prop_assert!(again.damage.is_none());
         prop_assert_eq!(again.records.len(), scanned.records.len());
+    }
+
+    /// Snapshot loading is total: a snapshot file truncated at any byte
+    /// offset, or with a few bits flipped anywhere, loads as a typed
+    /// `SnapshotError` — never a panic, and never a value other than the
+    /// one saved.
+    #[test]
+    fn snapshot_load_survives_arbitrary_corruption(
+        grants in proptest::collection::vec((0u64..8, 1u64..512), 0..12),
+        cut in 0usize..100_000,
+        flips in proptest::collection::vec((0usize..100_000, 0u32..8), 1..4),
+    ) {
+        let records: Vec<JournalRecord> = grants
+            .iter()
+            .map(|(a, b)| JournalRecord::Grant { grants: vec![*a, *b] })
+            .collect();
+        let payload = serde_json::to_string(&records).expect("records serialize");
+        let path = std::env::temp_dir()
+            .join(format!("esd_snapshot_corruption_{}.frame", std::process::id()));
+        save_snapshot(&path, &records).expect("snapshot saves");
+        let bytes = std::fs::read(&path).expect("snapshot reads");
+        let load = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("snapshot writes");
+            load_snapshot::<Vec<JournalRecord>>(&path)
+        };
+        let reloaded = load(&bytes).expect("a clean snapshot loads");
+        prop_assert_eq!(&serde_json::to_string(&reloaded).expect("records serialize"), &payload);
+
+        // Truncation anywhere short of the end: the file is incomplete.
+        let cut = cut % bytes.len();
+        let truncated = load(&bytes[..cut]);
+        prop_assert!(matches!(truncated, Err(SnapshotError::Malformed(_))), "{:?}", truncated);
+
+        // Flipped bits: a version, checksum or framing error, or (when the
+        // flips cancel out) the original value.
+        let mut mangled = bytes.clone();
+        for (at, bit) in &flips {
+            let at = at % mangled.len();
+            mangled[at] ^= 1 << bit;
+        }
+        match load(&mangled) {
+            Ok(value) => {
+                prop_assert_eq!(mangled, bytes);
+                prop_assert_eq!(serde_json::to_string(&value).expect("records serialize"), payload);
+            }
+            Err(e) => prop_assert!(
+                matches!(
+                    e,
+                    SnapshotError::UnknownVersion(_)
+                        | SnapshotError::ChecksumMismatch { .. }
+                        | SnapshotError::Malformed(_)
+                ),
+                "{:?}",
+                e
+            ),
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     /// Wire round-trip: arbitrary request/response conversations encoded as

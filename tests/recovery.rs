@@ -28,6 +28,7 @@
 //! the default exercises every boundary.
 
 use esd::core::frame::{decode_frame, FRAME_HEADER};
+use esd::core::journal::scan;
 use esd::core::snapshot::load_snapshot;
 use esd::core::JobStageSnapshot;
 use esd::symex::SearchStats;
@@ -297,7 +298,10 @@ fn recovery_tolerates_a_torn_journal_tail() {
     assert!(bytes.len() > 8, "five batches must have been journaled");
     std::fs::write(&journal_path, &bytes[..bytes.len() - 7]).expect("journal truncated");
 
+    let valid_len = scan(&std::fs::read(&journal_path).expect("journal reads")).valid_len;
     let mut recovered = JobExecutor::recover(&dir).expect("torn journals must recover");
+    let len = std::fs::metadata(&journal_path).expect("journal exists").len();
+    assert_eq!(len, valid_len as u64, "recovery truncates the torn frame in place");
     recovered.run_until_idle();
     let handles: Vec<esd::JobHandle> = recovered.stats().jobs.iter().map(|j| j.handle).collect();
     let actual = collect(&mut recovered, &handles);
@@ -414,7 +418,7 @@ fn run_history(finished: usize) -> History {
 
     let log_bytes = std::fs::read(&log).expect("finished.log reads");
     let snapshot: ExecutorSnapshot =
-        load_snapshot(&dir.join("snapshot.json")).expect("snapshot loads");
+        load_snapshot(&dir.join("snapshot.frame")).expect("snapshot loads");
     assert_eq!(snapshot.finished_len, log_bytes.len() as u64);
     let mut recovered = JobExecutor::recover(&dir).expect("recovery succeeds");
     assert_eq!(
@@ -427,7 +431,7 @@ fn run_history(finished: usize) -> History {
     assert_eq!(live, [found.id(), cancelled.id()], "only the live outcomes are left to take");
     let history = History {
         snapshot,
-        snapshot_bytes: std::fs::metadata(dir.join("snapshot.json")).expect("snapshot").len(),
+        snapshot_bytes: std::fs::metadata(dir.join("snapshot.frame")).expect("snapshot").len(),
         finished_frames: count_frames(&log_bytes),
     };
     remove_durable_dir(&dir);
@@ -446,7 +450,8 @@ fn checkpoint_size_does_not_grow_with_finished_jobs() {
     // The two snapshots differ only in clocks, in the rotation cursor (the
     // last job served, 21 against 201) and in the finished log's length, so
     // they are equal once those are cleared, and their sizes differ by the
-    // digits of those numbers and of the envelope's checksum.
+    // digits of those numbers and of the clocks (the frame's checksum is
+    // eight bytes whatever its value).
     let normalized = |snapshot: &ExecutorSnapshot| {
         let mut snapshot = snapshot.clone();
         snapshot.rotation = None;
@@ -466,7 +471,7 @@ fn checkpoint_size_does_not_grow_with_finished_jobs() {
     assert_eq!(normalized(&small.snapshot), normalized(&large.snapshot));
     assert!(
         small.snapshot_bytes.abs_diff(large.snapshot_bytes) <= 24,
-        "snapshot.json is {} bytes after 20 taken jobs and {} after 200",
+        "snapshot.frame is {} bytes after 20 taken jobs and {} after 200",
         small.snapshot_bytes,
         large.snapshot_bytes
     );
