@@ -1,13 +1,13 @@
 //! Constant + interval (value-range) propagation and static branch
 //! feasibility.
 //!
-//! This is the static phase's answer to the dynamic phase's hottest cost:
-//! every conditional branch on a symbolic condition costs up to two solver
-//! queries at fork time. Interval propagation proves many of those branches
-//! one-sided *for all inputs* — defensive `x & MASK <= MASK` checks, constant
-//! comparisons, range-limited flags — so the stepper can take the only
-//! feasible side without consulting the solver at all
-//! (`SearchStats::branches_pruned_static` / `solver_queries_saved`).
+//! Interval propagation proves some conditional branches one-sided *for all
+//! inputs* — defensive `x & MASK <= MASK` checks, constant comparisons,
+//! range-limited flags. The `constant-condition` lint reports those
+//! verdicts ([`BranchFeasibility::compute`]). The search does not read
+//! them: its solver evaluates path conditions with the same transfer
+//! functions ([`bin_interval`], [`cmp_interval`]), so it refutes the dead
+//! side of such a branch itself.
 //!
 //! **Soundness contract**: a verdict other than [`Feasibility::Unknown`] must
 //! hold on *every* concrete execution reaching the branch. The analysis
@@ -15,8 +15,8 @@
 //! mirrors the engine's wrapping arithmetic (overflow widens to top rather
 //! than wrapping the bounds), and joins parameter intervals over *all* call
 //! and spawn sites, widening to top at recursion and address-taken
-//! boundaries. The genbug differential harness doubles as the oracle: a
-//! property test asserts no injected bug's path is ever pruned.
+//! boundaries. Two property tests are the oracles: no verdict cuts an
+//! injected bug's block off, and none contradicts a concrete run.
 
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
@@ -419,8 +419,8 @@ impl ParamSummary {
     }
 }
 
-/// Per-branch feasibility verdicts for a whole program, computed once by the
-/// static phase and consulted by the stepper at every fork point.
+/// Per-branch feasibility verdicts for a whole program, reported by the
+/// `constant-condition` lint.
 #[derive(Debug, Clone, Default)]
 pub struct BranchFeasibility {
     verdicts: HashMap<(FuncId, BlockId), Feasibility>,
@@ -612,7 +612,8 @@ mod tests {
     use esd_ir::ProgramBuilder;
 
     fn feasibility_of(program: &Program) -> BranchFeasibility {
-        crate::ProgramFacts::compute(program).branch_feasibility
+        let facts = crate::ProgramFacts::compute(program);
+        BranchFeasibility::compute(program, &facts.cfgs, &facts.callgraph)
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   ([`reachdef`]),
 //! * critical edges and intermediate goals ([`critical`]),
 //! * a generic forward dataflow solver ([`dataflow`]) with interprocedural
-//!   constant/interval propagation on top ([`interval`]) — the static
-//!   branch-feasibility verdicts the symbolic engine consults to skip
-//!   provably one-sided forks without a solver query,
+//!   constant/interval propagation on top ([`interval`]): branch verdicts
+//!   for the lint, and the transfer functions the symbolic engine's solver
+//!   evaluates path conditions with,
 //! * a static lockset / lock-order-graph analysis detecting potential ABBA
 //!   deadlock cycles ([`lockorder`]),
 //! * a flow-insensitive Andersen-style points-to/escape analysis classifying
@@ -85,10 +85,6 @@ pub struct ProgramFacts {
     pub callgraph: CallGraph,
     /// Cost model / distance-to-return oracle.
     pub costs: CostModel,
-    /// Interval-analysis verdicts for conditional branches: which branches
-    /// are statically one-sided for *all* inputs. The symbolic engine's
-    /// stepper consults these before forking to skip solver queries.
-    pub branch_feasibility: BranchFeasibility,
     /// The static lock-order graph and its potential ABBA deadlock cycles.
     pub lock_order: LockOrderInfo,
     /// Andersen-style points-to/escape facts: which memory accesses may touch
@@ -105,14 +101,12 @@ impl ProgramFacts {
         let cfgs: Vec<Cfg> = program.func_ids().map(|f| Cfg::build(program.func(f), f)).collect();
         let callgraph = CallGraph::build(program);
         let costs = CostModel::new(program, &cfgs, &callgraph);
-        let branch_feasibility = BranchFeasibility::compute(program, &cfgs, &callgraph);
         let lock_order = lockorder::analyze(program, &cfgs, &callgraph);
         let points_to = PointsTo::compute(program, &callgraph);
         ProgramFacts {
             cfgs,
             callgraph,
             costs,
-            branch_feasibility,
             lock_order,
             points_to,
             race_candidates: OnceLock::new(),
@@ -128,7 +122,7 @@ impl ProgramFacts {
     /// facts and lock order, and kept for every later call; `program` must be
     /// the program these facts were computed for. The engine makes that
     /// first call at set-up when its search will read the set (race
-    /// detection with static pruning), so the cost lands there and not
+    /// detection outside the KC baseline), so the cost lands there and not
     /// mid-search; other jobs never pay it.
     pub fn race_candidates(&self, program: &Program) -> &RaceCandidates {
         self.race_candidates.get_or_init(|| {

@@ -1,9 +1,10 @@
 //! IR lints: static checks with ranked diagnostics.
 //!
-//! Lints are the user-facing face of the static phase: the same facts that
-//! prune the symbolic search ([`ProgramFacts`]: the interval verdicts, the
-//! lock order, the CFG walks) double as bug-pattern detectors over workload
-//! IR. [`run`] builds the facts once, runs every lint over them and returns
+//! Lints are the user-facing face of the static phase: the facts that guide
+//! the symbolic search ([`ProgramFacts`]: the CFG walks, the lock order, the
+//! race candidates) double as bug-pattern detectors over workload IR, next
+//! to the interval analysis's branch verdicts, which only the lint reads.
+//! [`run`] builds the facts once, runs every lint over them and returns
 //! [`Diagnostic`]s in a deterministic order, so lint output is goldenable.
 //!
 //! `Error`-severity diagnostics fail the CI `lint-gate`, which runs the lints
@@ -14,7 +15,7 @@
 //! `lock-never-released`, `read-of-never-written`, `inconsistent-lock-guard`,
 //! `shared-unsynchronized-write`.
 
-use crate::interval::Feasibility;
+use crate::interval::{BranchFeasibility, Feasibility};
 use crate::lockorder;
 use crate::pointsto::AbsLoc;
 use crate::reachdef::{CondExpr, DefIndex};
@@ -271,6 +272,7 @@ fn dead_store(program: &Program, acc: &GlobalAccess, out: &mut Vec<Diagnostic>) 
 /// interval-analysis verdict is a warning (the dead edge may be a deliberate
 /// defensive check).
 fn constant_condition(program: &Program, facts: &ProgramFacts, out: &mut Vec<Diagnostic>) {
+    let verdicts = BranchFeasibility::compute(program, &facts.cfgs, &facts.callgraph);
     for fid in program.func_ids() {
         let function = program.func(fid);
         let defs = DefIndex::new(function);
@@ -291,7 +293,7 @@ fn constant_condition(program: &Program, facts: &ProgramFacts, out: &mut Vec<Dia
                 });
                 continue;
             }
-            let verdict = facts.branch_feasibility.verdict(fid, b);
+            let verdict = verdicts.verdict(fid, b);
             if verdict != Feasibility::Unknown {
                 let way = match verdict {
                     Feasibility::AlwaysTrue => "always true",

@@ -12,7 +12,8 @@
 //!   `.json` (default `BENCH_coverage.json`); any other argument prints a
 //!   usage line and exits 2.
 //! * Exit codes gate CI: 2 = an injected bug was missed by every frontier,
-//!   3 = a false-positive goal report.
+//!   or a flagged race access outside the static race-pair candidates made
+//!   the detector's backstop fork; 3 = a false-positive goal report.
 
 use esd_bench::coverage::{coverage_matrix, print_coverage, CoverageConfig};
 use esd_bench::full_mode;
@@ -44,6 +45,14 @@ fn main() {
         for s in report.scenarios.iter().filter(|s| s.found_by == 0) {
             eprintln!("  {}: missed by every frontier (budget={})", s.name, report.budget);
         }
+        std::process::exit(2);
+    }
+    if report.race_backstop_forks != 0 {
+        eprintln!(
+            "FAIL: {} race backstop forks: the detector flagged an access outside the static \
+             race-pair candidates while another thread was runnable",
+            report.race_backstop_forks
+        );
         std::process::exit(2);
     }
     let false_positives = report.false_positives();

@@ -16,7 +16,7 @@
 //! properties as a regular test over the checked-in smoke corpus.
 
 use crate::secs;
-use esd_core::EsdOptions;
+use esd_core::{EsdOptions, SessionStatus};
 use esd_symex::FrontierKind;
 use esd_workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
 use serde::Serialize;
@@ -78,14 +78,13 @@ pub struct CoverageCell {
     pub mismatch: Option<String>,
     /// Search steps the run executed.
     pub steps: u64,
-    /// Branches the static feasibility pass pruned from this run's search.
-    pub branches_pruned_static: u64,
-    /// Solver queries the static feasibility pass answered without calling
-    /// the solver.
-    pub solver_queries_saved: u64,
     /// Preemption forks the static race-pair candidate set pruned from this
     /// run's search (always 0 outside race-preemption scenarios).
     pub preemptions_pruned_static: u64,
+    /// Preemptions the race detector's backstop forked at flagged accesses
+    /// outside the candidate set (`SearchStats::race_backstop_forks`),
+    /// counted whether or not the run found the bug.
+    pub race_backstop_forks: u64,
     /// States this run's search forked (including the initial state) — the
     /// number the candidate gating shrinks on race scenarios.
     pub states_created: u64,
@@ -118,20 +117,13 @@ pub struct ScenarioRow {
 pub struct CoverageReport {
     /// `"reduced"` (smoke / CI) or `"full"` (`ESD_BENCH_FULL=1`).
     pub mode: &'static str,
-    /// Whether static pruning — branch-feasibility verdicts and race-pair
-    /// candidate gating — was on for the matrix (`ESD_STATIC_PRUNING`,
-    /// default on).
-    pub static_pruning: bool,
-    /// Branches the static feasibility pass pruned, summed over every cell.
-    pub branches_pruned_static: u64,
-    /// Solver queries the static feasibility pass saved, summed over every
-    /// cell.
-    pub solver_queries_saved: u64,
     /// Preemption forks the candidate set pruned, summed over every cell.
     pub preemptions_pruned_static: u64,
+    /// Race backstop forks summed over every cell: the truth oracle for the
+    /// candidate set, which must be zero (the binary exits 2 otherwise).
+    pub race_backstop_forks: u64,
     /// States forked by the race-preemption scenarios' cells — the number
-    /// the candidate gating shrinks (compare across `ESD_STATIC_PRUNING=0/1`
-    /// runs).
+    /// the candidate gating shrinks.
     pub race_states_created: u64,
     /// Instruction budget per synthesis run.
     pub budget: u64,
@@ -188,7 +180,6 @@ fn cell_options(w: &GeneratedWorkload, frontier: FrontierKind, budget: u64) -> E
         .max_steps(budget)
         .frontier(frontier)
         .with_race_detection(w.truth.needs_race_preemptions)
-        .static_pruning(crate::static_pruning_from_env())
         .build()
 }
 
@@ -205,10 +196,12 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
         for &frontier in &frontiers {
             let esd = esd_core::Esd::new(cell_options(w, frontier, config.budget));
             let run_started = Instant::now();
-            let result = esd.synthesize_goal(&w.program, w.truth.goal.clone());
+            let mut session = esd.session(&w.program, w.truth.goal.clone());
+            session.run_to_completion();
             let elapsed = secs(run_started.elapsed());
-            let cell = match result {
-                Ok(report) => {
+            let race_backstop_forks = session.stats().race_backstop_forks;
+            let cell = match session.into_status() {
+                SessionStatus::Found(report) => {
                     let mismatch = w.truth.matches(&report.execution).err();
                     CoverageCell {
                         frontier: frontier.to_string(),
@@ -216,22 +209,20 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
                         truth_ok: mismatch.is_none(),
                         mismatch,
                         steps: report.stats.steps,
-                        branches_pruned_static: report.stats.branches_pruned_static,
-                        solver_queries_saved: report.stats.solver_queries_saved,
                         preemptions_pruned_static: report.stats.preemptions_pruned_static,
+                        race_backstop_forks,
                         states_created: report.stats.states_created,
                         secs: elapsed,
                     }
                 }
-                Err(_) => CoverageCell {
+                _ => CoverageCell {
                     frontier: frontier.to_string(),
                     found: false,
                     truth_ok: true,
                     mismatch: None,
                     steps: 0,
-                    branches_pruned_static: 0,
-                    solver_queries_saved: 0,
                     preemptions_pruned_static: 0,
+                    race_backstop_forks,
                     states_created: 0,
                     secs: elapsed,
                 },
@@ -270,21 +261,15 @@ pub fn coverage_matrix(config: &CoverageConfig) -> CoverageReport {
     let scenarios_found = scenarios.iter().filter(|s| s.found_by > 0).count();
     CoverageReport {
         mode: if crate::full_mode() { "full" } else { "reduced" },
-        static_pruning: crate::static_pruning_from_env(),
-        branches_pruned_static: scenarios
-            .iter()
-            .flat_map(|s| &s.cells)
-            .map(|c| c.branches_pruned_static)
-            .sum(),
-        solver_queries_saved: scenarios
-            .iter()
-            .flat_map(|s| &s.cells)
-            .map(|c| c.solver_queries_saved)
-            .sum(),
         preemptions_pruned_static: scenarios
             .iter()
             .flat_map(|s| &s.cells)
             .map(|c| c.preemptions_pruned_static)
+            .sum(),
+        race_backstop_forks: scenarios
+            .iter()
+            .flat_map(|s| &s.cells)
+            .map(|c| c.race_backstop_forks)
             .sum(),
         race_states_created: corpus
             .iter()
@@ -342,12 +327,8 @@ pub fn print_coverage(report: &CoverageReport) {
         report.total_wall_secs,
     );
     println!(
-        "static pruning {}: {} branches pruned, {} solver queries saved, {} preemption forks \
-         pruned, {} states forked on race scenarios",
-        if report.static_pruning { "on" } else { "off" },
-        report.branches_pruned_static,
-        report.solver_queries_saved,
-        report.preemptions_pruned_static,
-        report.race_states_created,
+        "race candidates: {} preemption forks pruned, {} states forked on race scenarios, \
+         {} backstop forks",
+        report.preemptions_pruned_static, report.race_states_created, report.race_backstop_forks,
     );
 }

@@ -113,22 +113,6 @@ pub fn json_path_from_args(bin: &str, default: &str) -> String {
     .unwrap_or_else(|| default.to_string())
 }
 
-/// Whether the searches the benchmarks launch consult the static phase's
-/// result-invariant verdicts — interval branch verdicts and race-pair
-/// candidate gating: the `ESD_STATIC_PRUNING` environment variable, where
-/// `0`, `off`, `false` or `no` disables them and anything else — including
-/// the variable being unset — leaves them on, matching the engine default.
-/// The CI determinism matrix pins one leg to `ESD_STATIC_PRUNING=0` to prove
-/// pruning never changes *what* is synthesized, only how much solver work
-/// and how many preemption forks it costs, and CI runs `fig2` with it off
-/// too, where ESD must still find every analog and medium generated bug.
-pub fn static_pruning_from_env() -> bool {
-    match std::env::var("ESD_STATIC_PRUNING") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false" | "no"),
-        Err(_) => true,
-    }
-}
-
 pub(crate) fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
@@ -172,12 +156,7 @@ pub fn table1(esd_budget: u64) -> Vec<Table1Row> {
 
 /// Runs one Table-1 row.
 pub fn run_table1_row(w: &Workload, esd_budget: u64) -> Table1Row {
-    let esd = Esd::new(
-        EsdOptions::builder()
-            .max_steps(esd_budget)
-            .static_pruning(static_pruning_from_env())
-            .build(),
-    );
+    let esd = Esd::new(EsdOptions::builder().max_steps(esd_budget).build());
     let result = esd.synthesize_goal(&w.program, w.goal()).ok();
     let esd_steps = result.as_ref().map(|r| r.stats.steps);
     let playback_ok = result.is_some_and(|r| play(&w.program, &r.execution).reproduced);
@@ -244,13 +223,7 @@ pub fn fig2(esd_budget: u64, kc_cap: u64, frontier: FrontierKind) -> Vec<Fig2Row
 
 /// Runs one Figure-2 bar group with the given ESD frontier.
 pub fn run_fig2_row(w: &Workload, esd_budget: u64, kc_cap: u64, frontier: FrontierKind) -> Fig2Row {
-    let esd = Esd::new(
-        EsdOptions::builder()
-            .max_steps(esd_budget)
-            .frontier(frontier)
-            .static_pruning(static_pruning_from_env())
-            .build(),
-    );
+    let esd = Esd::new(EsdOptions::builder().max_steps(esd_budget).frontier(frontier).build());
     let esd_steps = esd.synthesize_goal(&w.program, w.goal()).ok().map(|r| r.stats.steps);
     Fig2Row {
         system: w.name.clone(),
@@ -316,11 +289,7 @@ pub fn fig2_genbugs(
         let report = Esd::new(options).synthesize_goal(&w.program, w.truth.goal.clone()).ok()?;
         w.truth.matches(&report.execution).ok().map(|()| report.stats.steps)
     };
-    let esd = EsdOptions::builder()
-        .max_steps(esd_budget)
-        .frontier(frontier)
-        .static_pruning(static_pruning_from_env())
-        .build();
+    let esd = EsdOptions::builder().max_steps(esd_budget).frontier(frontier).build();
     let kc = EsdOptions { max_steps: kc_cap, ..EsdOptions::kc(FrontierKind::Dfs) };
     kinds
         .iter()
@@ -408,13 +377,7 @@ pub fn fig3(
     let mut rows = Vec::new();
     for &branches in branch_counts {
         let w = generate_bpf(&BpfConfig { branches, ..Default::default() });
-        let esd = Esd::new(
-            EsdOptions::builder()
-                .max_steps(esd_budget)
-                .frontier(frontier)
-                .static_pruning(static_pruning_from_env())
-                .build(),
-        );
+        let esd = Esd::new(EsdOptions::builder().max_steps(esd_budget).frontier(frontier).build());
         let start = Instant::now();
         let esd_result = esd.synthesize_goal(&w.program, w.goal());
         let esd_elapsed = start.elapsed();
@@ -504,12 +467,7 @@ pub fn stress_baseline(runs: u32) -> Vec<(String, bool, u64)> {
 pub fn playback_check(esd_budget: u64, repetitions: u32) -> Vec<(String, bool)> {
     let mut out = Vec::new();
     for w in all_real_bugs() {
-        let esd = Esd::new(
-            EsdOptions::builder()
-                .max_steps(esd_budget)
-                .static_pruning(static_pruning_from_env())
-                .build(),
-        );
+        let esd = Esd::new(EsdOptions::builder().max_steps(esd_budget).build());
         let ok = match esd.synthesize_goal(&w.program, w.goal()) {
             Ok(r) => (0..repetitions).all(|_| play(&w.program, &r.execution).reproduced),
             Err(_) => false,

@@ -1156,6 +1156,7 @@ mod tests {
     use super::*;
     use crate::journal;
     use esd_ir::{CmpOp, Loc, ProgramBuilder};
+    use esd_symex::FrontierKind;
     use std::sync::{Arc, Mutex};
 
     fn crashy(name: &str, trigger: i64) -> (esd_ir::Program, Loc) {
@@ -1218,17 +1219,17 @@ mod tests {
     }
 
     /// Admission builds a job's race candidates exactly when its search
-    /// will read them (race detection with static pruning), so their cost
-    /// is charged to admission and not to a slice.
+    /// will read them (race detection outside the KC baseline), so their
+    /// cost is charged to admission and not to a slice.
     #[test]
     fn admission_builds_race_candidates_only_for_race_jobs() {
         let (p, loc) = crashy("exec_race_candidates", 9);
         let goal = GoalSpec::Crash { loc };
         let race = EsdOptions::builder().with_race_detection(true).build();
-        let unpruned = EsdOptions { static_pruning: false, ..race.clone() };
+        let kc_race = EsdOptions { with_race_detection: true, ..EsdOptions::kc(FrontierKind::Dfs) };
         let mut exec = JobExecutor::round_robin().max_running(3);
         for (label, options) in
-            [("race", race), ("plain", EsdOptions::default()), ("unpruned", unpruned)]
+            [("race", race), ("plain", EsdOptions::default()), ("kc_race", kc_race)]
         {
             exec.submit(JobSpec { options, ..JobSpec::new(label, &p, goal.clone()) });
         }

@@ -476,9 +476,9 @@ mod tests {
     }
 
     /// The race candidates exist exactly when the search reads them: a
-    /// race-mode session with static pruning builds them at set-up, also
-    /// when restored from a snapshot; any other session never builds them,
-    /// not even by searching to the end.
+    /// race-mode ESD session builds them at set-up, also when restored from
+    /// a snapshot; any other session, the KC baseline's race mode included,
+    /// never builds them, not even by searching to the end.
     #[test]
     fn race_candidates_are_built_exactly_when_the_search_reads_them() {
         let (p, loc) = crashy();
@@ -490,8 +490,8 @@ mod tests {
         assert!(restored.analysis().facts.race_candidates_if_built().is_some());
         assert!(restored.run_to_completion().found().is_some());
 
-        let unpruned = EsdOptions { static_pruning: false, ..race };
-        for options in [EsdOptions::default(), unpruned] {
+        let kc_race = EsdOptions { with_race_detection: true, ..EsdOptions::kc(FrontierKind::Dfs) };
+        for options in [EsdOptions::default(), kc_race] {
             let mut session = SynthesisSession::new(&p, goal.clone(), options);
             assert!(session.analysis().facts.race_candidates_if_built().is_none());
             let restored = SynthesisSession::restore(&session.snapshot());

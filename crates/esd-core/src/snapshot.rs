@@ -30,7 +30,7 @@ use std::path::Path;
 /// variant or field added, removed or renamed, or part of the state moved to
 /// another file), or the search steps differently. [`decode_snapshot`]
 /// rejects any other version with [`SnapshotError::UnknownVersion`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 21;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 22;
 
 /// Bytes of the version word that precedes a snapshot's frame.
 const VERSION_WORD: usize = 4;

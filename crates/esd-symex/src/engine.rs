@@ -15,7 +15,7 @@
 //! proximity-guided virtual queues — ordered by the Algorithm-1 proximity
 //! estimate, biased by the deadlock schedule distance (§4.1), with
 //! critical-edge path abandonment and intermediate goals from the static
-//! phase — or the DFS / RandomPath baselines. ESD's guidance is on
+//! phase — or the DFS / random-state baselines. ESD's guidance is on
 //! unless [`EsdOptions::kc_baseline`] is set, which turns all of it off
 //! and adds Chess-style preemption bounding (the KC baseline,
 //! [`EsdOptions::kc`]).
@@ -118,18 +118,26 @@ pub struct SearchStats {
     pub max_live_states: usize,
     /// Solver queries issued.
     pub solver_queries: u64,
-    /// Branch forks decided by the static phase's interval analysis instead
-    /// of the solver (the branch was provably one-sided for all inputs).
+    /// Always zero: the solver decides every branch. Kept because the
+    /// benchmark's probe reads it; it goes with the next benchmark change.
     pub branches_pruned_static: u64,
-    /// Feasibility queries the static verdicts made unnecessary (two per
-    /// pruned two-sided fork, one per pruned critical-edge check).
+    /// Always zero, for the same reason as
+    /// [`branches_pruned_static`](Self::branches_pruned_static).
     pub solver_queries_saved: u64,
     /// Preemption forks skipped because the yield has no static race-pair
-    /// candidate material around it
-    /// ([`EsdOptions::static_pruning`]).
+    /// candidate material around it (race detection outside the KC
+    /// baseline).
     pub preemptions_pruned_static: u64,
     /// Data races flagged by the lockset detector.
     pub races_flagged: usize,
+    /// Flagged accesses outside the static race-pair candidates at which
+    /// another thread was runnable, so the dynamic detector's backstop
+    /// forked a preemption the candidates did not foresee. The candidates
+    /// over-approximate the real races, so this stays zero unless they miss
+    /// one or the lockset detector flags a pair that cannot race (it ignores
+    /// join order) while another thread is runnable. Counted only outside
+    /// the KC baseline.
+    pub race_backstop_forks: u64,
     /// The lowest raw path distance to the final goal observed so far (the
     /// Algorithm-1 proximity estimate, *without* the deadlock schedule-bias
     /// offset) — how close the search has come to the goal. `None` until a
@@ -255,10 +263,10 @@ impl Engine {
         goal: GoalSpec,
         options: EsdOptions,
     ) -> Self {
-        // The stepper gates preemption forks on the race candidates exactly
-        // when race detection runs with static pruning: build them now, so
-        // the cost is the set-up's and not a search round's.
-        if options.with_race_detection && options.static_pruning {
+        // The stepper reads the race candidates exactly when race detection
+        // runs outside the KC baseline: build them now, so the cost is the
+        // set-up's and not a search round's.
+        if options.with_race_detection && !options.kc_baseline {
             analysis.facts.race_candidates(&program);
         }
         let oracle = StaticAnalysis::distance_oracle(&analysis, &program);

@@ -15,8 +15,11 @@
 //!   a queue uniformly at random and takes its closest state.
 //! * [`DfsFrontier`] — depth-first (Klee's DFS searcher, "equivalent to an
 //!   exhaustive search").
-//! * [`RandomFrontier`] — uniformly random among live states (Klee's
-//!   RandomPath searcher, the second KC baseline).
+//! * [`RandomFrontier`] — uniformly random among live states, the second
+//!   KC baseline. That is KLEE's random-state search, not its RandomPath
+//!   searcher, which walks the fork tree and weights a state at fork depth
+//!   d by 2^-d; giving the frontier the fork tree is an open ROADMAP item
+//!   ("A random frontier that is KLEE's RandomPath").
 //!
 //! # Contract
 //!
@@ -398,8 +401,9 @@ impl SearchFrontier for DfsFrontier {
     }
 }
 
-/// Uniformly random frontier (Klee's RandomPath searcher): `pop` draws one of
-/// the live states with equal probability.
+/// Uniformly random frontier (KLEE's random-state search, not RandomPath;
+/// see the module docs): `pop` draws one of the live states with equal
+/// probability.
 #[derive(Debug)]
 pub struct RandomFrontier {
     ids: Vec<u64>,

@@ -9,7 +9,7 @@
 //!   lists, and per-state concurrency analysis (each interleaving carries its
 //!   own O(1)-forkable lockset race detector),
 //! * pluggable search [`frontier`]s — ESD's proximity-guided virtual queues
-//!   plus the KC baseline's DFS and RandomPath searchers — selected by a
+//!   plus the KC baseline's DFS and random-state searchers — selected by a
 //!   [`FrontierKind`],
 //! * the one search configuration, [`EsdOptions`] (its [`options`]
 //!   module), of which the KC baseline is a preset ([`EsdOptions::kc`]),

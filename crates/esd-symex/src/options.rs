@@ -45,36 +45,23 @@ pub struct EsdOptions {
     /// [`crate::frontier`]).
     pub frontier: FrontierKind,
     /// Insert preemption points before accesses flagged by the lockset race
-    /// detector, needed to synthesize data-race schedules
-    /// (`--with-race-det`).
-    pub with_race_detection: bool,
-    /// Consult the static phase's result-invariant verdicts before forking
-    /// (on by default; `ESD_STATIC_PRUNING=0` turns it off in the benches
-    /// and CI). Neither verdict changes what is synthesized:
-    ///
-    /// * branches the interval analysis proves one-sided for *all* inputs
-    ///   take that side without a solver query — the taken side's
-    ///   constraint is still recorded, and the solver evaluates the same
-    ///   interval transfer functions, so with the verdicts off it refutes
-    ///   the other side itself: the search trajectory is unchanged and only
-    ///   the query is skipped;
-    /// * in race-preemption mode, yields with no race-pair candidate
-    ///   material around them skip the speculative preemption fork (counted
-    ///   in [`SearchStats::preemptions_pruned_static`]). Sound because the
-    ///   candidate set over-approximates the real races (MHP + lockset,
-    ///   both conservative) — and accesses the dynamic detector concretely
-    ///   flags always fork regardless, so static imprecision can delay but
-    ///   never hide a race.
+    /// detector and at yields, needed to synthesize data-race schedules
+    /// (`--with-race-det`). Outside the KC baseline a yield forks only when
+    /// the static race-pair candidates have an access on both sides of it
+    /// (the skipped forks are counted in
+    /// [`SearchStats::preemptions_pruned_static`]); a flagged access always
+    /// forks.
     ///
     /// [`SearchStats::preemptions_pruned_static`]:
     /// crate::SearchStats::preemptions_pruned_static
-    pub static_pruning: bool,
+    pub with_race_detection: bool,
     /// Optional wall-clock deadline for the search, measured from session
     /// creation.
     pub deadline: Option<Duration>,
     /// Run as the KC baseline instead of ESD. Off, the search uses ESD's
-    /// guidance: intermediate goals, critical-edge abandonment (§3.2–3.4)
-    /// and the deadlock schedule heuristics (§4.1).
+    /// guidance: intermediate goals, critical-edge abandonment (§3.2–3.4),
+    /// the deadlock schedule heuristics (§4.1) and, with race detection,
+    /// the race-candidate gating of yield preemptions.
     /// On, it uses none of them, bounds preemptions at
     /// [`KC_PREEMPTION_BOUND`], as Chess does, and keeps every forked
     /// state, as Klee and Chess do not deduplicate states. Set by the
@@ -90,7 +77,6 @@ impl Default for EsdOptions {
             seed: 1,
             frontier: FrontierKind::Proximity,
             with_race_detection: false,
-            static_pruning: true,
             deadline: None,
             kc_baseline: false,
         }
@@ -107,16 +93,10 @@ impl EsdOptions {
     /// The KC baseline (§7.2, "a hybrid system that embodies the Klee and
     /// Chess techniques"): the given Klee searcher with
     /// [`EsdOptions::kc_baseline`] on — none of ESD's guidance, Chess's
-    /// preemption bound, no state deduplication — a pool of 20,000 live
-    /// states, and no static verdicts.
+    /// preemption bound, no state deduplication, no race-candidate gating —
+    /// and a pool of 20,000 live states.
     pub fn kc(frontier: FrontierKind) -> Self {
-        EsdOptions {
-            max_states: 20_000,
-            frontier,
-            static_pruning: false,
-            kc_baseline: true,
-            ..EsdOptions::default()
-        }
+        EsdOptions { max_states: 20_000, frontier, kc_baseline: true, ..EsdOptions::default() }
     }
 }
 
@@ -159,13 +139,6 @@ impl EsdOptionsBuilder {
         self
     }
 
-    /// Consult the static phase's result-invariant verdicts (see
-    /// [`EsdOptions::static_pruning`]).
-    pub fn static_pruning(mut self, on: bool) -> Self {
-        self.options.static_pruning = on;
-        self
-    }
-
     /// Wall-clock deadline: the session stops with a deadline-expired
     /// status once this much time has passed since it was created.
     pub fn deadline(mut self, deadline: Duration) -> Self {
@@ -191,7 +164,6 @@ mod tests {
             .seed(6)
             .frontier(FrontierKind::Dfs)
             .with_race_detection(true)
-            .static_pruning(false)
             .deadline(Duration::from_secs(9))
             .build();
         assert_eq!(options.max_steps, 123);
@@ -199,7 +171,6 @@ mod tests {
         assert_eq!(options.seed, 6);
         assert_eq!(options.frontier, FrontierKind::Dfs);
         assert!(options.with_race_detection);
-        assert!(!options.static_pruning);
         assert_eq!(options.deadline, Some(Duration::from_secs(9)));
     }
 }

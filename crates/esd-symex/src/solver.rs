@@ -242,9 +242,8 @@ fn consistent<'a>(
 /// The values `expr` can take with each variable in its harvested interval,
 /// under the static interval analysis's own transfer functions. A branch
 /// that analysis proves one-sided (say `x & 63 <= 63`) is therefore refuted
-/// here on its other side, so a search with the static verdicts off forks
-/// no branch that one with them on takes as decided. Callers have already
-/// rejected empty intervals.
+/// here on its other side, so the search never forks a branch the static
+/// phase knows to be decided. Callers have already rejected empty intervals.
 fn range(expr: &SymExpr, intervals: &Intervals) -> Interval {
     match expr {
         SymExpr::Const(c) => Interval::exact(*c),
@@ -523,9 +522,9 @@ mod tests {
 
     /// Regression: the masked range check `x & 63 <= 63` holds for every
     /// input, and the static interval analysis decides it, but the bounds
-    /// pass called its else side feasible. A search without the static
-    /// verdicts then forked that infeasible side and never reached a bug
-    /// armed by `x == 18`, which the else side contradicts.
+    /// pass called its else side feasible. A search that asked the solver
+    /// then forked that infeasible side and never reached a bug armed by
+    /// `x == 18`, which the else side contradicts.
     #[test]
     fn ranges_refute_what_the_interval_analysis_decides() {
         let mut s = Solver::default();

@@ -20,7 +20,7 @@ use crate::expr::{SymExpr, SymValue, SymVarInfo};
 use crate::options::{EsdOptions, KC_PREEMPTION_BOUND};
 use crate::solver::{Solver, SolverResult};
 use crate::state::{ExecState, SchedDistance, SymFrame, SymMemError, SymThread};
-use esd_analysis::{Feasibility, StaticAnalysis};
+use esd_analysis::StaticAnalysis;
 use esd_concurrency::{Schedule, SegmentStop, WaitGraph};
 use esd_ir::interp::{
     ObjKind, ThreadStatus, FUNC_ADDR_BASE, MAX_ALLOC_WORDS, MAX_STACK_DEPTH, MAX_THREADS,
@@ -542,17 +542,6 @@ impl<'a> Stepper<'a> {
         else_bb: esd_ir::BlockId,
     ) -> StepEffect {
         let cur = state.current;
-        // The static phase's interval analysis may have proven this branch
-        // one-sided for *all* inputs; consulting the verdict replaces the
-        // feasibility queries below. The taken side's constraint is still
-        // recorded exactly as the solver path would have recorded it, so a
-        // verdict that the solver would also have reached leaves the search
-        // trajectory untouched — only the query count drops.
-        let verdict = if self.options.static_pruning {
-            self.analysis.facts.branch_feasibility.verdict(loc.func, loc.block)
-        } else {
-            Feasibility::Unknown
-        };
         // Critical edge: only one side can lead to the goal. Only applied for
         // single-location (crash) goals: for deadlocks the static info is
         // computed from one thread's blocked location and must not constrain
@@ -564,24 +553,6 @@ impl<'a> Stepper<'a> {
                 } else {
                     (else_bb, SymExpr::not(cond.clone()))
                 };
-                let statically_required = match verdict {
-                    Feasibility::AlwaysTrue => Some(edge.required_value),
-                    Feasibility::AlwaysFalse => Some(!edge.required_value),
-                    Feasibility::Unknown => None,
-                };
-                if let Some(takeable) = statically_required {
-                    self.stats.branches_pruned_static += 1;
-                    self.stats.solver_queries_saved += 1;
-                    if !takeable {
-                        // The branch always takes the side the goal forbids.
-                        return StepEffect::Dead;
-                    }
-                    state.add_constraint(expr);
-                    let top = state.thread_mut(cur).top_mut();
-                    top.block = take;
-                    top.idx = 0;
-                    return StepEffect::Continue;
-                }
                 state.add_constraint(expr);
                 if !self.solver.is_feasible(&state.constraints) {
                     return StepEffect::Dead;
@@ -591,23 +562,6 @@ impl<'a> Stepper<'a> {
                 top.idx = 0;
                 return StepEffect::Continue;
             }
-        }
-        match verdict {
-            Feasibility::AlwaysTrue | Feasibility::AlwaysFalse => {
-                self.stats.branches_pruned_static += 1;
-                self.stats.solver_queries_saved += 2;
-                let (bb, c) = if verdict == Feasibility::AlwaysTrue {
-                    (then_bb, cond)
-                } else {
-                    (else_bb, SymExpr::not(cond))
-                };
-                state.add_constraint(c);
-                let top = state.thread_mut(cur).top_mut();
-                top.block = bb;
-                top.idx = 0;
-                return StepEffect::Continue;
-            }
-            Feasibility::Unknown => {}
         }
         let (then_feasible, else_feasible) = self.solver.branch_feasible(&state.constraints, &cond);
         match (then_feasible, else_feasible) {
@@ -984,7 +938,9 @@ impl<'a> Stepper<'a> {
                     // cannot split a racing pair, so the preemption fork is
                     // skipped. The candidate set over-approximates the real
                     // races, so no schedule that can reach a race is lost.
-                    if self.options.static_pruning
+                    // The KC baseline uses no static facts and forks at
+                    // every yield.
+                    if !self.options.kc_baseline
                         && !self.analysis.facts.race_candidates(self.program).is_relevant_yield(loc)
                     {
                         if self.other_runnable(state).is_some() {
@@ -1096,13 +1052,17 @@ impl<'a> Stepper<'a> {
         if race.is_some() {
             self.stats.races_flagged += 1;
             // Concrete runtime evidence beats the static candidate set: a
-            // flagged access forks its delayed alternative even when
-            // `static_pruning` is on and the access belongs to no
-            // candidate pair, so the dynamic detector is the backstop for
-            // any static MHP/lockset imprecision. The static gate prunes
-            // only the *speculative* yield forks (see `Inst::Yield`), where
-            // no runtime evidence contradicts it.
+            // flagged access forks its delayed alternative even when it
+            // belongs to no candidate pair, so the dynamic detector is the
+            // backstop for any static MHP/lockset imprecision. The static
+            // gate prunes only the *speculative* yield forks (see
+            // `Inst::Yield`), where no runtime evidence contradicts it.
             if let Some(next) = self.other_runnable(state) {
+                if !self.options.kc_baseline
+                    && !self.analysis.facts.race_candidates(self.program).is_candidate_access(loc)
+                {
+                    self.stats.race_backstop_forks += 1;
+                }
                 self.fork_preempted(state, next);
             }
         }

@@ -387,10 +387,9 @@ fn sibling_forks_flag_the_same_race_independently() {
 }
 
 /// Review regression: the dynamic race detector is the *backstop* for
-/// static imprecision. Even with `static_pruning` on and an
-/// (artificially) empty candidate set — simulating a static MHP hole — a
-/// write the detector concretely flags must still fork its delayed
-/// alternative. The writer below stores `g = 1` then `g = 2` back to back;
+/// static imprecision. Even with an (artificially) empty candidate set —
+/// simulating a static MHP hole — a write the detector concretely flags must
+/// still fork its delayed alternative, and count as a backstop fork. The writer below stores `g = 1` then `g = 2` back to back;
 /// the reader observes `g == 1` (the asserted-against value) only if it is
 /// scheduled *between* those straight-line stores. The only preemption
 /// point there is the backstop fork at the flagged second store: lock forks
@@ -440,7 +439,6 @@ fn flagged_races_fork_even_outside_the_static_candidate_set() {
     let config = EsdOptions {
         frontier: FrontierKind::Dfs,
         with_race_detection: true,
-        static_pruning: true,
         ..EsdOptions::default()
     };
     let mut engine =
@@ -451,6 +449,7 @@ fn flagged_races_fork_even_outside_the_static_candidate_set() {
         "the concretely flagged race must fork its preemption even though the \
          static candidate set is empty: {outcome:?}"
     );
+    assert!(outcome.stats().race_backstop_forks > 0, "the fork must be counted as a backstop");
 }
 
 /// Snapshot/restore mid-search must be unobservable: an engine restored from
@@ -648,9 +647,8 @@ fn branch_refuted_by_pinned_inputs_does_not_fork() {
     let goal_loc = goal_loc.unwrap();
     let analysis = Arc::new(StaticAnalysis::compute(&p, goal_loc));
     let goal = GoalSpec::Crash { loc: goal_loc };
-    // Neither static verdicts nor the KC preset's lack of critical edges:
-    // the solver decides.
-    let config = EsdOptions { static_pruning: false, kc_baseline: true, ..Default::default() };
+    // The KC preset has no critical edges: the solver decides the branch.
+    let config = EsdOptions { kc_baseline: true, ..Default::default() };
     let (mut stats, mut other_bugs) = (SearchStats::default(), Vec::new());
     let mut stepper = Stepper::new(&p, &analysis, &goal, &config, &mut stats, &mut other_bugs);
     let turn = stepper.turn(ExecState::initial(&p), 64);

@@ -2,8 +2,8 @@
 //! the real-bug analogs and the generated genbug corpus — must be free of
 //! `Error`-severity lint diagnostics (the same policy the CI `lint-gate` job
 //! enforces with the `irlint` bin), and the genbug defensive check must be
-//! visible to the interval analysis (that is what guarantees the engine's
-//! `branches_pruned_static` counter moves on generated programs).
+//! visible to the interval analysis (the `constant-condition` lint reports
+//! it on every generated program).
 
 use esd_analysis::{lint, Severity};
 use esd_workloads::genbug::{generate, GenConfig, InjectedBugKind};

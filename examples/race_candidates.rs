@@ -3,9 +3,9 @@
 //! what the static phase already knows — which loads/stores may touch
 //! shared memory, which pairs of them can race (may-happen-in-parallel with
 //! no common lock), and which yields are therefore worth a preemption fork.
-//! The synthesis then runs with static pruning on (the default), which gates
-//! preemption forks on the candidate set, so every preemption the search
-//! pays for is one of the printed pairs.
+//! The race-directed synthesis then gates its yield preemption forks on the
+//! candidate set, so every yield the search forks at is one of the printed
+//! relevant yields.
 //!
 //! Run with: `cargo run --example race_candidates`
 
@@ -62,8 +62,8 @@ fn main() {
         println!("  {} <-> {}  (no common lock)", at(c.access_a), at(c.access_b));
     }
 
-    // Synthesize with static pruning on (the default): preemption forks
-    // happen only at the accesses and yields printed above.
+    // Synthesize in race mode: yield preemption forks happen only at the
+    // relevant yields counted above.
     let esd = Esd::new(EsdOptions::builder().with_race_detection(true).build());
     match esd.synthesize_goal(&program, GoalSpec::Crash { loc: goal_loc }) {
         Ok(report) => println!(

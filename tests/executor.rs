@@ -1,11 +1,9 @@
 //! Integration tests for the multi-job executor: interleaving jobs must
 //! never change what any job synthesizes (byte-identical execution files,
-//! solo vs. interleaved, at every executor pool size, with static pruning
-//! on or off per `ESD_STATIC_PRUNING`), and round-robin must schedule as
-//! documented (no starvation).
+//! solo vs. interleaved, at every executor pool size), and round-robin must
+//! schedule as documented (no starvation).
 
 use esd::playback::play;
-use esd::symex::SearchStats;
 use esd::workloads::genbug::{generate, GenConfig, InjectedBugKind};
 use esd::workloads::real_bugs::{ghttpd_log_overflow, paste_invalid_free, sqlite_recursive_lock};
 use esd::workloads::{all_real_bugs, generate_bpf, listing1, BpfConfig, Workload};
@@ -20,13 +18,6 @@ fn env_pool() -> usize {
 
 fn real_bug(name: &str) -> Workload {
     all_real_bugs().into_iter().find(|w| w.name == name).expect("real-bug workload exists")
-}
-
-/// The static-pruning switch under test: the CI determinism matrix pins one
-/// leg to `ESD_STATIC_PRUNING=0`; pruning must never change what any job
-/// synthesizes.
-fn env_static_pruning() -> bool {
-    std::env::var("ESD_STATIC_PRUNING").ok().as_deref() != Some("0")
 }
 
 /// The interleaving batch: deadlocks and crashes from the real-bug analogs
@@ -48,12 +39,9 @@ fn interleaving_batch() -> Vec<(Workload, bool)> {
 
 /// Per-job options for the interleaving test: the paste job runs the random
 /// frontier so the executor drives a second frontier kind; the rest use
-/// the paper's proximity default. Static pruning follows the environment.
+/// the paper's proximity default.
 fn batch_options(name: &str, race: bool) -> EsdOptions {
-    let base = EsdOptions::builder()
-        .max_steps(8_000_000)
-        .static_pruning(env_static_pruning())
-        .with_race_detection(race);
+    let base = EsdOptions::builder().max_steps(8_000_000).with_race_detection(race);
     if name == "paste" {
         base.frontier(FrontierKind::Random).build()
     } else {
@@ -61,34 +49,26 @@ fn batch_options(name: &str, race: bool) -> EsdOptions {
     }
 }
 
-/// The static pruning counters of a search that the batch gates on:
-/// `(branches_pruned_static, solver_queries_saved, preemptions_pruned_static)`.
-fn pruning_counters(stats: &SearchStats) -> (u64, u64, u64) {
-    (stats.branches_pruned_static, stats.solver_queries_saved, stats.preemptions_pruned_static)
-}
-
 /// The tentpole determinism contract: a job's execution file is
 /// byte-identical whether the job ran solo or interleaved with the other
 /// jobs of the batch, because slicing happens only at `step_round`
 /// boundaries and jobs share nothing. Exercised serially and with slice
 /// batches spread over a pool as wide as the job count and of the CI matrix
-/// size (`ESD_POOL`). Every job must be found and replay, and its static
-/// pruning counters must match its solo run. With pruning on, the batch
-/// must prune branches, save solver queries and (in its race-mode job)
-/// prune preemption forks; with pruning off, all three stay zero.
+/// size (`ESD_POOL`). Every job must be found and replay, and its count of
+/// preemption forks pruned by the race candidates must match its solo run;
+/// the batch's race-mode job must prune some.
 #[test]
 fn interleaved_jobs_emit_byte_identical_execution_files() {
     let batch = interleaving_batch();
-    let static_pruning = env_static_pruning();
 
     // Solo baselines.
-    let solo: Vec<(String, (u64, u64, u64))> = batch
+    let solo: Vec<(String, u64)> = batch
         .iter()
         .map(|(w, race)| {
             let report = Esd::new(batch_options(&w.name, *race))
                 .synthesize_goal(&w.program, w.goal())
                 .unwrap_or_else(|e| panic!("{} solo synthesis: {e:?}", w.name));
-            (report.execution.to_json(), pruning_counters(&report.stats))
+            (report.execution.to_json(), report.stats.preemptions_pruned_static)
         })
         .collect();
 
@@ -108,9 +88,8 @@ fn interleaved_jobs_emit_byte_identical_execution_files() {
             .collect();
         executor.run_until_idle();
 
-        let mut sums = (0, 0, 0);
-        for (((w, _), handle), (solo_json, solo_counters)) in batch.iter().zip(&handles).zip(&solo)
-        {
+        let mut preemptions_pruned = 0;
+        for (((w, _), handle), (solo_json, solo_pruned)) in batch.iter().zip(&handles).zip(&solo) {
             let outcome = executor.take(*handle).expect("idle executor finished every job");
             assert_eq!(outcome.verdict(), JobVerdict::Found, "{} (pool={pool})", w.name);
             let report = outcome.report().expect("Found jobs carry a report");
@@ -126,29 +105,11 @@ fn interleaved_jobs_emit_byte_identical_execution_files() {
                 "{}: the interleaved job's execution must replay",
                 w.name
             );
-            let counters = pruning_counters(&report.stats);
-            assert_eq!(counters, *solo_counters, "{}: pruning counters at pool={pool}", w.name);
-            sums = (sums.0 + counters.0, sums.1 + counters.1, sums.2 + counters.2);
+            let pruned = report.stats.preemptions_pruned_static;
+            assert_eq!(pruned, *solo_pruned, "{}: pruned preemptions at pool={pool}", w.name);
+            preemptions_pruned += pruned;
         }
-
-        let (branches_pruned, queries_saved, preemptions_pruned) = sums;
-        if static_pruning {
-            assert!(
-                branches_pruned > 0 && queries_saved > 0,
-                "static pruning is on but the batch pruned {branches_pruned} branches and \
-                 saved {queries_saved} solver queries (pool={pool})"
-            );
-            assert!(
-                preemptions_pruned > 0,
-                "static pruning is on but the batch pruned no preemption forks (pool={pool})"
-            );
-        } else {
-            assert_eq!(
-                sums,
-                (0, 0, 0),
-                "static pruning is off, yet the batch pruned (pool={pool})"
-            );
-        }
+        assert!(preemptions_pruned > 0, "the batch pruned no preemption forks (pool={pool})");
     }
 }
 

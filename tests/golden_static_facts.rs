@@ -21,7 +21,7 @@
 //! and commit the new fixture together with the change.
 
 use esd::analysis::reachdef::global_stores;
-use esd::analysis::StaticAnalysis;
+use esd::analysis::{BranchFeasibility, StaticAnalysis};
 use esd::core::snapshot::fnv1a64;
 use esd::ir::Program;
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind};
@@ -73,7 +73,8 @@ fn render_program(out: &mut String, name: &str, program: &Program, goals: &[esd:
     let sa = StaticAnalysis::compute_multi(program, goals);
     writeln!(out, "=== {name} goals={goals:?} ===").unwrap();
 
-    let mut verdicts: Vec<_> = sa.facts.branch_feasibility.iter().collect();
+    let feasibility = BranchFeasibility::compute(program, &sa.facts.cfgs, &sa.facts.callgraph);
+    let mut verdicts: Vec<_> = feasibility.iter().collect();
     verdicts.sort_by_key(|(key, _)| *key);
     writeln!(out, "feasibility {}", verdicts.len()).unwrap();
     for ((func, block), verdict) in verdicts {

@@ -18,10 +18,7 @@
 //!   (seed 11, as `fig2`) on every real-bug analog, and KC-RandPath (seed
 //!   5, as `fig3`) on the 16-branch BPF program.
 //!
-//! Static pruning is on for every ESD job, whatever `ESD_STATIC_PRUNING`
-//! says: pruning skips solver queries, so it shows in `solver_queries`. The
-//! KC jobs run the [`EsdOptions::kc`] preset, which has no static verdicts.
-//! Every job runs through a [`JobExecutor`] at `ESD_POOL` workers (default
+//! The KC jobs run the [`EsdOptions::kc`] preset. Every job runs through a [`JobExecutor`] at `ESD_POOL` workers (default
 //! 2), which must not change any line either.
 //!
 //! Every execution a line pins must also be right, not only unchanged: a
@@ -76,12 +73,7 @@ fn env_pool() -> usize {
 }
 
 fn options(frontier: FrontierKind, race: bool) -> EsdOptions {
-    EsdOptions::builder()
-        .max_steps(BUDGET)
-        .frontier(frontier)
-        .with_race_detection(race)
-        .static_pruning(true)
-        .build()
+    EsdOptions::builder().max_steps(BUDGET).frontier(frontier).with_race_detection(race).build()
 }
 
 /// One job of the corpus, with the injected ground truth its execution

@@ -10,8 +10,8 @@
 //!   KC-DFS does not reproduce here, so it is not asserted.)
 //! * Figure 2 on the generated corpus: on every medium crash,
 //!   out-of-bounds and race genbug the figure runs, ESD needs no more
-//!   search steps than KC-DFS (races: 306–316 steps against 316, with
-//!   static pruning on or off). On deadlocks ESD wins 7 of 8 seeds (307
+//!   search steps than KC-DFS (races: 306–316 steps against 316). On
+//!   deadlocks ESD wins 7 of 8 seeds (307
 //!   against 315) and loses one (474), so they are not asserted.
 //! * Figure 3: ESD synthesizes the BPF deadlock at 16, 32 and 64 branches,
 //!   and its steps grow slower than the branch count; KC-RandPath needs

@@ -189,16 +189,16 @@ proptest! {
     /// feasibility verdicts only ever remove edges that are infeasible for
     /// every input, so the blocks holding the injected bug stay reachable
     /// when each function's CFG is restricted to the edges the verdicts
-    /// keep. An `AlwaysFalse` on the guard of the bug path would make the
-    /// injected failure unsynthesizable under pruning — exactly the outcome
-    /// the engine's `static_pruning` option must never produce.
+    /// keep. An `AlwaysFalse` on the guard of the bug path would be a false
+    /// `constant-condition` warning, and since the solver evaluates the same
+    /// transfer functions, a sign that it could refute the bug path too.
     #[test]
     fn feasibility_verdicts_never_rule_out_the_injected_bug(
         seed in 0u64..1_000_000_000,
         kind_idx in 0usize..4,
         dims in (0u32..12, 0u32..32, 0u32..12, 0u32..12, 0u32..12),
     ) {
-        use esd::analysis::{Feasibility, ProgramFacts};
+        use esd::analysis::{BranchFeasibility, Feasibility, ProgramFacts};
         use esd::ir::inst::Terminator;
 
         let (inputs, branches, loop_iters, threads, locks) = dims;
@@ -209,11 +209,12 @@ proptest! {
         };
         let w = generate(&config);
         let program = &w.program;
-        let feasibility = ProgramFacts::compute(program).branch_feasibility;
+        let facts = ProgramFacts::compute(program);
+        let feasibility = BranchFeasibility::compute(program, &facts.cfgs, &facts.callgraph);
 
         for goal in &w.truth.goal_locs {
             // Reachability from the goal function's entry, walking only the
-            // CFG edges a pruning stepper would still take.
+            // CFG edges the verdicts keep.
             let func = program.func(goal.func);
             let mut seen = vec![false; func.blocks.len()];
             let mut stack = vec![BlockId(0)];
@@ -245,9 +246,8 @@ proptest! {
     /// The static race-pair candidate set is *sound* on the generated
     /// corpus: whatever the generator dimensions, both instructions of an
     /// injected data race land in the candidate set — and one candidate
-    /// pair covers exactly the injected pair — so candidate-gated preemption
-    /// pruning (part of `EsdOptions::static_pruning`) can never make the
-    /// injected race unsynthesizable.
+    /// pair covers exactly the injected pair — so the candidate gating of
+    /// yield preemptions can never make the injected race unsynthesizable.
     #[test]
     fn injected_data_races_always_appear_in_the_candidate_set(
         seed in 0u64..1_000_000_000,
@@ -785,11 +785,11 @@ fn nesting_past_the_depth_bound_is_a_typed_error_on_a_small_stack() {
 /// their failing inputs and 20 times on random inputs, each under a seeded
 /// random choice among the runnable threads before every step. At each
 /// executed `CondBr` the successor must agree with
-/// `ProgramFacts::branch_feasibility`: `AlwaysFalse` never goes to `then`,
-/// and `AlwaysTrue` never goes to `else`.
+/// `BranchFeasibility::compute`: `AlwaysFalse` never goes to `then`, and
+/// `AlwaysTrue` never goes to `else`.
 #[test]
 fn branch_verdicts_never_contradict_a_concrete_run() {
-    use esd::analysis::{Feasibility, ProgramFacts};
+    use esd::analysis::{BranchFeasibility, Feasibility, ProgramFacts};
     use esd::ir::inst::Terminator;
     use esd::ir::interp::{InputProvider, RandomInputs, StepResult};
     use esd::workloads::{all_real_bugs, listing1};
@@ -809,7 +809,8 @@ fn branch_verdicts_never_contradict_a_concrete_run() {
     let mut decided = 0u64;
     for (pi, w) in corpus.iter().enumerate() {
         let program = &w.program;
-        let verdicts = ProgramFacts::compute(program).branch_feasibility;
+        let facts = ProgramFacts::compute(program);
+        let verdicts = BranchFeasibility::compute(program, &facts.cfgs, &facts.callgraph);
         let failing = w.failing_inputs.as_ref().expect("every corpus program has failing inputs");
         let failing =
             MapInputs::from_entries(failing.iter().map(|((t, s), v)| ((ThreadId(*t), *s), *v)));
@@ -886,6 +887,7 @@ fn wire_status(n: u64) -> esd::JobStatus {
                     solver_queries_saved: n % 29,
                     preemptions_pruned_static: n % 37,
                     races_flagged: (n % 5) as usize,
+                    race_backstop_forks: n % 41,
                     best_proximity: if n.is_multiple_of(2) { Some(n % 31) } else { None },
                 },
                 elapsed: Duration::new(n % 1000, (n * 7_919 % 1_000_000_000) as u32),

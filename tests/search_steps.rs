@@ -10,11 +10,9 @@
 //! states. The bounds leave headroom over these measurements; lower them
 //! when the search improves, never raise them.
 //!
-//! Static pruning (`EsdOptions::static_pruning`) may change what a search
-//! costs, never what it finds. With it off, crash, out-of-bounds and
-//! deadlock searches take the very same path, and the medium races, which
-//! then fork at every yield, take the same 284–316 steps at most 23 live
-//! states.
+//! The race searches also check the static race-pair candidates against
+//! the dynamic detector: no flagged access outside the candidates may make
+//! the detector's backstop fork (`SearchStats::race_backstop_forks`).
 
 use esd::playback::play;
 use esd::workloads::genbug::{generate, GenConfig, GenSize, GeneratedWorkload, InjectedBugKind};
@@ -25,7 +23,7 @@ use esd::{Esd, EsdOptions};
 const MEDIUM_STEPS: u64 = 1_000;
 
 /// The highest live-state peak a medium race may reach: the measured peak
-/// over seeds 0..16 is 20 (seed 13), 23 with static pruning off.
+/// over seeds 0..16 is 20 (seed 13).
 const RACE_LIVE_STATES: usize = 24;
 
 fn medium(seed: u64, kind: InjectedBugKind) -> GeneratedWorkload {
@@ -71,52 +69,6 @@ fn medium_races_keep_their_live_state_peak() {
             w.name,
             stats.max_live_states
         );
-    }
-}
-
-#[test]
-fn medium_races_are_found_with_static_pruning_off() {
-    for seed in 0..16 {
-        let w = medium(seed, InjectedBugKind::DataRace);
-        let options = EsdOptions::builder()
-            .max_steps(MEDIUM_STEPS)
-            .with_race_detection(true)
-            .static_pruning(false)
-            .build();
-        let stats = synthesize_and_replay(&w, options);
-        assert!(stats.steps <= MEDIUM_STEPS, "{}: {} steps", w.name, stats.steps);
-        assert!(
-            stats.max_live_states <= RACE_LIVE_STATES,
-            "{}: {} live states",
-            w.name,
-            stats.max_live_states
-        );
-    }
-}
-
-/// Without race detection there is no yield gating, so the only static
-/// verdicts are the branch-feasibility ones, and the solver refutes every
-/// branch side they rule out: the searches match step for step and
-/// synthesize the same execution. Only the solver-query counts differ.
-#[test]
-fn static_pruning_changes_no_search_path_outside_races() {
-    let kinds =
-        [InjectedBugKind::CrashOnPath, InjectedBugKind::OutOfBounds, InjectedBugKind::AbbaDeadlock];
-    for kind in kinds {
-        for seed in 0..8 {
-            let w = medium(seed, kind);
-            let run = |pruning: bool| {
-                let options = EsdOptions::builder().static_pruning(pruning).build();
-                Esd::new(options)
-                    .synthesize_goal(&w.program, w.truth.goal.clone())
-                    .unwrap_or_else(|e| panic!("{} (pruning {pruning}): {e:?}", w.name))
-            };
-            let (on, off) = (run(true), run(false));
-            assert_eq!(on.execution, off.execution, "{}: executions differ", w.name);
-            let counts = |r: &esd::core::SynthesisReport| {
-                (r.stats.steps, r.stats.states_created, r.stats.states_pruned)
-            };
-            assert_eq!(counts(&on), counts(&off), "{}: (steps, created, pruned)", w.name);
-        }
+        assert_eq!(stats.race_backstop_forks, 0, "{}: backstop forks", w.name);
     }
 }

@@ -39,42 +39,30 @@ fn session_slicing_is_deterministic() {
     assert!(play(&w.program, &stepped.execution).reproduced);
 }
 
-/// Satellite of the static-pruning tentpole: sessions surface the static
-/// phase's counters through [`esd::core::session::ProgressEvent`], the
-/// counters move on a workload with a statically decidable branch
-/// (`mkfifo`'s masked mode-range check), and switching pruning off zeroes
-/// them while still synthesizing an execution that replays.
+/// Sessions surface the static phase's counters through
+/// [`esd::core::session::ProgressEvent`]: on a race job the race-pair
+/// candidates gate yield preemptions, the event's count of pruned forks
+/// moves and equals the report's, and the synthesized execution is the
+/// injected race and replays.
 #[test]
-fn progress_events_surface_static_pruning_counters() {
-    let w = esd::workloads::all_real_bugs().into_iter().find(|w| w.name == "mkfifo").unwrap();
-    let run = |pruning: bool| {
-        let mut session = SynthesisSession::new(
-            &w.program,
-            w.goal(),
-            EsdOptions::builder().max_steps(2_000_000).static_pruning(pruning).build(),
-        );
-        while session.poll().is_running() {
-            session.run_for(64);
-        }
-        let event = session.progress_event();
-        let report = session.poll().found().expect("mkfifo synthesizes").clone();
-        (event, report)
-    };
+fn progress_events_surface_preemption_pruning_counters() {
+    use esd::workloads::genbug::{generate, GenConfig, InjectedBugKind};
 
-    let (on, found_on) = run(true);
-    assert!(on.stats.branches_pruned_static > 0, "mkfifo carries a statically decidable branch");
-    assert!(on.stats.solver_queries_saved >= on.stats.branches_pruned_static);
-    assert!(play(&w.program, &found_on.execution).reproduced);
-
-    let (off, found_off) = run(false);
-    assert_eq!(off.stats.branches_pruned_static, 0, "pruning off must not prune");
-    assert_eq!(off.stats.solver_queries_saved, 0);
-    assert!(play(&w.program, &found_off.execution).reproduced);
-    assert_eq!(
-        found_on.execution.to_json(),
-        found_off.execution.to_json(),
-        "static pruning must not change what is synthesized"
+    let w = generate(&GenConfig::new(2, InjectedBugKind::DataRace));
+    let mut session = SynthesisSession::new(
+        &w.program,
+        w.truth.goal.clone(),
+        EsdOptions::builder().max_steps(2_000_000).with_race_detection(true).build(),
     );
+    while session.poll().is_running() {
+        session.run_for(64);
+    }
+    let event = session.progress_event();
+    let report = session.poll().found().expect("the race synthesizes");
+    assert!(event.stats.preemptions_pruned_static > 0, "the candidates gate some yield");
+    assert_eq!(event.stats, report.stats);
+    w.truth.matches(&report.execution).expect("the injected race");
+    assert!(play(&w.program, &report.execution).reproduced);
 }
 
 /// Cancelling a running session keeps the partial `SearchStats` of the work
