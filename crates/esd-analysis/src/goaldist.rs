@@ -14,12 +14,9 @@
 //! Distances are per-goal; the oracle caches the per-goal maps so that the
 //! final goal and every intermediate goal each pay the pre-computation once.
 //!
-//! When the queried goal belongs to the goal set the static analysis was
-//! computed for, distances are measured with the *sliced* cost model
-//! ([`StaticAnalysis::costs_for_goal`]): instructions the backward relevance
-//! slice ([`crate::slice`](mod@crate::slice)) proves cannot affect the goal
-//! cost zero, so a state wading through goal-relevant work ranks closer than
-//! one wading through bookkeeping of the same length.
+//! Every goal is measured with the same cost model, the program's
+//! [`CostModel`](crate::CostModel) in [`ProgramFacts`](crate::ProgramFacts):
+//! as in Algorithm 1, every instruction on the way to the goal counts.
 
 use crate::costs::INF;
 use crate::StaticAnalysis;
@@ -165,7 +162,7 @@ impl DistanceOracle {
             }
             for p in cfg.preds(BlockId(b as u32)) {
                 let pi = p.0 as usize;
-                let nd = sat(self.analysis.costs_for_goal(goal).block_cost[f.0 as usize][pi], d);
+                let nd = sat(self.analysis.facts.costs.block_cost[f.0 as usize][pi], d);
                 if nd < dist[pi] {
                     dist[pi] = nd;
                     heap.push(Reverse((nd, pi)));
@@ -189,7 +186,7 @@ impl DistanceOracle {
     ) -> u64 {
         let function = self.program.func(f);
         let block = function.block(b);
-        let costs = self.analysis.costs_for_goal(goal);
+        let costs = &self.analysis.facts.costs;
         let mut best = INF;
         // Goal directly ahead in this block.
         if f == goal.func && b == goal.block && from_idx <= goal.idx {
@@ -224,7 +221,7 @@ impl DistanceOracle {
         let goal = gd.goal;
         let mut best = self.block_exit_distance(f, loc.block, loc.idx, goal, &gd.func_entry);
         // Leave through the terminator and continue from a successor block.
-        let suffix = self.analysis.costs_for_goal(goal).block_suffix_cost(f, loc.block, loc.idx);
+        let suffix = self.analysis.facts.costs.block_suffix_cost(f, loc.block, loc.idx);
         let function = self.program.func(f);
         for s in function.block(loc.block).term.successors() {
             let d = sat(suffix, gd.block_entry[f.0 as usize][s.0 as usize]);
@@ -414,43 +411,6 @@ mod tests {
         let d3 = oracle.proximity(&[Loc::new(main, BlockId(3), 1)], goal);
         assert!(d0 > d1 && d1 > d2 && d2 > d3);
         assert_eq!(d3, 0);
-    }
-
-    #[test]
-    fn sliced_costs_apply_only_to_the_analysis_goal() {
-        // Dead arithmetic (feeding only an output) sits between the entry and
-        // the goal. When the analysis is computed *for* that goal, the slice
-        // zeroes the dead instructions and the distance shrinks; ad-hoc
-        // queries for other goals keep the full model.
-        let mut pb = ProgramBuilder::new("p");
-        let mut goal = None;
-        pb.function("main", 0, |f| {
-            let a = f.konst(10);
-            let b = f.mul(a, 3);
-            f.output(b);
-            let x = f.getchar();
-            let c = f.cmp(CmpOp::Eq, x, 7);
-            goal = Some(f.here());
-            f.assert(c, "x is 7");
-            f.ret_void();
-        });
-        let program = pb.finish("main");
-        let goal = goal.unwrap();
-        let entry = Loc::new(program.entry, BlockId(0), 0);
-
-        let program = Arc::new(program);
-        let analysis = Arc::new(StaticAnalysis::compute(&program, goal));
-        let oracle = DistanceOracle::new(program.clone(), analysis.clone());
-        let sliced = oracle.proximity(&[entry], goal);
-        // Full model: konst + mul + output + getchar + cmp = 5. Sliced: the
-        // first three cost zero, leaving getchar + cmp = 2.
-        assert_eq!(sliced, 2);
-
-        // The same query through an analysis computed for a *different* goal
-        // uses the full model.
-        let other = Arc::new(StaticAnalysis::compute(&program, entry));
-        let full_oracle = DistanceOracle::new(program.clone(), other);
-        assert_eq!(full_oracle.proximity(&[entry], goal), 5);
     }
 
     #[test]

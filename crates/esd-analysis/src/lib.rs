@@ -21,12 +21,14 @@
 //! * a static lockset / lock-order-graph analysis detecting potential ABBA
 //!   deadlock cycles ([`lockorder`]),
 //! * a flow-insensitive Andersen-style points-to/escape analysis classifying
-//!   each memory access as thread-local or may-shared ([`pointsto`]),
+//!   each memory access as thread-local or may-shared ([`pointsto`]; built on
+//!   demand, see [`ProgramFacts::points_to`]),
 //! * may-happen-in-parallel + lockset race-pair candidates that bound the
 //!   dynamic phase's preemption forks in race mode ([`racecand`]; built on
 //!   demand, see [`ProgramFacts::race_candidates`]),
-//! * a backward goal-directed relevance slice sharpening the proximity
-//!   heuristic's cost model ([`slice`](mod@slice)),
+//! * a backward goal-directed relevance slice that nothing in the pipeline
+//!   reads any more ([`slice`](mod@slice); kept only for the benchmark's
+//!   per-pass probe),
 //! * seven IR lints with severity-ranked diagnostics ([`lint::run`]).
 //!
 //! [`ProgramFacts`] holds the goal-independent facts, built once per program
@@ -65,19 +67,20 @@ pub use lint::{Diagnostic, Severity};
 pub use lockorder::{LockCycle, LockEdge, LockOrderInfo};
 pub use pointsto::{AbsLoc, MemAccess, PointsTo};
 pub use racecand::{RaceCandidates, RacePairCandidate};
-pub use slice::RelevanceSlice;
 
 use esd_ir::{Inst, Loc, Program};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// The goal-independent static facts of one program: everything the static
 /// phase derives without knowing the goal. The search and the lint both read
 /// them, and [`ProgramFacts::compute`] is the one place that builds them.
 ///
-/// Every public field is built eagerly. The race-pair candidates are built
-/// on demand ([`ProgramFacts::race_candidates`]): only the race-directed
-/// search and the lint read them, and on the BPF programs they cost about
-/// 30% of what the bundle cost with them.
+/// Every public field is built eagerly: the search reads each of them. The
+/// points-to facts and the race-pair candidates built from them are built on
+/// demand ([`ProgramFacts::points_to`], [`ProgramFacts::race_candidates`]):
+/// only the race-directed search and the lint read them, and on the BPF
+/// programs points-to alone costs more than half of what the eager passes
+/// cost together.
 pub struct ProgramFacts {
     /// One CFG per function.
     pub cfgs: Vec<Cfg>,
@@ -87,9 +90,9 @@ pub struct ProgramFacts {
     pub costs: CostModel,
     /// The static lock-order graph and its potential ABBA deadlock cycles.
     pub lock_order: LockOrderInfo,
-    /// Andersen-style points-to/escape facts: which memory accesses may touch
-    /// shared state.
-    pub points_to: PointsTo,
+    /// The points-to facts, built on the first [`ProgramFacts::points_to`]
+    /// call.
+    points_to: OnceLock<PointsTo>,
     /// The race-pair candidates, built on the first
     /// [`ProgramFacts::race_candidates`] call.
     race_candidates: OnceLock<RaceCandidates>,
@@ -102,15 +105,24 @@ impl ProgramFacts {
         let callgraph = CallGraph::build(program);
         let costs = CostModel::new(program, &cfgs, &callgraph);
         let lock_order = lockorder::analyze(program, &cfgs, &callgraph);
-        let points_to = PointsTo::compute(program, &callgraph);
         ProgramFacts {
             cfgs,
             callgraph,
             costs,
             lock_order,
-            points_to,
+            points_to: OnceLock::new(),
             race_candidates: OnceLock::new(),
         }
+    }
+
+    /// Andersen-style points-to/escape facts: which memory accesses may touch
+    /// shared state.
+    ///
+    /// Built on the first call from the bundle's call graph, and kept for
+    /// every later call; `program` must be the program these facts were
+    /// computed for.
+    pub fn points_to(&self, program: &Program) -> &PointsTo {
+        self.points_to.get_or_init(|| PointsTo::compute(program, &self.callgraph))
     }
 
     /// The ranked set of statically identified race-pair candidates (§4.2):
@@ -119,18 +131,18 @@ impl ProgramFacts {
     /// at accesses/yields this set marks relevant.
     ///
     /// Built on the first call from the bundle's CFGs, call graph, points-to
-    /// facts and lock order, and kept for every later call; `program` must be
-    /// the program these facts were computed for. The engine makes that
-    /// first call at set-up when its search will read the set (race
-    /// detection outside the KC baseline), so the cost lands there and not
-    /// mid-search; other jobs never pay it.
+    /// facts ([`ProgramFacts::points_to`]) and lock order, and kept for every
+    /// later call; `program` must be the program these facts were computed
+    /// for. The engine makes that first call at set-up when its search will
+    /// read the set (race detection outside the KC baseline), so the cost
+    /// lands there and not mid-search; other jobs never pay it.
     pub fn race_candidates(&self, program: &Program) -> &RaceCandidates {
         self.race_candidates.get_or_init(|| {
             racecand::compute(
                 program,
                 &self.cfgs,
                 &self.callgraph,
-                &self.points_to,
+                self.points_to(program),
                 &self.lock_order,
             )
         })
@@ -158,16 +170,12 @@ impl ProgramFacts {
 /// Construction performs the paper's static phase: CFG construction, call
 /// graph and function-pointer resolution, dead-block identification, critical
 /// edge marking and intermediate goal derivation, plus the cost model backing
-/// the proximity heuristic.
+/// the proximity heuristic ([`DistanceOracle`]).
 pub struct StaticAnalysis {
     /// The goal-independent facts.
     pub facts: ProgramFacts,
     /// Per-goal critical edges and intermediate goals.
     pub goal_info: StaticGoalInfo,
-    /// The backward goal-directed relevance slice and its sliced cost model
-    /// ([`StaticAnalysis::costs_for_goal`]). Its `goals` are the goal set
-    /// this analysis was computed for.
-    pub slice: RelevanceSlice,
 }
 
 impl StaticAnalysis {
@@ -193,7 +201,6 @@ impl StaticAnalysis {
         let infos =
             goals.iter().map(|g| StaticGoalInfo::compute(program, cfgs, callgraph, *g)).collect();
         let mut goal_info = StaticGoalInfo::merge(infos);
-        let slice = slice::compute(program, callgraph, &facts.points_to, &facts.costs, goals);
         // Deadlock goals (a goal at a blocked MutexLock) get the lock-order
         // cycles' acquisition sites as extra intermediate goals: the ranked
         // candidate deadlock sites the paper's static phase promises (§4.1).
@@ -214,31 +221,7 @@ impl StaticAnalysis {
                 }
             }
         }
-        StaticAnalysis { facts, goal_info, slice }
-    }
-
-    /// The cost model to use when measuring distance toward `goal`: the
-    /// sliced model (irrelevant instructions cost zero) when `goal` belongs
-    /// to the goal set this analysis was computed for, the full model
-    /// otherwise (e.g. ad-hoc queries for other locations).
-    pub fn costs_for_goal(&self, goal: Loc) -> &CostModel {
-        if self.slice.goals.contains(&goal) {
-            &self.slice.costs
-        } else {
-            &self.facts.costs
-        }
-    }
-
-    /// Creates the distance oracle (Algorithm 1) for this program. The oracle
-    /// can answer proximity queries for the main goal as well as for any
-    /// intermediate goal, and shares ownership of its inputs so callers that
-    /// outlive the current stack frame (resumable synthesis sessions) can own
-    /// it outright.
-    pub fn distance_oracle(
-        analysis: &Arc<StaticAnalysis>,
-        program: &Arc<Program>,
-    ) -> DistanceOracle {
-        DistanceOracle::new(program.clone(), analysis.clone())
+        StaticAnalysis { facts, goal_info }
     }
 }
 
@@ -247,6 +230,7 @@ mod tests {
     use super::*;
     use esd_ir::CmpOp;
     use esd_ir::ProgramBuilder;
+    use std::sync::Arc;
 
     /// Regression test for multi-location goals (deadlock reports list one
     /// blocked-lock location per thread): seeding the static phase with only
@@ -311,9 +295,9 @@ mod tests {
         assert!(multi.goal_info.critical_edges.is_empty());
     }
 
-    /// The race candidates are left out of the eager bundle, built by the
-    /// first accessor call to the same set `racecand::compute` gives, and
-    /// replaceable.
+    /// Points-to and the race candidates are left out of the eager bundle,
+    /// built by the first accessor call to the same sets `PointsTo::compute`
+    /// and `racecand::compute` give, and replaceable.
     #[test]
     fn race_candidates_are_built_on_first_read() {
         let mut pb = ProgramBuilder::new("racy");
@@ -337,21 +321,19 @@ mod tests {
             f.ret_void();
         });
         let p = pb.finish("main");
-        let mut facts = StaticAnalysis::compute(&p, goal.unwrap()).facts;
+        let mut facts = StaticAnalysis::compute_multi(&p, &[goal.unwrap()]).facts;
+        assert!(facts.points_to.get().is_none(), "points-to is not part of the eager bundle");
         assert!(facts.race_candidates_if_built().is_none(), "not part of the eager bundle");
 
-        let direct = racecand::compute(
-            &p,
-            &facts.cfgs,
-            &facts.callgraph,
-            &facts.points_to,
-            &facts.lock_order,
-        );
+        let points_to = PointsTo::compute(&p, &facts.callgraph);
+        let direct =
+            racecand::compute(&p, &facts.cfgs, &facts.callgraph, &points_to, &facts.lock_order);
         assert!(!direct.candidates.is_empty(), "the unlocked load and store race");
         let built = facts.race_candidates(&p);
         assert_eq!(built.candidates, direct.candidates);
         assert_eq!(built.relevant_yields, direct.relevant_yields);
         assert!(facts.race_candidates_if_built().is_some());
+        assert_eq!(facts.points_to(&p).accesses, points_to.accesses, "built on the way");
 
         facts.set_race_candidates(RaceCandidates::default());
         assert!(facts.race_candidates(&p).candidates.is_empty(), "the installed set wins");
@@ -381,10 +363,8 @@ mod tests {
         let goal = Loc::new(p.entry, esd_ir::BlockId(1), 0);
         let sa = Arc::new(StaticAnalysis::compute(&p, goal));
         assert_eq!(sa.facts.cfgs.len(), 2);
-        assert_eq!(sa.slice.goals.iter().collect::<Vec<_>>(), vec![&goal]);
         let entry = Loc::new(p.entry, esd_ir::BlockId(0), 0);
-        let p = Arc::new(p);
-        let oracle = StaticAnalysis::distance_oracle(&sa, &p);
+        let oracle = DistanceOracle::new(Arc::new(p), sa);
         let d = oracle.proximity(&[entry], goal);
         assert!(d < costs::INF);
     }

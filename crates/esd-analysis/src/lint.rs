@@ -389,7 +389,7 @@ fn inconsistent_lock_guard(program: &Program, facts: &ProgramFacts, out: &mut Ve
     let rc = facts.race_candidates(program);
     // Group the may-shared accesses by the abstract locations they touch.
     let mut by_target: BTreeMap<AbsLoc, Vec<Loc>> = BTreeMap::new();
-    for a in &facts.points_to.accesses {
+    for a in &facts.points_to(program).accesses {
         if !a.may_shared {
             continue;
         }
@@ -439,7 +439,7 @@ fn inconsistent_lock_guard(program: &Program, facts: &ProgramFacts, out: &mut Ve
 fn shared_unsynchronized_write(program: &Program, facts: &ProgramFacts, out: &mut Vec<Diagnostic>) {
     let rc = facts.race_candidates(program);
     let empty = std::collections::BTreeSet::new();
-    for a in &facts.points_to.accesses {
+    for a in &facts.points_to(program).accesses {
         if !a.is_write || !a.may_shared || !rc.is_candidate_access(a.loc) {
             continue;
         }

@@ -751,7 +751,7 @@ mod tests {
 
     fn run(program: &Program) -> RaceCandidates {
         let facts = crate::ProgramFacts::compute(program);
-        compute(program, &facts.cfgs, &facts.callgraph, &facts.points_to, &facts.lock_order)
+        compute(program, &facts.cfgs, &facts.callgraph, facts.points_to(program), &facts.lock_order)
     }
 
     /// The PR 1 `racy_counter` shape: two spawns of a worker that does an

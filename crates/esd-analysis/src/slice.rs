@@ -1,15 +1,19 @@
 //! Backward goal-directed relevance slicing over the points-to facts.
 //!
-//! The proximity heuristic (Algorithm 1) counts *every* instruction along a
-//! path toward the goal, so a state wading through bookkeeping arithmetic
-//! looks exactly as far from the goal as one wading through goal-relevant
-//! computation of the same length. This module sharpens that: a demand-driven
-//! backward slice from the goal locations marks the instructions that can
-//! still *affect* whether and how the goal is reached, and a sliced copy of
-//! the [`CostModel`] charges everything else zero. Distances computed from
-//! the sliced model ([`crate::StaticAnalysis::costs_for_goal`]) then measure
-//! only relevant work — instructions that cannot affect the goal stop
-//! counting toward proximity.
+//! **Nothing in the pipeline reads this module.** It once sharpened the
+//! proximity heuristic (Algorithm 1) by pricing the instructions that cannot
+//! affect the goal at zero in a sliced copy of the [`CostModel`], and the
+//! search measured its final goal with that copy. On the corpus the sliced
+//! model moved three search cells by 2–4 steps, and it forced points-to into
+//! every job's static phase, so the search now measures every goal with the
+//! full model ([`crate::goaldist`]). The module stays only because the
+//! benchmark's per-pass probe (`perfbench/src/probe.rs`) still times
+//! [`compute`]; ROADMAP's "Descriptions that match the measurements" drops
+//! that call with the next benchmark change and then deletes this file.
+//!
+//! A demand-driven backward slice from the goal locations marks the
+//! instructions that can still *affect* whether and how the goal is reached,
+//! and the sliced cost model charges everything else zero.
 //!
 //! The slice is the classic demand set over three kinds of items, closed
 //! under the worklist below:
@@ -311,7 +315,7 @@ mod tests {
 
     fn run(program: &Program, goals: &[Loc]) -> RelevanceSlice {
         let facts = crate::ProgramFacts::compute(program);
-        compute(program, &facts.callgraph, &facts.points_to, &facts.costs, goals)
+        compute(program, &facts.callgraph, facts.points_to(program), &facts.costs, goals)
     }
 
     #[test]

@@ -269,7 +269,7 @@ impl Engine {
         if options.with_race_detection && !options.kc_baseline {
             analysis.facts.race_candidates(&program);
         }
-        let oracle = StaticAnalysis::distance_oracle(&analysis, &program);
+        let oracle = DistanceOracle::new(program.clone(), analysis.clone());
         // One virtual queue per goal target set: intermediate goals, then the
         // final goal.
         let mut queue_targets: Vec<Vec<Loc>> = Vec::new();

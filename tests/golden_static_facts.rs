@@ -2,11 +2,11 @@
 //!
 //! The static passes are pure functions of the program: branch-feasibility
 //! verdicts, the global stores behind intermediate goals, the merged
-//! per-goal info (critical edges, intermediate goals), the instructions the
-//! relevance slice cuts away and the race candidates with their per-access
-//! locksets. This fixture renders all of them in a stable textual form, so
-//! an optimization of any pass must reproduce its results byte for byte
-//! rather than merely keep the searches that consume them passing.
+//! per-goal info (critical edges, intermediate goals) and the race
+//! candidates with their per-access locksets. This fixture renders all of
+//! them in a stable textual form, so an optimization of any pass must
+//! reproduce its results byte for byte rather than merely keep the searches
+//! that consume them passing.
 //!
 //! The corpus: every real-bug analog (Listing 1 included), the genbug smoke
 //! seeds × 4 kinds, two medium-size genbug seeds per kind, and BPF at 128
@@ -22,7 +22,6 @@
 
 use esd::analysis::reachdef::global_stores;
 use esd::analysis::{BranchFeasibility, StaticAnalysis};
-use esd::core::snapshot::fnv1a64;
 use esd::ir::Program;
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind};
 use esd::workloads::{all_real_bugs, generate_bpf, BpfConfig, Workload};
@@ -35,11 +34,6 @@ const MEDIUM_SEEDS: [u64; 2] = [2, 11];
 
 /// The BPF branch counts rendered.
 const BPF_BRANCHES: [u32; 2] = [128, 512];
-
-/// A function's sliced-away instructions are listed up to this many;
-/// longer listings (the BPF drivers run to thousands) render as a count
-/// plus the `fnv1a64` digest of the listing.
-const SLICE_LISTING_LIMIT: usize = 64;
 
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/static_facts.txt")
@@ -95,30 +89,6 @@ fn render_program(out: &mut String, name: &str, program: &Program, goals: &[esd:
     writeln!(out, "intermediate_goals {}", info.intermediate_goals.len()).unwrap();
     for g in &info.intermediate_goals {
         writeln!(out, "  {:?}[{}] <- {:?}", g.variable.0, g.variable.1, g.alternatives).unwrap();
-    }
-
-    writeln!(out, "sliced_away {}", sa.slice.pruned_count()).unwrap();
-    for (f, blocks) in sa.slice.relevant.iter().enumerate() {
-        let away: Vec<String> = blocks
-            .iter()
-            .enumerate()
-            .flat_map(|(b, bits)| {
-                bits.iter()
-                    .enumerate()
-                    .filter(|(_, keep)| !**keep)
-                    .map(move |(i, _)| format!("{b}:{i}"))
-            })
-            .collect();
-        if away.is_empty() {
-            continue;
-        }
-        let listing = away.join(" ");
-        if away.len() <= SLICE_LISTING_LIMIT {
-            writeln!(out, "  f{f} {} [{listing}]", away.len()).unwrap();
-        } else {
-            writeln!(out, "  f{f} {} fnv1a64={:016x}", away.len(), fnv1a64(listing.as_bytes()))
-                .unwrap();
-        }
     }
 
     let rc = sa.facts.race_candidates(program);
