@@ -2,11 +2,16 @@
 //!
 //! The static passes are pure functions of the program: branch-feasibility
 //! verdicts, the global stores behind intermediate goals, the merged
-//! per-goal info (critical edges, intermediate goals) and the race
-//! candidates with their per-access locksets. This fixture renders all of
-//! them in a stable textual form, so an optimization of any pass must
-//! reproduce its results byte for byte rather than merely keep the searches
-//! that consume them passing.
+//! per-goal info (critical edges, intermediate goals), the lock-order edges
+//! and cycles, and the race candidates with their per-access locksets. This
+//! fixture renders all of them in a stable textual form, so an optimization
+//! of any pass must reproduce its results byte for byte rather than merely
+//! keep the searches that consume them passing. The cost model and the
+//! per-goal distance maps are too large to list, so each program gets one
+//! `fnv1a64` digest line over them: function costs, block costs, and per
+//! location the instruction cost, block prefix cost and `dist2ret`; then, for
+//! every final and intermediate goal, the function-entry and block-entry
+//! distance maps and the distance from every location.
 //!
 //! The corpus: every real-bug analog (Listing 1 included), the genbug smoke
 //! seeds × 4 kinds, two medium-size genbug seeds per kind, and BPF at 128
@@ -21,11 +26,13 @@
 //! and commit the new fixture together with the change.
 
 use esd::analysis::reachdef::global_stores;
-use esd::analysis::{BranchFeasibility, StaticAnalysis};
-use esd::ir::Program;
+use esd::analysis::{BranchFeasibility, DistanceOracle, StaticAnalysis};
+use esd::core::snapshot::fnv1a64;
+use esd::ir::{BlockId, Loc, Program};
 use esd::workloads::genbug::{generate, GenConfig, GenSize, InjectedBugKind};
 use esd::workloads::{all_real_bugs, generate_bpf, BpfConfig, Workload};
 use std::fmt::Write;
+use std::sync::Arc;
 
 const FIXTURE: &str = include_str!("fixtures/static_facts.txt");
 
@@ -62,9 +69,63 @@ fn corpus() -> Vec<Workload> {
     corpus
 }
 
+/// Every instruction position of `program`, terminators included.
+fn all_locs(program: &Program) -> Vec<Loc> {
+    let mut locs = Vec::new();
+    for f in program.func_ids() {
+        for (bi, block) in program.func(f).blocks.iter().enumerate() {
+            for idx in 0..=block.insts.len() as u32 {
+                locs.push(Loc::new(f, BlockId(bi as u32), idx));
+            }
+        }
+    }
+    locs
+}
+
+/// `fnv1a64` digests of the cost model and of the distance maps of every
+/// final and intermediate goal, as `(costs, distances)`.
+fn cost_and_distance_digests(
+    program: &Program,
+    sa: &Arc<StaticAnalysis>,
+    final_goals: &[Loc],
+) -> (u64, u64) {
+    let costs = &sa.facts.costs;
+    let locs = all_locs(program);
+    let mut bytes = Vec::new();
+    for f in program.func_ids() {
+        bytes.extend(costs.func_cost(f).to_le_bytes());
+        for b in program.func(f).block_ids() {
+            bytes.extend(costs.block_suffix_cost(f, b, 0).to_le_bytes());
+        }
+    }
+    for loc in &locs {
+        bytes.extend(costs.inst_cost(*loc).to_le_bytes());
+        bytes.extend(costs.block_prefix_cost(loc.func, loc.block, loc.idx).to_le_bytes());
+        bytes.extend(costs.dist2ret(program, *loc).to_le_bytes());
+    }
+    let cost_digest = fnv1a64(&bytes);
+
+    let mut goals: Vec<Loc> = final_goals.to_vec();
+    goals.extend(sa.goal_info.intermediate_goal_locs().into_iter().flatten());
+    goals.sort();
+    goals.dedup();
+    let oracle = DistanceOracle::new(Arc::new(program.clone()), Arc::clone(sa));
+    bytes.clear();
+    for goal in goals {
+        let gd = oracle.goal_distances(goal);
+        for d in gd.func_entry.iter().chain(gd.block_entry.iter().flatten()) {
+            bytes.extend(d.to_le_bytes());
+        }
+        for loc in &locs {
+            bytes.extend(oracle.distance_from(&gd, *loc).to_le_bytes());
+        }
+    }
+    (cost_digest, fnv1a64(&bytes))
+}
+
 /// One program's static facts, every collection in a sorted order.
 fn render_program(out: &mut String, name: &str, program: &Program, goals: &[esd::ir::Loc]) {
-    let sa = StaticAnalysis::compute_multi(program, goals);
+    let sa = Arc::new(StaticAnalysis::compute_multi(program, goals));
     writeln!(out, "=== {name} goals={goals:?} ===").unwrap();
 
     let feasibility = BranchFeasibility::compute(program, &sa.facts.cfgs, &sa.facts.callgraph);
@@ -91,6 +152,16 @@ fn render_program(out: &mut String, name: &str, program: &Program, goals: &[esd:
         writeln!(out, "  {:?}[{}] <- {:?}", g.variable.0, g.variable.1, g.alternatives).unwrap();
     }
 
+    let lock_order = &sa.facts.lock_order;
+    writeln!(out, "lock_edges {}", lock_order.edges.len()).unwrap();
+    for e in &lock_order.edges {
+        writeln!(out, "  {:?} -> {:?} at {:?}", e.first, e.second, e.site).unwrap();
+    }
+    writeln!(out, "lock_cycles {}", lock_order.cycles.len()).unwrap();
+    for c in &lock_order.cycles {
+        writeln!(out, "  {:?} {:?}", c.pair, c.sites).unwrap();
+    }
+
     let rc = sa.facts.race_candidates(program);
     writeln!(out, "race_candidates {}", rc.candidates.len()).unwrap();
     for c in &rc.candidates {
@@ -112,6 +183,9 @@ fn render_program(out: &mut String, name: &str, program: &Program, goals: &[esd:
     for (loc, locks) in &rc.must_locksets {
         writeln!(out, "  {loc:?} {locks:?}").unwrap();
     }
+
+    let (costs, distances) = cost_and_distance_digests(program, &sa, goals);
+    writeln!(out, "digest costs={costs:016x} distances={distances:016x}").unwrap();
 }
 
 fn render_corpus() -> String {
