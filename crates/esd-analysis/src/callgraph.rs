@@ -11,7 +11,7 @@
 //! the call.
 
 use esd_ir::{Callee, FuncId, Inst, Loc, Program};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// One call site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,12 +29,14 @@ pub struct CallSite {
 /// The program call graph.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
-    /// All call sites, grouped by calling function.
-    pub sites: HashMap<FuncId, Vec<CallSite>>,
+    /// All call sites, indexed by calling function, each function's in
+    /// instruction order.
+    pub sites: Vec<Vec<CallSite>>,
     /// Reverse edges: for each function, the call sites that may target it.
     pub callers: HashMap<FuncId, Vec<(FuncId, Loc)>>,
-    /// Functions whose address is taken by a `FuncAddr` instruction.
-    pub address_taken: HashSet<FuncId>,
+    /// Functions whose address is taken by a `FuncAddr` instruction, in id
+    /// order (so indirect-call targets are listed in id order too).
+    pub address_taken: BTreeSet<FuncId>,
     /// Strongly connected components of the call graph, in reverse
     /// topological order (callees before callers); `scc_index[f]` gives the
     /// component of `f`.
@@ -46,7 +48,7 @@ pub struct CallGraph {
 impl CallGraph {
     /// Builds the call graph of `program`.
     pub fn build(program: &Program) -> Self {
-        let mut address_taken = HashSet::new();
+        let mut address_taken = BTreeSet::new();
         for f in &program.functions {
             for b in &f.blocks {
                 for inst in &b.insts {
@@ -57,7 +59,7 @@ impl CallGraph {
             }
         }
 
-        let mut sites: HashMap<FuncId, Vec<CallSite>> = HashMap::new();
+        let mut sites: Vec<Vec<CallSite>> = Vec::with_capacity(program.functions.len());
         let mut callers: HashMap<FuncId, Vec<(FuncId, Loc)>> = HashMap::new();
         for fid in program.func_ids() {
             let f = program.func(fid);
@@ -88,43 +90,22 @@ impl CallGraph {
                     fsites.push(CallSite { loc, targets, is_spawn, indirect });
                 }
             }
-            sites.insert(fid, fsites);
+            sites.push(fsites);
         }
 
-        let (scc_index, sccs) = compute_sccs(program, &sites);
+        let (scc_index, sccs) = compute_sccs(&sites);
         CallGraph { sites, callers, address_taken, scc_index, sccs }
     }
 
     /// Call sites within `f`.
     pub fn sites_of(&self, f: FuncId) -> &[CallSite] {
-        self.sites.get(&f).map(|v| v.as_slice()).unwrap_or(&[])
+        self.sites.get(f.0 as usize).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
     /// True if `caller` and `callee` belong to the same SCC (i.e. the call is
     /// part of a recursion cycle), or if `callee == caller`.
     pub fn is_recursive_call(&self, caller: FuncId, callee: FuncId) -> bool {
         caller == callee || self.scc_index[caller.0 as usize] == self.scc_index[callee.0 as usize]
-    }
-
-    /// The set of functions from which `target` is reachable through calls
-    /// (including `target` itself): these are the only functions a state can
-    /// be in and still eventually reach a goal located in `target` by making
-    /// calls (it may of course also reach it by first returning).
-    pub fn functions_reaching(&self, target: FuncId) -> HashSet<FuncId> {
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::new();
-        seen.insert(target);
-        queue.push_back(target);
-        while let Some(f) = queue.pop_front() {
-            if let Some(cs) = self.callers.get(&f) {
-                for (caller, _) in cs {
-                    if seen.insert(*caller) {
-                        queue.push_back(*caller);
-                    }
-                }
-            }
-        }
-        seen
     }
 
     /// Functions reachable from `entry` through calls and spawns.
@@ -148,11 +129,16 @@ impl CallGraph {
 
 /// Tarjan's SCC algorithm over the call graph. Returns `(scc_index, sccs)`
 /// with SCCs emitted in reverse topological order (callees first).
-fn compute_sccs(
-    program: &Program,
-    sites: &HashMap<FuncId, Vec<CallSite>>,
-) -> (Vec<usize>, Vec<Vec<FuncId>>) {
-    let n = program.functions.len();
+fn compute_sccs(sites: &[Vec<CallSite>]) -> (Vec<usize>, Vec<Vec<FuncId>>) {
+    let n = sites.len();
+    // The call-graph successors of `v` are `succ[succ_start[v]..succ_start[v + 1]]`.
+    let mut succ_start = Vec::with_capacity(n + 1);
+    let mut succ: Vec<usize> = Vec::new();
+    succ_start.push(0);
+    for fsites in sites {
+        succ.extend(fsites.iter().flat_map(|s| s.targets.iter().map(|t| t.0 as usize)));
+        succ_start.push(succ.len());
+    }
     let mut index = vec![usize::MAX; n];
     let mut lowlink = vec![0usize; n];
     let mut on_stack = vec![false; n];
@@ -182,12 +168,7 @@ fn compute_sccs(
                     work.push(Phase::Resume(v, 0));
                 }
                 Phase::Resume(v, mut child_idx) => {
-                    let succs: Vec<usize> = sites
-                        .get(&FuncId(v as u32))
-                        .map(|ss| {
-                            ss.iter().flat_map(|s| s.targets.iter().map(|t| t.0 as usize)).collect()
-                        })
-                        .unwrap_or_default();
+                    let succs = &succ[succ_start[v]..succ_start[v + 1]];
                     let mut descended = false;
                     while child_idx < succs.len() {
                         let w = succs[child_idx];
@@ -292,19 +273,6 @@ mod tests {
         let main_scc = cg.scc_index[main.0 as usize];
         assert!(cg.scc_index[leaf.0 as usize] < main_scc);
         assert!(cg.scc_index[rec.0 as usize] < main_scc);
-    }
-
-    #[test]
-    fn functions_reaching_walks_caller_edges() {
-        let p = program_with_calls();
-        let cg = CallGraph::build(&p);
-        let leaf = p.func_by_name("leaf").unwrap();
-        let main = p.func_by_name("main").unwrap();
-        let rec = p.func_by_name("rec").unwrap();
-        let reach_leaf = cg.functions_reaching(leaf);
-        assert!(reach_leaf.contains(&leaf));
-        assert!(reach_leaf.contains(&main));
-        assert!(!reach_leaf.contains(&rec));
     }
 
     #[test]

@@ -3,46 +3,65 @@
 use esd_ir::{BlockId, FuncId, Function};
 use std::collections::VecDeque;
 
-/// The control-flow graph of one function: predecessor and successor lists
-/// indexed by block.
+/// The control-flow graph of one function, in compressed sparse rows: the
+/// successors of block `b` are `succ_edges[succ_start[b]..succ_start[b + 1]]`
+/// (in branch order), and the predecessors likewise (in block order).
 #[derive(Debug, Clone)]
 pub struct Cfg {
     /// The function this CFG describes.
     pub func: FuncId,
-    /// Successor blocks of each block.
-    pub succs: Vec<Vec<BlockId>>,
-    /// Predecessor blocks of each block.
-    pub preds: Vec<Vec<BlockId>>,
+    succ_start: Vec<u32>,
+    succ_edges: Vec<BlockId>,
+    pred_start: Vec<u32>,
+    pred_edges: Vec<BlockId>,
 }
 
 impl Cfg {
     /// Builds the CFG of `function`.
     pub fn build(function: &Function, func: FuncId) -> Self {
         let n = function.blocks.len();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
-        for (bi, block) in function.blocks.iter().enumerate() {
+        let mut succ_start = Vec::with_capacity(n + 1);
+        let mut succ_edges = Vec::with_capacity(2 * n);
+        let mut pred_start = vec![0u32; n + 1];
+        succ_start.push(0);
+        for block in &function.blocks {
             for s in block.term.successors() {
-                succs[bi].push(s);
-                preds[s.0 as usize].push(BlockId(bi as u32));
+                succ_edges.push(s);
+                pred_start[s.0 as usize + 1] += 1;
+            }
+            succ_start.push(succ_edges.len() as u32);
+        }
+        for b in 0..n {
+            pred_start[b + 1] += pred_start[b];
+        }
+        // Fill each block's predecessor row in block order.
+        let mut next = pred_start.clone();
+        let mut pred_edges = vec![BlockId(0); succ_edges.len()];
+        for b in 0..n {
+            for s in &succ_edges[succ_start[b] as usize..succ_start[b + 1] as usize] {
+                let slot = &mut next[s.0 as usize];
+                pred_edges[*slot as usize] = BlockId(b as u32);
+                *slot += 1;
             }
         }
-        Cfg { func, succs, preds }
+        Cfg { func, succ_start, succ_edges, pred_start, pred_edges }
     }
 
     /// Number of blocks.
     pub fn num_blocks(&self) -> usize {
-        self.succs.len()
+        self.succ_start.len() - 1
     }
 
     /// Successors of `b`.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.0 as usize]
+        let b = b.0 as usize;
+        &self.succ_edges[self.succ_start[b] as usize..self.succ_start[b + 1] as usize]
     }
 
     /// Predecessors of `b`.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.0 as usize]
+        let b = b.0 as usize;
+        &self.pred_edges[self.pred_start[b] as usize..self.pred_start[b + 1] as usize]
     }
 
     /// Blocks reachable from the entry block (block 0), including entry.
@@ -86,31 +105,6 @@ impl Cfg {
             }
         }
         seen
-    }
-
-    /// Shortest path length (in edges) between blocks, or `None` if
-    /// unreachable. Used by tests and by simple heuristics; the real cost
-    /// model lives in [`crate::costs`].
-    pub fn edge_distance(&self, from: BlockId, to: BlockId) -> Option<usize> {
-        if from == to {
-            return Some(0);
-        }
-        let mut dist = vec![usize::MAX; self.num_blocks()];
-        let mut queue = VecDeque::new();
-        dist[from.0 as usize] = 0;
-        queue.push_back(from);
-        while let Some(b) = queue.pop_front() {
-            for s in self.succs(b) {
-                if dist[s.0 as usize] == usize::MAX {
-                    dist[s.0 as usize] = dist[b.0 as usize] + 1;
-                    if *s == to {
-                        return Some(dist[s.0 as usize]);
-                    }
-                    queue.push_back(*s);
-                }
-            }
-        }
-        None
     }
 }
 
@@ -172,15 +166,5 @@ mod tests {
         let to_a = cfg.can_reach(BlockId(1));
         assert!(to_a[0] && to_a[1]);
         assert!(!to_a[2] && !to_a[3]);
-    }
-
-    #[test]
-    fn edge_distance_shortest_paths() {
-        let (p, f) = diamond();
-        let cfg = Cfg::build(p.func(f), f);
-        assert_eq!(cfg.edge_distance(BlockId(0), BlockId(3)), Some(2));
-        assert_eq!(cfg.edge_distance(BlockId(0), BlockId(0)), Some(0));
-        assert_eq!(cfg.edge_distance(BlockId(3), BlockId(0)), None);
-        assert_eq!(cfg.edge_distance(BlockId(0), BlockId(4)), None);
     }
 }

@@ -14,6 +14,7 @@ use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::reachdef::{eval_tri, global_stores, DefIndex, GlobalStore};
 use esd_ir::{BlockId, FuncId, GlobalId, Loc, Operand, Program, Terminator};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 /// A branch edge that every path to the goal must take.
@@ -57,13 +58,28 @@ impl StaticGoalInfo {
     /// Runs the static phase for `goal`. Every result lies within the goal's
     /// function, so `_callgraph` is unused; it stays for existing callers.
     pub fn compute(program: &Program, cfgs: &[Cfg], _callgraph: &CallGraph, goal: Loc) -> Self {
+        let stores = OnceCell::new();
+        let defs = DefIndex::new(program.func(goal.func));
+        Self::compute_with(program, cfgs, goal, &defs, || {
+            stores.get_or_init(|| global_stores(program)).as_slice()
+        })
+    }
+
+    /// [`StaticGoalInfo::compute`] over the goal function's already built
+    /// `defs`, reading the program's global stores from `stores` only when
+    /// a critical edge's condition names a global: a caller that computes
+    /// several goals of one program builds both once.
+    pub(crate) fn compute_with<'s>(
+        program: &Program,
+        cfgs: &[Cfg],
+        goal: Loc,
+        defs: &DefIndex<'_>,
+        stores: impl Fn() -> &'s [GlobalStore],
+    ) -> Self {
         let goal_cfg = &cfgs[goal.func.0 as usize];
         let can_reach_goal = goal_cfg.can_reach(goal.block);
         let critical_edges = find_critical_edges(program, goal_cfg, goal, &can_reach_goal);
-        let stores = global_stores(program);
-        let defs = DefIndex::new(program.func(goal.func));
-        let intermediate_goals =
-            derive_intermediate_goals(program, &defs, &critical_edges, &stores);
+        let intermediate_goals = derive_intermediate_goals(program, defs, &critical_edges, stores);
         StaticGoalInfo { goal, critical_edges, intermediate_goals }
     }
 
@@ -170,12 +186,13 @@ const MAX_DEFS_PER_VAR: usize = 32;
 ///   goal only slows the search down, it never makes it unsound.
 ///
 /// Every critical edge sits in the goal's function, whose definitions `defs`
-/// indexes.
-fn derive_intermediate_goals(
+/// indexes. `stores` hands out the program's global stores, built on the
+/// first call.
+fn derive_intermediate_goals<'s>(
     program: &Program,
     defs: &DefIndex<'_>,
     critical_edges: &[CriticalEdge],
-    stores: &[GlobalStore],
+    stores: impl Fn() -> &'s [GlobalStore],
 ) -> Vec<IntermediateGoal> {
     let mut goals = Vec::new();
     for edge in critical_edges {
@@ -184,6 +201,7 @@ fn derive_intermediate_goals(
         if vars.is_empty() {
             continue;
         }
+        let stores = stores();
 
         // Viability of value `k` for variable `var`: with var = k and every
         // other variable unknown, can the condition still take the required

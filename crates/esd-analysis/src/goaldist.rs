@@ -18,9 +18,10 @@
 //! [`CostModel`](crate::CostModel) in [`ProgramFacts`](crate::ProgramFacts):
 //! as in Algorithm 1, every instruction on the way to the goal counts.
 
+use crate::callgraph::CallSite;
 use crate::costs::INF;
 use crate::StaticAnalysis;
-use esd_ir::{BlockId, Callee, FuncId, Inst, Loc, Program};
+use esd_ir::{BlockId, FuncId, Loc, Program};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -79,59 +80,49 @@ impl DistanceOracle {
         gd
     }
 
-    fn call_targets(&self, inst: &Inst, caller: FuncId) -> Vec<FuncId> {
-        match inst {
-            Inst::Call { callee: Callee::Direct(t), .. }
-            | Inst::ThreadSpawn { func: Callee::Direct(t), .. } => vec![*t],
-            Inst::Call { callee: Callee::Indirect(_), args, .. } => self
-                .analysis
-                .facts
-                .callgraph
-                .address_taken
-                .iter()
-                .copied()
-                .filter(|t| self.program.func(*t).num_params as usize == args.len())
-                .collect(),
-            _ => {
-                let _ = caller;
-                vec![]
-            }
-        }
+    /// The call sites of block `b` of `f` at or after instruction
+    /// `from_idx`, in instruction order.
+    fn sites_from(&self, f: FuncId, b: BlockId, from_idx: u32) -> &[CallSite] {
+        let sites = self.analysis.facts.callgraph.sites_of(f);
+        let lo = sites.partition_point(|s| (s.loc.block, s.loc.idx) < (b, from_idx));
+        let len = sites[lo..].partition_point(|s| s.loc.block == b);
+        &sites[lo..lo + len]
     }
 
+    /// Computes the distance maps of `goal` callee-first: functions are
+    /// visited in the call graph's SCC order (callees before callers), and a
+    /// function is (re)computed only when it holds the goal or a callee's
+    /// entry distance has dropped since the function was last computed. A
+    /// recursive SCC iterates until no entry distance inside it drops.
     fn compute_goal_distances(&self, goal: Loc) -> GoalDistances {
+        let callgraph = &self.analysis.facts.callgraph;
         let nf = self.program.functions.len();
         let mut func_entry = vec![INF; nf];
         let mut block_entry: Vec<Vec<u64>> =
             self.program.functions.iter().map(|f| vec![INF; f.blocks.len()]).collect();
 
-        // Only functions from which the goal's function is reachable through
-        // calls can have finite distances; iterate to a fixed point over
-        // those (the dependency is: a caller's distance uses its callees'
-        // entry distances).
-        let relevant = self.analysis.facts.callgraph.functions_reaching(goal.func);
-        let mut order: Vec<FuncId> = relevant.iter().copied().collect();
-        // Process the goal's own function first, then the rest; the fixed
-        // point iteration handles any remaining ordering issues.
-        order.sort_by_key(|f| if *f == goal.func { 0 } else { 1 });
-
-        let max_iters = order.len().max(1) + 1;
-        for _ in 0..max_iters {
-            let mut changed = false;
-            for f in &order {
-                let new = self.function_block_distances(*f, goal, &func_entry);
-                let fe = new[0];
-                if new != block_entry[f.0 as usize] {
-                    block_entry[f.0 as usize] = new;
-                    changed = true;
+        let mut dirty = vec![false; nf];
+        dirty[goal.func.0 as usize] = true;
+        let mut work: Vec<FuncId> = Vec::new();
+        for scc in &callgraph.sccs {
+            work.extend(scc.iter().filter(|f| dirty[f.0 as usize]));
+            while let Some(f) = work.pop() {
+                let fi = f.0 as usize;
+                dirty[fi] = false;
+                block_entry[fi] = self.function_block_distances(f, goal, &func_entry);
+                let fe = block_entry[fi][0];
+                if fe >= func_entry[fi] {
+                    continue;
                 }
-                if fe < func_entry[f.0 as usize] {
-                    func_entry[f.0 as usize] = fe;
-                    changed = true;
+                func_entry[fi] = fe;
+                for (caller, _) in callgraph.callers.get(&f).into_iter().flatten() {
+                    let ci = caller.0 as usize;
+                    if !std::mem::replace(&mut dirty[ci], true)
+                        && callgraph.scc_index[ci] == callgraph.scc_index[fi]
+                    {
+                        work.push(*caller);
+                    }
                 }
-            }
-            if !changed {
-                break;
             }
         }
         GoalDistances { goal, block_entry, func_entry }
@@ -140,20 +131,27 @@ impl DistanceOracle {
     /// Distance from the start of every block of `f` to the goal, given the
     /// current estimates of callee entry distances.
     fn function_block_distances(&self, f: FuncId, goal: Loc, func_entry: &[u64]) -> Vec<u64> {
-        let function = self.program.func(f);
-        let cfg = &self.analysis.facts.cfgs[f.0 as usize];
-        let n = function.blocks.len();
-        let mut dist = vec![INF; n];
+        let facts = &self.analysis.facts;
+        let cfg = &facts.cfgs[f.0 as usize];
+        let mut dist = vec![INF; cfg.num_blocks()];
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let mut seed = |b: BlockId, d: u64| {
+            if d < dist[b.0 as usize] {
+                dist[b.0 as usize] = d;
+                heap.push(Reverse((d, b.0 as usize)));
+            }
+        };
 
-        // Seed with each block's "exit" distance: reaching the goal directly
-        // inside the block, or entering a callee that can reach the goal.
-        for (bi, d) in dist.iter_mut().enumerate() {
-            let b = BlockId(bi as u32);
-            let base = self.block_exit_distance(f, b, 0, goal, func_entry);
-            if base < INF {
-                *d = base;
-                heap.push(Reverse((base, bi)));
+        // Seed each block with its "exit" distance: reaching the goal
+        // directly inside the block, or entering a callee that can reach the
+        // goal.
+        if f == goal.func {
+            seed(goal.block, facts.costs.block_prefix_cost(f, goal.block, goal.idx));
+        }
+        for site in facts.callgraph.sites_of(f) {
+            let walked = facts.costs.block_prefix_cost(f, site.loc.block, site.loc.idx);
+            for t in &site.targets {
+                seed(site.loc.block, sat(sat(walked, 1), func_entry[t.0 as usize]));
             }
         }
         while let Some(Reverse((d, b))) = heap.pop() {
@@ -162,7 +160,7 @@ impl DistanceOracle {
             }
             for p in cfg.preds(BlockId(b as u32)) {
                 let pi = p.0 as usize;
-                let nd = sat(self.analysis.facts.costs.block_cost[f.0 as usize][pi], d);
+                let nd = sat(facts.costs.block_cost(f, *p), d);
                 if nd < dist[pi] {
                     dist[pi] = nd;
                     heap.push(Reverse((nd, pi)));
@@ -174,8 +172,9 @@ impl DistanceOracle {
 
     /// Least cost of reaching the goal from instruction `from_idx` of block
     /// `b` *without leaving the block through its terminator*: either the
-    /// goal instruction itself lies ahead in this block, or a call ahead in
-    /// this block enters a function from which the goal is reachable.
+    /// goal instruction itself lies ahead in this block, or a call (or
+    /// spawn) ahead in this block enters a function from which the goal is
+    /// reachable.
     fn block_exit_distance(
         &self,
         f: FuncId,
@@ -184,27 +183,18 @@ impl DistanceOracle {
         goal: Loc,
         func_entry: &[u64],
     ) -> u64 {
-        let function = self.program.func(f);
-        let block = function.block(b);
         let costs = &self.analysis.facts.costs;
+        let walked_from = costs.block_prefix_cost(f, b, from_idx);
         let mut best = INF;
         // Goal directly ahead in this block.
         if f == goal.func && b == goal.block && from_idx <= goal.idx {
-            let d = costs
-                .block_prefix_cost(f, b, goal.idx)
-                .saturating_sub(costs.block_prefix_cost(f, b, from_idx));
-            best = best.min(d);
+            best = costs.block_prefix_cost(f, b, goal.idx) - walked_from;
         }
         // A call ahead in this block into a goal-reaching function.
-        for (i, inst) in block.insts.iter().enumerate().skip(from_idx as usize) {
-            if matches!(inst, Inst::Call { .. } | Inst::ThreadSpawn { .. }) {
-                let walked = costs
-                    .block_prefix_cost(f, b, i as u32)
-                    .saturating_sub(costs.block_prefix_cost(f, b, from_idx));
-                for t in self.call_targets(inst, f) {
-                    let via = sat(sat(walked, 1), func_entry[t.0 as usize]);
-                    best = best.min(via);
-                }
+        for site in self.sites_from(f, b, from_idx) {
+            let walked = costs.block_prefix_cost(f, b, site.loc.idx) - walked_from;
+            for t in &site.targets {
+                best = best.min(sat(sat(walked, 1), func_entry[t.0 as usize]));
             }
         }
         best
@@ -246,12 +236,11 @@ impl DistanceOracle {
         let mut dmin = self.distance_from(gd, pc);
         // Walk outward through the call stack: return from the current
         // frame(s), then continue toward the goal from the return address.
-        let mut ret_cost = self.analysis.facts.costs.dist2ret(&self.program, pc);
+        let mut ret_cost = self.analysis.facts.costs.dist2ret(pc);
         for caller in stack.iter().rev().skip(1) {
             let d = sat(sat(ret_cost, 1), self.distance_from(gd, *caller));
             dmin = dmin.min(d);
-            ret_cost =
-                sat(sat(ret_cost, 1), self.analysis.facts.costs.dist2ret(&self.program, *caller));
+            ret_cost = sat(sat(ret_cost, 1), self.analysis.facts.costs.dist2ret(*caller));
             if ret_cost >= INF {
                 break;
             }

@@ -69,6 +69,8 @@ pub use pointsto::{AbsLoc, MemAccess, PointsTo};
 pub use racecand::{RaceCandidates, RacePairCandidate};
 
 use esd_ir::{Inst, Loc, Program};
+use reachdef::DefIndex;
+use std::cell::OnceCell;
 use std::sync::OnceLock;
 
 /// The goal-independent static facts of one program: everything the static
@@ -101,10 +103,16 @@ pub struct ProgramFacts {
 impl ProgramFacts {
     /// Runs every goal-independent pass over `program`.
     pub fn compute(program: &Program) -> Self {
+        Self::compute_with(program, &reachdef::def_indexes(program))
+    }
+
+    /// [`ProgramFacts::compute`] over the program's already built
+    /// per-function `defs`.
+    fn compute_with(program: &Program, defs: &[DefIndex<'_>]) -> Self {
         let cfgs: Vec<Cfg> = program.func_ids().map(|f| Cfg::build(program.func(f), f)).collect();
         let callgraph = CallGraph::build(program);
         let costs = CostModel::new(program, &cfgs, &callgraph);
-        let lock_order = lockorder::analyze(program, &cfgs, &callgraph);
+        let lock_order = lockorder::analyze_with(program, &cfgs, defs);
         ProgramFacts {
             cfgs,
             callgraph,
@@ -196,10 +204,20 @@ impl StaticAnalysis {
     /// toward.
     pub fn compute_multi(program: &Program, goals: &[Loc]) -> Self {
         assert!(!goals.is_empty(), "at least one goal location");
-        let facts = ProgramFacts::compute(program);
-        let (cfgs, callgraph) = (&facts.cfgs, &facts.callgraph);
-        let infos =
-            goals.iter().map(|g| StaticGoalInfo::compute(program, cfgs, callgraph, *g)).collect();
+        // The lock order and every goal's info trace definitions through the
+        // same per-function indexes, and the goals share one store list.
+        let defs = reachdef::def_indexes(program);
+        let facts = ProgramFacts::compute_with(program, &defs);
+        let stores = OnceCell::new();
+        let stores =
+            || stores.get_or_init(|| reachdef::global_stores_in(program, &defs)).as_slice();
+        let infos = goals
+            .iter()
+            .map(|g| {
+                let goal_defs = &defs[g.func.0 as usize];
+                StaticGoalInfo::compute_with(program, &facts.cfgs, *g, goal_defs, stores)
+            })
+            .collect();
         let mut goal_info = StaticGoalInfo::merge(infos);
         // Deadlock goals (a goal at a blocked MutexLock) get the lock-order
         // cycles' acquisition sites as extra intermediate goals: the ranked

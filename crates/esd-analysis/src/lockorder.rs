@@ -22,7 +22,7 @@
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::dataflow::{self, ForwardAnalysis, JoinSemiLattice};
-use crate::reachdef::{CondExpr, DefIndex};
+use crate::reachdef::{def_indexes, CondExpr, DefIndex};
 use esd_ir::{FuncId, Function, GlobalId, Inst, Loc, Operand, Program};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -126,6 +126,15 @@ impl ForwardAnalysis for LocksetAnalysis<'_> {
 /// analyses; the function-level fixpoint below discovers direct-call
 /// propagation on its own.)
 pub fn analyze(program: &Program, cfgs: &[Cfg], _callgraph: &CallGraph) -> LockOrderInfo {
+    analyze_with(program, cfgs, &def_indexes(program))
+}
+
+/// [`analyze`] over the program's already built per-function `defs`.
+pub(crate) fn analyze_with(
+    program: &Program,
+    cfgs: &[Cfg],
+    defs: &[DefIndex<'_>],
+) -> LockOrderInfo {
     let n = program.functions.len();
     // Entry locksets: what each function's callers may hold at the call
     // site. Spawn sites contribute too — a lock held across `ThreadSpawn`
@@ -133,22 +142,40 @@ pub fn analyze(program: &Program, cfgs: &[Cfg], _callgraph: &CallGraph) -> LockO
     let mut entry: Vec<LockSet> = vec![LockSet::default(); n];
     let mut queued = vec![true; n];
     let mut worklist: VecDeque<FuncId> = program.func_ids().collect();
-    let defs: Vec<DefIndex<'_>> = program.functions.iter().map(DefIndex::new).collect();
+    // Each function's edges from its latest solve.
+    let mut func_edges: Vec<Vec<LockEdge>> = vec![Vec::new(); n];
 
     // Fixpoint over functions: the powerset lattice over globals is finite,
-    // so entry sets grow monotonically and terminate.
+    // so entry sets grow monotonically and terminate. Any growth of a
+    // function's entry set queues it again, so its last solve ran on its
+    // final entry set, and the edges recorded then are its final edges: an
+    // edge for every held mutex at every acquisition.
     while let Some(fid) = worklist.pop_front() {
-        queued[fid.0 as usize] = false;
+        let fi = fid.0 as usize;
+        queued[fi] = false;
         let function = program.func(fid);
-        let analysis =
-            LocksetAnalysis { defs: &defs[fid.0 as usize], entry: entry[fid.0 as usize].clone() };
-        let facts = dataflow::solve_function(&analysis, function, &cfgs[fid.0 as usize], fid);
+        let fdefs = &defs[fi];
+        let analysis = LocksetAnalysis { defs: fdefs, entry: entry[fi].clone() };
+        let facts = dataflow::solve_function(&analysis, function, &cfgs[fi], fid);
+        let edges = &mut func_edges[fi];
+        edges.clear();
         for (bi, block) in function.blocks.iter().enumerate() {
             let Some(mut fact) = facts.at(esd_ir::BlockId(bi as u32)).cloned() else { continue };
             for (ii, inst) in block.insts.iter().enumerate() {
+                let loc = Loc::new(fid, esd_ir::BlockId(bi as u32), ii as u32);
                 let flows_to = match inst {
                     Inst::Call { callee: esd_ir::Callee::Direct(target), .. } => Some(*target),
                     Inst::ThreadSpawn { func: esd_ir::Callee::Direct(target), .. } => Some(*target),
+                    Inst::MutexLock { mutex } => {
+                        if let Some(second) = mutex_identity(fdefs, *mutex) {
+                            for first in &fact.0 {
+                                if *first != second {
+                                    edges.push(LockEdge { first: *first, second, site: loc });
+                                }
+                            }
+                        }
+                        None
+                    }
                     _ => None,
                 };
                 if let Some(target) = flows_to {
@@ -157,37 +184,12 @@ pub fn analyze(program: &Program, cfgs: &[Cfg], _callgraph: &CallGraph) -> LockO
                         worklist.push_back(target);
                     }
                 }
-                let loc = Loc::new(fid, esd_ir::BlockId(bi as u32), ii as u32);
                 analysis.transfer_inst(&mut fact, inst, loc);
             }
         }
     }
 
-    // Edge generation: re-run each function with its final entry set and
-    // record an edge for every held mutex at every acquisition.
-    let mut edges: Vec<LockEdge> = Vec::new();
-    for fid in program.func_ids() {
-        let function = program.func(fid);
-        let fdefs = &defs[fid.0 as usize];
-        let analysis = LocksetAnalysis { defs: fdefs, entry: entry[fid.0 as usize].clone() };
-        let facts = dataflow::solve_function(&analysis, function, &cfgs[fid.0 as usize], fid);
-        for (bi, block) in function.blocks.iter().enumerate() {
-            let Some(mut fact) = facts.at(esd_ir::BlockId(bi as u32)).cloned() else { continue };
-            for (ii, inst) in block.insts.iter().enumerate() {
-                let loc = Loc::new(fid, esd_ir::BlockId(bi as u32), ii as u32);
-                if let Inst::MutexLock { mutex } = inst {
-                    if let Some(second) = mutex_identity(fdefs, *mutex) {
-                        for first in &fact.0 {
-                            if *first != second {
-                                edges.push(LockEdge { first: *first, second, site: loc });
-                            }
-                        }
-                    }
-                }
-                analysis.transfer_inst(&mut fact, inst, loc);
-            }
-        }
-    }
+    let mut edges: Vec<LockEdge> = func_edges.into_iter().flatten().collect();
     edges.sort();
     edges.dedup();
 
@@ -364,6 +366,37 @@ mod tests {
         assert_eq!(info.cycles[0].pair, (master, btree).min((btree, master)));
         // One candidate site sits inside the callee.
         assert!(info.cycles[0].sites.iter().any(|l| l.func == inner));
+    }
+
+    #[test]
+    fn edges_come_from_the_final_entry_lockset() {
+        // `inner` is solved first, with an empty entry set, and already
+        // orders a → b; only the solve after `main`'s call grows its entry
+        // set to {c} adds c → a and c → b.
+        let mut pb = ProgramBuilder::new("p");
+        let a = pb.global("a", 1);
+        let b = pb.global("b", 1);
+        let c = pb.global("c", 1);
+        let inner = pb.function("inner", 0, |f| {
+            let ap = f.addr_global(a);
+            let bp = f.addr_global(b);
+            f.lock(ap);
+            f.lock(bp);
+            f.unlock(bp);
+            f.unlock(ap);
+            f.ret_void();
+        });
+        pb.function("main", 0, |f| {
+            let cp = f.addr_global(c);
+            f.lock(cp);
+            f.call_void(inner, vec![]);
+            f.unlock(cp);
+            f.ret_void();
+        });
+        let p = pb.finish("main");
+        let info = run(&p);
+        let pairs: Vec<_> = info.edges.iter().map(|e| (e.first, e.second, e.site.func)).collect();
+        assert_eq!(pairs, vec![(a, b, inner), (c, a, inner), (c, b, inner)]);
     }
 
     #[test]

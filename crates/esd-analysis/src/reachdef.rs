@@ -174,10 +174,20 @@ pub struct GlobalStore {
 /// Finds every store in `program` whose address statically resolves to a
 /// global word, recording the stored constant when determinable.
 pub fn global_stores(program: &Program) -> Vec<GlobalStore> {
+    global_stores_in(program, &def_indexes(program))
+}
+
+/// One [`DefIndex`] per function of `program`, indexed by function id.
+pub(crate) fn def_indexes(program: &Program) -> Vec<DefIndex<'_>> {
+    program.functions.iter().map(DefIndex::new).collect()
+}
+
+/// [`global_stores`] over the already built per-function `defs`.
+pub(crate) fn global_stores_in(program: &Program, defs: &[DefIndex<'_>]) -> Vec<GlobalStore> {
     let mut out = Vec::new();
     for fid in program.func_ids() {
         let function = program.func(fid);
-        let defs = DefIndex::new(function);
+        let defs = &defs[fid.0 as usize];
         for (bi, block) in function.blocks.iter().enumerate() {
             for (ii, inst) in block.insts.iter().enumerate() {
                 if let Inst::Store { addr, value } = inst {

@@ -292,17 +292,8 @@ pub fn compute(
 
     // ---- sliced cost model -------------------------------------------------
     let mut sliced = costs.clone();
-    for (f, per_func) in relevant.iter().enumerate() {
-        for (bi, bits) in per_func.iter().enumerate() {
-            let mut total = 1u64; // terminator
-            for (ii, keep) in bits.iter().enumerate() {
-                if !keep {
-                    sliced.inst_cost[f][bi][ii] = 0;
-                }
-                total = total.saturating_add(sliced.inst_cost[f][bi][ii]);
-            }
-            sliced.block_cost[f][bi] = total.min(crate::costs::INF);
-        }
+    for (f, keep) in relevant.iter().enumerate() {
+        sliced.zero_unkept(FuncId(f as u32), keep);
     }
 
     RelevanceSlice { goals: goals.iter().copied().collect(), relevant, costs: sliced }
@@ -347,7 +338,7 @@ mod tests {
         // Output itself is sliced (pure observation), its feeder too.
         let full = crate::ProgramFacts::compute(&p).costs;
         assert!(
-            slice.costs.block_cost[0][0] < full.block_cost[0][0],
+            slice.costs.block_cost(FuncId(0), BlockId(0)) < full.block_cost(FuncId(0), BlockId(0)),
             "the sliced block is cheaper than the full one"
         );
     }

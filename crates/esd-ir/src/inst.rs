@@ -448,14 +448,41 @@ pub enum Terminator {
     Unreachable,
 }
 
+/// The successor blocks of one terminator, in branch order (then before
+/// else). At most two, held inline: iterating them allocates nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct Successors {
+    blocks: [BlockId; 2],
+    next: u8,
+    len: u8,
+}
+
+impl Iterator for Successors {
+    type Item = BlockId;
+
+    fn next(&mut self) -> Option<BlockId> {
+        let b = *self.blocks[..self.len as usize].get(self.next as usize)?;
+        self.next += 1;
+        Some(b)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.len - self.next) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Successors {}
+
 impl Terminator {
     /// Returns the possible successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br { target } => vec![*target],
-            Terminator::CondBr { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-            Terminator::Ret { .. } | Terminator::Unreachable => vec![],
-        }
+    pub fn successors(&self) -> Successors {
+        let (blocks, len) = match self {
+            Terminator::Br { target } => ([*target, *target], 1),
+            Terminator::CondBr { then_bb, else_bb, .. } => ([*then_bb, *else_bb], 2),
+            Terminator::Ret { .. } | Terminator::Unreachable => ([BlockId(0); 2], 0),
+        };
+        Successors { blocks, next: 0, len }
     }
 
     /// Returns all operands read by the terminator.
@@ -553,13 +580,18 @@ mod tests {
     #[test]
     fn terminator_successors() {
         let br = Terminator::Br { target: BlockId(2) };
-        assert_eq!(br.successors(), vec![BlockId(2)]);
+        assert_eq!(br.successors().collect::<Vec<_>>(), vec![BlockId(2)]);
         let cbr = Terminator::CondBr {
             cond: Operand::Const(1),
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(cbr.successors(), vec![BlockId(1), BlockId(2)]);
-        assert!(Terminator::Ret { value: None }.successors().is_empty());
+        let mut succs = cbr.successors();
+        assert_eq!(succs.len(), 2);
+        assert_eq!(succs.next(), Some(BlockId(1)));
+        assert_eq!(succs.len(), 1);
+        assert_eq!(succs.collect::<Vec<_>>(), vec![BlockId(2)]);
+        assert_eq!(Terminator::Ret { value: None }.successors().len(), 0);
+        assert_eq!(Terminator::Unreachable.successors().next(), None);
     }
 }

@@ -36,7 +36,7 @@ pub mod validate;
 pub mod value;
 
 pub use builder::{FunctionBuilder, ProgramBuilder};
-pub use inst::{BinOp, Callee, CmpOp, InputSource, Inst, Operand, Terminator};
+pub use inst::{BinOp, Callee, CmpOp, InputSource, Inst, Operand, Successors, Terminator};
 pub use interp::{
     CoreDump, ExecOutcome, FaultKind, Interpreter, InterpreterConfig, RunResult, SchedulerKind,
     StackFrameInfo, ThreadDumpInfo,

@@ -101,7 +101,7 @@ fn cost_and_distance_digests(
     for loc in &locs {
         bytes.extend(costs.inst_cost(*loc).to_le_bytes());
         bytes.extend(costs.block_prefix_cost(loc.func, loc.block, loc.idx).to_le_bytes());
-        bytes.extend(costs.dist2ret(program, *loc).to_le_bytes());
+        bytes.extend(costs.dist2ret(*loc).to_le_bytes());
     }
     let cost_digest = fnv1a64(&bytes);
 

@@ -230,7 +230,7 @@ proptest! {
                             Feasibility::Unknown => vec![*then_bb, *else_bb],
                         }
                     }
-                    t => t.successors(),
+                    t => t.successors().collect(),
                 };
                 stack.extend(next);
             }
